@@ -55,12 +55,7 @@ def _load_gauge(path: str):
 def _solver_options(args) -> SolverOptions:
     try:
         return SolverOptions(
-            grid_size=args.grid,
-            bisect_tol=args.tol,
-            refine=not args.no_refine,
-            polish=not args.no_polish,
-            cert_tol=args.cert_tol,
-            seed=args.seed,
+            grid_size=args.grid, polish=not args.no_polish, cert_tol=args.cert_tol
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -164,11 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--svg", help="also render an SVG to this path")
     solve.add_argument("--view", choices=["body", "image"], default="body")
     solve.add_argument("--grid", type=int, default=4096, help="angles per period")
-    solve.add_argument("--tol", type=float, default=1e-12, help="bisection tolerance")
     solve.add_argument("--cert-tol", type=float, default=1e-8, help="certificate tolerance")
     solve.add_argument("--no-polish", action="store_true", help="skip the Remez polish")
-    solve.add_argument("--no-refine", action="store_true", help="skip extremum refinement")
-    solve.add_argument("--seed", type=int, default=0, help="seed for constraint shuffling")
 
     oracle = sub.add_parser("oracle", help="brute-force search over the ellipse grid")
     oracle.add_argument("--input", required=True)

@@ -52,7 +52,7 @@ class LeftCone(BmplaneError):
 # -- solver ------------------------------------------------------------------
 
 class NoConvergence(BmplaneError):
-    """Bisection exhausted its iteration budget with the bracket still above tolerance."""
+    """The minimax LP failed or returned a triple outside the ellipse cone."""
 
 
 class NoAlternance(BmplaneError):

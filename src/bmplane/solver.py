@@ -1,16 +1,18 @@
 """Minimax approximation of f = log r by log-radial functions of ellipses.
 
-The deviation ||f - g||_inf <= d is, for fixed d, a pair of linear
-inequalities per angle in the trig coefficients (a2, b2, c2):
+On an angle grid, the best uniform approximation of f by
+g = -1/2 log(a2 + b2*cos(2*phi) + c2*sin(2*phi)) is a linear-fractional
+program, and the Charnes-Cooper transform makes it one linear program.  With
+R = a2 + b2*cos(2*phi) + c2*sin(2*phi), w = exp(-2*(f - fc)) and fc the
+midrange of f,
 
-    exp(-2d - 2f(phi)) <= a2 + b2*cos(2*phi) + c2*sin(2*phi) <= exp(2d - 2f(phi)),
+    minimize t  subject to  w_i <= R_i <= t*w_i  at every grid angle,
 
-so feasibility at level d is a small linear program (maximize the worst
-constraint slack), and the optimal deviation is found by bisection on d,
-which is valid because feasibility is monotone in d.  An optional
-Remez-style exchange then polishes the bisection output to solver precision:
-re-solve the four-point equioscillation system in (a2, b2, c2, d) by Newton,
-relocate the extrema, repeat.
+has the grid defect 1/4*log(t*), and its triple divided by sqrt(t*) (and
+rescaled by exp(-2*fc)) is the uniform best triple; the normalization makes
+the body's scale drop out.  A Remez-style exchange then polishes the LP
+output to solver precision: re-solve the four-point equioscillation system in
+(a2, b2, c2, d) by Newton, relocate the extrema, repeat.
 
 Optimality is certified by four angles phi1 < psi1 < phi2 < psi2 < phi1+pi
 at which f - g alternately attains +d and -d; such a certificate is
@@ -52,26 +54,18 @@ _CANONICAL_ANGLES = (0.0, 0.25 * _PI, 0.5 * _PI, 0.75 * _PI)
 @dataclass(frozen=True)
 class SolverOptions:
     grid_size: int = 4096
-    bisect_tol: float = 1e-12
-    max_bisect: int = 80
-    refine: bool = True
     polish: bool = True
     cert_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_size < 64:
             raise ValueError(f"grid_size must be at least 64, got {self.grid_size}")
-        if not (self.bisect_tol > 0.0 and self.cert_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_bisect < 1:
-            raise ValueError("max_bisect must be at least 1")
+        if not self.cert_tol > 0.0:
+            raise ValueError("cert_tol must be positive")
 
 
 @dataclass
 class SolveDiagnostics:
-    bisect_iterations: int = 0
-    bracket_width: float = math.inf
     lp_calls: int = 0
     polish_iterations: int = 0
     polished: bool = False
@@ -79,8 +73,6 @@ class SolveDiagnostics:
 
     def as_dict(self) -> dict:
         return {
-            "bisect_iterations": self.bisect_iterations,
-            "bracket_width": self.bracket_width,
             "lp_calls": self.lp_calls,
             "polish_iterations": self.polish_iterations,
             "polished": self.polished,
@@ -150,70 +142,63 @@ def _deviation_fn(gauge: Gauge, params: EllipseParams):
     return h
 
 
-class _FeasibilityProblem:
-    """Max-margin LP over the fixed angle grid, reused across bisection steps."""
-
-    def __init__(self, grid: np.ndarray, fvals: np.ndarray, seed: int = 0):
-        self.grid = grid
-        self.fvals = fvals
-        n = grid.size
-        c2, s2 = np.cos(2.0 * grid), np.sin(2.0 * grid)
-        one = np.ones(n)
-        rows = np.vstack(
-            [
-                np.column_stack([-one, -c2, -s2, one]),  # lower: R - m >= lo
-                np.column_stack([one, c2, s2, one]),  # upper: R + m <= hi
-            ]
-        )
-        self._perm = np.random.default_rng(seed).permutation(2 * n)
-        self._rows = rows[self._perm]
-        self._objective = np.array([0.0, 0.0, 0.0, -1.0])
-        self._bounds = [(None, None)] * 4
-        self.lp_calls = 0
-
-    def solve(self, d: float) -> tuple[Optional[EllipseParams], float]:
-        """Best margin at level d; params only when the margin is nonnegative."""
-        lo = np.exp(-2.0 * d - 2.0 * self.fvals)
-        hi = np.exp(2.0 * d - 2.0 * self.fvals)
-        b = np.concatenate([-lo, hi])[self._perm]
-        self.lp_calls += 1
-        res = linprog(
-            self._objective,
-            A_ub=self._rows,
-            b_ub=b,
-            bounds=self._bounds,
-            method="highs-ds",
-        )
-        if res.status != 0:
-            res = linprog(
-                self._objective, A_ub=self._rows, b_ub=b, bounds=self._bounds, method="highs"
-            )
-        if res.status != 0:
-            raise NoConvergence(f"feasibility LP failed at d={d}: {res.message}")
-        margin = -float(res.fun)
-        if margin < 0.0:
-            return None, margin
-        a2, b2, c2 = (float(v) for v in res.x[:3])
-        if not in_cone(a2, b2, c2):
-            return None, margin
-        return EllipseParams(a2, b2, c2), margin
+def _trig_matrix(grid: np.ndarray) -> np.ndarray:
+    """Rows (1, cos 2phi, sin 2phi), so that R on the grid is this times (a2, b2, c2)."""
+    return np.column_stack([np.ones(grid.size), np.cos(2.0 * grid), np.sin(2.0 * grid)])
 
 
-def feasible_at(gauge: Gauge, d: float, grid, seed: int = 0) -> Optional[EllipseParams]:
+def _linprog(objective, rows: np.ndarray, b: np.ndarray):
+    """HiGHS dual simplex on rows @ x <= b with x free; a failed solve raises NoConvergence."""
+    res = linprog(
+        objective, A_ub=rows, b_ub=b, bounds=[(None, None)] * 4, method="highs-ds"
+    )
+    if res.status != 0:
+        raise NoConvergence(f"LP over {rows.shape[0]} rows failed: {res.message}")
+    return res
+
+
+def _minimax_lp(grid: np.ndarray, fvals: np.ndarray) -> EllipseParams:
+    """Uniform best triple on the grid from one LP (see the module docstring)."""
+    center = 0.5 * float(fvals.max() + fvals.min())
+    w = np.exp(-2.0 * (fvals - center))
+    trig = _trig_matrix(grid)
+    rows = np.block([[-trig, np.zeros((grid.size, 1))], [trig, -w[:, None]]])
+    b = np.concatenate([-w, np.zeros(grid.size)])
+    res = _linprog([0.0, 0.0, 0.0, 1.0], rows, b)
+    scale = math.exp(-2.0 * center) / math.sqrt(res.x[3])  # t* >= 1, since R >= w > 0
+    a2, b2, c2 = (float(v) * scale for v in res.x[:3])
+    if not in_cone(a2, b2, c2):
+        raise NoConvergence(f"minimax LP triple ({a2!r}, {b2!r}, {c2!r}) is outside the cone")
+    return EllipseParams(a2, b2, c2)
+
+
+def feasible_at(gauge: Gauge, d: float, grid) -> Optional[EllipseParams]:
     """Ellipse triple with ||f - g||_inf <= d on the grid, or None.
 
     ``grid`` is an array of angles, or an int for a uniform grid of that size
-    merged with the gauge's kink angles.  The returned triple maximizes the
-    minimum constraint slack, so it sits as deep inside the feasible set as
-    the level d allows.
+    merged with the gauge's kink angles.  Each angle gives the pair
+
+        exp(-2d - 2f) <= a2 + b2*cos(2*phi) + c2*sin(2*phi) <= exp(2d - 2f),
+
+    and the returned triple maximizes the minimum constraint slack, so it sits
+    as deep inside the feasible set as the level d allows.  This level-set
+    test is independent of the minimax LP that ``solve_uniform`` uses.
     """
     if d < 0.0:
         return None
     if np.ndim(grid) == 0:
         grid = evaluation_grid(gauge, int(grid))
     grid = np.asarray(grid, dtype=float)
-    params, _ = _FeasibilityProblem(grid, gauge.log_eval(grid), seed).solve(d)
-    return params
+    fvals = gauge.log_eval(grid)
+    trig = _trig_matrix(grid)
+    one = np.ones((grid.size, 1))
+    rows = np.block([[-trig, one], [trig, one]])  # R - m >= lo and R + m <= hi
+    b = np.concatenate([-np.exp(-2.0 * d - 2.0 * fvals), np.exp(2.0 * d - 2.0 * fvals)])
+    res = _linprog([0.0, 0.0, 0.0, -1.0], rows, b)
+    a2, b2, c2 = (float(v) for v in res.x[:3])
+    if -float(res.fun) < 0.0 or not in_cone(a2, b2, c2):
+        return None
+    return EllipseParams(a2, b2, c2)
 
 
 def _batched_ternary_max(fun, lo: np.ndarray, hi: np.ndarray, rounds: int = 60):
@@ -475,7 +460,7 @@ def _newton_equioscillation(fpts: np.ndarray, theta: np.ndarray, x0: np.ndarray)
 
 
 def _polish(gauge, grid, fvals, params, defect, opts: SolverOptions):
-    """Remez-style exchange from the bisection output; returns the better result.
+    """Remez-style exchange from the LP output; returns the better result.
 
     Each round re-solves the four-point equioscillation system at the current
     alternation points and relocates them globally.  The exchange runs until
@@ -520,52 +505,21 @@ def _polish(gauge, grid, fvals, params, defect, opts: SolverOptions):
 def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> UniformSolution:
     """Best uniform approximation of f = log r over the ellipse family.
 
-    Bisects the deviation level d between 0 and the constant-ellipse baseline
-    (half the oscillation of f, always feasible), querying the max-margin LP
-    at each level.  The feasible-side endpoint and its LP triple are then
-    optionally sharpened by extremum refinement and the Remez-style polish,
-    and the four-point certificate is attached.
+    Solves the minimax LP once on the evaluation grid, measures the refined
+    sup-norm of the deviation off the grid, optionally sharpens the triple by
+    the Remez-style polish, and attaches the four-point certificate.  Raises
+    NoConvergence when the LP fails and NoAlternance when no certificate
+    exists within ``cert_tol``.
     """
     opts = opts or SolverOptions()
     grid = evaluation_grid(gauge, opts.grid_size)
     fvals = gauge.log_eval(grid)
     diag = SolveDiagnostics(grid_points=grid.size)
 
-    problem = _FeasibilityProblem(grid, fvals, opts.seed)
-    d_hi = 0.5 * float(fvals.max() - fvals.min()) * (1.0 + 1e-12) + 1e-15
-    params, _ = problem.solve(d_hi)
-    if params is None:
-        # the baseline is feasible in exact arithmetic; absorb LP rounding
-        d_hi += max(1e-12, 1e-9 * d_hi)
-        params, _ = problem.solve(d_hi)
-    if params is None:
-        raise NoConvergence(
-            f"constant-ellipse baseline level {d_hi} unexpectedly infeasible"
-        )
-
-    lo, hi = 0.0, d_hi
-    if d_hi > opts.bisect_tol:
-        while hi - lo > opts.bisect_tol:
-            if diag.bisect_iterations >= opts.max_bisect:
-                diag.lp_calls = problem.lp_calls
-                raise NoConvergence(
-                    f"bisection bracket {hi - lo:g} still above tolerance "
-                    f"{opts.bisect_tol:g} after {opts.max_bisect} iterations"
-                )
-            mid = 0.5 * (lo + hi)
-            cand, _ = problem.solve(mid)
-            if cand is not None:
-                hi, params = mid, cand
-            else:
-                lo = mid
-            diag.bisect_iterations += 1
-    diag.bracket_width = hi - lo
-    diag.lp_calls = problem.lp_calls
-    defect = hi
-
-    if opts.refine or opts.polish:
-        h = _deviation_fn(gauge, params)
-        defect = _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid))).sup
+    params = _minimax_lp(grid, fvals)
+    diag.lp_calls = 1
+    h = _deviation_fn(gauge, params)
+    defect = _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid))).sup
 
     if opts.polish and defect > opts.cert_tol:
         params, defect, polish_iters = _polish(gauge, grid, fvals, params, defect, opts)
@@ -574,7 +528,7 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
 
     h = _deviation_fn(gauge, params)
     scan = _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
-    defect = max(defect, scan.sup) if (opts.refine or opts.polish) else defect
+    defect = max(defect, scan.sup)
     cert = _certificate_from_scan(h, scan, opts.cert_tol)
     return UniformSolution(params, float(defect), cert, diag)
 

@@ -5,7 +5,7 @@ import pytest
 
 from bmplane.ellipse import EllipseParams
 from bmplane.errors import NoAlternance, NoConvergence
-from bmplane.gauge import circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge
+from bmplane.gauge import circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge
 from bmplane.solver import (
     AlternanceCertificate,
     SolverOptions,
@@ -20,6 +20,16 @@ from bmplane.solver import (
 import bodies
 
 SQUARE_DEFECT = 0.25 * math.log(2.0)  # forced by 4-fold symmetry: ln(sqrt(2))/2
+
+CLOSED_FORM_D2 = {
+    "circle": 1.0,
+    "square": math.sqrt(2.0),
+    "square-polygon": math.sqrt(2.0),
+    "diamond": math.sqrt(2.0),
+    "l1": math.sqrt(2.0),
+    "hexagon": 2.0 / math.sqrt(3.0),
+    "ellipse": 1.0,
+}
 
 
 class TestFeasibleAt:
@@ -49,6 +59,15 @@ class TestFeasibleAt:
     def test_negative_level_empty(self):
         assert feasible_at(circle_gauge(), -0.1, 256) is None
 
+    def test_level_set_brackets_solver_defect(self, solved_corpus):
+        # the max-margin level set, an LP independent of the solver's, flips at d*
+        for name, (g, sol) in solved_corpus.items():
+            if CLOSED_FORM_D2.get(name) == 1.0:
+                continue  # d* = 0: the solved defect is rounding, not a level
+            grid = evaluation_grid(g, 4096)
+            assert feasible_at(g, sol.defect * (1.0 + 1e-6), grid) is not None, name
+            assert feasible_at(g, sol.defect * (1.0 - 1e-6), grid) is None, name
+
 
 class TestSolveUniform:
     def test_circle(self):
@@ -68,16 +87,34 @@ class TestSolveUniform:
         sol = solve_uniform(lp_gauge(math.inf))
         assert sol.defect == pytest.approx(SQUARE_DEFECT, abs=1e-9)
         assert sol.params.triple() == pytest.approx((2.0 ** -0.5, 0.0, 0.0), abs=1e-6)
-        assert sol.diagnostics.lp_calls > 10
 
     def test_square_without_polish(self):
         sol = solve_uniform(lp_gauge(math.inf), SolverOptions(polish=False))
         assert sol.defect == pytest.approx(SQUARE_DEFECT, abs=1e-9)
         assert not sol.diagnostics.polished
 
-    def test_no_convergence(self):
+    def test_failed_lp_is_typed(self, monkeypatch):
+        import bmplane.solver as solver_mod
+        from scipy.optimize import OptimizeResult
+
+        def failing(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties", x=None)
+
+        monkeypatch.setattr(solver_mod, "linprog", failing)
         with pytest.raises(NoConvergence):
-            solve_uniform(lp_gauge(math.inf), SolverOptions(max_bisect=3))
+            solve_uniform(lp_gauge(math.inf))
+
+    def test_closed_forms(self, solved_corpus):
+        for name, d2 in CLOSED_FORM_D2.items():
+            sol = solved_corpus[name][1]
+            assert math.exp(2.0 * sol.defect) == pytest.approx(d2, rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize("scale", [1e8, 1e-8])
+    def test_extreme_scale(self, scale):
+        g = polygon_gauge(scale * bodies.square_vertices())
+        sol = solve_uniform(g)
+        assert math.exp(2.0 * sol.defect) == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
     def test_grid_sup_matches_defect(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
@@ -173,8 +210,6 @@ class TestDistance:
             assert 1.0 - 1e-9 <= d2 <= math.sqrt(2.0) + 1e-6, name
 
     def test_scale_and_rotation_invariance(self):
-        from bmplane.gauge import polygon_gauge
-
         verts = bodies.random_convex_polygon(np.random.default_rng(77), n_half=6)
         base = distance(polygon_gauge(verts))
         assert distance(polygon_gauge(3.7 * verts)) == pytest.approx(base, abs=1e-6)
