@@ -21,6 +21,7 @@ sufficient for global optimality and uniqueness within the ellipse family.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -377,14 +378,45 @@ def verify_certificate(
     return CertificateVerdict(ordering_ok, residuals_ok, sup_ok, passed, d_hat, dev, sup)
 
 
+def _trim_to_four(pts: list) -> list:
+    """Trim cyclic (angle, sign, criticality) points to four as _alternating_reference says.
+
+    The pairs sit in a heap keyed by (score, left index) over a cyclic doubly
+    linked list.  A popped pair whose ends are no longer adjacent is stale
+    and skipped; each removal links its two neighbours into one new pair.
+    The survivors keep their order.
+    """
+    n = len(pts)
+    crit = [c for _, _, c in pts]
+    nxt = [*range(1, n), 0]
+    prv = [n - 1, *range(n - 1)]
+    alive = [True] * n
+    heap = [(max(crit[i], crit[nxt[i]]), i, nxt[i]) for i in range(n)]
+    heapq.heapify(heap)
+    left = n
+    while left > 4:
+        _, i, j = heapq.heappop(heap)
+        if not alive[i] or nxt[i] != j:
+            continue
+        alive[i] = alive[j] = False
+        p, q = prv[i], nxt[j]
+        nxt[p], prv[q] = q, p
+        heapq.heappush(heap, (max(crit[p], crit[q]), p, q))
+        left -= 2
+    return [pt for pt, keep in zip(pts, alive) if keep]
+
+
 def _alternating_reference(scan: _ExtremaScan):
     """Four alternating near-critical extrema (+,-,+,-) for the Remez exchange.
 
-    Local maxima and minima are merged in cyclic angle order, same-sign runs
-    compressed to their most critical member, and adjacent opposite-sign pairs
-    of least criticality trimmed until four points remain.  Returns the angles
-    ordered phi1 < psi1 < phi2 < psi2 < phi1 + pi and the mean criticality,
-    or None when no alternating quadruple exists.
+    Local maxima and minima are merged in cyclic angle order and same-sign
+    runs compressed to their most critical member.  The surplus is trimmed
+    one adjacent pair per round, always the pair whose more critical member
+    is least critical; on equal scores the pair with the smallest left index
+    goes, the wrap pair (last, first) counting as the last.  A heap over the
+    pairs (``_trim_to_four``) makes the trim O(n log n) for n extrema.
+    Returns the angles ordered phi1 < psi1 < phi2 < psi2 < phi1 + pi and the
+    mean criticality, or None when no alternating quadruple exists.
     """
     ang = np.concatenate([scan.max_angles, scan.min_angles])
     sign = np.concatenate(
@@ -408,14 +440,7 @@ def _alternating_reference(scan: _ExtremaScan):
         else:
             pts.pop(0)
 
-    while len(pts) > 4:
-        n = len(pts)
-        pair_score = [max(pts[i][2], pts[(i + 1) % n][2]) for i in range(n)]
-        i = int(np.argmin(pair_score))
-        if i == n - 1:
-            pts = pts[1 : n - 1]
-        else:
-            pts = pts[:i] + pts[i + 2 :]
+    pts = _trim_to_four(pts)
 
     if len(pts) != 4 or min(c for _, _, c in pts) <= 0.0:
         return None
@@ -459,25 +484,36 @@ def _newton_equioscillation(fpts: np.ndarray, theta: np.ndarray, x0: np.ndarray)
     return x
 
 
-def _polish(gauge, grid, fvals, params, defect, opts: SolverOptions):
-    """Remez-style exchange from the LP output; returns the better result.
+def _scan(
+    gauge: Gauge, grid: np.ndarray, fvals: np.ndarray, params: EllipseParams
+) -> _ExtremaScan:
+    """Refined extrema of f - g for the triple, from f already sampled on the grid."""
+    h = _deviation_fn(gauge, params)
+    return _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
 
-    Each round re-solves the four-point equioscillation system at the current
-    alternation points and relocates them globally.  The exchange runs until
-    the refined sup-norm of the iterate matches its equioscillation level
-    (global optimality, not just a stable level) or the iterate stops moving.
+
+def _polish(gauge, grid, fvals, params, scan: _ExtremaScan, opts: SolverOptions):
+    """Remez-style exchange from the LP output; returns the best (params, scan, rounds).
+
+    ``scan`` is the extremum scan of ``params``.  Each round re-solves the
+    four-point equioscillation system at the current alternation points and
+    relocates them globally, scanning each new iterate once.  The exchange
+    runs until the refined sup-norm of the iterate matches its
+    equioscillation level (global optimality, not just a stable level) or the
+    iterate stops moving.  The returned scan belongs to the returned params,
+    so the caller certifies from it without scanning again.
     """
-    best_params, best_defect = params, defect
+    best_params, best_scan = params, scan
     iterations = 0
     cur = params
     level = None
     for _ in range(30):
-        h = _deviation_fn(gauge, cur)
-        scan = _refined_extrema(h, grid, fvals + 0.5 * np.log(cur.trig(grid)))
-        if scan.sup < best_defect:
-            best_params, best_defect = cur, scan.sup
-        if level is not None and scan.sup - level <= 0.25 * opts.cert_tol:
-            break
+        if level is not None:  # cur is a new iterate
+            scan = _scan(gauge, grid, fvals, cur)
+            if scan.sup < best_scan.sup:
+                best_params, best_scan = cur, scan
+            if scan.sup - level <= 0.25 * opts.cert_tol:
+                break
         ref = _alternating_reference(scan)
         if ref is None:
             break
@@ -494,12 +530,11 @@ def _polish(gauge, grid, fvals, params, defect, opts: SolverOptions):
         cur, level = new, max(x[3], 0.0)
         if step <= 1e-15 * max(1.0, cur.a2):
             # fixed point of the exchange; record its honest sup and stop
-            h = _deviation_fn(gauge, cur)
-            scan = _refined_extrema(h, grid, fvals + 0.5 * np.log(cur.trig(grid)))
-            if scan.sup < best_defect:
-                best_params, best_defect = cur, scan.sup
+            scan = _scan(gauge, grid, fvals, cur)
+            if scan.sup < best_scan.sup:
+                best_params, best_scan = cur, scan
             break
-    return best_params, best_defect, iterations
+    return best_params, best_scan, iterations
 
 
 def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> UniformSolution:
@@ -507,9 +542,9 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
 
     Solves the minimax LP once on the evaluation grid, measures the refined
     sup-norm of the deviation off the grid, optionally sharpens the triple by
-    the Remez-style polish, and attaches the four-point certificate.  Raises
-    NoConvergence when the LP fails and NoAlternance when no certificate
-    exists within ``cert_tol``.
+    the Remez-style polish, and attaches the four-point certificate drawn
+    from the final triple's scan.  Raises NoConvergence when the LP fails and
+    NoAlternance when no certificate exists within ``cert_tol``.
     """
     opts = opts or SolverOptions()
     grid = evaluation_grid(gauge, opts.grid_size)
@@ -518,19 +553,15 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
 
     params = _minimax_lp(grid, fvals)
     diag.lp_calls = 1
-    h = _deviation_fn(gauge, params)
-    defect = _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid))).sup
+    scan = _scan(gauge, grid, fvals, params)
 
-    if opts.polish and defect > opts.cert_tol:
-        params, defect, polish_iters = _polish(gauge, grid, fvals, params, defect, opts)
+    if opts.polish and scan.sup > opts.cert_tol:
+        params, scan, polish_iters = _polish(gauge, grid, fvals, params, scan, opts)
         diag.polish_iterations = polish_iters
         diag.polished = polish_iters > 0
 
-    h = _deviation_fn(gauge, params)
-    scan = _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
-    defect = max(defect, scan.sup)
-    cert = _certificate_from_scan(h, scan, opts.cert_tol)
-    return UniformSolution(params, float(defect), cert, diag)
+    cert = _certificate_from_scan(_deviation_fn(gauge, params), scan, opts.cert_tol)
+    return UniformSolution(params, float(scan.sup), cert, diag)
 
 
 def to_one_sided(gauge: Gauge, sol: UniformSolution, grid_size: int = 4096) -> OneSidedSolution:

@@ -5,7 +5,14 @@ import pytest
 
 from bmplane.ellipse import EllipseParams
 from bmplane.errors import NoAlternance, NoConvergence
-from bmplane.gauge import circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge
+from bmplane.gauge import (
+    circle_gauge,
+    ellipse_gauge,
+    evaluation_grid,
+    lp_gauge,
+    polygon_gauge,
+    sample_gauge,
+)
 from bmplane.solver import (
     AlternanceCertificate,
     SolverOptions,
@@ -14,6 +21,7 @@ from bmplane.solver import (
     feasible_at,
     solve_uniform,
     to_one_sided,
+    _trim_to_four,
     verify_certificate,
 )
 
@@ -30,6 +38,34 @@ CLOSED_FORM_D2 = {
     "hexagon": 2.0 / math.sqrt(3.0),
     "ellipse": 1.0,
 }
+
+
+def _trim_by_rescan(pts):
+    """The quadratic trim that rescores every pair each round: reference for _trim_to_four."""
+    while len(pts) > 4:
+        n = len(pts)
+        pair_score = [max(pts[i][2], pts[(i + 1) % n][2]) for i in range(n)]
+        i = int(np.argmin(pair_score))
+        if i == n - 1:
+            pts = pts[1 : n - 1]
+        else:
+            pts = pts[:i] + pts[i + 2 :]
+    return pts
+
+
+class TestReferenceTrim:
+    def test_matches_rescanning_trim(self):
+        rng = np.random.default_rng(20261018)
+        for case in range(4000):
+            n = int(rng.integers(1, 61))
+            ang = np.sort(rng.uniform(0.0, math.pi, n))
+            sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+            if case % 2:
+                crit = rng.integers(-2, 4, n).astype(float)  # ties between pair scores
+            else:
+                crit = rng.normal(size=n)
+            pts = list(zip(ang, sign, crit))
+            assert _trim_to_four(list(pts)) == _trim_by_rescan(list(pts)), case
 
 
 class TestFeasibleAt:
@@ -122,6 +158,26 @@ class TestSolveUniform:
             h = g.log_eval(grid) + 0.5 * np.log(sol.params.trig(grid))
             sup = float(np.abs(h).max())
             assert sol.defect - 1e-8 <= sup <= sol.defect + 1e-8, name
+
+    def test_defect_and_certificate_come_from_the_final_params(self, solved_corpus):
+        # the polish hands its scan on to the certificate: it must be the scan of sol.params
+        for name, (g, sol) in solved_corpus.items():
+            verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
+            assert sol.defect == verdict.sup_norm, name
+            cert = extract_certificate(g, sol.params, SolverOptions().cert_tol)
+            assert cert == sol.certificate, name
+
+    def test_regular_2000gon(self):
+        # thousands of extrema for the exchange to trim to four
+        g = polygon_gauge(bodies.regular_polygon(2000))
+        d2 = 1.0 / math.cos(math.pi / 2000.0)
+        assert distance(g) == pytest.approx(d2, rel=1e-12, abs=0.0)
+
+    def test_rough_samples_certify(self):
+        rng = np.random.default_rng(4096)
+        g = sample_gauge(1.0 + 0.2 * rng.random(4096))
+        sol = solve_uniform(g)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
     def test_deterministic(self):
         a = solve_uniform(lp_gauge(1.0))
