@@ -52,7 +52,7 @@ class LeftCone(BmplaneError):
 # -- solver ------------------------------------------------------------------
 
 class NoConvergence(BmplaneError):
-    """The minimax LP failed or returned a triple outside the ellipse cone."""
+    """A round of the cutting-plane minimax LP failed, or its triple is outside the ellipse cone."""
 
 
 class NoAlternance(BmplaneError):

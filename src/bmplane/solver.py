@@ -2,7 +2,7 @@
 
 On an angle grid, the best uniform approximation of f by
 g = -1/2 log(a2 + b2*cos(2*phi) + c2*sin(2*phi)) is a linear-fractional
-program, and the Charnes-Cooper transform makes it one linear program.  With
+program, and the Charnes-Cooper transform makes it a linear program.  With
 R = a2 + b2*cos(2*phi) + c2*sin(2*phi), w = exp(-2*(f - fc)) and fc the
 midrange of f,
 
@@ -10,9 +10,12 @@ midrange of f,
 
 has the grid defect 1/4*log(t*), and its triple divided by sqrt(t*) (and
 rescaled by exp(-2*fc)) is the uniform best triple; the normalization makes
-the body's scale drop out.  A Remez-style exchange then polishes the LP
-output to solver precision: re-solve the four-point equioscillation system in
-(a2, b2, c2, d) by Newton, relocate the extrema, repeat.
+the body's scale drop out.  Few rows bind at the optimum, so the LP is solved
+by cutting planes: on an active set of angles that grows by the most violated
+grid rows until the LP point violates none (see ``_minimax_lp``).  A
+Remez-style exchange then polishes the LP output to solver precision:
+re-solve the four-point equioscillation system in (a2, b2, c2, d) by Newton,
+relocate the extrema, repeat.
 
 Optimality is certified by four angles phi1 < psi1 < phi2 < psi2 < phi1+pi
 at which f - g alternately attains +d and -d; such a certificate is
@@ -67,6 +70,8 @@ class SolverOptions:
 
 @dataclass
 class SolveDiagnostics:
+    """Counts of one solve; ``lp_calls`` is the number of cutting-plane rounds of the LP."""
+
     lp_calls: int = 0
     polish_iterations: int = 0
     polished: bool = False
@@ -158,19 +163,55 @@ def _linprog(objective, rows: np.ndarray, b: np.ndarray):
     return res
 
 
-def _minimax_lp(grid: np.ndarray, fvals: np.ndarray) -> EllipseParams:
-    """Uniform best triple on the grid from one LP (see the module docstring)."""
+def _minimax_lp(grid: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, int]:
+    """Uniform best triple on the grid by cutting planes; returns (params, rounds).
+
+    The LP of the module docstring is solved on an active set of grid angles:
+    every ``max(1, n // 64)``-th angle plus the argmax and argmin of f to
+    start.  After each round R is formed on the whole grid and the relative
+    violation v = max(w - R, R - t*w) / w is measured; the inactive angles
+    where v > 1e-12*t is a cyclic local maximum join the set (every violating
+    inactive angle if none is a peak).  The round that adds nothing ends the
+    loop: its t is a lower bound on the grid optimum, being the optimum of
+    fewer rows, and an upper bound, being feasible on every row, so the
+    triple is the full-grid optimum, up to HiGHS's feasibility tolerance on
+    the rows inside the LP.  Each round adds an angle, so the loop ends after
+    at most n rounds.
+    """
+    n = grid.size
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
     trig = _trig_matrix(grid)
-    rows = np.block([[-trig, np.zeros((grid.size, 1))], [trig, -w[:, None]]])
-    b = np.concatenate([-w, np.zeros(grid.size)])
-    res = _linprog([0.0, 0.0, 0.0, 1.0], rows, b)
-    scale = math.exp(-2.0 * center) / math.sqrt(res.x[3])  # t* >= 1, since R >= w > 0
-    a2, b2, c2 = (float(v) * scale for v in res.x[:3])
+    active = np.zeros(n, dtype=bool)
+    active[:: max(1, n // 64)] = True
+    active[[int(np.argmax(fvals)), int(np.argmin(fvals))]] = True
+    rounds = 0
+    while True:
+        rounds += 1
+        idx = np.flatnonzero(active)
+        rows = np.block([[-trig[idx], np.zeros((idx.size, 1))], [trig[idx], -w[idx, None]]])
+        b = np.concatenate([-w[idx], np.zeros(idx.size)])
+        try:
+            res = _linprog([0.0, 0.0, 0.0, 1.0], rows, b)
+        except NoConvergence as exc:
+            raise NoConvergence(
+                f"minimax LP round {rounds} on an active set of {idx.size} angles: {exc}"
+            ) from exc
+        t = float(res.x[3])
+        R = trig @ res.x[:3]
+        v = np.maximum(w - R, R - t * w) / w
+        violated = (v > 1e-12 * t) & ~active
+        added = violated & (v >= np.roll(v, 1)) & (v >= np.roll(v, -1))
+        if not added.any():
+            added = violated
+        if not added.any():
+            break
+        active |= added
+    scale = math.exp(-2.0 * center) / math.sqrt(t)  # t* >= 1, since R >= w > 0
+    a2, b2, c2 = (float(x) * scale for x in res.x[:3])
     if not in_cone(a2, b2, c2):
         raise NoConvergence(f"minimax LP triple ({a2!r}, {b2!r}, {c2!r}) is outside the cone")
-    return EllipseParams(a2, b2, c2)
+    return EllipseParams(a2, b2, c2), rounds
 
 
 def feasible_at(gauge: Gauge, d: float, grid) -> Optional[EllipseParams]:
@@ -202,21 +243,6 @@ def feasible_at(gauge: Gauge, d: float, grid) -> Optional[EllipseParams]:
     return EllipseParams(a2, b2, c2)
 
 
-def _batched_ternary_max(fun, lo: np.ndarray, hi: np.ndarray, rounds: int = 60):
-    """Vectorized ternary maximization on per-element brackets."""
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    for _ in range(rounds):
-        third = (b - a) / 3.0
-        m1 = a + third
-        m2 = b - third
-        left = fun(m1) >= fun(m2)
-        b = np.where(left, m2, b)
-        a = np.where(left, a, m1)
-    xm = 0.5 * (a + b)
-    return xm, fun(xm)
-
-
 @dataclass
 class _ExtremaScan:
     max_angles: np.ndarray
@@ -227,7 +253,11 @@ class _ExtremaScan:
 
 
 def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
-    """All local extrema of the pi-periodic h, sharpened by ternary search."""
+    """All local extrema of the pi-periodic h, sharpened by a 60-round ternary search.
+
+    The brackets of maxima and minima are searched together, so a scan makes
+    61 calls of h (one per round and one at the end).
+    """
     if float(hvals.max() - hvals.min()) < 1e-13:
         # flat deviation (body is an ellipse of the family): a single token extremum
         i = int(np.argmax(hvals))
@@ -244,13 +274,23 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
 
     imax = np.nonzero((hvals >= prev) & (hvals >= nxt))[0]
     imin = np.nonzero((hvals <= prev) & (hvals <= nxt))[0]
-    max_angles, max_values = _batched_ternary_max(h, lo_bracket[imax], hi_bracket[imax])
-
-    def neg(phi):
-        return -h(phi)
-
-    min_angles, min_neg = _batched_ternary_max(neg, lo_bracket[imin], hi_bracket[imin])
-    min_values = -min_neg
+    # minima are maxima of -h: they compare with the sign flipped
+    k = imax.size
+    sign = np.concatenate([np.ones(k), -np.ones(imin.size)])
+    both = np.concatenate([imax, imin])
+    a, b = lo_bracket[both], hi_bracket[both]
+    for _ in range(60):
+        third = (b - a) / 3.0
+        m1 = a + third
+        m2 = b - third
+        vals = h(np.concatenate([m1, m2]))
+        left = sign * vals[: a.size] >= sign * vals[a.size :]
+        b = np.where(left, m2, b)
+        a = np.where(left, a, m1)
+    xm = 0.5 * (a + b)
+    values = h(xm)
+    max_angles, max_values = xm[:k], values[:k]
+    min_angles, min_values = xm[k:], values[k:]
 
     sup = max(
         float(np.abs(hvals).max()),
@@ -540,10 +580,11 @@ def _polish(gauge, grid, fvals, params, scan: _ExtremaScan, opts: SolverOptions)
 def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> UniformSolution:
     """Best uniform approximation of f = log r over the ellipse family.
 
-    Solves the minimax LP once on the evaluation grid, measures the refined
-    sup-norm of the deviation off the grid, optionally sharpens the triple by
-    the Remez-style polish, and attaches the four-point certificate drawn
-    from the final triple's scan.  Raises NoConvergence when the LP fails and
+    Solves the minimax LP on the evaluation grid by cutting planes (one HiGHS
+    call per round, counted in ``lp_calls``), measures the refined sup-norm
+    of the deviation off the grid, optionally sharpens the triple by the
+    Remez-style polish, and attaches the four-point certificate drawn from
+    the final triple's scan.  Raises NoConvergence when an LP round fails and
     NoAlternance when no certificate exists within ``cert_tol``.
     """
     opts = opts or SolverOptions()
@@ -551,8 +592,7 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
     fvals = gauge.log_eval(grid)
     diag = SolveDiagnostics(grid_points=grid.size)
 
-    params = _minimax_lp(grid, fvals)
-    diag.lp_calls = 1
+    params, diag.lp_calls = _minimax_lp(grid, fvals)
     scan = _scan(gauge, grid, fvals, params)
 
     if opts.polish and scan.sup > opts.cert_tol:

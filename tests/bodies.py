@@ -61,6 +61,23 @@ def random_convex_polygon(rng: np.random.Generator, n_half: int = 8) -> np.ndarr
     return pts[hull.vertices]
 
 
+def jittered_star_polygon(rng: np.random.Generator, n_half: int) -> np.ndarray:
+    """Symmetric star polygon with one jittered vertex angle per slot, radii in [1, 1.2]."""
+    slot = math.pi / n_half
+    ang = (np.arange(n_half) + rng.uniform(0.1, 0.9, n_half)) * slot
+    half = rng.uniform(1.0, 1.2, n_half)[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.vstack([half, -half])
+
+
+def smooth_samples(rng: np.random.Generator, n: int, modes: int = 6) -> np.ndarray:
+    """Radii exp(sum of random pi-periodic modes with 1/k amplitudes) at n angles."""
+    phi = np.arange(n) * math.pi / n
+    k = np.arange(1, modes + 1)[:, None]
+    amp = 0.06 * rng.normal(size=(modes, 1)) / k
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=(modes, 1))
+    return np.exp((amp * np.cos(2.0 * k * phi + phase)).sum(axis=0))
+
+
 def random_pd_matrix(rng: np.random.Generator) -> PDMatrix2:
     a = rng.normal(size=(2, 2))
     s = a @ a.T + 0.05 * np.eye(2)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bmplane.ellipse import EllipseParams
+from bmplane.ellipse import EllipseParams, in_cone
 from bmplane.errors import NoAlternance, NoConvergence
 from bmplane.gauge import (
     circle_gauge,
@@ -21,6 +22,13 @@ from bmplane.solver import (
     feasible_at,
     solve_uniform,
     to_one_sided,
+    _deviation_fn,
+    _ExtremaScan,
+    _linprog,
+    _minimax_lp,
+    _PI,
+    _refined_extrema,
+    _trig_matrix,
     _trim_to_four,
     verify_certificate,
 )
@@ -66,6 +74,188 @@ class TestReferenceTrim:
                 crit = rng.normal(size=n)
             pts = list(zip(ang, sign, crit))
             assert _trim_to_four(list(pts)) == _trim_by_rescan(list(pts)), case
+
+
+def _full_grid_minimax_lp(grid: np.ndarray, fvals: np.ndarray) -> EllipseParams:
+    """Uniform best triple on the grid from one LP over every angle: reference for _minimax_lp."""
+    center = 0.5 * float(fvals.max() + fvals.min())
+    w = np.exp(-2.0 * (fvals - center))
+    trig = _trig_matrix(grid)
+    rows = np.block([[-trig, np.zeros((grid.size, 1))], [trig, -w[:, None]]])
+    b = np.concatenate([-w, np.zeros(grid.size)])
+    res = _linprog([0.0, 0.0, 0.0, 1.0], rows, b)
+    scale = math.exp(-2.0 * center) / math.sqrt(res.x[3])  # t* >= 1, since R >= w > 0
+    a2, b2, c2 = (float(v) * scale for v in res.x[:3])
+    if not in_cone(a2, b2, c2):
+        raise NoConvergence(f"minimax LP triple ({a2!r}, {b2!r}, {c2!r}) is outside the cone")
+    return EllipseParams(a2, b2, c2)
+
+
+def _batched_ternary_max(fun, lo: np.ndarray, hi: np.ndarray, rounds: int = 60):
+    """Vectorized ternary maximization on per-element brackets."""
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    for _ in range(rounds):
+        third = (b - a) / 3.0
+        m1 = a + third
+        m2 = b - third
+        left = fun(m1) >= fun(m2)
+        b = np.where(left, m2, b)
+        a = np.where(left, a, m1)
+    xm = 0.5 * (a + b)
+    return xm, fun(xm)
+
+
+def _refined_extrema_two_calls(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
+    """The refinement with separate ternary searches for maxima and minima: reference."""
+    if float(hvals.max() - hvals.min()) < 1e-13:
+        i = int(np.argmax(hvals))
+        ang = grid[i : i + 1]
+        val = hvals[i : i + 1]
+        return _ExtremaScan(ang, val, ang, val, float(np.abs(hvals).max()))
+
+    prev = np.roll(hvals, 1)
+    nxt = np.roll(hvals, -1)
+    lo_bracket = np.roll(grid, 1)
+    lo_bracket[0] -= _PI
+    hi_bracket = np.roll(grid, -1)
+    hi_bracket[-1] += _PI
+
+    imax = np.nonzero((hvals >= prev) & (hvals >= nxt))[0]
+    imin = np.nonzero((hvals <= prev) & (hvals <= nxt))[0]
+    max_angles, max_values = _batched_ternary_max(h, lo_bracket[imax], hi_bracket[imax])
+
+    def neg(phi):
+        return -h(phi)
+
+    min_angles, min_neg = _batched_ternary_max(neg, lo_bracket[imin], hi_bracket[imin])
+    min_values = -min_neg
+
+    sup = max(
+        float(np.abs(hvals).max()),
+        float(max_values.max()) if max_values.size else -math.inf,
+        float(-min_values.min()) if min_values.size else -math.inf,
+    )
+    return _ExtremaScan(
+        np.mod(max_angles, _PI), max_values, np.mod(min_angles, _PI), min_values, sup
+    )
+
+
+def _active_set_bodies(corpus) -> dict:
+    """The conftest corpus plus seeded bodies whose kinks fill the default grid."""
+    rng = np.random.default_rng(2000)
+    return {
+        **corpus,
+        "2000-gon": polygon_gauge(bodies.regular_polygon(2000, phase=rng.uniform(0.0, math.pi))),
+        "star-2000": polygon_gauge(bodies.jittered_star_polygon(rng, 1000)),
+        "rough-4096": sample_gauge(1.0 + 0.2 * rng.random(4096)),
+    }
+
+
+class TestActiveSetLP:
+    def test_matches_full_grid_lp(self, corpus, monkeypatch):
+        import bmplane.solver as solver_mod
+
+        calls = []
+        linprog = solver_mod.linprog
+
+        def recording(c, A_ub=None, *args, **kwargs):
+            calls.append((A_ub, linprog(c, A_ub, *args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(solver_mod, "linprog", recording)
+        for name, g in _active_set_bodies(corpus).items():
+            grid = evaluation_grid(g, 4096)
+            fvals = g.log_eval(grid)
+            trig = _trig_matrix(grid)
+            w = np.exp(-2.0 * (fvals - 0.5 * float(fvals.max() + fvals.min())))
+
+            def violation(x):
+                # the stop rule's relative violation, divided by t
+                R = trig @ x[:3]
+                return np.maximum(w - R, R - x[3] * w) / w / x[3]
+
+            def grid_sup(p):
+                return float(np.abs(fvals + 0.5 * np.log(p.trig(grid))).max())
+
+            calls.clear()
+            params, rounds = _minimax_lp(grid, fvals)
+            assert rounds == len(calls), name
+            rows, res = calls[-1]
+            in_lp = {tuple(r) for r in rows[rows.shape[0] // 2 :, :3]}
+            active = np.array([tuple(r) in in_lp for r in trig])
+            v = violation(res.x)
+            ref = _full_grid_minimax_lp(grid, fvals)
+            v_ref = violation(calls[-1][1].x)
+
+            # rows outside the last LP hold to the stop tolerance; the LP's own rows
+            # hold as well as HiGHS holds the rows of the single full-grid LP
+            assert v[~active].max() <= 1e-12, name
+            assert v.max() <= max(1e-12, v_ref.max()), name
+            assert grid_sup(params) <= grid_sup(ref) + 1e-13, name
+            if v_ref.max() <= 1e-12:
+                # both points are feasible on the whole grid, so both are its optimum
+                assert grid_sup(params) >= grid_sup(ref) - 1e-13, name
+
+    def test_rows_stay_small_at_scale(self, monkeypatch):
+        # 10^5 samples put 104064 angles on the grid: one full-grid LP had 208128 rows
+        import bmplane.solver as solver_mod
+
+        rows = []
+        linprog = solver_mod.linprog
+
+        def recording(c, A_ub=None, *args, **kwargs):
+            rows.append(A_ub.shape[0])
+            return linprog(c, A_ub, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "linprog", recording)
+        g = sample_gauge(bodies.smooth_samples(np.random.default_rng(100000), 100000))
+        sol = solve_uniform(g)
+        assert rows and max(rows) <= 4096, rows
+        assert sol.diagnostics.lp_calls == len(rows)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+
+    def test_failed_later_round_is_typed(self, monkeypatch):
+        import bmplane.solver as solver_mod
+        from scipy.optimize import OptimizeResult
+
+        rows = []
+        linprog = solver_mod.linprog
+
+        def fails_after_one(c, A_ub=None, *args, **kwargs):
+            rows.append(A_ub.shape[0])
+            if len(rows) == 1:
+                return linprog(c, A_ub, *args, **kwargs)
+            return OptimizeResult(status=4, message="numerical difficulties", x=None)
+
+        monkeypatch.setattr(solver_mod, "linprog", fails_after_one)
+        with pytest.raises(NoConvergence) as err:
+            solve_uniform(polygon_gauge(bodies.hexagon_inradius_1()))
+        assert len(rows) == 2
+        assert "round 2" in str(err.value)
+        assert f"active set of {rows[1] // 2} angles" in str(err.value)
+
+
+class TestRefinement:
+    def test_matches_two_call_refinement(self, corpus):
+        for name, g in corpus.items():
+            grid = evaluation_grid(g, 4096)
+            fvals = g.log_eval(grid)
+            params, _ = _minimax_lp(grid, fvals)
+            h = _deviation_fn(g, params)
+            calls = []
+
+            def counted(phi):
+                calls.append(np.size(phi))
+                return h(phi)
+
+            hvals = fvals + 0.5 * np.log(params.trig(grid))
+            scan = _refined_extrema(counted, grid, hvals)
+            ref = _refined_extrema_two_calls(h, grid, hvals)
+            for field in dataclasses.fields(_ExtremaScan):
+                assert np.array_equal(getattr(scan, field.name), getattr(ref, field.name)), (
+                    name, field.name)
+            assert len(calls) in (0, 61), (name, len(calls))  # 0 for a flat deviation
 
 
 class TestFeasibleAt:
