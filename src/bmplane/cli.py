@@ -12,7 +12,7 @@ import sys
 import traceback
 
 from . import jsonio
-from .errors import BmplaneError, InputError
+from .errors import BmplaneError, EmptyGrid, InputError
 from .gauge import gauge_from_descriptor
 from .oracle import OracleGrid, oracle_uniform
 from .report import build_report, render_svg, report_from_dict, report_to_dict, verify_theorem1
@@ -72,22 +72,28 @@ def _cmd_solve(args) -> int:
     return _EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    gauge = _load_gauge(args.input)
-    a_range = None
+def _oracle_grid(args) -> OracleGrid:
+    if args.threads < 1:
+        raise InputError(f"--threads must be at least 1, got {args.threads}")
     if (args.a_min is None) != (args.a_max is None):
         raise InputError("--a-min and --a-max must be given together")
-    if args.a_min is not None:
-        a_range = (args.a_min, args.a_max)
-    grid = OracleGrid(
-        n_a=args.na,
-        n_b=args.nb,
-        n_theta=args.ntheta,
-        n_phi=args.nphi,
-        a_range=a_range,
-        stages=args.stages,
-        value_margin=args.value_margin,
-    )
+    try:
+        return OracleGrid(
+            n_a=args.na,
+            n_b=args.nb,
+            n_theta=args.ntheta,
+            n_phi=args.nphi,
+            a_range=None if args.a_min is None else (args.a_min, args.a_max),
+            stages=args.stages,
+            value_margin=args.value_margin,
+        )
+    except EmptyGrid as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _cmd_oracle(args) -> int:
+    gauge = _load_gauge(args.input)
+    grid = _oracle_grid(args)
     result = oracle_uniform(gauge, grid, threads=args.threads)
     runner = result.runner_up_distance
     payload = {

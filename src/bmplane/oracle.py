@@ -4,7 +4,11 @@ Searches the standard ellipse chart (a, b', theta) with rho^-2 =
 a*(1 + u*cos(2*(phi-theta))), u = b'/a < 1, because that box grids cleanly.
 For fixed (u, theta) the angular profile of the deviation is shared by the
 whole a-line, so a stage costs n_theta*n_b angular scans plus a cheap
-combine over the a grid.  Stages zoom into the incumbent to sharpen the
+combine over the a grid.  The scans are log-free: log is monotone, so the
+phi extremes of f + 0.5*log1p(u*c) are f_c + 0.5*log of those of r2*(1 + u*c),
+with r2 = exp(2*(f - f_c)) centred on the midrange f_c of f so that it cannot
+overflow.  The stage array is laid out (a, u, theta), so its lexicographic
+minimum is a plain argmin.  Stages zoom into the incumbent to sharpen the
 resolution while keeping the total evaluation count under the cap.
 """
 
@@ -76,37 +80,58 @@ def oracle_value(gauge: Gauge, params: EllipseParams, n_phi: int) -> float:
 
 
 def _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor=None):
-    """Deviation value for every (theta, u, a) triple of the stage.
+    """V[i, k, j] = max_phi |f + 0.5*log(a_i) + 0.5*log1p(u_k*c_j)|, c_j = cos(2*(phi - theta_j)).
 
-    Returns V with axes (theta, u, a); V[j, k, i] = max_phi |f + 0.5*log(a_i)
-    + 0.5*log1p(u_k * cos(2*(phi - theta_j)))|.
+    V is C-contiguous, axes (a, u, theta).  Per theta, (u, 1).(c_j, 1) rounds
+    u*c_j, then 1 + u*c_j, exact for u*c_j <= -1/2: log1p's accuracy near u = 1.
     """
-    sa = 0.5 * log_a
+    f_c = 0.5 * float(fvals.max() + fvals.min())
+    r2 = np.exp(2.0 * (fvals - f_c))
+    u_one, ones = np.column_stack([us, np.ones_like(us)]), np.ones_like(fvals)
 
     def theta_slice(j):
         ct = cos2 * math.cos(2.0 * thetas[j]) + sin2 * math.sin(2.0 * thetas[j])
-        prof = fvals + 0.5 * np.log1p(us[:, None] * ct[None, :])
-        hmax = prof.max(axis=1)
-        hmin = prof.min(axis=1)
-        return np.maximum(hmax[:, None] + sa[None, :], -(hmin[:, None] + sa[None, :]))
+        m = u_one @ np.array([ct, ones])
+        m *= r2
+        return m.max(axis=1), m.min(axis=1)
 
-    if executor is None:
-        slices = [theta_slice(j) for j in range(thetas.size)]
-    else:
-        slices = list(executor.map(theta_slice, range(thetas.size)))
-    return np.stack(slices, axis=0)
+    mapper = map if executor is None else executor.map
+    ext = np.array(list(mapper(theta_slice, range(thetas.size))))  # (n_theta, 2, n_b)
+    hmax, hmin = 0.5 * np.log(np.ascontiguousarray(ext.transpose(1, 2, 0)))
+    v = np.empty((log_a.size,) + hmax.shape)
+    for i, shift in enumerate(f_c + 0.5 * log_a):  # a-line slabs stay in cache
+        np.maximum(hmax + shift, -shift - hmin, out=v[i])
+    return v
 
 
 def _argmin_lex(v: np.ndarray) -> tuple[int, int, int]:
-    """Index (j, k, i) of the minimum, ties broken by smallest (a, u, theta)."""
-    flat = int(np.argmin(v.transpose(2, 1, 0), axis=None))
-    i, k, j = np.unravel_index(flat, (v.shape[2], v.shape[1], v.shape[0]))
-    return int(j), int(k), int(i)
+    """Index (i, k, j) of the minimum of V, ties broken by smallest (a, u, theta)."""
+    return tuple(int(x) for x in np.unravel_index(int(np.argmin(v)), v.shape))
 
 
-def _cartesian_triple(a: float, u: float, theta: float) -> np.ndarray:
-    bp = u * a
-    return np.array([a, bp * math.cos(2.0 * theta), bp * math.sin(2.0 * theta)])
+def _uniqueness(v, log_a, us, thetas, best_xyz, best_value, margin):
+    """Distances in (a2, b2, c2) to the runner-up, the least value above best_value
+    + margin (ties to the smallest (a, u, theta), as in _argmin_lex), and to the
+    farthest point within that margin."""
+
+    def dist(i, k, j):
+        x, y, z = _cartesian_triple(math.exp(log_a[i]), us[k], thetas[j])
+        return np.hypot(x - best_xyz[0], np.hypot(y - best_xyz[1], z - best_xyz[2]))
+
+    runner, runner_value, cluster_radius = None, math.inf, 0.0
+    for i in range(log_a.size):
+        outside = v[i] > best_value + margin
+        masked = np.where(outside, v[i], math.inf)
+        k, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+        if masked[k, j] < runner_value:
+            runner, runner_value = (i, k, j), masked[k, j]
+        cluster_radius = max(cluster_radius, float(dist(i, *np.nonzero(~outside)).max(initial=0.0)))
+    return (math.nan if runner is None else float(dist(*runner))), cluster_radius
+
+
+def _cartesian_triple(a, u, theta):
+    bp = u * a  # (a2, b2, c2) of the chart point; broadcasts over index arrays
+    return a, bp * np.cos(2.0 * theta), bp * np.sin(2.0 * theta)
 
 
 def oracle_uniform(
@@ -152,7 +177,7 @@ def oracle_uniform(
             thetas = np.linspace(t_bounds[0], t_bounds[1], n_t)
             v = _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor)
             evaluations += n_t * n_b * (phis.size + n_a)
-            j, k, i = _argmin_lex(v)
+            i, k, j = _argmin_lex(v)
             if stage == 0:
                 global_stage = (v, log_a, us, thetas)
             if stage + 1 < grid.stages:
@@ -174,37 +199,12 @@ def oracle_uniform(
         if executor is not None:
             executor.shutdown()
 
-    best_value = float(v[j, k, i])
+    best_value = float(v[i, k, j])
     best_a = math.exp(log_a[i])
     best_u = float(us[k])
     best_theta = 0.0 if best_u == 0.0 else float(np.mod(thetas[j], _PI))
     best_xyz = _cartesian_triple(best_a, best_u, thetas[j])
 
-    # uniqueness diagnostics against the stage-1 (full-range) grid
-    margin = grid.value_margin
-    runner_value = math.inf
-    runner_dist = math.nan
-    cluster_radius = 0.0
-    v1, log_a1, us1, thetas1 = global_stage
-    a_line = np.exp(log_a1)
-    for jj in range(thetas1.size):
-        bp = np.outer(us1, a_line)
-        x = np.broadcast_to(a_line, bp.shape)
-        y = bp * math.cos(2.0 * thetas1[jj])
-        z = bp * math.sin(2.0 * thetas1[jj])
-        dist = np.sqrt(
-            (x - best_xyz[0]) ** 2 + (y - best_xyz[1]) ** 2 + (z - best_xyz[2]) ** 2
-        )
-        vs = v1[jj]
-        outside = vs > best_value + margin
-        if np.any(outside):
-            m = float(vs[outside].min())
-            if m < runner_value:
-                runner_value = m
-                runner_dist = float(dist[outside][np.argmin(vs[outside])])
-        inside = ~outside
-        if np.any(inside):
-            cluster_radius = max(cluster_radius, float(dist[inside].max()))
-
+    diagnostics = _uniqueness(*global_stage, best_xyz, best_value, grid.value_margin)
     std = StdEllipseParams(best_a, best_u * best_a, best_theta)
-    return OracleResult(std, best_value, runner_dist, cluster_radius, evaluations)
+    return OracleResult(std, best_value, *diagnostics, evaluations)

@@ -120,6 +120,12 @@ class TestOracleCommand:
         assert main(["oracle", "--input", str(square_body),
                      "--out", str(tmp_path / "o.json"), "--a-min", "2.0"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--na", "4"], ["--stages", "0"], ["--threads", "0"]])
+    def test_invalid_grid_is_input_error(self, square_body, tmp_path, flags):
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--input", str(square_body), "--out", str(out), *flags]) == 2
+        assert not out.exists()
+
     def test_degenerate_runner_up_serializes_as_null(self, tmp_path):
         # a value margin exceeding the whole range leaves nothing outside the
         # neighborhood: the runner-up diagnostic is undefined -> null in JSON

@@ -3,14 +3,37 @@ import math
 import numpy as np
 import pytest
 
+from bmplane import oracle
 from bmplane.ellipse import EllipseParams
 from bmplane.errors import EmptyGrid
 from bmplane.gauge import circle_gauge, ellipse_gauge, lp_gauge, polygon_gauge
-from bmplane.oracle import OracleGrid, oracle_uniform, oracle_value
+from bmplane.oracle import OracleGrid, _argmin_lex, _uniqueness, oracle_uniform, oracle_value
 
 import bodies
 
 SQUARE_DEFECT = 0.25 * math.log(2.0)
+
+
+def _stage_scan_log1p(fvals, cos2, sin2, log_a, us, thetas, executor=None):
+    """Deviation value for every (theta, u, a) triple of the stage.
+
+    Returns V with axes (theta, u, a); V[j, k, i] = max_phi |f + 0.5*log(a_i)
+    + 0.5*log1p(u_k * cos(2*(phi - theta_j)))|.
+    """
+    sa = 0.5 * log_a
+
+    def theta_slice(j):
+        ct = cos2 * math.cos(2.0 * thetas[j]) + sin2 * math.sin(2.0 * thetas[j])
+        prof = fvals + 0.5 * np.log1p(us[:, None] * ct[None, :])
+        hmax = prof.max(axis=1)
+        hmin = prof.min(axis=1)
+        return np.maximum(hmax[:, None] + sa[None, :], -(hmin[:, None] + sa[None, :]))
+
+    if executor is None:
+        slices = [theta_slice(j) for j in range(thetas.size)]
+    else:
+        slices = list(executor.map(theta_slice, range(thetas.size)))
+    return np.stack(slices, axis=0)
 
 
 class TestOracleValue:
@@ -92,6 +115,8 @@ class TestOracleUniform:
         r3 = oracle_uniform(g, grid, threads=3)
         assert r1.value == r3.value
         assert (r1.std.a, r1.std.bprime, r1.std.theta) == (r3.std.a, r3.std.bprime, r3.std.theta)
+        assert r1.runner_up_distance == r3.runner_up_distance
+        assert r1.cluster_radius == r3.cluster_radius
 
     def test_eval_cap_coarsens(self):
         grid = OracleGrid(n_a=256, n_b=256, n_theta=256, n_phi=512, eval_cap=2e7)
@@ -113,3 +138,64 @@ class TestOracleUniform:
         res = oracle_uniform(circle_gauge(), OracleGrid(n_a=64, n_b=16, n_theta=16,
                                                         n_phi=256, a_range=(0.5, 2.0)))
         assert res.std.a == pytest.approx(1.0, abs=1e-3)
+
+
+class TestLogFreeScan:
+    """The log-free (a, u, theta) stage scan against the log1p (theta, u, a) reference."""
+
+    GRID = OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512)
+
+    def test_matches_log1p_scan(self, corpus, monkeypatch):
+        rng = np.random.default_rng(4242)
+        stars = {f"star{n}": polygon_gauge(bodies.random_star_polygon(rng)) for n in range(10)}
+        log_free_scan = oracle._stage_scan
+        stages = []
+
+        def reference(*args):
+            ref = _stage_scan_log1p(*args).transpose(2, 1, 0)
+            new = log_free_scan(*args)
+            assert new.flags.c_contiguous
+            stages.append(float(np.abs(new - ref).max()))
+            return ref
+
+        for name, g in {**corpus, **stars}.items():
+            res = oracle_uniform(g, self.GRID)
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "_stage_scan", reference)
+                ref = oracle_uniform(g, self.GRID)
+            assert abs(res.value - ref.value) <= 1e-14, (name, res.value, ref.value)
+            assert res.evaluations == ref.evaluations, name
+        assert len(stages) == 20 * self.GRID.stages
+        assert max(stages) <= 1e-13
+
+
+class TestTieRule:
+    """Exact ties resolve to the smallest (a, u, theta) index, in the minimum and the runner-up."""
+
+    TIES = [(3, 0, 0), (2, 4, 1), (2, 1, 6), (2, 1, 5), (4, 5, 6)]  # smallest: (2, 1, 5)
+
+    def test_argmin_lex(self):
+        v = np.ones((5, 6, 7))
+        for idx in self.TIES:
+            v[idx] = 0.25
+        assert _argmin_lex(v) == (2, 1, 5)
+
+    def test_runner_up(self):
+        log_a = np.linspace(-0.5, 0.5, 5)
+        us = np.linspace(0.0, 0.9, 6)
+        thetas = np.linspace(0.0, 3.0, 7)
+
+        def xyz(i, k, j):
+            a = math.exp(log_a[i])
+            bp = us[k] * a
+            return np.array([a, bp * math.cos(2.0 * thetas[j]), bp * math.sin(2.0 * thetas[j])])
+
+        v = np.ones((5, 6, 7))
+        v[0, 2, 3] = v[1, 3, 2] = 0.0  # the cluster within the margin
+        for idx in self.TIES:
+            v[idx] = 0.5
+        best = xyz(0, 2, 3)
+        runner_dist, cluster_radius = _uniqueness(v, log_a, us, thetas, best, 0.0, 0.1)
+        assert len({round(float(np.linalg.norm(xyz(*t) - best)), 12) for t in self.TIES}) == 5
+        assert runner_dist == pytest.approx(np.linalg.norm(xyz(2, 1, 5) - best), rel=1e-14)
+        assert cluster_radius == pytest.approx(np.linalg.norm(xyz(1, 3, 2) - best), rel=1e-14)
