@@ -67,7 +67,6 @@ from .solver import (
     UniformSolution,
     distance,
     extract_certificate,
-    feasible_at,
     solve_uniform,
     to_one_sided,
     verify_certificate,

@@ -52,7 +52,7 @@ class LeftCone(BmplaneError):
 # -- solver ------------------------------------------------------------------
 
 class NoConvergence(BmplaneError):
-    """A round of the cutting-plane minimax LP failed, or its triple is outside the ellipse cone."""
+    """The minimax exchange met a singular reference or its round cap, or left the ellipse cone."""
 
 
 class NoAlternance(BmplaneError):

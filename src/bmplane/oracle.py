@@ -144,7 +144,10 @@ def oracle_uniform(
     parameter-space distance to the best point outside a small value
     neighborhood of the optimum, and the radius of the near-optimal cluster
     (both measured in (a2, b2, c2) coordinates on the full-range first stage).
+    ``threads`` below 1 raises ValueError.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     grid = grid or OracleGrid()
     phis = evaluation_grid(gauge, grid.n_phi)
     fvals = gauge.log_eval(phis)

@@ -119,7 +119,7 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
         "cone_margins": [float(m) for m in margins],
         "u_points": u_points.tolist(),
         "v_points": ty.tolist(),
-        "body_samples": body.tolist(),
+        "body_samples": body,
     }
     return SolveReport(
         d2=d2,

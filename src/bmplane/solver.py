@@ -10,10 +10,11 @@ midrange of f,
 
 has the grid defect 1/4*log(t*), and its triple divided by sqrt(t*) (and
 rescaled by exp(-2*fc)) is the uniform best triple; the normalization makes
-the body's scale drop out.  Few rows bind at the optimum, so the LP is solved
-by cutting planes: on an active set of angles that grows by the most violated
-grid rows until the LP point violates none (see ``_minimax_lp``).  A
-Remez-style exchange then polishes the LP output to solver precision:
+the body's scale drop out.  The LP has four unknowns, and
+(1, cos 2phi, sin 2phi) is a Haar system on [0, pi), so its dual simplex is
+Stiefel's one-point exchange on four-angle alternating references, run on
+the whole grid with one 4x4 solve and one matvec per round (``linprog``).
+A Remez-style exchange then polishes the grid optimum to solver precision:
 re-solve the four-point equioscillation system in (a2, b2, c2, d) by Newton,
 relocate the extrema, repeat.
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .ellipse import EllipseParams, in_cone
 from .errors import NoAlternance, NoConvergence
@@ -43,7 +43,6 @@ __all__ = [
     "UniformSolution",
     "OneSidedSolution",
     "CertificateVerdict",
-    "feasible_at",
     "solve_uniform",
     "extract_certificate",
     "verify_certificate",
@@ -70,7 +69,7 @@ class SolverOptions:
 
 @dataclass
 class SolveDiagnostics:
-    """Counts of one solve; ``lp_calls`` is the number of cutting-plane rounds of the LP."""
+    """Counts of one solve; ``lp_calls`` is the number of exchange rounds of the minimax LP."""
 
     lp_calls: int = 0
     polish_iterations: int = 0
@@ -153,94 +152,73 @@ def _trig_matrix(grid: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(grid.size), np.cos(2.0 * grid), np.sin(2.0 * grid)])
 
 
-def _linprog(objective, rows: np.ndarray, b: np.ndarray):
-    """HiGHS dual simplex on rows @ x <= b with x free; a failed solve raises NoConvergence."""
-    res = linprog(
-        objective, A_ub=rows, b_ub=b, bounds=[(None, None)] * 4, method="highs-ds"
-    )
-    if res.status != 0:
-        raise NoConvergence(f"LP over {rows.shape[0]} rows failed: {res.message}")
-    return res
+def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns ((a2, b2, c2, t), rounds).
+
+    Stiefel's one-point exchange on the whole grid, started from four angles a
+    quarter of the grid apart with + at the argmax of f.  A reference is four
+    angles in cyclic order with alternating signs: R = t*w at the + angles and
+    R = w at the - angles.  It is a dual-feasible basis (the Haar property of
+    1, cos 2phi, sin 2phi), so its level t bounds the optimum from below and
+    may be below 1 early on.  A round stops when v = max(w - R, R - t*w) / w
+    is at most 1e-12*t on the grid, or when its worst angle is already in the
+    reference: then no exchange can move, and either t >= 1 and what is left
+    is rounding of R, or R/w lies in [t, 1], where the flipped reference is
+    optimal at level 1/t with the same rescaled triple.  Otherwise the worst
+    angle replaces the reference neighbour of its own sign (a dual simplex
+    pivot).  A singular reference, or no stop within 16 rounds per bit of n,
+    raises NoConvergence.
+    """
+    n = w.size
+    ref = (int(np.argmin(w)) + (n // 4) * np.arange(4)) % n
+    sign = np.array([1, -1, 1, -1])
+    t = math.nan
+    cap = 16 * n.bit_length()
+    for rounds in range(1, cap + 1):
+        order = np.argsort(ref)
+        ref, sign = ref[order], sign[order]
+        upper = sign > 0
+        system = np.column_stack([trig[ref], np.where(upper, -w[ref], 0.0)])
+        try:
+            x = np.linalg.solve(system, np.where(upper, 0.0, w[ref]))
+        except np.linalg.LinAlgError:
+            x = np.full(4, math.nan)
+        if not np.isfinite(x).all():
+            raise NoConvergence(
+                f"exchange round {rounds}: singular reference {ref.tolist()}, last level t = {t!r}"
+            )
+        t = float(x[3])
+        R = trig @ x[:3]
+        low, high = w - R, R - t * w
+        v = np.maximum(low, high) / w
+        j = int(np.argmax(v))
+        if v[j] <= 1e-12 * t or j in ref:
+            return x, rounds
+        k = int(np.searchsorted(ref, j))
+        s = 1 if high[j] >= low[j] else -1
+        ref[(k - 1) % 4 if sign[(k - 1) % 4] == s else k % 4] = j
+    raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
 
 
 def _minimax_lp(grid: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, int]:
-    """Uniform best triple on the grid by cutting planes; returns (params, rounds).
+    """Uniform best triple on the grid by the exchange ``linprog``; returns (params, rounds).
 
-    The LP of the module docstring is solved on an active set of grid angles:
-    every ``max(1, n // 64)``-th angle plus the argmax and argmin of f to
-    start.  After each round R is formed on the whole grid and the relative
-    violation v = max(w - R, R - t*w) / w is measured; the inactive angles
-    where v > 1e-12*t is a cyclic local maximum join the set (every violating
-    inactive angle if none is a peak).  The round that adds nothing ends the
-    loop: its t is a lower bound on the grid optimum, being the optimum of
-    fewer rows, and an upper bound, being feasible on every row, so the
-    triple is the full-grid optimum, up to HiGHS's feasibility tolerance on
-    the rows inside the LP.  Each round adds an angle, so the loop ends after
-    at most n rounds.
+    w = exp(-2(f - fc)) with fc the midrange of f, so the body's scale drops
+    out; the triple is rescaled by exp(-2*fc)/sqrt(t).  A triple that is not
+    finite or leaves the cone raises NoConvergence.
     """
-    n = grid.size
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
-    trig = _trig_matrix(grid)
-    active = np.zeros(n, dtype=bool)
-    active[:: max(1, n // 64)] = True
-    active[[int(np.argmax(fvals)), int(np.argmin(fvals))]] = True
-    rounds = 0
-    while True:
-        rounds += 1
-        idx = np.flatnonzero(active)
-        rows = np.block([[-trig[idx], np.zeros((idx.size, 1))], [trig[idx], -w[idx, None]]])
-        b = np.concatenate([-w[idx], np.zeros(idx.size)])
-        try:
-            res = _linprog([0.0, 0.0, 0.0, 1.0], rows, b)
-        except NoConvergence as exc:
-            raise NoConvergence(
-                f"minimax LP round {rounds} on an active set of {idx.size} angles: {exc}"
-            ) from exc
-        t = float(res.x[3])
-        R = trig @ res.x[:3]
-        v = np.maximum(w - R, R - t * w) / w
-        violated = (v > 1e-12 * t) & ~active
-        added = violated & (v >= np.roll(v, 1)) & (v >= np.roll(v, -1))
-        if not added.any():
-            added = violated
-        if not added.any():
-            break
-        active |= added
-    scale = math.exp(-2.0 * center) / math.sqrt(t)  # t* >= 1, since R >= w > 0
-    a2, b2, c2 = (float(x) * scale for x in res.x[:3])
+    x, rounds = linprog(_trig_matrix(grid), w)
+    t = float(x[3])
+    scale = math.exp(-2.0 * center) / math.sqrt(t) if t > 0.0 else math.nan
+    a2, b2, c2 = (float(v) * scale for v in x[:3])
     if not in_cone(a2, b2, c2):
-        raise NoConvergence(f"minimax LP triple ({a2!r}, {b2!r}, {c2!r}) is outside the cone")
+        raise NoConvergence(
+            f"minimax triple ({a2!r}, {b2!r}, {c2!r}) at level t = {t!r} after {rounds} "
+            "exchange rounds is outside the cone"
+        )
     return EllipseParams(a2, b2, c2), rounds
-
-
-def feasible_at(gauge: Gauge, d: float, grid) -> Optional[EllipseParams]:
-    """Ellipse triple with ||f - g||_inf <= d on the grid, or None.
-
-    ``grid`` is an array of angles, or an int for a uniform grid of that size
-    merged with the gauge's kink angles.  Each angle gives the pair
-
-        exp(-2d - 2f) <= a2 + b2*cos(2*phi) + c2*sin(2*phi) <= exp(2d - 2f),
-
-    and the returned triple maximizes the minimum constraint slack, so it sits
-    as deep inside the feasible set as the level d allows.  This level-set
-    test is independent of the minimax LP that ``solve_uniform`` uses.
-    """
-    if d < 0.0:
-        return None
-    if np.ndim(grid) == 0:
-        grid = evaluation_grid(gauge, int(grid))
-    grid = np.asarray(grid, dtype=float)
-    fvals = gauge.log_eval(grid)
-    trig = _trig_matrix(grid)
-    one = np.ones((grid.size, 1))
-    rows = np.block([[-trig, one], [trig, one]])  # R - m >= lo and R + m <= hi
-    b = np.concatenate([-np.exp(-2.0 * d - 2.0 * fvals), np.exp(2.0 * d - 2.0 * fvals)])
-    res = _linprog([0.0, 0.0, 0.0, -1.0], rows, b)
-    a2, b2, c2 = (float(v) for v in res.x[:3])
-    if -float(res.fun) < 0.0 or not in_cone(a2, b2, c2):
-        return None
-    return EllipseParams(a2, b2, c2)
 
 
 @dataclass
@@ -580,12 +558,14 @@ def _polish(gauge, grid, fvals, params, scan: _ExtremaScan, opts: SolverOptions)
 def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> UniformSolution:
     """Best uniform approximation of f = log r over the ellipse family.
 
-    Solves the minimax LP on the evaluation grid by cutting planes (one HiGHS
-    call per round, counted in ``lp_calls``), measures the refined sup-norm
-    of the deviation off the grid, optionally sharpens the triple by the
+    Solves the minimax LP on the evaluation grid by the one-point exchange
+    (its rounds counted in ``lp_calls``), measures the refined sup-norm of
+    the deviation off the grid, optionally sharpens the triple by the
     Remez-style polish, and attaches the four-point certificate drawn from
-    the final triple's scan.  Raises NoConvergence when an LP round fails and
-    NoAlternance when no certificate exists within ``cert_tol``.
+    the final triple's scan.  Raises NoConvergence when the exchange fails
+    (a singular reference, no stop within its round cap, or a triple outside
+    the cone) and NoAlternance when no certificate exists within
+    ``cert_tol``.
     """
     opts = opts or SolverOptions()
     grid = evaluation_grid(gauge, opts.grid_size)

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bmplane import jsonio
+import bmplane
+from bmplane import circle_gauge, jsonio, lp_gauge, polygon_gauge, sample_gauge
 from bmplane.cli import main
 
 import bodies
@@ -153,3 +159,40 @@ class TestRenderCommand:
         bad = tmp_path / "nodiag.json"
         bad.write_text(jsonio.dumps(rep))
         assert main(["render", "--report", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from bmplane.cli import main
+
+for body in sys.argv[1:]:
+    report = body + ".report.json"
+    assert main(["solve", "--input", body, "--out", report]) == 0, body
+    assert main(["verify", "--input", body, "--report", report]) == 0, body
+"""
+
+
+class TestWithoutScipy:
+    def test_solve_and_verify_never_import_scipy(self, tmp_path):
+        # pchip samples are left out: they are the one body kind that needs scipy
+        nodes = np.arange(64) * math.pi / 64
+        gauges = {
+            "circle": circle_gauge(),
+            "square": lp_gauge(math.inf),
+            "l1.5": lp_gauge(1.5),
+            "convex": polygon_gauge(bodies.random_convex_polygon(np.random.default_rng(5))),
+            "samples": sample_gauge(1.0 + 0.1 * np.cos(2 * nodes) + 0.04 * np.sin(6 * nodes)),
+        }
+        paths = []
+        for name, g in gauges.items():
+            paths.append(str(tmp_path / f"{name}.json"))
+            Path(paths[-1]).write_text(jsonio.dumps(g.descriptor()))
+        src = str(Path(bmplane.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT, *paths],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("verdict: pass") == len(gauges), proc.stdout

@@ -1,0 +1,86 @@
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from bmplane import jsonio
+from bmplane.gauge import polygon_gauge
+from bmplane.report import build_report, report_to_dict
+from bmplane.solver import solve_uniform
+
+import bodies
+
+
+def _render_by_element(obj, out: list):
+    """The element-by-element renderer that ``jsonio.dumps`` used before: the byte reference."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(repr(obj))
+    elif isinstance(obj, float):
+        if math.isnan(obj) or math.isinf(obj):
+            raise ValueError(f"non-finite float {obj} is not representable in JSON")
+        out.append(format(obj, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(", ")
+            _render_by_element(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {type(key)}")
+            out.append(json.dumps(key))
+            out.append(": ")
+            _render_by_element(value, out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _sha1_pair(payload) -> tuple[str, str]:
+    out: list = []
+    _render_by_element(payload, out)
+    out.append("\n")
+    ref = hashlib.sha1("".join(out).encode()).hexdigest()
+    return hashlib.sha1(jsonio.dumps(payload).encode()).hexdigest(), ref
+
+
+class TestDumps:
+    def test_reports_match_element_renderer(self, solved_corpus):
+        reports = {name: build_report(g, sol) for name, (g, sol) in solved_corpus.items()}
+        g = polygon_gauge(bodies.regular_polygon(2000, phase=0.1))
+        reports["2000-gon"] = build_report(g, solve_uniform(g))
+        for name, report in reports.items():
+            new, ref = _sha1_pair(report_to_dict(report))
+            assert new == ref, name
+
+    def test_float_arrays_of_any_shape(self):
+        rng = np.random.default_rng(17)
+        for shape in [(), (0,), (3,), (4, 2), (2, 0), (2, 3, 2)]:
+            arr = np.asarray(rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape))
+            payload = {"a": arr, "neg_zero": np.array([-0.0, 0.0]), "ints": np.arange(3)}
+            new, ref = _sha1_pair(payload)
+            assert new == ref, shape
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dumps({"a": np.array([[1.0, 2.0], [bad, 3.0]])})

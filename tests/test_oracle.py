@@ -118,6 +118,11 @@ class TestOracleUniform:
         assert r1.runner_up_distance == r3.runner_up_distance
         assert r1.cluster_radius == r3.cluster_radius
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_bad_thread_count(self, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            oracle_uniform(circle_gauge(), threads=threads)
+
     def test_eval_cap_coarsens(self):
         grid = OracleGrid(n_a=256, n_b=256, n_theta=256, n_phi=512, eval_cap=2e7)
         res = oracle_uniform(circle_gauge(), grid)

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as highs_linprog
 
 from bmplane.ellipse import EllipseParams, in_cone
 from bmplane.errors import NoAlternance, NoConvergence
@@ -19,12 +21,11 @@ from bmplane.solver import (
     SolverOptions,
     distance,
     extract_certificate,
-    feasible_at,
+    linprog,
     solve_uniform,
     to_one_sided,
     _deviation_fn,
     _ExtremaScan,
-    _linprog,
     _minimax_lp,
     _PI,
     _refined_extrema,
@@ -76,18 +77,55 @@ class TestReferenceTrim:
             assert _trim_to_four(list(pts)) == _trim_by_rescan(list(pts)), case
 
 
-def _full_grid_minimax_lp(grid: np.ndarray, fvals: np.ndarray) -> EllipseParams:
-    """Uniform best triple on the grid from one LP over every angle: reference for _minimax_lp."""
+def _highs(objective, rows: np.ndarray, b: np.ndarray):
+    """HiGHS dual simplex on rows @ x <= b with x free: the independent LP reference."""
+    res = highs_linprog(
+        objective, A_ub=rows, b_ub=b, bounds=[(None, None)] * 4, method="highs-ds"
+    )
+    assert res.status == 0, res.message
+    return res
+
+
+def _full_grid_minimax_lp(grid: np.ndarray, fvals: np.ndarray):
+    """Uniform best triple on the grid from one HiGHS LP over every angle; returns (params, x)."""
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
     trig = _trig_matrix(grid)
     rows = np.block([[-trig, np.zeros((grid.size, 1))], [trig, -w[:, None]]])
     b = np.concatenate([-w, np.zeros(grid.size)])
-    res = _linprog([0.0, 0.0, 0.0, 1.0], rows, b)
+    res = _highs([0.0, 0.0, 0.0, 1.0], rows, b)
     scale = math.exp(-2.0 * center) / math.sqrt(res.x[3])  # t* >= 1, since R >= w > 0
     a2, b2, c2 = (float(v) * scale for v in res.x[:3])
-    if not in_cone(a2, b2, c2):
-        raise NoConvergence(f"minimax LP triple ({a2!r}, {b2!r}, {c2!r}) is outside the cone")
+    assert in_cone(a2, b2, c2)
+    return EllipseParams(a2, b2, c2), res.x
+
+
+def feasible_at(gauge, d: float, grid) -> Optional[EllipseParams]:
+    """Ellipse triple with ||f - g||_inf <= d on the grid, or None.
+
+    ``grid`` is an array of angles, or an int for a uniform grid of that size
+    merged with the gauge's kink angles.  Each angle gives the pair
+
+        exp(-2d - 2f) <= a2 + b2*cos(2*phi) + c2*sin(2*phi) <= exp(2d - 2f),
+
+    and the returned triple maximizes the minimum constraint slack, so it sits
+    as deep inside the feasible set as the level d allows.  This level-set
+    test is independent of the minimax exchange that ``solve_uniform`` uses.
+    """
+    if d < 0.0:
+        return None
+    if np.ndim(grid) == 0:
+        grid = evaluation_grid(gauge, int(grid))
+    grid = np.asarray(grid, dtype=float)
+    fvals = gauge.log_eval(grid)
+    trig = _trig_matrix(grid)
+    one = np.ones((grid.size, 1))
+    rows = np.block([[-trig, one], [trig, one]])  # R - m >= lo and R + m <= hi
+    b = np.concatenate([-np.exp(-2.0 * d - 2.0 * fvals), np.exp(2.0 * d - 2.0 * fvals)])
+    res = _highs([0.0, 0.0, 0.0, -1.0], rows, b)
+    a2, b2, c2 = (float(v) for v in res.x[:3])
+    if -float(res.fun) < 0.0 or not in_cone(a2, b2, c2):
+        return None
     return EllipseParams(a2, b2, c2)
 
 
@@ -152,18 +190,8 @@ def _active_set_bodies(corpus) -> dict:
     }
 
 
-class TestActiveSetLP:
-    def test_matches_full_grid_lp(self, corpus, monkeypatch):
-        import bmplane.solver as solver_mod
-
-        calls = []
-        linprog = solver_mod.linprog
-
-        def recording(c, A_ub=None, *args, **kwargs):
-            calls.append((A_ub, linprog(c, A_ub, *args, **kwargs)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(solver_mod, "linprog", recording)
+class TestExchangeLP:
+    def test_matches_full_grid_lp(self, corpus):
         for name, g in _active_set_bodies(corpus).items():
             grid = evaluation_grid(g, 4096)
             fvals = g.log_eval(grid)
@@ -178,62 +206,67 @@ class TestActiveSetLP:
             def grid_sup(p):
                 return float(np.abs(fvals + 0.5 * np.log(p.trig(grid))).max())
 
-            calls.clear()
-            params, rounds = _minimax_lp(grid, fvals)
-            assert rounds == len(calls), name
-            rows, res = calls[-1]
-            in_lp = {tuple(r) for r in rows[rows.shape[0] // 2 :, :3]}
-            active = np.array([tuple(r) in in_lp for r in trig])
-            v = violation(res.x)
-            ref = _full_grid_minimax_lp(grid, fvals)
-            v_ref = violation(calls[-1][1].x)
+            x, rounds = linprog(trig, w)
+            params, lp_rounds = _minimax_lp(grid, fvals)
+            assert lp_rounds == rounds, name
+            ref, x_ref = _full_grid_minimax_lp(grid, fvals)
 
-            # rows outside the last LP hold to the stop tolerance; the LP's own rows
-            # hold as well as HiGHS holds the rows of the single full-grid LP
-            assert v[~active].max() <= 1e-12, name
-            assert v.max() <= max(1e-12, v_ref.max()), name
+            # every grid row holds to the stop tolerance, and no worse than HiGHS's point
+            assert violation(x).max() <= 1e-12, name
             assert grid_sup(params) <= grid_sup(ref) + 1e-13, name
-            if v_ref.max() <= 1e-12:
+            if violation(x_ref).max() <= 1e-12:
                 # both points are feasible on the whole grid, so both are its optimum
                 assert grid_sup(params) >= grid_sup(ref) - 1e-13, name
 
-    def test_rows_stay_small_at_scale(self, monkeypatch):
-        # 10^5 samples put 104064 angles on the grid: one full-grid LP had 208128 rows
-        import bmplane.solver as solver_mod
-
-        rows = []
-        linprog = solver_mod.linprog
-
-        def recording(c, A_ub=None, *args, **kwargs):
-            rows.append(A_ub.shape[0])
-            return linprog(c, A_ub, *args, **kwargs)
-
-        monkeypatch.setattr(solver_mod, "linprog", recording)
+    def test_smooth_samples_at_scale(self):
+        # 10^5 samples put 104064 angles on the grid
         g = sample_gauge(bodies.smooth_samples(np.random.default_rng(100000), 100000))
+        n = evaluation_grid(g, SolverOptions().grid_size).size
         sol = solve_uniform(g)
-        assert rows and max(rows) <= 4096, rows
-        assert sol.diagnostics.lp_calls == len(rows)
+        assert sol.diagnostics.lp_calls <= 16 * n.bit_length()
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
-    def test_failed_later_round_is_typed(self, monkeypatch):
-        import bmplane.solver as solver_mod
-        from scipy.optimize import OptimizeResult
+    def test_singular_reference_is_typed(self, monkeypatch):
+        levels = []
+        solve = np.linalg.solve
 
-        rows = []
-        linprog = solver_mod.linprog
+        def singular_after_one(a, b):
+            if levels:
+                raise np.linalg.LinAlgError("Singular matrix")
+            x = solve(a, b)
+            levels.append(float(x[3]))
+            return x
 
-        def fails_after_one(c, A_ub=None, *args, **kwargs):
-            rows.append(A_ub.shape[0])
-            if len(rows) == 1:
-                return linprog(c, A_ub, *args, **kwargs)
-            return OptimizeResult(status=4, message="numerical difficulties", x=None)
-
-        monkeypatch.setattr(solver_mod, "linprog", fails_after_one)
+        monkeypatch.setattr(np.linalg, "solve", singular_after_one)
         with pytest.raises(NoConvergence) as err:
             solve_uniform(polygon_gauge(bodies.hexagon_inradius_1()))
-        assert len(rows) == 2
         assert "round 2" in str(err.value)
-        assert f"active set of {rows[1] // 2} angles" in str(err.value)
+        assert f"level t = {levels[0]!r}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            (math.nan, 0.0, 0.0, 1.0),
+            (1.0, 0.0, 0.0, math.inf),
+            (1.0, 0.0, 0.0, -1.0),
+            (1.0, 2.0, 0.0, 1.0),
+        ],
+        ids=["nan-triple", "inf-level", "negative-level", "out-of-cone"],
+    )
+    def test_bad_result_is_typed(self, monkeypatch, x):
+        import bmplane.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "linprog", lambda trig, w: (np.array(x), 1))
+        with pytest.raises(NoConvergence):
+            solve_uniform(lp_gauge(math.inf))
+
+    def test_flat_in_family_ellipse(self):
+        # every grid row ties at d* = 0, so the rounding of R alone picks the worst angle:
+        # the exchange must stop on its stalled reference instead of cycling to the cap
+        e = EllipseParams(1.0, 0.999999, 0.0)
+        sol = solve_uniform(ellipse_gauge(e))
+        assert sol.diagnostics.lp_calls <= 2
+        assert sol.params.triple() == pytest.approx(e.triple(), rel=0.0, abs=1e-15)
 
 
 class TestRefinement:
@@ -319,17 +352,6 @@ class TestSolveUniform:
         assert sol.defect == pytest.approx(SQUARE_DEFECT, abs=1e-9)
         assert not sol.diagnostics.polished
 
-    def test_failed_lp_is_typed(self, monkeypatch):
-        import bmplane.solver as solver_mod
-        from scipy.optimize import OptimizeResult
-
-        def failing(*args, **kwargs):
-            return OptimizeResult(status=4, message="numerical difficulties", x=None)
-
-        monkeypatch.setattr(solver_mod, "linprog", failing)
-        with pytest.raises(NoConvergence):
-            solve_uniform(lp_gauge(math.inf))
-
     def test_closed_forms(self, solved_corpus):
         for name, d2 in CLOSED_FORM_D2.items():
             sol = solved_corpus[name][1]
@@ -362,6 +384,14 @@ class TestSolveUniform:
         g = polygon_gauge(bodies.regular_polygon(2000))
         d2 = 1.0 / math.cos(math.pi / 2000.0)
         assert distance(g) == pytest.approx(d2, rel=1e-12, abs=0.0)
+
+    def test_rotated_2000gon(self):
+        # t* - 1 is only 2.5e-6 here: an LP point off by its solver's tolerance shows in d2
+        rng = np.random.default_rng(7)
+        d2 = 1.0 / math.cos(math.pi / 2000.0)
+        for _ in range(10):
+            g = polygon_gauge(bodies.regular_polygon(2000, phase=rng.uniform(0.0, math.pi)))
+            assert distance(g) == pytest.approx(d2, rel=1e-11, abs=0.0)
 
     def test_rough_samples_certify(self):
         rng = np.random.default_rng(4096)
