@@ -41,12 +41,10 @@ __all__ = [
     "matrix_to_params",
 ]
 
-_CONE_SLACK = 0.0  # strict inequalities; callers pre-screen borderline triples
-
 
 def in_cone(a2: float, b2: float, c2: float) -> bool:
-    """True when the triple encodes a genuine ellipse."""
-    return a2 > 0.0 and a2 * a2 - (b2 * b2 + c2 * c2) > _CONE_SLACK
+    """True when the triple encodes a genuine ellipse; both inequalities are strict."""
+    return a2 > 0.0 and a2 * a2 - (b2 * b2 + c2 * c2) > 0.0
 
 
 def trig_eval(a: float, b: float, c: float, phi):

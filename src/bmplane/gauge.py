@@ -105,11 +105,8 @@ class _PolygonGauge(Gauge):
         return self._cross[idx] / denom
 
     def critical_angles(self) -> np.ndarray:
-        folded = np.mod(self._theta, _PI)
-        folded.sort()
-        keep = np.ones(folded.size, dtype=bool)
-        keep[1:] = np.diff(folded) > 1e-12
-        return folded[keep]
+        # _radius switches edges at these; folding the vertices past pi could miss them by ulps
+        return self._theta[self._theta < _PI]
 
     def descriptor(self) -> dict:
         d = {"kind": "polygon", "vertices": self._original.tolist()}

@@ -79,11 +79,12 @@ def oracle_value(gauge: Gauge, params: EllipseParams, n_phi: int) -> float:
     return float(np.abs(h).max())
 
 
-def _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor=None):
+def _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor=None, out=None):
     """V[i, k, j] = max_phi |f + 0.5*log(a_i) + 0.5*log1p(u_k*c_j)|, c_j = cos(2*(phi - theta_j)).
 
-    V is C-contiguous, axes (a, u, theta).  Per theta, (u, 1).(c_j, 1) rounds
-    u*c_j, then 1 + u*c_j, exact for u*c_j <= -1/2: log1p's accuracy near u = 1.
+    V is C-contiguous, axes (a, u, theta), written into ``out`` when given.
+    Per theta, (u, 1).(c_j, 1) rounds u*c_j, then 1 + u*c_j, exact for
+    u*c_j <= -1/2: log1p's accuracy near u = 1.
     """
     f_c = 0.5 * float(fvals.max() + fvals.min())
     r2 = np.exp(2.0 * (fvals - f_c))
@@ -98,7 +99,7 @@ def _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor=None):
     mapper = map if executor is None else executor.map
     ext = np.array(list(mapper(theta_slice, range(thetas.size))))  # (n_theta, 2, n_b)
     hmax, hmin = 0.5 * np.log(np.ascontiguousarray(ext.transpose(1, 2, 0)))
-    v = np.empty((log_a.size,) + hmax.shape)
+    v = np.empty((log_a.size,) + hmax.shape) if out is None else out
     for i, shift in enumerate(f_c + 0.5 * log_a):  # a-line slabs stay in cache
         np.maximum(hmax + shift, -shift - hmin, out=v[i])
     return v
@@ -178,7 +179,8 @@ def oracle_uniform(
             log_a = np.linspace(la_bounds[0], la_bounds[1], n_a)
             us = np.linspace(u_bounds[0], u_bounds[1], n_b)
             thetas = np.linspace(t_bounds[0], t_bounds[1], n_t)
-            v = _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor)
+            out = v if stage > 1 else None  # stage 1's V is kept; stages 2-4 share one
+            v = _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor, out=out)
             evaluations += n_t * n_b * (phis.size + n_a)
             i, k, j = _argmin_lex(v)
             if stage == 0:

@@ -6,7 +6,7 @@ import pytest
 from bmplane import oracle
 from bmplane.ellipse import EllipseParams
 from bmplane.errors import EmptyGrid
-from bmplane.gauge import circle_gauge, ellipse_gauge, lp_gauge, polygon_gauge
+from bmplane.gauge import circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge
 from bmplane.oracle import OracleGrid, _argmin_lex, _uniqueness, oracle_uniform, oracle_value
 
 import bodies
@@ -156,7 +156,8 @@ class TestLogFreeScan:
         log_free_scan = oracle._stage_scan
         stages = []
 
-        def reference(*args):
+        def reference(*args, out=None):
+            # the oracle passes a spent stage array as ``out``; the reference returns its own
             ref = _stage_scan_log1p(*args).transpose(2, 1, 0)
             new = log_free_scan(*args)
             assert new.flags.c_contiguous
@@ -172,6 +173,16 @@ class TestLogFreeScan:
             assert res.evaluations == ref.evaluations, name
         assert len(stages) == 20 * self.GRID.stages
         assert max(stages) <= 1e-13
+
+    def test_out_buffer_is_filled_in_place(self, corpus):
+        g = corpus["star"]
+        phis = evaluation_grid(g, 256)
+        args = (g.log_eval(phis), np.cos(2.0 * phis), np.sin(2.0 * phis),
+                np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 0.9, 10), np.linspace(0.0, 3.0, 11))
+        fresh = oracle._stage_scan(*args)
+        buf = np.full_like(fresh, np.nan)
+        assert oracle._stage_scan(*args, out=buf) is buf
+        assert np.array_equal(buf, fresh)
 
 
 class TestTieRule:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from typing import Optional
 
@@ -7,7 +6,7 @@ import pytest
 from scipy.optimize import linprog as highs_linprog
 
 from bmplane.ellipse import EllipseParams, in_cone
-from bmplane.errors import NoAlternance, NoConvergence
+from bmplane.errors import BmplaneError, NoAlternance, NoConvergence
 from bmplane.gauge import (
     circle_gauge,
     ellipse_gauge,
@@ -269,26 +268,100 @@ class TestExchangeLP:
         assert sol.params.triple() == pytest.approx(e.triple(), rel=0.0, abs=1e-15)
 
 
+def _refinement_bodies(corpus) -> dict:
+    """The corpus, the large-style bodies and rough linear and pchip samples."""
+    rng = np.random.default_rng(7001)
+    return {
+        **_active_set_bodies(corpus),
+        "regular-2000": polygon_gauge(bodies.regular_polygon(2000)),
+        "rough-8192": sample_gauge(1.0 + 0.2 * rng.random(8192)),
+        "rough-100000": sample_gauge(1.0 + 0.2 * rng.random(100000)),
+        "rough-pchip-300": sample_gauge(1.0 + 0.2 * rng.random(300), interp="pchip"),
+    }
+
+
+def _calls_per_scan(monkeypatch, g) -> list:
+    """Calls of h made by each extremum scan of a solve and of its verification."""
+    import bmplane.solver as solver_mod
+
+    refine, counts = solver_mod._refined_extrema, []
+
+    def counting(h, grid, hvals):
+        counts.append(0)
+
+        def counted(phi):
+            counts[-1] += 1
+            return h(phi)
+
+        return refine(counted, grid, hvals)
+
+    monkeypatch.setattr(solver_mod, "_refined_extrema", counting)
+    sol = solve_uniform(g)
+    assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+    return counts
+
+
+def _lp_deviation(g):
+    """(grid, h, hvals) of the deviation of the grid minimax triple."""
+    grid = evaluation_grid(g, 4096)
+    fvals = g.log_eval(grid)
+    params, _ = _minimax_lp(grid, fvals)
+    return grid, _deviation_fn(g, params), fvals + 0.5 * np.log(params.trig(grid))
+
+
 class TestRefinement:
     def test_matches_two_call_refinement(self, corpus):
-        for name, g in corpus.items():
-            grid = evaluation_grid(g, 4096)
-            fvals = g.log_eval(grid)
-            params, _ = _minimax_lp(grid, fvals)
-            h = _deviation_fn(g, params)
-            calls = []
-
-            def counted(phi):
-                calls.append(np.size(phi))
-                return h(phi)
-
-            hvals = fvals + 0.5 * np.log(params.trig(grid))
-            scan = _refined_extrema(counted, grid, hvals)
+        # the ternary search is the reference: as many extrema of each sign, none less
+        # extreme by more than 1e-14, and a sup no lower by more than 1e-15
+        for name, g in _refinement_bodies(corpus).items():
+            grid, h, hvals = _lp_deviation(g)
+            scan = _refined_extrema(h, grid, hvals)
             ref = _refined_extrema_two_calls(h, grid, hvals)
-            for field in dataclasses.fields(_ExtremaScan):
-                assert np.array_equal(getattr(scan, field.name), getattr(ref, field.name)), (
-                    name, field.name)
-            assert len(calls) in (0, 61), (name, len(calls))  # 0 for a flat deviation
+            assert scan.max_values.size == ref.max_values.size, name
+            assert scan.min_values.size == ref.min_values.size, name
+            assert np.all(scan.max_values >= ref.max_values - 1e-14), name
+            assert np.all(scan.min_values <= ref.min_values + 1e-14), name
+            assert scan.sup >= ref.sup - 1e-15, name
+            # a higher sup is a value of h: on star-2000 two edge lines miss each other
+            # by 2.4e-15 at a vertex, and the scan's float next to it sees the higher one
+            angles = np.concatenate([scan.max_angles, scan.min_angles])
+            top = angles[np.argmax(np.abs(np.concatenate([scan.max_values, scan.min_values])))]
+            assert abs(float(h(top))) == pytest.approx(scan.sup, rel=0.0, abs=1e-15), name
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lp_gauge(math.inf),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(0), 128)),
+            polygon_gauge(bodies.jittered_star_polygon(np.random.default_rng(0), 1000)),
+        ],
+        ids=["square", "samples128", "star-2000"],
+    )
+    def test_kinks_take_one_probe(self, monkeypatch, g):
+        # the reference puts every extremum on a grid angle (a kink, or the square's axes):
+        # to rounding at a kink, to about its square root at a smooth extremum
+        grid, h, hvals = _lp_deviation(g)
+        ref = _refined_extrema_two_calls(h, grid, hvals)
+        for ang in (ref.max_angles, ref.min_angles):
+            gap = np.abs(ang[:, None] - np.concatenate([grid, [math.pi]])[None, :]).min(axis=1)
+            assert gap.max() < 1e-7
+        assert max(_calls_per_scan(monkeypatch, g)) <= 2
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(lp_gauge(p) for p in (1.0, 1.5, 3.0, 7.0)),
+            *(sample_gauge(bodies.smooth_samples(np.random.default_rng(i), 128), interp="pchip")
+              for i in range(3)),
+            sample_gauge(1.0 + 0.2 * np.random.default_rng(300).random(300), interp="pchip"),
+            *(polygon_gauge(bodies.regular_polygon(n, phase=0.3)) for n in (60, 400, 2000)),
+        ],
+        ids=["l1", "l1.5", "l3", "l7", "pchip-0", "pchip-1", "pchip-2", "rough-pchip",
+             "60-gon", "400-gon", "2000-gon"],
+    )
+    def test_smooth_extrema_call_cap(self, monkeypatch, g):
+        # a parabolic step from the grid values settles smooth extrema in a few calls
+        assert max(_calls_per_scan(monkeypatch, g)) <= 20
 
 
 class TestFeasibleAt:
@@ -392,6 +465,22 @@ class TestSolveUniform:
         for _ in range(10):
             g = polygon_gauge(bodies.regular_polygon(2000, phase=rng.uniform(0.0, math.pi)))
             assert distance(g) == pytest.approx(d2, rel=1e-11, abs=0.0)
+
+    def test_ill_conditioned_polygons_end_typed(self):
+        # images under Q diag(1, 1e-8) Q' leave NaN in some scans: every body must still
+        # end in a verified certificate or a typed error, never a raw exception
+        rng = np.random.default_rng(99)
+        for _ in range(60):
+            v = bodies.random_convex_polygon(rng)
+            t1, t2 = rng.uniform(0.0, math.pi, 2)
+            q1, q2 = (np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+                      for t in (t1, t2))
+            try:
+                g = polygon_gauge(v @ (q1 @ np.diag([1.0, 1e-8]) @ q2.T).T)
+                sol = solve_uniform(g)
+            except BmplaneError:
+                continue
+            assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
     def test_rough_samples_certify(self):
         rng = np.random.default_rng(4096)
