@@ -1,5 +1,5 @@
-"""Origin-centered ellipses in polar form, their matrix representations, and
-the interpolation/perturbation constructions used by the minimax solver.
+"""Origin-centered ellipses in polar form, their matrix representations, the
+collocation matrices of the trig form and the perturbation construction.
 
 An ellipse is stored through the coefficients of its inverse squared radius,
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -22,53 +21,20 @@ from .errors import BadAngleOrder, LeftCone, NotInCone, NotPD
 
 __all__ = [
     "EllipseParams",
-    "OutOfConeTriple",
     "StdEllipseParams",
     "PDMatrix2",
     "in_cone",
-    "trig_eval",
-    "trig_slope",
-    "trig_to_log_slope",
-    "log_to_trig_slope",
-    "interpolate_three_points",
-    "interpolate_tangent",
     "three_point_matrix",
     "tangent_matrix",
     "perturb",
     "pd_sqrt",
     "pd_sqrt_inverse",
-    "params_to_matrix",
-    "matrix_to_params",
 ]
 
 
 def in_cone(a2: float, b2: float, c2: float) -> bool:
     """True when the triple encodes a genuine ellipse; both inequalities are strict."""
     return a2 > 0.0 and a2 * a2 - (b2 * b2 + c2 * c2) > 0.0
-
-
-def trig_eval(a: float, b: float, c: float, phi):
-    """a + b*cos(2*phi) + c*sin(2*phi), scalar or vectorized in phi."""
-    phi = np.asarray(phi, dtype=float)
-    out = a + b * np.cos(2.0 * phi) + c * np.sin(2.0 * phi)
-    return out if out.ndim else float(out)
-
-
-def trig_slope(a: float, b: float, c: float, phi):
-    """Derivative of the trig form: -2b*sin(2*phi) + 2c*cos(2*phi)."""
-    phi = np.asarray(phi, dtype=float)
-    out = -2.0 * b * np.sin(2.0 * phi) + 2.0 * c * np.cos(2.0 * phi)
-    return out if out.ndim else float(out)
-
-
-def trig_to_log_slope(value: float, slope: float) -> float:
-    """Slope of g = -0.5*log(R) from the value and slope of R."""
-    return -0.5 * slope / value
-
-
-def log_to_trig_slope(value: float, log_slope: float) -> float:
-    """Slope of R from its value and the slope of g = -0.5*log(R)."""
-    return -2.0 * log_slope * value
 
 
 @dataclass(frozen=True)
@@ -96,7 +62,9 @@ class EllipseParams:
 
     def trig(self, phi):
         """The inverse squared radius a2 + b2*cos(2*phi) + c2*sin(2*phi)."""
-        return trig_eval(self.a2, self.b2, self.c2, phi)
+        phi = np.asarray(phi, dtype=float)
+        out = self.a2 + self.b2 * np.cos(2.0 * phi) + self.c2 * np.sin(2.0 * phi)
+        return out if out.ndim else float(out)
 
     def rho(self, phi):
         """Polar radius of the ellipse boundary, scalar or vectorized."""
@@ -118,31 +86,6 @@ class EllipseParams:
         else:
             theta = 0.5 * math.atan2(self.c2, self.b2) % math.pi
         return StdEllipseParams(self.a2, bprime, theta)
-
-    def to_matrix(self) -> "PDMatrix2":
-        return params_to_matrix(self)
-
-
-@dataclass(frozen=True)
-class OutOfConeTriple:
-    """Raw solution of an interpolation system that left the cone.
-
-    The linear solve always succeeds; this marker carries the coefficients so
-    the caller can inspect how far outside the cone the data forced them.
-    """
-
-    a2: float
-    b2: float
-    c2: float
-
-    def triple(self) -> tuple[float, float, float]:
-        return (self.a2, self.b2, self.c2)
-
-    def trig(self, phi):
-        return trig_eval(self.a2, self.b2, self.c2, phi)
-
-
-InterpolationResult = Union[EllipseParams, OutOfConeTriple]
 
 
 @dataclass(frozen=True)
@@ -250,23 +193,6 @@ def pd_sqrt_inverse(s: PDMatrix2) -> PDMatrix2:
     return pd_sqrt(s).inverse()
 
 
-def params_to_matrix(e: EllipseParams) -> PDMatrix2:
-    """The SPD operator mapping the unit circle onto the ellipse of ``e``.
-
-    The ellipse is the level set x^t M x = 1 with M = [[a2+b2, c2], [c2, a2-b2]],
-    so the operator is the inverse SPD square root of M.
-    """
-    m = PDMatrix2(e.a2 + e.b2, e.c2, e.a2 - e.b2)
-    return pd_sqrt_inverse(m)
-
-
-def matrix_to_params(t: PDMatrix2) -> EllipseParams:
-    """Inverse of params_to_matrix: read the trig coefficients off M = T^-2."""
-    m = t.square().inverse()
-    a1, b1, c1 = m.m11, m.m12, m.m22
-    return EllipseParams(0.5 * (a1 + c1), 0.5 * (a1 - c1), b1)
-
-
 def three_point_matrix(phi1: float, phi2: float, phi3: float) -> np.ndarray:
     """Collocation matrix of the trig form at three angles."""
     phis = np.array([phi1, phi2, phi3], dtype=float)
@@ -282,53 +208,6 @@ def tangent_matrix(phi1: float, phi2: float) -> np.ndarray:
             [1.0, math.cos(2.0 * phi2), math.sin(2.0 * phi2)],
         ]
     )
-
-
-def _classify(a2: float, b2: float, c2: float) -> InterpolationResult:
-    if in_cone(a2, b2, c2):
-        return EllipseParams(a2, b2, c2)
-    return OutOfConeTriple(a2, b2, c2)
-
-
-def interpolate_three_points(
-    phi1: float,
-    phi2: float,
-    phi3: float,
-    r1: float,
-    r2: float,
-    r3: float,
-) -> InterpolationResult:
-    """Unique trig triple with R(phi_i) = r_i for phi1 < phi2 < phi3 < phi1 + pi.
-
-    The collocation determinant is 4*sin(phi2-phi1)*sin(phi3-phi1)*sin(phi3-phi2),
-    strictly positive under the ordering precondition, so the solve never fails.
-    Triples that land outside the cone are returned as OutOfConeTriple.
-    """
-    if not (phi1 < phi2 < phi3 < phi1 + math.pi):
-        raise BadAngleOrder(
-            f"need phi1 < phi2 < phi3 < phi1 + pi, got {(phi1, phi2, phi3)}"
-        )
-    sol = np.linalg.solve(three_point_matrix(phi1, phi2, phi3), [r1, r2, r3])
-    return _classify(*sol)
-
-
-def interpolate_tangent(
-    phi1: float,
-    r1: float,
-    r1_slope: float,
-    phi2: float,
-    r2: float,
-) -> InterpolationResult:
-    """Trig triple matching value+slope of R at phi1 and value at phi2.
-
-    Inputs are value and slope of the trig form itself; convert from the log
-    scale with log_to_trig_slope if needed.  Determinant 4*sin^2(phi2-phi1).
-    """
-    gap = abs(phi2 - phi1)
-    if not (0.0 < gap < math.pi):
-        raise BadAngleOrder(f"need 0 < |phi1 - phi2| < pi, got {gap}")
-    sol = np.linalg.solve(tangent_matrix(phi1, phi2), [r1, r1_slope, r2])
-    return _classify(*sol)
 
 
 def perturb(e: EllipseParams, alpha: float, beta: float, t: float) -> EllipseParams:

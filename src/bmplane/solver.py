@@ -14,9 +14,9 @@ the body's scale drop out.  The LP has four unknowns, and
 (1, cos 2phi, sin 2phi) is a Haar system on [0, pi), so its dual simplex is
 Stiefel's one-point exchange on four-angle alternating references, run on
 the whole grid with one 4x4 solve and one matvec per round (``linprog``).
-A Remez-style exchange then polishes the grid optimum to solver precision:
-re-solve the four-point equioscillation system in (a2, b2, c2, d) by Newton,
-relocate the extrema, repeat.
+The same exchange then polishes the grid optimum to solver precision: run it
+on the refined extrema of the current deviation, whose final 4x4 solve is
+the four-point equioscillation system, relocate the extrema, repeat.
 
 Optimality is certified by four angles phi1 < psi1 < phi2 < psi2 < phi1+pi
 at which f - g alternately attains +d and -d; such a certificate is
@@ -25,7 +25,6 @@ sufficient for global optimality and uniqueness within the ellipse family.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -71,7 +70,12 @@ class SolverOptions:
 
 @dataclass
 class SolveDiagnostics:
-    """Counts of one solve; ``lp_calls`` is the number of exchange rounds of the minimax LP."""
+    """Counts of one solve.
+
+    ``lp_calls`` is the number of exchange rounds of the minimax LP on the
+    grid; ``polish_iterations`` the number of polish rounds, each one run of
+    that exchange on the refined extrema of the current deviation.
+    """
 
     lp_calls: int = 0
     polish_iterations: int = 0
@@ -168,17 +172,26 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
     is rounding of R, or R/w lies in [t, 1], where the flipped reference is
     optimal at level 1/t with the same rescaled triple.  Otherwise the worst
     angle replaces the reference neighbour of its own sign (a dual simplex
-    pivot).  A singular reference, or no stop within 16 rounds per bit of n,
-    raises NoConvergence.
+    pivot).  A round depends only on its reference and signs, so a repeated
+    reference is a cycle: it raises NoConvergence at once, as do a singular
+    reference and no stop within 16 rounds per bit of n.
     """
     n = w.size
     ref = (int(np.argmin(w)) + (n // 4) * np.arange(4)) % n
     sign = np.array([1, -1, 1, -1])
     t = math.nan
     cap = 16 * n.bit_length()
+    seen: dict = {}
     for rounds in range(1, cap + 1):
         order = np.argsort(ref)
         ref, sign = ref[order], sign[order]
+        key = (*ref.tolist(), int(sign[0]))
+        if key in seen:
+            raise NoConvergence(
+                f"exchange round {rounds} repeats the reference {ref.tolist()} of round "
+                f"{seen[key]}: the exchange cycles; last level t = {t!r}"
+            )
+        seen[key] = rounds
         upper = sign > 0
         system = np.column_stack([trig[ref], np.where(upper, -w[ref], 0.0)])
         try:
@@ -351,16 +364,9 @@ def _alternation_points(scan: _ExtremaScan, tol: float):
 
 def _certificate_from_scan(h, scan: _ExtremaScan, tol: float) -> AlternanceCertificate:
     if scan.sup < tol:
-        p1, q1, p2, q2 = _CANONICAL_ANGLES
-        res = (
-            float(h(p1)) - scan.sup,
-            -float(h(q1)) - scan.sup,
-            float(h(p2)) - scan.sup,
-            -float(h(q2)) - scan.sup,
-        )
-        return AlternanceCertificate(p1, q1, p2, q2, res)
-
-    pts, d_est = _alternation_points(scan, tol)
+        pts, d_est = _CANONICAL_ANGLES, scan.sup
+    else:
+        pts, d_est = _alternation_points(scan, tol)
     if pts is None:
         raise NoAlternance(
             f"no four-point alternation within tolerance {tol} of the deviation "
@@ -429,112 +435,6 @@ def verify_certificate(
     return CertificateVerdict(ordering_ok, residuals_ok, sup_ok, passed, d_hat, dev, sup)
 
 
-def _trim_to_four(pts: list) -> list:
-    """Trim cyclic (angle, sign, criticality) points to four as _alternating_reference says.
-
-    The pairs sit in a heap keyed by (score, left index) over a cyclic doubly
-    linked list.  A popped pair whose ends are no longer adjacent is stale
-    and skipped; each removal links its two neighbours into one new pair.
-    The survivors keep their order.
-    """
-    n = len(pts)
-    crit = [c for _, _, c in pts]
-    nxt = [*range(1, n), 0]
-    prv = [n - 1, *range(n - 1)]
-    alive = [True] * n
-    heap = [(max(crit[i], crit[nxt[i]]), i, nxt[i]) for i in range(n)]
-    heapq.heapify(heap)
-    left = n
-    while left > 4:
-        _, i, j = heapq.heappop(heap)
-        if not alive[i] or nxt[i] != j:
-            continue
-        alive[i] = alive[j] = False
-        p, q = prv[i], nxt[j]
-        nxt[p], prv[q] = q, p
-        heapq.heappush(heap, (max(crit[p], crit[q]), p, q))
-        left -= 2
-    return [pt for pt, keep in zip(pts, alive) if keep]
-
-
-def _alternating_reference(scan: _ExtremaScan):
-    """Four alternating near-critical extrema (+,-,+,-) for the Remez exchange.
-
-    Local maxima and minima are merged in cyclic angle order and same-sign
-    runs compressed to their most critical member.  The surplus is trimmed
-    one adjacent pair per round, always the pair whose more critical member
-    is least critical; on equal scores the pair with the smallest left index
-    goes, the wrap pair (last, first) counting as the last.  A heap over the
-    pairs (``_trim_to_four``) makes the trim O(n log n) for n extrema.
-    Returns the angles ordered phi1 < psi1 < phi2 < psi2 < phi1 + pi and the
-    mean criticality, or None when no alternating quadruple exists.
-    """
-    ang = np.concatenate([scan.max_angles, scan.min_angles])
-    sign = np.concatenate(
-        [np.ones(scan.max_angles.size), -np.ones(scan.min_angles.size)]
-    )
-    crit = np.concatenate([scan.max_values, -scan.min_values])  # signed criticality
-    order = np.argsort(ang, kind="stable")
-    ang, sign, crit = ang[order], sign[order], crit[order]
-
-    # compress cyclic same-sign runs, keeping the most critical member
-    pts: list[tuple[float, float, float]] = []
-    for a, s, c in zip(ang, sign, crit):
-        if pts and pts[-1][1] == s:
-            if c > pts[-1][2]:
-                pts[-1] = (a, s, c)
-        else:
-            pts.append((a, s, c))
-    while len(pts) > 1 and pts[0][1] == pts[-1][1]:
-        if pts[0][2] >= pts[-1][2]:
-            pts.pop()
-        else:
-            pts.pop(0)
-
-    pts = _trim_to_four(pts)
-
-    if len(pts) != 4 or min(c for _, _, c in pts) <= 0.0:
-        return None
-    if pts[0][1] < 0:  # rotate so the cycle starts on a maximum
-        pts = pts[1:] + [(pts[0][0] + _PI, pts[0][1], pts[0][2])]
-    angles = np.array([p[0] for p in pts])
-    if not (angles[0] < angles[1] < angles[2] < angles[3] < angles[0] + _PI):
-        return None
-    return angles, float(np.mean([c for _, _, c in pts]))
-
-
-def _newton_equioscillation(fpts: np.ndarray, theta: np.ndarray, x0: np.ndarray):
-    """Solve f(theta_i) + 0.5*log R(theta_i) = sigma_i * d for (a2, b2, c2, d)."""
-    sigma = np.array([1.0, -1.0, 1.0, -1.0])
-    c2 = np.cos(2.0 * theta)
-    s2 = np.sin(2.0 * theta)
-    x = x0.copy()
-    for _ in range(40):
-        trig = x[0] + x[1] * c2 + x[2] * s2
-        if np.any(trig <= 0.0):
-            return None
-        resid = fpts + 0.5 * np.log(trig) - sigma * x[3]
-        if np.abs(resid).max() < 1e-15:
-            return x
-        jac = np.column_stack([0.5 / trig, 0.5 * c2 / trig, 0.5 * s2 / trig, -sigma])
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            return None
-        # damp until the trig form stays positive at the four points
-        for _ in range(50):
-            trial = x + step
-            if np.all(trial[0] + trial[1] * c2 + trial[2] * s2 > 0.0):
-                break
-            step *= 0.5
-        else:
-            return None
-        x = trial
-        if np.abs(step).max() < 1e-16:
-            break
-    return x
-
-
 def _scan(
     gauge: Gauge, grid: np.ndarray, fvals: np.ndarray, params: EllipseParams
 ) -> _ExtremaScan:
@@ -544,47 +444,44 @@ def _scan(
 
 
 def _polish(gauge, grid, fvals, params, scan: _ExtremaScan, opts: SolverOptions):
-    """Remez-style exchange from the LP output; returns the best (params, scan, rounds).
+    """Exchange on the refined extrema from the LP output; returns the best (params, scan, rounds).
 
-    ``scan`` is the extremum scan of ``params``.  Each round re-solves the
-    four-point equioscillation system at the current alternation points and
-    relocates them globally, scanning each new iterate once.  The exchange
-    runs until the refined sup-norm of the iterate matches its
-    equioscillation level (global optimality, not just a stable level) or the
-    iterate stops moving.  The returned scan belongs to the returned params,
-    so the caller certifies from it without scanning again.
+    ``scan`` is the extremum scan of ``params``.  Each round runs
+    ``_minimax_lp`` on the scan's extrema S: its final 4x4 solve is the
+    equioscillation system, and its optimal reference the best alternating
+    quadruple in S.  Rounds stop when the new triple's sup matches its level
+    on S, S has fewer than four points, or the exchange on S fails.  Each
+    level is a de la Vallee Poussin lower bound on d*, so one above the
+    returned sup by more than ``cert_tol`` means the scan missed extrema:
+    NoAlternance.  The returned scan belongs to the returned params, so the
+    caller certifies from it without scanning again.
     """
     best_params, best_scan = params, scan
-    iterations = 0
-    cur = params
-    level = None
+    iterations, top = 0, -math.inf
     for _ in range(30):
-        if level is not None:  # cur is a new iterate
-            scan = _scan(gauge, grid, fvals, cur)
-            if scan.sup < best_scan.sup:
-                best_params, best_scan = cur, scan
-            if scan.sup - level <= 0.25 * opts.cert_tol:
-                break
-        ref = _alternating_reference(scan)
-        if ref is None:
+        points = np.unique(np.concatenate([scan.max_angles, scan.min_angles]))
+        if points.size < 4:
             break
-        theta, d_est = ref
-        x0 = np.array([*cur.triple(), d_est])
-        x = _newton_equioscillation(gauge.log_eval(theta), theta, x0)
+        fpts = gauge.log_eval(points)
+        try:
+            cur, _ = _minimax_lp(points, fpts)
+        except NoConvergence:
+            break
         iterations += 1
-        if x is None or not np.isfinite(x).all() or x[3] < -opts.cert_tol:
+        level = float(np.abs(fpts + 0.5 * np.log(cur.trig(points))).max())
+        if not math.isfinite(level):  # R rounds to 0 on S: the exchange failed
             break
-        if not in_cone(x[0], x[1], x[2]):
+        top = max(top, level)
+        scan = _scan(gauge, grid, fvals, cur)
+        if scan.sup < best_scan.sup:
+            best_params, best_scan = cur, scan
+        if scan.sup - level <= 0.25 * opts.cert_tol:
             break
-        new = EllipseParams(x[0], x[1], x[2])
-        step = max(abs(a - b) for a, b in zip(new.triple(), cur.triple()))
-        cur, level = new, max(x[3], 0.0)
-        if step <= 1e-15 * max(1.0, cur.a2):
-            # fixed point of the exchange; record its honest sup and stop
-            scan = _scan(gauge, grid, fvals, cur)
-            if scan.sup < best_scan.sup:
-                best_params, best_scan = cur, scan
-            break
+    if top > best_scan.sup + opts.cert_tol:
+        raise NoAlternance(
+            f"exchange level {top!r} on the refined extrema exceeds the scanned "
+            f"sup-norm {best_scan.sup!r}: the scan missed extrema"
+        )
     return best_params, best_scan, iterations
 
 
@@ -593,11 +490,13 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
 
     Solves the minimax LP on the evaluation grid by the one-point exchange
     (its rounds counted in ``lp_calls``), measures the refined sup-norm of
-    the deviation off the grid, optionally sharpens the triple by the
-    Remez-style polish, and attaches the four-point certificate drawn from
-    the final triple's scan.  Raises NoConvergence when the exchange fails
-    (a singular reference, no stop within its round cap, or a triple outside
-    the cone) and NoAlternance when no certificate exists within
+    the deviation off the grid, optionally sharpens the triple by running
+    the same exchange on the refined extrema (its rounds counted in
+    ``polish_iterations``), and attaches the four-point certificate drawn
+    from the final triple's scan.  Raises NoConvergence when the grid
+    exchange fails (a singular or repeated reference, no stop within its
+    round cap, or a triple outside the cone) and NoAlternance when a polish
+    level exceeds the scanned sup-norm or no certificate exists within
     ``cert_tol``.
     """
     opts = opts or SolverOptions()

@@ -5,21 +5,13 @@ import pytest
 
 from bmplane.ellipse import (
     EllipseParams,
-    OutOfConeTriple,
     PDMatrix2,
     StdEllipseParams,
-    interpolate_tangent,
-    interpolate_three_points,
-    log_to_trig_slope,
-    matrix_to_params,
-    params_to_matrix,
     pd_sqrt,
     pd_sqrt_inverse,
     perturb,
     tangent_matrix,
     three_point_matrix,
-    trig_slope,
-    trig_to_log_slope,
 )
 from bmplane.errors import BadAngleOrder, LeftCone, NotInCone, NotPD
 
@@ -85,49 +77,29 @@ class TestMatrixLayer:
         with pytest.raises(NotPD):
             PDMatrix2(-1.0, 0.0, -2.0)
 
-    def test_params_to_matrix_examples(self):
-        assert params_to_matrix(EllipseParams(1, 0, 0)).as_array() == pytest.approx(np.eye(2))
-        assert params_to_matrix(EllipseParams(0.5, 0, 0)).as_array() == pytest.approx(
-            math.sqrt(2.0) * np.eye(2))
-        t = params_to_matrix(EllipseParams(1, 0.3, 0))
-        assert t.as_array() == pytest.approx(
-            np.diag([1.0 / math.sqrt(1.3), 1.0 / math.sqrt(0.7)]), abs=1e-12)
-
-    def test_matrix_to_params_examples(self):
-        assert matrix_to_params(PDMatrix2(1, 0, 1)).triple() == pytest.approx((1, 0, 0))
-        assert matrix_to_params(PDMatrix2(2, 0, 1)).triple() == pytest.approx(
-            (0.625, -0.375, 0.0))
-
-    def test_matrix_param_roundtrips_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            t = bodies.random_pd_matrix(rng)
-            back = params_to_matrix(matrix_to_params(t))
-            err = np.abs(back.as_array() - t.as_array()).max()
-            assert err <= 1e-12 * t.operator_norm()
-        for _ in range(200):
-            e = bodies.random_incone_params(rng)
-            back = matrix_to_params(params_to_matrix(e))
-            assert back.triple() == pytest.approx(e.triple(), rel=1e-12, abs=1e-14)
-
     def test_matrix_maps_circle_to_ellipse(self):
+        # the operator build_report takes: the inverse SPD root of M = [[a2+b2, c2], [c2, a2-b2]]
         rng = np.random.default_rng(3)
         e = bodies.random_incone_params(rng)
-        t = params_to_matrix(e)
+        t = pd_sqrt_inverse(PDMatrix2(e.a2 + e.b2, e.c2, e.a2 - e.b2))
         ang = rng.uniform(0, 2 * math.pi, 32)
         pts = t.apply(np.column_stack([np.cos(ang), np.sin(ang)]))
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         assert np.hypot(pts[:, 0], pts[:, 1]) == pytest.approx(e.rho(phi), rel=1e-12)
 
 
+def _interpolate(matrix: np.ndarray, rhs) -> EllipseParams:
+    """The trig triple that solves a collocation system."""
+    return EllipseParams(*np.linalg.solve(matrix, rhs))
+
+
 class TestInterpolation:
     def test_three_point_roundtrip(self):
-        r = interpolate_three_points(0.0, math.pi / 3, 2 * math.pi / 3, 1.3, 0.85, 0.85)
-        assert isinstance(r, EllipseParams)
+        r = _interpolate(three_point_matrix(0.0, math.pi / 3, 2 * math.pi / 3), [1.3, 0.85, 0.85])
         assert r.triple() == pytest.approx((1.0, 0.3, 0.0), abs=1e-14)
 
     def test_constant_gives_circle(self):
-        r = interpolate_three_points(0.0, math.pi / 4, math.pi / 2, 1.0, 1.0, 1.0)
+        r = _interpolate(three_point_matrix(0.0, math.pi / 4, math.pi / 2), [1.0, 1.0, 1.0])
         assert r.triple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
 
     def test_reproduces_inputs(self):
@@ -139,8 +111,8 @@ class TestInterpolation:
                 continue
             phis = (base, base + gaps[0], base + gaps[0] + gaps[1])
             targets = rng.uniform(0.2, 3.0, 3)
-            r = interpolate_three_points(*phis, *targets)
-            got = [r.trig(p) for p in phis]
+            a2, b2, c2 = np.linalg.solve(three_point_matrix(*phis), targets)
+            got = [a2 + b2 * math.cos(2 * p) + c2 * math.sin(2 * p) for p in phis]
             assert got == pytest.approx(list(targets), abs=1e-12 * max(targets))
 
     def test_determinant_identity(self):
@@ -151,45 +123,32 @@ class TestInterpolation:
         assert expect == pytest.approx(3.0 * math.sqrt(3.0) / 2.0)
 
     def test_bad_order(self):
+        e = EllipseParams(1.0, 0.0, 0.0)
         with pytest.raises(BadAngleOrder):
-            interpolate_three_points(0.0, 2.0, 4.0, 1, 1, 1)
+            perturb(e, 0.5, 0.4, 0.01)
         with pytest.raises(BadAngleOrder):
-            interpolate_three_points(0.5, 0.4, 0.6, 1, 1, 1)
+            perturb(e, 0.0, 4.0, 0.01)
         with pytest.raises(BadAngleOrder):
-            interpolate_tangent(0.3, 1.0, 0.0, 0.3, 1.0)
-
-    def test_out_of_cone_flagged(self):
-        r = interpolate_three_points(0.0, math.pi / 4, math.pi / 2, 1.0, 5.0, 1.0)
-        assert isinstance(r, OutOfConeTriple)
-        assert r.trig(math.pi / 4) == pytest.approx(5.0)
+            perturb(e, 0.3, 0.3, 0.01)
 
     def test_tangent_examples(self):
-        r = interpolate_tangent(0.0, 1.3, 0.0, math.pi / 2, 0.7)
+        r = _interpolate(tangent_matrix(0.0, math.pi / 2), [1.3, 0.0, 0.7])
         assert r.triple() == pytest.approx((1.0, 0.3, 0.0), abs=1e-14)
-        r = interpolate_tangent(0.0, 1.0, 0.0, math.pi / 3, 1.0)
+        r = _interpolate(tangent_matrix(0.0, math.pi / 3), [1.0, 0.0, 1.0])
         assert r.triple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-14)
 
     def test_tangent_recovers_forward_data(self):
+        # the middle row is the slope of the trig form, checked by a central difference
         e = EllipseParams(1.0, 0.2, 0.1)
         phi1, phi2 = math.pi / 4, math.pi / 4 + 1.1
-        r = interpolate_tangent(phi1, e.trig(phi1), trig_slope(*e.triple(), phi1), phi2, e.trig(phi2))
-        assert r.triple() == pytest.approx(e.triple(), abs=1e-10)
+        hstep = 1e-6
+        slope = (e.trig(phi1 + hstep) - e.trig(phi1 - hstep)) / (2 * hstep)
+        r = _interpolate(tangent_matrix(phi1, phi2), [e.trig(phi1), slope, e.trig(phi2)])
+        assert r.triple() == pytest.approx(e.triple(), abs=1e-9)
 
     def test_tangent_determinant_identity(self):
         d = np.linalg.det(tangent_matrix(0.2, 1.3))
         assert d == pytest.approx(4 * math.sin(1.1) ** 2, abs=1e-12)
-
-    def test_log_slope_helpers(self):
-        e = EllipseParams(1.0, 0.2, 0.1)
-        phi = 0.37
-        val = e.trig(phi)
-        slope = trig_slope(*e.triple(), phi)
-        g_slope = trig_to_log_slope(val, slope)
-        # finite-difference check of d/dphi log_rho
-        hstep = 1e-6
-        fd = (e.log_rho(phi + hstep) - e.log_rho(phi - hstep)) / (2 * hstep)
-        assert g_slope == pytest.approx(fd, abs=1e-8)
-        assert log_to_trig_slope(val, g_slope) == pytest.approx(slope, abs=1e-12)
 
 
 class TestPerturb:
@@ -206,13 +165,13 @@ class TestPerturb:
             perturb(EllipseParams(1, 0, 0), 0.0, math.pi / 2, 0.4)
 
     def test_matches_three_point_solve(self):
-        # same construction through the generic interpolation route
+        # same construction through the collocation system at alpha, the midpoint and beta
         e = EllipseParams(1.0, -0.15, 0.25)
         alpha, beta, t = 0.4, 2.1, 0.07
         gamma = 0.5 * (alpha + beta)
-        direct = interpolate_three_points(
-            alpha, gamma, beta,
-            e.trig(alpha), math.exp(2 * t) * e.trig(gamma), e.trig(beta))
+        direct = _interpolate(
+            three_point_matrix(alpha, gamma, beta),
+            [e.trig(alpha), math.exp(2 * t) * e.trig(gamma), e.trig(beta)])
         p = perturb(e, alpha, beta, t)
         assert p.triple() == pytest.approx(direct.triple(), abs=1e-13)
 

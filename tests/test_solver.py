@@ -29,7 +29,6 @@ from bmplane.solver import (
     _PI,
     _refined_extrema,
     _trig_matrix,
-    _trim_to_four,
     verify_certificate,
 )
 
@@ -48,32 +47,8 @@ CLOSED_FORM_D2 = {
 }
 
 
-def _trim_by_rescan(pts):
-    """The quadratic trim that rescores every pair each round: reference for _trim_to_four."""
-    while len(pts) > 4:
-        n = len(pts)
-        pair_score = [max(pts[i][2], pts[(i + 1) % n][2]) for i in range(n)]
-        i = int(np.argmin(pair_score))
-        if i == n - 1:
-            pts = pts[1 : n - 1]
-        else:
-            pts = pts[:i] + pts[i + 2 :]
-    return pts
-
-
-class TestReferenceTrim:
-    def test_matches_rescanning_trim(self):
-        rng = np.random.default_rng(20261018)
-        for case in range(4000):
-            n = int(rng.integers(1, 61))
-            ang = np.sort(rng.uniform(0.0, math.pi, n))
-            sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-            if case % 2:
-                crit = rng.integers(-2, 4, n).astype(float)  # ties between pair scores
-            else:
-                crit = rng.normal(size=n)
-            pts = list(zip(ang, sign, crit))
-            assert _trim_to_four(list(pts)) == _trim_by_rescan(list(pts)), case
+def _rotation(t: float) -> np.ndarray:
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 
 
 def _highs(objective, rows: np.ndarray, b: np.ndarray):
@@ -258,6 +233,25 @@ class TestExchangeLP:
         monkeypatch.setattr(solver_mod, "linprog", lambda trig, w: (np.array(x), 1))
         with pytest.raises(NoConvergence):
             solve_uniform(lp_gauge(math.inf))
+
+    def test_repeated_reference_is_typed(self, monkeypatch):
+        # polygon 49 of the rng-99 sequence below (kappa = 1e8) brings its round-1 reference
+        # back at round 3; the exchange must stop there instead of cycling to its 208-round cap
+        rng = np.random.default_rng(99)
+        for _ in range(50):
+            v = bodies.random_convex_polygon(rng)
+            t1, t2 = rng.uniform(0.0, math.pi, 2)
+        g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-8]) @ _rotation(t2).T).T)
+        calls, solve = [], np.linalg.solve
+
+        def counting(a, b):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        with pytest.raises(NoConvergence, match="repeats the reference"):
+            solve_uniform(g)
+        assert len(calls) <= 4
 
     def test_flat_in_family_ellipse(self):
         # every grid row ties at d* = 0, so the rounding of R alone picks the worst angle:
@@ -453,7 +447,7 @@ class TestSolveUniform:
             assert cert == sol.certificate, name
 
     def test_regular_2000gon(self):
-        # thousands of extrema for the exchange to trim to four
+        # thousands of extrema in the point set of the polish exchange
         g = polygon_gauge(bodies.regular_polygon(2000))
         d2 = 1.0 / math.cos(math.pi / 2000.0)
         assert distance(g) == pytest.approx(d2, rel=1e-12, abs=0.0)
@@ -473,14 +467,31 @@ class TestSolveUniform:
         for _ in range(60):
             v = bodies.random_convex_polygon(rng)
             t1, t2 = rng.uniform(0.0, math.pi, 2)
-            q1, q2 = (np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-                      for t in (t1, t2))
             try:
-                g = polygon_gauge(v @ (q1 @ np.diag([1.0, 1e-8]) @ q2.T).T)
+                g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-8]) @ _rotation(t2).T).T)
                 sol = solve_uniform(g)
             except BmplaneError:
                 continue
             assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+
+    def test_five_point_pchip_optimum_certifies(self):
+        # the optimum alternates at five extrema; the exchange on them picks the best four
+        g = sample_gauge([1.0, 1.2, 1.0, 1.3, 1.0, 1.2, 1.0, 1.1], interp="pchip")
+        sol = solve_uniform(g)
+        assert math.exp(2.0 * sol.defect) == pytest.approx(1.2695616833, rel=1e-10, abs=0.0)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-6, grid_size=2**18).passed
+
+    def test_level_above_sup_is_typed(self):
+        # at kappa = 1e4 the scans of these three images miss extrema: the exchange level on
+        # S, a lower bound on d*, then exceeds the scanned sup, and the solve must not return
+        rng = np.random.default_rng(7)
+        for i in range(25):
+            v = bodies.random_convex_polygon(rng)
+            t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+            if i in (9, 11, 12):
+                g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-4]) @ _rotation(t2)).T)
+                with pytest.raises(NoAlternance, match="exchange level"):
+                    solve_uniform(g)
 
     def test_rough_samples_certify(self):
         rng = np.random.default_rng(4096)
