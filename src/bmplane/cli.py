@@ -54,9 +54,7 @@ def _load_gauge(path: str):
 
 def _solver_options(args) -> SolverOptions:
     try:
-        return SolverOptions(
-            grid_size=args.grid, polish=not args.no_polish, cert_tol=args.cert_tol
-        )
+        return SolverOptions(grid_size=args.grid, cert_tol=args.cert_tol)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -111,9 +109,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = args.tol
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"--tol must be positive and finite, got {tol}")
     gauge = _load_gauge(args.input)
     report = report_from_dict(_read_json(args.report))
-    tol = args.tol
 
     cert_verdict = verify_certificate(gauge, report.params_uniform, report.certificate, tol)
     d_hat = cert_verdict.d_hat
@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--view", choices=["body", "image"], default="body")
     solve.add_argument("--grid", type=int, default=4096, help="angles per period")
     solve.add_argument("--cert-tol", type=float, default=1e-8, help="certificate tolerance")
-    solve.add_argument("--no-polish", action="store_true", help="skip the Remez polish")
 
     oracle = sub.add_parser("oracle", help="brute-force search over the ellipse grid")
     oracle.add_argument("--input", required=True)

@@ -51,8 +51,6 @@ def _reduce(phi) -> np.ndarray:
 class Gauge:
     """Radial function of a symmetric star body.  Immutable after construction."""
 
-    kind = "abstract"
-
     def eval(self, phi):
         """Boundary radius r(phi); accepts scalars or arrays."""
         arr = np.asarray(phi, dtype=float)
@@ -81,22 +79,14 @@ class Gauge:
 
 
 class _PolygonGauge(Gauge):
-    kind = "polygon"
-
     def __init__(self, vertices: np.ndarray, original: np.ndarray, symmetrize: bool):
         # vertices: validated, CCW, rolled so vertex angles ascend from the minimum
-        self._vertices = vertices
         self._original = original
         self._symmetrize = symmetrize
         nxt = np.roll(vertices, -1, axis=0)
         self._theta = np.mod(np.arctan2(vertices[:, 1], vertices[:, 0]), 2.0 * _PI)
         self._cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]
         self._edge = nxt - vertices
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """The validated boundary vertices, counterclockwise."""
-        return self._vertices.copy()
 
     def _radius(self, red: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._theta, red, side="right") - 1
@@ -116,14 +106,8 @@ class _PolygonGauge(Gauge):
 
 
 class _LpGauge(Gauge):
-    kind = "lp"
-
     def __init__(self, p: float):
         self._p = p
-
-    @property
-    def p(self) -> float:
-        return self._p
 
     def _radius(self, red: np.ndarray) -> np.ndarray:
         return np.exp(self._log_radius(red))
@@ -149,8 +133,6 @@ class _LpGauge(Gauge):
 
 
 class _SampleGauge(Gauge):
-    kind = "samples"
-
     def __init__(self, values: np.ndarray, interp: str):
         self._values = values
         self._interp = interp
@@ -185,14 +167,8 @@ class _SampleGauge(Gauge):
 
 
 class _EllipseGauge(Gauge):
-    kind = "ellipse"
-
     def __init__(self, params: EllipseParams):
         self._params = params
-
-    @property
-    def params(self) -> EllipseParams:
-        return self._params
 
     def _radius(self, red: np.ndarray) -> np.ndarray:
         return self._params.trig(red) ** -0.5
@@ -205,8 +181,6 @@ class _EllipseGauge(Gauge):
 
 
 class _CircleGauge(Gauge):
-    kind = "circle"
-
     def __init__(self, radius: float):
         self._radius_value = radius
 

@@ -28,6 +28,7 @@ from .gauge import Gauge, evaluation_grid
 __all__ = ["OracleGrid", "OracleResult", "oracle_value", "oracle_uniform"]
 
 _PI = math.pi
+_SHRINK = 6.0  # each stage's window is this much narrower than the last
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class OracleGrid:
     n_phi: int = 1024
     a_range: Optional[tuple[float, float]] = None
     stages: int = 4
-    shrink: float = 6.0
     eval_cap: float = 1e9
     value_margin: float = 1e-3
 
@@ -51,8 +51,8 @@ class OracleGrid:
             lo, hi = self.a_range
             if not (0.0 < lo < hi < math.inf):
                 raise EmptyGrid(f"a_range must be a positive interval, got {self.a_range}")
-        if self.stages < 1 or self.shrink <= 1.0 or self.eval_cap <= 0.0:
-            raise EmptyGrid("stages and eval_cap must be positive, shrink above 1")
+        if self.stages < 1 or self.eval_cap <= 0.0:
+            raise EmptyGrid("stages and eval_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,9 @@ def oracle_uniform(
             if stage + 1 < grid.stages:
                 # shrink each window around the incumbent; generous overlap with
                 # the previous spacing keeps diagonal valleys inside the window
-                half_la = 0.5 * (la_bounds[1] - la_bounds[0]) / grid.shrink
-                half_u = 0.5 * (u_bounds[1] - u_bounds[0]) / grid.shrink
-                half_t = 0.5 * (t_bounds[1] - t_bounds[0]) / grid.shrink
+                half_la = 0.5 * (la_bounds[1] - la_bounds[0]) / _SHRINK
+                half_u = 0.5 * (u_bounds[1] - u_bounds[0]) / _SHRINK
+                half_t = 0.5 * (t_bounds[1] - t_bounds[0]) / _SHRINK
                 la_bounds = (
                     max(full_la[0], log_a[i] - half_la),
                     min(full_la[1], log_a[i] + half_la),

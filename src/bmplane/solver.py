@@ -14,9 +14,11 @@ the body's scale drop out.  The LP has four unknowns, and
 (1, cos 2phi, sin 2phi) is a Haar system on [0, pi), so its dual simplex is
 Stiefel's one-point exchange on four-angle alternating references, run on
 the whole grid with one 4x4 solve and one matvec per round (``linprog``).
-The same exchange then polishes the grid optimum to solver precision: run it
-on the refined extrema of the current deviation, whose final 4x4 solve is
-the four-point equioscillation system, relocate the extrema, repeat.
+``solve_uniform`` runs that exchange in one loop: first on the grid, then on
+the refined extrema of the last triple's deviation, where its final 4x4
+solve is the four-point equioscillation system.  The loop stops when the
+refined sup-norm of the last triple is within 1e-12 relative of its level
+on its points, the de la Vallee Poussin lower bound on the optimum.
 
 Optimality is certified by four angles phi1 < psi1 < phi2 < psi2 < phi1+pi
 at which f - g alternately attains +d and -d; such a certificate is
@@ -58,35 +60,33 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section fraction of the larger 
 @dataclass(frozen=True)
 class SolverOptions:
     grid_size: int = 4096
-    polish: bool = True
     cert_tol: float = 1e-8
 
     def __post_init__(self):
         if self.grid_size < 64:
             raise ValueError(f"grid_size must be at least 64, got {self.grid_size}")
-        if not self.cert_tol > 0.0:
-            raise ValueError("cert_tol must be positive")
+        if not 0.0 < self.cert_tol < math.inf:
+            raise ValueError(f"cert_tol must be positive and finite, got {self.cert_tol}")
 
 
 @dataclass
 class SolveDiagnostics:
     """Counts of one solve.
 
-    ``lp_calls`` is the number of exchange rounds of the minimax LP on the
-    grid; ``polish_iterations`` the number of polish rounds, each one run of
-    that exchange on the refined extrema of the current deviation.
+    ``lp_calls`` is the number of exchange rounds of the first run of the
+    exchange loop, the minimax LP on the grid; ``polish_iterations`` the
+    number of later runs, each on the refined extrema of the previous run's
+    deviation (0 when the grid optimum already meets the stop).
     """
 
     lp_calls: int = 0
     polish_iterations: int = 0
-    polished: bool = False
     grid_points: int = 0
 
     def as_dict(self) -> dict:
         return {
             "lp_calls": self.lp_calls,
             "polish_iterations": self.polish_iterations,
-            "polished": self.polished,
             "grid_points": self.grid_points,
         }
 
@@ -435,83 +435,63 @@ def verify_certificate(
     return CertificateVerdict(ordering_ok, residuals_ok, sup_ok, passed, d_hat, dev, sup)
 
 
-def _scan(
-    gauge: Gauge, grid: np.ndarray, fvals: np.ndarray, params: EllipseParams
-) -> _ExtremaScan:
-    """Refined extrema of f - g for the triple, from f already sampled on the grid."""
-    h = _deviation_fn(gauge, params)
-    return _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
-
-
-def _polish(gauge, grid, fvals, params, scan: _ExtremaScan, opts: SolverOptions):
-    """Exchange on the refined extrema from the LP output; returns the best (params, scan, rounds).
-
-    ``scan`` is the extremum scan of ``params``.  Each round runs
-    ``_minimax_lp`` on the scan's extrema S: its final 4x4 solve is the
-    equioscillation system, and its optimal reference the best alternating
-    quadruple in S.  Rounds stop when the new triple's sup matches its level
-    on S, S has fewer than four points, or the exchange on S fails.  Each
-    level is a de la Vallee Poussin lower bound on d*, so one above the
-    returned sup by more than ``cert_tol`` means the scan missed extrema:
-    NoAlternance.  The returned scan belongs to the returned params, so the
-    caller certifies from it without scanning again.
-    """
-    best_params, best_scan = params, scan
-    iterations, top = 0, -math.inf
-    for _ in range(30):
-        points = np.unique(np.concatenate([scan.max_angles, scan.min_angles]))
-        if points.size < 4:
-            break
-        fpts = gauge.log_eval(points)
-        try:
-            cur, _ = _minimax_lp(points, fpts)
-        except NoConvergence:
-            break
-        iterations += 1
-        level = float(np.abs(fpts + 0.5 * np.log(cur.trig(points))).max())
-        if not math.isfinite(level):  # R rounds to 0 on S: the exchange failed
-            break
-        top = max(top, level)
-        scan = _scan(gauge, grid, fvals, cur)
-        if scan.sup < best_scan.sup:
-            best_params, best_scan = cur, scan
-        if scan.sup - level <= 0.25 * opts.cert_tol:
-            break
-    if top > best_scan.sup + opts.cert_tol:
-        raise NoAlternance(
-            f"exchange level {top!r} on the refined extrema exceeds the scanned "
-            f"sup-norm {best_scan.sup!r}: the scan missed extrema"
-        )
-    return best_params, best_scan, iterations
-
-
 def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> UniformSolution:
     """Best uniform approximation of f = log r over the ellipse family.
 
-    Solves the minimax LP on the evaluation grid by the one-point exchange
-    (its rounds counted in ``lp_calls``), measures the refined sup-norm of
-    the deviation off the grid, optionally sharpens the triple by running
-    the same exchange on the refined extrema (its rounds counted in
-    ``polish_iterations``), and attaches the four-point certificate drawn
-    from the final triple's scan.  Raises NoConvergence when the grid
-    exchange fails (a singular or repeated reference, no stop within its
-    round cap, or a triple outside the cone) and NoAlternance when a polish
-    level exceeds the scanned sup-norm or no certificate exists within
-    ``cert_tol``.
+    One exchange loop.  Its first run solves the minimax LP on the evaluation
+    grid (its exchange rounds counted in ``lp_calls``); every later run solves
+    it on the refined extrema of the previous run's deviation (these runs
+    counted in ``polish_iterations``, at most 30).  Each run's level, max |f - g|
+    on its points, is a de la Vallee Poussin lower bound on d*, and the
+    refined sup-norm of its triple an upper bound; the loop stops once they
+    agree to 1e-12 relative and returns the triple of least sup, with the
+    four-point certificate drawn from that triple's scan.  Raises
+    NoConvergence when the grid run fails (a singular or repeated reference,
+    no stop within its round cap, a triple outside the cone or a non-finite
+    level); a later run that fails ends the loop.  Raises NoAlternance when a
+    level exceeds the returned sup-norm by more than ``cert_tol`` (the scan
+    missed extrema) or no certificate exists within ``cert_tol``.
     """
     opts = opts or SolverOptions()
     grid = evaluation_grid(gauge, opts.grid_size)
     fvals = gauge.log_eval(grid)
     diag = SolveDiagnostics(grid_points=grid.size)
 
-    params, diag.lp_calls = _minimax_lp(grid, fvals)
-    scan = _scan(gauge, grid, fvals, params)
+    points, f = grid, fvals
+    best: Optional[tuple[EllipseParams, _ExtremaScan]] = None
+    top = -math.inf
+    for run in range(31):
+        try:
+            params, rounds = _minimax_lp(points, f)
+            level = float(np.abs(f + 0.5 * np.log(params.trig(points))).max())
+            if not math.isfinite(level):
+                raise NoConvergence(f"exchange level {level!r} on {points.size} points")
+        except NoConvergence:
+            if best is None:
+                raise
+            break
+        if best is None:
+            diag.lp_calls = rounds
+        else:
+            diag.polish_iterations = run
+        top = max(top, level)
+        h = _deviation_fn(gauge, params)
+        scan = _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
+        if best is None or scan.sup < best[1].sup:
+            best = params, scan
+        if scan.sup - level <= 1e-12 * scan.sup:
+            break
+        points = np.unique(np.concatenate([scan.max_angles, scan.min_angles]))
+        if points.size < 4:
+            break
+        f = gauge.log_eval(points)
 
-    if opts.polish and scan.sup > opts.cert_tol:
-        params, scan, polish_iters = _polish(gauge, grid, fvals, params, scan, opts)
-        diag.polish_iterations = polish_iters
-        diag.polished = polish_iters > 0
-
+    params, scan = best
+    if top > scan.sup + opts.cert_tol:
+        raise NoAlternance(
+            f"exchange level {top!r} on the refined extrema exceeds the scanned "
+            f"sup-norm {scan.sup!r}: the scan missed extrema"
+        )
     cert = _certificate_from_scan(_deviation_fn(gauge, params), scan, opts.cert_tol)
     return UniformSolution(params, float(scan.sup), cert, diag)
 

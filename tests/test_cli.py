@@ -113,6 +113,20 @@ class TestVerify:
         assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 2
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_out_of_range_is_input_error(self, square_body, square_solved, tmp_path,
+                                         command, value):
+        if command == "solve":
+            argv = ["solve", "--input", str(square_body), "--out", str(tmp_path / "r.json"),
+                    "--cert-tol", value]
+        else:
+            argv = ["verify", "--input", str(square_body), "--report", str(square_solved),
+                    "--tol", value]
+        assert main(argv) == 2
+
+
 class TestOracleCommand:
     def test_square(self, square_body, tmp_path):
         out = tmp_path / "oracle.json"

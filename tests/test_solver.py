@@ -414,15 +414,27 @@ class TestSolveUniform:
         assert sol.defect == pytest.approx(SQUARE_DEFECT, abs=1e-9)
         assert sol.params.triple() == pytest.approx((2.0 ** -0.5, 0.0, 0.0), abs=1e-6)
 
-    def test_square_without_polish(self):
-        sol = solve_uniform(lp_gauge(math.inf), SolverOptions(polish=False))
-        assert sol.defect == pytest.approx(SQUARE_DEFECT, abs=1e-9)
-        assert not sol.diagnostics.polished
+    def test_kink_bodies_stop_after_the_grid_run(self):
+        # every extremum is a kink on the grid, so the grid optimum is the continuum one
+        rng = np.random.default_rng(1000)
+        for g in (
+            lp_gauge(math.inf),
+            polygon_gauge(bodies.jittered_star_polygon(rng, 1000)),
+            sample_gauge(1.0 + 0.2 * rng.random(4096)),
+        ):
+            assert solve_uniform(g).diagnostics.polish_iterations == 0
 
     def test_closed_forms(self, solved_corpus):
         for name, d2 in CLOSED_FORM_D2.items():
             sol = solved_corpus[name][1]
             assert math.exp(2.0 * sol.defect) == pytest.approx(d2, rel=1e-12, abs=0.0), name
+
+    def test_grid_size_invariance(self, solved_corpus):
+        # the exchange runs on refined extrema until sup and level agree, whatever the grid
+        for name, (g, sol) in solved_corpus.items():
+            coarse = solve_uniform(g, SolverOptions(grid_size=256))
+            assert math.exp(2.0 * coarse.defect) == pytest.approx(
+                math.exp(2.0 * sol.defect), rel=1e-12, abs=0.0), name
 
     @pytest.mark.parametrize("scale", [1e8, 1e-8])
     def test_extreme_scale(self, scale):
@@ -439,7 +451,7 @@ class TestSolveUniform:
             assert sol.defect - 1e-8 <= sup <= sol.defect + 1e-8, name
 
     def test_defect_and_certificate_come_from_the_final_params(self, solved_corpus):
-        # the polish hands its scan on to the certificate: it must be the scan of sol.params
+        # the exchange loop hands its scan on to the certificate: it must be the scan of sol.params
         for name, (g, sol) in solved_corpus.items():
             verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
             assert sol.defect == verdict.sup_norm, name
@@ -447,7 +459,7 @@ class TestSolveUniform:
             assert cert == sol.certificate, name
 
     def test_regular_2000gon(self):
-        # thousands of extrema in the point set of the polish exchange
+        # thousands of extrema in the point set of the exchange on refined extrema
         g = polygon_gauge(bodies.regular_polygon(2000))
         d2 = 1.0 / math.cos(math.pi / 2000.0)
         assert distance(g) == pytest.approx(d2, rel=1e-12, abs=0.0)
@@ -588,10 +600,19 @@ class TestDistance:
     def test_scale_and_rotation_invariance(self):
         verts = bodies.random_convex_polygon(np.random.default_rng(77), n_half=6)
         base = distance(polygon_gauge(verts))
-        assert distance(polygon_gauge(3.7 * verts)) == pytest.approx(base, abs=1e-6)
-        c, s = math.cos(0.3), math.sin(0.3)
-        rot = verts @ np.array([[c, -s], [s, c]]).T
-        assert distance(polygon_gauge(rot)) == pytest.approx(base, abs=1e-6)
+        assert distance(polygon_gauge(3.7 * verts)) == pytest.approx(base, rel=1e-12, abs=0.0)
+        rot = verts @ _rotation(0.3).T
+        assert distance(polygon_gauge(rot)) == pytest.approx(base, rel=1e-12, abs=0.0)
+        # d2 is invariant under every invertible linear map, here of condition number kappa
+        rng = np.random.default_rng(7)
+        for i in range(25):
+            v = bodies.random_convex_polygon(rng)
+            t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+            base = distance(polygon_gauge(v))
+            for kappa in (10.0, 100.0):
+                image = v @ (_rotation(t1) @ np.diag([1.0, 1.0 / kappa]) @ _rotation(t2)).T
+                assert distance(polygon_gauge(image)) == pytest.approx(
+                    base, rel=1e-11, abs=0.0), (i, kappa)
 
 
 class TestPerturbationProbe:
