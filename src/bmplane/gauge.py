@@ -180,20 +180,6 @@ class _EllipseGauge(Gauge):
         return {"kind": "ellipse", "params": list(self._params.triple())}
 
 
-class _CircleGauge(Gauge):
-    def __init__(self, radius: float):
-        self._radius_value = radius
-
-    def _radius(self, red: np.ndarray) -> np.ndarray:
-        return np.full(red.shape, self._radius_value)
-
-    def _log_radius(self, red: np.ndarray) -> np.ndarray:
-        return np.full(red.shape, math.log(self._radius_value))
-
-    def descriptor(self) -> dict:
-        return {"kind": "ellipse", "params": [self._radius_value ** -2.0, 0.0, 0.0]}
-
-
 def _winding_number(vertices: np.ndarray) -> float:
     theta = np.arctan2(vertices[:, 1], vertices[:, 0])
     step = np.diff(np.append(theta, theta[0]))
@@ -308,10 +294,12 @@ def ellipse_gauge(params: EllipseParams) -> Gauge:
 
 
 def circle_gauge(radius: float = 1.0) -> Gauge:
-    """Gauge of the circle of the given radius."""
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise InputError(f"radius must be positive and finite, got {radius}")
-    return _CircleGauge(float(radius))
+    """Gauge of the circle of the given radius: the ellipse (radius**-2, 0, 0)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        a2 = float(np.float64(radius) ** -2.0)
+    if not (radius > 0.0 and 0.0 < a2 < math.inf):
+        raise InputError(f"radius**-2 must be positive and finite, got radius {radius}")
+    return _EllipseGauge(EllipseParams(a2, 0.0, 0.0))
 
 
 _DESCRIPTOR_KEYS = {"kind", "vertices", "p", "samples", "params", "symmetrize", "interp"}

@@ -148,14 +148,13 @@ def _window_representatives(x1, y1, x2, y2):
     return out[0], out[1], out[2], out[3]
 
 
-def verify_theorem1(report: SolveReport, tol: float = 1e-6, relabel: bool = True) -> TheoremVerdict:
+def verify_theorem1(report: SolveReport, tol: float = 1e-6) -> TheoremVerdict:
     """Numerically re-check the defining relations of the optimal operator.
 
     Checks |T_hat x_i| = d2 and |T_hat y_i| = 1 within tol, the two cone
-    memberships, and that neither point pair is (anti)parallel.  With
-    ``relabel`` the antipodal representatives are first normalized into one
-    pi-window (the cone statement is invariant under p -> -p); without it
-    the stored representatives are tested as they are.
+    memberships, and that neither point pair is (anti)parallel.  The
+    antipodal representatives are first normalized into one pi-window (the
+    cone statement is invariant under p -> -p).
     """
     tx = report.T_hat.apply(report.x_points)
     ty = report.T_hat.apply(report.y_points)
@@ -166,8 +165,7 @@ def verify_theorem1(report: SolveReport, tol: float = 1e-6, relabel: bool = True
 
     x1, x2 = report.x_points
     y1, y2 = report.y_points
-    if relabel:
-        x1, y1, x2, y2 = _window_representatives(x1, y1, x2, y2)
+    x1, y1, x2, y2 = _window_representatives(x1, y1, x2, y2)
     margins = _cone_margins(x1, y1, x2, y2)
     cone_ok = min(margins) > -1e-12
 

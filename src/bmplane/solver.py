@@ -20,9 +20,10 @@ solve is the four-point equioscillation system.  The loop stops when the
 refined sup-norm of the last triple is within 1e-12 relative of its level
 on its points, the de la Vallee Poussin lower bound on the optimum.
 
-Optimality is certified by four angles phi1 < psi1 < phi2 < psi2 < phi1+pi
-at which f - g alternately attains +d and -d; such a certificate is
-sufficient for global optimality and uniqueness within the ellipse family.
+Optimality is certified by the optimal reference of one more exchange run,
+on the refined extrema of the returned triple: four angles phi1 < psi1 <
+phi2 < psi2 < phi1+pi at which f - g alternately attains +d and -d, which
+suffices for global optimality and uniqueness within the ellipse family.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
 
 _PI = math.pi
 _CANONICAL_ANGLES = (0.0, 0.25 * _PI, 0.5 * _PI, 0.75 * _PI)
+_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])  # of f - g at (phi1, psi1, phi2, psi2)
 _ROUNDING = 1e-16  # about the rounding of h near its extrema
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section fraction of the larger side
 
@@ -141,16 +143,18 @@ class CertificateVerdict:
     sup_norm: float
 
 
+def _half_log_trig(params: EllipseParams, phi):
+    """1/2 log R of the triple at phi; NoConvergence where R rounds to 0 or below."""
+    trig = np.asarray(params.trig(phi))
+    if not (trig > 0.0).all():
+        raise NoConvergence(f"R = {float(trig.min())!r} <= 0 for the triple {params.triple()}, "
+                            "which is on the cone's boundary in floating point")
+    return 0.5 * np.log(trig)
+
+
 def _deviation_fn(gauge: Gauge, params: EllipseParams):
-    """f - g as a vectorized callable; g = -0.5*log(trig)."""
-    a2, b2, c2 = params.triple()
-
-    def h(phi):
-        phi = np.asarray(phi, dtype=float)
-        trig = a2 + b2 * np.cos(2.0 * phi) + c2 * np.sin(2.0 * phi)
-        return gauge.log_eval(phi) + 0.5 * np.log(trig)
-
-    return h
+    """f - g as a vectorized callable; g = -0.5*log R."""
+    return lambda phi: gauge.log_eval(phi) + _half_log_trig(params, phi)
 
 
 def _trig_matrix(grid: np.ndarray) -> np.ndarray:
@@ -158,23 +162,26 @@ def _trig_matrix(grid: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(grid.size), np.cos(2.0 * grid), np.sin(2.0 * grid)])
 
 
-def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns ((a2, b2, c2, t), rounds).
+def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns (x, ref, sign, rounds).
 
-    Stiefel's one-point exchange on the whole grid, started from four angles a
-    quarter of the grid apart with + at the argmax of f.  A reference is four
-    angles in cyclic order with alternating signs: R = t*w at the + angles and
-    R = w at the - angles.  It is a dual-feasible basis (the Haar property of
-    1, cos 2phi, sin 2phi), so its level t bounds the optimum from below and
-    may be below 1 early on.  A round stops when v = max(w - R, R - t*w) / w
-    is at most 1e-12*t on the grid, or when its worst angle is already in the
+    x is (a2, b2, c2, t), ref the final reference (four ascending grid
+    indices) and sign its signs.  Stiefel's one-point exchange on the whole
+    grid, started from four angles a quarter of the grid apart with + at the
+    argmax of f.  A reference is four angles in cyclic order with alternating
+    signs: R = t*w at the + angles (maxima of f - g) and R = w at the -
+    angles.  It is a dual-feasible basis (the Haar property of 1, cos 2phi,
+    sin 2phi), so its level t bounds the optimum from below and may be below
+    1 early on.  A round stops when v = max(w - R, R - t*w) / w is at most
+    1e-12*t on the grid, or when its worst angle is already in the
     reference: then no exchange can move, and either t >= 1 and what is left
-    is rounding of R, or R/w lies in [t, 1], where the flipped reference is
-    optimal at level 1/t with the same rescaled triple.  Otherwise the worst
-    angle replaces the reference neighbour of its own sign (a dual simplex
-    pivot).  A round depends only on its reference and signs, so a repeated
-    reference is a cycle: it raises NoConvergence at once, as do a singular
-    reference and no stop within 16 rounds per bit of n.
+    is rounding of R, or R/w lies in [t, 1], where the flipped reference
+    (returned flipped) is optimal at level 1/t with the same rescaled
+    triple.  Otherwise the worst angle replaces the reference neighbour of
+    its own sign (a dual simplex pivot).  A round depends only on its
+    reference and signs, so a repeated reference is a cycle: it raises
+    NoConvergence at once, as do a singular reference and no stop within 16
+    rounds per bit of n.
     """
     n = w.size
     ref = (int(np.argmin(w)) + (n // 4) * np.arange(4)) % n
@@ -208,32 +215,37 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
         v = np.maximum(low, high) / w
         j = int(np.argmax(v))
         if v[j] <= 1e-12 * t or j in ref:
-            return x, rounds
+            return x, ref, (sign if t >= 1.0 else -sign), rounds
         k = int(np.searchsorted(ref, j))
         s = 1 if high[j] >= low[j] else -1
         ref[(k - 1) % 4 if sign[(k - 1) % 4] == s else k % 4] = j
     raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
 
 
-def _minimax_lp(grid: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, int]:
-    """Uniform best triple on the grid by the exchange ``linprog``; returns (params, rounds).
+def _minimax_lp(points: np.ndarray, fvals: np.ndarray) -> tuple:
+    """Uniform best triple on the points by ``linprog``; returns (params, ref, sign, rounds).
 
     w = exp(-2(f - fc)) with fc the midrange of f, so the body's scale drops
-    out; the triple is rescaled by exp(-2*fc)/sqrt(t).  A triple that is not
-    finite or leaves the cone raises NoConvergence.
+    out; the triple is rescaled by exp(-2*fc)/sqrt(t).  ref and sign are the
+    optimal reference, indices into the ascending points.  A body so small
+    that exp(-2*fc) overflows, and a triple that is not finite or leaves the
+    cone, raise NoConvergence.
     """
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
-    x, rounds = linprog(_trig_matrix(grid), w)
+    x, ref, sign, rounds = linprog(_trig_matrix(points), w)
     t = float(x[3])
-    scale = math.exp(-2.0 * center) / math.sqrt(t) if t > 0.0 else math.nan
+    try:
+        scale = math.exp(-2.0 * center) / math.sqrt(t) if t > 0.0 else math.nan
+    except OverflowError:
+        raise NoConvergence(f"the triple of a body of scale exp({center!r}) overflows") from None
     a2, b2, c2 = (float(v) * scale for v in x[:3])
     if not in_cone(a2, b2, c2):
         raise NoConvergence(
             f"minimax triple ({a2!r}, {b2!r}, {c2!r}) at level t = {t!r} after {rounds} "
             "exchange rounds is outside the cone"
         )
-    return EllipseParams(a2, b2, c2), rounds
+    return EllipseParams(a2, b2, c2), ref, sign, rounds
 
 
 @dataclass
@@ -325,61 +337,39 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     return _ExtremaScan(np.mod(x[:k], _PI), values[:k], np.mod(x[k:], _PI), values[k:], sup)
 
 
-def _shift_after(base: float, angles: np.ndarray) -> np.ndarray:
-    """Representatives of pi-periodic angles inside (base, base + pi]."""
-    shifted = base + np.mod(angles - base, _PI)
-    return np.where(shifted <= base, shifted + _PI, shifted)
+def _certificate_from_scan(
+    gauge: Gauge, params: EllipseParams, scan: _ExtremaScan, tol: float
+) -> AlternanceCertificate:
+    """The optimal reference of ``_minimax_lp`` on the scan's extrema S, as a certificate.
 
-
-def _alternation_points(scan: _ExtremaScan, tol: float):
-    """Locate (phi1, psi1, phi2, psi2) from refined extrema; None if absent."""
-    d_est = scan.sup
-    top = scan.max_values >= scan.max_values.max() - 1e-13
-    phi1 = float(np.min(scan.max_angles[top]))
-    if scan.max_values.max() < d_est - tol:
-        return None, d_est  # one-sided profile: + side never reaches the defect
-
-    low = scan.min_values <= -(d_est - tol)
-    if not np.any(low):
-        return None, d_est
-    psis = _shift_after(phi1, scan.min_angles[low])
-    psi1 = float(psis.min())
-    psi2 = float(psis.max())
-    if psi2 - psi1 < 1e-12:
-        return None, d_est
-
-    cand_angles = _shift_after(phi1, scan.max_angles)
-    ok = (
-        (cand_angles > psi1)
-        & (cand_angles < psi2)
-        & (scan.max_values >= d_est - tol)
-    )
-    if not np.any(ok):
-        return None, d_est
-    best = scan.max_values[ok].max()
-    nearly = ok & (scan.max_values >= best - 1e-13)
-    phi2 = float(np.min(cand_angles[nearly]))
-    return (phi1, psi1, phi2, psi2), d_est
-
-
-def _certificate_from_scan(h, scan: _ExtremaScan, tol: float) -> AlternanceCertificate:
+    f = h - 1/2 log R on S is read off the scan, with no gauge call.  The
+    reference, rotated to start at a + angle, is (phi1, psi1, phi2, psi2)
+    (psi2 may exceed pi), and its residuals are the scan's values there.  A
+    flat deviation (sup below tol: an ellipse of the family) gets the angles
+    (0, pi/4, pi/2, 3pi/4) and h there.  Raises NoAlternance when a residual
+    exceeds tol, the angles do not interleave or the exchange on S fails.
+    """
     if scan.sup < tol:
-        pts, d_est = _CANONICAL_ANGLES, scan.sup
+        angles = np.array(_CANONICAL_ANGLES)
+        values = _deviation_fn(gauge, params)(angles)
     else:
-        pts, d_est = _alternation_points(scan, tol)
-    if pts is None:
+        points, first = np.unique(
+            np.concatenate([scan.max_angles, scan.min_angles]), return_index=True)
+        hvals = np.concatenate([scan.max_values, scan.min_values])[first]
+        try:
+            _, ref, sign, _ = _minimax_lp(points, hvals - _half_log_trig(params, points))
+        except NoConvergence as exc:
+            raise NoAlternance(f"no alternating reference in the scan's extrema: {exc}") from None
+        k = int(sign[0] < 0)  # rotate the reference to start at a + angle
+        angles = np.roll(points[ref], -k) + np.array([0.0, 0.0, 0.0, k * _PI])
+        values = np.roll(hvals[ref], -k)
+    res = tuple(float(v) for v in values * _SIGNS - scan.sup)
+    cert = AlternanceCertificate(*(float(a) for a in angles), res)
+    if scan.sup >= tol and max(map(abs, res)) > tol:
         raise NoAlternance(
             f"no four-point alternation within tolerance {tol} of the deviation "
-            f"{d_est}; the candidate ellipse is not optimal"
+            f"{scan.sup}: residuals {res}; the candidate ellipse is not optimal"
         )
-    phi1, psi1, phi2, psi2 = pts
-    res = (
-        float(h(phi1)) - d_est,
-        -float(h(psi1)) - d_est,
-        float(h(phi2)) - d_est,
-        -float(h(psi2)) - d_est,
-    )
-    cert = AlternanceCertificate(phi1, psi1, phi2, psi2, res)
     if not cert.interleaved():
         raise NoAlternance(f"degenerate alternation points {cert.angles()}")
     return cert
@@ -390,17 +380,17 @@ def extract_certificate(
 ) -> AlternanceCertificate:
     """Four-point alternance certificate of a (near-)optimal ellipse.
 
-    phi1 is the global maximum of f - g; psi1/psi2 are the outermost points of
-    the -d set inside (phi1, phi1 + pi); phi2 is the best +d point between
-    them.  All four are extrema found by ``_refined_extrema``.  For a flat
-    deviation (the body is itself an ellipse of the family) the canonical
-    angles (0, pi/4, pi/2, 3pi/4) are returned.  Raises NoAlternance when the
-    alternation cannot be located within ``tol``.
+    The angles are the optimal reference of the minimax exchange on the
+    extrema of f - g that ``_refined_extrema`` finds: the best alternating
+    quadruple among them, starting at a maximum.  For a flat deviation (the
+    body is itself an ellipse of the family) the canonical angles
+    (0, pi/4, pi/2, 3pi/4) are returned.  Raises NoAlternance when the four
+    do not alternate within ``tol`` of the sup-norm, NoConvergence when R <= 0
+    in the scan.
     """
     grid = evaluation_grid(gauge, grid_size)
     h = _deviation_fn(gauge, params)
-    scan = _refined_extrema(h, grid, h(grid))
-    return _certificate_from_scan(h, scan, tol)
+    return _certificate_from_scan(gauge, params, _refined_extrema(h, grid, h(grid)), tol)
 
 
 def verify_certificate(
@@ -416,15 +406,10 @@ def verify_certificate(
     verdict requires strict interleaving, each deviation within tol of d_hat,
     and the sup of |f - g| over a fresh ``_refined_extrema`` scan at most
     d_hat + tol.  A passing verdict makes the ellipse the unique minimizer up
-    to those tolerances.
+    to those tolerances.  R <= 0 at a scanned angle raises NoConvergence.
     """
     h = _deviation_fn(gauge, params)
-    dev = (
-        float(h(cert.phi1)),
-        -float(h(cert.psi1)),
-        float(h(cert.phi2)),
-        -float(h(cert.psi2)),
-    )
+    dev = tuple(float(v) for v in h(np.array(cert.angles())) * _SIGNS)
     d_hat = sum(dev) / 4.0
     residuals_ok = tuple(abs(v - d_hat) <= tol for v in dev)
     ordering_ok = cert.interleaved()
@@ -444,13 +429,14 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
     counted in ``polish_iterations``, at most 30).  Each run's level, max |f - g|
     on its points, is a de la Vallee Poussin lower bound on d*, and the
     refined sup-norm of its triple an upper bound; the loop stops once they
-    agree to 1e-12 relative and returns the triple of least sup, with the
-    four-point certificate drawn from that triple's scan.  Raises
+    agree to 1e-12 relative and returns the triple of least sup, certified
+    as by ``extract_certificate`` from that triple's scan.  Raises
     NoConvergence when the grid run fails (a singular or repeated reference,
-    no stop within its round cap, a triple outside the cone or a non-finite
-    level); a later run that fails ends the loop.  Raises NoAlternance when a
-    level exceeds the returned sup-norm by more than ``cert_tol`` (the scan
-    missed extrema) or no certificate exists within ``cert_tol``.
+    no stop within its round cap, a triple outside the cone, or R <= 0 at a
+    point, grid angle or probe of the scan); a later run that fails ends the
+    loop.  Raises NoAlternance when a level exceeds the returned sup-norm by
+    more than ``cert_tol`` (the scan missed extrema) or no certificate exists
+    within ``cert_tol``.
     """
     opts = opts or SolverOptions()
     grid = evaluation_grid(gauge, opts.grid_size)
@@ -462,10 +448,10 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
     top = -math.inf
     for run in range(31):
         try:
-            params, rounds = _minimax_lp(points, f)
-            level = float(np.abs(f + 0.5 * np.log(params.trig(points))).max())
-            if not math.isfinite(level):
-                raise NoConvergence(f"exchange level {level!r} on {points.size} points")
+            params, _, _, rounds = _minimax_lp(points, f)
+            level = float(np.abs(f + _half_log_trig(params, points)).max())
+            h = _deviation_fn(gauge, params)
+            scan = _refined_extrema(h, grid, fvals + _half_log_trig(params, grid))
         except NoConvergence:
             if best is None:
                 raise
@@ -475,8 +461,6 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
         else:
             diag.polish_iterations = run
         top = max(top, level)
-        h = _deviation_fn(gauge, params)
-        scan = _refined_extrema(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
         if best is None or scan.sup < best[1].sup:
             best = params, scan
         if scan.sup - level <= 1e-12 * scan.sup:
@@ -492,7 +476,7 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
             f"exchange level {top!r} on the refined extrema exceeds the scanned "
             f"sup-norm {scan.sup!r}: the scan missed extrema"
         )
-    cert = _certificate_from_scan(_deviation_fn(gauge, params), scan, opts.cert_tol)
+    cert = _certificate_from_scan(gauge, params, scan, opts.cert_tol)
     return UniformSolution(params, float(scan.sup), cert, diag)
 
 

@@ -170,6 +170,13 @@ class TestGeneric:
         g = circle_gauge()
         assert g.eval(0.37) == 1.0
         assert g.log_eval(-2.0) == 0.0
+        assert circle_gauge(2.0).descriptor() == {"kind": "ellipse", "params": [0.25, 0.0, 0.0]}
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e200])
+    def test_circle_radius_out_of_range(self, radius):
+        # radius**-2 must be a positive finite a2
+        with pytest.raises(InputError):
+            circle_gauge(radius)
 
     def test_positive_and_periodic_on_grid(self, corpus):
         # angles in [pi, 2pi): x - pi is exact in floats, so the reductions of

@@ -83,8 +83,7 @@ class TestVerifyTheorem:
         flipped = SolveReport(
             **{**r.__dict__, "y_points": np.array([r.y_points[0], -r.y_points[1]])}
         )
-        assert verify_theorem1(flipped, tol=1e-6, relabel=True).passed
-        assert not verify_theorem1(flipped, tol=1e-6, relabel=False).cone_ok
+        assert verify_theorem1(flipped, tol=1e-6).passed
 
     def test_radial_perturbation_fails_x_norm(self, square_report):
         r = square_report

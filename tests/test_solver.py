@@ -1,4 +1,5 @@
 import math
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -180,8 +181,8 @@ class TestExchangeLP:
             def grid_sup(p):
                 return float(np.abs(fvals + 0.5 * np.log(p.trig(grid))).max())
 
-            x, rounds = linprog(trig, w)
-            params, lp_rounds = _minimax_lp(grid, fvals)
+            x, _, _, rounds = linprog(trig, w)
+            params, _, _, lp_rounds = _minimax_lp(grid, fvals)
             assert lp_rounds == rounds, name
             ref, x_ref = _full_grid_minimax_lp(grid, fvals)
 
@@ -230,7 +231,8 @@ class TestExchangeLP:
     def test_bad_result_is_typed(self, monkeypatch, x):
         import bmplane.solver as solver_mod
 
-        monkeypatch.setattr(solver_mod, "linprog", lambda trig, w: (np.array(x), 1))
+        result = (np.array(x), np.arange(4), np.array([1, -1, 1, -1]), 1)
+        monkeypatch.setattr(solver_mod, "linprog", lambda trig, w: result)
         with pytest.raises(NoConvergence):
             solve_uniform(lp_gauge(math.inf))
 
@@ -299,7 +301,7 @@ def _lp_deviation(g):
     """(grid, h, hvals) of the deviation of the grid minimax triple."""
     grid = evaluation_grid(g, 4096)
     fvals = g.log_eval(grid)
-    params, _ = _minimax_lp(grid, fvals)
+    params, *_ = _minimax_lp(grid, fvals)
     return grid, _deviation_fn(g, params), fvals + 0.5 * np.log(params.trig(grid))
 
 
@@ -443,6 +445,15 @@ class TestSolveUniform:
         assert math.exp(2.0 * sol.defect) == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
+    def test_tiny_scale_is_typed(self):
+        # below a scale of about 1.6e-154 the triple's rescaling exp(-2*fc) overflows
+        for g in (
+            polygon_gauge(1e-160 * bodies.square_vertices()),
+            sample_gauge(1e-160 * (1.0 + 0.1 * np.cos(np.arange(16)))),
+        ):
+            with pytest.raises(NoConvergence, match="overflows"):
+                solve_uniform(g)
+
     def test_grid_sup_matches_defect(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
             grid = evaluation_grid(g, 4096)
@@ -473,18 +484,25 @@ class TestSolveUniform:
             assert distance(g) == pytest.approx(d2, rel=1e-11, abs=0.0)
 
     def test_ill_conditioned_polygons_end_typed(self):
-        # images under Q diag(1, 1e-8) Q' leave NaN in some scans: every body must still
-        # end in a verified certificate or a typed error, never a raw exception
+        # images under Q diag(1, 1e-8) Q': every body must end in a verified certificate or a
+        # typed error, never a raw exception or a numpy warning; on bodies 37 and 42 the grid
+        # run's triple has R <= 0 in floats at a grid angle or probe of its scan
         rng = np.random.default_rng(99)
-        for _ in range(60):
-            v = bodies.random_convex_polygon(rng)
-            t1, t2 = rng.uniform(0.0, math.pi, 2)
-            try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(60):
+                v = bodies.random_convex_polygon(rng)
+                t1, t2 = rng.uniform(0.0, math.pi, 2)
                 g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-8]) @ _rotation(t2).T).T)
-                sol = solve_uniform(g)
-            except BmplaneError:
-                continue
-            assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+                if i in (37, 42):
+                    with pytest.raises(NoConvergence, match=r"R = \S+ <= 0"):
+                        solve_uniform(g)
+                    continue
+                try:
+                    sol = solve_uniform(g)
+                except BmplaneError:
+                    continue
+                assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
     def test_five_point_pchip_optimum_certifies(self):
         # the optimum alternates at five extrema; the exchange on them picks the best four
@@ -504,6 +522,18 @@ class TestSolveUniform:
                 g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-4]) @ _rotation(t2)).T)
                 with pytest.raises(NoAlternance, match="exchange level"):
                     solve_uniform(g)
+
+    def test_stalled_reference_below_one_certifies(self):
+        # kappa = 1e4 image 0 of the rng-7 sequence over kappa = 10, 1e2, 1e3, 1e4: the exchange
+        # on its refined extrema stalls at a level t < 1, where the flipped reference is optimal
+        rng = np.random.default_rng(7)
+        for _ in range(76):
+            v = bodies.random_convex_polygon(rng)
+            t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+        g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-4]) @ _rotation(t2)).T)
+        sol = solve_uniform(g)
+        assert math.exp(2.0 * sol.defect) == pytest.approx(1.2076543415, rel=1e-9, abs=0.0)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
     def test_rough_samples_certify(self):
         rng = np.random.default_rng(4096)
