@@ -65,7 +65,7 @@ def _cmd_solve(args) -> int:
     report = build_report(gauge, sol)
     _write_text(args.out, jsonio.dumps(report_to_dict(report)))
     if args.svg:
-        _write_text(args.svg, render_svg(report, view=args.view))
+        _write_text(args.svg, render_svg(report, gauge, view=args.view))
     print(f"d2 = {report.d2:.12g}  defect = {report.defect:.12g}  -> {args.out}")
     return _EXIT_OK
 
@@ -143,8 +143,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    gauge = _load_gauge(args.input)
     report = report_from_dict(_read_json(args.report))
-    _write_text(args.out, render_svg(report, view=args.view))
+    _write_text(args.out, render_svg(report, gauge, view=args.view))
     print(f"{args.view} view -> {args.out}")
     return _EXIT_OK
 
@@ -186,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--report", required=True, help="report JSON to verify")
     verify.add_argument("--tol", type=float, default=1e-6)
 
-    render = sub.add_parser("render", help="render a report to SVG")
-    render.add_argument("--report", required=True)
+    render = sub.add_parser("render", help="render a report of a body to SVG")
+    render.add_argument("--input", required=True, help="body descriptor JSON")
+    render.add_argument("--report", required=True, help="report JSON of that body")
     render.add_argument("--out", required=True)
     render.add_argument("--view", choices=["body", "image"], default="body")
     return parser

@@ -33,8 +33,14 @@ __all__ = [
 
 
 def in_cone(a2: float, b2: float, c2: float) -> bool:
-    """True when the triple encodes a genuine ellipse; both inequalities are strict."""
-    return a2 > 0.0 and a2 * a2 - (b2 * b2 + c2 * c2) > 0.0
+    """True when the triple encodes a genuine ellipse: a2 > 0, a2^2 > b2^2 + c2^2.
+
+    Squared after the exact power-of-two scaling that brings the largest entry
+    into [0.5, 1), so that no body's triple overflows or underflows here.
+    """
+    e = math.frexp(max(abs(a2), abs(b2), abs(c2)))[1]
+    a, b, c = (math.ldexp(v, -e) for v in (a2, b2, c2))
+    return a > 0.0 and a * a - (b * b + c * c) > 0.0
 
 
 @dataclass(frozen=True)

@@ -13,23 +13,9 @@ import math
 import numpy as np
 
 
-def _template(shape: tuple) -> str:
-    """printf template of a float array: nested lists of %.17g fields."""
-    if not shape:
-        return "%.17g"
-    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
-
-
 def _render(obj, out: list):
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            if not np.isfinite(obj).all():
-                raise ValueError("non-finite float in an array is not representable in JSON")
-            out.append(_template(obj.shape) % tuple(obj.ravel().tolist()))
-            return
+    if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
-    elif isinstance(obj, np.generic):
-        obj = obj.item()
     if obj is None:
         out.append("null")
     elif obj is True:

@@ -101,16 +101,6 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
     ty = t_hat.apply(y_points)
     u_points = tx / np.hypot(tx[:, 0], tx[:, 1])[:, None]
 
-    body_angles = np.union1d(
-        np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False),
-        np.mod(np.concatenate([angles, angles + math.pi]), 2.0 * math.pi),
-    )
-    crit = gauge.critical_angles()
-    if crit.size:
-        body_angles = np.union1d(body_angles, np.concatenate([crit, crit + math.pi]))
-    body_r = gauge.eval(body_angles)
-    body = body_r[:, None] * np.column_stack([np.cos(body_angles), np.sin(body_angles)])
-
     diagnostics = {
         "solver": sol.diagnostics.as_dict(),
         "one_sided_value": one_sided.value,
@@ -119,7 +109,6 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
         "cone_margins": [float(m) for m in margins],
         "u_points": u_points.tolist(),
         "v_points": ty.tolist(),
-        "body_samples": body,
     }
     return SolveReport(
         d2=d2,
@@ -299,8 +288,22 @@ def _marker(frame: _Frame, p, size: float, style: str, diamond: bool) -> str:
     return f'<rect x="{x0}" y="{y0}" width="{_fmt(size)}" height="{_fmt(size)}"{rot} {style}/>'
 
 
-def render_svg(report: SolveReport, view: str = "body") -> str:
-    """Deterministic SVG of the solution in the body or image plane.
+def _boundary_samples(gauge: Gauge, cert: AlternanceCertificate) -> np.ndarray:
+    """Boundary points (n, 2) at 720 uniform angles, the certificate angles and
+    the gauge's critical angles, each with its antipode, ascending in [0, 2pi)."""
+    angles = np.array(cert.angles())
+    crit = gauge.critical_angles()
+    phi = np.union1d(
+        np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False),
+        np.concatenate([np.mod(np.concatenate([angles, angles + math.pi]), 2.0 * math.pi),
+                        crit, crit + math.pi]),
+    )
+    return gauge.eval(phi)[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+
+
+def render_svg(report: SolveReport, gauge: Gauge, view: str = "body") -> str:
+    """Deterministic SVG of the solution in the body or image plane; the boundary
+    is sampled from ``gauge``, the body the report solves.
 
     The body view shows the boundary, the inscribed ellipse, and its
     d2-scaled circumscribing copy, with extremal points as squares and
@@ -309,9 +312,7 @@ def render_svg(report: SolveReport, view: str = "body") -> str:
     """
     if view not in ("body", "image"):
         raise InputError(f"view must be 'body' or 'image', got {view!r}")
-    body = np.asarray(report.diagnostics.get("body_samples", []), dtype=float)
-    if body.size == 0:
-        raise InputError("report carries no body samples; re-run solve to render")
+    body = _boundary_samples(gauge, report.certificate)
 
     inscribed = report.params_inscribed
     std = inscribed.to_std()

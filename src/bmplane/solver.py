@@ -347,11 +347,15 @@ def _certificate_from_scan(
     (psi2 may exceed pi), and its residuals are the scan's values there.  A
     flat deviation (sup below tol: an ellipse of the family) gets the angles
     (0, pi/4, pi/2, 3pi/4) and h there.  Raises NoAlternance when a residual
-    exceeds tol, the angles do not interleave or the exchange on S fails.
+    exceeds tol, the angles do not interleave, the scan has fewer than two
+    maxima or two minima, or the exchange on S fails.
     """
     if scan.sup < tol:
         angles = np.array(_CANONICAL_ANGLES)
         values = _deviation_fn(gauge, params)(angles)
+    elif scan.max_angles.size < 2 or scan.min_angles.size < 2:
+        raise NoAlternance(f"the scan found {scan.max_angles.size} maxima and "
+                           f"{scan.min_angles.size} minima; an alternation needs two of each")
     else:
         points, first = np.unique(
             np.concatenate([scan.max_angles, scan.min_angles]), return_index=True)

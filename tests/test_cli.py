@@ -160,19 +160,31 @@ class TestOracleCommand:
 
 
 class TestRenderCommand:
-    def test_render_both_views(self, square_solved, tmp_path):
+    def test_render_both_views(self, square_body, square_solved, tmp_path):
         for view in ("body", "image"):
             out = tmp_path / f"{view}.svg"
-            assert main(["render", "--report", str(square_solved),
+            assert main(["render", "--input", str(square_body), "--report", str(square_solved),
                          "--out", str(out), "--view", view]) == 0
             assert "<svg" in out.read_text()
 
-    def test_render_missing_payload(self, square_solved, tmp_path):
-        rep = json.loads(square_solved.read_text())
-        del rep["diagnostics"]
-        bad = tmp_path / "nodiag.json"
-        bad.write_text(jsonio.dumps(rep))
-        assert main(["render", "--report", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    def test_render_matches_solve_svg(self, tmp_path):
+        body = tmp_path / "convex.json"
+        vertices = bodies.random_convex_polygon(np.random.default_rng(3))
+        body.write_text(jsonio.dumps({"kind": "polygon", "vertices": vertices.tolist()}))
+        for view in ("body", "image"):
+            report = tmp_path / f"{view}.json"
+            solved, rendered = tmp_path / f"{view}.solve.svg", tmp_path / f"{view}.render.svg"
+            assert main(["solve", "--input", str(body), "--out", str(report),
+                         "--svg", str(solved), "--view", view]) == 0
+            assert main(["render", "--input", str(body), "--report", str(report),
+                         "--out", str(rendered), "--view", view]) == 0
+            assert rendered.read_text() == solved.read_text()
+
+    def test_render_needs_the_body(self, square_solved, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--report", str(square_solved), "--out", str(tmp_path / "x.svg")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.svg").exists()
 
 
 _NO_SCIPY_SCRIPT = """
@@ -184,6 +196,7 @@ for body in sys.argv[1:]:
     report = body + ".report.json"
     assert main(["solve", "--input", body, "--out", report]) == 0, body
     assert main(["verify", "--input", body, "--report", report]) == 0, body
+    assert main(["render", "--input", body, "--report", report, "--out", body + ".svg"]) == 0, body
 """
 
 

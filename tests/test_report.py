@@ -5,9 +5,10 @@ import pytest
 
 from bmplane import jsonio
 from bmplane.errors import InputError
-from bmplane.gauge import circle_gauge, lp_gauge
+from bmplane.gauge import circle_gauge, lp_gauge, sample_gauge
 from bmplane.report import (
     SolveReport,
+    _boundary_samples,
     build_report,
     render_svg,
     report_from_dict,
@@ -15,6 +16,11 @@ from bmplane.report import (
     verify_theorem1,
 )
 from bmplane.solver import solve_uniform
+
+
+@pytest.fixture(scope="module")
+def square_gauge(solved_corpus):
+    return solved_corpus["square"][0]
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +68,11 @@ class TestBuildReport:
             assert np.hypot(ty[:, 0], ty[:, 1]) == pytest.approx(1.0, abs=1e-6), name
 
     def test_operator_norm_is_d2(self, solved_corpus):
-        # body_samples include the certificate and kink directions, so the
-        # discrete max/min land exactly on the extremal and contact points
+        # the rendered boundary includes the certificate and kink directions,
+        # so the discrete max/min land exactly on the extremal and contact points
         for name, (g, sol) in solved_corpus.items():
             r = build_report(g, sol)
-            pts = np.asarray(r.diagnostics["body_samples"])
+            pts = _boundary_samples(g, r.certificate)
             norms = np.hypot(*(r.T_hat.apply(pts).T))
             assert norms.max() == pytest.approx(r.d2, abs=1e-6), name
             assert norms.min() == pytest.approx(1.0, abs=1e-6), name
@@ -104,6 +110,14 @@ class TestSerialization:
         assert np.array_equal(back.x_points, square_report.x_points)
         assert back.certificate.angles() == square_report.certificate.angles()
 
+    def test_reports_carry_no_boundary_samples(self, solved_corpus):
+        # a report's size does not grow with its body's: 8192 rough samples stay under 4 KB
+        big = sample_gauge(1.0 + 0.2 * np.random.default_rng(8192).random(8192))
+        for name, (g, sol) in {**solved_corpus, "samples8192": (big, solve_uniform(big))}.items():
+            text = jsonio.dumps(report_to_dict(build_report(g, sol)))
+            assert "body_samples" not in text, name
+            assert len(text.encode()) < 4096, name
+
     def test_seventeen_digit_floats(self):
         text = jsonio.dumps({"v": 1.0 / 3.0})
         assert "0.33333333333333331" in text
@@ -122,20 +136,21 @@ class TestSerialization:
 
 
 class TestRender:
-    def test_deterministic_bytes(self, square_report):
-        assert render_svg(square_report, "body") == render_svg(square_report, "body")
-        assert render_svg(square_report, "image") == render_svg(square_report, "image")
+    def test_deterministic_bytes(self, square_report, square_gauge):
+        for view in ("body", "image"):
+            first = render_svg(square_report, square_gauge, view)
+            assert render_svg(square_report, square_gauge, view) == first
 
     def test_circle_layers_have_one_circle_each(self, circle_report):
-        svg = render_svg(circle_report, "body")
+        svg = render_svg(circle_report, circle_gauge(), "body")
         for layer in ("inscribed", "scaled"):
             seg = svg.split(f'<g id="{layer}">')[1].split("</g>")[0]
             assert seg.count("<circle") == 1
             assert seg.count("<ellipse") == 0
 
-    def test_square_views(self, square_report):
-        body = render_svg(square_report, "body")
-        image = render_svg(square_report, "image")
+    def test_square_views(self, square_report, square_gauge):
+        body = render_svg(square_report, square_gauge, "body")
+        image = render_svg(square_report, square_gauge, "image")
         assert body.startswith("<?xml")
         assert '<g id="body">' in body and '<g id="points">' in body
         assert body.count("<rect") == 8  # 4 certificate points plus antipodes
@@ -146,13 +161,13 @@ class TestRender:
     def test_views_differ_for_generic_body(self, solved_corpus):
         g, sol = solved_corpus["convex"]
         r = build_report(g, sol)
-        assert render_svg(r, "image") != render_svg(r, "body")
+        assert render_svg(r, g, "image") != render_svg(r, g, "body")
 
     def test_ellipse_body_uses_ellipse_elements(self, solved_corpus):
         g, sol = solved_corpus["ellipse"]
-        svg = render_svg(build_report(g, sol), "body")
+        svg = render_svg(build_report(g, sol), g, "body")
         assert svg.count("<ellipse") == 2  # inscribed and scaled copies
 
-    def test_bad_view(self, square_report):
+    def test_bad_view(self, square_report, square_gauge):
         with pytest.raises(InputError):
-            render_svg(square_report, "top")
+            render_svg(square_report, square_gauge, "top")

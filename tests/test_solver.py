@@ -24,6 +24,7 @@ from bmplane.solver import (
     linprog,
     solve_uniform,
     to_one_sided,
+    _certificate_from_scan,
     _deviation_fn,
     _ExtremaScan,
     _minimax_lp,
@@ -438,7 +439,8 @@ class TestSolveUniform:
             assert math.exp(2.0 * coarse.defect) == pytest.approx(
                 math.exp(2.0 * sol.defect), rel=1e-12, abs=0.0), name
 
-    @pytest.mark.parametrize("scale", [1e8, 1e-8])
+    # at 1e+-100 and 1e+-150 the triple's squares over- or underflow unless in_cone scales first
+    @pytest.mark.parametrize("scale", [1e8, 1e-8, 1e100, 1e-100, 1e150, 1e-150])
     def test_extreme_scale(self, scale):
         g = polygon_gauge(scale * bodies.square_vertices())
         sol = solve_uniform(g)
@@ -562,6 +564,13 @@ class TestCertificate:
     def test_wrong_shape_has_no_alternance(self):
         with pytest.raises(NoAlternance):
             extract_certificate(lp_gauge(math.inf), EllipseParams(2.0 ** -0.5, 0.2, 0.0), 1e-8)
+
+    def test_thin_scan_names_its_extrema(self):
+        # a scan with one maximum cannot alternate, whatever its values
+        scan = _ExtremaScan(np.array([0.3]), np.array([0.1]),
+                            np.array([0.9, 2.1]), np.array([-0.1, -0.1]), 0.1)
+        with pytest.raises(NoAlternance, match="the scan found 1 maxima and 2 minima"):
+            _certificate_from_scan(circle_gauge(), EllipseParams(1.0, 0.0, 0.0), scan, 1e-8)
 
     def test_corpus_passes_verification(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
