@@ -142,9 +142,22 @@ def _cmd_verify(args) -> int:
     return _EXIT_VERIFY_FAIL
 
 
+def _check_report_body(gauge, report) -> None:
+    """InputError unless the report's x and y points lie on the body at its certificate angles."""
+    points = (report.x_points[0], report.y_points[0], report.x_points[1], report.y_points[1])
+    for angle, point in zip(report.certificate.angles(), points):
+        radius, norm = gauge.eval(angle), math.hypot(*point)
+        if not abs(norm - radius) <= 1e-9 * radius:
+            raise InputError(
+                f"the report is not of this body: its point at angle {angle!r} has norm "
+                f"{norm!r}, where the body's radius is {radius!r}"
+            )
+
+
 def _cmd_render(args) -> int:
     gauge = _load_gauge(args.input)
     report = report_from_dict(_read_json(args.report))
+    _check_report_body(gauge, report)
     _write_text(args.out, render_svg(report, gauge, view=args.view))
     print(f"{args.view} view -> {args.out}")
     return _EXIT_OK

@@ -67,6 +67,13 @@ class Gauge:
         """Angles in [0, pi) where r may have a kink; empty for smooth bodies."""
         return np.empty(0)
 
+    def extremum_candidates(self, params: EllipseParams):
+        """Closed-form local extrema of f - g for the triple, or None where there is none.
+
+        A pair (max_angles, min_angles) of angle arrays, each angle taken mod pi.
+        """
+        return None
+
     def descriptor(self) -> dict:
         raise NotImplementedError
 
@@ -84,6 +91,7 @@ class _PolygonGauge(Gauge):
         self._original = original
         self._symmetrize = symmetrize
         nxt = np.roll(vertices, -1, axis=0)
+        self._vertices = vertices
         self._theta = np.mod(np.arctan2(vertices[:, 1], vertices[:, 0]), 2.0 * _PI)
         self._cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]
         self._edge = nxt - vertices
@@ -97,6 +105,40 @@ class _PolygonGauge(Gauge):
     def critical_angles(self) -> np.ndarray:
         # _radius switches edges at these; folding the vertices past pi could miss them by ulps
         return self._theta[self._theta < _PI]
+
+    def extremum_candidates(self, params: EllipseParams):
+        """Local extrema of f - g = 1/2 log(p'Mp) over the boundary points p of _radius.
+
+        With M = [[a2 + b2, c2], [c2, a2 - b2]], p'Mp is a convex quadratic
+        along each edge p = v + s*e, with slope sign that of p'Me.  On [0, pi)
+        _radius uses one edge per piece: the edge into vertex 0 from 0 up to
+        vertex 0's angle (none if that is 0), then the edge out of each vertex
+        below pi, the last one up to pi.  A piece start is a maximum where the
+        slope falls from >= 0 to <= 0 across it, a minimum where it rises from
+        <= 0 to >= 0; the start at 0 is returned as pi, so that the floats just
+        below it fall on the last piece.  Where both slopes round to zero (h
+        smooth there) it may be listed as both.  A piece whose slope rises
+        from < 0 to > 0 has its minimum inside, at s = -v'Me / e'Me.
+        """
+        th = self.critical_angles()
+        first = -1 if th[0] > 0.0 else 0
+        edges = np.arange(first, th.size)
+        v, e = self._vertices[edges], self._edge[edges]
+        m = np.array([[params.a2 + params.b2, params.c2], [params.c2, params.a2 - params.b2]])
+        me = e @ m
+        vme, eme = np.einsum("ij,ij->i", v, me), np.einsum("ij,ij->i", e, me)
+        # the pieces' ends on their edges: vertices, and the x-axis at 0 and pi
+        s0, s1 = np.zeros(edges.size), np.ones(edges.size)
+        s1[-1] = -v[-1, 1] / e[-1, 1]
+        if first < 0:
+            s0[0] = -v[0, 1] / e[0, 1]
+        start, end = vme + s0 * eme, vme + s1 * eme  # slopes at the pieces' ends
+        before = np.roll(end, 1)
+        starts = np.concatenate([[_PI], th[1 + first :]])
+        inner = (start < 0.0) & (end > 0.0)
+        p = v[inner] - (vme[inner] / eme[inner])[:, None] * e[inner]
+        return starts[(before >= 0.0) & (start <= 0.0)], np.concatenate(
+            [starts[(before <= 0.0) & (start >= 0.0)], np.mod(np.arctan2(p[:, 1], p[:, 0]), _PI)])
 
     def descriptor(self) -> dict:
         d = {"kind": "polygon", "vertices": self._original.tolist()}

@@ -15,13 +15,16 @@ the body's scale drop out.  The LP has four unknowns, and
 Stiefel's one-point exchange on four-angle alternating references, run on
 the whole grid with one 4x4 solve and one matvec per round (``linprog``).
 ``solve_uniform`` runs that exchange in one loop: first on the grid, then on
-the refined extrema of the last triple's deviation, where its final 4x4
-solve is the four-point equioscillation system.  The loop stops when the
-refined sup-norm of the last triple is within 1e-12 relative of its level
-on its points, the de la Vallee Poussin lower bound on the optimum.
+the extrema of the last triple's deviation, where its final 4x4 solve is the
+four-point equioscillation system.  The extrema come from one scan
+(``_extrema_scan``): in closed form on polygons, where f - g = 1/2 log(p'Mp)
+is convex along each edge, and refined from the grid otherwise.  The loop
+stops when the scanned sup-norm of the last triple is within 1e-12 relative
+of its level on its points, the de la Vallee Poussin lower bound on the
+optimum.
 
 Optimality is certified by the optimal reference of one more exchange run,
-on the refined extrema of the returned triple: four angles phi1 < psi1 <
+on the scanned extrema of the returned triple: four angles phi1 < psi1 <
 phi2 < psi2 < phi1+pi at which f - g alternately attains +d and -d, which
 suffices for global optimality and uniqueness within the ellipse family.
 """
@@ -77,7 +80,7 @@ class SolveDiagnostics:
 
     ``lp_calls`` is the number of exchange rounds of the first run of the
     exchange loop, the minimax LP on the grid; ``polish_iterations`` the
-    number of later runs, each on the refined extrema of the previous run's
+    number of later runs, each on the scanned extrema of the previous run's
     deviation (0 when the grid optimum already meets the stop).
     """
 
@@ -337,6 +340,47 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     return _ExtremaScan(np.mod(x[:k], _PI), values[:k], np.mod(x[k:], _PI), values[k:], sup)
 
 
+def _candidate_extrema(h, max_angles: np.ndarray, min_angles: np.ndarray) -> _ExtremaScan:
+    """The extrema of h at a gauge's closed-form candidates, valued by one call of h.
+
+    Adjacent edge lines disagree at a kink by rounding, so each candidate is
+    evaluated at its angle and at the floats one and two ulps either side
+    and keeps the most extreme of the five.  Smooth minima are treated the
+    same way, so that where h is noisy the noise lifts maxima and minima
+    alike.  The sup is the largest |h| among the extrema.
+    """
+    k, x = max_angles.size, np.concatenate([max_angles, min_angles])
+    near = [np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    near += [np.nextafter(z, t) for z, t in zip(near, (-np.inf, np.inf))]
+    probes = np.vstack([x, *near])
+    values = h(probes.ravel()).reshape(probes.shape)
+    best = np.argmin(values * np.where(np.arange(x.size) < k, -1.0, 1.0), axis=0)[None]
+    angles = np.mod(np.take_along_axis(probes, best, axis=0)[0], _PI)
+    angles = np.where(angles >= _PI, 0.0, angles)
+    values = np.take_along_axis(values, best, axis=0)[0]
+    return _ExtremaScan(angles[:k], values[:k], angles[k:], values[k:], float(np.abs(values).max()))
+
+
+def _extrema_scan(gauge: Gauge, params: EllipseParams, grid_size: int,
+                  on_grid: Optional[tuple[np.ndarray, np.ndarray]] = None) -> _ExtremaScan:
+    """All local extrema of h = f - g for the triple, and the sup of |h|.
+
+    In closed form where the gauge has one (``Gauge.extremum_candidates``:
+    polygons), with no grid; else ``_refined_extrema`` on the evaluation
+    grid of ``grid_size`` angles, or on ``on_grid`` = (grid, f on it) when
+    the caller has it already.
+    """
+    h = _deviation_fn(gauge, params)
+    candidates = gauge.extremum_candidates(params)
+    if candidates is not None:
+        return _candidate_extrema(h, *candidates)
+    if on_grid is None:
+        grid = evaluation_grid(gauge, grid_size)
+        on_grid = grid, gauge.log_eval(grid)
+    grid, fvals = on_grid
+    return _refined_extrema(h, grid, fvals + _half_log_trig(params, grid))
+
+
 def _certificate_from_scan(
     gauge: Gauge, params: EllipseParams, scan: _ExtremaScan, tol: float
 ) -> AlternanceCertificate:
@@ -385,16 +429,15 @@ def extract_certificate(
     """Four-point alternance certificate of a (near-)optimal ellipse.
 
     The angles are the optimal reference of the minimax exchange on the
-    extrema of f - g that ``_refined_extrema`` finds: the best alternating
+    extrema of f - g that ``_extrema_scan`` finds: the best alternating
     quadruple among them, starting at a maximum.  For a flat deviation (the
     body is itself an ellipse of the family) the canonical angles
     (0, pi/4, pi/2, 3pi/4) are returned.  Raises NoAlternance when the four
     do not alternate within ``tol`` of the sup-norm, NoConvergence when R <= 0
     in the scan.
     """
-    grid = evaluation_grid(gauge, grid_size)
-    h = _deviation_fn(gauge, params)
-    return _certificate_from_scan(gauge, params, _refined_extrema(h, grid, h(grid)), tol)
+    scan = _extrema_scan(gauge, params, grid_size)
+    return _certificate_from_scan(gauge, params, scan, tol)
 
 
 def verify_certificate(
@@ -408,17 +451,17 @@ def verify_certificate(
 
     The implied defect d_hat is the mean of the four signed deviations; the
     verdict requires strict interleaving, each deviation within tol of d_hat,
-    and the sup of |f - g| over a fresh ``_refined_extrema`` scan at most
-    d_hat + tol.  A passing verdict makes the ellipse the unique minimizer up
-    to those tolerances.  R <= 0 at a scanned angle raises NoConvergence.
+    and the sup of |f - g| over a fresh ``_extrema_scan`` at most d_hat + tol;
+    on a polygon that sup is exact, with no grid.  A passing verdict makes
+    the ellipse the unique minimizer up to those tolerances.  R <= 0 at a
+    scanned angle raises NoConvergence.
     """
     h = _deviation_fn(gauge, params)
     dev = tuple(float(v) for v in h(np.array(cert.angles())) * _SIGNS)
     d_hat = sum(dev) / 4.0
     residuals_ok = tuple(abs(v - d_hat) <= tol for v in dev)
     ordering_ok = cert.interleaved()
-    grid = evaluation_grid(gauge, grid_size)
-    sup = _refined_extrema(h, grid, h(grid)).sup
+    sup = _extrema_scan(gauge, params, grid_size).sup
     sup_ok = sup <= d_hat + tol
     passed = ordering_ok and all(residuals_ok) and sup_ok
     return CertificateVerdict(ordering_ok, residuals_ok, sup_ok, passed, d_hat, dev, sup)
@@ -429,10 +472,10 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
 
     One exchange loop.  Its first run solves the minimax LP on the evaluation
     grid (its exchange rounds counted in ``lp_calls``); every later run solves
-    it on the refined extrema of the previous run's deviation (these runs
+    it on the scanned extrema of the previous run's deviation (these runs
     counted in ``polish_iterations``, at most 30).  Each run's level, max |f - g|
     on its points, is a de la Vallee Poussin lower bound on d*, and the
-    refined sup-norm of its triple an upper bound; the loop stops once they
+    scanned sup-norm of its triple an upper bound; the loop stops once they
     agree to 1e-12 relative and returns the triple of least sup, certified
     as by ``extract_certificate`` from that triple's scan.  Raises
     NoConvergence when the grid run fails (a singular or repeated reference,
@@ -454,8 +497,7 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
         try:
             params, _, _, rounds = _minimax_lp(points, f)
             level = float(np.abs(f + _half_log_trig(params, points)).max())
-            h = _deviation_fn(gauge, params)
-            scan = _refined_extrema(h, grid, fvals + _half_log_trig(params, grid))
+            scan = _extrema_scan(gauge, params, opts.grid_size, (grid, fvals))
         except NoConvergence:
             if best is None:
                 raise
@@ -477,8 +519,8 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
     params, scan = best
     if top > scan.sup + opts.cert_tol:
         raise NoAlternance(
-            f"exchange level {top!r} on the refined extrema exceeds the scanned "
-            f"sup-norm {scan.sup!r}: the scan missed extrema"
+            f"exchange level {top!r} exceeds the scanned sup-norm {scan.sup!r}: "
+            "the scan missed extrema"
         )
     cert = _certificate_from_scan(gauge, params, scan, opts.cert_tol)
     return UniformSolution(params, float(scan.sup), cert, diag)

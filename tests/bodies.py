@@ -118,3 +118,18 @@ def ray_radius_by_bisection(vertices: np.ndarray, angle: float, hi: float = 100.
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def polygon_deviation_sup(vertices: np.ndarray, params: EllipseParams) -> float:
+    """sup of |f - g| = |1/2 log p'Mp| over the polygon's boundary, from its vertices alone.
+
+    With M = [[a2 + b2, c2], [c2, a2 - b2]], p'Mp is a convex quadratic along
+    each edge p = v + s*d, so its maximum over the boundary is at a vertex
+    and its minimum at one of the edge minimizers s = clip(-v'Md / d'Md, 0, 1).
+    """
+    v = np.asarray(vertices, dtype=float)
+    d = np.roll(v, -1, axis=0) - v
+    m = np.array([[params.a2 + params.b2, params.c2], [params.c2, params.a2 - params.b2]])
+    s = np.clip(-np.einsum("ij,jk,ik->i", v, m, d) / np.einsum("ij,jk,ik->i", d, m, d), 0.0, 1.0)
+    p = np.vstack([v, v + s[:, None] * d])
+    return float(np.abs(0.5 * np.log(np.einsum("ij,jk,ik->i", p, m, p))).max())

@@ -180,6 +180,15 @@ class TestRenderCommand:
                          "--out", str(rendered), "--view", view]) == 0
             assert rendered.read_text() == solved.read_text()
 
+    def test_render_rejects_another_bodys_report(self, square_solved, tmp_path):
+        # an ellipse drawn with the square's certificate points: they are off its boundary
+        body = tmp_path / "el.json"
+        body.write_text(jsonio.dumps({"kind": "ellipse", "params": [1.0, 0.2, 0.1]}))
+        out = tmp_path / "el.svg"
+        assert main(["render", "--input", str(body), "--report", str(square_solved),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_render_needs_the_body(self, square_solved, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["render", "--report", str(square_solved), "--out", str(tmp_path / "x.svg")])

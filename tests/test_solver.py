@@ -27,6 +27,7 @@ from bmplane.solver import (
     _certificate_from_scan,
     _deviation_fn,
     _ExtremaScan,
+    _extrema_scan,
     _minimax_lp,
     _PI,
     _refined_extrema,
@@ -264,6 +265,23 @@ class TestExchangeLP:
         assert sol.diagnostics.lp_calls <= 2
         assert sol.params.triple() == pytest.approx(e.triple(), rel=0.0, abs=1e-15)
 
+    def test_stalled_reference_below_one_flips(self):
+        # four angles a quarter apart are the whole problem and the start reference, with + at
+        # the least w: its level t = (w1 + w3)/(w0 + w2) is below 1, and no exchange can move.
+        # R/w then lies in [t, 1], so the flipped reference is optimal at level 1/t
+        grid = np.arange(4) * (0.25 * math.pi)
+        trig, w = _trig_matrix(grid), np.array([0.5, 1.0, 10.0, 1.0])
+        x, ref, sign, rounds = linprog(trig, w)
+        assert rounds == 1 and ref.tolist() == [0, 1, 2, 3]
+        assert x[3] == pytest.approx(2.0 / 10.5, rel=1e-14)
+        assert sign.tolist() == [-1, 1, -1, 1]
+        rows = np.block([[-trig, np.zeros((4, 1))], [trig, -w[:, None]]])
+        best = _highs([0.0, 0.0, 0.0, 1.0], rows, np.concatenate([-w, np.zeros(4)]))
+        assert best.x[3] == pytest.approx(1.0 / x[3], rel=1e-12)
+        # the rescaled triple meets the flipped reference's equalities: R = w/t at +, R = w at -
+        R = trig @ (x[:3] / x[3])
+        assert np.where(sign > 0, R - w / x[3], R - w) == pytest.approx(np.zeros(4), abs=1e-12)
+
 
 def _refinement_bodies(corpus) -> dict:
     """The corpus, the large-style bodies and rough linear and pchip samples."""
@@ -277,33 +295,62 @@ def _refinement_bodies(corpus) -> dict:
     }
 
 
-def _calls_per_scan(monkeypatch, g) -> list:
-    """Calls of h made by each extremum scan of a solve and of its verification."""
+def _calls_per_scan(monkeypatch, g) -> dict:
+    """Calls of h made by each extremum scan of a solve and of its verification, per scan kind."""
     import bmplane.solver as solver_mod
 
-    refine, counts = solver_mod._refined_extrema, []
+    counts = {"_refined_extrema": [], "_candidate_extrema": []}
 
-    def counting(h, grid, hvals):
-        counts.append(0)
+    def counting(name):
+        scan = getattr(solver_mod, name)
 
-        def counted(phi):
-            counts[-1] += 1
-            return h(phi)
+        def counted_scan(h, *args):
+            counts[name].append(0)
 
-        return refine(counted, grid, hvals)
+            def counted(phi):
+                counts[name][-1] += 1
+                return h(phi)
 
-    monkeypatch.setattr(solver_mod, "_refined_extrema", counting)
+            return scan(counted, *args)
+
+        return counted_scan
+
+    for name in counts:
+        monkeypatch.setattr(solver_mod, name, counting(name))
     sol = solve_uniform(g)
     assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
     return counts
 
 
-def _lp_deviation(g):
-    """(grid, h, hvals) of the deviation of the grid minimax triple."""
+def _assert_scan_calls(monkeypatch, g, cap: int):
+    """A polygon scan is closed-form with one call of h; any other refines with at most cap."""
+    counts = _calls_per_scan(monkeypatch, g)
+    if g.descriptor()["kind"] == "polygon":
+        assert not counts["_refined_extrema"]
+        assert counts["_candidate_extrema"] and set(counts["_candidate_extrema"]) == {1}
+    else:
+        assert not counts["_candidate_extrema"]
+        assert 0 < max(counts["_refined_extrema"]) <= cap
+
+
+def _lp_triple(g):
+    """(grid, f on it, the grid minimax triple)."""
     grid = evaluation_grid(g, 4096)
     fvals = g.log_eval(grid)
     params, *_ = _minimax_lp(grid, fvals)
+    return grid, fvals, params
+
+
+def _lp_deviation(g):
+    """(grid, h, hvals) of the deviation of the grid minimax triple."""
+    grid, fvals, params = _lp_triple(g)
     return grid, _deviation_fn(g, params), fvals + 0.5 * np.log(params.trig(grid))
+
+
+def _nearest(ref_angles: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Index into angles of the one nearest each reference angle, mod pi."""
+    gap = np.mod(ref_angles[:, None] - angles[None, :] + 0.5 * math.pi, math.pi) - 0.5 * math.pi
+    return np.abs(gap).argmin(axis=1)
 
 
 class TestRefinement:
@@ -342,7 +389,7 @@ class TestRefinement:
         for ang in (ref.max_angles, ref.min_angles):
             gap = np.abs(ang[:, None] - np.concatenate([grid, [math.pi]])[None, :]).min(axis=1)
             assert gap.max() < 1e-7
-        assert max(_calls_per_scan(monkeypatch, g)) <= 2
+        _assert_scan_calls(monkeypatch, g, 2)
 
     @pytest.mark.parametrize(
         "g",
@@ -357,8 +404,28 @@ class TestRefinement:
              "60-gon", "400-gon", "2000-gon"],
     )
     def test_smooth_extrema_call_cap(self, monkeypatch, g):
-        # a parabolic step from the grid values settles smooth extrema in a few calls
-        assert max(_calls_per_scan(monkeypatch, g)) <= 20
+        # a parabolic step from the grid values settles smooth extrema in a few calls;
+        # the polygons' minima are in closed form, one call of h per scan
+        _assert_scan_calls(monkeypatch, g, 20)
+
+    def test_polygon_scan_matches_references(self, corpus):
+        # at least as extreme as the ternary search at each of its extrema, and the sup of the
+        # boundary's own quadratic; h differs from it by the rounding of _radius, 2.8e-14 at
+        # the kinks of the 2000-gons
+        for name, g in _refinement_bodies(corpus).items():
+            descriptor = g.descriptor()
+            if descriptor["kind"] != "polygon":
+                continue
+            grid, fvals, params = _lp_triple(g)
+            h = _deviation_fn(g, params)
+            ref = _refined_extrema_two_calls(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
+            scan = _extrema_scan(g, params, 4096)
+            i = _nearest(ref.max_angles, scan.max_angles)
+            assert np.all(scan.max_values[i] >= ref.max_values - 1e-14), name
+            i = _nearest(ref.min_angles, scan.min_angles)
+            assert np.all(scan.min_values[i] <= ref.min_values + 1e-14), name
+            exact = bodies.polygon_deviation_sup(np.array(descriptor["vertices"]), params)
+            assert scan.sup == pytest.approx(exact, rel=0.0, abs=5e-14), name
 
 
 class TestFeasibleAt:
@@ -506,6 +573,32 @@ class TestSolveUniform:
                     continue
                 assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
+    def test_stress_linear_images(self):
+        # images under rot(t1) diag(1, 1/kappa) rot(t2) of 25 polygons per kappa, drawn in one
+        # sequence: up to kappa = 1e3 the solve matches the unmapped body; at 1e4 the rounding of
+        # R may end a solve typed, but verify's sup must agree with the boundary's own sup
+        rng = np.random.default_rng(7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa in (10.0, 1e2, 1e3, 1e4):
+                for i in range(25):
+                    v = bodies.random_convex_polygon(rng)
+                    t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+                    image = v @ (_rotation(t1) @ np.diag([1.0, 1.0 / kappa]) @ _rotation(t2)).T
+                    g = polygon_gauge(image)
+                    try:
+                        sol = solve_uniform(g)
+                    except BmplaneError:
+                        assert kappa == 1e4, i
+                        continue
+                    verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
+                    exact = bodies.polygon_deviation_sup(image, sol.params)
+                    assert verdict.sup_ok == (exact <= verdict.d_hat + 1e-6), (kappa, i)
+                    if kappa <= 1e3:
+                        assert verdict.passed, (kappa, i)
+                        assert math.exp(2.0 * sol.defect) == pytest.approx(
+                            distance(polygon_gauge(v)), rel=1e-9, abs=0.0), (kappa, i)
+
     def test_five_point_pchip_optimum_certifies(self):
         # the optimum alternates at five extrema; the exchange on them picks the best four
         g = sample_gauge([1.0, 1.2, 1.0, 1.3, 1.0, 1.2, 1.0, 1.1], interp="pchip")
@@ -513,21 +606,44 @@ class TestSolveUniform:
         assert math.exp(2.0 * sol.defect) == pytest.approx(1.2695616833, rel=1e-10, abs=0.0)
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6, grid_size=2**18).passed
 
-    def test_level_above_sup_is_typed(self):
-        # at kappa = 1e4 the scans of these three images miss extrema: the exchange level on
-        # S, a lower bound on d*, then exceeds the scanned sup, and the solve must not return
+    def test_kappa_1e4_images_certify(self):
+        # kappa = 1e4 images with extrema between the grid angles: each is a vertex or an edge
+        # minimizer, so they certify, off the unmapped body by the rounding of R (1.1e-8 on 9)
         rng = np.random.default_rng(7)
         for i in range(25):
             v = bodies.random_convex_polygon(rng)
             t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
             if i in (9, 11, 12):
                 g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-4]) @ _rotation(t2)).T)
-                with pytest.raises(NoAlternance, match="exchange level"):
-                    solve_uniform(g)
+                sol = solve_uniform(g)
+                assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed, i
+                assert distance(polygon_gauge(v)) == pytest.approx(
+                    math.exp(2.0 * sol.defect), rel=1.2e-8, abs=0.0), i
+
+    def test_level_above_sup_is_typed(self, monkeypatch):
+        # a scan that misses the extrema at the top of |h|: the exchange level on the grid, a
+        # lower bound on d*, then exceeds the scanned sup, and the solve must not return
+        import bmplane.solver as solver_mod
+
+        scan = solver_mod._extrema_scan
+
+        def missing_top(*args):
+            s = scan(*args)
+            keep_max = np.abs(s.max_values) < s.sup - 1e-6
+            keep_min = np.abs(s.min_values) < s.sup - 1e-6
+            values = np.concatenate([s.max_values[keep_max], s.min_values[keep_min]])
+            return _ExtremaScan(s.max_angles[keep_max], s.max_values[keep_max],
+                                s.min_angles[keep_min], s.min_values[keep_min],
+                                float(np.abs(values).max()))
+
+        monkeypatch.setattr(solver_mod, "_extrema_scan", missing_top)
+        g = sample_gauge(bodies.smooth_samples(np.random.default_rng(0), 128))
+        with pytest.raises(NoAlternance, match="exchange level"):
+            solve_uniform(g)
 
     def test_stalled_reference_below_one_certifies(self):
-        # kappa = 1e4 image 0 of the rng-7 sequence over kappa = 10, 1e2, 1e3, 1e4: the exchange
-        # on its refined extrema stalls at a level t < 1, where the flipped reference is optimal
+        # kappa = 1e4 image 0 of the rng-7 sequence over kappa = 10, 1e2, 1e3, 1e4; linprog's
+        # flip of a reference stalled below t = 1 is test_stalled_reference_below_one_flips
         rng = np.random.default_rng(7)
         for _ in range(76):
             v = bodies.random_convex_polygon(rng)
