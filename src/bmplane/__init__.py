@@ -13,6 +13,6 @@ from .errors import BmplaneError
 from .gauge import circle_gauge, ellipse_gauge, lp_gauge, polygon_gauge, sample_gauge
 from .oracle import oracle_uniform
 from .report import build_report, report_from_dict, report_to_dict, verify_theorem1
-from .solver import distance, solve_uniform, to_one_sided, verify_certificate
+from .solver import distance, solve_uniform, verify_certificate
 
 __version__ = "0.1.0"

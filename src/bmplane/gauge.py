@@ -110,33 +110,28 @@ class _PolygonGauge(Gauge):
         """Local extrema of f - g = 1/2 log(p'Mp) over the boundary points p of _radius.
 
         With M = [[a2 + b2, c2], [c2, a2 - b2]], p'Mp is a convex quadratic
-        along each edge p = v + s*e, with slope sign that of p'Me.  On [0, pi)
-        _radius uses one edge per piece: the edge into vertex 0 from 0 up to
-        vertex 0's angle (none if that is 0), then the edge out of each vertex
-        below pi, the last one up to pi.  A piece start is a maximum where the
-        slope falls from >= 0 to <= 0 across it, a minimum where it rises from
-        <= 0 to >= 0; the start at 0 is returned as pi, so that the floats just
-        below it fall on the last piece.  Where both slopes round to zero (h
-        smooth there) it may be listed as both.  A piece whose slope rises
-        from < 0 to > 0 has its minimum inside, at s = -v'Me / e'Me.
+        along each edge p = v + s*e, with slope sign that of p'Me.  Mod pi the
+        boundary is the edges out of the vertices below pi; the last of them
+        ends at the antipode of vertex 0, so it covers the angles from the
+        last vertex below pi through pi (0) up to vertex 0 in one piece.  A
+        vertex is a maximum where the slope falls from >= 0 to <= 0 across it,
+        a minimum where it rises from <= 0 to >= 0; a vertex at 0 is returned
+        as pi, so that the floats just below it fall on the last edge.  Where
+        both slopes round to zero (h smooth there) it may be listed as both.
+        An edge whose slope rises from < 0 to > 0 has its minimum inside, at
+        s = -v'Me / e'Me.
         """
         th = self.critical_angles()
-        first = -1 if th[0] > 0.0 else 0
-        edges = np.arange(first, th.size)
-        v, e = self._vertices[edges], self._edge[edges]
+        v, e = self._vertices[: th.size], self._edge[: th.size]
         m = np.array([[params.a2 + params.b2, params.c2], [params.c2, params.a2 - params.b2]])
         me = e @ m
-        vme, eme = np.einsum("ij,ij->i", v, me), np.einsum("ij,ij->i", e, me)
-        # the pieces' ends on their edges: vertices, and the x-axis at 0 and pi
-        s0, s1 = np.zeros(edges.size), np.ones(edges.size)
-        s1[-1] = -v[-1, 1] / e[-1, 1]
-        if first < 0:
-            s0[0] = -v[0, 1] / e[0, 1]
-        start, end = vme + s0 * eme, vme + s1 * eme  # slopes at the pieces' ends
+        start = np.einsum("ij,ij->i", v, me)  # slopes at the edges' ends
+        eme = np.einsum("ij,ij->i", e, me)
+        end = start + eme
         before = np.roll(end, 1)
-        starts = np.concatenate([[_PI], th[1 + first :]])
+        starts = np.where(th > 0.0, th, _PI)
         inner = (start < 0.0) & (end > 0.0)
-        p = v[inner] - (vme[inner] / eme[inner])[:, None] * e[inner]
+        p = v[inner] - (start[inner] / eme[inner])[:, None] * e[inner]
         return starts[(before >= 0.0) & (start <= 0.0)], np.concatenate(
             [starts[(before <= 0.0) & (start >= 0.0)], np.mod(np.arctan2(p[:, 1], p[:, 0]), _PI)])
 
@@ -287,20 +282,22 @@ def polygon_gauge(vertices: Sequence, symmetrize: bool = False) -> Gauge:
             keep.pop()
         work = pts[keep]
     else:
-        # antipodal pairing within 1e-12, else the body is not symmetric
-        for v in original:
-            if np.min(np.hypot(original[:, 0] + v[0], original[:, 1] + v[1])) > 1e-12 * max(
-                1.0, scale
-            ):
-                raise NotSymmetric(
-                    f"vertex {v.tolist()} has no antipodal partner; "
-                    "pass symmetrize=True to symmetrize"
-                )
         work = original.copy()
 
     work = _validate_star(work)
     theta = np.mod(np.arctan2(work[:, 1], work[:, 0]), 2.0 * _PI)
     work = np.roll(work, -int(np.argmin(theta)), axis=0)
+    if not symmetrize:
+        # in ascending angle order each vertex's antipode is half the count on
+        n = work.shape[0]
+        gap = np.hypot(*(work + np.roll(work, n // 2, axis=0)).T)
+        if n % 2 or gap.max() > 1e-12 * max(1.0, scale):
+            i = int(np.argmax(gap))
+            raise NotSymmetric(
+                f"vertex {work[i].tolist()} has no antipodal partner: the vertex {n // 2} "
+                f"places on in angle order is {gap[i]:.3g} from its antipode; "
+                "pass symmetrize=True to symmetrize"
+            )
     return _PolygonGauge(work, original, symmetrize)
 
 

@@ -1,27 +1,32 @@
 """Geometric form of a solve: the optimal operator, its contact and extremal
 points on the body, verification of their defining relations, and SVG views.
 
-Conventions: the inscribed ellipse (one-sided shift of the uniform optimum)
-is T_tilde(S^1) for the SPD operator T_tilde; T_hat = T_tilde^-1 maps the
-body so that the unit circle is inscribed in the image and the circle of
-radius d2 circumscribes it.  The certificate angles give the extremal points
-x_i (where |T_hat x| = d2) and the contact points y_i (where |T_hat y| = 1);
-all four directions are taken inside one pi-window starting at the first
-certificate angle, which makes y1 lie in cone{x1, x2} and y2 in
-cone{-x1, x2}.
+Conventions: the inscribed ellipse (the uniform optimum's triple scaled by
+d2 = exp(2*defect)) is T_tilde(S^1) for the SPD operator T_tilde; T_hat =
+T_tilde^-1 maps the body so that the unit circle is inscribed in the image
+and the circle of radius d2 circumscribes it.  The certificate angles give
+the extremal points x_i (where |T_hat x| = d2) and the contact points y_i
+(where |T_hat y| = 1); all four directions are taken inside one pi-window
+starting at the first certificate angle, which makes y1 lie in cone{x1, x2}
+and y2 in cone{-x1, x2}.
+
+A report is a function of the body, the uniform triple, its defect and the
+certificate angles.  ``report_mismatches`` rebuilds it from those with
+``build_report`` and names every stored field that differs from the
+rebuild; ``bmplane verify`` and ``bmplane render`` check reports that way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ellipse import EllipseParams, PDMatrix2, pd_sqrt, pd_sqrt_inverse
 from .errors import BmplaneError, ConeViolation, InputError
 from .gauge import Gauge
-from .solver import AlternanceCertificate, UniformSolution, to_one_sided
+from .solver import AlternanceCertificate, SolveDiagnostics, UniformSolution, certificate_deviations
 
 __all__ = [
     "SolveReport",
@@ -31,6 +36,7 @@ __all__ = [
     "render_svg",
     "report_to_dict",
     "report_from_dict",
+    "report_mismatches",
 ]
 
 
@@ -74,14 +80,17 @@ def _cone_margins(x1, y1, x2, y2) -> tuple[float, ...]:
 
 
 def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
-    """Assemble the geometric report from a solved body."""
-    one_sided = to_one_sided(gauge, sol)
-    inscribed = one_sided.params
+    """Assemble the geometric report from a solved body.
+
+    Reads the solution's triple, defect and certificate; the gauge is
+    evaluated at the four certificate angles and nowhere else.
+    """
+    d2 = math.exp(2.0 * sol.defect)
+    inscribed = sol.params.scaled(d2)
     # quadratic form of the inscribed ellipse; T_hat is its SPD square root
     form = PDMatrix2(inscribed.a2 + inscribed.b2, inscribed.c2, inscribed.a2 - inscribed.b2)
     t_hat = pd_sqrt(form)
     t_tilde = pd_sqrt_inverse(form)
-    d2 = math.exp(2.0 * sol.defect)
 
     cert = sol.certificate
     angles = np.array(cert.angles())
@@ -103,9 +112,6 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
 
     diagnostics = {
         "solver": sol.diagnostics.as_dict(),
-        "one_sided_value": one_sided.value,
-        "one_sided_max_deviation": one_sided.max_deviation,
-        "one_sided_min_deviation": one_sided.min_deviation,
         "cone_margins": [float(m) for m in margins],
         "u_points": u_points.tolist(),
         "v_points": ty.tolist(),
@@ -227,6 +233,68 @@ def report_from_dict(d: dict) -> SolveReport:
         raise
     except (KeyError, IndexError, TypeError, ValueError, BmplaneError) as exc:
         raise InputError(f"malformed report: {exc}") from exc
+
+
+# fields that scale with the body compare relative to their own size; the
+# other numbers are scale-free (log units, angles, image-plane points) and
+# compare relative to at least 1
+_BODY_SCALED = frozenset(
+    {"params_uniform", "params_inscribed", "T_hat", "T_tilde", "x_points", "y_points"}
+)
+
+
+def _leaves(d: dict, prefix: str = "") -> dict:
+    """Dotted path -> value of the fields of a report dict, diagnostics.solver left out."""
+    out = {}
+    for key, value in d.items():
+        path = f"{prefix}{key}"
+        if path == "diagnostics.solver":
+            continue
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{path}."))
+        else:
+            out[path] = value
+    return out
+
+
+def _differs(stored, rebuilt, tol: float, floor: float) -> bool:
+    try:
+        a = np.asarray(stored, dtype=float)
+    except (TypeError, ValueError):
+        return True
+    b = np.asarray(rebuilt, dtype=float)
+    if a.shape != b.shape:
+        return True
+    scale = max(float(np.abs(b).max(initial=0.0)), floor)
+    return not float(np.abs(a - b).max(initial=0.0)) <= tol * scale
+
+
+def report_mismatches(gauge: Gauge, stored: dict, tol: float) -> list[str]:
+    """The fields of a stored report that differ from its rebuild, as dotted paths.
+
+    The rebuild is ``build_report`` on the body from the report's uniform
+    triple, defect and certificate angles; its certificate residuals are the
+    ``certificate_deviations`` there minus the defect.  Every field but
+    diagnostics.solver is compared, as numbers, within ``tol`` relative to the
+    largest magnitude of the rebuilt field (at least 1 for the scale-free
+    fields); a field on one side only differs.  A rebuild that raises a
+    BmplaneError is one mismatch, "rebuild", with the error.  A malformed
+    report raises InputError.
+    """
+    report = report_from_dict(stored)
+    try:
+        dev = certificate_deviations(gauge, report.params_uniform, report.certificate)
+        cert = replace(report.certificate, residuals=tuple(v - report.defect for v in dev))
+        sol = UniformSolution(report.params_uniform, report.defect, cert, SolveDiagnostics())
+        rebuilt = _leaves(report_to_dict(build_report(gauge, sol)))
+    except BmplaneError as exc:
+        return [f"rebuild ({type(exc).__name__}: {exc})"]
+    given = _leaves(stored)
+    return [
+        path for path in {**rebuilt, **given}
+        if path not in given or path not in rebuilt
+        or _differs(given[path], rebuilt[path], tol, 0.0 if path in _BODY_SCALED else 1.0)
+    ]
 
 
 # -- rendering ---------------------------------------------------------------

@@ -27,6 +27,8 @@ Optimality is certified by the optimal reference of one more exchange run,
 on the scanned extrema of the returned triple: four angles phi1 < psi1 <
 phi2 < psi2 < phi1+pi at which f - g alternately attains +d and -d, which
 suffices for global optimality and uniqueness within the ellipse family.
+The triple, d and the four angles are all that the report (``report.py``)
+is built from: the inscribed ellipse is the triple scaled by d2 = exp(2d).
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ __all__ = [
     "SolveDiagnostics",
     "AlternanceCertificate",
     "UniformSolution",
-    "OneSidedSolution",
     "CertificateVerdict",
     "solve_uniform",
     "extract_certificate",
+    "certificate_deviations",
     "verify_certificate",
-    "to_one_sided",
     "distance",
 ]
 
@@ -123,16 +124,6 @@ class UniformSolution:
     defect: float
     certificate: AlternanceCertificate
     diagnostics: SolveDiagnostics
-
-
-@dataclass(frozen=True)
-class OneSidedSolution:
-    """Inscribed-side solution: g <= f with max(f - g) = value = 2*defect."""
-
-    params: EllipseParams
-    value: float
-    max_deviation: float
-    min_deviation: float
 
 
 @dataclass(frozen=True)
@@ -440,6 +431,18 @@ def extract_certificate(
     return _certificate_from_scan(gauge, params, scan, tol)
 
 
+def certificate_deviations(
+    gauge: Gauge, params: EllipseParams, cert: AlternanceCertificate
+) -> tuple[float, float, float, float]:
+    """f - g at the certificate's angles, signed + at phi1, phi2 and - at psi1, psi2.
+
+    All four equal the defect at an exact optimum.  R <= 0 at an angle raises
+    NoConvergence.
+    """
+    h = _deviation_fn(gauge, params)
+    return tuple(float(v) for v in h(np.array(cert.angles())) * _SIGNS)
+
+
 def verify_certificate(
     gauge: Gauge,
     params: EllipseParams,
@@ -456,8 +459,7 @@ def verify_certificate(
     the ellipse the unique minimizer up to those tolerances.  R <= 0 at a
     scanned angle raises NoConvergence.
     """
-    h = _deviation_fn(gauge, params)
-    dev = tuple(float(v) for v in h(np.array(cert.angles())) * _SIGNS)
+    dev = certificate_deviations(gauge, params, cert)
     d_hat = sum(dev) / 4.0
     residuals_ok = tuple(abs(v - d_hat) <= tol for v in dev)
     ordering_ok = cert.interleaved()
@@ -524,24 +526,6 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
         )
     cert = _certificate_from_scan(gauge, params, scan, opts.cert_tol)
     return UniformSolution(params, float(scan.sup), cert, diag)
-
-
-def to_one_sided(gauge: Gauge, sol: UniformSolution, grid_size: int = 4096) -> OneSidedSolution:
-    """Shift the uniform solution to the inscribed side: g - d <= f.
-
-    Lowering g by the defect scales the trig triple by exp(2*defect); the
-    one-sided value is 2*defect.
-    """
-    factor = math.exp(2.0 * sol.defect)
-    shifted = sol.params.scaled(factor)
-    grid = evaluation_grid(gauge, grid_size)
-    h = _deviation_fn(gauge, shifted)(grid)
-    return OneSidedSolution(
-        params=shifted,
-        value=2.0 * sol.defect,
-        max_deviation=float(h.max()),
-        min_deviation=float(h.min()),
-    )
 
 
 def distance(gauge: Gauge, opts: Optional[SolverOptions] = None) -> float:

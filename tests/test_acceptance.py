@@ -29,10 +29,10 @@ from bmplane.gauge import (
 from bmplane.oracle import OracleGrid, oracle_uniform
 from bmplane.report import build_report, verify_theorem1
 from bmplane.solver import (
+    _extrema_scan,
     distance,
     extract_certificate,
     solve_uniform,
-    to_one_sided,
     verify_certificate,
 )
 
@@ -105,8 +105,8 @@ def test_criterion_03_square_and_diamond():
         d2 = math.exp(2.0 * sol.defect)
         assert abs(d2 - SQRT2) <= 1e-6
         assert d2 <= SQRT2 + 1e-6
-        one = to_one_sided(gauge, sol)
-        assert np.allclose(one.params.triple(), (1.0, 0.0, 0.0), atol=1e-6)
+        inscribed = build_report(gauge, sol).params_inscribed
+        assert np.allclose(inscribed.triple(), (1.0, 0.0, 0.0), atol=1e-6)
         got = np.array(sol.certificate.angles())
         assert np.abs(got - np.array(expected_angles)).max() <= 1e-4
         assert elapsed < 5.0
@@ -172,13 +172,12 @@ def test_criterion_07_linear_invariance():
     return f"base d2 = {base:.9f}, worst drift {worst:.2e}"
 
 
-@criterion(8, "one-sided shift: value 2*defect, shifted ellipse under the body")
+@criterion(8, "one-sided shift: the inscribed ellipse lies under the body, f - g peaks at 2*defect")
 def test_criterion_08_one_sided(solved_corpus):
     for name, (gauge, sol) in solved_corpus.items():
-        one = to_one_sided(gauge, sol)
-        assert abs(one.value - 2.0 * sol.defect) <= 1e-8, name
-        assert one.min_deviation >= -1e-9, name
-        assert abs(one.max_deviation - 2.0 * sol.defect) <= 1e-8, name
+        scan = _extrema_scan(gauge, build_report(gauge, sol).params_inscribed, 4096)
+        assert scan.min_values.min() >= -1e-9, name
+        assert abs(scan.max_values.max() - 2.0 * sol.defect) <= 1e-8, name
     return f"{len(solved_corpus)} bodies"
 
 

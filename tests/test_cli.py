@@ -107,6 +107,27 @@ class TestVerify:
         bad.write_text(jsonio.dumps(rep))
         assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 1
 
+    @pytest.mark.parametrize("tamper", ["rescaled", "t-tilde", "residual"])
+    def test_tampered_report_fails(self, tmp_path, capsys, tamper):
+        body = tmp_path / "l3.json"
+        body.write_text(jsonio.dumps({"kind": "lp", "p": 3.0}))
+        report = tmp_path / "l3.report.json"
+        assert main(["solve", "--input", str(body), "--out", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        if tamper == "rescaled":  # |T_hat x| and |T_hat y| are unchanged
+            rep["T_hat"] = (np.array(rep["T_hat"]) / 1.1).tolist()
+            for key in ("x_points", "y_points"):
+                rep[key] = (1.1 * np.array(rep[key])).tolist()
+        elif tamper == "t-tilde":
+            rep["T_tilde"] = [[7.0, 0.0], [0.0, 7.0]]
+        else:
+            rep["certificate"]["residuals"][2] += 1e-3
+        report.write_text(jsonio.dumps(rep))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(body), "--report", str(report)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "rebuilt-report: FAIL" in out and out[-1] == "verdict: FAIL"
+
     def test_malformed_report(self, square_body, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text(jsonio.dumps({"d2": 1.0}))

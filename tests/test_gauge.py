@@ -79,6 +79,13 @@ class TestPolygon:
         with pytest.raises(NotSymmetric):
             polygon_gauge([(1.0, 0.2), (0.1, 1.0), (-1.0, -0.1), (-0.1, -1.0), (0.5, -0.5)])
 
+    def test_moved_vertex_rejected_without_flag(self):
+        verts = bodies.random_star_polygon(np.random.default_rng(12))
+        polygon_gauge(verts)
+        verts[3] += 1e-9
+        with pytest.raises(NotSymmetric):
+            polygon_gauge(verts)
+
     def test_not_star_shaped(self):
         # symmetric bowtie traversal: angular order is violated
         with pytest.raises(NotStarShaped):

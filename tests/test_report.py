@@ -5,17 +5,20 @@ import pytest
 
 from bmplane import jsonio
 from bmplane.errors import InputError
-from bmplane.gauge import circle_gauge, lp_gauge, sample_gauge
+from bmplane.gauge import circle_gauge, lp_gauge, polygon_gauge, sample_gauge
 from bmplane.report import (
     SolveReport,
     _boundary_samples,
     build_report,
     render_svg,
     report_from_dict,
+    report_mismatches,
     report_to_dict,
     verify_theorem1,
 )
 from bmplane.solver import solve_uniform
+
+import bodies
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,20 @@ class TestBuildReport:
         assert r.x_points == pytest.approx(np.array([[1.0, 1.0], [-1.0, 1.0]]), abs=1e-4)
         assert r.y_points == pytest.approx(np.array([[0.0, 1.0], [-1.0, 0.0]]), abs=1e-4)
         assert r.cone_condition_ok
+
+    def test_gauge_only_at_the_certificate_angles(self, solved_corpus, monkeypatch):
+        # no grid after the solve: the body is evaluated at the four certificate angles
+        for name, (g, sol) in solved_corpus.items():
+            seen = []
+            for attr in ("_radius", "_log_radius"):
+                inner = getattr(g, attr)
+                monkeypatch.setattr(
+                    g, attr, lambda red, inner=inner: seen.append(np.copy(red)) or inner(red))
+            build_report(g, sol)
+            monkeypatch.undo()
+            angles = np.concatenate(seen)
+            assert angles.size <= 8, name  # _radius may call _log_radius, or the reverse
+            assert np.unique(angles).size == 4, name
 
     def test_inverse_pair(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
@@ -133,6 +150,42 @@ class TestSerialization:
         bad["params_uniform"] = [1.0, 2.0, 0.0]  # out of cone
         with pytest.raises(InputError):
             report_from_dict(bad)
+
+
+class TestReportMismatches:
+    def test_corpus_rebuilds_to_rounding(self, solved_corpus):
+        for name, (g, sol) in solved_corpus.items():
+            stored = jsonio.loads(jsonio.dumps(report_to_dict(build_report(g, sol))))
+            assert report_mismatches(g, stored, 1e-12) == [], name
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_rescaled_points_differ_at_any_scale(self, scale):
+        # |T_hat x| is unchanged, so only the rebuild sees this
+        g = polygon_gauge(scale * bodies.hexagon_inradius_1())
+        stored = report_to_dict(build_report(g, solve_uniform(g)))
+        stored["T_hat"] = (np.array(stored["T_hat"]) / 1.1).tolist()
+        for key in ("x_points", "y_points"):
+            stored[key] = (1.1 * np.array(stored[key])).tolist()
+        assert report_mismatches(g, stored, 1e-6) == ["T_hat", "x_points", "y_points"]
+
+    def test_fields_on_one_side_only_differ(self, square_report, square_gauge):
+        stored = report_to_dict(square_report)
+        stored["diagnostics"] = {**stored["diagnostics"], "one_sided_value": 2 * stored["defect"]}
+        del stored["T_tilde"]
+        assert report_mismatches(square_gauge, stored, 1e-6) == [
+            "T_tilde", "diagnostics.one_sided_value"]
+
+    def test_failed_rebuild_is_a_mismatch(self, square_report, square_gauge):
+        stored = report_to_dict(square_report)
+        cert = stored["certificate"]
+        cert["phi"][0], cert["psi"][0] = cert["psi"][0], cert["phi"][0]
+        [mismatch] = report_mismatches(square_gauge, stored, 1e-6)
+        assert mismatch.startswith("rebuild (ConeViolation: ")
+
+    def test_solver_diagnostics_are_not_compared(self, square_report, square_gauge):
+        stored = report_to_dict(square_report)
+        stored["diagnostics"] = {**stored["diagnostics"], "solver": {"lp_calls": -1}}
+        assert report_mismatches(square_gauge, stored, 1e-6) == []
 
 
 class TestRender:

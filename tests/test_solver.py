@@ -16,6 +16,7 @@ from bmplane.gauge import (
     polygon_gauge,
     sample_gauge,
 )
+from bmplane.report import build_report
 from bmplane.solver import (
     AlternanceCertificate,
     SolverOptions,
@@ -23,7 +24,6 @@ from bmplane.solver import (
     extract_certificate,
     linprog,
     solve_uniform,
-    to_one_sided,
     _certificate_from_scan,
     _deviation_fn,
     _ExtremaScan,
@@ -420,6 +420,9 @@ class TestRefinement:
             h = _deviation_fn(g, params)
             ref = _refined_extrema_two_calls(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
             scan = _extrema_scan(g, params, 4096)
+            # one extremum per turn of the slope; the edge across 0 and pi is one piece
+            assert scan.max_angles.size == ref.max_angles.size, name
+            assert scan.min_angles.size == ref.min_angles.size, name
             i = _nearest(ref.max_angles, scan.max_angles)
             assert np.all(scan.max_values[i] >= ref.max_values - 1e-14), name
             i = _nearest(ref.min_angles, scan.min_angles)
@@ -713,31 +716,37 @@ class TestCertificate:
 
 
 class TestOneSided:
+    """The report's inscribed ellipse: the uniform triple scaled by d2 = exp(2*defect)."""
+
     def test_circle(self):
         g = circle_gauge()
-        one = to_one_sided(g, solve_uniform(g))
-        assert one.value == pytest.approx(0.0, abs=1e-10)
-        assert one.params.triple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-9)
+        sol = solve_uniform(g)
+        assert sol.defect == pytest.approx(0.0, abs=1e-10)
+        assert build_report(g, sol).params_inscribed.triple() == pytest.approx(
+            (1.0, 0.0, 0.0), abs=1e-9)
 
     def test_square_inscribed_unit_circle(self):
         g = lp_gauge(math.inf)
-        one = to_one_sided(g, solve_uniform(g))
-        assert one.value == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
-        assert one.params.triple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-6)
+        sol = solve_uniform(g)
+        assert 2.0 * sol.defect == pytest.approx(0.5 * math.log(2.0), abs=1e-9)
+        assert build_report(g, sol).params_inscribed.triple() == pytest.approx(
+            (1.0, 0.0, 0.0), abs=1e-6)
 
     def test_ellipse_identity(self):
         e = EllipseParams(1.0, -0.15, 0.2)
         g = ellipse_gauge(e)
-        one = to_one_sided(g, solve_uniform(g))
-        assert one.value == pytest.approx(0.0, abs=1e-8)
-        assert one.params.triple() == pytest.approx(e.triple(), rel=1e-6)
+        sol = solve_uniform(g)
+        assert sol.defect == pytest.approx(0.0, abs=1e-8)
+        assert build_report(g, sol).params_inscribed.triple() == pytest.approx(e.triple(), rel=1e-6)
 
     def test_corpus_consistency(self, solved_corpus):
+        # an independent scan of the inscribed triple: f - g lies in [0, 2*defect]
         for name, (g, sol) in solved_corpus.items():
-            one = to_one_sided(g, sol)
-            assert one.value == pytest.approx(2.0 * sol.defect, abs=1e-12), name
-            assert one.min_deviation >= -1e-9, name
-            assert one.max_deviation == pytest.approx(2.0 * sol.defect, abs=1e-8), name
+            inscribed = build_report(g, sol).params_inscribed
+            assert inscribed.triple() == sol.params.scaled(math.exp(2.0 * sol.defect)).triple()
+            scan = _extrema_scan(g, inscribed, 4096)
+            assert scan.min_values.min() >= -1e-9, name
+            assert scan.max_values.max() == pytest.approx(2.0 * sol.defect, abs=1e-8), name
 
 
 class TestDistance:
