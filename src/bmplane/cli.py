@@ -126,7 +126,7 @@ def _cmd_verify(args) -> int:
 
     cert_verdict = verify_certificate(gauge, report.params_uniform, report.certificate, tol)
     defect_ok = abs(report.defect - cert_verdict.d_hat) <= max(10.0 * tol, 1e-9)
-    mismatches = report_mismatches(gauge, stored, tol)
+    mismatches = report_mismatches(gauge, stored, tol, report, cert_verdict.deviations)
     theorem = verify_theorem1(report, tol=max(tol, 1e-9))
 
     checks = [
@@ -150,7 +150,7 @@ def _cmd_render(args) -> int:
     gauge = _load_gauge(args.input)
     stored = _read_json(args.report)
     report = report_from_dict(stored)
-    mismatches = report_mismatches(gauge, stored, _RENDER_TOL)
+    mismatches = report_mismatches(gauge, stored, _RENDER_TOL, report)
     if mismatches:
         raise InputError(
             f"the report is not of this body: {', '.join(mismatches)} differ from the "

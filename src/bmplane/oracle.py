@@ -3,19 +3,33 @@
 Searches the standard ellipse chart (a, b', theta) with rho^-2 =
 a*(1 + u*cos(2*(phi-theta))), u = b'/a < 1, because that box grids cleanly.
 For fixed (u, theta) the angular profile of the deviation is shared by the
-whole a-line, so a stage costs n_theta*n_b angular scans plus a cheap
-combine over the a grid.  The scans are log-free: log is monotone, so the
-phi extremes of f + 0.5*log1p(u*c) are f_c + 0.5*log of those of r2*(1 + u*c),
-with r2 = exp(2*(f - f_c)) centred on the midrange f_c of f so that it cannot
-overflow.  The stage array is laid out (a, u, theta), so its lexicographic
-minimum is a plain argmin.  Stages zoom into the incumbent to sharpen the
-resolution while keeping the total evaluation count under the cap.
+whole a-line, so a stage costs n_theta*n_b angular scans plus a search along
+each a-line.  The scans are log-free: log is monotone, so the phi extremes of
+f + 0.5*log1p(u*c) are f_c + 0.5*log of those of r2*(1 + u*c), with
+r2 = exp(2*(f - f_c)) centred on the midrange f_c of f so that it cannot
+overflow.
+
+Over a stage's window [u_lo, u_hi] x [theta_lo, theta_hi] the value of angle
+phi_j lies in [lb_j, ub_j], from the range of cos(2*(phi_j - theta)) over the
+theta interval and the sign that picks u_lo or u_hi.  An angle whose ub_j is
+below max lb is never the max there, and one whose lb_j is above min ub never
+the min, so the scan skips the angles that are neither.  The kept values are
+computed as they would be on all angles, so hmax and hmin are the same floats.
+Stages zoom into the incumbent, so the later windows keep a small share of the
+angles.
+
+Along an a-line V_i = max(hmax + s_i, -s_i - hmin), s_i = f_c + 0.5*log(a_i),
+is the larger of a nondecreasing and a nonincreasing term, so it falls and
+then rises: its first minimum is found where the terms cross, near
+s* = -(hmax + hmin)/2, and its within-margin set is an index interval.  No
+(n_a, n_b, n_theta) stage array is built.  The evaluation count stays that of
+the full grid, n_theta*n_b*(n_phi + n_a) per stage, and stages keep the total
+under the cap.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +43,7 @@ __all__ = ["OracleGrid", "OracleResult", "oracle_value", "oracle_uniform"]
 
 _PI = math.pi
 _SHRINK = 6.0  # each stage's window is this much narrower than the last
+_WINDOW_SLACK = 1e-12  # relative to max r2: rounding room in the window bound
 
 
 @dataclass(frozen=True)
@@ -79,16 +94,38 @@ def oracle_value(gauge: Gauge, params: EllipseParams, n_phi: int) -> float:
     return float(np.abs(h).max())
 
 
-def _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor=None, out=None):
-    """V[i, k, j] = max_phi |f + 0.5*log(a_i) + 0.5*log1p(u_k*c_j)|, c_j = cos(2*(phi - theta_j)).
+def _value_range(r2, phis, cos2, sin2, us, thetas):
+    """lb, ub per angle: the range of r2*(1 + u*c), c = cos(2*(phi - theta)), over
+    the window [us[0], us[-1]] x [thetas[0], thetas[-1]]."""
+    u_lo, u_hi, t_lo, t_hi = us[0], us[-1], thetas[0], thetas[-1]
+    c_first = cos2 * math.cos(2.0 * t_lo) + sin2 * math.sin(2.0 * t_lo)
+    c_last = cos2 * math.cos(2.0 * t_hi) + sin2 * math.sin(2.0 * t_hi)
+    # phi - theta sweeps [phi - t_hi, phi - t_lo]: does it pass q*pi (c = 1) or (q + 1/2)*pi (c = -1)?
+    top = _PI * np.ceil((phis - t_hi) / _PI) <= phis - t_lo
+    bottom = _PI * (np.ceil((phis - t_hi) / _PI - 0.5) + 0.5) <= phis - t_lo
+    c_hi = np.where(top, 1.0, np.maximum(c_first, c_last))
+    c_lo = np.where(bottom, -1.0, np.minimum(c_first, c_last))
+    ub = r2 * (1.0 + np.where(c_hi >= 0.0, u_hi, u_lo) * c_hi)
+    lb = r2 * (1.0 + np.where(c_lo >= 0.0, u_lo, u_hi) * c_lo)
+    return lb, ub
 
-    V is C-contiguous, axes (a, u, theta), written into ``out`` when given.
+
+def _window_angles(r2, phis, cos2, sin2, us, thetas) -> np.ndarray:
+    """Indices of the angles that can give the max or the min of r2*(1 + u*c)
+    somewhere in the window spanned by us and thetas."""
+    lb, ub = _value_range(r2, phis, cos2, sin2, us, thetas)
+    slack = _WINDOW_SLACK * float(r2.max())
+    return np.flatnonzero((ub >= lb.max() - slack) | (lb <= ub.min() + slack))
+
+
+def _stage_extremes(r2, cos2, sin2, us, thetas, executor=None) -> np.ndarray:
+    """hmax, hmin[k, j] = 0.5*log of the max, min over phi of r2*(1 + u_k*c_j),
+    c_j = cos(2*(phi - theta_j)); returned stacked, shape (2, n_b, n_theta).
+
     Per theta, (u, 1).(c_j, 1) rounds u*c_j, then 1 + u*c_j, exact for
     u*c_j <= -1/2: log1p's accuracy near u = 1.
     """
-    f_c = 0.5 * float(fvals.max() + fvals.min())
-    r2 = np.exp(2.0 * (fvals - f_c))
-    u_one, ones = np.column_stack([us, np.ones_like(us)]), np.ones_like(fvals)
+    u_one, ones = np.column_stack([us, np.ones_like(us)]), np.ones_like(r2)
 
     def theta_slice(j):
         ct = cos2 * math.cos(2.0 * thetas[j]) + sin2 * math.sin(2.0 * thetas[j])
@@ -98,35 +135,93 @@ def _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor=None, out=None):
 
     mapper = map if executor is None else executor.map
     ext = np.array(list(mapper(theta_slice, range(thetas.size))))  # (n_theta, 2, n_b)
-    hmax, hmin = 0.5 * np.log(np.ascontiguousarray(ext.transpose(1, 2, 0)))
-    v = np.empty((log_a.size,) + hmax.shape) if out is None else out
-    for i, shift in enumerate(f_c + 0.5 * log_a):  # a-line slabs stay in cache
-        np.maximum(hmax + shift, -shift - hmin, out=v[i])
-    return v
+    return 0.5 * np.log(np.ascontiguousarray(ext.transpose(1, 2, 0)))
 
 
-def _argmin_lex(v: np.ndarray) -> tuple[int, int, int]:
+def _rising(s, hmax, i):
+    return hmax + s[i]
+
+
+def _falling(s, hmin, i):
+    return -s[i] - hmin
+
+
+def _first_true(pred, guess, n: int) -> np.ndarray:
+    """Per a-line, the first index in [0, n] at which pred holds (n if none),
+    pred being False then True along the line; walks there from guess."""
+    i = np.clip(guess, 0, n)
+    while (step := (i < n) & ~pred(np.minimum(i, n - 1))).any():
+        i = i + step
+    while (step := (i > 0) & pred(np.maximum(i - 1, 0))).any():
+        i = i - step
+    return i
+
+
+def _line_minima(s, hmax, hmin):
+    """Least V on every a-line and the first a-index that reaches it."""
+    n = s.size
+    cross = _first_true(
+        lambda i: _rising(s, hmax, i) >= _falling(s, hmin, i),
+        np.searchsorted(s, -0.5 * (hmax + hmin)), n,
+    )
+    before = np.where(cross > 0, _falling(s, hmin, np.maximum(cross - 1, 0)), np.inf)
+    after = np.where(cross < n, _rising(s, hmax, np.minimum(cross, n - 1)), np.inf)
+    least = np.minimum(before, after)
+    return least, _first_true(lambda i: _falling(s, hmin, i) <= least, cross - 1, n)
+
+
+def _lex_least(values, index):
+    """(index, k, j) of the least finite value over the lines, ties to the
+    smallest (i, k, j); None when no value is finite."""
+    least = values.min()
+    if not least < math.inf:
+        return None
+    lines = np.flatnonzero(values.ravel() == least)
+    line = lines[np.argmin(index.ravel()[lines])]
+    k, j = np.unravel_index(line, values.shape)
+    return int(index.flat[line]), int(k), int(j)
+
+
+def _argmin_lex(s, hmax, hmin) -> tuple[int, int, int]:
     """Index (i, k, j) of the minimum of V, ties broken by smallest (a, u, theta)."""
-    return tuple(int(x) for x in np.unravel_index(int(np.argmin(v)), v.shape))
+    return _lex_least(*_line_minima(s, hmax, hmin))
 
 
-def _uniqueness(v, log_a, us, thetas, best_xyz, best_value, margin):
+def _uniqueness(s, hmax, hmin, log_a, us, thetas, best_xyz, best_value, margin):
     """Distances in (a2, b2, c2) to the runner-up, the least value above best_value
     + margin (ties to the smallest (a, u, theta), as in _argmin_lex), and to the
     farthest point within that margin."""
+    n, limit = s.size, best_value + margin
+    a_vals = np.array([math.exp(x) for x in log_a])  # as best_a: np.exp may round otherwise
 
     def dist(i, k, j):
-        x, y, z = _cartesian_triple(math.exp(log_a[i]), us[k], thetas[j])
+        x, y, z = _cartesian_triple(a_vals[i], us[k], thetas[j])
         return np.hypot(x - best_xyz[0], np.hypot(y - best_xyz[1], z - best_xyz[2]))
 
-    runner, runner_value, cluster_radius = None, math.inf, 0.0
-    for i in range(log_a.size):
-        outside = v[i] > best_value + margin
-        masked = np.where(outside, v[i], math.inf)
-        k, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        if masked[k, j] < runner_value:
-            runner, runner_value = (i, k, j), masked[k, j]
-        cluster_radius = max(cluster_radius, float(dist(i, *np.nonzero(~outside)).max(initial=0.0)))
+    # the within-margin a-indices of each line form [lo, hi): the falling term
+    # is within the limit from lo on, the rising term beyond it from hi on
+    lo = _first_true(lambda i: _falling(s, hmin, i) <= limit, np.searchsorted(s, -limit - hmin), n)
+    hi = _first_true(lambda i: _rising(s, hmax, i) > limit,
+                     np.searchsorted(s, limit - hmax, side="right"), n)
+    inside = lo < hi
+    # outside the interval V falls to lo - 1 and rises from hi; a line with no
+    # point inside offers its minimum
+    before = np.where(inside & (lo > 0), _falling(s, hmin, np.maximum(lo - 1, 0)), np.inf)
+    before_first = _first_true(lambda i: _falling(s, hmin, i) <= before,
+                               np.where(before < math.inf, lo - 1, 0), n)
+    after = np.where(inside & (hi < n), _rising(s, hmax, np.minimum(hi, n - 1)), np.inf)
+    least, first = _line_minima(s, hmax, hmin)
+    runner = _lex_least(
+        np.where(inside, np.minimum(before, after), least),
+        np.where(inside, np.where(before <= after, before_first, hi), first),
+    )
+
+    # every point of the intervals, one a-offset at a time: the distance is
+    # convex along a line, but its endpoints alone miss the largest rounded value
+    cluster_radius = 0.0
+    for offset in range(int((hi - lo).max(initial=0))):
+        k, j = np.nonzero(hi - lo > offset)
+        cluster_radius = max(cluster_radius, float(dist(lo[k, j] + offset, k, j).max()))
     return (math.nan if runner is None else float(dist(*runner))), cluster_radius
 
 
@@ -153,6 +248,8 @@ def oracle_uniform(
     phis = evaluation_grid(gauge, grid.n_phi)
     fvals = gauge.log_eval(phis)
     cos2, sin2 = np.cos(2.0 * phis), np.sin(2.0 * phis)
+    f_c = 0.5 * float(fvals.max() + fvals.min())
+    r2 = np.exp(2.0 * (fvals - f_c))
 
     if grid.a_range is not None:
         la_lo, la_hi = math.log(grid.a_range[0]), math.log(grid.a_range[1])
@@ -172,19 +269,24 @@ def oracle_uniform(
     t_bounds = (0.0, _PI * (1.0 - 1.0 / n_t))  # stage 1: endpoint-free period
     la_bounds = full_la
     evaluations = 0
-    global_stage = None  # stage-1 arrays, kept for the uniqueness diagnostics
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    global_stage = None  # stage-1 extremes, kept for the uniqueness diagnostics
+    executor = None
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
+        executor = ThreadPoolExecutor(max_workers=threads)
     try:
         for stage in range(grid.stages):
             log_a = np.linspace(la_bounds[0], la_bounds[1], n_a)
             us = np.linspace(u_bounds[0], u_bounds[1], n_b)
             thetas = np.linspace(t_bounds[0], t_bounds[1], n_t)
-            out = v if stage > 1 else None  # stage 1's V is kept; stages 2-4 share one
-            v = _stage_scan(fvals, cos2, sin2, log_a, us, thetas, executor, out=out)
+            keep = _window_angles(r2, phis, cos2, sin2, us, thetas)
+            hmax, hmin = _stage_extremes(r2[keep], cos2[keep], sin2[keep], us, thetas, executor)
+            s = f_c + 0.5 * log_a
             evaluations += n_t * n_b * (phis.size + n_a)
-            i, k, j = _argmin_lex(v)
+            i, k, j = _argmin_lex(s, hmax, hmin)
             if stage == 0:
-                global_stage = (v, log_a, us, thetas)
+                global_stage = (s, hmax, hmin, log_a, us, thetas)
             if stage + 1 < grid.stages:
                 # shrink each window around the incumbent; generous overlap with
                 # the previous spacing keeps diagonal valleys inside the window
@@ -204,7 +306,7 @@ def oracle_uniform(
         if executor is not None:
             executor.shutdown()
 
-    best_value = float(v[i, k, j])
+    best_value = float(max(hmax[k, j] + s[i], -s[i] - hmin[k, j]))
     best_a = math.exp(log_a[i])
     best_u = float(us[k])
     best_theta = 0.0 if best_u == 0.0 else float(np.mod(thetas[j], _PI))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -212,17 +213,13 @@ def report_from_dict(d: dict) -> SolveReport:
             psi2=float(cert_d["psi"][1]),
             residuals=tuple(float(r) for r in cert_d["residuals"]),
         )
-        t_hat = PDMatrix2.from_array(d["T_hat"])
-        t_tilde = (
-            PDMatrix2.from_array(d["T_tilde"]) if "T_tilde" in d else t_hat.inverse()
-        )
         return SolveReport(
             d2=float(d["d2"]),
             defect=float(d["defect"]),
             params_uniform=EllipseParams(*d["params_uniform"]),
             params_inscribed=EllipseParams(*d["params_inscribed"]),
-            T_hat=t_hat,
-            T_tilde=t_tilde,
+            T_hat=PDMatrix2.from_array(d["T_hat"]),
+            T_tilde=PDMatrix2.from_array(d["T_tilde"]),
             x_points=_as_points(d["x_points"], "x_points"),
             y_points=_as_points(d["y_points"], "y_points"),
             certificate=cert,
@@ -269,7 +266,13 @@ def _differs(stored, rebuilt, tol: float, floor: float) -> bool:
     return not float(np.abs(a - b).max(initial=0.0)) <= tol * scale
 
 
-def report_mismatches(gauge: Gauge, stored: dict, tol: float) -> list[str]:
+def report_mismatches(
+    gauge: Gauge,
+    stored: dict,
+    tol: float,
+    report: Optional[SolveReport] = None,
+    deviations: Optional[tuple[float, float, float, float]] = None,
+) -> list[str]:
     """The fields of a stored report that differ from its rebuild, as dotted paths.
 
     The rebuild is ``build_report`` on the body from the report's uniform
@@ -279,11 +282,16 @@ def report_mismatches(gauge: Gauge, stored: dict, tol: float) -> list[str]:
     largest magnitude of the rebuilt field (at least 1 for the scale-free
     fields); a field on one side only differs.  A rebuild that raises a
     BmplaneError is one mismatch, "rebuild", with the error.  A malformed
-    report raises InputError.
+    report raises InputError.  A caller that has already parsed ``stored``
+    (``report_from_dict``) or evaluated its deviations passes them in, and
+    neither is computed again.
     """
-    report = report_from_dict(stored)
+    if report is None:
+        report = report_from_dict(stored)
     try:
-        dev = certificate_deviations(gauge, report.params_uniform, report.certificate)
+        dev = deviations
+        if dev is None:
+            dev = certificate_deviations(gauge, report.params_uniform, report.certificate)
         cert = replace(report.certificate, residuals=tuple(v - report.defect for v in dev))
         sol = UniformSolution(report.params_uniform, report.defect, cert, SolveDiagnostics())
         rebuilt = _leaves(report_to_dict(build_report(gauge, sol)))

@@ -133,6 +133,18 @@ class TestVerify:
         bad.write_text(jsonio.dumps({"d2": 1.0}))
         assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 2
 
+    def test_report_without_t_tilde_is_malformed(self, square_body, square_solved, tmp_path, capsys):
+        rep = json.loads(square_solved.read_text())
+        del rep["T_tilde"]
+        bad = tmp_path / "no-t-tilde.json"
+        bad.write_text(jsonio.dumps(rep))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 2
+        assert main(["render", "--input", str(square_body), "--report", str(bad),
+                     "--out", str(tmp_path / "no-t-tilde.svg")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("malformed report" in line and "T_tilde" in line for line in err)
+
 
 class TestTolerances:
     @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
@@ -228,6 +240,17 @@ for body in sys.argv[1:]:
     assert main(["verify", "--input", body, "--report", report]) == 0, body
     assert main(["render", "--input", body, "--report", report, "--out", body + ".svg"]) == 0, body
 """
+
+
+class TestImports:
+    def test_cli_leaves_out_the_thread_pool(self):
+        # only a threaded oracle run imports concurrent.futures
+        src = str(Path(bmplane.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = "import sys, bmplane.cli; sys.exit('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestWithoutScipy:

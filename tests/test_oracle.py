@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bmplane import oracle
-from bmplane.ellipse import EllipseParams
+from bmplane.ellipse import EllipseParams, StdEllipseParams
 from bmplane.errors import EmptyGrid
 from bmplane.gauge import circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge
-from bmplane.oracle import OracleGrid, _argmin_lex, _uniqueness, oracle_uniform, oracle_value
+from bmplane.oracle import OracleGrid, OracleResult, _argmin_lex, _uniqueness, oracle_uniform, oracle_value
 
 import bodies
 
@@ -34,6 +35,125 @@ def _stage_scan_log1p(fvals, cos2, sin2, log_a, us, thetas, executor=None):
     else:
         slices = list(executor.map(theta_slice, range(thetas.size)))
     return np.stack(slices, axis=0)
+
+
+# -- the dense reference: every stage fills the whole (a, u, theta) array V,
+# scans every angle, and takes the minimum and the uniqueness diagnostics from V
+
+
+def _dense_stage_scan(fvals, cos2, sin2, log_a, us, thetas):
+    """V[i, k, j] = max_phi |f + 0.5*log(a_i) + 0.5*log1p(u_k*c_j)|, c_j = cos(2*(phi - theta_j)),
+    C-contiguous, axes (a, u, theta), from the log-free scan of every angle."""
+    f_c = 0.5 * float(fvals.max() + fvals.min())
+    r2 = np.exp(2.0 * (fvals - f_c))
+    u_one, ones = np.column_stack([us, np.ones_like(us)]), np.ones_like(fvals)
+
+    def theta_slice(j):
+        ct = cos2 * math.cos(2.0 * thetas[j]) + sin2 * math.sin(2.0 * thetas[j])
+        m = u_one @ np.array([ct, ones])
+        m *= r2
+        return m.max(axis=1), m.min(axis=1)
+
+    ext = np.array([theta_slice(j) for j in range(thetas.size)])  # (n_theta, 2, n_b)
+    hmax, hmin = 0.5 * np.log(np.ascontiguousarray(ext.transpose(1, 2, 0)))
+    v = np.empty((log_a.size,) + hmax.shape)
+    for i, shift in enumerate(f_c + 0.5 * log_a):
+        np.maximum(hmax + shift, -shift - hmin, out=v[i])
+    return v
+
+
+def _dense_argmin_lex(v):
+    return tuple(int(x) for x in np.unravel_index(int(np.argmin(v)), v.shape))
+
+
+def _dense_uniqueness(v, log_a, us, thetas, best_xyz, best_value, margin):
+    def dist(i, k, j):
+        x, y, z = oracle._cartesian_triple(math.exp(log_a[i]), us[k], thetas[j])
+        return np.hypot(x - best_xyz[0], np.hypot(y - best_xyz[1], z - best_xyz[2]))
+
+    runner, runner_value, cluster_radius = None, math.inf, 0.0
+    for i in range(log_a.size):
+        outside = v[i] > best_value + margin
+        masked = np.where(outside, v[i], math.inf)
+        k, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+        if masked[k, j] < runner_value:
+            runner, runner_value = (i, k, j), masked[k, j]
+        cluster_radius = max(cluster_radius, float(dist(i, *np.nonzero(~outside)).max(initial=0.0)))
+    return (math.nan if runner is None else float(dist(*runner))), cluster_radius
+
+
+def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
+    """oracle_uniform's search, unthreaded, on the dense stage array V made by ``scan``."""
+    phis = evaluation_grid(gauge, grid.n_phi)
+    fvals = gauge.log_eval(phis)
+    cos2, sin2 = np.cos(2.0 * phis), np.sin(2.0 * phis)
+    if grid.a_range is not None:
+        la_lo, la_hi = math.log(grid.a_range[0]), math.log(grid.a_range[1])
+    else:
+        pad = 0.5 * float(fvals.max() - fvals.min()) + 1e-9
+        la_lo = -2.0 * (float(fvals.max()) + pad)
+        la_hi = -2.0 * (float(fvals.min()) - pad)
+    full_la = (la_lo, la_hi)
+    n_a, n_b, n_t = grid.n_a, grid.n_b, grid.n_theta
+    while grid.stages * n_t * n_b * (phis.size + n_a) > grid.eval_cap and max(n_a, n_b, n_t) > 8:
+        n_a, n_b, n_t = max(8, int(n_a * 0.9)), max(8, int(n_b * 0.9)), max(8, int(n_t * 0.9))
+
+    u_bounds, t_bounds, la_bounds = (0.0, 1.0 - 1e-6), (0.0, math.pi * (1.0 - 1.0 / n_t)), full_la
+    evaluations = 0
+    for stage in range(grid.stages):
+        log_a = np.linspace(la_bounds[0], la_bounds[1], n_a)
+        us = np.linspace(u_bounds[0], u_bounds[1], n_b)
+        thetas = np.linspace(t_bounds[0], t_bounds[1], n_t)
+        v = scan(fvals, cos2, sin2, log_a, us, thetas)
+        evaluations += n_t * n_b * (phis.size + n_a)
+        i, k, j = _dense_argmin_lex(v)
+        if stage == 0:
+            global_stage = (v, log_a, us, thetas)
+        half_la = 0.5 * (la_bounds[1] - la_bounds[0]) / oracle._SHRINK
+        half_u = 0.5 * (u_bounds[1] - u_bounds[0]) / oracle._SHRINK
+        half_t = 0.5 * (t_bounds[1] - t_bounds[0]) / oracle._SHRINK
+        la_bounds = (max(full_la[0], log_a[i] - half_la), min(full_la[1], log_a[i] + half_la))
+        u_bounds = (max(0.0, us[k] - half_u), min(1.0 - 1e-6, us[k] + half_u))
+        t_bounds = (thetas[j] - half_t, thetas[j] + half_t)
+
+    best_value = float(v[i, k, j])
+    best_a, best_u = math.exp(log_a[i]), float(us[k])
+    best_theta = 0.0 if best_u == 0.0 else float(np.mod(thetas[j], math.pi))
+    best_xyz = oracle._cartesian_triple(best_a, best_u, thetas[j])
+    diagnostics = _dense_uniqueness(*global_stage, best_xyz, best_value, grid.value_margin)
+    return OracleResult(StdEllipseParams(best_a, best_u * best_a, best_theta), best_value,
+                        *diagnostics, evaluations)
+
+
+def _bits(result):
+    """Every OracleResult field, floats as their exact hex form (-0.0 and nan included)."""
+    fields = (result.std.a, result.std.bprime, result.std.theta, result.value,
+              result.runner_up_distance, result.cluster_radius)
+    return tuple(float(x).hex() for x in fields) + (result.evaluations,)
+
+
+def _bench_style_bodies(seed: int) -> dict:
+    """Bodies with a closed-form d2, some fixed, some seeded, as the oracle benchmark draws them."""
+    rng = np.random.default_rng([seed, 3])
+    p, a2 = rng.uniform(1.2, 4.0), rng.uniform(0.5, 2.0)
+    r, t = a2 * rng.uniform(0.1, 0.3), rng.uniform(0.0, 2.0 * math.pi)
+    square = bodies.regular_polygon(4, rng.uniform(0.5, 2.0), rng.uniform(0.0, math.pi))
+    hexagon = bodies.regular_polygon(6, rng.uniform(0.5, 2.0), rng.uniform(0.0, math.pi))
+    return {
+        "circle": circle_gauge(),
+        "square": lp_gauge(math.inf),
+        "ellipse": ellipse_gauge(EllipseParams(1.0, 0.2, 0.1)),
+        "l3": lp_gauge(3.0),
+        "lp_seeded": lp_gauge(p),
+        "ellipse_seeded": ellipse_gauge(EllipseParams(a2, r * math.cos(t), r * math.sin(t))),
+        "square_turned": polygon_gauge(square),
+        "hexagon_turned": polygon_gauge(hexagon),
+    }
+
+
+def _stars(n: int) -> dict:
+    rng = np.random.default_rng(4242)
+    return {f"star{i}": polygon_gauge(bodies.random_star_polygon(rng)) for i in range(n)}
 
 
 class TestOracleValue:
@@ -146,72 +266,168 @@ class TestOracleUniform:
 
 
 class TestLogFreeScan:
-    """The log-free (a, u, theta) stage scan against the log1p (theta, u, a) reference."""
+    """The log-free scan against the log1p (theta, u, a) reference."""
 
     GRID = OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512)
 
-    def test_matches_log1p_scan(self, corpus, monkeypatch):
-        rng = np.random.default_rng(4242)
-        stars = {f"star{n}": polygon_gauge(bodies.random_star_polygon(rng)) for n in range(10)}
-        log_free_scan = oracle._stage_scan
+    def test_matches_log1p_scan(self, corpus):
         stages = []
 
-        def reference(*args, out=None):
-            # the oracle passes a spent stage array as ``out``; the reference returns its own
+        def log1p_scan(*args):
             ref = _stage_scan_log1p(*args).transpose(2, 1, 0)
-            new = log_free_scan(*args)
-            assert new.flags.c_contiguous
-            stages.append(float(np.abs(new - ref).max()))
+            stages.append(float(np.abs(_dense_stage_scan(*args) - ref).max()))
             return ref
 
-        for name, g in {**corpus, **stars}.items():
+        for name, g in {**corpus, **_stars(10)}.items():
             res = oracle_uniform(g, self.GRID)
-            with monkeypatch.context() as mp:
-                mp.setattr(oracle, "_stage_scan", reference)
-                ref = oracle_uniform(g, self.GRID)
+            ref = _dense_oracle_uniform(g, self.GRID, scan=log1p_scan)
             assert abs(res.value - ref.value) <= 1e-14, (name, res.value, ref.value)
             assert res.evaluations == ref.evaluations, name
         assert len(stages) == 20 * self.GRID.stages
         assert max(stages) <= 1e-13
 
-    def test_out_buffer_is_filled_in_place(self, corpus):
-        g = corpus["star"]
-        phis = evaluation_grid(g, 256)
-        args = (g.log_eval(phis), np.cos(2.0 * phis), np.sin(2.0 * phis),
-                np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 0.9, 10), np.linspace(0.0, 3.0, 11))
-        fresh = oracle._stage_scan(*args)
-        buf = np.full_like(fresh, np.nan)
-        assert oracle._stage_scan(*args, out=buf) is buf
-        assert np.array_equal(buf, fresh)
+
+class TestDenseReference:
+    """Every OracleResult field is the dense reference's, bit for bit."""
+
+    GRIDS = {
+        "default": (OracleGrid(), 1),
+        "48": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512), 1),
+        "48-threads": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512), 3),
+        "one-stage": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512, stages=1), 1),
+        "a-range": (OracleGrid(n_a=40, n_b=32, n_theta=36, n_phi=256, a_range=(0.3, 3.0)), 1),
+        "eval-cap": (OracleGrid(n_a=64, n_b=64, n_theta=64, n_phi=256, eval_cap=2e6), 1),
+    }
+
+    @pytest.mark.parametrize("grid_name", list(GRIDS))
+    def test_bitwise_equal(self, corpus, grid_name):
+        grid, threads = self.GRIDS[grid_name]
+        cases = {f"bench-{k}": g for k, g in _bench_style_bodies(7).items()}
+        # the default grid costs 0.3 s a body and threads add overhead: the bench bodies carry those
+        if grid_name not in ("default", "48-threads"):
+            cases.update({**corpus, **_stars(10)})
+        for name, g in cases.items():
+            res = oracle_uniform(g, grid, threads=threads)
+            assert _bits(res) == _bits(_dense_oracle_uniform(g, grid)), name
+        if grid_name == "eval-cap":
+            assert res.evaluations < grid.stages * 64 * 64 * (256 + 64)
+
+
+class TestWindowAngles:
+    def test_value_range_is_tight(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            phis = np.sort(rng.uniform(0.0, math.pi, 64))
+            r2 = 1.0 + 0.3 * rng.random(64)
+            width = 10.0 ** rng.uniform(-2.0, 0.3)  # up to a theta window wider than pi
+            u_mid, t_mid = rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi)
+            us = np.linspace(max(0.0, u_mid - 0.5 * width), min(1.0 - 1e-6, u_mid + 0.5 * width), 9)
+            thetas = np.linspace(t_mid - 0.5 * math.pi * width, t_mid + 0.5 * math.pi * width, 9)
+            lb, ub = oracle._value_range(r2, phis, np.cos(2.0 * phis), np.sin(2.0 * phis), us, thetas)
+            fine = np.linspace(thetas[0], thetas[-1], 1025)
+            v = r2 * (1.0 + us[:, None, None] * np.cos(2.0 * (phis - fine[:, None])))
+            assert (v >= lb - 1e-12).all() and (v <= ub + 1e-12).all()
+            assert np.abs(v.min(axis=(0, 1)) - lb).max() <= 1e-4
+            assert np.abs(v.max(axis=(0, 1)) - ub).max() <= 1e-4
+
+    def test_keeps_every_extreme(self, corpus):
+        rng = np.random.default_rng(11)
+        shares = []
+        for name, g in {**corpus, **_stars(4)}.items():
+            phis = evaluation_grid(g, 512)
+            fvals = g.log_eval(phis)
+            cos2, sin2 = np.cos(2.0 * phis), np.sin(2.0 * phis)
+            r2 = np.exp(2.0 * (fvals - 0.5 * (fvals.max() + fvals.min())))
+            for width in (1.0, 1.0 / 6, 1.0 / 36, 1.0 / 216):  # the stage windows' relative size
+                u_mid, t_mid = rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi)
+                us = np.linspace(max(0.0, u_mid - 0.5 * width), min(1.0 - 1e-6, u_mid + 0.5 * width), 12)
+                thetas = np.linspace(t_mid - 0.5 * math.pi * width, t_mid + 0.5 * math.pi * width, 12)
+                keep = oracle._window_angles(r2, phis, cos2, sin2, us, thetas)
+                extremes = np.zeros(phis.size, dtype=bool)
+                for theta in thetas:
+                    ct = cos2 * math.cos(2.0 * theta) + sin2 * math.sin(2.0 * theta)
+                    m = r2 * (1.0 + us[:, None] * ct)
+                    extremes |= (m == m.max(axis=1, keepdims=True)).any(axis=0)
+                    extremes |= (m == m.min(axis=1, keepdims=True)).any(axis=0)
+                missed = np.setdiff1d(np.flatnonzero(extremes), keep)
+                assert missed.size == 0, (name, width, missed)
+                if width < 0.1:
+                    shares.append(keep.size / phis.size)
+        assert np.mean(shares) < 0.25  # narrow windows skip most angles
+
+
+class TestMemory:
+    def test_square_peak_stays_small(self):
+        g = lp_gauge(math.inf)
+        tracemalloc.start()
+        try:
+            oracle_uniform(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # a (128, 128, 128) stage array alone is 16 MiB
+
+
+def _dense_v(s, hmax, hmin):
+    return np.maximum(hmax[None] + s[:, None, None], -s[:, None, None] - hmin[None])
 
 
 class TestTieRule:
     """Exact ties resolve to the smallest (a, u, theta) index, in the minimum and the runner-up."""
 
     TIES = [(3, 0, 0), (2, 4, 1), (2, 1, 6), (2, 1, 5), (4, 5, 6)]  # smallest: (2, 1, 5)
+    S = np.arange(5.0) - 2.0  # s_i along every a-line
+    LOG_A = np.linspace(-0.5, 0.5, 5)
+    US = np.linspace(0.0, 0.9, 6)
+    THETAS = np.linspace(0.0, 3.0, 7)
+
+    def _lines(self, minima, plateau=()):
+        """hmax, hmin of (6, 7) lines: V_i = w + |s_i - s_m| on the line (k, j) of (m, k, j) -> w
+        in minima, and 1 + |s_i - s_0| elsewhere; a line in plateau also takes w at m + 1."""
+        hmax, hmin = np.full((6, 7), 1.0 - self.S[0]), np.full((6, 7), -1.0 - self.S[0])
+        for (m, k, j), w in minima.items():
+            hmax[k, j] = w - self.S[m + 1 if (k, j) in plateau else m]
+            hmin[k, j] = -w - self.S[m]
+        return hmax, hmin
+
+    def _xyz(self, i, k, j):
+        a = math.exp(self.LOG_A[i])
+        bp = self.US[k] * a
+        return np.array([a, bp * math.cos(2.0 * self.THETAS[j]), bp * math.sin(2.0 * self.THETAS[j])])
 
     def test_argmin_lex(self):
-        v = np.ones((5, 6, 7))
-        for idx in self.TIES:
-            v[idx] = 0.25
-        assert _argmin_lex(v) == (2, 1, 5)
+        # line (1, 5) reaches 0.25 at a-index 2 and again at 3: its first minimum wins
+        hmax, hmin = self._lines({idx: 0.25 for idx in self.TIES}, plateau=[(1, 5)])
+        v = _dense_v(self.S, hmax, hmin)
+        assert v[3, 1, 5] == v[2, 1, 5] == v.min()
+        assert _argmin_lex(self.S, hmax, hmin) == _dense_argmin_lex(v) == (2, 1, 5)
 
     def test_runner_up(self):
-        log_a = np.linspace(-0.5, 0.5, 5)
-        us = np.linspace(0.0, 0.9, 6)
-        thetas = np.linspace(0.0, 3.0, 7)
+        minima = {(0, 2, 3): 0.0, (1, 3, 2): 0.0, **{idx: 0.5 for idx in self.TIES}}
+        hmax, hmin = self._lines(minima, plateau=[(1, 5)])
+        best = self._xyz(0, 2, 3)
+        args = (self.LOG_A, self.US, self.THETAS, best, 0.0, 0.1)
+        runner_dist, cluster_radius = _uniqueness(self.S, hmax, hmin, *args)
+        assert len({round(float(np.linalg.norm(self._xyz(*t) - best)), 12) for t in self.TIES}) == 5
+        assert runner_dist == pytest.approx(np.linalg.norm(self._xyz(2, 1, 5) - best), rel=1e-14)
+        assert cluster_radius == pytest.approx(np.linalg.norm(self._xyz(1, 3, 2) - best), rel=1e-14)
+        dense = _dense_uniqueness(_dense_v(self.S, hmax, hmin), *args)
+        assert (runner_dist, cluster_radius) == dense
 
-        def xyz(i, k, j):
-            a = math.exp(log_a[i])
-            bp = us[k] * a
-            return np.array([a, bp * math.cos(2.0 * thetas[j]), bp * math.sin(2.0 * thetas[j])])
-
-        v = np.ones((5, 6, 7))
-        v[0, 2, 3] = v[1, 3, 2] = 0.0  # the cluster within the margin
-        for idx in self.TIES:
-            v[idx] = 0.5
-        best = xyz(0, 2, 3)
-        runner_dist, cluster_radius = _uniqueness(v, log_a, us, thetas, best, 0.0, 0.1)
-        assert len({round(float(np.linalg.norm(xyz(*t) - best)), 12) for t in self.TIES}) == 5
-        assert runner_dist == pytest.approx(np.linalg.norm(xyz(2, 1, 5) - best), rel=1e-14)
-        assert cluster_radius == pytest.approx(np.linalg.norm(xyz(1, 3, 2) - best), rel=1e-14)
+    @pytest.mark.parametrize("margin", [0.0, 0.25, 0.75, 100.0])
+    def test_quarter_grid_ties_match_dense(self, margin):
+        # values on a quarter grid: ties within lines, across lines and at the margin
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            s = np.sort(0.25 * rng.integers(-4, 5, 9))  # repeats: as a-values closer than an ulp give
+            hmax = 0.25 * rng.integers(-6, 6, (6, 7))
+            hmin = hmax - 0.25 * rng.integers(0, 8, (6, 7))
+            v = _dense_v(s, hmax, hmin)
+            i, k, j = _argmin_lex(s, hmax, hmin)
+            assert (i, k, j) == _dense_argmin_lex(v)
+            log_a = np.linspace(-0.5, 0.5, 9)
+            best = oracle._cartesian_triple(math.exp(log_a[i]), self.US[k], self.THETAS[j])
+            args = (log_a, self.US, self.THETAS, best, float(v[i, k, j]), margin)
+            got = _uniqueness(s, hmax, hmin, *args)
+            want = _dense_uniqueness(v, *args)
+            assert [x.hex() for x in got] == [x.hex() for x in want]

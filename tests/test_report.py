@@ -16,7 +16,7 @@ from bmplane.report import (
     report_to_dict,
     verify_theorem1,
 )
-from bmplane.solver import solve_uniform
+from bmplane.solver import certificate_deviations, solve_uniform
 
 import bodies
 
@@ -151,6 +151,14 @@ class TestSerialization:
         with pytest.raises(InputError):
             report_from_dict(bad)
 
+    def test_missing_t_tilde_is_malformed(self, square_report, square_gauge):
+        bad = report_to_dict(square_report)
+        del bad["T_tilde"]
+        with pytest.raises(InputError, match="T_tilde"):
+            report_from_dict(bad)
+        with pytest.raises(InputError, match="T_tilde"):
+            report_mismatches(square_gauge, bad, 1e-6)
+
 
 class TestReportMismatches:
     def test_corpus_rebuilds_to_rounding(self, solved_corpus):
@@ -171,9 +179,17 @@ class TestReportMismatches:
     def test_fields_on_one_side_only_differ(self, square_report, square_gauge):
         stored = report_to_dict(square_report)
         stored["diagnostics"] = {**stored["diagnostics"], "one_sided_value": 2 * stored["defect"]}
-        del stored["T_tilde"]
+        del stored["diagnostics"]["cone_margins"]
         assert report_mismatches(square_gauge, stored, 1e-6) == [
-            "T_tilde", "diagnostics.one_sided_value"]
+            "diagnostics.cone_margins", "diagnostics.one_sided_value"]
+
+    def test_given_parse_and_deviations_are_used(self, square_report, square_gauge):
+        stored = report_to_dict(square_report)
+        dev = tuple(v + 1e-3 for v in certificate_deviations(
+            square_gauge, square_report.params_uniform, square_report.certificate))
+        assert report_mismatches(square_gauge, stored, 1e-6, square_report) == []
+        assert report_mismatches(square_gauge, stored, 1e-6, square_report, dev) == [
+            "certificate.residuals"]
 
     def test_failed_rebuild_is_a_mismatch(self, square_report, square_gauge):
         stored = report_to_dict(square_report)
