@@ -91,7 +91,6 @@ def _oracle_grid(args) -> OracleGrid:
             n_phi=args.nphi,
             a_range=None if args.a_min is None else (args.a_min, args.a_max),
             stages=args.stages,
-            value_margin=args.value_margin,
         )
     except EmptyGrid as exc:
         raise InputError(str(exc)) from exc
@@ -101,14 +100,11 @@ def _cmd_oracle(args) -> int:
     gauge = _load_gauge(args.input)
     grid = _oracle_grid(args)
     result = oracle_uniform(gauge, grid, threads=args.threads)
-    runner = result.runner_up_distance
     payload = {
         "std": {"a": result.std.a, "bprime": result.std.bprime, "theta": result.std.theta},
         "params": list(result.params.triple()),
         "value": result.value,
         "d2": math.exp(2.0 * result.value),
-        "runner_up_distance": runner if math.isfinite(runner) else None,
-        "cluster_radius": result.cluster_radius,
         "evaluations": result.evaluations,
     }
     _write_text(args.out, jsonio.dumps(payload))
@@ -189,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--a-min", type=float, default=None)
     oracle.add_argument("--a-max", type=float, default=None)
     oracle.add_argument("--stages", type=int, default=4)
-    oracle.add_argument("--value-margin", type=float, default=1e-3,
-                        help="value neighborhood for the uniqueness diagnostics")
     oracle.add_argument("--threads", type=int, default=1)
 
     verify = sub.add_parser("verify", help="re-check a report against its body")

@@ -68,7 +68,8 @@ class ConeViolation(BmplaneError):
 # -- oracle ------------------------------------------------------------------
 
 class EmptyGrid(BmplaneError):
-    """Oracle search grid has no admissible parameter triple."""
+    """Oracle grid settings out of range: a resolution below 8, stages below 1,
+    or an a_range that is not a positive interval."""
 
 
 # -- cli / io ----------------------------------------------------------------

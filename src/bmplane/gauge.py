@@ -13,6 +13,7 @@ family, and circles.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -350,7 +351,8 @@ def gauge_from_descriptor(d: dict) -> Gauge:
 
     Schema: {"kind": "polygon"|"lp"|"samples"|"ellipse", payload, "symmetrize"?:
     bool}.  Exactly one payload field (vertices / p / samples / params) must be
-    present and it must match the kind.
+    present and it must match the kind.  symmetrize must be a JSON boolean and
+    p a JSON number or "inf".
     """
     if not isinstance(d, dict):
         raise InputError(f"body descriptor must be an object, got {type(d).__name__}")
@@ -367,14 +369,17 @@ def gauge_from_descriptor(d: dict) -> Gauge:
             f"{_PAYLOAD_FOR_KIND[kind]!r}, got {payload_fields}"
         )
 
+    symmetrize = d.get("symmetrize", False)
+    if not isinstance(symmetrize, bool):
+        raise InputError(f"symmetrize must be true or false, got {symmetrize!r}")
     if kind == "polygon":
-        return polygon_gauge(d["vertices"], symmetrize=bool(d.get("symmetrize", False)))
+        return polygon_gauge(d["vertices"], symmetrize=symmetrize)
     if kind == "lp":
         p = d["p"]
-        if isinstance(p, str):
-            if p.lower() not in ("inf", "infinity"):
-                raise InputError(f"p must be a number or 'inf', got {p!r}")
+        if isinstance(p, str) and p.lower() in ("inf", "infinity"):
             p = math.inf
+        elif isinstance(p, bool) or not isinstance(p, Real):
+            raise InputError(f"p must be a number or 'inf', got {p!r}")
         return lp_gauge(p)
     if kind == "samples":
         return sample_gauge(d["samples"], interp=d.get("interp", "linear"))

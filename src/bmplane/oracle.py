@@ -21,10 +21,10 @@ angles.
 Along an a-line V_i = max(hmax + s_i, -s_i - hmin), s_i = f_c + 0.5*log(a_i),
 is the larger of a nondecreasing and a nonincreasing term, so it falls and
 then rises: its first minimum is found where the terms cross, near
-s* = -(hmax + hmin)/2, and its within-margin set is an index interval.  No
-(n_a, n_b, n_theta) stage array is built.  The evaluation count stays that of
-the full grid, n_theta*n_b*(n_phi + n_a) per stage, and stages keep the total
-under the cap.
+s* = -(hmax + hmin)/2.  No (n_a, n_b, n_theta) stage array is built.  The
+evaluation count stays that of the full grid, n_theta*n_b*(n_phi + n_a) per
+stage, and the resolutions are coarsened until all stages stay under
+_EVAL_CAP.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ from .ellipse import EllipseParams, StdEllipseParams
 from .errors import EmptyGrid
 from .gauge import Gauge, evaluation_grid
 
-__all__ = ["OracleGrid", "OracleResult", "oracle_value", "oracle_uniform"]
+__all__ = ["OracleGrid", "OracleResult", "oracle_uniform"]
 
 _PI = math.pi
 _SHRINK = 6.0  # each stage's window is this much narrower than the last
 _WINDOW_SLACK = 1e-12  # relative to max r2: rounding room in the window bound
+_EVAL_CAP = 1e9  # evaluations over all stages; finer grids are coarsened to fit
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,6 @@ class OracleGrid:
     n_phi: int = 1024
     a_range: Optional[tuple[float, float]] = None
     stages: int = 4
-    eval_cap: float = 1e9
-    value_margin: float = 1e-3
 
     def __post_init__(self):
         if min(self.n_a, self.n_b, self.n_theta, self.n_phi) < 8:
@@ -66,32 +65,19 @@ class OracleGrid:
             lo, hi = self.a_range
             if not (0.0 < lo < hi < math.inf):
                 raise EmptyGrid(f"a_range must be a positive interval, got {self.a_range}")
-        if self.stages < 1 or self.eval_cap <= 0.0:
-            raise EmptyGrid("stages and eval_cap must be positive")
+        if self.stages < 1:
+            raise EmptyGrid("stages must be positive")
 
 
 @dataclass(frozen=True)
 class OracleResult:
     std: StdEllipseParams
     value: float
-    runner_up_distance: float
-    cluster_radius: float
     evaluations: int
 
     @property
     def params(self) -> EllipseParams:
         return self.std.to_params()
-
-
-def oracle_value(gauge: Gauge, params: EllipseParams, n_phi: int) -> float:
-    """Grid sup of |f - g|: a lower bound on the true deviation.
-
-    Evaluates on the uniform n_phi grid merged with the gauge's kink angles,
-    so kink extrema are measured exactly.
-    """
-    grid = evaluation_grid(gauge, n_phi)
-    h = gauge.log_eval(grid) + 0.5 * np.log(params.trig(grid))
-    return float(np.abs(h).max())
 
 
 def _value_range(r2, phis, cos2, sin2, us, thetas):
@@ -170,64 +156,13 @@ def _line_minima(s, hmax, hmin):
     return least, _first_true(lambda i: _falling(s, hmin, i) <= least, cross - 1, n)
 
 
-def _lex_least(values, index):
-    """(index, k, j) of the least finite value over the lines, ties to the
-    smallest (i, k, j); None when no value is finite."""
-    least = values.min()
-    if not least < math.inf:
-        return None
-    lines = np.flatnonzero(values.ravel() == least)
+def _argmin_lex(s, hmax, hmin) -> tuple[int, int, int]:
+    """Index (i, k, j) of the minimum of V, ties broken by smallest (a, u, theta)."""
+    values, index = _line_minima(s, hmax, hmin)
+    lines = np.flatnonzero(values.ravel() == values.min())
     line = lines[np.argmin(index.ravel()[lines])]
     k, j = np.unravel_index(line, values.shape)
     return int(index.flat[line]), int(k), int(j)
-
-
-def _argmin_lex(s, hmax, hmin) -> tuple[int, int, int]:
-    """Index (i, k, j) of the minimum of V, ties broken by smallest (a, u, theta)."""
-    return _lex_least(*_line_minima(s, hmax, hmin))
-
-
-def _uniqueness(s, hmax, hmin, log_a, us, thetas, best_xyz, best_value, margin):
-    """Distances in (a2, b2, c2) to the runner-up, the least value above best_value
-    + margin (ties to the smallest (a, u, theta), as in _argmin_lex), and to the
-    farthest point within that margin."""
-    n, limit = s.size, best_value + margin
-    a_vals = np.array([math.exp(x) for x in log_a])  # as best_a: np.exp may round otherwise
-
-    def dist(i, k, j):
-        x, y, z = _cartesian_triple(a_vals[i], us[k], thetas[j])
-        return np.hypot(x - best_xyz[0], np.hypot(y - best_xyz[1], z - best_xyz[2]))
-
-    # the within-margin a-indices of each line form [lo, hi): the falling term
-    # is within the limit from lo on, the rising term beyond it from hi on
-    lo = _first_true(lambda i: _falling(s, hmin, i) <= limit, np.searchsorted(s, -limit - hmin), n)
-    hi = _first_true(lambda i: _rising(s, hmax, i) > limit,
-                     np.searchsorted(s, limit - hmax, side="right"), n)
-    inside = lo < hi
-    # outside the interval V falls to lo - 1 and rises from hi; a line with no
-    # point inside offers its minimum
-    before = np.where(inside & (lo > 0), _falling(s, hmin, np.maximum(lo - 1, 0)), np.inf)
-    before_first = _first_true(lambda i: _falling(s, hmin, i) <= before,
-                               np.where(before < math.inf, lo - 1, 0), n)
-    after = np.where(inside & (hi < n), _rising(s, hmax, np.minimum(hi, n - 1)), np.inf)
-    least, first = _line_minima(s, hmax, hmin)
-    runner = _lex_least(
-        np.where(inside, np.minimum(before, after), least),
-        np.where(inside, np.where(before <= after, before_first, hi), first),
-    )
-
-    # every point of the intervals, one a-offset at a time: the distance is
-    # convex along a line, but its endpoints alone miss the largest rounded value
-    cluster_radius = 0.0
-    for offset in range(int((hi - lo).max(initial=0))):
-        k, j = np.nonzero(hi - lo > offset)
-        cluster_radius = max(cluster_radius, float(dist(lo[k, j] + offset, k, j).max()))
-    return (math.nan if runner is None else float(dist(*runner))), cluster_radius
-
-
-def _cartesian_triple(a, u, theta):
-    bp = u * a  # (a2, b2, c2) of the chart point; broadcasts over index arrays
-    return a, bp * np.cos(2.0 * theta), bp * np.sin(2.0 * theta)
 
 
 def oracle_uniform(
@@ -236,11 +171,8 @@ def oracle_uniform(
     """Exhaustive search for the best ellipse over the (a, b', theta) grid.
 
     b' is sampled as u*a with u in [0, 1 - 1e-6], which enforces b' < a on
-    every a-line.  Returns the best triple, its grid deviation value, the
-    parameter-space distance to the best point outside a small value
-    neighborhood of the optimum, and the radius of the near-optimal cluster
-    (both measured in (a2, b2, c2) coordinates on the full-range first stage).
-    ``threads`` below 1 raises ValueError.
+    every a-line.  Returns the best grid triple, its grid deviation value and
+    the evaluation count.  ``threads`` below 1 raises ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -260,7 +192,7 @@ def oracle_uniform(
     full_la = (la_lo, la_hi)
 
     n_a, n_b, n_t = grid.n_a, grid.n_b, grid.n_theta
-    while grid.stages * n_t * n_b * (phis.size + n_a) > grid.eval_cap and max(n_a, n_b, n_t) > 8:
+    while grid.stages * n_t * n_b * (phis.size + n_a) > _EVAL_CAP and max(n_a, n_b, n_t) > 8:
         n_a = max(8, int(n_a * 0.9))
         n_b = max(8, int(n_b * 0.9))
         n_t = max(8, int(n_t * 0.9))
@@ -269,7 +201,6 @@ def oracle_uniform(
     t_bounds = (0.0, _PI * (1.0 - 1.0 / n_t))  # stage 1: endpoint-free period
     la_bounds = full_la
     evaluations = 0
-    global_stage = None  # stage-1 extremes, kept for the uniqueness diagnostics
     executor = None
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
@@ -285,8 +216,6 @@ def oracle_uniform(
             s = f_c + 0.5 * log_a
             evaluations += n_t * n_b * (phis.size + n_a)
             i, k, j = _argmin_lex(s, hmax, hmin)
-            if stage == 0:
-                global_stage = (s, hmax, hmin, log_a, us, thetas)
             if stage + 1 < grid.stages:
                 # shrink each window around the incumbent; generous overlap with
                 # the previous spacing keeps diagonal valleys inside the window
@@ -310,8 +239,5 @@ def oracle_uniform(
     best_a = math.exp(log_a[i])
     best_u = float(us[k])
     best_theta = 0.0 if best_u == 0.0 else float(np.mod(thetas[j], _PI))
-    best_xyz = _cartesian_triple(best_a, best_u, thetas[j])
-
-    diagnostics = _uniqueness(*global_stage, best_xyz, best_value, grid.value_margin)
     std = StdEllipseParams(best_a, best_u * best_a, best_theta)
-    return OracleResult(std, best_value, *diagnostics, evaluations)
+    return OracleResult(std, best_value, evaluations)

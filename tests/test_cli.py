@@ -69,6 +69,17 @@ class TestSolve:
         bad.write_text(jsonio.dumps({"kind": "polygon", "p": 2}))
         assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "symmetrize": "false"},
+        {"kind": "lp", "p": True},
+    ])
+    def test_descriptor_value_types(self, tmp_path, descriptor):
+        bad = tmp_path / "bad.json"
+        bad.write_text(jsonio.dumps(descriptor))
+        out = tmp_path / "r.json"
+        assert main(["solve", "--input", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_invalid_polygon(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(jsonio.dumps(
@@ -179,17 +190,20 @@ class TestOracleCommand:
         assert main(["oracle", "--input", str(square_body), "--out", str(out), *flags]) == 2
         assert not out.exists()
 
-    def test_degenerate_runner_up_serializes_as_null(self, tmp_path):
-        # a value margin exceeding the whole range leaves nothing outside the
-        # neighborhood: the runner-up diagnostic is undefined -> null in JSON
+    def test_output_keys(self, tmp_path):
         body = tmp_path / "circle.json"
         body.write_text(jsonio.dumps({"kind": "ellipse", "params": [1.0, 0.0, 0.0]}))
         out = tmp_path / "o.json"
         assert main(["oracle", "--input", str(body), "--out", str(out),
-                     "--na", "8", "--nb", "8", "--ntheta", "8", "--nphi", "64",
-                     "--stages", "1", "--value-margin", "100.0"]) == 0
-        res = json.loads(out.read_text())
-        assert res["runner_up_distance"] is None
+                     "--na", "8", "--nb", "8", "--ntheta", "8", "--nphi", "64", "--stages", "1"]) == 0
+        assert set(json.loads(out.read_text())) == {"std", "params", "value", "d2", "evaluations"}
+
+    def test_value_margin_is_not_an_option(self, square_body, tmp_path):
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--input", str(square_body), "--out", str(out), "--value-margin", "1"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestRenderCommand:

@@ -227,5 +227,19 @@ class TestDescriptor:
         with pytest.raises(InputError):
             gauge_from_descriptor({"kind": "ellipse", "params": [1, 0]})
 
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "symmetrize": "false"},
+        {"kind": "polygon", "vertices": [[1, 0], [0, 1]], "symmetrize": 1},
+        {"kind": "lp", "p": 2, "symmetrize": None},
+        {"kind": "lp", "p": True},
+        {"kind": "lp", "p": False},
+        {"kind": "lp", "p": None},
+        {"kind": "lp", "p": [2]},
+    ])
+    def test_json_bool_and_number_only(self, descriptor):
+        # bool("false") is True and True == 1 would read as the l1 ball
+        with pytest.raises(InputError):
+            gauge_from_descriptor(descriptor)
+
     def test_inf_spellings(self):
         assert gauge_from_descriptor({"kind": "lp", "p": "inf"}).eval(math.pi / 4) == pytest.approx(SQRT2)

@@ -8,7 +8,7 @@ from bmplane import oracle
 from bmplane.ellipse import EllipseParams, StdEllipseParams
 from bmplane.errors import EmptyGrid
 from bmplane.gauge import circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge
-from bmplane.oracle import OracleGrid, OracleResult, _argmin_lex, _uniqueness, oracle_uniform, oracle_value
+from bmplane.oracle import OracleGrid, OracleResult, _argmin_lex, oracle_uniform
 
 import bodies
 
@@ -38,7 +38,7 @@ def _stage_scan_log1p(fvals, cos2, sin2, log_a, us, thetas, executor=None):
 
 
 # -- the dense reference: every stage fills the whole (a, u, theta) array V,
-# scans every angle, and takes the minimum and the uniqueness diagnostics from V
+# scans every angle, and takes the minimum from V
 
 
 def _dense_stage_scan(fvals, cos2, sin2, log_a, us, thetas):
@@ -66,22 +66,6 @@ def _dense_argmin_lex(v):
     return tuple(int(x) for x in np.unravel_index(int(np.argmin(v)), v.shape))
 
 
-def _dense_uniqueness(v, log_a, us, thetas, best_xyz, best_value, margin):
-    def dist(i, k, j):
-        x, y, z = oracle._cartesian_triple(math.exp(log_a[i]), us[k], thetas[j])
-        return np.hypot(x - best_xyz[0], np.hypot(y - best_xyz[1], z - best_xyz[2]))
-
-    runner, runner_value, cluster_radius = None, math.inf, 0.0
-    for i in range(log_a.size):
-        outside = v[i] > best_value + margin
-        masked = np.where(outside, v[i], math.inf)
-        k, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        if masked[k, j] < runner_value:
-            runner, runner_value = (i, k, j), masked[k, j]
-        cluster_radius = max(cluster_radius, float(dist(i, *np.nonzero(~outside)).max(initial=0.0)))
-    return (math.nan if runner is None else float(dist(*runner))), cluster_radius
-
-
 def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
     """oracle_uniform's search, unthreaded, on the dense stage array V made by ``scan``."""
     phis = evaluation_grid(gauge, grid.n_phi)
@@ -95,7 +79,7 @@ def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
         la_hi = -2.0 * (float(fvals.min()) - pad)
     full_la = (la_lo, la_hi)
     n_a, n_b, n_t = grid.n_a, grid.n_b, grid.n_theta
-    while grid.stages * n_t * n_b * (phis.size + n_a) > grid.eval_cap and max(n_a, n_b, n_t) > 8:
+    while grid.stages * n_t * n_b * (phis.size + n_a) > oracle._EVAL_CAP and max(n_a, n_b, n_t) > 8:
         n_a, n_b, n_t = max(8, int(n_a * 0.9)), max(8, int(n_b * 0.9)), max(8, int(n_t * 0.9))
 
     u_bounds, t_bounds, la_bounds = (0.0, 1.0 - 1e-6), (0.0, math.pi * (1.0 - 1.0 / n_t)), full_la
@@ -107,8 +91,6 @@ def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
         v = scan(fvals, cos2, sin2, log_a, us, thetas)
         evaluations += n_t * n_b * (phis.size + n_a)
         i, k, j = _dense_argmin_lex(v)
-        if stage == 0:
-            global_stage = (v, log_a, us, thetas)
         half_la = 0.5 * (la_bounds[1] - la_bounds[0]) / oracle._SHRINK
         half_u = 0.5 * (u_bounds[1] - u_bounds[0]) / oracle._SHRINK
         half_t = 0.5 * (t_bounds[1] - t_bounds[0]) / oracle._SHRINK
@@ -119,16 +101,13 @@ def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
     best_value = float(v[i, k, j])
     best_a, best_u = math.exp(log_a[i]), float(us[k])
     best_theta = 0.0 if best_u == 0.0 else float(np.mod(thetas[j], math.pi))
-    best_xyz = oracle._cartesian_triple(best_a, best_u, thetas[j])
-    diagnostics = _dense_uniqueness(*global_stage, best_xyz, best_value, grid.value_margin)
     return OracleResult(StdEllipseParams(best_a, best_u * best_a, best_theta), best_value,
-                        *diagnostics, evaluations)
+                        evaluations)
 
 
 def _bits(result):
     """Every OracleResult field, floats as their exact hex form (-0.0 and nan included)."""
-    fields = (result.std.a, result.std.bprime, result.std.theta, result.value,
-              result.runner_up_distance, result.cluster_radius)
+    fields = (result.std.a, result.std.bprime, result.std.theta, result.value)
     return tuple(float(x).hex() for x in fields) + (result.evaluations,)
 
 
@@ -154,26 +133,6 @@ def _bench_style_bodies(seed: int) -> dict:
 def _stars(n: int) -> dict:
     rng = np.random.default_rng(4242)
     return {f"star{i}": polygon_gauge(bodies.random_star_polygon(rng)) for i in range(n)}
-
-
-class TestOracleValue:
-    def test_circle_zero(self):
-        assert oracle_value(circle_gauge(), EllipseParams(1, 0, 0), 512) == 0.0
-
-    def test_circle_offset(self):
-        v = oracle_value(circle_gauge(), EllipseParams(0.5, 0, 0), 512)
-        assert v == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
-
-    def test_square_best_circle(self):
-        v = oracle_value(lp_gauge(math.inf), EllipseParams(2.0 ** -0.5, 0, 0), 4096)
-        assert v == pytest.approx(SQUARE_DEFECT, abs=1e-6)
-
-    def test_lower_bound_of_true_sup(self):
-        g = polygon_gauge(bodies.diamond_vertices())
-        e = EllipseParams(1.1, 0.05, -0.02)
-        coarse = oracle_value(g, e, 64)
-        fine = oracle_value(g, e, 8192)
-        assert coarse <= fine + 1e-15
 
 
 class TestOracleUniform:
@@ -214,20 +173,6 @@ class TestOracleUniform:
             assert abs(res.value - sol.defect) <= 1e-4, (res.value, sol.defect)
         assert worst > 0.0  # the two routes are genuinely independent
 
-    def test_cluster_shrinks_with_margin(self):
-        g = polygon_gauge(bodies.random_convex_polygon(np.random.default_rng(9)))
-        radii = [
-            oracle_uniform(g, OracleGrid(value_margin=m)).cluster_radius
-            for m in (1e-1, 1e-2, 1e-3)
-        ]
-        assert radii[0] >= radii[1] >= radii[2]
-        assert radii[2] < 0.25
-
-    def test_runner_up_outside_neighborhood(self):
-        res = oracle_uniform(lp_gauge(math.inf))
-        assert np.isfinite(res.runner_up_distance)
-        assert res.runner_up_distance > 0.0
-
     def test_threads_deterministic(self):
         g = polygon_gauge(bodies.hexagon_inradius_1())
         grid = OracleGrid(n_a=32, n_b=32, n_theta=32, n_phi=256, stages=2)
@@ -235,18 +180,17 @@ class TestOracleUniform:
         r3 = oracle_uniform(g, grid, threads=3)
         assert r1.value == r3.value
         assert (r1.std.a, r1.std.bprime, r1.std.theta) == (r3.std.a, r3.std.bprime, r3.std.theta)
-        assert r1.runner_up_distance == r3.runner_up_distance
-        assert r1.cluster_radius == r3.cluster_radius
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_bad_thread_count(self, threads):
         with pytest.raises(ValueError, match="threads must be at least 1"):
             oracle_uniform(circle_gauge(), threads=threads)
 
-    def test_eval_cap_coarsens(self):
-        grid = OracleGrid(n_a=256, n_b=256, n_theta=256, n_phi=512, eval_cap=2e7)
+    def test_eval_cap_coarsens(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_EVAL_CAP", 2e7)
+        grid = OracleGrid(n_a=256, n_b=256, n_theta=256, n_phi=512)
         res = oracle_uniform(circle_gauge(), grid)
-        assert res.evaluations <= 2e7
+        assert res.evaluations <= 2e7 < grid.stages * 256 * 256 * (512 + 256)
         assert res.value <= 1e-3
 
     def test_grid_validation(self):
@@ -296,12 +240,14 @@ class TestDenseReference:
         "48-threads": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512), 3),
         "one-stage": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512, stages=1), 1),
         "a-range": (OracleGrid(n_a=40, n_b=32, n_theta=36, n_phi=256, a_range=(0.3, 3.0)), 1),
-        "eval-cap": (OracleGrid(n_a=64, n_b=64, n_theta=64, n_phi=256, eval_cap=2e6), 1),
+        "eval-cap": (OracleGrid(n_a=64, n_b=64, n_theta=64, n_phi=256), 1),  # under a 2e6 cap
     }
 
     @pytest.mark.parametrize("grid_name", list(GRIDS))
-    def test_bitwise_equal(self, corpus, grid_name):
+    def test_bitwise_equal(self, corpus, grid_name, monkeypatch):
         grid, threads = self.GRIDS[grid_name]
+        if grid_name == "eval-cap":
+            monkeypatch.setattr(oracle, "_EVAL_CAP", 2e6)
         cases = {f"bench-{k}": g for k, g in _bench_style_bodies(7).items()}
         # the default grid costs 0.3 s a body and threads add overhead: the bench bodies carry those
         if grid_name not in ("default", "48-threads"):
@@ -373,13 +319,10 @@ def _dense_v(s, hmax, hmin):
 
 
 class TestTieRule:
-    """Exact ties resolve to the smallest (a, u, theta) index, in the minimum and the runner-up."""
+    """Exact ties resolve to the smallest (a, u, theta) index."""
 
     TIES = [(3, 0, 0), (2, 4, 1), (2, 1, 6), (2, 1, 5), (4, 5, 6)]  # smallest: (2, 1, 5)
     S = np.arange(5.0) - 2.0  # s_i along every a-line
-    LOG_A = np.linspace(-0.5, 0.5, 5)
-    US = np.linspace(0.0, 0.9, 6)
-    THETAS = np.linspace(0.0, 3.0, 7)
 
     def _lines(self, minima, plateau=()):
         """hmax, hmin of (6, 7) lines: V_i = w + |s_i - s_m| on the line (k, j) of (m, k, j) -> w
@@ -390,11 +333,6 @@ class TestTieRule:
             hmin[k, j] = -w - self.S[m]
         return hmax, hmin
 
-    def _xyz(self, i, k, j):
-        a = math.exp(self.LOG_A[i])
-        bp = self.US[k] * a
-        return np.array([a, bp * math.cos(2.0 * self.THETAS[j]), bp * math.sin(2.0 * self.THETAS[j])])
-
     def test_argmin_lex(self):
         # line (1, 5) reaches 0.25 at a-index 2 and again at 3: its first minimum wins
         hmax, hmin = self._lines({idx: 0.25 for idx in self.TIES}, plateau=[(1, 5)])
@@ -402,32 +340,13 @@ class TestTieRule:
         assert v[3, 1, 5] == v[2, 1, 5] == v.min()
         assert _argmin_lex(self.S, hmax, hmin) == _dense_argmin_lex(v) == (2, 1, 5)
 
-    def test_runner_up(self):
-        minima = {(0, 2, 3): 0.0, (1, 3, 2): 0.0, **{idx: 0.5 for idx in self.TIES}}
-        hmax, hmin = self._lines(minima, plateau=[(1, 5)])
-        best = self._xyz(0, 2, 3)
-        args = (self.LOG_A, self.US, self.THETAS, best, 0.0, 0.1)
-        runner_dist, cluster_radius = _uniqueness(self.S, hmax, hmin, *args)
-        assert len({round(float(np.linalg.norm(self._xyz(*t) - best)), 12) for t in self.TIES}) == 5
-        assert runner_dist == pytest.approx(np.linalg.norm(self._xyz(2, 1, 5) - best), rel=1e-14)
-        assert cluster_radius == pytest.approx(np.linalg.norm(self._xyz(1, 3, 2) - best), rel=1e-14)
-        dense = _dense_uniqueness(_dense_v(self.S, hmax, hmin), *args)
-        assert (runner_dist, cluster_radius) == dense
-
-    @pytest.mark.parametrize("margin", [0.0, 0.25, 0.75, 100.0])
-    def test_quarter_grid_ties_match_dense(self, margin):
-        # values on a quarter grid: ties within lines, across lines and at the margin
+    @pytest.mark.parametrize("offset", [0.0, 0.25, 0.75, 100.0])
+    def test_quarter_grid_ties_match_dense(self, offset):
+        # values on a quarter grid, every one shifted by offset: ties within and across lines
         rng = np.random.default_rng(17)
         for _ in range(20):
             s = np.sort(0.25 * rng.integers(-4, 5, 9))  # repeats: as a-values closer than an ulp give
             hmax = 0.25 * rng.integers(-6, 6, (6, 7))
             hmin = hmax - 0.25 * rng.integers(0, 8, (6, 7))
-            v = _dense_v(s, hmax, hmin)
-            i, k, j = _argmin_lex(s, hmax, hmin)
-            assert (i, k, j) == _dense_argmin_lex(v)
-            log_a = np.linspace(-0.5, 0.5, 9)
-            best = oracle._cartesian_triple(math.exp(log_a[i]), self.US[k], self.THETAS[j])
-            args = (log_a, self.US, self.THETAS, best, float(v[i, k, j]), margin)
-            got = _uniqueness(s, hmax, hmin, *args)
-            want = _dense_uniqueness(v, *args)
-            assert [x.hex() for x in got] == [x.hex() for x in want]
+            hmax, hmin = hmax + offset, hmin - offset
+            assert _argmin_lex(s, hmax, hmin) == _dense_argmin_lex(_dense_v(s, hmax, hmin))
