@@ -44,9 +44,17 @@ _PI = math.pi
 
 
 def _reduce(phi) -> np.ndarray:
-    """Angles mod pi into [0, pi), tolerant of negatives and rounding."""
-    red = np.mod(np.asarray(phi, dtype=float), _PI)
-    return np.where(red >= _PI, 0.0, red)
+    """Angles mod pi into [0, pi), tolerant of negatives and rounding; -0.0 becomes +0.0.
+
+    Angles already in [0, pi) are that value, so only the others pay np.mod.
+    """
+    phi = np.asarray(phi, dtype=float)
+    red = np.asarray(phi + 0.0)  # +0.0 for -0.0, the value of np.mod there
+    out = ~((phi >= 0.0) & (phi < _PI))  # NaN too, which np.mod keeps
+    if out.any():
+        wrapped = np.mod(phi[out], _PI)
+        red[out] = np.where(wrapped >= _PI, 0.0, wrapped)
+    return red
 
 
 class Gauge:
@@ -191,8 +199,10 @@ class _SampleGauge(Gauge):
         x = red * self._n / _PI
         k = np.minimum(np.floor(x).astype(int), self._n - 1)
         frac = x - k
-        v = self._values
-        return v[k] * (1.0 - frac) + v[np.mod(k + 1, self._n)] * frac
+        left = self._values[k] * (1.0 - frac)
+        k += 1  # the next sample, the first after the last
+        k[k == self._n] = 0
+        return left + self._values[k] * frac
 
     def critical_angles(self) -> np.ndarray:
         return np.arange(self._n) * _PI / self._n
@@ -342,6 +352,25 @@ def circle_gauge(radius: float = 1.0) -> Gauge:
     return _EllipseGauge(EllipseParams(a2, 0.0, 0.0))
 
 
+def _number_array(payload, field: str) -> np.ndarray:
+    """A descriptor payload of nested lists of JSON numbers as a float array.
+
+    Booleans, strings and null are not numbers, and the lists must nest
+    regularly; either raises InputError.
+    """
+    stack = [payload]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, Real):
+            raise InputError(f"{field} must hold JSON numbers only, got {v!r}")
+    try:
+        return np.asarray(payload, dtype=float)
+    except (ValueError, OverflowError):
+        raise InputError(f"{field} must be a regular array of float-sized numbers") from None
+
+
 _DESCRIPTOR_KEYS = {"kind", "vertices", "p", "samples", "params", "symmetrize", "interp"}
 _PAYLOAD_FOR_KIND = {"polygon": "vertices", "lp": "p", "samples": "samples", "ellipse": "params"}
 
@@ -351,8 +380,9 @@ def gauge_from_descriptor(d: dict) -> Gauge:
 
     Schema: {"kind": "polygon"|"lp"|"samples"|"ellipse", payload, "symmetrize"?:
     bool}.  Exactly one payload field (vertices / p / samples / params) must be
-    present and it must match the kind.  symmetrize must be a JSON boolean and
-    p a JSON number or "inf".
+    present and it must match the kind.  symmetrize must be a JSON boolean, p
+    a JSON number or "inf", and vertices, samples and params (nested) lists
+    of JSON numbers.
     """
     if not isinstance(d, dict):
         raise InputError(f"body descriptor must be an object, got {type(d).__name__}")
@@ -373,7 +403,7 @@ def gauge_from_descriptor(d: dict) -> Gauge:
     if not isinstance(symmetrize, bool):
         raise InputError(f"symmetrize must be true or false, got {symmetrize!r}")
     if kind == "polygon":
-        return polygon_gauge(d["vertices"], symmetrize=symmetrize)
+        return polygon_gauge(_number_array(d["vertices"], "vertices"), symmetrize=symmetrize)
     if kind == "lp":
         p = d["p"]
         if isinstance(p, str) and p.lower() in ("inf", "infinity"):
@@ -382,11 +412,12 @@ def gauge_from_descriptor(d: dict) -> Gauge:
             raise InputError(f"p must be a number or 'inf', got {p!r}")
         return lp_gauge(p)
     if kind == "samples":
-        return sample_gauge(d["samples"], interp=d.get("interp", "linear"))
+        samples = _number_array(d["samples"], "samples")
+        return sample_gauge(samples, interp=d.get("interp", "linear"))
     params = d["params"]
     if not (isinstance(params, (list, tuple)) and len(params) == 3):
         raise InputError(f"params must be a list [a2, b2, c2], got {params!r}")
-    return ellipse_gauge(EllipseParams(*params))
+    return ellipse_gauge(EllipseParams(*_number_array(params, "params")))
 
 
 def evaluation_grid(gauge: Gauge, n: int) -> np.ndarray:

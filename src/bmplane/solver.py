@@ -14,9 +14,11 @@ the body's scale drop out.  The LP has four unknowns, and
 (1, cos 2phi, sin 2phi) is a Haar system on [0, pi), so its dual simplex is
 Stiefel's one-point exchange on four-angle alternating references, run on
 the whole grid with one 4x4 solve and one matvec per round (``linprog``).
-``solve_uniform`` runs that exchange in one loop: first on the grid, then on
-the extrema of the last triple's deviation, where its final 4x4 solve is the
-four-point equioscillation system.  The extrema come from one scan
+Each point set's cos 2phi and sin 2phi are taken once, in one table
+(``_trig_matrix``): its rows are the LP's matrix and its columns give R of
+a triple.  ``solve_uniform`` runs that exchange in one loop: first on the
+grid, then on the extrema of the last triple's deviation, where its final
+4x4 solve is the four-point equioscillation system.  The extrema come from one scan
 (``_extrema_scan``): in closed form on polygons, where f - g = 1/2 log(p'Mp)
 is convex along each edge, and refined from the grid otherwise.  The loop
 stops when the scanned sup-norm of the last triple is within 1e-12 relative
@@ -24,9 +26,10 @@ of its level on its points, the de la Vallee Poussin lower bound on the
 optimum.
 
 Optimality is certified by the optimal reference of one more exchange run,
-on the scanned extrema of the returned triple: four angles phi1 < psi1 <
-phi2 < psi2 < phi1+pi at which f - g alternately attains +d and -d, which
-suffices for global optimality and uniqueness within the ellipse family.
+on the scanned extrema of the returned triple, started from the alternation
+the scan already shows: four angles phi1 < psi1 < phi2 < psi2 < phi1+pi at
+which f - g alternately attains +d and -d, which suffices for global
+optimality and uniqueness within the ellipse family.
 The triple, d and the four angles are all that the report (``report.py``)
 is built from: the inscribed ellipse is the triple scaled by d2 = exp(2d).
 """
@@ -137,13 +140,22 @@ class CertificateVerdict:
     sup_norm: float
 
 
-def _half_log_trig(params: EllipseParams, phi):
-    """1/2 log R of the triple at phi; NoConvergence where R rounds to 0 or below."""
-    trig = np.asarray(params.trig(phi))
-    if not (trig > 0.0).all():
-        raise NoConvergence(f"R = {float(trig.min())!r} <= 0 for the triple {params.triple()}, "
+def _half_log(R: np.ndarray, params: EllipseParams) -> np.ndarray:
+    """1/2 log R of the triple; NoConvergence where R rounds to 0 or below."""
+    if not (R > 0.0).all():
+        raise NoConvergence(f"R = {float(R.min())!r} <= 0 for the triple {params.triple()}, "
                             "which is on the cone's boundary in floating point")
-    return 0.5 * np.log(trig)
+    return 0.5 * np.log(R)
+
+
+def _half_log_trig(params: EllipseParams, phi):
+    """1/2 log R of the triple at phi."""
+    return _half_log(np.asarray(params.trig(phi)), params)
+
+
+def _half_log_table(params: EllipseParams, trig: np.ndarray) -> np.ndarray:
+    """1/2 log R of the triple on a ``_trig_matrix`` table, bit for bit ``params.trig``'s R."""
+    return _half_log(params.a2 + params.b2 * trig[:, 1] + params.c2 * trig[:, 2], params)
 
 
 def _deviation_fn(gauge: Gauge, params: EllipseParams):
@@ -151,35 +163,45 @@ def _deviation_fn(gauge: Gauge, params: EllipseParams):
     return lambda phi: gauge.log_eval(phi) + _half_log_trig(params, phi)
 
 
-def _trig_matrix(grid: np.ndarray) -> np.ndarray:
-    """Rows (1, cos 2phi, sin 2phi), so that R on the grid is this times (a2, b2, c2)."""
-    return np.column_stack([np.ones(grid.size), np.cos(2.0 * grid), np.sin(2.0 * grid)])
+def _trig_matrix(points: np.ndarray) -> np.ndarray:
+    """The trig table of a point set: rows (1, cos 2phi, sin 2phi).
+
+    R on the points is this times (a2, b2, c2) for the LP, and its columns
+    give R of a triple as ``_half_log_table`` reads them.  cos and sin are
+    taken on contiguous arrays, as ``EllipseParams.trig`` takes them.
+    """
+    return np.column_stack([np.ones(points.size), np.cos(2.0 * points), np.sin(2.0 * points)])
 
 
-def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def linprog(trig: np.ndarray, w: np.ndarray, start: Optional[tuple] = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns (x, ref, sign, rounds).
 
     x is (a2, b2, c2, t), ref the final reference (four ascending grid
     indices) and sign its signs.  Stiefel's one-point exchange on the whole
-    grid, started from four angles a quarter of the grid apart with + at the
-    argmax of f.  A reference is four angles in cyclic order with alternating
+    grid.  A reference is four angles in cyclic order with alternating
     signs: R = t*w at the + angles (maxima of f - g) and R = w at the -
     angles.  It is a dual-feasible basis (the Haar property of 1, cos 2phi,
     sin 2phi), so its level t bounds the optimum from below and may be below
-    1 early on.  A round stops when v = max(w - R, R - t*w) / w is at most
-    1e-12*t on the grid, or when its worst angle is already in the
-    reference: then no exchange can move, and either t >= 1 and what is left
-    is rounding of R, or R/w lies in [t, 1], where the flipped reference
-    (returned flipped) is optimal at level 1/t with the same rescaled
-    triple.  Otherwise the worst angle replaces the reference neighbour of
-    its own sign (a dual simplex pivot).  A round depends only on its
-    reference and signs, so a repeated reference is a cycle: it raises
-    NoConvergence at once, as do a singular reference and no stop within 16
-    rounds per bit of n.
+    1 early on.  So the exchange may start from any reference: from
+    ``start`` = (ref, sign) when given, four distinct indices whose signs
+    +-1 alternate in angle order (a start changes the path, not the
+    optimum), else from four angles a quarter of the grid apart with + at
+    the argmax of f.  A round
+    stops when v = max(w - R, R - t*w) / w is at most 1e-12*t on the grid,
+    or when its worst angle is already in the reference: then no exchange
+    can move, and either t >= 1 and what is left is rounding of R, or R/w
+    lies in [t, 1], where the flipped reference (returned flipped) is
+    optimal at level 1/t with the same rescaled triple.  Otherwise the worst
+    angle replaces the reference neighbour of its own sign (a dual simplex
+    pivot).  A round depends only on its reference and signs, so a repeated
+    reference is a cycle: it raises NoConvergence at once, as do a singular
+    reference and no stop within 16 rounds per bit of n.
     """
     n = w.size
-    ref = (int(np.argmin(w)) + (n // 4) * np.arange(4)) % n
-    sign = np.array([1, -1, 1, -1])
+    if start is None:
+        start = (int(np.argmin(w)) + (n // 4) * np.arange(4)) % n, np.array([1, -1, 1, -1])
+    ref, sign = start
     t = math.nan
     cap = 16 * n.bit_length()
     seen: dict = {}
@@ -216,18 +238,19 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
 
 
-def _minimax_lp(points: np.ndarray, fvals: np.ndarray) -> tuple:
-    """Uniform best triple on the points by ``linprog``; returns (params, ref, sign, rounds).
+def _minimax_lp(trig: np.ndarray, fvals: np.ndarray, start: Optional[tuple] = None) -> tuple:
+    """Uniform best triple by ``linprog``; returns (params, ref, sign, rounds).
 
-    w = exp(-2(f - fc)) with fc the midrange of f, so the body's scale drops
+    ``trig`` is the ``_trig_matrix`` of the points and fvals f on them.  w =
+    exp(-2(f - fc)) with fc the midrange of f, so the body's scale drops
     out; the triple is rescaled by exp(-2*fc)/sqrt(t).  ref and sign are the
-    optimal reference, indices into the ascending points.  A body so small
-    that exp(-2*fc) overflows, and a triple that is not finite or leaves the
-    cone, raise NoConvergence.
+    optimal reference, indices into the ascending points; ``start`` is
+    ``linprog``'s.  A body so small that exp(-2*fc) overflows, and a triple
+    that is not finite or leaves the cone, raise NoConvergence.
     """
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
-    x, ref, sign, rounds = linprog(_trig_matrix(points), w)
+    x, ref, sign, rounds = linprog(trig, w) if start is None else linprog(trig, w, start)
     t = float(x[3])
     try:
         scale = math.exp(-2.0 * center) / math.sqrt(t) if t > 0.0 else math.nan
@@ -251,6 +274,11 @@ class _ExtremaScan:
     sup: float
 
 
+def _flat(hvals: np.ndarray) -> bool:
+    """True when h varies by less than 1e-13 on its points, as on an ellipse of the family."""
+    return float(hvals.max() - hvals.min()) < 1e-13
+
+
 def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     """All local extrema of the pi-periodic h, from its grid values and a few calls of h.
 
@@ -265,7 +293,7 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     parabola promises at most 1e-16 or the bracket is 4*eta wide; later calls
     evaluate only the open brackets.
     """
-    if float(hvals.max() - hvals.min()) < 1e-13:
+    if _flat(hvals):
         # flat deviation (body is an ellipse of the family): a single token extremum
         i = int(np.argmax(hvals))
         ang = grid[i : i + 1]
@@ -288,9 +316,13 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     near += [np.nextafter(z, t) for z, t in zip(near, (-np.inf, np.inf))]
     probes = np.concatenate([x - eta, x + eta, *near])
     yp = np.tile(sign, 6) * h(probes)
-    yl, yr, yn = yp[:m], yp[m : 2 * m], yp[2 * m :].reshape(4, m)
-    best = np.argmin(np.vstack([y, yn]), axis=0)
-    x, y = np.choose(best, [x, *near]), np.choose(best, [y, *yn])
+    yl, yr = yp[:m], yp[m : 2 * m]
+    # the best of the five floats: x, unless the best of the four next to it is lower
+    best = np.argmin(yp[2 * m :].reshape(4, m), axis=0)[None]
+    yn = np.take_along_axis(yp[2 * m :].reshape(4, m), best, axis=0)[0]
+    xn = np.take_along_axis(probes[2 * m :].reshape(4, m), best, axis=0)[0]
+    moved = yn < y
+    x, y = np.where(moved, xn, x), np.where(moved, yn, y)
     right = yr < np.minimum(y, yl)
     s = np.nonzero(right | (yl < y))[0]
     r = right[s]
@@ -353,13 +385,17 @@ def _candidate_extrema(h, max_angles: np.ndarray, min_angles: np.ndarray) -> _Ex
 
 
 def _extrema_scan(gauge: Gauge, params: EllipseParams, grid_size: int,
-                  on_grid: Optional[tuple[np.ndarray, np.ndarray]] = None) -> _ExtremaScan:
+                  on_grid: Optional[tuple] = None) -> _ExtremaScan:
     """All local extrema of h = f - g for the triple, and the sup of |h|.
 
     In closed form where the gauge has one (``Gauge.extremum_candidates``:
     polygons), with no grid; else ``_refined_extrema`` on the evaluation
-    grid of ``grid_size`` angles, or on ``on_grid`` = (grid, f on it) when
-    the caller has it already.
+    grid of ``grid_size`` angles, or on ``on_grid`` = (grid, f on it, h on
+    it or None) when the caller has them already.  Where h is flat on the
+    grid and the gauge has kinks, the grid may hold only the points where an
+    interpolant meets its data, so h is looked at between them too: at the
+    grid midpoints, one more call of h, which join the grid if h is not
+    flat there.
     """
     h = _deviation_fn(gauge, params)
     candidates = gauge.extremum_candidates(params)
@@ -367,9 +403,36 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, grid_size: int,
         return _candidate_extrema(h, *candidates)
     if on_grid is None:
         grid = evaluation_grid(gauge, grid_size)
-        on_grid = grid, gauge.log_eval(grid)
-    grid, fvals = on_grid
-    return _refined_extrema(h, grid, fvals + _half_log_trig(params, grid))
+        on_grid = grid, gauge.log_eval(grid), None
+    grid, fvals, hvals = on_grid
+    if hvals is None:
+        hvals = fvals + _half_log_trig(params, grid)
+    if _flat(hvals) and gauge.critical_angles().size:
+        mid = 0.5 * (grid + np.append(grid[1:], grid[0] + _PI))
+        hmid = h(mid)
+        if not _flat(np.append(hvals, hmid)):
+            grid = np.column_stack([grid, mid]).ravel()
+            hvals = np.column_stack([hvals, hmid]).ravel()
+    return _refined_extrema(h, grid, hvals)
+
+
+def _alternation_start(dev: np.ndarray, sign: np.ndarray, floor: float) -> Optional[tuple]:
+    """Four cyclically consecutive points of alternating sign with dev >= floor, or None.
+
+    dev is the signed deviation sign*h at points in ascending order.  Of the
+    runs of four that include the point of largest dev, the one whose least
+    dev is largest.
+    """
+    near = np.nonzero(dev >= floor)[0]
+    if near.size < 4:
+        return None
+    top = int(np.argmax(dev[near]))
+    runs = near[(top + np.arange(-3, 1)[:, None] + np.arange(4)) % near.size]
+    runs = runs[(sign[runs][:, 1:] == -sign[runs][:, :-1]).all(axis=1)]
+    if not runs.size:
+        return None
+    ref = runs[int(np.argmax(dev[runs].min(axis=1)))]
+    return ref, sign[ref]
 
 
 def _certificate_from_scan(
@@ -377,13 +440,17 @@ def _certificate_from_scan(
 ) -> AlternanceCertificate:
     """The optimal reference of ``_minimax_lp`` on the scan's extrema S, as a certificate.
 
-    f = h - 1/2 log R on S is read off the scan, with no gauge call.  The
-    reference, rotated to start at a + angle, is (phi1, psi1, phi2, psi2)
-    (psi2 may exceed pi), and its residuals are the scan's values there.  A
-    flat deviation (sup below tol: an ellipse of the family) gets the angles
-    (0, pi/4, pi/2, 3pi/4) and h there.  Raises NoAlternance when a residual
-    exceeds tol, the angles do not interleave, the scan has fewer than two
-    maxima or two minima, or the exchange on S fails.
+    f = h - 1/2 log R on S is read off the scan, with no gauge call, and R
+    off S's trig table.  The exchange starts from four cyclically
+    consecutive extrema of alternating kind within tol of the sup, one of
+    them the extremum that attains it (``_alternation_start``), and cold
+    where there are no such four.  The reference, rotated to start at a +
+    angle, is (phi1, psi1, phi2, psi2) (psi2 may exceed pi), and its
+    residuals are the scan's values there.  A flat deviation (sup below tol:
+    an ellipse of the family) gets the angles (0, pi/4, pi/2, 3pi/4) and h
+    there.  Raises NoAlternance when a residual exceeds tol, the angles do
+    not interleave, the scan has fewer than two maxima or two minima, or the
+    exchange on S fails.
     """
     if scan.sup < tol:
         angles = np.array(_CANONICAL_ANGLES)
@@ -395,8 +462,11 @@ def _certificate_from_scan(
         points, first = np.unique(
             np.concatenate([scan.max_angles, scan.min_angles]), return_index=True)
         hvals = np.concatenate([scan.max_values, scan.min_values])[first]
+        kind = np.where(first < scan.max_angles.size, 1, -1)
+        start = _alternation_start(kind * hvals, kind, scan.sup - tol)
         try:
-            _, ref, sign, _ = _minimax_lp(points, hvals - _half_log_trig(params, points))
+            trig = _trig_matrix(points)
+            _, ref, sign, _ = _minimax_lp(trig, hvals - _half_log_table(params, trig), start)
         except NoConvergence as exc:
             raise NoAlternance(f"no alternating reference in the scan's extrema: {exc}") from None
         k = int(sign[0] < 0)  # rotate the reference to start at a + angle
@@ -497,9 +567,14 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
     top = -math.inf
     for run in range(31):
         try:
-            params, _, _, rounds = _minimax_lp(points, f)
-            level = float(np.abs(f + _half_log_trig(params, points)).max())
-            scan = _extrema_scan(gauge, params, opts.grid_size, (grid, fvals))
+            trig = _trig_matrix(points)
+            params, _, _, rounds = _minimax_lp(trig, f)
+            dev = f + _half_log_table(params, trig)
+            del trig  # released before the scan's probes are evaluated
+            level = float(np.abs(dev).max())
+            # on the grid run, dev is h on the grid, which the scan refines
+            scan = _extrema_scan(gauge, params, opts.grid_size,
+                                 (grid, fvals, dev if points is grid else None))
         except NoConvergence:
             if best is None:
                 raise

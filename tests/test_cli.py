@@ -72,6 +72,10 @@ class TestSolve:
     @pytest.mark.parametrize("descriptor", [
         {"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "symmetrize": "false"},
         {"kind": "lp", "p": True},
+        {"kind": "ellipse", "params": [True, 0, 0]},
+        {"kind": "ellipse", "params": [1, "0", 0]},
+        {"kind": "samples", "samples": "abc"},
+        {"kind": "polygon", "vertices": [[1, "a"], [0, 1], [-1, 0], [0, -1]]},
     ])
     def test_descriptor_value_types(self, tmp_path, descriptor):
         bad = tmp_path / "bad.json"

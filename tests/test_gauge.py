@@ -14,6 +14,7 @@ from bmplane.errors import (
     TooFewSamples,
 )
 from bmplane.gauge import (
+    _reduce,
     circle_gauge,
     ellipse_gauge,
     evaluation_grid,
@@ -210,6 +211,28 @@ class TestGeneric:
             assert np.min(np.abs(grid - ang)) < 1e-15
 
 
+class TestReduce:
+    @staticmethod
+    def _by_mod(phi):
+        red = np.mod(np.asarray(phi, dtype=float), math.pi)
+        return np.where(red >= math.pi, 0.0, red)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, -1e-300, np.nextafter(math.pi, 0.0), math.pi, 2.0 * math.pi, 1e6, math.nan,
+        1.0, -3.0,
+    ])
+    def test_bitwise_np_mod(self, value):
+        # angles in [0, pi) skip np.mod; the result must still be its bits, +0.0 for -0.0
+        for phi in (value, np.array(value), np.array([value, 0.5, -value, 4.0])):
+            ours, ref = _reduce(phi), self._by_mod(phi)
+            assert type(ours) is type(ref) and ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes(), phi
+
+    def test_grid_is_its_own_reduction(self):
+        grid = evaluation_grid(sample_gauge(1.0 + 0.1 * np.cos(np.arange(100))), 4096)
+        assert _reduce(grid).tobytes() == self._by_mod(grid).tobytes() == grid.tobytes()
+
+
 class TestDescriptor:
     def test_roundtrip_all_kinds(self, corpus):
         phis = np.linspace(0, math.pi, 17)
@@ -238,6 +261,21 @@ class TestDescriptor:
     ])
     def test_json_bool_and_number_only(self, descriptor):
         # bool("false") is True and True == 1 would read as the l1 ball
+        with pytest.raises(InputError):
+            gauge_from_descriptor(descriptor)
+
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "ellipse", "params": [True, 0, 0]},
+        {"kind": "ellipse", "params": [1, "0", 0]},
+        {"kind": "ellipse", "params": [1, None, 0]},
+        {"kind": "samples", "samples": "abc"},
+        {"kind": "samples", "samples": [1.0] * 7 + [False]},
+        {"kind": "polygon", "vertices": [[1, "a"], [0, 1], [-1, 0], [0, -1]]},
+        {"kind": "polygon", "vertices": [[1, 0], [0], [-1, 0], [0, -1]]},
+    ], ids=["params-bool", "params-string", "params-null", "samples-string", "samples-bool",
+            "vertex-string", "vertex-ragged"])
+    def test_payloads_are_json_numbers(self, descriptor):
+        # True == 1 and float("0") == 0 would read these as the unit circle or raise ValueError
         with pytest.raises(InputError):
             gauge_from_descriptor(descriptor)
 

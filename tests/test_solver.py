@@ -28,6 +28,8 @@ from bmplane.solver import (
     _deviation_fn,
     _ExtremaScan,
     _extrema_scan,
+    _half_log_table,
+    _half_log_trig,
     _minimax_lp,
     _PI,
     _refined_extrema,
@@ -184,7 +186,7 @@ class TestExchangeLP:
                 return float(np.abs(fvals + 0.5 * np.log(p.trig(grid))).max())
 
             x, _, _, rounds = linprog(trig, w)
-            params, _, _, lp_rounds = _minimax_lp(grid, fvals)
+            params, _, _, lp_rounds = _minimax_lp(trig, fvals)
             assert lp_rounds == rounds, name
             ref, x_ref = _full_grid_minimax_lp(grid, fvals)
 
@@ -282,6 +284,18 @@ class TestExchangeLP:
         R = trig @ (x[:3] / x[3])
         assert np.where(sign > 0, R - w / x[3], R - w) == pytest.approx(np.zeros(4), abs=1e-12)
 
+    def test_start_changes_the_path_not_the_optimum(self, corpus):
+        # the optimal reference as a start settles in one round on the same bits
+        for name, g in _active_set_bodies(corpus).items():
+            grid = evaluation_grid(g, 4096)
+            fvals = g.log_eval(grid)
+            trig = _trig_matrix(grid)
+            w = np.exp(-2.0 * (fvals - 0.5 * float(fvals.max() + fvals.min())))
+            x, ref, sign, _ = linprog(trig, w)
+            warm = linprog(trig, w, (ref, sign))
+            assert warm[3] == 1, name
+            assert warm[0].tobytes() == x.tobytes() and warm[1].tolist() == ref.tolist(), name
+
 
 def _refinement_bodies(corpus) -> dict:
     """The corpus, the large-style bodies and rough linear and pchip samples."""
@@ -337,7 +351,7 @@ def _lp_triple(g):
     """(grid, f on it, the grid minimax triple)."""
     grid = evaluation_grid(g, 4096)
     fvals = g.log_eval(grid)
-    params, *_ = _minimax_lp(grid, fvals)
+    params, *_ = _minimax_lp(_trig_matrix(grid), fvals)
     return grid, fvals, params
 
 
@@ -429,6 +443,73 @@ class TestRefinement:
             assert np.all(scan.min_values[i] <= ref.min_values + 1e-14), name
             exact = bodies.polygon_deviation_sup(np.array(descriptor["vertices"]), params)
             assert scan.sup == pytest.approx(exact, rel=0.0, abs=5e-14), name
+
+
+class TestOneEvaluationPerAngle:
+    def test_trig_table_gives_params_trig_bits(self, solved_corpus):
+        # R read off the (1, cos 2phi, sin 2phi) table is the bits of EllipseParams.trig's R
+        rng = np.random.default_rng(16)
+        triples = [sol.params for _, sol in solved_corpus.values()]
+        triples += [bodies.random_incone_params(rng) for _ in range(5)]
+        for g, _ in solved_corpus.values():
+            grid = evaluation_grid(g, 4096)
+            trig = _trig_matrix(grid)
+            for p in triples:
+                assert _half_log_table(p, trig).tobytes() == _half_log_trig(p, grid).tobytes()
+
+    def test_warm_certificate_matches_cold(self, monkeypatch, corpus):
+        # the start changes the exchange's path, not its optimum: the certificate is the cold
+        # one unless more than four extrema alternate within cert_tol, and then no worse
+        import bmplane.solver as solver_mod
+
+        tol = SolverOptions().cert_tol
+        rng = np.random.default_rng(7001)
+        tied = []
+        for name, g in {
+            **_active_set_bodies(corpus),
+            "regular-2000": polygon_gauge(bodies.regular_polygon(2000)),
+            "rough-8192": sample_gauge(1.0 + 0.2 * rng.random(8192)),
+        }.items():
+            sol = solve_uniform(g)
+            scan = _extrema_scan(g, sol.params, 4096)
+            warm = _certificate_from_scan(g, sol.params, scan, tol)
+            assert warm == sol.certificate, name
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "_alternation_start", lambda *args: None)
+                cold = _certificate_from_scan(g, sol.params, scan, tol)
+            values = np.concatenate([scan.max_values, -scan.min_values])
+            if np.count_nonzero(values >= scan.sup - tol) <= 4 or scan.sup < tol:
+                assert warm == cold, name
+            else:
+                tied.append(name)
+                assert max(map(abs, warm.residuals)) <= max(map(abs, cold.residuals)), name
+        assert set(tied) >= {"hexagon", "regular-2000"}
+
+    @pytest.mark.parametrize("n", [4096, 8192])
+    def test_certificate_exchange_rounds_on_rough_samples(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        assert self._certificate_rounds(monkeypatch, sample_gauge(1.0 + 0.2 * rng.random(n))) <= 2
+
+    def test_certificate_exchange_rounds_on_a_star(self, monkeypatch):
+        g = polygon_gauge(bodies.jittered_star_polygon(np.random.default_rng(2000), 1000))
+        assert self._certificate_rounds(monkeypatch, g) <= 2
+
+    @staticmethod
+    def _certificate_rounds(monkeypatch, g) -> int:
+        """Exchange rounds of the last linprog call of a solve: the certificate's."""
+        import bmplane.solver as solver_mod
+
+        rounds, lp = [], solver_mod.linprog
+
+        def counted(*args):
+            out = lp(*args)
+            rounds.append(out[3])
+            return out
+
+        monkeypatch.setattr(solver_mod, "linprog", counted)
+        sol = solve_uniform(g)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+        return rounds[-1]
 
 
 class TestFeasibleAt:
@@ -661,6 +742,33 @@ class TestSolveUniform:
         g = sample_gauge(1.0 + 0.2 * rng.random(4096))
         sol = solve_uniform(g)
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+
+    @staticmethod
+    def _linear_ellipse_samples(n: int, ratio: float = 10.0):
+        phi = np.arange(n) * math.pi / n
+        return sample_gauge(1.0 / np.hypot(np.cos(phi), ratio * np.sin(phi)))
+
+    def test_samples_on_every_grid_angle_are_not_flat(self):
+        # 4096 linear samples of a 10:1 ellipse: on the grid h sees only the samples, where the
+        # interpolant meets the ellipse, but between them h reaches 7.3e-6 for its triple
+        g = self._linear_ellipse_samples(4096)
+        ellipse = EllipseParams(50.5, -49.5, 0.0)  # 1/r^2 = cos^2 + 100 sin^2
+        cert = AlternanceCertificate(0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi,
+                                     (0.0, 0.0, 0.0, 0.0))
+        verdict = verify_certificate(g, ellipse, cert, 1e-8)
+        assert not verdict.passed and verdict.sup_norm > 7e-6
+        try:
+            sol = solve_uniform(g)
+        except BmplaneError:
+            return
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-8, grid_size=2**16).passed
+
+    def test_coarse_interpolating_samples_keep_their_answer(self):
+        # at 1024 samples the grid sees h between them, and the flat test never triggers
+        g = self._linear_ellipse_samples(1024)
+        sol = solve_uniform(g)
+        assert sol.defect == pytest.approx(5.818513023165131e-05, rel=1e-12, abs=0.0)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-8, grid_size=2**16).passed
 
     def test_deterministic(self):
         a = solve_uniform(lp_gauge(1.0))
