@@ -378,11 +378,12 @@ _PAYLOAD_FOR_KIND = {"polygon": "vertices", "lp": "p", "samples": "samples", "el
 def gauge_from_descriptor(d: dict) -> Gauge:
     """Build a gauge from the JSON body descriptor.
 
-    Schema: {"kind": "polygon"|"lp"|"samples"|"ellipse", payload, "symmetrize"?:
-    bool}.  Exactly one payload field (vertices / p / samples / params) must be
-    present and it must match the kind.  symmetrize must be a JSON boolean, p
-    a JSON number or "inf", and vertices, samples and params (nested) lists
-    of JSON numbers.
+    Schema: {"kind": "polygon"|"lp"|"samples"|"ellipse", payload,
+    "symmetrize"?: bool (polygon only), "interp"?: str (samples only)}.
+    Exactly one payload field (vertices / p / samples / params) must be
+    present and it must match the kind; symmetrize or interp on another kind
+    is an error.  symmetrize must be a JSON boolean, p a JSON number or
+    "inf", and vertices, samples and params (nested) lists of JSON numbers.
     """
     if not isinstance(d, dict):
         raise InputError(f"body descriptor must be an object, got {type(d).__name__}")
@@ -399,10 +400,13 @@ def gauge_from_descriptor(d: dict) -> Gauge:
             f"{_PAYLOAD_FOR_KIND[kind]!r}, got {payload_fields}"
         )
 
-    symmetrize = d.get("symmetrize", False)
-    if not isinstance(symmetrize, bool):
-        raise InputError(f"symmetrize must be true or false, got {symmetrize!r}")
+    for key, owner in (("symmetrize", "polygon"), ("interp", "samples")):
+        if key in d and kind != owner:
+            raise InputError(f"{key!r} applies to kind {owner!r} only, not {kind!r}")
     if kind == "polygon":
+        symmetrize = d.get("symmetrize", False)
+        if not isinstance(symmetrize, bool):
+            raise InputError(f"symmetrize must be true or false, got {symmetrize!r}")
         return polygon_gauge(_number_array(d["vertices"], "vertices"), symmetrize=symmetrize)
     if kind == "lp":
         p = d["p"]

@@ -25,11 +25,11 @@ stops when the scanned sup-norm of the last triple is within 1e-12 relative
 of its level on its points, the de la Vallee Poussin lower bound on the
 optimum.
 
-Optimality is certified by the optimal reference of one more exchange run,
-on the scanned extrema of the returned triple, started from the alternation
-the scan already shows: four angles phi1 < psi1 < phi2 < psi2 < phi1+pi at
-which f - g alternately attains +d and -d, which suffices for global
-optimality and uniqueness within the ellipse family.
+Optimality is certified by an alternation read off the returned triple's
+scan (``_alternation``), with no further exchange: four consecutive extrema
+phi1 < psi1 < phi2 < psi2 < phi1+pi at which f - g alternately attains +d
+and -d, to within ``cert_tol``, which suffices for global optimality and
+uniqueness within the ellipse family.
 The triple, d and the four angles are all that the report (``report.py``)
 is built from: the inscribed ellipse is the triple scaled by d2 = exp(2d).
 """
@@ -173,25 +173,19 @@ def _trig_matrix(points: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(points.size), np.cos(2.0 * points), np.sin(2.0 * points)])
 
 
-def linprog(trig: np.ndarray, w: np.ndarray, start: Optional[tuple] = None
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns (x, ref, sign, rounds).
+def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns (x, rounds).
 
-    x is (a2, b2, c2, t), ref the final reference (four ascending grid
-    indices) and sign its signs.  Stiefel's one-point exchange on the whole
-    grid.  A reference is four angles in cyclic order with alternating
-    signs: R = t*w at the + angles (maxima of f - g) and R = w at the -
-    angles.  It is a dual-feasible basis (the Haar property of 1, cos 2phi,
-    sin 2phi), so its level t bounds the optimum from below and may be below
-    1 early on.  So the exchange may start from any reference: from
-    ``start`` = (ref, sign) when given, four distinct indices whose signs
-    +-1 alternate in angle order (a start changes the path, not the
-    optimum), else from four angles a quarter of the grid apart with + at
-    the argmax of f.  A round
-    stops when v = max(w - R, R - t*w) / w is at most 1e-12*t on the grid,
-    or when its worst angle is already in the reference: then no exchange
-    can move, and either t >= 1 and what is left is rounding of R, or R/w
-    lies in [t, 1], where the flipped reference (returned flipped) is
+    x is (a2, b2, c2, t).  Stiefel's one-point exchange on the whole grid.  A
+    reference is four angles in cyclic order with alternating signs: R = t*w
+    at the + angles (maxima of f - g) and R = w at the - angles.  It is a
+    dual-feasible basis (the Haar property of 1, cos 2phi, sin 2phi), so its
+    level t bounds the optimum from below and may be below 1 early on.  The
+    exchange starts from four angles a quarter of the grid apart with + at
+    the argmax of f.  A round stops when v = max(w - R, R - t*w) / w is at
+    most 1e-12*t on the grid, or when its worst angle is already in the
+    reference: then no exchange can move, and either t >= 1 and what is left
+    is rounding of R, or R/w lies in [t, 1], where the flipped reference is
     optimal at level 1/t with the same rescaled triple.  Otherwise the worst
     angle replaces the reference neighbour of its own sign (a dual simplex
     pivot).  A round depends only on its reference and signs, so a repeated
@@ -199,9 +193,7 @@ def linprog(trig: np.ndarray, w: np.ndarray, start: Optional[tuple] = None
     reference and no stop within 16 rounds per bit of n.
     """
     n = w.size
-    if start is None:
-        start = (int(np.argmin(w)) + (n // 4) * np.arange(4)) % n, np.array([1, -1, 1, -1])
-    ref, sign = start
+    ref, sign = (int(np.argmin(w)) + (n // 4) * np.arange(4)) % n, np.array([1, -1, 1, -1])
     t = math.nan
     cap = 16 * n.bit_length()
     seen: dict = {}
@@ -231,26 +223,25 @@ def linprog(trig: np.ndarray, w: np.ndarray, start: Optional[tuple] = None
         v = np.maximum(low, high) / w
         j = int(np.argmax(v))
         if v[j] <= 1e-12 * t or j in ref:
-            return x, ref, (sign if t >= 1.0 else -sign), rounds
+            return x, rounds
         k = int(np.searchsorted(ref, j))
         s = 1 if high[j] >= low[j] else -1
         ref[(k - 1) % 4 if sign[(k - 1) % 4] == s else k % 4] = j
     raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
 
 
-def _minimax_lp(trig: np.ndarray, fvals: np.ndarray, start: Optional[tuple] = None) -> tuple:
-    """Uniform best triple by ``linprog``; returns (params, ref, sign, rounds).
+def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, int]:
+    """Uniform best triple by ``linprog``; returns (params, rounds).
 
     ``trig`` is the ``_trig_matrix`` of the points and fvals f on them.  w =
     exp(-2(f - fc)) with fc the midrange of f, so the body's scale drops
-    out; the triple is rescaled by exp(-2*fc)/sqrt(t).  ref and sign are the
-    optimal reference, indices into the ascending points; ``start`` is
-    ``linprog``'s.  A body so small that exp(-2*fc) overflows, and a triple
-    that is not finite or leaves the cone, raise NoConvergence.
+    out; the triple is rescaled by exp(-2*fc)/sqrt(t).  A body so small that
+    exp(-2*fc) overflows, and a triple that is not finite or leaves the
+    cone, raise NoConvergence.
     """
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
-    x, ref, sign, rounds = linprog(trig, w) if start is None else linprog(trig, w, start)
+    x, rounds = linprog(trig, w)
     t = float(x[3])
     try:
         scale = math.exp(-2.0 * center) / math.sqrt(t) if t > 0.0 else math.nan
@@ -262,7 +253,7 @@ def _minimax_lp(trig: np.ndarray, fvals: np.ndarray, start: Optional[tuple] = No
             f"minimax triple ({a2!r}, {b2!r}, {c2!r}) at level t = {t!r} after {rounds} "
             "exchange rounds is outside the cone"
         )
-    return EllipseParams(a2, b2, c2), ref, sign, rounds
+    return EllipseParams(a2, b2, c2), rounds
 
 
 @dataclass
@@ -416,62 +407,62 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, grid_size: int,
     return _refined_extrema(h, grid, hvals)
 
 
-def _alternation_start(dev: np.ndarray, sign: np.ndarray, floor: float) -> Optional[tuple]:
+def _alternation(dev: np.ndarray, sign: np.ndarray, floor: float) -> Optional[np.ndarray]:
     """Four cyclically consecutive points of alternating sign with dev >= floor, or None.
 
-    dev is the signed deviation sign*h at points in ascending order.  Of the
-    runs of four that include the point of largest dev, the one whose least
-    dev is largest.
+    dev is the signed deviation sign*h at points in ascending order.  Each
+    cyclic run of same-sign points with dev >= floor counts as its largest
+    member, so the points kept alternate.  Of the runs of four kept points
+    that include the point of largest dev, the one whose least dev is
+    largest, in ascending order.
     """
     near = np.nonzero(dev >= floor)[0]
     if near.size < 4:
         return None
-    top = int(np.argmax(dev[near]))
-    runs = near[(top + np.arange(-3, 1)[:, None] + np.arange(4)) % near.size]
-    runs = runs[(sign[runs][:, 1:] == -sign[runs][:, :-1]).all(axis=1)]
-    if not runs.size:
+    run = np.cumsum(np.append(0, sign[near[1:]] != sign[near[:-1]]))
+    if sign[near[0]] == sign[near[-1]]:
+        run[run == run[-1]] = 0  # the run across pi is the first one
+    order = np.lexsort((-dev[near], run))  # each run's largest member first
+    kept = np.sort(near[order[np.unique(run[order], return_index=True)[1]]])
+    if kept.size < 4:
         return None
-    ref = runs[int(np.argmax(dev[runs].min(axis=1)))]
-    return ref, sign[ref]
+    top = int(np.argmax(dev[kept]))
+    runs = kept[(top + np.arange(-3, 1)[:, None] + np.arange(4)) % kept.size]
+    return np.sort(runs[int(np.argmax(dev[runs].min(axis=1)))])
 
 
 def _certificate_from_scan(
     gauge: Gauge, params: EllipseParams, scan: _ExtremaScan, tol: float
 ) -> AlternanceCertificate:
-    """The optimal reference of ``_minimax_lp`` on the scan's extrema S, as a certificate.
+    """The certificate read off the scan's extrema.
 
-    f = h - 1/2 log R on S is read off the scan, with no gauge call, and R
-    off S's trig table.  The exchange starts from four cyclically
-    consecutive extrema of alternating kind within tol of the sup, one of
-    them the extremum that attains it (``_alternation_start``), and cold
-    where there are no such four.  The reference, rotated to start at a +
-    angle, is (phi1, psi1, phi2, psi2) (psi2 may exceed pi), and its
-    residuals are the scan's values there.  A flat deviation (sup below tol:
-    an ellipse of the family) gets the angles (0, pi/4, pi/2, 3pi/4) and h
-    there.  Raises NoAlternance when a residual exceeds tol, the angles do
-    not interleave, the scan has fewer than two maxima or two minima, or the
-    exchange on S fails.
+    Four cyclically consecutive extrema of alternating kind within tol of the
+    sup, one of them the extremum that attains it (``_alternation``), rotated
+    to start at a maximum, are (phi1, psi1, phi2, psi2) (psi2 may exceed pi);
+    their residuals are the scan's values there.  A flat deviation (sup below
+    tol: an ellipse of the family) gets the angles (0, pi/4, pi/2, 3pi/4) and
+    h there.  Raises NoAlternance when there are no such four extrema (as
+    when the scan has fewer than two maxima or two minima), a residual
+    exceeds tol, or the angles do not interleave.
     """
     if scan.sup < tol:
         angles = np.array(_CANONICAL_ANGLES)
         values = _deviation_fn(gauge, params)(angles)
-    elif scan.max_angles.size < 2 or scan.min_angles.size < 2:
-        raise NoAlternance(f"the scan found {scan.max_angles.size} maxima and "
-                           f"{scan.min_angles.size} minima; an alternation needs two of each")
     else:
         points, first = np.unique(
             np.concatenate([scan.max_angles, scan.min_angles]), return_index=True)
         hvals = np.concatenate([scan.max_values, scan.min_values])[first]
         kind = np.where(first < scan.max_angles.size, 1, -1)
-        start = _alternation_start(kind * hvals, kind, scan.sup - tol)
-        try:
-            trig = _trig_matrix(points)
-            _, ref, sign, _ = _minimax_lp(trig, hvals - _half_log_table(params, trig), start)
-        except NoConvergence as exc:
-            raise NoAlternance(f"no alternating reference in the scan's extrema: {exc}") from None
-        k = int(sign[0] < 0)  # rotate the reference to start at a + angle
-        angles = np.roll(points[ref], -k) + np.array([0.0, 0.0, 0.0, k * _PI])
-        values = np.roll(hvals[ref], -k)
+        ref = _alternation(kind * hvals, kind, scan.sup - tol)
+        if ref is None:
+            raise NoAlternance(
+                f"the scan found {scan.max_angles.size} maxima and {scan.min_angles.size} "
+                f"minima, and no four of them alternate within tolerance {tol} of the "
+                f"deviation {scan.sup}; the candidate ellipse is not optimal"
+            )
+        r = int(kind[ref[0]] < 0)  # rotate the reference to start at a maximum
+        angles = np.roll(points[ref], -r) + np.array([0.0, 0.0, 0.0, r * _PI])
+        values = np.roll(hvals[ref], -r)
     res = tuple(float(v) for v in values * _SIGNS - scan.sup)
     cert = AlternanceCertificate(*(float(a) for a in angles), res)
     if scan.sup >= tol and max(map(abs, res)) > tol:
@@ -489,13 +480,12 @@ def extract_certificate(
 ) -> AlternanceCertificate:
     """Four-point alternance certificate of a (near-)optimal ellipse.
 
-    The angles are the optimal reference of the minimax exchange on the
-    extrema of f - g that ``_extrema_scan`` finds: the best alternating
-    quadruple among them, starting at a maximum.  For a flat deviation (the
-    body is itself an ellipse of the family) the canonical angles
-    (0, pi/4, pi/2, 3pi/4) are returned.  Raises NoAlternance when the four
-    do not alternate within ``tol`` of the sup-norm, NoConvergence when R <= 0
-    in the scan.
+    The angles are four consecutive extrema of alternating kind that
+    ``_extrema_scan`` finds in f - g, read off by ``_certificate_from_scan``,
+    starting at a maximum.  For a flat deviation (the body is itself an
+    ellipse of the family) the canonical angles (0, pi/4, pi/2, 3pi/4) are
+    returned.  Raises NoAlternance when no four alternate within ``tol`` of
+    the sup-norm, NoConvergence when R <= 0 in the scan.
     """
     scan = _extrema_scan(gauge, params, grid_size)
     return _certificate_from_scan(gauge, params, scan, tol)
@@ -549,13 +539,13 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
     on its points, is a de la Vallee Poussin lower bound on d*, and the
     scanned sup-norm of its triple an upper bound; the loop stops once they
     agree to 1e-12 relative and returns the triple of least sup, certified
-    as by ``extract_certificate`` from that triple's scan.  Raises
-    NoConvergence when the grid run fails (a singular or repeated reference,
-    no stop within its round cap, a triple outside the cone, or R <= 0 at a
-    point, grid angle or probe of the scan); a later run that fails ends the
-    loop.  Raises NoAlternance when a level exceeds the returned sup-norm by
-    more than ``cert_tol`` (the scan missed extrema) or no certificate exists
-    within ``cert_tol``.
+    as by ``extract_certificate`` from that triple's scan, with no exchange
+    run of its own.  Raises NoConvergence when the grid run fails (a singular
+    or repeated reference, no stop within its round cap, a triple outside the
+    cone, or R <= 0 at a point, grid angle or probe of the scan); a later run
+    that fails ends the loop.  Raises NoAlternance when a level exceeds the
+    returned sup-norm by more than ``cert_tol`` (the scan missed extrema) or
+    no certificate exists within ``cert_tol``.
     """
     opts = opts or SolverOptions()
     grid = evaluation_grid(gauge, opts.grid_size)
@@ -568,7 +558,7 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
     for run in range(31):
         try:
             trig = _trig_matrix(points)
-            params, _, _, rounds = _minimax_lp(trig, f)
+            params, rounds = _minimax_lp(trig, f)
             dev = f + _half_log_table(params, trig)
             del trig  # released before the scan's probes are evaluated
             level = float(np.abs(dev).max())

@@ -61,6 +61,13 @@ def random_convex_polygon(rng: np.random.Generator, n_half: int = 8) -> np.ndarr
     return pts[hull.vertices]
 
 
+def polar_polygon(vertices: np.ndarray) -> np.ndarray:
+    """Vertices of the polar of a convex polygon around 0: per edge, a with a'v = 1 at both ends."""
+    v = np.asarray(vertices, dtype=float)
+    ends = np.stack([v, np.roll(v, -1, axis=0)], axis=1)  # (edge, end, xy)
+    return np.linalg.solve(ends, np.ones((v.shape[0], 2, 1)))[..., 0]
+
+
 def jittered_star_polygon(rng: np.random.Generator, n_half: int) -> np.ndarray:
     """Symmetric star polygon with one jittered vertex angle per slot, radii in [1, 1.2]."""
     slot = math.pi / n_half

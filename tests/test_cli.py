@@ -76,6 +76,7 @@ class TestSolve:
         {"kind": "ellipse", "params": [1, "0", 0]},
         {"kind": "samples", "samples": "abc"},
         {"kind": "polygon", "vertices": [[1, "a"], [0, 1], [-1, 0], [0, -1]]},
+        {"kind": "lp", "p": 2, "interp": "pchip"},
     ])
     def test_descriptor_value_types(self, tmp_path, descriptor):
         bad = tmp_path / "bad.json"

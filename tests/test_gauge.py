@@ -279,5 +279,22 @@ class TestDescriptor:
         with pytest.raises(InputError):
             gauge_from_descriptor(descriptor)
 
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "lp", "p": 2, "interp": "pchip"},
+        {"kind": "lp", "p": 2, "symmetrize": True},
+        {"kind": "samples", "samples": [1.0, 1.1, 1.0, 0.9], "symmetrize": True},
+        {"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "interp": "pchip"},
+        {"kind": "ellipse", "params": [1, 0, 0], "interp": "linear"},
+    ], ids=["lp-interp", "lp-symmetrize", "samples-symmetrize", "polygon-interp", "ellipse-interp"])
+    def test_fields_of_another_kind(self, descriptor):
+        # symmetrize belongs to polygons and interp to samples; elsewhere they were ignored
+        with pytest.raises(InputError, match="applies to kind"):
+            gauge_from_descriptor(descriptor)
+
+    def test_symmetrize_false_on_a_polygon(self):
+        square = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+        g = gauge_from_descriptor({"kind": "polygon", "vertices": square, "symmetrize": False})
+        assert g.eval(math.pi / 4) == pytest.approx(SQRT2)
+
     def test_inf_spellings(self):
         assert gauge_from_descriptor({"kind": "lp", "p": "inf"}).eval(math.pi / 4) == pytest.approx(SQRT2)

@@ -24,6 +24,7 @@ from bmplane.solver import (
     extract_certificate,
     linprog,
     solve_uniform,
+    _alternation,
     _certificate_from_scan,
     _deviation_fn,
     _ExtremaScan,
@@ -185,8 +186,8 @@ class TestExchangeLP:
             def grid_sup(p):
                 return float(np.abs(fvals + 0.5 * np.log(p.trig(grid))).max())
 
-            x, _, _, rounds = linprog(trig, w)
-            params, _, _, lp_rounds = _minimax_lp(trig, fvals)
+            x, rounds = linprog(trig, w)
+            params, lp_rounds = _minimax_lp(trig, fvals)
             assert lp_rounds == rounds, name
             ref, x_ref = _full_grid_minimax_lp(grid, fvals)
 
@@ -235,8 +236,7 @@ class TestExchangeLP:
     def test_bad_result_is_typed(self, monkeypatch, x):
         import bmplane.solver as solver_mod
 
-        result = (np.array(x), np.arange(4), np.array([1, -1, 1, -1]), 1)
-        monkeypatch.setattr(solver_mod, "linprog", lambda trig, w: result)
+        monkeypatch.setattr(solver_mod, "linprog", lambda trig, w: (np.array(x), 1))
         with pytest.raises(NoConvergence):
             solve_uniform(lp_gauge(math.inf))
 
@@ -273,28 +273,16 @@ class TestExchangeLP:
         # R/w then lies in [t, 1], so the flipped reference is optimal at level 1/t
         grid = np.arange(4) * (0.25 * math.pi)
         trig, w = _trig_matrix(grid), np.array([0.5, 1.0, 10.0, 1.0])
-        x, ref, sign, rounds = linprog(trig, w)
-        assert rounds == 1 and ref.tolist() == [0, 1, 2, 3]
+        x, rounds = linprog(trig, w)
+        assert rounds == 1
         assert x[3] == pytest.approx(2.0 / 10.5, rel=1e-14)
-        assert sign.tolist() == [-1, 1, -1, 1]
         rows = np.block([[-trig, np.zeros((4, 1))], [trig, -w[:, None]]])
         best = _highs([0.0, 0.0, 0.0, 1.0], rows, np.concatenate([-w, np.zeros(4)]))
         assert best.x[3] == pytest.approx(1.0 / x[3], rel=1e-12)
         # the rescaled triple meets the flipped reference's equalities: R = w/t at +, R = w at -
+        sign = np.array([-1, 1, -1, 1])
         R = trig @ (x[:3] / x[3])
         assert np.where(sign > 0, R - w / x[3], R - w) == pytest.approx(np.zeros(4), abs=1e-12)
-
-    def test_start_changes_the_path_not_the_optimum(self, corpus):
-        # the optimal reference as a start settles in one round on the same bits
-        for name, g in _active_set_bodies(corpus).items():
-            grid = evaluation_grid(g, 4096)
-            fvals = g.log_eval(grid)
-            trig = _trig_matrix(grid)
-            w = np.exp(-2.0 * (fvals - 0.5 * float(fvals.max() + fvals.min())))
-            x, ref, sign, _ = linprog(trig, w)
-            warm = linprog(trig, w, (ref, sign))
-            assert warm[3] == 1, name
-            assert warm[0].tobytes() == x.tobytes() and warm[1].tolist() == ref.tolist(), name
 
 
 def _refinement_bodies(corpus) -> dict:
@@ -457,14 +445,11 @@ class TestOneEvaluationPerAngle:
             for p in triples:
                 assert _half_log_table(p, trig).tobytes() == _half_log_trig(p, grid).tobytes()
 
-    def test_warm_certificate_matches_cold(self, monkeypatch, corpus):
-        # the start changes the exchange's path, not its optimum: the certificate is the cold
-        # one unless more than four extrema alternate within cert_tol, and then no worse
-        import bmplane.solver as solver_mod
-
+    def test_certificate_is_read_off_the_scan(self, corpus):
+        # four consecutive alternating extrema of the returned triple's scan, each within
+        # cert_tol of its sup, one of them the largest: the certificate is the scan's own
         tol = SolverOptions().cert_tol
         rng = np.random.default_rng(7001)
-        tied = []
         for name, g in {
             **_active_set_bodies(corpus),
             "regular-2000": polygon_gauge(bodies.regular_polygon(2000)),
@@ -472,44 +457,46 @@ class TestOneEvaluationPerAngle:
         }.items():
             sol = solve_uniform(g)
             scan = _extrema_scan(g, sol.params, 4096)
-            warm = _certificate_from_scan(g, sol.params, scan, tol)
-            assert warm == sol.certificate, name
-            with monkeypatch.context() as m:
-                m.setattr(solver_mod, "_alternation_start", lambda *args: None)
-                cold = _certificate_from_scan(g, sol.params, scan, tol)
-            values = np.concatenate([scan.max_values, -scan.min_values])
-            if np.count_nonzero(values >= scan.sup - tol) <= 4 or scan.sup < tol:
-                assert warm == cold, name
-            else:
-                tied.append(name)
-                assert max(map(abs, warm.residuals)) <= max(map(abs, cold.residuals)), name
-        assert set(tied) >= {"hexagon", "regular-2000"}
+            cert = sol.certificate
+            assert cert == _certificate_from_scan(g, sol.params, scan, tol), name
+            assert verify_certificate(g, sol.params, cert, 1e-6).passed, name
+            if scan.sup < tol:
+                assert cert.angles() == (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi), name
+                continue
+            signed = []
+            for a, kind in zip(cert.angles(), (1, -1, 1, -1)):
+                angles, values = ((scan.max_angles, scan.max_values) if kind > 0
+                                  else (scan.min_angles, scan.min_values))
+                at = np.nonzero((angles == a) | (angles + math.pi == a))[0]  # psi2 may be + pi
+                assert at.size, (name, a, kind)
+                signed.append(kind * float(values[at[0]]))
+            assert all(scan.sup - tol <= v <= scan.sup for v in signed), name
+            top = max(float(scan.max_values.max()), float(-scan.min_values.min()))
+            assert top in signed, name
 
-    @pytest.mark.parametrize("n", [4096, 8192])
-    def test_certificate_exchange_rounds_on_rough_samples(self, monkeypatch, n):
-        rng = np.random.default_rng(n)
-        assert self._certificate_rounds(monkeypatch, sample_gauge(1.0 + 0.2 * rng.random(n))) <= 2
-
-    def test_certificate_exchange_rounds_on_a_star(self, monkeypatch):
-        g = polygon_gauge(bodies.jittered_star_polygon(np.random.default_rng(2000), 1000))
-        assert self._certificate_rounds(monkeypatch, g) <= 2
-
-    @staticmethod
-    def _certificate_rounds(monkeypatch, g) -> int:
-        """Exchange rounds of the last linprog call of a solve: the certificate's."""
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(sample_gauge(1.0 + 0.2 * np.random.default_rng(n).random(n)) for n in (4096, 8192)),
+            polygon_gauge(bodies.jittered_star_polygon(np.random.default_rng(2000), 1000)),
+        ],
+        ids=["rough-4096", "rough-8192", "star-2000"],
+    )
+    def test_one_exchange_run_per_loop_run(self, monkeypatch, g):
+        # the certificate runs no exchange of its own: linprog is called by the grid run and
+        # by each later run of the loop, and by nothing else
         import bmplane.solver as solver_mod
 
-        rounds, lp = [], solver_mod.linprog
+        calls, lp = [], solver_mod.linprog
 
         def counted(*args):
-            out = lp(*args)
-            rounds.append(out[3])
-            return out
+            calls.append(1)
+            return lp(*args)
 
         monkeypatch.setattr(solver_mod, "linprog", counted)
         sol = solve_uniform(g)
+        assert len(calls) == 1 + sol.diagnostics.polish_iterations
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
-        return rounds[-1]
 
 
 class TestFeasibleAt:
@@ -592,11 +579,29 @@ class TestSolveUniform:
 
     # at 1e+-100 and 1e+-150 the triple's squares over- or underflow unless in_cone scales first
     @pytest.mark.parametrize("scale", [1e8, 1e-8, 1e100, 1e-100, 1e150, 1e-150])
-    def test_extreme_scale(self, scale):
-        g = polygon_gauge(scale * bodies.square_vertices())
-        sol = solve_uniform(g)
-        assert math.exp(2.0 * sol.defect) == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
-        assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+    def test_extreme_scale(self, solved_corpus, scale):
+        # every corpus body with a size: polygons and samples scaled, the ellipse's triple
+        # times scale**-2, the circle of radius scale; the lp balls have the unit size
+        for name, (g, sol) in solved_corpus.items():
+            d = g.descriptor()
+            if name == "circle":
+                scaled = circle_gauge(scale)
+            elif d["kind"] == "polygon":
+                scaled = polygon_gauge(scale * np.array(d["vertices"]))
+            elif d["kind"] == "samples":
+                scaled = sample_gauge(scale * np.array(d["samples"]))
+            elif d["kind"] == "ellipse":
+                scaled = ellipse_gauge(EllipseParams(*(scale**-2.0 * np.array(d["params"]))))
+            else:
+                continue
+            scaled_sol = solve_uniform(scaled)
+            assert math.exp(2.0 * scaled_sol.defect) == pytest.approx(
+                math.exp(2.0 * sol.defect), rel=1e-12, abs=0.0), name
+            assert verify_certificate(scaled, scaled_sol.params, scaled_sol.certificate,
+                                      1e-6).passed, name
+            if name == "square-polygon":
+                assert math.exp(2.0 * scaled_sol.defect) == pytest.approx(
+                    math.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_tiny_scale_is_typed(self):
         # below a scale of about 1.6e-154 the triple's rescaling exp(-2*fc) overflows
@@ -684,7 +689,8 @@ class TestSolveUniform:
                             distance(polygon_gauge(v)), rel=1e-9, abs=0.0), (kappa, i)
 
     def test_five_point_pchip_optimum_certifies(self):
-        # the optimum alternates at five extrema; the exchange on them picks the best four
+        # the optimum alternates at five extrema, so two maxima are neighbours across pi: the
+        # certificate counts them as the larger and takes four that alternate
         g = sample_gauge([1.0, 1.2, 1.0, 1.3, 1.0, 1.2, 1.0, 1.1], interp="pchip")
         sol = solve_uniform(g)
         assert math.exp(2.0 * sol.defect) == pytest.approx(1.2695616833, rel=1e-10, abs=0.0)
@@ -777,7 +783,36 @@ class TestSolveUniform:
         assert a.defect == b.defect
 
 
+def _alternation_loop(dev: np.ndarray, sign: np.ndarray, floor: float):
+    """``_alternation`` one point at a time: the reference for its vectorized runs."""
+    near = [i for i in range(dev.size) if dev[i] >= floor]
+    if len(near) < 4:
+        return None
+    start = next((j for j in range(len(near)) if sign[near[j]] != sign[near[j - 1]]), 0)
+    kept = []
+    for i in near[start:] + near[:start]:  # from the start of a run, so runs are contiguous
+        if not kept or sign[i] != sign[kept[-1]]:
+            kept.append(i)
+        elif dev[i] > dev[kept[-1]] or (dev[i] == dev[kept[-1]] and i < kept[-1]):
+            kept[-1] = i
+    kept.sort()
+    if len(kept) < 4:
+        return None
+    top = kept.index(max(kept, key=lambda i: (dev[i], -i)))
+    windows = [[kept[(top + s + j) % len(kept)] for j in range(4)] for s in range(-3, 1)]
+    return sorted(max(windows, key=lambda w: (min(dev[w]), -windows.index(w))))
+
+
 class TestCertificate:
+    def test_alternation_matches_a_loop(self):
+        # many ties: dev takes four values, of which those >= 0.5 are near
+        rng = np.random.default_rng(17)
+        for _ in range(3000):
+            n = int(rng.integers(1, 24))
+            dev, sign = rng.integers(0, 4, n) / 4.0, rng.choice([-1, 1], n)
+            got, ref = _alternation(dev, sign, 0.5), _alternation_loop(dev, sign, 0.5)
+            assert (got is None and ref is None) or got.tolist() == ref, (dev, sign)
+
     def test_square_certificate_at_vertex_and_midpoint_directions(self):
         cert = extract_certificate(lp_gauge(math.inf), EllipseParams(2.0 ** -0.5, 0, 0), 1e-8)
         assert cert.angles() == pytest.approx(
@@ -797,6 +832,31 @@ class TestCertificate:
         scan = _ExtremaScan(np.array([0.3]), np.array([0.1]),
                             np.array([0.9, 2.1]), np.array([-0.1, -0.1]), 0.1)
         with pytest.raises(NoAlternance, match="the scan found 1 maxima and 2 minima"):
+            _certificate_from_scan(circle_gauge(), EllipseParams(1.0, 0.0, 0.0), scan, 1e-8)
+
+    def test_same_kind_neighbours_count_as_their_largest(self):
+        # near maxima with no near minimum between them count as the larger one, here inside
+        # [0, pi) and across pi; the rest then alternate, and the certificate holds
+        params, tol = EllipseParams(1.0, 0.0, 0.0), 1e-8
+        maxima = np.array([0.1, 0.1 - 5e-9, 0.1 - 3e-9, 0.1])
+        scan = _ExtremaScan(np.array([0.3, 0.5, 1.6, 2.0]), maxima,
+                            np.array([0.9, 2.4]), np.array([-0.1, -0.1]), 0.1)
+        cert = _certificate_from_scan(circle_gauge(), params, scan, tol)
+        assert cert.angles() == (0.3, 0.9, 2.0, 2.4)
+        assert cert.residuals == (0.0, 0.0, 0.0, 0.0)
+        low = 0.1 - 6e-9
+        scan = _ExtremaScan(np.array([0.1, 1.6, 3.0]), np.array([0.1, low, 0.1 - 2e-9]),
+                            np.array([0.9, 2.4]), np.array([-low, -low]), 0.1)
+        cert = _certificate_from_scan(circle_gauge(), params, scan, tol)
+        assert cert.angles() == (0.1, 0.9, 1.6, 2.4)
+        assert cert.residuals == pytest.approx((0.0, -6e-9, -6e-9, -6e-9), rel=0.0, abs=1e-15)
+
+    def test_near_extrema_that_do_not_alternate(self):
+        # maxima at 0.3, 1.6 and 2.0 and a minimum at 0.9 lie within tol of the sup; the
+        # minimum at 2.4 does not: around the circle the near kinds change only twice
+        scan = _ExtremaScan(np.array([0.3, 1.6, 2.0]), np.array([0.1, 0.1, 0.1]),
+                            np.array([0.9, 2.4]), np.array([-0.1, -0.05]), 0.1)
+        with pytest.raises(NoAlternance, match="the scan found 3 maxima and 2 minima, and no four"):
             _certificate_from_scan(circle_gauge(), EllipseParams(1.0, 0.0, 0.0), scan, 1e-8)
 
     def test_corpus_passes_verification(self, solved_corpus):
@@ -885,6 +945,15 @@ class TestDistance:
                 image = v @ (_rotation(t1) @ np.diag([1.0, 1.0 / kappa]) @ _rotation(t2)).T
                 assert distance(polygon_gauge(image)) == pytest.approx(
                     base, rel=1e-11, abs=0.0), (i, kappa)
+
+
+    def test_polar_duality(self):
+        # the polar body of a symmetric convex body is its dual norm's ball: d2(P) = d2(P polar)
+        rng = np.random.default_rng(5)
+        for i in range(100):
+            v = bodies.random_convex_polygon(rng, n_half=int(rng.integers(2, 40)))
+            assert distance(polygon_gauge(bodies.polar_polygon(v))) == pytest.approx(
+                distance(polygon_gauge(v)), rel=1e-12, abs=0.0), i
 
 
 class TestPerturbationProbe:
