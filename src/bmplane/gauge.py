@@ -99,11 +99,11 @@ class _PolygonGauge(Gauge):
         # vertices: validated, CCW, rolled so vertex angles ascend from the minimum
         self._original = original
         self._symmetrize = symmetrize
-        nxt = np.roll(vertices, -1, axis=0)
         self._vertices = vertices
         self._theta = np.mod(np.arctan2(vertices[:, 1], vertices[:, 0]), 2.0 * _PI)
-        self._cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]
-        self._edge = nxt - vertices
+        self._edge = np.roll(vertices, -1, axis=0) - vertices
+        # v x e, not v x nxt (which cancels): each edge's line passes through its own vertex
+        self._cross = vertices[:, 0] * self._edge[:, 1] - vertices[:, 1] * self._edge[:, 0]
 
     def _radius(self, red: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._theta, red, side="right") - 1
@@ -124,11 +124,10 @@ class _PolygonGauge(Gauge):
         ends at the antipode of vertex 0, so it covers the angles from the
         last vertex below pi through pi (0) up to vertex 0 in one piece.  A
         vertex is a maximum where the slope falls from >= 0 to <= 0 across it,
-        a minimum where it rises from <= 0 to >= 0; a vertex at 0 is returned
-        as pi, so that the floats just below it fall on the last edge.  Where
-        both slopes round to zero (h smooth there) it may be listed as both.
-        An edge whose slope rises from < 0 to > 0 has its minimum inside, at
-        s = -v'Me / e'Me.
+        a minimum where it rises from <= 0 to >= 0, at its own angle, a kink
+        of _radius.  Where both slopes round to zero (h smooth there) it may be
+        listed as both.  An edge whose slope rises from < 0 to > 0 has its
+        minimum inside, at s = -v'Me / e'Me.  Every angle is in [0, pi).
         """
         th = self.critical_angles()
         v, e = self._vertices[: th.size], self._edge[: th.size]
@@ -138,11 +137,10 @@ class _PolygonGauge(Gauge):
         eme = np.einsum("ij,ij->i", e, me)
         end = start + eme
         before = np.roll(end, 1)
-        starts = np.where(th > 0.0, th, _PI)
         inner = (start < 0.0) & (end > 0.0)
         p = v[inner] - (start[inner] / eme[inner])[:, None] * e[inner]
-        return starts[(before >= 0.0) & (start <= 0.0)], np.concatenate(
-            [starts[(before <= 0.0) & (start >= 0.0)], np.mod(np.arctan2(p[:, 1], p[:, 0]), _PI)])
+        return th[(before >= 0.0) & (start <= 0.0)], np.concatenate(
+            [th[(before <= 0.0) & (start >= 0.0)], _reduce(np.arctan2(p[:, 1], p[:, 0]))])
 
     def descriptor(self) -> dict:
         d = {"kind": "polygon", "vertices": self._original.tolist()}
@@ -183,6 +181,9 @@ class _SampleGauge(Gauge):
         self._values = values
         self._interp = interp
         self._n = values.size
+        # the cell ends k*pi/N and pi, against which linear cells are found and measured
+        self._nodes = np.append(np.arange(self._n) * _PI / self._n, _PI)
+        self._nodes.flags.writeable = False
         if interp == "pchip":
             from scipy.interpolate import PchipInterpolator
 
@@ -196,16 +197,17 @@ class _SampleGauge(Gauge):
     def _radius(self, red: np.ndarray) -> np.ndarray:
         if self._pchip is not None:
             return self._pchip(red)
-        x = red * self._n / _PI
-        k = np.minimum(np.floor(x).astype(int), self._n - 1)
-        frac = x - k
+        k = np.minimum((red * (self._n / _PI)).astype(int), self._n - 1)
+        k -= red < self._nodes[k]
+        k += red >= self._nodes[k + 1]
+        frac = (red - self._nodes[k]) / (self._nodes[k + 1] - self._nodes[k])
         left = self._values[k] * (1.0 - frac)
         k += 1  # the next sample, the first after the last
         k[k == self._n] = 0
         return left + self._values[k] * frac
 
     def critical_angles(self) -> np.ndarray:
-        return np.arange(self._n) * _PI / self._n
+        return self._nodes[:-1]  # read-only
 
     def descriptor(self) -> dict:
         d = {"kind": "samples", "samples": self._values.tolist()}
@@ -425,12 +427,17 @@ def gauge_from_descriptor(d: dict) -> Gauge:
 
 
 def evaluation_grid(gauge: Gauge, n: int) -> np.ndarray:
-    """Uniform n-point grid over [0, pi) merged with the gauge's kink angles."""
+    """Uniform n-point grid over [0, pi) merged with the gauge's kink angles, bit for bit.
+
+    A uniform angle within 1e-13 of a kink gives way to it, as does a kink
+    within 1e-13 above another.
+    """
     base = np.arange(n) * (_PI / n)
-    crit = gauge.critical_angles()
+    crit = np.unique(gauge.critical_angles())
     if crit.size == 0:
         return base
-    merged = np.union1d(base, crit)
-    keep = np.ones(merged.size, dtype=bool)
-    keep[1:] = np.diff(merged) > 1e-13
-    return merged[keep]
+    crit = crit[np.append(True, np.diff(crit) > 1e-13)]
+    ends = np.concatenate([[-math.inf], crit, [math.inf]])
+    i = np.searchsorted(crit, base)  # base lies between ends[i] and ends[i + 1]
+    far = np.minimum(base - ends[i], ends[i + 1] - base) > 1e-13
+    return np.union1d(base[far], crit)

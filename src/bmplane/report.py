@@ -26,7 +26,7 @@ import numpy as np
 
 from .ellipse import EllipseParams, PDMatrix2, pd_sqrt, pd_sqrt_inverse
 from .errors import BmplaneError, ConeViolation, InputError
-from .gauge import Gauge
+from .gauge import Gauge, _number_array
 from .solver import AlternanceCertificate, SolveDiagnostics, UniformSolution, certificate_deviations
 
 __all__ = [
@@ -204,26 +204,30 @@ def _as_points(value, name: str) -> np.ndarray:
 
 
 def report_from_dict(d: dict) -> SolveReport:
+    """The report of its JSON dict.  Its numbers must be JSON numbers and
+    cone_condition_ok a JSON boolean, as in a body descriptor; else InputError."""
     try:
-        cert_d = d["certificate"]
-        cert = AlternanceCertificate(
-            phi1=float(cert_d["phi"][0]),
-            psi1=float(cert_d["psi"][0]),
-            phi2=float(cert_d["phi"][1]),
-            psi2=float(cert_d["psi"][1]),
-            residuals=tuple(float(r) for r in cert_d["residuals"]),
-        )
+        num = {key: _number_array(d[key], key) for key in (
+            "d2", "defect", "params_uniform", "params_inscribed", "T_hat", "T_tilde", "x_points",
+            "y_points")}
+        phi, psi, res = (_number_array(d["certificate"][key], f"certificate.{key}")
+                         for key in ("phi", "psi", "residuals"))
+        cone_ok = d["cone_condition_ok"]
+        if not isinstance(cone_ok, bool):
+            raise InputError(f"cone_condition_ok must be true or false, got {cone_ok!r}")
+        cert = AlternanceCertificate(*map(float, (phi[0], psi[0], phi[1], psi[1])),
+                                     tuple(map(float, res)))
         return SolveReport(
-            d2=float(d["d2"]),
-            defect=float(d["defect"]),
-            params_uniform=EllipseParams(*d["params_uniform"]),
-            params_inscribed=EllipseParams(*d["params_inscribed"]),
-            T_hat=PDMatrix2.from_array(d["T_hat"]),
-            T_tilde=PDMatrix2.from_array(d["T_tilde"]),
-            x_points=_as_points(d["x_points"], "x_points"),
-            y_points=_as_points(d["y_points"], "y_points"),
+            d2=float(num["d2"]),
+            defect=float(num["defect"]),
+            params_uniform=EllipseParams(*num["params_uniform"]),
+            params_inscribed=EllipseParams(*num["params_inscribed"]),
+            T_hat=PDMatrix2.from_array(num["T_hat"]),
+            T_tilde=PDMatrix2.from_array(num["T_tilde"]),
+            x_points=_as_points(num["x_points"], "x_points"),
+            y_points=_as_points(num["y_points"], "y_points"),
             certificate=cert,
-            cone_condition_ok=bool(d["cone_condition_ok"]),
+            cone_condition_ok=cone_ok,
             diagnostics=dict(d.get("diagnostics", {})),
         )
     except InputError:

@@ -274,15 +274,14 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     """All local extrema of the pi-periodic h, from its grid values and a few calls of h.
 
     Each grid extremum x brackets one extremum between its neighbours.  One
-    call evaluates h at the two floats either side of x (a kink may sit an ulp
-    or two off its grid angle) and at x -+ eta = sqrt(1e-16/c) (at least 1e-15,
-    with c half the second difference of the grid values): the offset at which
-    a smooth extremum out of reach rises above rounding.  If neither x -+ eta
-    beats the best of the five floats, that float is the extremum (every kink
-    is a grid angle).  Else h is smooth on the side that improved, and Brent's
-    parabolic step with a golden-section fallback searches it until the
-    parabola promises at most 1e-16 or the bracket is 4*eta wide; later calls
-    evaluate only the open brackets.
+    call evaluates h at x -+ eta = sqrt(1e-16/c) (at least 1e-15, with c half
+    the second difference of the grid values): the offset at which a smooth
+    extremum out of reach rises above rounding.  If neither beats x, x is the
+    extremum (every kink is a grid float, see ``evaluation_grid``).  Else h is
+    smooth on the side that improved, and Brent's parabolic step with a
+    golden-section fallback searches it until the parabola promises at most
+    1e-16 or the bracket is 4*eta wide; later calls evaluate only the open
+    brackets.
     """
     if _flat(hvals):
         # flat deviation (body is an ellipse of the family): a single token extremum
@@ -303,17 +302,9 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     with np.errstate(divide="ignore", invalid="ignore"):
         curv = ((yb - y) / (b - x) - (y - ya) / (x - a)) / (b - a)
         eta = np.fmin(np.sqrt(_ROUNDING / curv), 1e-2 * np.minimum(x - a, b - x)).clip(1e-15)
-    near = [np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
-    near += [np.nextafter(z, t) for z, t in zip(near, (-np.inf, np.inf))]
-    probes = np.concatenate([x - eta, x + eta, *near])
-    yp = np.tile(sign, 6) * h(probes)
-    yl, yr = yp[:m], yp[m : 2 * m]
-    # the best of the five floats: x, unless the best of the four next to it is lower
-    best = np.argmin(yp[2 * m :].reshape(4, m), axis=0)[None]
-    yn = np.take_along_axis(yp[2 * m :].reshape(4, m), best, axis=0)[0]
-    xn = np.take_along_axis(probes[2 * m :].reshape(4, m), best, axis=0)[0]
-    moved = yn < y
-    x, y = np.where(moved, xn, x), np.where(moved, yn, y)
+    probes = np.concatenate([x - eta, x + eta])
+    yp = np.tile(sign, 2) * h(probes)
+    yl, yr = yp[:m], yp[m:]
     right = yr < np.minimum(y, yl)
     s = np.nonzero(right | (yl < y))[0]
     r = right[s]
@@ -355,24 +346,13 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
 
 
 def _candidate_extrema(h, max_angles: np.ndarray, min_angles: np.ndarray) -> _ExtremaScan:
-    """The extrema of h at a gauge's closed-form candidates, valued by one call of h.
+    """The extrema of h at a gauge's closed-form candidates, each valued at its own angle.
 
-    Adjacent edge lines disagree at a kink by rounding, so each candidate is
-    evaluated at its angle and at the floats one and two ulps either side
-    and keeps the most extreme of the five.  Smooth minima are treated the
-    same way, so that where h is noisy the noise lifts maxima and minima
-    alike.  The sup is the largest |h| among the extrema.
+    One call of h; the sup is the largest |h| among the extrema.
     """
-    k, x = max_angles.size, np.concatenate([max_angles, min_angles])
-    near = [np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
-    near += [np.nextafter(z, t) for z, t in zip(near, (-np.inf, np.inf))]
-    probes = np.vstack([x, *near])
-    values = h(probes.ravel()).reshape(probes.shape)
-    best = np.argmin(values * np.where(np.arange(x.size) < k, -1.0, 1.0), axis=0)[None]
-    angles = np.mod(np.take_along_axis(probes, best, axis=0)[0], _PI)
-    angles = np.where(angles >= _PI, 0.0, angles)
-    values = np.take_along_axis(values, best, axis=0)[0]
-    return _ExtremaScan(angles[:k], values[:k], angles[k:], values[k:], float(np.abs(values).max()))
+    k = max_angles.size
+    values = h(np.concatenate([max_angles, min_angles]))
+    return _ExtremaScan(max_angles, values[:k], min_angles, values[k:], float(np.abs(values).max()))
 
 
 def _extrema_scan(gauge: Gauge, params: EllipseParams, grid_size: int,

@@ -161,6 +161,22 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("malformed report" in line and "T_tilde" in line for line in err)
 
+    def test_string_numbers_are_malformed(self, square_body, square_solved, tmp_path, capsys):
+        # numbers of the report written as JSON strings: verify and render must not take them
+        rep = json.loads(square_solved.read_text())
+        for key in ("d2", "params_uniform", "T_hat"):
+            rep[key] = json.loads(json.dumps(rep[key]), parse_float=str)
+        rep["defect"] = repr(rep["defect"])
+        rep["certificate"]["phi"] = [repr(v) for v in rep["certificate"]["phi"]]
+        bad = tmp_path / "strings.json"
+        bad.write_text(jsonio.dumps(rep))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 2
+        assert main(["render", "--input", str(square_body), "--report", str(bad),
+                     "--out", str(tmp_path / "strings.svg")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("JSON numbers" in line for line in err)
+
 
 class TestTolerances:
     @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])

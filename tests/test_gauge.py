@@ -63,6 +63,13 @@ class TestPolygon:
                 phi = math.atan2(v[1], v[0])
                 assert g.eval(phi) == pytest.approx(np.hypot(*v), abs=1e-10)
 
+    def test_vertex_radii_within_two_ulps(self):
+        # each edge's line passes through its own vertex: the vertices of a regular polygon
+        # are on the unit circle to rounding, and so are the radii at their angles
+        g = polygon_gauge(bodies.regular_polygon(2000, phase=0.3))
+        r = g.eval(g.critical_angles())
+        assert np.abs(r - 1.0).max() <= 2.0 * np.spacing(1.0)
+
     def test_scaling_exact(self):
         rng = np.random.default_rng(4)
         verts = bodies.random_star_polygon(rng, r_lo=0.55, r_hi=1.9)
@@ -151,6 +158,18 @@ class TestSamples:
         nodes = np.arange(64) * math.pi / 64
         g = sample_gauge(e.rho(nodes))
         assert np.allclose(g.eval(nodes), e.rho(nodes), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1000, 4096, 100_000])
+    def test_linear_samples_pass_through_their_samples(self, n):
+        # the kinks are the node floats k*pi/N, the interpolant takes the samples there, and
+        # the evaluation grid holds every one of them bit for bit
+        values = 1.0 + 0.2 * np.random.default_rng(n).random(n)
+        g = sample_gauge(values)
+        nodes = g.critical_angles()
+        assert not nodes.flags.writeable
+        assert nodes.tobytes() == (np.arange(n) * math.pi / n).tobytes()
+        assert g.eval(nodes).tobytes() == values.tobytes()
+        assert np.isin(nodes, evaluation_grid(g, 4096)).all()
 
     def test_cosine_profile_linear_interp(self):
         k = np.arange(256) * math.pi / 256

@@ -151,6 +151,29 @@ class TestSerialization:
         with pytest.raises(InputError):
             report_from_dict(bad)
 
+    @pytest.mark.parametrize("path", [
+        ("d2",), ("defect",), ("params_uniform", 0), ("T_hat", 0, 1), ("x_points", 1, 0),
+        ("certificate", "phi", 0), ("certificate", "residuals", 3),
+    ])
+    def test_numbers_must_be_json_numbers(self, square_report, path):
+        # a string, a boolean or null in place of a number is malformed, as in a body descriptor
+        for bad_value in (lambda v: repr(v), lambda v: True, lambda v: None):
+            bad = jsonio.loads(jsonio.dumps(report_to_dict(square_report)))
+            *parents, last = path
+            node = bad
+            for key in parents:
+                node = node[key]
+            node[last] = bad_value(node[last])
+            with pytest.raises(InputError, match="JSON numbers"):
+                report_from_dict(bad)
+
+    @pytest.mark.parametrize("value", ["true", 1, None])
+    def test_cone_condition_must_be_a_json_boolean(self, square_report, value):
+        bad = report_to_dict(square_report)
+        bad["cone_condition_ok"] = value
+        with pytest.raises(InputError, match="cone_condition_ok"):
+            report_from_dict(bad)
+
     def test_missing_t_tilde_is_malformed(self, square_report, square_gauge):
         bad = report_to_dict(square_report)
         del bad["T_tilde"]

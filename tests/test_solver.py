@@ -20,6 +20,7 @@ from bmplane.report import build_report
 from bmplane.solver import (
     AlternanceCertificate,
     SolverOptions,
+    certificate_deviations,
     distance,
     extract_certificate,
     linprog,
@@ -241,10 +242,10 @@ class TestExchangeLP:
             solve_uniform(lp_gauge(math.inf))
 
     def test_repeated_reference_is_typed(self, monkeypatch):
-        # polygon 49 of the rng-99 sequence below (kappa = 1e8) brings its round-1 reference
+        # polygon 78 of the rng-99 sequence below (kappa = 1e8) brings its round-1 reference
         # back at round 3; the exchange must stop there instead of cycling to its 208-round cap
         rng = np.random.default_rng(99)
-        for _ in range(50):
+        for _ in range(79):
             v = bodies.random_convex_polygon(rng)
             t1, t2 = rng.uniform(0.0, math.pi, 2)
         g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-8]) @ _rotation(t2).T).T)
@@ -412,8 +413,7 @@ class TestRefinement:
 
     def test_polygon_scan_matches_references(self, corpus):
         # at least as extreme as the ternary search at each of its extrema, and the sup of the
-        # boundary's own quadratic; h differs from it by the rounding of _radius, 2.8e-14 at
-        # the kinks of the 2000-gons
+        # boundary's own quadratic
         for name, g in _refinement_bodies(corpus).items():
             descriptor = g.descriptor()
             if descriptor["kind"] != "polygon":
@@ -430,7 +430,7 @@ class TestRefinement:
             i = _nearest(ref.min_angles, scan.min_angles)
             assert np.all(scan.min_values[i] <= ref.min_values + 1e-14), name
             exact = bodies.polygon_deviation_sup(np.array(descriptor["vertices"]), params)
-            assert scan.sup == pytest.approx(exact, rel=0.0, abs=5e-14), name
+            assert scan.sup == pytest.approx(exact, rel=0.0, abs=1e-15), name
 
 
 class TestOneEvaluationPerAngle:
@@ -631,7 +631,7 @@ class TestSolveUniform:
         # thousands of extrema in the point set of the exchange on refined extrema
         g = polygon_gauge(bodies.regular_polygon(2000))
         d2 = 1.0 / math.cos(math.pi / 2000.0)
-        assert distance(g) == pytest.approx(d2, rel=1e-12, abs=0.0)
+        assert distance(g) == pytest.approx(d2, rel=1e-14, abs=0.0)
 
     def test_rotated_2000gon(self):
         # t* - 1 is only 2.5e-6 here: an LP point off by its solver's tolerance shows in d2
@@ -639,28 +639,31 @@ class TestSolveUniform:
         d2 = 1.0 / math.cos(math.pi / 2000.0)
         for _ in range(10):
             g = polygon_gauge(bodies.regular_polygon(2000, phase=rng.uniform(0.0, math.pi)))
-            assert distance(g) == pytest.approx(d2, rel=1e-11, abs=0.0)
+            assert distance(g) == pytest.approx(d2, rel=1e-14, abs=0.0)
 
     def test_ill_conditioned_polygons_end_typed(self):
         # images under Q diag(1, 1e-8) Q': every body must end in a verified certificate or a
-        # typed error, never a raw exception or a numpy warning; on bodies 37 and 42 the grid
-        # run's triple has R <= 0 in floats at a grid angle or probe of its scan
+        # typed error, never a raw exception or a numpy warning
         rng = np.random.default_rng(99)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for i in range(60):
+            for _ in range(60):
                 v = bodies.random_convex_polygon(rng)
                 t1, t2 = rng.uniform(0.0, math.pi, 2)
                 g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-8]) @ _rotation(t2).T).T)
-                if i in (37, 42):
-                    with pytest.raises(NoConvergence, match=r"R = \S+ <= 0"):
-                        solve_uniform(g)
-                    continue
                 try:
                     sol = solve_uniform(g)
                 except BmplaneError:
                     continue
                 assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+
+    def test_triple_on_the_cone_boundary_in_floats_is_typed(self):
+        # a triple just inside the cone whose R rounds to 0.0 at one angle
+        r, t, phi = 1.0 - 2.0**-53, 5.109927617709579, 0.9841674820598936
+        e = EllipseParams(1.0, r * math.cos(t), r * math.sin(t))
+        cert = AlternanceCertificate(phi, phi, phi, phi, (0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(NoConvergence, match=r"R = 0\.0 <= 0"):
+            certificate_deviations(circle_gauge(), e, cert)
 
     def test_stress_linear_images(self):
         # images under rot(t1) diag(1, 1/kappa) rot(t2) of 25 polygons per kappa, drawn in one
@@ -773,7 +776,7 @@ class TestSolveUniform:
         # at 1024 samples the grid sees h between them, and the flat test never triggers
         g = self._linear_ellipse_samples(1024)
         sol = solve_uniform(g)
-        assert sol.defect == pytest.approx(5.818513023165131e-05, rel=1e-12, abs=0.0)
+        assert sol.defect == pytest.approx(5.8185130232718936e-05, rel=1e-12, abs=0.0)
         assert verify_certificate(g, sol.params, sol.certificate, 1e-8, grid_size=2**16).passed
 
     def test_deterministic(self):
