@@ -3,28 +3,46 @@
 Searches the standard ellipse chart (a, b', theta) with rho^-2 =
 a*(1 + u*cos(2*(phi-theta))), u = b'/a < 1, because that box grids cleanly.
 For fixed (u, theta) the angular profile of the deviation is shared by the
-whole a-line, so a stage costs n_theta*n_b angular scans plus a search along
-each a-line.  The scans are log-free: log is monotone, so the phi extremes of
+whole a-line, so a (u, theta) point costs one angular scan plus a search along
+its a-line.  The scans are log-free: log is monotone, so the phi extremes of
 f + 0.5*log1p(u*c) are f_c + 0.5*log of those of r2*(1 + u*c), with
 r2 = exp(2*(f - f_c)) centred on the midrange f_c of f so that it cannot
 overflow.
 
-Over a stage's window [u_lo, u_hi] x [theta_lo, theta_hi] the value of angle
-phi_j lies in [lb_j, ub_j], from the range of cos(2*(phi_j - theta)) over the
-theta interval and the sign that picks u_lo or u_hi.  An angle whose ub_j is
-below max lb is never the max there, and one whose lb_j is above min ub never
-the min, so the scan skips the angles that are neither.  The kept values are
-computed as they would be on all angles, so hmax and hmin are the same floats.
-Stages zoom into the incumbent, so the later windows keep a small share of the
-angles.
+Over a window [u_lo, u_hi] x [theta_lo, theta_hi] the value of angle phi_j
+lies in [lb_j, ub_j], from the range of cos(2*(phi_j - theta)) over the theta
+interval and the sign that picks u_lo or u_hi.  An angle whose ub_j is below
+max lb is never the max there, and one whose lb_j is above min ub never the
+min, so a scan skips the angles that are neither.  Stages zoom into the
+incumbent, so the later windows keep a small share of the angles.
 
 Along an a-line V_i = max(hmax + s_i, -s_i - hmin), s_i = f_c + 0.5*log(a_i),
 is the larger of a nondecreasing and a nonincreasing term, so it falls and
 then rises: its first minimum is found where the terms cross, near
-s* = -(hmax + hmin)/2.  No (n_a, n_b, n_theta) stage array is built.  The
-evaluation count stays that of the full grid, n_theta*n_b*(n_phi + n_a) per
-stage, and the resolutions are coarsened until all stages stay under
-_EVAL_CAP.
+s* = -(hmax + hmin)/2.
+
+Each stage's (u, theta) grid is searched in _TILE x _TILE tiles.  On a tile,
+hmax >= 0.5*log(max lb) and hmin <= 0.5*log(min ub), so no line there has V
+below B = min_i max(0.5*log(max lb) + s_i, -s_i - 0.5*log(min ub)); one
+vectorised pass gives every tile's B.  Tiles are scanned in ascending B, each
+on its own window's angles, and the search stops at the first tile whose
+B - margin is above the incumbent: every line it or a later tile holds is
+worse, so none can tie.  The margin covers the rounding of V and B (see
+_BOUND_MARGIN).  Most tiles are never scanned.
+
+The result is the full grid's minimum, bit for bit, ties to the least
+(a, u, theta) index.  Every kept value is computed as it would be on all
+angles, so hmax and hmin are the same floats, and a line's minimum does not
+depend on which tile holds it.  That needs elementwise arithmetic: u*c is
+rounded, then 1 + u*c, then the product with r2.  A matrix product of (u, 1)
+with (c, 1) rounds that way as a BLAS gemm, but numpy sends one with a single
+row or column to gemv, which rounds 1 + u*c differently, and a tile can hold
+one u point (n_b = 17, say) or keep one angle.
+
+No (n_a, n_b, n_theta) stage array is built.  The evaluation count is the
+size of the grid searched, n_theta*n_b*(n_phi + n_a) per stage, not the
+number of points scanned, and the resolutions are coarsened until all stages
+stay under _EVAL_CAP.
 """
 
 from __future__ import annotations
@@ -45,6 +63,14 @@ _PI = math.pi
 _SHRINK = 6.0  # each stage's window is this much narrower than the last
 _WINDOW_SLACK = 1e-12  # relative to max r2: rounding room in the window bound
 _EVAL_CAP = 1e9  # evaluations over all stages; finer grids are coarsened to fit
+_TILE = 16  # u and theta points per side of a search tile
+# Rounding room between V and a tile's B, per unit of 1 + max|s|.  Both come from
+# r2*(1 + u*c) on the same r2, cos2 and sin2, but at other u, c and with other
+# roundings.  u*c is good to a few ulps of 1 and 1 + u*c >= 1e-6, so each value
+# and bound is good to a few 1e-10 relative, half that after the half log, and
+# adding s_i rounds to an ulp of |s_i|.  1e-8 covers both sides with room; a wider
+# margin only scans a few more tiles.
+_BOUND_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,6 +97,11 @@ class OracleGrid:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The best grid ellipse and its grid deviation value.  ``evaluations`` is
+    the size of the grid the search covers, n_theta*n_b*(n_phi + n_a) summed
+    over the stages, not the number of points computed: the tile search skips
+    most of them."""
+
     std: StdEllipseParams
     value: float
     evaluations: int
@@ -82,10 +113,12 @@ class OracleResult:
 
 def _value_range(r2, phis, cos2, sin2, us, thetas):
     """lb, ub per angle: the range of r2*(1 + u*c), c = cos(2*(phi - theta)), over
-    the window [us[0], us[-1]] x [thetas[0], thetas[-1]]."""
-    u_lo, u_hi, t_lo, t_hi = us[0], us[-1], thetas[0], thetas[-1]
-    c_first = cos2 * math.cos(2.0 * t_lo) + sin2 * math.sin(2.0 * t_lo)
-    c_last = cos2 * math.cos(2.0 * t_hi) + sin2 * math.sin(2.0 * t_hi)
+    the window [us[..., 0], us[..., -1]] x [thetas[..., 0], thetas[..., -1]].
+    Leading axes of us and thetas index windows and broadcast together; lb and
+    ub gain them."""
+    u_lo, u_hi, t_lo, t_hi = us[..., :1], us[..., -1:], thetas[..., :1], thetas[..., -1:]
+    c_first = cos2 * np.cos(2.0 * t_lo) + sin2 * np.sin(2.0 * t_lo)
+    c_last = cos2 * np.cos(2.0 * t_hi) + sin2 * np.sin(2.0 * t_hi)
     # phi - theta sweeps [phi - t_hi, phi - t_lo]: does it pass q*pi (c = 1) or (q + 1/2)*pi (c = -1)?
     top = _PI * np.ceil((phis - t_hi) / _PI) <= phis - t_lo
     bottom = _PI * (np.ceil((phis - t_hi) / _PI - 0.5) + 0.5) <= phis - t_lo
@@ -108,20 +141,24 @@ def _stage_extremes(r2, cos2, sin2, us, thetas, executor=None) -> np.ndarray:
     """hmax, hmin[k, j] = 0.5*log of the max, min over phi of r2*(1 + u_k*c_j),
     c_j = cos(2*(phi - theta_j)); returned stacked, shape (2, n_b, n_theta).
 
-    Per theta, (u, 1).(c_j, 1) rounds u*c_j, then 1 + u*c_j, exact for
-    u*c_j <= -1/2: log1p's accuracy near u = 1.
+    u*c_j is rounded, then 1 + u*c_j, exact for u*c_j <= -1/2: log1p's
+    accuracy near u = 1.  A serial scan takes every theta in one block; an
+    executor gets one theta slice a task.
     """
-    u_one, ones = np.column_stack([us, np.ones_like(us)]), np.ones_like(r2)
+    cos_t = np.array([math.cos(2.0 * t) for t in thetas])[:, None]
+    sin_t = np.array([math.sin(2.0 * t) for t in thetas])[:, None]
 
-    def theta_slice(j):
-        ct = cos2 * math.cos(2.0 * thetas[j]) + sin2 * math.sin(2.0 * thetas[j])
-        m = u_one @ np.array([ct, ones])
+    def theta_block(js):
+        m = us[:, None] * (cos2 * cos_t[js] + sin2 * sin_t[js])[:, None]  # (theta, u, phi)
+        m += 1.0
         m *= r2
-        return m.max(axis=1), m.min(axis=1)
+        return np.array([m.max(axis=2), m.min(axis=2)])
 
-    mapper = map if executor is None else executor.map
-    ext = np.array(list(mapper(theta_slice, range(thetas.size))))  # (n_theta, 2, n_b)
-    return 0.5 * np.log(np.ascontiguousarray(ext.transpose(1, 2, 0)))
+    mapper, blocks = map, [slice(None)]
+    if executor is not None:
+        mapper, blocks = executor.map, [slice(j, j + 1) for j in range(thetas.size)]
+    ext = np.concatenate(list(mapper(theta_block, blocks)), axis=1)  # (2, n_theta, n_b)
+    return 0.5 * np.log(np.ascontiguousarray(ext.transpose(0, 2, 1)))
 
 
 def _rising(s, hmax, i):
@@ -165,14 +202,52 @@ def _argmin_lex(s, hmax, hmin) -> tuple[int, int, int]:
     return int(index.flat[line]), int(k), int(j)
 
 
+def _tile_bounds(r2, phis, cos2, sin2, s, us, thetas) -> np.ndarray:
+    """Per window of _value_range's us and thetas, a B that no a-line's V there
+    undercuts, up to rounding: with lo = max lb and hi = min ub over the angles,
+    hmax >= 0.5*log lo and hmin <= 0.5*log hi on every line."""
+    lb, ub = _value_range(r2, phis, cos2, sin2, us, thetas)
+    return _line_minima(s, 0.5 * np.log(lb.max(axis=-1)), 0.5 * np.log(ub.min(axis=-1)))[0]
+
+
+def _tile_search(r2, phis, cos2, sin2, s, us, thetas, executor=None):
+    """(value, i, k, j) of the least V on the stage grid, ties to the least (i, k, j).
+
+    Visits the _TILE x _TILE tiles of the (u, theta) grid in ascending bound
+    and stops at the first whose bound, less the rounding margin, is above the
+    incumbent: no line it or a later tile holds can reach or tie the incumbent.
+    """
+    k0, j0 = np.arange(0, us.size, _TILE), np.arange(0, thetas.size, _TILE)
+    k1, j1 = np.minimum(k0 + _TILE, us.size), np.minimum(j0 + _TILE, thetas.size)
+    u_ends = np.column_stack([us[k0], us[k1 - 1]])[:, None]  # (u tile, 1, 2): against theta tiles
+    t_ends = np.column_stack([thetas[j0], thetas[j1 - 1]])
+    bound = _tile_bounds(r2, phis, cos2, sin2, s, u_ends, t_ends)
+    margin = _BOUND_MARGIN * (1.0 + float(np.abs(s).max()))
+    best = (math.inf, 0, 0, 0)
+    for t in np.argsort(bound, axis=None, kind="stable"):
+        tk, tj = divmod(int(t), j0.size)
+        if bound[tk, tj] - margin > best[0]:
+            break
+        ks, js = slice(k0[tk], k1[tk]), slice(j0[tj], j1[tj])
+        keep = _window_angles(r2, phis, cos2, sin2, us[ks], thetas[js])
+        hmax, hmin = _stage_extremes(r2[keep], cos2[keep], sin2[keep], us[ks], thetas[js], executor)
+        i, k, j = _argmin_lex(s, hmax, hmin)
+        value = max(hmax[k, j] + s[i], -s[i] - hmin[k, j])
+        best = min(best, (float(value), i, ks.start + k, js.start + j))
+    return best
+
+
 def oracle_uniform(
     gauge: Gauge, grid: Optional[OracleGrid] = None, threads: int = 1
 ) -> OracleResult:
     """Exhaustive search for the best ellipse over the (a, b', theta) grid.
 
     b' is sampled as u*a with u in [0, 1 - 1e-6], which enforces b' < a on
-    every a-line.  Returns the best grid triple, its grid deviation value and
-    the evaluation count.  ``threads`` below 1 raises ValueError.
+    every a-line.  Returns the best grid triple and its grid deviation value,
+    bit for bit those of a scan of every grid point, and the evaluation count:
+    the size of the grid covered, though only the tiles that the bound cannot
+    rule out are scanned.  ``threads`` workers scan a tile's theta slices;
+    below 1 raises ValueError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -212,10 +287,11 @@ def oracle_uniform(
             us = np.linspace(u_bounds[0], u_bounds[1], n_b)
             thetas = np.linspace(t_bounds[0], t_bounds[1], n_t)
             keep = _window_angles(r2, phis, cos2, sin2, us, thetas)
-            hmax, hmin = _stage_extremes(r2[keep], cos2[keep], sin2[keep], us, thetas, executor)
             s = f_c + 0.5 * log_a
+            best_value, i, k, j = _tile_search(
+                r2[keep], phis[keep], cos2[keep], sin2[keep], s, us, thetas, executor
+            )
             evaluations += n_t * n_b * (phis.size + n_a)
-            i, k, j = _argmin_lex(s, hmax, hmin)
             if stage + 1 < grid.stages:
                 # shrink each window around the incumbent; generous overlap with
                 # the previous spacing keeps diagonal valleys inside the window
@@ -235,7 +311,6 @@ def oracle_uniform(
         if executor is not None:
             executor.shutdown()
 
-    best_value = float(max(hmax[k, j] + s[i], -s[i] - hmin[k, j]))
     best_a = math.exp(log_a[i])
     best_u = float(us[k])
     best_theta = 0.0 if best_u == 0.0 else float(np.mod(thetas[j], _PI))

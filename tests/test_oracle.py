@@ -7,7 +7,9 @@ import pytest
 from bmplane import oracle
 from bmplane.ellipse import EllipseParams, StdEllipseParams
 from bmplane.errors import EmptyGrid
-from bmplane.gauge import circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge
+from bmplane.gauge import (
+    circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge, sample_gauge,
+)
 from bmplane.oracle import OracleGrid, OracleResult, _argmin_lex, oracle_uniform
 
 import bodies
@@ -135,6 +137,18 @@ def _stars(n: int) -> dict:
     return {f"star{i}": polygon_gauge(bodies.random_star_polygon(rng)) for i in range(n)}
 
 
+def _sweep_bodies() -> dict:
+    """Stars, 10:1 to 1000:1 in-family ellipses, and a square and a hexagon at extreme scales."""
+    cases = _stars(4)
+    for ratio in (10.0, 100.0, 1000.0):
+        e = EllipseParams(0.5 * (1.0 + ratio**2), 0.5 * (1.0 - ratio**2), 0.0)
+        cases[f"ellipse{ratio:g}"] = ellipse_gauge(e)
+    for scale in (1e-100, 1e-8, 1e8, 1e100):
+        cases[f"square{scale:g}"] = polygon_gauge(scale * bodies.square_vertices())
+        cases[f"hexagon{scale:g}"] = polygon_gauge(scale * bodies.hexagon_inradius_1())
+    return cases
+
+
 class TestOracleUniform:
     def test_circle(self):
         res = oracle_uniform(circle_gauge(), OracleGrid(n_phi=256))
@@ -257,6 +271,69 @@ class TestDenseReference:
             assert _bits(res) == _bits(_dense_oracle_uniform(g, grid)), name
         if grid_name == "eval-cap":
             assert res.evaluations < grid.stages * 64 * 64 * (256 + 64)
+
+
+class TestTileSearch:
+    def test_bound_is_rigorous(self, corpus):
+        # tiles of 1 to 16 points a side, in windows as wide as each stage's and
+        # narrower, with u up to 1 - 1e-6: where 1 + u*c nears 1e-6 and rounds worst
+        rng = np.random.default_rng(19)
+        tiles = 0
+        for name, g in {**corpus, **_sweep_bodies()}.items():
+            phis = evaluation_grid(g, 512)
+            fvals = g.log_eval(phis)
+            cos2, sin2 = np.cos(2.0 * phis), np.sin(2.0 * phis)
+            f_c = 0.5 * float(fvals.max() + fvals.min())
+            r2 = np.exp(2.0 * (fvals - f_c))
+            la = -2.0 * float(fvals.max()) - 1.0, -2.0 * float(fvals.min()) + 1.0
+            for width in (1.0, 1.0 / 6, 1.0 / 36, 1.0 / 216, 1e-6):
+                for _ in range(10):
+                    u_mid, t_mid, la_mid = rng.uniform(-0.2, 1.2), rng.uniform(0.0, math.pi), rng.uniform(*la)
+                    u_ends = np.clip([u_mid - 0.5 * width, u_mid + 0.5 * width], 0.0, 1.0 - 1e-6)
+                    us = np.linspace(u_ends[0], u_ends[1], 128)
+                    thetas = np.linspace(t_mid - 0.5 * math.pi * width, t_mid + 0.5 * math.pi * width, 128)
+                    half = 0.5 * width * (la[1] - la[0])
+                    s = f_c + 0.5 * np.linspace(max(la[0], la_mid - half), min(la[1], la_mid + half), 128)
+                    k, j = rng.integers(0, 128, 2)
+                    us, thetas = us[k:k + rng.integers(1, 17)], thetas[j:j + rng.integers(1, 17)]
+                    bound = oracle._tile_bounds(r2, phis, cos2, sin2, s, us, thetas)
+                    hmax, hmin = oracle._stage_extremes(r2, cos2, sin2, us, thetas)
+                    margin = oracle._BOUND_MARGIN * (1.0 + np.abs(s).max())
+                    assert bound - margin <= _dense_v(s, hmax, hmin).min(), (name, width, us, thetas)
+                    tiles += 1
+        assert tiles == 50 * 25
+
+    GRIDS = {
+        "33x37": OracleGrid(n_a=40, n_b=33, n_theta=37, n_phi=256),  # a one-row last u tile
+        "17x8": OracleGrid(n_a=24, n_b=17, n_theta=8, n_phi=256),
+        "9x8-six-stages": OracleGrid(n_a=16, n_b=9, n_theta=8, n_phi=128, stages=6),
+    }
+
+    @pytest.mark.parametrize("grid_name", list(GRIDS))
+    def test_partial_tiles_bitwise_equal(self, corpus, grid_name):
+        grid = self.GRIDS[grid_name]
+        rng = np.random.default_rng(16)
+        rough = {f"rough{n}": sample_gauge(1.0 + 0.2 * rng.random(n)) for n in (16, 64)}
+        for name, g in {**corpus, **_sweep_bodies(), **rough}.items():
+            assert _bits(oracle_uniform(g, grid)) == _bits(_dense_oracle_uniform(g, grid)), name
+
+    def test_scans_a_small_share_of_the_grid(self, monkeypatch):
+        # a count of the (u, theta, phi) points scanned, not a wall time: it repeats exactly
+        scanned = []
+        stage_extremes = oracle._stage_extremes
+
+        def counting(r2, cos2, sin2, us, thetas, executor=None):
+            scanned.append(r2.size * us.size * thetas.size)
+            return stage_extremes(r2, cos2, sin2, us, thetas, executor)
+
+        monkeypatch.setattr(oracle, "_stage_extremes", counting)
+        grid = OracleGrid()
+        full = grid.stages * grid.n_b * grid.n_theta * grid.n_phi
+        for name, g in _bench_style_bodies(7).items():
+            scanned.clear()
+            oracle_uniform(g, grid)
+            # every angle ties on the circle's u = 0 tiles, so it scans a whole u row of tiles
+            assert sum(scanned) <= (0.15 if name == "circle" else 0.05) * full, (name, sum(scanned) / full)
 
 
 class TestWindowAngles:
