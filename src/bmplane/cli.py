@@ -81,15 +81,12 @@ def _cmd_solve(args) -> int:
 def _oracle_grid(args) -> OracleGrid:
     if args.threads < 1:
         raise InputError(f"--threads must be at least 1, got {args.threads}")
-    if (args.a_min is None) != (args.a_max is None):
-        raise InputError("--a-min and --a-max must be given together")
     try:
         return OracleGrid(
             n_a=args.na,
             n_b=args.nb,
             n_theta=args.ntheta,
             n_phi=args.nphi,
-            a_range=None if args.a_min is None else (args.a_min, args.a_max),
             stages=args.stages,
         )
     except EmptyGrid as exc:
@@ -182,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--nb", type=int, default=128)
     oracle.add_argument("--ntheta", type=int, default=128)
     oracle.add_argument("--nphi", type=int, default=1024)
-    oracle.add_argument("--a-min", type=float, default=None)
-    oracle.add_argument("--a-max", type=float, default=None)
     oracle.add_argument("--stages", type=int, default=4)
     oracle.add_argument("--threads", type=int, default=1)
 

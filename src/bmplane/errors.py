@@ -68,8 +68,7 @@ class ConeViolation(BmplaneError):
 # -- oracle ------------------------------------------------------------------
 
 class EmptyGrid(BmplaneError):
-    """Oracle grid settings out of range: a resolution below 8, stages below 1,
-    or an a_range that is not a positive interval."""
+    """Oracle grid settings out of range: a resolution below 8 or stages below 1."""
 
 
 # -- cli / io ----------------------------------------------------------------

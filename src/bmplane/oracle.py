@@ -75,22 +75,19 @@ _BOUND_MARGIN = 1e-8
 
 @dataclass(frozen=True)
 class OracleGrid:
-    """Search-grid resolutions and ranges for oracle_uniform."""
+    """Search-grid resolutions for oracle_uniform.  The first stage's range of a
+    comes from the body: the a of circles whose log radius lies in the range of
+    f = log r, widened by half that range (and 1e-9) on each side."""
 
     n_a: int = 128
     n_b: int = 128
     n_theta: int = 128
     n_phi: int = 1024
-    a_range: Optional[tuple[float, float]] = None
     stages: int = 4
 
     def __post_init__(self):
         if min(self.n_a, self.n_b, self.n_theta, self.n_phi) < 8:
             raise EmptyGrid("all grid resolutions must be at least 8")
-        if self.a_range is not None:
-            lo, hi = self.a_range
-            if not (0.0 < lo < hi < math.inf):
-                raise EmptyGrid(f"a_range must be a positive interval, got {self.a_range}")
         if self.stages < 1:
             raise EmptyGrid("stages must be positive")
 
@@ -258,13 +255,8 @@ def oracle_uniform(
     f_c = 0.5 * float(fvals.max() + fvals.min())
     r2 = np.exp(2.0 * (fvals - f_c))
 
-    if grid.a_range is not None:
-        la_lo, la_hi = math.log(grid.a_range[0]), math.log(grid.a_range[1])
-    else:
-        pad = 0.5 * float(fvals.max() - fvals.min()) + 1e-9
-        la_lo = -2.0 * (float(fvals.max()) + pad)
-        la_hi = -2.0 * (float(fvals.min()) - pad)
-    full_la = (la_lo, la_hi)
+    pad = 0.5 * float(fvals.max() - fvals.min()) + 1e-9
+    full_la = (-2.0 * (float(fvals.max()) + pad), -2.0 * (float(fvals.min()) - pad))
 
     n_a, n_b, n_t = grid.n_a, grid.n_b, grid.n_theta
     while grid.stages * n_t * n_b * (phis.size + n_a) > _EVAL_CAP and max(n_a, n_b, n_t) > 8:

@@ -348,10 +348,9 @@ def _ellipse_element(frame: _Frame, params: EllipseParams, scale: float, style: 
     """Ellipse rho(phi)*scale as a circle or rotated ellipse element."""
     std = params.to_std()
     r_minor, r_major = std.semi_axes()
-    if std.bprime <= 1e-12 * std.a:
-        cx, cy = frame.pt(0.0, 0.0)
-        return f'<circle cx="{cx}" cy="{cy}" r="{frame.ln(scale * r_minor)}" {style}/>'
     cx, cy = frame.pt(0.0, 0.0)
+    if std.bprime <= 1e-12 * std.a:
+        return f'<circle cx="{cx}" cy="{cy}" r="{frame.ln(scale * r_minor)}" {style}/>'
     rx = frame.ln(scale * r_minor)
     ry = frame.ln(scale * r_major)
     deg = _fmt(math.degrees(-std.theta))
@@ -387,29 +386,18 @@ def render_svg(report: SolveReport, gauge: Gauge, view: str = "body") -> str:
 
     The body view shows the boundary, the inscribed ellipse, and its
     d2-scaled circumscribing copy, with extremal points as squares and
-    contact points as diamonds.  The image view applies the optimal operator:
-    the unit circle, the circle of radius d2, and the mapped boundary.
+    contact points as diamonds.  The image view is the same drawing under the
+    optimal operator T_hat: the mapped boundary and points, the unit circle
+    (the inscribed ellipse's image) and the circle of radius d2.
     """
     if view not in ("body", "image"):
         raise InputError(f"view must be 'body' or 'image', got {view!r}")
-    body = _boundary_samples(gauge, report.certificate)
-
-    inscribed = report.params_inscribed
-    std = inscribed.to_std()
-    outer_radius = report.d2 * max(std.semi_axes())
-
-    if view == "body":
-        extent = max(float(np.hypot(body[:, 0], body[:, 1]).max()), outer_radius)
-        frame = _Frame(extent)
-        curve = body
-        x_pts = report.x_points
-        y_pts = report.y_points
-    else:
-        curve = report.T_hat.apply(body)
-        extent = max(float(np.hypot(curve[:, 0], curve[:, 1]).max()), report.d2)
-        frame = _Frame(extent)
-        x_pts = report.T_hat.apply(report.x_points)
-        y_pts = report.T_hat.apply(report.y_points)
+    # the image view is the body view under T_hat, which maps the inscribed ellipse to S^1
+    inscribed, mapped = ((report.params_inscribed, np.asarray) if view == "body"
+                         else (EllipseParams(1.0, 0.0, 0.0), report.T_hat.apply))
+    curve = mapped(_boundary_samples(gauge, report.certificate))
+    outer_radius = report.d2 * max(inscribed.to_std().semi_axes())
+    frame = _Frame(max(float(np.hypot(curve[:, 0], curve[:, 1]).max()), outer_radius))
 
     body_style = 'fill="none" stroke="#202020" stroke-width="2"'
     inner_style = 'fill="none" stroke="#1f6fbf" stroke-width="1.5"'
@@ -422,19 +410,14 @@ def render_svg(report: SolveReport, gauge: Gauge, view: str = "body") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS:.0f}" '
         f'height="{_CANVAS:.0f}" viewBox="0 0 {_CANVAS:.0f} {_CANVAS:.0f}">',
         f'<g id="body"><path d="{_path(frame, curve)}" {body_style}/></g>',
+        f'<g id="inscribed">{_ellipse_element(frame, inscribed, 1.0, inner_style)}</g>',
+        f'<g id="scaled">{_ellipse_element(frame, inscribed, report.d2, outer_style)}</g>',
     ]
-    if view == "body":
-        lines.append(f'<g id="inscribed">{_ellipse_element(frame, inscribed, 1.0, inner_style)}</g>')
-        lines.append(f'<g id="scaled">{_ellipse_element(frame, inscribed, report.d2, outer_style)}</g>')
-    else:
-        cx, cy = frame.pt(0.0, 0.0)
-        lines.append(f'<g id="inscribed"><circle cx="{cx}" cy="{cy}" r="{frame.ln(1.0)}" {inner_style}/></g>')
-        lines.append(f'<g id="scaled"><circle cx="{cx}" cy="{cy}" r="{frame.ln(report.d2)}" {outer_style}/></g>')
     markers = []
-    for p in x_pts:
+    for p in mapped(report.x_points):
         markers.append(_marker(frame, p, 9.0, x_style, diamond=False))
         markers.append(_marker(frame, -p, 9.0, x_style, diamond=False))
-    for p in y_pts:
+    for p in mapped(report.y_points):
         markers.append(_marker(frame, p, 9.0, y_style, diamond=True))
         markers.append(_marker(frame, -p, 9.0, y_style, diamond=True))
     lines.append(f'<g id="points">{"".join(markers)}</g>')

@@ -29,7 +29,10 @@ Optimality is certified by an alternation read off the returned triple's
 scan (``_alternation``), with no further exchange: four consecutive extrema
 phi1 < psi1 < phi2 < psi2 < phi1+pi at which f - g alternately attains +d
 and -d, to within ``cert_tol``, which suffices for global optimality and
-uniqueness within the ellipse family.
+uniqueness within the ellipse family.  Every certificate comes that way,
+also when d is below ``cert_tol``: a flat deviation offers
+(0, pi/4, pi/2, 3pi/4) as its extrema, and a scan with no four alternating
+extrema ends in NoAlternance.
 The triple, d and the four angles are all that the report (``report.py``)
 is built from: the inscribed ellipse is the triple scaled by d2 = exp(2d).
 """
@@ -281,14 +284,16 @@ def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     smooth on the side that improved, and Brent's parabolic step with a
     golden-section fallback searches it until the parabola promises at most
     1e-16 or the bracket is 4*eta wide; later calls evaluate only the open
-    brackets.
+    brackets.  A flat h (the body is an ellipse of the family) has its
+    extrema anywhere: the scan offers the canonical maxima (0, pi/2) and
+    minima (pi/4, 3pi/4), valued by one call of h, and the grid's sup.
     """
     if _flat(hvals):
-        # flat deviation (body is an ellipse of the family): a single token extremum
-        i = int(np.argmax(hvals))
-        ang = grid[i : i + 1]
-        val = hvals[i : i + 1]
-        return _ExtremaScan(ang, val, ang, val, float(np.abs(hvals).max()))
+        # flat deviation (the body is an ellipse of the family): the canonical angles
+        angles = np.array(_CANONICAL_ANGLES)
+        values = h(angles)
+        return _ExtremaScan(angles[0::2], values[0::2], angles[1::2], values[1::2],
+                            float(np.abs(hvals).max()))
 
     prev, nxt = np.roll(hvals, 1), np.roll(hvals, -1)
     imax = np.nonzero((hvals >= prev) & (hvals >= nxt))[0]
@@ -411,45 +416,31 @@ def _alternation(dev: np.ndarray, sign: np.ndarray, floor: float) -> Optional[np
     return np.sort(runs[int(np.argmax(dev[runs].min(axis=1)))])
 
 
-def _certificate_from_scan(
-    gauge: Gauge, params: EllipseParams, scan: _ExtremaScan, tol: float
-) -> AlternanceCertificate:
+def _certificate_from_scan(scan: _ExtremaScan, tol: float) -> AlternanceCertificate:
     """The certificate read off the scan's extrema.
 
     Four cyclically consecutive extrema of alternating kind within tol of the
     sup, one of them the extremum that attains it (``_alternation``), rotated
     to start at a maximum, are (phi1, psi1, phi2, psi2) (psi2 may exceed pi);
-    their residuals are the scan's values there.  A flat deviation (sup below
-    tol: an ellipse of the family) gets the angles (0, pi/4, pi/2, 3pi/4) and
-    h there.  Raises NoAlternance when there are no such four extrema (as
-    when the scan has fewer than two maxima or two minima), a residual
-    exceeds tol, or the angles do not interleave.
+    their residuals are the scan's values there less the sup, so each lies in
+    [-tol, 0] up to the rounding of a flat scan's values.  Raises NoAlternance
+    when there are no such four extrema (as when the scan has fewer than two
+    maxima or two minima) or the angles do not interleave.
     """
-    if scan.sup < tol:
-        angles = np.array(_CANONICAL_ANGLES)
-        values = _deviation_fn(gauge, params)(angles)
-    else:
-        points, first = np.unique(
-            np.concatenate([scan.max_angles, scan.min_angles]), return_index=True)
-        hvals = np.concatenate([scan.max_values, scan.min_values])[first]
-        kind = np.where(first < scan.max_angles.size, 1, -1)
-        ref = _alternation(kind * hvals, kind, scan.sup - tol)
-        if ref is None:
-            raise NoAlternance(
-                f"the scan found {scan.max_angles.size} maxima and {scan.min_angles.size} "
-                f"minima, and no four of them alternate within tolerance {tol} of the "
-                f"deviation {scan.sup}; the candidate ellipse is not optimal"
-            )
-        r = int(kind[ref[0]] < 0)  # rotate the reference to start at a maximum
-        angles = np.roll(points[ref], -r) + np.array([0.0, 0.0, 0.0, r * _PI])
-        values = np.roll(hvals[ref], -r)
-    res = tuple(float(v) for v in values * _SIGNS - scan.sup)
-    cert = AlternanceCertificate(*(float(a) for a in angles), res)
-    if scan.sup >= tol and max(map(abs, res)) > tol:
+    points, first = np.unique(np.concatenate([scan.max_angles, scan.min_angles]), return_index=True)
+    hvals = np.concatenate([scan.max_values, scan.min_values])[first]
+    kind = np.where(first < scan.max_angles.size, 1, -1)
+    ref = _alternation(kind * hvals, kind, scan.sup - tol)
+    if ref is None:
         raise NoAlternance(
-            f"no four-point alternation within tolerance {tol} of the deviation "
-            f"{scan.sup}: residuals {res}; the candidate ellipse is not optimal"
+            f"the scan found {scan.max_angles.size} maxima and {scan.min_angles.size} "
+            f"minima, and no four of them alternate within tolerance {tol} of the "
+            f"deviation {scan.sup}; the candidate ellipse is not optimal"
         )
+    r = int(kind[ref[0]] < 0)  # rotate the reference to start at a maximum
+    angles = np.roll(points[ref], -r) + np.array([0.0, 0.0, 0.0, r * _PI])
+    res = tuple(float(v) for v in np.roll(hvals[ref], -r) * _SIGNS - scan.sup)
+    cert = AlternanceCertificate(*(float(a) for a in angles), res)
     if not cert.interleaved():
         raise NoAlternance(f"degenerate alternation points {cert.angles()}")
     return cert
@@ -462,13 +453,13 @@ def extract_certificate(
 
     The angles are four consecutive extrema of alternating kind that
     ``_extrema_scan`` finds in f - g, read off by ``_certificate_from_scan``,
-    starting at a maximum.  For a flat deviation (the body is itself an
-    ellipse of the family) the canonical angles (0, pi/4, pi/2, 3pi/4) are
-    returned.  Raises NoAlternance when no four alternate within ``tol`` of
-    the sup-norm, NoConvergence when R <= 0 in the scan.
+    starting at a maximum; a flat deviation (the body is itself an ellipse
+    of the family) offers the canonical angles (0, pi/4, pi/2, 3pi/4).
+    Raises NoAlternance when no four alternate within ``tol`` of the
+    sup-norm, NoConvergence when R <= 0 in the scan.
     """
     scan = _extrema_scan(gauge, params, grid_size)
-    return _certificate_from_scan(gauge, params, scan, tol)
+    return _certificate_from_scan(scan, tol)
 
 
 def certificate_deviations(
@@ -569,7 +560,7 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
             f"exchange level {top!r} exceeds the scanned sup-norm {scan.sup!r}: "
             "the scan missed extrema"
         )
-    cert = _certificate_from_scan(gauge, params, scan, opts.cert_tol)
+    cert = _certificate_from_scan(scan, opts.cert_tol)
     return UniformSolution(params, float(scan.sup), cert, diag)
 
 

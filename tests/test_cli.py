@@ -201,10 +201,6 @@ class TestOracleCommand:
         assert res["value"] == pytest.approx(0.25 * math.log(2.0), abs=2e-3)
         assert res["d2"] == pytest.approx(math.sqrt(2.0), abs=5e-3)
 
-    def test_bad_range(self, square_body, tmp_path):
-        assert main(["oracle", "--input", str(square_body),
-                     "--out", str(tmp_path / "o.json"), "--a-min", "2.0"]) == 2
-
     @pytest.mark.parametrize("flags", [["--na", "4"], ["--stages", "0"], ["--threads", "0"]])
     def test_invalid_grid_is_input_error(self, square_body, tmp_path, flags):
         out = tmp_path / "o.json"

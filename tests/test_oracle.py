@@ -73,13 +73,8 @@ def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
     phis = evaluation_grid(gauge, grid.n_phi)
     fvals = gauge.log_eval(phis)
     cos2, sin2 = np.cos(2.0 * phis), np.sin(2.0 * phis)
-    if grid.a_range is not None:
-        la_lo, la_hi = math.log(grid.a_range[0]), math.log(grid.a_range[1])
-    else:
-        pad = 0.5 * float(fvals.max() - fvals.min()) + 1e-9
-        la_lo = -2.0 * (float(fvals.max()) + pad)
-        la_hi = -2.0 * (float(fvals.min()) - pad)
-    full_la = (la_lo, la_hi)
+    pad = 0.5 * float(fvals.max() - fvals.min()) + 1e-9
+    full_la = (-2.0 * (float(fvals.max()) + pad), -2.0 * (float(fvals.min()) - pad))
     n_a, n_b, n_t = grid.n_a, grid.n_b, grid.n_theta
     while grid.stages * n_t * n_b * (phis.size + n_a) > oracle._EVAL_CAP and max(n_a, n_b, n_t) > 8:
         n_a, n_b, n_t = max(8, int(n_a * 0.9)), max(8, int(n_b * 0.9)), max(8, int(n_t * 0.9))
@@ -211,16 +206,7 @@ class TestOracleUniform:
         with pytest.raises(EmptyGrid):
             OracleGrid(n_a=4)
         with pytest.raises(EmptyGrid):
-            OracleGrid(a_range=(2.0, 1.0))
-        with pytest.raises(EmptyGrid):
-            OracleGrid(a_range=(-1.0, 1.0))
-        with pytest.raises(EmptyGrid):
             OracleGrid(stages=0)
-
-    def test_explicit_a_range(self):
-        res = oracle_uniform(circle_gauge(), OracleGrid(n_a=64, n_b=16, n_theta=16,
-                                                        n_phi=256, a_range=(0.5, 2.0)))
-        assert res.std.a == pytest.approx(1.0, abs=1e-3)
 
 
 class TestLogFreeScan:
@@ -253,7 +239,6 @@ class TestDenseReference:
         "48": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512), 1),
         "48-threads": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512), 3),
         "one-stage": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512, stages=1), 1),
-        "a-range": (OracleGrid(n_a=40, n_b=32, n_theta=36, n_phi=256, a_range=(0.3, 3.0)), 1),
         "eval-cap": (OracleGrid(n_a=64, n_b=64, n_theta=64, n_phi=256), 1),  # under a 2e6 cap
     }
 

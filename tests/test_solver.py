@@ -128,10 +128,10 @@ def _batched_ternary_max(fun, lo: np.ndarray, hi: np.ndarray, rounds: int = 60):
 def _refined_extrema_two_calls(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
     """The refinement with separate ternary searches for maxima and minima: reference."""
     if float(hvals.max() - hvals.min()) < 1e-13:
-        i = int(np.argmax(hvals))
-        ang = grid[i : i + 1]
-        val = hvals[i : i + 1]
-        return _ExtremaScan(ang, val, ang, val, float(np.abs(hvals).max()))
+        # flat: the canonical maxima (0, pi/2) and minima (pi/4, 3pi/4), and the grid's sup
+        ang = np.arange(4) * (0.25 * math.pi)
+        val = h(ang)
+        return _ExtremaScan(ang[0::2], val[0::2], ang[1::2], val[1::2], float(np.abs(hvals).max()))
 
     prev = np.roll(hvals, 1)
     nxt = np.roll(hvals, -1)
@@ -447,22 +447,27 @@ class TestOneEvaluationPerAngle:
 
     def test_certificate_is_read_off_the_scan(self, corpus):
         # four consecutive alternating extrema of the returned triple's scan, each within
-        # cert_tol of its sup, one of them the largest: the certificate is the scan's own
+        # cert_tol of its sup, one of them the largest: the certificate is the scan's own,
+        # also on the 20000-gon, the 30000-gon and the wobble, whose defect is below cert_tol
         tol = SolverOptions().cert_tol
         rng = np.random.default_rng(7001)
+        nodes = np.arange(4096) * math.pi / 4096
         for name, g in {
             **_active_set_bodies(corpus),
             "regular-2000": polygon_gauge(bodies.regular_polygon(2000)),
             "rough-8192": sample_gauge(1.0 + 0.2 * rng.random(8192)),
+            "regular-20000": polygon_gauge(bodies.regular_polygon(20000)),
+            "regular-30000": polygon_gauge(bodies.regular_polygon(30000, phase=0.3)),
+            "wobble-4096": sample_gauge(1.0 + 1e-9 * np.cos(6.0 * nodes)),
         }.items():
             sol = solve_uniform(g)
             scan = _extrema_scan(g, sol.params, 4096)
             cert = sol.certificate
-            assert cert == _certificate_from_scan(g, sol.params, scan, tol), name
-            assert verify_certificate(g, sol.params, cert, 1e-6).passed, name
-            if scan.sup < tol:
+            assert cert == _certificate_from_scan(scan, tol), name
+            assert verify_certificate(g, sol.params, cert, tol).passed, name
+            flat = name in ("circle", "ellipse")
+            if flat:  # h is 0 to rounding, and the canonical angles are its extrema
                 assert cert.angles() == (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi), name
-                continue
             signed = []
             for a, kind in zip(cert.angles(), (1, -1, 1, -1)):
                 angles, values = ((scan.max_angles, scan.max_values) if kind > 0
@@ -471,6 +476,7 @@ class TestOneEvaluationPerAngle:
                 assert at.size, (name, a, kind)
                 signed.append(kind * float(values[at[0]]))
             assert all(scan.sup - tol <= v <= scan.sup for v in signed), name
+            assert flat or min(signed) > 0.0, name  # h has the signs (+, -, +, -) there
             top = max(float(scan.max_values.max()), float(-scan.min_values.min()))
             assert top in signed, name
 
@@ -835,22 +841,22 @@ class TestCertificate:
         scan = _ExtremaScan(np.array([0.3]), np.array([0.1]),
                             np.array([0.9, 2.1]), np.array([-0.1, -0.1]), 0.1)
         with pytest.raises(NoAlternance, match="the scan found 1 maxima and 2 minima"):
-            _certificate_from_scan(circle_gauge(), EllipseParams(1.0, 0.0, 0.0), scan, 1e-8)
+            _certificate_from_scan(scan, 1e-8)
 
     def test_same_kind_neighbours_count_as_their_largest(self):
         # near maxima with no near minimum between them count as the larger one, here inside
         # [0, pi) and across pi; the rest then alternate, and the certificate holds
-        params, tol = EllipseParams(1.0, 0.0, 0.0), 1e-8
+        tol = 1e-8
         maxima = np.array([0.1, 0.1 - 5e-9, 0.1 - 3e-9, 0.1])
         scan = _ExtremaScan(np.array([0.3, 0.5, 1.6, 2.0]), maxima,
                             np.array([0.9, 2.4]), np.array([-0.1, -0.1]), 0.1)
-        cert = _certificate_from_scan(circle_gauge(), params, scan, tol)
+        cert = _certificate_from_scan(scan, tol)
         assert cert.angles() == (0.3, 0.9, 2.0, 2.4)
         assert cert.residuals == (0.0, 0.0, 0.0, 0.0)
         low = 0.1 - 6e-9
         scan = _ExtremaScan(np.array([0.1, 1.6, 3.0]), np.array([0.1, low, 0.1 - 2e-9]),
                             np.array([0.9, 2.4]), np.array([-low, -low]), 0.1)
-        cert = _certificate_from_scan(circle_gauge(), params, scan, tol)
+        cert = _certificate_from_scan(scan, tol)
         assert cert.angles() == (0.1, 0.9, 1.6, 2.4)
         assert cert.residuals == pytest.approx((0.0, -6e-9, -6e-9, -6e-9), rel=0.0, abs=1e-15)
 
@@ -860,7 +866,7 @@ class TestCertificate:
         scan = _ExtremaScan(np.array([0.3, 1.6, 2.0]), np.array([0.1, 0.1, 0.1]),
                             np.array([0.9, 2.4]), np.array([-0.1, -0.05]), 0.1)
         with pytest.raises(NoAlternance, match="the scan found 3 maxima and 2 minima, and no four"):
-            _certificate_from_scan(circle_gauge(), EllipseParams(1.0, 0.0, 0.0), scan, 1e-8)
+            _certificate_from_scan(scan, 1e-8)
 
     def test_corpus_passes_verification(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
@@ -884,6 +890,26 @@ class TestCertificate:
         verdict = verify_certificate(g, off, sol.certificate, 1e-6)
         assert not all(verdict.residuals_ok)
         assert not verdict.passed
+
+    def test_sampled_ellipses_below_cert_tol_alternate_or_end_typed(self):
+        # linear samples of ellipses (draws of rng 5) whose defect is below cert_tol: a
+        # certificate has f - g of signs (+, -, +, -) at its angles, else the solve is typed
+        tol = SolverOptions().cert_tol
+        rng, nodes = np.random.default_rng(5), np.arange(4096) * math.pi / 4096
+        draws = []
+        for _ in range(11):
+            a2 = rng.uniform(0.5, 2.0)
+            r, t = a2 * rng.uniform(0.0, 0.95), rng.uniform(0.0, 6.3)
+            draws.append(EllipseParams(a2, r * math.cos(t), r * math.sin(t)))
+        for i in (1, 2, 6, 10):
+            g = sample_gauge(draws[i].rho(nodes))
+            try:
+                sol = solve_uniform(g)
+            except NoAlternance:
+                continue
+            assert min(certificate_deviations(g, sol.params, sol.certificate)) > 0.0, i
+            assert max(map(abs, sol.certificate.residuals)) <= tol, i
+            assert verify_certificate(g, sol.params, sol.certificate, tol).passed, i
 
 
 class TestOneSided:
