@@ -72,6 +72,10 @@ class Gauge:
         out = self._log_radius(np.atleast_1d(_reduce(arr)))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
+    def log_slopes(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """f' on an angle array: its limits from the left and the right, which differ at kinks."""
+        raise NotImplementedError
+
     def critical_angles(self) -> np.ndarray:
         """Angles in [0, pi) where r may have a kink; empty for smooth bodies."""
         return np.empty(0)
@@ -165,6 +169,17 @@ class _LpGauge(Gauge):
         inner = (c / m) ** self._p + (s / m) ** self._p
         return -np.log(m) - np.log(inner) / self._p
 
+    def log_slopes(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        # f' = sign(cos*(|cos| - sin))*(t - t^(p-1))/(1 + t^p), t = min/max of |cos| and sin
+        red = _reduce(phi)
+        cos, s = np.cos(red), np.sin(red)  # s >= 0 on [0, pi)
+        t = np.minimum(np.abs(cos), s) / np.maximum(np.abs(cos), s)
+        tp = t ** (self._p - 1.0)
+        slope = np.sign(cos * (np.abs(cos) - s)) * (t - tp) / (1.0 + t * tp)
+        # every kink (p = 1 or inf) is a corner of r with slopes +1 on its left and -1 on its right
+        kink = np.isin(red, self.critical_angles())
+        return np.where(kink, 1.0, slope), np.where(kink, -1.0, slope)
+
     def critical_angles(self) -> np.ndarray:
         if math.isinf(self._p):
             return np.array([0.25 * _PI, 0.75 * _PI])
@@ -184,6 +199,7 @@ class _SampleGauge(Gauge):
         # the cell ends k*pi/N and pi, against which linear cells are found and measured
         self._nodes = np.append(np.arange(self._n) * _PI / self._n, _PI)
         self._nodes.flags.writeable = False
+        self._slopes = (np.roll(values, -1) - values) / np.diff(self._nodes)  # r' on each cell
         if interp == "pchip":
             from scipy.interpolate import PchipInterpolator
 
@@ -194,17 +210,30 @@ class _SampleGauge(Gauge):
         else:
             self._pchip = None
 
-    def _radius(self, red: np.ndarray) -> np.ndarray:
-        if self._pchip is not None:
-            return self._pchip(red)
+    def _cell(self, red: np.ndarray) -> np.ndarray:
+        """The linear cell k of each angle: nodes[k] <= red < nodes[k + 1]."""
         k = np.minimum((red * (self._n / _PI)).astype(int), self._n - 1)
         k -= red < self._nodes[k]
         k += red >= self._nodes[k + 1]
+        return k
+
+    def _radius(self, red: np.ndarray) -> np.ndarray:
+        if self._pchip is not None:
+            return self._pchip(red)
+        k = self._cell(red)
         frac = (red - self._nodes[k]) / (self._nodes[k + 1] - self._nodes[k])
         left = self._values[k] * (1.0 - frac)
         k += 1  # the next sample, the first after the last
         k[k == self._n] = 0
         return left + self._values[k] * frac
+
+    def log_slopes(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        red = np.atleast_1d(_reduce(phi))
+        if self._pchip is not None:  # C1: both limits agree
+            return (self._pchip(red, 1) / self._pchip(red),) * 2
+        k, r = self._cell(red), self._radius(red)
+        # a node's left limit is the slope of the cell before it (-1: the last, before 0)
+        return self._slopes[k - (red == self._nodes[k])] / r, self._slopes[k] / r
 
     def critical_angles(self) -> np.ndarray:
         return self._nodes[:-1]  # read-only
@@ -225,6 +254,19 @@ class _EllipseGauge(Gauge):
 
     def _log_radius(self, red: np.ndarray) -> np.ndarray:
         return -0.5 * np.log(self._params.trig(red))
+
+    def extremum_candidates(self, params: EllipseParams):
+        """f - g = 1/2 log(p'Mp / p'M_e p) at p = (cos, sin), with M_e the body's M: its maximum
+        and minimum are the generalized eigenvectors of (M, M_e), unless M is M_e scaled to its
+        rounding and h flat, when the canonical angles stand in."""
+        m, me = (np.array([[e.a2 + e.b2, e.c2], [e.c2, e.a2 - e.b2]])
+                 for e in (params, self._params))
+        if np.abs(m - me * (np.trace(m) / np.trace(me))).max() <= 2.0**-50 * np.abs(m).max():
+            return np.array([0.0, 0.5 * _PI]), np.array([0.25 * _PI, 0.75 * _PI])
+        chol = np.linalg.cholesky(me)
+        _, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, m).T))
+        angles = _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1]))
+        return angles[1:], angles[:1]
 
     def descriptor(self) -> dict:
         return {"kind": "ellipse", "params": list(self._params.triple())}

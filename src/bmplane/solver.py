@@ -19,11 +19,13 @@ Each point set's cos 2phi and sin 2phi are taken once, in one table
 a triple.  ``solve_uniform`` runs that exchange in one loop: first on the
 grid, then on the extrema of the last triple's deviation, where its final
 4x4 solve is the four-point equioscillation system.  The extrema come from one scan
-(``_extrema_scan``): in closed form on polygons, where f - g = 1/2 log(p'Mp)
-is convex along each edge, and refined from the grid otherwise.  The loop
+(``_extrema_scan``) of the sign of h' = (f - g)' at the ends of the cells
+between grid angles (every kink is one), root-finding h' in a cell where it
+changes sign; it is exact in closed form on polygons, where f - g =
+1/2 log(p'Mp) is convex along each edge, and on ellipses.  The loop
 stops when the scanned sup-norm of the last triple is within 1e-12 relative
-of its level on its points, the de la Vallee Poussin lower bound on the
-optimum.
+(or the rounding of h) of its level on its points, the de la Vallee Poussin
+lower bound on the optimum.
 
 Optimality is certified by an alternation read off the returned triple's
 scan (``_alternation``), with no further exchange: four consecutive extrema
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -63,15 +66,15 @@ __all__ = [
 ]
 
 _PI = math.pi
-_CANONICAL_ANGLES = (0.0, 0.25 * _PI, 0.5 * _PI, 0.75 * _PI)
+_CANONICAL_ANGLES = np.array([0.0, 0.25 * _PI, 0.5 * _PI, 0.75 * _PI])
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0])  # of f - g at (phi1, psi1, phi2, psi2)
-_ROUNDING = 1e-16  # about the rounding of h near its extrema
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section fraction of the larger side
+_ROOT_STEPS = 12  # Illinois steps on h' in each cell where it changes sign
+_H_ROUNDING = 2.0**-50  # h = f - g rounds by about eps*|f|: this bounds it, relative to max|f|
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    grid_size: int = 4096
+    grid_size: int = 4096  # the first exchange run's grid, whose cells partition the extremum scan
     cert_tol: float = 1e-8
 
     def __post_init__(self):
@@ -143,27 +146,24 @@ class CertificateVerdict:
     sup_norm: float
 
 
-def _half_log(R: np.ndarray, params: EllipseParams) -> np.ndarray:
-    """1/2 log R of the triple; NoConvergence where R rounds to 0 or below."""
+def _R(params: EllipseParams, cos, sin) -> np.ndarray:
+    """R from cos 2phi and sin 2phi, as ``params.trig``; NoConvergence where it rounds to <= 0."""
+    R = np.asarray(params.a2 + params.b2 * cos + params.c2 * sin)
     if not (R > 0.0).all():
         raise NoConvergence(f"R = {float(R.min())!r} <= 0 for the triple {params.triple()}, "
                             "which is on the cone's boundary in floating point")
-    return 0.5 * np.log(R)
+    return R
 
 
 def _half_log_trig(params: EllipseParams, phi):
     """1/2 log R of the triple at phi."""
-    return _half_log(np.asarray(params.trig(phi)), params)
+    phi = np.asarray(phi, dtype=float)
+    return 0.5 * np.log(_R(params, np.cos(2.0 * phi), np.sin(2.0 * phi)))
 
 
 def _half_log_table(params: EllipseParams, trig: np.ndarray) -> np.ndarray:
-    """1/2 log R of the triple on a ``_trig_matrix`` table, bit for bit ``params.trig``'s R."""
-    return _half_log(params.a2 + params.b2 * trig[:, 1] + params.c2 * trig[:, 2], params)
-
-
-def _deviation_fn(gauge: Gauge, params: EllipseParams):
-    """f - g as a vectorized callable; g = -0.5*log R."""
-    return lambda phi: gauge.log_eval(phi) + _half_log_trig(params, phi)
+    """1/2 log R of the triple on a ``_trig_matrix`` table."""
+    return 0.5 * np.log(_R(params, trig[:, 1], trig[:, 2]))
 
 
 def _trig_matrix(points: np.ndarray) -> np.ndarray:
@@ -268,128 +268,86 @@ class _ExtremaScan:
     sup: float
 
 
-def _flat(hvals: np.ndarray) -> bool:
-    """True when h varies by less than 1e-13 on its points, as on an ellipse of the family."""
-    return float(hvals.max() - hvals.min()) < 1e-13
+class _Pieces:
+    """A body's grid (``evaluation_grid``: h is smooth between its angles), its trig table and
+    f' there from the left and the right, each built on first use, once per solve."""
+
+    def __init__(self, gauge: Gauge, grid_size: int):
+        self._gauge, self._size = gauge, grid_size
+
+    @cached_property
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        angles = evaluation_grid(self._gauge, self._size)
+        return angles, _trig_matrix(angles)
+
+    @cached_property
+    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._gauge.log_slopes(self.grid[0])
 
 
-def _refined_extrema(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
-    """All local extrema of the pi-periodic h, from its grid values and a few calls of h.
-
-    Each grid extremum x brackets one extremum between its neighbours.  One
-    call evaluates h at x -+ eta = sqrt(1e-16/c) (at least 1e-15, with c half
-    the second difference of the grid values): the offset at which a smooth
-    extremum out of reach rises above rounding.  If neither beats x, x is the
-    extremum (every kink is a grid float, see ``evaluation_grid``).  Else h is
-    smooth on the side that improved, and Brent's parabolic step with a
-    golden-section fallback searches it until the parabola promises at most
-    1e-16 or the bracket is 4*eta wide; later calls evaluate only the open
-    brackets.  A flat h (the body is an ellipse of the family) has its
-    extrema anywhere: the scan offers the canonical maxima (0, pi/2) and
-    minima (pi/4, 3pi/4), valued by one call of h, and the grid's sup.
-    """
-    if _flat(hvals):
-        # flat deviation (the body is an ellipse of the family): the canonical angles
-        angles = np.array(_CANONICAL_ANGLES)
-        values = h(angles)
-        return _ExtremaScan(angles[0::2], values[0::2], angles[1::2], values[1::2],
-                            float(np.abs(hvals).max()))
-
-    prev, nxt = np.roll(hvals, 1), np.roll(hvals, -1)
-    imax = np.nonzero((hvals >= prev) & (hvals >= nxt))[0]
-    imin = np.nonzero((hvals <= prev) & (hvals <= nxt))[0]
-    k, m, both = imax.size, imax.size + imin.size, np.concatenate([imax, imin])
-    sign = np.concatenate([-np.ones(k), np.ones(imin.size)])  # minimize y = sign*h
-    x, y = grid[both], sign * hvals[both]
-    a = np.where(both == 0, grid[-1] - _PI, grid[both - 1])
-    b = np.where(both == grid.size - 1, grid[0] + _PI, grid[(both + 1) % grid.size])
-    ya, yb = sign * hvals[both - 1], sign * hvals[(both + 1) % grid.size]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        curv = ((yb - y) / (b - x) - (y - ya) / (x - a)) / (b - a)
-        eta = np.fmin(np.sqrt(_ROUNDING / curv), 1e-2 * np.minimum(x - a, b - x)).clip(1e-15)
-    probes = np.concatenate([x - eta, x + eta])
-    yp = np.tile(sign, 2) * h(probes)
-    yl, yr = yp[:m], yp[m:]
-    right = yr < np.minimum(y, yl)
-    s = np.nonzero(right | (yl < y))[0]
-    r = right[s]
-    # per open bracket: its ends lo < hi, and its three best points p, best first
-    lo, hi = np.where(r, x[s], a[s]), np.where(r, b[s], x[s])
-    p = np.stack([probes[s + r * m], x[s], np.where(r, b[s], a[s])])
-    q = np.stack([np.where(r, yr[s], yl[s]), y[s], np.where(r, yb[s], ya[s])])  # their y
-    d, e = hi - lo, hi - lo  # Brent's last step and the one before it
-    act = np.arange(s.size)
-    for _ in range(100):
-        P, Q, la, ha, ta = p[:, act], q[:, act], lo[act], hi[act], eta[s[act]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sw, sv = (Q[1:] - Q[0]) / (P[1:] - P[0])
-            alpha = (sw - sv) / (P[1] - P[2])
-            step = 0.5 * (alpha * (P[1] - P[0]) - sw) / alpha  # to the parabola's vertex
-        keep = ~(((alpha > 0.0) & (alpha * step**2 <= _ROUNDING)) | (ha - la <= 4.0 * ta))
-        if not keep.any():
+def _illinois(fn, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Roots of fn = h' between a and b, where fa = fn(a) and fb = fn(b) differ in sign: at most
+    ``_ROOT_STEPS`` false-position steps, halving the value at an end kept twice (Illinois),
+    until |h'(b)|*|b - a|, which bounds h(b) - h(root) for h' monotone, is below 2^-64 in all."""
+    for _ in range(_ROOT_STEPS if a.size else 0):
+        x = b - fb * (b - a) / (fb - fa)
+        fx = fn(x)
+        flip = np.sign(fx) != np.sign(fb)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = x, fx
+        if (np.abs(fb * (b - a)) <= 2.0**-64).all():
             break
-        act, P, Q, la, ha, ta, alpha, step = (
-            z[..., keep] for z in (act, P, Q, la, ha, ta, alpha, step))
-        para = (alpha > 0.0) & (np.abs(step) < 0.5 * np.abs(e[act]))
-        para &= (P[0] + step > la + ta) & (P[0] + step < ha - ta)
-        gold = np.where(P[0] >= 0.5 * (la + ha), la, ha) - P[0]
-        e[act] = np.where(para, d[act], gold)
-        d[act] = np.where(para, step, _GOLDEN * gold)
-        u = P[0] + np.where(np.abs(d[act]) >= ta, d[act], np.copysign(ta, d[act]))
-        yu = sign[s[act]] * h(u)
-        better, above = yu <= Q[0], u >= P[0]
-        lo[act] = np.where(better == above, np.where(better, P[0], u), la)
-        hi[act] = np.where(better != above, np.where(better, P[0], u), ha)
-        order = np.argsort(np.vstack([yu, Q]), axis=0, kind="stable")[:3]  # u first on ties
-        p[:, act] = np.take_along_axis(np.vstack([u, P]), order, axis=0)
-        q[:, act] = np.take_along_axis(np.vstack([yu, Q]), order, axis=0)
-    x[s], y[s] = p[0], q[0]
-    values = sign * y
-    # a maximum below zero (a minimum above) is no larger in size than its grid value
-    sup = max(float(np.abs(hvals).max()), float(np.abs(values).max()))
-    return _ExtremaScan(np.mod(x[:k], _PI), values[:k], np.mod(x[k:], _PI), values[k:], sup)
+    return b
 
 
-def _candidate_extrema(h, max_angles: np.ndarray, min_angles: np.ndarray) -> _ExtremaScan:
-    """The extrema of h at a gauge's closed-form candidates, each valued at its own angle.
+def _candidate_extrema(gauge: Gauge, params: EllipseParams, angles: np.ndarray,
+                       kind: np.ndarray) -> _ExtremaScan:
+    """The extrema of h at candidate angles in [0, pi), each valued at its own angle.
 
-    One call of h; the sup is the largest |h| among the extrema.
+    kind is +1 at a maximum, -1 at a minimum and 0 where the sign of h decides.  One evaluation
+    of h = f + 1/2 log R values them and (0, pi/4, pi/2, 3pi/4); if the values spread less than
+    1e-13 plus the rounding of h, h is flat and these canonical angles are the extrema.
     """
-    k = max_angles.size
-    values = h(np.concatenate([max_angles, min_angles]))
-    return _ExtremaScan(max_angles, values[:k], min_angles, values[k:], float(np.abs(values).max()))
+    phi, kind = np.concatenate([_CANONICAL_ANGLES, angles]), np.append(_SIGNS, kind)
+    f = gauge.log_eval(phi)
+    values = f + _half_log_trig(params, phi)
+    flat = float(values.max() - values.min()) < 1e-13 + _H_ROUNDING * float(np.abs(f).max())
+    phi, kind, values = (z[:4] if flat else z[4:] for z in (phi, kind, values))
+    top = np.where(kind == 0, values >= 0.0, kind > 0)
+    return _ExtremaScan(phi[top], values[top], phi[~top], values[~top], float(np.abs(values).max()))
 
 
-def _extrema_scan(gauge: Gauge, params: EllipseParams, grid_size: int,
-                  on_grid: Optional[tuple] = None) -> _ExtremaScan:
-    """All local extrema of h = f - g for the triple, and the sup of |h|.
+def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _ExtremaScan:
+    """All local extrema of h = f - g for the triple, and the sup of |h|, by one call of h.
 
-    In closed form where the gauge has one (``Gauge.extremum_candidates``:
-    polygons), with no grid; else ``_refined_extrema`` on the evaluation
-    grid of ``grid_size`` angles, or on ``on_grid`` = (grid, f on it, h on
-    it or None) when the caller has them already.  Where h is flat on the
-    grid and the gauge has kinks, the grid may hold only the points where an
-    interpolant meets its data, so h is looked at between them too: at the
-    grid midpoints, one more call of h, which join the grid if h is not
-    flat there.
+    Every gauge without closed-form extrema (``Gauge.extremum_candidates``, the exact case of
+    the same rule) reads them off the sign of h' = f' + (c2*cos 2phi - b2*sin 2phi)/R at the
+    ends of the cells of ``pieces``, f' from ``Gauge.log_slopes``.  A grid angle is a maximum
+    where h' falls from >= 0 on its left to <= 0 on its right, a minimum where it rises, and
+    either, by the sign of h, where both are 0.  A cell whose h' changes sign holds one
+    extremum, found by ``_illinois``; no cell may hold a maximum and a minimum.
     """
-    h = _deviation_fn(gauge, params)
     candidates = gauge.extremum_candidates(params)
     if candidates is not None:
-        return _candidate_extrema(h, *candidates)
-    if on_grid is None:
-        grid = evaluation_grid(gauge, grid_size)
-        on_grid = grid, gauge.log_eval(grid), None
-    grid, fvals, hvals = on_grid
-    if hvals is None:
-        hvals = fvals + _half_log_trig(params, grid)
-    if _flat(hvals) and gauge.critical_angles().size:
-        mid = 0.5 * (grid + np.append(grid[1:], grid[0] + _PI))
-        hmid = h(mid)
-        if not _flat(np.append(hvals, hmid)):
-            grid = np.column_stack([grid, mid]).ravel()
-            hvals = np.column_stack([hvals, hmid]).ravel()
-    return _refined_extrema(h, grid, hvals)
+        maxima, minima = candidates
+        return _candidate_extrema(gauge, params, np.concatenate(candidates),
+                                  np.repeat([1, -1], [maxima.size, minima.size]))
+
+    def slope(f_slope, cos, sin):  # h' = f' + (1/2 log R)'
+        return f_slope + (params.c2 * cos - params.b2 * sin) / _R(params, cos, sin)
+
+    x, trig = pieces.grid
+    left, right = (slope(f, trig[:, 1], trig[:, 2]) for f in pieces.slopes)
+    nxt = np.roll(left, -1)  # h' at each cell's right end
+    is_max, is_min = (left >= 0.0) & (right <= 0.0), (left <= 0.0) & (right >= 0.0)
+    keep = is_max | is_min
+    cells = np.nonzero(np.sign(right) * np.sign(nxt) < 0.0)[0]
+    ends = np.append(x, x[0] + _PI)
+    inner = _illinois(lambda p: slope(gauge.log_slopes(p)[1], np.cos(2.0 * p), np.sin(2.0 * p)),
+                      ends[cells], ends[cells + 1], right[cells], nxt[cells])
+    angles = np.concatenate([x[keep], np.mod(inner, _PI)])
+    kind = np.concatenate([is_max[keep] * 1 - is_min[keep], np.sign(right[cells])])  # 0: both
+    return _candidate_extrema(gauge, params, angles, kind)
 
 
 def _alternation(dev: np.ndarray, sign: np.ndarray, floor: float) -> Optional[np.ndarray]:
@@ -452,13 +410,14 @@ def extract_certificate(
     """Four-point alternance certificate of a (near-)optimal ellipse.
 
     The angles are four consecutive extrema of alternating kind that
-    ``_extrema_scan`` finds in f - g, read off by ``_certificate_from_scan``,
-    starting at a maximum; a flat deviation (the body is itself an ellipse
-    of the family) offers the canonical angles (0, pi/4, pi/2, 3pi/4).
+    ``_extrema_scan`` finds in f - g on the cells of the ``grid_size`` grid,
+    read off by ``_certificate_from_scan``, starting at a maximum; a flat
+    deviation (the body is itself an ellipse of the family) offers the
+    canonical angles (0, pi/4, pi/2, 3pi/4).
     Raises NoAlternance when no four alternate within ``tol`` of the
     sup-norm, NoConvergence when R <= 0 in the scan.
     """
-    scan = _extrema_scan(gauge, params, grid_size)
+    scan = _extrema_scan(gauge, params, _Pieces(gauge, grid_size))
     return _certificate_from_scan(scan, tol)
 
 
@@ -470,8 +429,8 @@ def certificate_deviations(
     All four equal the defect at an exact optimum.  R <= 0 at an angle raises
     NoConvergence.
     """
-    h = _deviation_fn(gauge, params)
-    return tuple(float(v) for v in h(np.array(cert.angles())) * _SIGNS)
+    phi = np.array(cert.angles())
+    return tuple(float(v) for v in (gauge.log_eval(phi) + _half_log_trig(params, phi)) * _SIGNS)
 
 
 def verify_certificate(
@@ -485,8 +444,9 @@ def verify_certificate(
 
     The implied defect d_hat is the mean of the four signed deviations; the
     verdict requires strict interleaving, each deviation within tol of d_hat,
-    and the sup of |f - g| over a fresh ``_extrema_scan`` at most d_hat + tol;
-    on a polygon that sup is exact, with no grid.  A passing verdict makes
+    and the sup of |f - g| over a fresh ``_extrema_scan`` (its cells those of
+    the ``grid_size`` grid) at most d_hat + tol; on a polygon that sup is
+    exact, with no grid.  A passing verdict makes
     the ellipse the unique minimizer up to those tolerances.  R <= 0 at a
     scanned angle raises NoConvergence.
     """
@@ -494,7 +454,7 @@ def verify_certificate(
     d_hat = sum(dev) / 4.0
     residuals_ok = tuple(abs(v - d_hat) <= tol for v in dev)
     ordering_ok = cert.interleaved()
-    sup = _extrema_scan(gauge, params, grid_size).sup
+    sup = _extrema_scan(gauge, params, _Pieces(gauge, grid_size)).sup
     sup_ok = sup <= d_hat + tol
     passed = ordering_ok and all(residuals_ok) and sup_ok
     return CertificateVerdict(ordering_ok, residuals_ok, sup_ok, passed, d_hat, dev, sup)
@@ -509,33 +469,30 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
     counted in ``polish_iterations``, at most 30).  Each run's level, max |f - g|
     on its points, is a de la Vallee Poussin lower bound on d*, and the
     scanned sup-norm of its triple an upper bound; the loop stops once they
-    agree to 1e-12 relative and returns the triple of least sup, certified
+    agree to 1e-12 relative, or to the rounding of h (``_H_ROUNDING`` times
+    max |f| on the grid), and returns the triple of least sup, certified
     as by ``extract_certificate`` from that triple's scan, with no exchange
     run of its own.  Raises NoConvergence when the grid run fails (a singular
     or repeated reference, no stop within its round cap, a triple outside the
-    cone, or R <= 0 at a point, grid angle or probe of the scan); a later run
+    cone, or R <= 0 at a point, grid angle or candidate of the scan); a later run
     that fails ends the loop.  Raises NoAlternance when a level exceeds the
     returned sup-norm by more than ``cert_tol`` (the scan missed extrema) or
     no certificate exists within ``cert_tol``.
     """
     opts = opts or SolverOptions()
-    grid = evaluation_grid(gauge, opts.grid_size)
-    fvals = gauge.log_eval(grid)
-    diag = SolveDiagnostics(grid_points=grid.size)
+    pieces = _Pieces(gauge, opts.grid_size)
+    points, trig = pieces.grid
+    f = gauge.log_eval(points)
+    diag = SolveDiagnostics(grid_points=points.size)
+    floor = _H_ROUNDING * float(np.abs(f).max())  # the rounding of sup - level
 
-    points, f = grid, fvals
     best: Optional[tuple[EllipseParams, _ExtremaScan]] = None
     top = -math.inf
     for run in range(31):
         try:
-            trig = _trig_matrix(points)
             params, rounds = _minimax_lp(trig, f)
-            dev = f + _half_log_table(params, trig)
-            del trig  # released before the scan's probes are evaluated
-            level = float(np.abs(dev).max())
-            # on the grid run, dev is h on the grid, which the scan refines
-            scan = _extrema_scan(gauge, params, opts.grid_size,
-                                 (grid, fvals, dev if points is grid else None))
+            level = float(np.abs(f + _half_log_table(params, trig)).max())
+            scan = _extrema_scan(gauge, params, pieces)
         except NoConvergence:
             if best is None:
                 raise
@@ -547,12 +504,12 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
         top = max(top, level)
         if best is None or scan.sup < best[1].sup:
             best = params, scan
-        if scan.sup - level <= 1e-12 * scan.sup:
+        if scan.sup - level <= 1e-12 * scan.sup + floor:
             break
         points = np.unique(np.concatenate([scan.max_angles, scan.min_angles]))
         if points.size < 4:
             break
-        f = gauge.log_eval(points)
+        f, trig = gauge.log_eval(points), _trig_matrix(points)
 
     params, scan = best
     if top > scan.sup + opts.cert_tol:
