@@ -23,7 +23,7 @@ from .report import (
     report_to_dict,
     verify_theorem1,
 )
-from .solver import SolverOptions, solve_uniform, verify_certificate
+from .solver import solve_uniform, verify_certificate
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAIL = 1
@@ -60,16 +60,9 @@ def _load_gauge(path: str):
         raise InputError(f"invalid body: {type(exc).__name__}: {exc}") from exc
 
 
-def _solver_options(args) -> SolverOptions:
-    try:
-        return SolverOptions(grid_size=args.grid, cert_tol=args.cert_tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _cmd_solve(args) -> int:
     gauge = _load_gauge(args.input)
-    sol = solve_uniform(gauge, _solver_options(args))
+    sol = solve_uniform(gauge)
     report = build_report(gauge, sol)
     _write_text(args.out, jsonio.dumps(report_to_dict(report)))
     if args.svg:
@@ -119,7 +112,7 @@ def _cmd_verify(args) -> int:
 
     cert_verdict = verify_certificate(gauge, report.params_uniform, report.certificate, tol)
     defect_ok = abs(report.defect - cert_verdict.d_hat) <= max(10.0 * tol, 1e-9)
-    mismatches = report_mismatches(gauge, stored, tol, report, cert_verdict.deviations)
+    mismatches = report_mismatches(gauge, stored, tol)
     theorem = verify_theorem1(report, tol=max(tol, 1e-9))
 
     checks = [
@@ -143,7 +136,7 @@ def _cmd_render(args) -> int:
     gauge = _load_gauge(args.input)
     stored = _read_json(args.report)
     report = report_from_dict(stored)
-    mismatches = report_mismatches(gauge, stored, _RENDER_TOL, report)
+    mismatches = report_mismatches(gauge, stored, _RENDER_TOL)
     if mismatches:
         raise InputError(
             f"the report is not of this body: {', '.join(mismatches)} differ from the "
@@ -169,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", required=True, help="output report JSON")
     solve.add_argument("--svg", help="also render an SVG to this path")
     solve.add_argument("--view", choices=["body", "image"], default="body")
-    solve.add_argument("--grid", type=int, default=4096, help="angles per period")
-    solve.add_argument("--cert-tol", type=float, default=1e-8, help="certificate tolerance")
 
     oracle = sub.add_parser("oracle", help="brute-force search over the ellipse grid")
     oracle.add_argument("--input", required=True)

@@ -28,7 +28,7 @@ class NonPositiveSample(BmplaneError):
 
 
 class TooFewSamples(BmplaneError):
-    """Fewer radial samples than the minimum grid size."""
+    """Fewer than 8 radial samples."""
 
 
 # -- ellipse layer -----------------------------------------------------------

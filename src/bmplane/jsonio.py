@@ -60,5 +60,9 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-def loads(text: str):
-    return json.loads(text)
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
+# parses a str as json.loads does, but refuses NaN and +-Infinity, as dumps does
+loads = json.JSONDecoder(parse_constant=_reject_constant).decode

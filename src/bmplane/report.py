@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -270,13 +269,7 @@ def _differs(stored, rebuilt, tol: float, floor: float) -> bool:
     return not float(np.abs(a - b).max(initial=0.0)) <= tol * scale
 
 
-def report_mismatches(
-    gauge: Gauge,
-    stored: dict,
-    tol: float,
-    report: Optional[SolveReport] = None,
-    deviations: Optional[tuple[float, float, float, float]] = None,
-) -> list[str]:
+def report_mismatches(gauge: Gauge, stored: dict, tol: float) -> list[str]:
     """The fields of a stored report that differ from its rebuild, as dotted paths.
 
     The rebuild is ``build_report`` on the body from the report's uniform
@@ -286,16 +279,11 @@ def report_mismatches(
     largest magnitude of the rebuilt field (at least 1 for the scale-free
     fields); a field on one side only differs.  A rebuild that raises a
     BmplaneError is one mismatch, "rebuild", with the error.  A malformed
-    report raises InputError.  A caller that has already parsed ``stored``
-    (``report_from_dict``) or evaluated its deviations passes them in, and
-    neither is computed again.
+    report raises InputError.
     """
-    if report is None:
-        report = report_from_dict(stored)
+    report = report_from_dict(stored)
     try:
-        dev = deviations
-        if dev is None:
-            dev = certificate_deviations(gauge, report.params_uniform, report.certificate)
+        dev = certificate_deviations(gauge, report.params_uniform, report.certificate)
         cert = replace(report.certificate, residuals=tuple(v - report.defect for v in dev))
         sol = UniformSolution(report.params_uniform, report.defect, cert, SolveDiagnostics())
         rebuilt = _leaves(report_to_dict(build_report(gauge, sol)))

@@ -1,6 +1,6 @@
 """Minimax approximation of f = log r by log-radial functions of ellipses.
 
-On an angle grid, the best uniform approximation of f by
+On a grid of ``_GRID_SIZE`` = 4096 angles, the best uniform approximation of f by
 g = -1/2 log(a2 + b2*cos(2*phi) + c2*sin(2*phi)) is a linear-fractional
 program, and the Charnes-Cooper transform makes it a linear program.  With
 R = a2 + b2*cos(2*phi) + c2*sin(2*phi), w = exp(-2*(f - fc)) and fc the
@@ -30,9 +30,9 @@ lower bound on the optimum.
 Optimality is certified by an alternation read off the returned triple's
 scan (``_alternation``), with no further exchange: four consecutive extrema
 phi1 < psi1 < phi2 < psi2 < phi1+pi at which f - g alternately attains +d
-and -d, to within ``cert_tol``, which suffices for global optimality and
-uniqueness within the ellipse family.  Every certificate comes that way,
-also when d is below ``cert_tol``: a flat deviation offers
+and -d, to within 1e-8 (``_CERT_TOL``), which suffices for global optimality
+and uniqueness within the ellipse family.  Every certificate comes that way,
+also when d is below 1e-8: a flat deviation offers
 (0, pi/4, pi/2, 3pi/4) as its extrema, and a scan with no four alternating
 extrema ends in NoAlternance.
 The triple, d and the four angles are all that the report (``report.py``)
@@ -53,7 +53,6 @@ from .errors import NoAlternance, NoConvergence
 from .gauge import Gauge, evaluation_grid
 
 __all__ = [
-    "SolverOptions",
     "SolveDiagnostics",
     "AlternanceCertificate",
     "UniformSolution",
@@ -70,18 +69,8 @@ _CANONICAL_ANGLES = np.array([0.0, 0.25 * _PI, 0.5 * _PI, 0.75 * _PI])
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0])  # of f - g at (phi1, psi1, phi2, psi2)
 _ROOT_STEPS = 12  # Illinois steps on h' in each cell where it changes sign
 _H_ROUNDING = 2.0**-50  # h = f - g rounds by about eps*|f|: this bounds it, relative to max|f|
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    grid_size: int = 4096  # the first exchange run's grid, whose cells partition the extremum scan
-    cert_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.grid_size < 64:
-            raise ValueError(f"grid_size must be at least 64, got {self.grid_size}")
-        if not 0.0 < self.cert_tol < math.inf:
-            raise ValueError(f"cert_tol must be positive and finite, got {self.cert_tol}")
+_GRID_SIZE = 4096  # the first exchange run's grid, whose cells partition the extremum scan
+_CERT_TOL = 1e-8  # how far below the sup-norm a solve's certificate points may lie
 
 
 @dataclass
@@ -404,20 +393,18 @@ def _certificate_from_scan(scan: _ExtremaScan, tol: float) -> AlternanceCertific
     return cert
 
 
-def extract_certificate(
-    gauge: Gauge, params: EllipseParams, tol: float, grid_size: int = 4096
-) -> AlternanceCertificate:
+def extract_certificate(gauge: Gauge, params: EllipseParams, tol: float) -> AlternanceCertificate:
     """Four-point alternance certificate of a (near-)optimal ellipse.
 
     The angles are four consecutive extrema of alternating kind that
-    ``_extrema_scan`` finds in f - g on the cells of the ``grid_size`` grid,
+    ``_extrema_scan`` finds in f - g on the cells of the solve's grid,
     read off by ``_certificate_from_scan``, starting at a maximum; a flat
     deviation (the body is itself an ellipse of the family) offers the
     canonical angles (0, pi/4, pi/2, 3pi/4).
     Raises NoAlternance when no four alternate within ``tol`` of the
     sup-norm, NoConvergence when R <= 0 in the scan.
     """
-    scan = _extrema_scan(gauge, params, _Pieces(gauge, grid_size))
+    scan = _extrema_scan(gauge, params, _Pieces(gauge, _GRID_SIZE))
     return _certificate_from_scan(scan, tol)
 
 
@@ -438,7 +425,7 @@ def verify_certificate(
     params: EllipseParams,
     cert: AlternanceCertificate,
     tol: float,
-    grid_size: int = 4096,
+    grid_size: int = _GRID_SIZE,
 ) -> CertificateVerdict:
     """Re-check a certificate from scratch.
 
@@ -460,27 +447,26 @@ def verify_certificate(
     return CertificateVerdict(ordering_ok, residuals_ok, sup_ok, passed, d_hat, dev, sup)
 
 
-def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> UniformSolution:
+def solve_uniform(gauge: Gauge) -> UniformSolution:
     """Best uniform approximation of f = log r over the ellipse family.
 
-    One exchange loop.  Its first run solves the minimax LP on the evaluation
-    grid (its exchange rounds counted in ``lp_calls``); every later run solves
-    it on the scanned extrema of the previous run's deviation (these runs
-    counted in ``polish_iterations``, at most 30).  Each run's level, max |f - g|
-    on its points, is a de la Vallee Poussin lower bound on d*, and the
-    scanned sup-norm of its triple an upper bound; the loop stops once they
-    agree to 1e-12 relative, or to the rounding of h (``_H_ROUNDING`` times
-    max |f| on the grid), and returns the triple of least sup, certified
-    as by ``extract_certificate`` from that triple's scan, with no exchange
-    run of its own.  Raises NoConvergence when the grid run fails (a singular
-    or repeated reference, no stop within its round cap, a triple outside the
-    cone, or R <= 0 at a point, grid angle or candidate of the scan); a later run
-    that fails ends the loop.  Raises NoAlternance when a level exceeds the
-    returned sup-norm by more than ``cert_tol`` (the scan missed extrema) or
-    no certificate exists within ``cert_tol``.
+    One exchange loop.  Its first run solves the minimax LP on the grid of
+    ``_GRID_SIZE`` angles (its exchange rounds counted in ``lp_calls``); every
+    later run solves it on the scanned extrema of the previous run's deviation
+    (these runs counted in ``polish_iterations``, at most 30).  Each run's
+    level, max |f - g| on its points, is a de la Vallee Poussin lower bound on
+    d*, and the scanned sup-norm of its triple an upper bound; the loop stops
+    once they agree to 1e-12 relative, or to the rounding of h
+    (``_H_ROUNDING`` times max |f| on the grid), and returns the triple of
+    least sup, certified as by ``extract_certificate`` from that triple's
+    scan, with no exchange run of its own.  Raises NoConvergence when the grid
+    run fails (a singular or repeated reference, no stop within its round cap,
+    a triple outside the cone, or R <= 0 at a point, grid angle or candidate
+    of the scan); a later run that fails ends the loop.  Raises NoAlternance
+    when a level exceeds the returned sup-norm by more than ``_CERT_TOL`` (the
+    scan missed extrema) or no certificate exists within ``_CERT_TOL``.
     """
-    opts = opts or SolverOptions()
-    pieces = _Pieces(gauge, opts.grid_size)
+    pieces = _Pieces(gauge, _GRID_SIZE)
     points, trig = pieces.grid
     f = gauge.log_eval(points)
     diag = SolveDiagnostics(grid_points=points.size)
@@ -512,15 +498,15 @@ def solve_uniform(gauge: Gauge, opts: Optional[SolverOptions] = None) -> Uniform
         f, trig = gauge.log_eval(points), _trig_matrix(points)
 
     params, scan = best
-    if top > scan.sup + opts.cert_tol:
+    if top > scan.sup + _CERT_TOL:
         raise NoAlternance(
             f"exchange level {top!r} exceeds the scanned sup-norm {scan.sup!r}: "
             "the scan missed extrema"
         )
-    cert = _certificate_from_scan(scan, opts.cert_tol)
+    cert = _certificate_from_scan(scan, _CERT_TOL)
     return UniformSolution(params, float(scan.sup), cert, diag)
 
 
-def distance(gauge: Gauge, opts: Optional[SolverOptions] = None) -> float:
+def distance(gauge: Gauge) -> float:
     """Multiplicative distance of the body's normed plane to the Euclidean plane."""
-    return math.exp(2.0 * solve_uniform(gauge, opts).defect)
+    return math.exp(2.0 * solve_uniform(gauge).defect)

@@ -91,9 +91,14 @@ class TestSolve:
             {"kind": "polygon", "vertices": [[1, 1], [-1, -1], [1, -1], [-1, 1]]}))
         assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "r.json")]) == 2
 
-    def test_bad_options(self, square_body, tmp_path):
-        assert main(["solve", "--input", str(square_body),
-                     "--out", str(tmp_path / "r.json"), "--grid", "16"]) == 2
+    @pytest.mark.parametrize("flag", [["--grid", "256"], ["--cert-tol", "1e-8"]],
+                             ids=["grid", "cert-tol"])
+    def test_grid_and_tolerance_are_not_options(self, square_body, tmp_path, flag):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--input", str(square_body), "--out", str(out), *flag])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestVerify:
@@ -161,6 +166,25 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all("malformed report" in line and "T_tilde" in line for line in err)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_are_not_json(self, square_body, square_solved, tmp_path, capsys,
+                                             value):
+        # jsonio.dumps refuses NaN and Infinity, so no command reads them: a report or a body
+        # that holds one is malformed input, not a failed verification or a max-norm ball
+        rep = json.loads(square_solved.read_text())
+        rep["d2"] = value
+        report, body, out = tmp_path / "r.json", tmp_path / "body.json", tmp_path / "out.json"
+        report.write_text(json.dumps(rep))
+        body.write_text(json.dumps({"kind": "lp", "p": value}))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(square_body), "--report", str(report)]) == 2
+        assert main(["render", "--input", str(square_body), "--report", str(report),
+                     "--out", str(tmp_path / "r.svg")]) == 2
+        assert main(["solve", "--input", str(body), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all("is not valid JSON" in line for line in err)
+
     def test_string_numbers_are_malformed(self, square_body, square_solved, tmp_path, capsys):
         # numbers of the report written as JSON strings: verify and render must not take them
         rep = json.loads(square_solved.read_text())
@@ -179,17 +203,10 @@ class TestVerify:
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
-    @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_out_of_range_is_input_error(self, square_body, square_solved, tmp_path,
-                                         command, value):
-        if command == "solve":
-            argv = ["solve", "--input", str(square_body), "--out", str(tmp_path / "r.json"),
-                    "--cert-tol", value]
-        else:
-            argv = ["verify", "--input", str(square_body), "--report", str(square_solved),
-                    "--tol", value]
-        assert main(argv) == 2
+    @pytest.mark.parametrize("command, value", [("verify", v) for v in ("nan", "-1", "0", "inf")])
+    def test_out_of_range_is_input_error(self, square_body, square_solved, command, value):
+        assert main([command, "--input", str(square_body), "--report", str(square_solved),
+                     "--tol", value]) == 2
 
 
 class TestOracleCommand:

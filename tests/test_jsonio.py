@@ -84,3 +84,11 @@ class TestDumps:
     def test_non_finite_array_raises(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             jsonio.dumps({"a": np.array([[1.0, 2.0], [bad, 3.0]])})
+
+
+class TestLoads:
+    @pytest.mark.parametrize("text", ["NaN", "[1.0, Infinity]", '{"d2": -Infinity}'])
+    def test_non_finite_constants_raise(self, text):
+        # dumps refuses non-finite floats, so loads does not take them either
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.loads(text)

@@ -16,7 +16,7 @@ from bmplane.report import (
     report_to_dict,
     verify_theorem1,
 )
-from bmplane.solver import certificate_deviations, solve_uniform
+from bmplane.solver import solve_uniform
 
 import bodies
 
@@ -205,14 +205,6 @@ class TestReportMismatches:
         del stored["diagnostics"]["cone_margins"]
         assert report_mismatches(square_gauge, stored, 1e-6) == [
             "diagnostics.cone_margins", "diagnostics.one_sided_value"]
-
-    def test_given_parse_and_deviations_are_used(self, square_report, square_gauge):
-        stored = report_to_dict(square_report)
-        dev = tuple(v + 1e-3 for v in certificate_deviations(
-            square_gauge, square_report.params_uniform, square_report.certificate))
-        assert report_mismatches(square_gauge, stored, 1e-6, square_report) == []
-        assert report_mismatches(square_gauge, stored, 1e-6, square_report, dev) == [
-            "certificate.residuals"]
 
     def test_failed_rebuild_is_a_mismatch(self, square_report, square_gauge):
         stored = report_to_dict(square_report)

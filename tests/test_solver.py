@@ -19,16 +19,17 @@ from bmplane.gauge import (
 from bmplane.report import build_report
 from bmplane.solver import (
     AlternanceCertificate,
-    SolverOptions,
     certificate_deviations,
     distance,
     extract_certificate,
     linprog,
     solve_uniform,
     _alternation,
+    _CERT_TOL,
     _certificate_from_scan,
     _ExtremaScan,
     _extrema_scan,
+    _GRID_SIZE,
     _half_log_table,
     _half_log_trig,
     _minimax_lp,
@@ -207,7 +208,7 @@ class TestExchangeLP:
     def test_smooth_samples_at_scale(self):
         # 10^5 samples put 104064 angles on the grid
         g = sample_gauge(bodies.smooth_samples(np.random.default_rng(100000), 100000))
-        n = evaluation_grid(g, SolverOptions().grid_size).size
+        n = evaluation_grid(g, _GRID_SIZE).size
         sol = solve_uniform(g)
         assert sol.diagnostics.lp_calls <= 16 * n.bit_length()
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
@@ -471,9 +472,9 @@ class TestOneEvaluationPerAngle:
 
     def test_certificate_is_read_off_the_scan(self, corpus):
         # four consecutive alternating extrema of the returned triple's scan, each within
-        # cert_tol of its sup, one of them the largest: the certificate is the scan's own,
-        # also on the 20000-gon, the 30000-gon and the wobble, whose defect is below cert_tol
-        tol = SolverOptions().cert_tol
+        # _CERT_TOL of its sup, one of them the largest: the certificate is the scan's own,
+        # also on the 20000-gon, the 30000-gon and the wobble, whose defect is below _CERT_TOL
+        tol = _CERT_TOL
         rng = np.random.default_rng(7001)
         nodes = np.arange(4096) * math.pi / 4096
         for name, g in {
@@ -604,10 +605,11 @@ class TestSolveUniform:
             sol = solved_corpus[name][1]
             assert math.exp(2.0 * sol.defect) == pytest.approx(d2, rel=1e-12, abs=0.0), name
 
-    def test_grid_size_invariance(self, solved_corpus):
+    def test_grid_size_invariance(self, solved_corpus, monkeypatch):
         # the exchange runs on refined extrema until sup and level agree, whatever the grid
+        monkeypatch.setattr("bmplane.solver._GRID_SIZE", 256)
         for name, (g, sol) in solved_corpus.items():
-            coarse = solve_uniform(g, SolverOptions(grid_size=256))
+            coarse = solve_uniform(g)
             assert math.exp(2.0 * coarse.defect) == pytest.approx(
                 math.exp(2.0 * sol.defect), rel=1e-12, abs=0.0), name
 
@@ -658,7 +660,7 @@ class TestSolveUniform:
         for name, (g, sol) in solved_corpus.items():
             verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
             assert sol.defect == verdict.sup_norm, name
-            cert = extract_certificate(g, sol.params, SolverOptions().cert_tol)
+            cert = extract_certificate(g, sol.params, _CERT_TOL)
             assert cert == sol.certificate, name
 
     def test_regular_2000gon(self):
@@ -956,9 +958,9 @@ class TestCertificate:
         assert not verdict.passed
 
     def test_sampled_ellipses_below_cert_tol_alternate_or_end_typed(self):
-        # linear samples of ellipses (draws of rng 5) whose defect is below cert_tol: each
+        # linear samples of ellipses (draws of rng 5) whose defect is below _CERT_TOL: each
         # solves, and its certificate has f - g of signs (+, -, +, -) at its angles
-        tol = SolverOptions().cert_tol
+        tol = _CERT_TOL
         rng, nodes = np.random.default_rng(5), np.arange(4096) * math.pi / 4096
         draws = []
         for _ in range(11):
