@@ -174,8 +174,12 @@ class _LpGauge(Gauge):
         red = _reduce(phi)
         cos, s = np.cos(red), np.sin(red)  # s >= 0 on [0, pi)
         t = np.minimum(np.abs(cos), s) / np.maximum(np.abs(cos), s)
-        tp = t ** (self._p - 1.0)
-        slope = np.sign(cos * (np.abs(cos) - s)) * (t - tp) / (1.0 + t * tp)
+        sign = np.sign(cos * (np.abs(cos) - s))
+        if math.isinf(self._p):  # t^inf is 0 below t = 1, and the sign is 0 at t = 1
+            slope = sign * t
+        else:
+            tp = t ** (self._p - 1.0)
+            slope = sign * (t - tp) / (1.0 + t * tp)
         # every kink (p = 1 or inf) is a corner of r with slopes +1 on its left and -1 on its right
         kink = np.isin(red, self.critical_angles())
         return np.where(kink, 1.0, slope), np.where(kink, -1.0, slope)

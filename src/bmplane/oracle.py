@@ -21,7 +21,11 @@ is the larger of a nondecreasing and a nonincreasing term, so it falls and
 then rises: its first minimum is found where the terms cross, near
 s* = -(hmax + hmin)/2.
 
-Each stage's (u, theta) grid is searched in _TILE x _TILE tiles.  On a tile,
+At u = 0 the ellipse is a circle: r2*(1 + 0*c) is r2 itself for every theta,
+so the lines of a u = 0 row are the same floats and the row is searched as one
+line, at theta index 0 (the tie rule's pick), whose value is the first
+incumbent.  The rest of each stage's (u, theta) grid is searched in
+_TILE x _TILE tiles.  On a tile,
 hmax >= 0.5*log(max lb) and hmin <= 0.5*log(min ub), so no line there has V
 below B = min_i max(0.5*log(max lb) + s_i, -s_i - 0.5*log(min ub)); one
 vectorised pass gives every tile's B.  Tiles are scanned in ascending B, each
@@ -210,27 +214,34 @@ def _tile_bounds(r2, phis, cos2, sin2, s, us, thetas) -> np.ndarray:
 def _tile_search(r2, phis, cos2, sin2, s, us, thetas, executor=None):
     """(value, i, k, j) of the least V on the stage grid, ties to the least (i, k, j).
 
-    Visits the _TILE x _TILE tiles of the (u, theta) grid in ascending bound
-    and stops at the first whose bound, less the rounding margin, is above the
-    incumbent: no line it or a later tile holds can reach or tie the incumbent.
+    A u = 0 row is one line, searched first at (k, j) = (0, 0): r2*(1 + 0*c) is
+    r2 for every theta, so every line of the row ties and the tie rule picks
+    j = 0.  Then visits the _TILE x _TILE tiles of the rest of the (u, theta)
+    grid in ascending bound and stops at the first whose bound, less the
+    rounding margin, is above the incumbent: no line it or a later tile holds
+    can reach or tie the incumbent.
     """
-    k0, j0 = np.arange(0, us.size, _TILE), np.arange(0, thetas.size, _TILE)
+
+    def search(ks: slice, js: slice):
+        keep = _window_angles(r2, phis, cos2, sin2, us[ks], thetas[js])
+        hmax, hmin = _stage_extremes(r2[keep], cos2[keep], sin2[keep], us[ks], thetas[js], executor)
+        i, k, j = _argmin_lex(s, hmax, hmin)
+        value = max(hmax[k, j] + s[i], -s[i] - hmin[k, j])
+        return float(value), i, ks.start + k, js.start + j
+
+    row0 = int(us[0] == 0.0)
+    best = search(slice(0, 1), slice(0, 1)) if row0 else (math.inf, 0, 0, 0)
+    k0, j0 = np.arange(row0, us.size, _TILE), np.arange(0, thetas.size, _TILE)
     k1, j1 = np.minimum(k0 + _TILE, us.size), np.minimum(j0 + _TILE, thetas.size)
     u_ends = np.column_stack([us[k0], us[k1 - 1]])[:, None]  # (u tile, 1, 2): against theta tiles
     t_ends = np.column_stack([thetas[j0], thetas[j1 - 1]])
     bound = _tile_bounds(r2, phis, cos2, sin2, s, u_ends, t_ends)
     margin = _BOUND_MARGIN * (1.0 + float(np.abs(s).max()))
-    best = (math.inf, 0, 0, 0)
     for t in np.argsort(bound, axis=None, kind="stable"):
         tk, tj = divmod(int(t), j0.size)
         if bound[tk, tj] - margin > best[0]:
             break
-        ks, js = slice(k0[tk], k1[tk]), slice(j0[tj], j1[tj])
-        keep = _window_angles(r2, phis, cos2, sin2, us[ks], thetas[js])
-        hmax, hmin = _stage_extremes(r2[keep], cos2[keep], sin2[keep], us[ks], thetas[js], executor)
-        i, k, j = _argmin_lex(s, hmax, hmin)
-        value = max(hmax[k, j] + s[i], -s[i] - hmin[k, j])
-        best = min(best, (float(value), i, ks.start + k, js.start + j))
+        best = min(best, search(slice(k0[tk], k1[tk]), slice(j0[tj], j1[tj])))
     return best
 
 

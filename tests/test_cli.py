@@ -185,6 +185,24 @@ class TestVerify:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 3 and all("is not valid JSON" in line for line in err)
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "9" * 400], ids=["1e400", "-1e400", "int400"])
+    def test_numbers_that_overflow_a_float_are_not_json(self, square_body, square_solved, tmp_path,
+                                                       capsys, literal):
+        # 1e400 would read as inf: p = 1e400 would solve as the max-norm ball, d2 = 1e400 would
+        # fail verification, and a 400-digit p would overflow in float(); all three are malformed
+        rep = json.loads(square_solved.read_text())
+        rep["d2"] = "NUMBER"
+        report, body, out = tmp_path / "r.json", tmp_path / "body.json", tmp_path / "out.json"
+        report.write_text(json.dumps(rep).replace('"NUMBER"', literal))
+        body.write_text('{"kind": "lp", "p": %s}' % literal)
+        capsys.readouterr()
+        assert main(["verify", "--input", str(square_body), "--report", str(report)]) == 2
+        assert main(["solve", "--input", str(body), "--out", str(out)]) == 2
+        assert main(["oracle", "--input", str(body), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3 and all("is not valid JSON" in line for line in err)
+
     def test_string_numbers_are_malformed(self, square_body, square_solved, tmp_path, capsys):
         # numbers of the report written as JSON strings: verify and render must not take them
         rep = json.loads(square_solved.read_text())

@@ -147,6 +147,23 @@ class TestLp:
         r = g.eval(np.linspace(0, math.pi, 1001))
         assert np.isfinite(r).all() and r.min() > 0.99
 
+    def test_linf_slopes_match_the_general_formula_bitwise(self):
+        # the max-norm ball skips t^(p - 1) = t^inf; its slopes must be the general formula's floats
+        g = lp_gauge(math.inf)
+        corners = [x for c in (0.25 * math.pi, 0.75 * math.pi)
+                   for x in (np.nextafter(c, -math.inf), c, np.nextafter(c, math.inf))]
+        phis = np.concatenate([evaluation_grid(g, 4096), np.random.default_rng(3).uniform(-7.0, 7.0, 200_000),
+                               np.array(corners), 0.25 * math.pi * np.arange(-8, 9)])
+        red = _reduce(phis)
+        cos, s = np.cos(red), np.sin(red)
+        t = np.minimum(np.abs(cos), s) / np.maximum(np.abs(cos), s)
+        tp = t ** math.inf
+        slope = np.sign(cos * (np.abs(cos) - s)) * (t - tp) / (1.0 + t * tp)
+        kink = np.isin(red, g.critical_angles())
+        left, right = g.log_slopes(phis)
+        assert left.tobytes() == np.where(kink, 1.0, slope).tobytes()
+        assert right.tobytes() == np.where(kink, -1.0, slope).tobytes()
+
 
 class TestSamples:
     def test_constant(self):

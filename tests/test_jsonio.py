@@ -92,3 +92,15 @@ class TestLoads:
         # dumps refuses non-finite floats, so loads does not take them either
         with pytest.raises(ValueError, match="non-finite"):
             jsonio.loads(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "[1.0, -1e400]", '{"d2": 2e308}', "9" * 400, "-" + "9" * 400],
+                             ids=["1e400", "-1e400", "2e308", "int400", "-int400"])
+    def test_numbers_that_overflow_a_float_raise(self, text):
+        # a float literal past the float range would read as inf, which dumps refuses
+        with pytest.raises(ValueError, match="overflows a float"):
+            jsonio.loads(text)
+
+    def test_numbers_within_the_float_range_parse_as_before(self):
+        text = '[1.7976931348623157e308, -1e-400, 5e-324, %s, -3, 0]' % ("9" * 308)
+        assert jsonio.loads(text) == json.loads(text)
+        assert type(jsonio.loads("7")) is int
