@@ -137,7 +137,7 @@ class PDMatrix2:
         object.__setattr__(self, "m22", float(self.m22))
         if not np.isfinite([self.m11, self.m12, self.m22]).all():
             raise NotPD("non-finite entries")
-        if self.m11 <= 0.0 or self.det() <= 0.0:
+        if self.m11 <= 0.0 or self._scaled()[4] <= 0.0:
             raise NotPD(
                 f"[[{self.m11}, {self.m12}], [{self.m12}, {self.m22}]] "
                 "is not positive definite"
@@ -158,12 +158,21 @@ class PDMatrix2:
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m12
 
+    def _scaled(self) -> tuple[int, float, float, float, float]:
+        """(k, m11, m12 and m22 over 4^k, their det), for the power of four that brings the
+        largest entry into [0.5, 2), exactly, as ``in_cone`` scales: ``det`` itself over- or
+        underflows on the form of a body scaled past 1e+-77."""
+        k = math.frexp(max(abs(self.m11), abs(self.m12), abs(self.m22)))[1] // 2
+        a, b, c = (math.ldexp(v, -2 * k) for v in (self.m11, self.m12, self.m22))
+        return k, a, b, c, a * c - b * b
+
     def trace(self) -> float:
         return self.m11 + self.m22
 
     def inverse(self) -> "PDMatrix2":
-        d = self.det()
-        return PDMatrix2(self.m22 / d, -self.m12 / d, self.m11 / d)
+        """The inverse of S/4^k over 4^k (``_scaled``)."""
+        k, a, b, c, d = self._scaled()
+        return PDMatrix2(*(math.ldexp(v / d, -2 * k) for v in (c, -b, a)))
 
     def square(self) -> "PDMatrix2":
         return PDMatrix2(
@@ -184,14 +193,12 @@ class PDMatrix2:
 
 
 def pd_sqrt(s: PDMatrix2) -> PDMatrix2:
-    """Unique SPD square root, via the closed 2x2 form (S + sqrt(det)*I)/norm."""
-    root_det = math.sqrt(s.det())
-    scale = math.sqrt(s.trace() + 2.0 * root_det)
-    return PDMatrix2(
-        (s.m11 + root_det) / scale,
-        s.m12 / scale,
-        (s.m22 + root_det) / scale,
-    )
+    """Unique SPD square root, via the closed 2x2 form (S + sqrt(det)*I)/norm, taken of
+    S/4^k (``PDMatrix2._scaled``) and times 2^k."""
+    k, a, b, c, d = s._scaled()
+    root_det = math.sqrt(d)
+    scale = math.ldexp(math.sqrt(a + c + 2.0 * root_det), -k)
+    return PDMatrix2((a + root_det) / scale, b / scale, (c + root_det) / scale)
 
 
 def pd_sqrt_inverse(s: PDMatrix2) -> PDMatrix2:

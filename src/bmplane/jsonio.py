@@ -1,4 +1,5 @@
-"""Deterministic JSON emission: every float with 17 significant digits.
+"""Deterministic JSON emission: every float with 17 significant digits, and
+negative zero as -0.0, so that it reads back as a float with its sign.
 
 The stdlib encoder writes shortest round-trip representations, which are
 version-stable but not format-pinned; verification wants byte-identical
@@ -27,7 +28,8 @@ def _render(obj, out: list):
     elif isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             raise ValueError(f"non-finite float {obj} is not representable in JSON")
-        out.append(format(obj, ".17g"))
+        text = format(obj, ".17g")
+        out.append("-0.0" if text == "-0" else text)  # "-0" would read back as the int 0
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):

@@ -26,7 +26,7 @@ import numpy as np
 from .ellipse import EllipseParams, PDMatrix2, pd_sqrt, pd_sqrt_inverse
 from .errors import BmplaneError, ConeViolation, InputError
 from .gauge import Gauge, _number_array
-from .solver import AlternanceCertificate, SolveDiagnostics, UniformSolution, certificate_deviations
+from .solver import AlternanceCertificate, UniformSolution, certificate_deviations
 
 __all__ = [
     "SolveReport",
@@ -111,7 +111,6 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
     u_points = tx / np.hypot(tx[:, 0], tx[:, 1])[:, None]
 
     diagnostics = {
-        "solver": sol.diagnostics.as_dict(),
         "cone_margins": [float(m) for m in margins],
         "u_points": u_points.tolist(),
         "v_points": ty.tolist(),
@@ -244,12 +243,10 @@ _BODY_SCALED = frozenset(
 
 
 def _leaves(d: dict, prefix: str = "") -> dict:
-    """Dotted path -> value of the fields of a report dict, diagnostics.solver left out."""
+    """Dotted path -> value of the fields of a report dict."""
     out = {}
     for key, value in d.items():
         path = f"{prefix}{key}"
-        if path == "diagnostics.solver":
-            continue
         if isinstance(value, dict):
             out.update(_leaves(value, f"{path}."))
         else:
@@ -274,18 +271,17 @@ def report_mismatches(gauge: Gauge, stored: dict, tol: float) -> list[str]:
 
     The rebuild is ``build_report`` on the body from the report's uniform
     triple, defect and certificate angles; its certificate residuals are the
-    ``certificate_deviations`` there minus the defect.  Every field but
-    diagnostics.solver is compared, as numbers, within ``tol`` relative to the
-    largest magnitude of the rebuilt field (at least 1 for the scale-free
-    fields); a field on one side only differs.  A rebuild that raises a
-    BmplaneError is one mismatch, "rebuild", with the error.  A malformed
-    report raises InputError.
+    ``certificate_deviations`` there minus the defect.  Every field is
+    compared, as numbers, within ``tol`` relative to the largest magnitude of
+    the rebuilt field (at least 1 for the scale-free fields); a field on one
+    side only differs.  A rebuild that raises a BmplaneError is one mismatch,
+    "rebuild", with the error.  A malformed report raises InputError.
     """
     report = report_from_dict(stored)
     try:
         dev = certificate_deviations(gauge, report.params_uniform, report.certificate)
         cert = replace(report.certificate, residuals=tuple(v - report.defect for v in dev))
-        sol = UniformSolution(report.params_uniform, report.defect, cert, SolveDiagnostics())
+        sol = UniformSolution(report.params_uniform, report.defect, cert)
         rebuilt = _leaves(report_to_dict(build_report(gauge, sol)))
     except BmplaneError as exc:
         return [f"rebuild ({type(exc).__name__}: {exc})"]

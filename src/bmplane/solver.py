@@ -53,7 +53,6 @@ from .errors import NoAlternance, NoConvergence
 from .gauge import Gauge, evaluation_grid
 
 __all__ = [
-    "SolveDiagnostics",
     "AlternanceCertificate",
     "UniformSolution",
     "CertificateVerdict",
@@ -71,28 +70,6 @@ _ROOT_STEPS = 12  # Illinois steps on h' in each cell where it changes sign
 _H_ROUNDING = 2.0**-50  # h = f - g rounds by about eps*|f|: this bounds it, relative to max|f|
 _GRID_SIZE = 4096  # the first exchange run's grid, whose cells partition the extremum scan
 _CERT_TOL = 1e-8  # how far below the sup-norm a solve's certificate points may lie
-
-
-@dataclass
-class SolveDiagnostics:
-    """Counts of one solve.
-
-    ``lp_calls`` is the number of exchange rounds of the first run of the
-    exchange loop, the minimax LP on the grid; ``polish_iterations`` the
-    number of later runs, each on the scanned extrema of the previous run's
-    deviation (0 when the grid optimum already meets the stop).
-    """
-
-    lp_calls: int = 0
-    polish_iterations: int = 0
-    grid_points: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "lp_calls": self.lp_calls,
-            "polish_iterations": self.polish_iterations,
-            "grid_points": self.grid_points,
-        }
 
 
 @dataclass(frozen=True)
@@ -121,7 +98,6 @@ class UniformSolution:
     params: EllipseParams
     defect: float
     certificate: AlternanceCertificate
-    diagnostics: SolveDiagnostics
 
 
 @dataclass(frozen=True)
@@ -222,8 +198,8 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
     raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
 
 
-def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, int]:
-    """Uniform best triple by ``linprog``; returns (params, rounds).
+def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> EllipseParams:
+    """Uniform best triple by ``linprog``.
 
     ``trig`` is the ``_trig_matrix`` of the points and fvals f on them.  w =
     exp(-2(f - fc)) with fc the midrange of f, so the body's scale drops
@@ -245,7 +221,7 @@ def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, int
             f"minimax triple ({a2!r}, {b2!r}, {c2!r}) at level t = {t!r} after {rounds} "
             "exchange rounds is outside the cone"
         )
-    return EllipseParams(a2, b2, c2), rounds
+    return EllipseParams(a2, b2, c2)
 
 
 @dataclass
@@ -258,15 +234,16 @@ class _ExtremaScan:
 
 
 class _Pieces:
-    """A body's grid (``evaluation_grid``: h is smooth between its angles), its trig table and
-    f' there from the left and the right, each built on first use, once per solve."""
+    """A body's grid of ``_GRID_SIZE`` angles (``evaluation_grid``: h is smooth between them),
+    its trig table and f' there from the left and the right, each built on first use, once
+    per solve."""
 
-    def __init__(self, gauge: Gauge, grid_size: int):
-        self._gauge, self._size = gauge, grid_size
+    def __init__(self, gauge: Gauge):
+        self._gauge = gauge
 
     @cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        angles = evaluation_grid(self._gauge, self._size)
+        angles = evaluation_grid(self._gauge, _GRID_SIZE)
         return angles, _trig_matrix(angles)
 
     @cached_property
@@ -404,7 +381,7 @@ def extract_certificate(gauge: Gauge, params: EllipseParams, tol: float) -> Alte
     Raises NoAlternance when no four alternate within ``tol`` of the
     sup-norm, NoConvergence when R <= 0 in the scan.
     """
-    scan = _extrema_scan(gauge, params, _Pieces(gauge, _GRID_SIZE))
+    scan = _extrema_scan(gauge, params, _Pieces(gauge))
     return _certificate_from_scan(scan, tol)
 
 
@@ -421,27 +398,23 @@ def certificate_deviations(
 
 
 def verify_certificate(
-    gauge: Gauge,
-    params: EllipseParams,
-    cert: AlternanceCertificate,
-    tol: float,
-    grid_size: int = _GRID_SIZE,
+    gauge: Gauge, params: EllipseParams, cert: AlternanceCertificate, tol: float
 ) -> CertificateVerdict:
     """Re-check a certificate from scratch.
 
     The implied defect d_hat is the mean of the four signed deviations; the
     verdict requires strict interleaving, each deviation within tol of d_hat,
     and the sup of |f - g| over a fresh ``_extrema_scan`` (its cells those of
-    the ``grid_size`` grid) at most d_hat + tol; on a polygon that sup is
-    exact, with no grid.  A passing verdict makes
-    the ellipse the unique minimizer up to those tolerances.  R <= 0 at a
-    scanned angle raises NoConvergence.
+    the solve's ``_GRID_SIZE`` grid) at most d_hat + tol; on a polygon that
+    sup is exact, with no grid.  A passing verdict makes the ellipse the
+    unique minimizer up to those tolerances.  R <= 0 at a scanned angle
+    raises NoConvergence.
     """
     dev = certificate_deviations(gauge, params, cert)
     d_hat = sum(dev) / 4.0
     residuals_ok = tuple(abs(v - d_hat) <= tol for v in dev)
     ordering_ok = cert.interleaved()
-    sup = _extrema_scan(gauge, params, _Pieces(gauge, grid_size)).sup
+    sup = _extrema_scan(gauge, params, _Pieces(gauge)).sup
     sup_ok = sup <= d_hat + tol
     passed = ordering_ok and all(residuals_ok) and sup_ok
     return CertificateVerdict(ordering_ok, residuals_ok, sup_ok, passed, d_hat, dev, sup)
@@ -451,9 +424,8 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     """Best uniform approximation of f = log r over the ellipse family.
 
     One exchange loop.  Its first run solves the minimax LP on the grid of
-    ``_GRID_SIZE`` angles (its exchange rounds counted in ``lp_calls``); every
-    later run solves it on the scanned extrema of the previous run's deviation
-    (these runs counted in ``polish_iterations``, at most 30).  Each run's
+    ``_GRID_SIZE`` angles; every later run solves it on the scanned extrema
+    of the previous run's deviation (at most 30 of them).  Each run's
     level, max |f - g| on its points, is a de la Vallee Poussin lower bound on
     d*, and the scanned sup-norm of its triple an upper bound; the loop stops
     once they agree to 1e-12 relative, or to the rounding of h
@@ -466,27 +438,22 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     when a level exceeds the returned sup-norm by more than ``_CERT_TOL`` (the
     scan missed extrema) or no certificate exists within ``_CERT_TOL``.
     """
-    pieces = _Pieces(gauge, _GRID_SIZE)
+    pieces = _Pieces(gauge)
     points, trig = pieces.grid
     f = gauge.log_eval(points)
-    diag = SolveDiagnostics(grid_points=points.size)
     floor = _H_ROUNDING * float(np.abs(f).max())  # the rounding of sup - level
 
     best: Optional[tuple[EllipseParams, _ExtremaScan]] = None
     top = -math.inf
-    for run in range(31):
+    for _ in range(31):
         try:
-            params, rounds = _minimax_lp(trig, f)
+            params = _minimax_lp(trig, f)
             level = float(np.abs(f + _half_log_table(params, trig)).max())
             scan = _extrema_scan(gauge, params, pieces)
         except NoConvergence:
             if best is None:
                 raise
             break
-        if best is None:
-            diag.lp_calls = rounds
-        else:
-            diag.polish_iterations = run
         top = max(top, level)
         if best is None or scan.sup < best[1].sup:
             best = params, scan
@@ -504,7 +471,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
             "the scan missed extrema"
         )
     cert = _certificate_from_scan(scan, _CERT_TOL)
-    return UniformSolution(params, float(scan.sup), cert, diag)
+    return UniformSolution(params, float(scan.sup), cert)
 
 
 def distance(gauge: Gauge) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bmplane import jsonio
-from bmplane.gauge import polygon_gauge
+from bmplane.gauge import circle_gauge, lp_gauge, polygon_gauge
 from bmplane.report import build_report, report_to_dict
 from bmplane.solver import solve_uniform
 
@@ -14,7 +14,8 @@ import bodies
 
 
 def _render_by_element(obj, out: list):
-    """The element-by-element renderer that ``jsonio.dumps`` used before: the byte reference."""
+    """The element-by-element renderer that ``jsonio.dumps`` used before, with negative zero
+    written -0.0: the byte reference."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif isinstance(obj, np.generic):
@@ -30,7 +31,7 @@ def _render_by_element(obj, out: list):
     elif isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             raise ValueError(f"non-finite float {obj} is not representable in JSON")
-        out.append(format(obj, ".17g"))
+        out.append("-0.0" if obj == 0.0 and math.copysign(1.0, obj) < 0.0 else format(obj, ".17g"))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
@@ -79,6 +80,24 @@ class TestDumps:
             payload = {"a": arr, "neg_zero": np.array([-0.0, 0.0]), "ints": np.arange(3)}
             new, ref = _sha1_pair(payload)
             assert new == ref, shape
+
+    def test_negative_zero_reads_back_as_itself(self):
+        text = jsonio.dumps({"z": [-0.0, 0.0, np.float64(-0.0)], "i": 0})
+        assert text == '{"z": [-0.0, 0, -0.0], "i": 0}\n'
+        back = jsonio.loads(text)
+        assert type(back["z"][0]) is float and math.copysign(1.0, back["z"][0]) == -1.0
+        assert jsonio.dumps(back) == text
+
+    def test_reports_round_trip_bytes(self, solved_corpus):
+        # a stored report loads and dumps to its own bytes: the circle's holds signed zeros
+        solved = dict(solved_corpus)
+        for name, g in (("circle-r2", circle_gauge(2.0)), ("lp3", lp_gauge(3.0)),
+                        ("hexagon-turned", polygon_gauge(bodies.regular_polygon(6, phase=0.4)))):
+            solved[name] = (g, solve_uniform(g))
+        for name, (g, sol) in solved.items():
+            text = jsonio.dumps(report_to_dict(build_report(g, sol)))
+            assert jsonio.dumps(jsonio.loads(text)) == text, name
+        assert "-0.0" in jsonio.dumps(report_to_dict(build_report(*solved["circle"])))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_array_raises(self, bad):

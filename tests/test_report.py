@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bmplane import jsonio
+from bmplane.cli import main
 from bmplane.errors import InputError
 from bmplane.gauge import circle_gauge, lp_gauge, polygon_gauge, sample_gauge
 from bmplane.report import (
@@ -213,10 +214,26 @@ class TestReportMismatches:
         [mismatch] = report_mismatches(square_gauge, stored, 1e-6)
         assert mismatch.startswith("rebuild (ConeViolation: ")
 
-    def test_solver_diagnostics_are_not_compared(self, square_report, square_gauge):
+    def test_older_reports_with_solver_counts_differ(self, square_report, square_gauge,
+                                                      tmp_path):
+        # reports once carried the solve's counts under diagnostics.solver; no rebuild has
+        # them, so such a report is one-sided: verify fails it and render refuses it
         stored = report_to_dict(square_report)
-        stored["diagnostics"] = {**stored["diagnostics"], "solver": {"lp_calls": -1}}
-        assert report_mismatches(square_gauge, stored, 1e-6) == []
+        stored["diagnostics"] = {
+            "solver": {"lp_calls": 5, "polish_iterations": 0, "grid_points": 4096},
+            **stored["diagnostics"],
+        }
+        assert report_mismatches(square_gauge, stored, 1e-6) == [
+            "diagnostics.solver.lp_calls", "diagnostics.solver.polish_iterations",
+            "diagnostics.solver.grid_points"]
+        body, report = tmp_path / "square.json", tmp_path / "square.report.json"
+        body.write_text(jsonio.dumps(square_gauge.descriptor()))
+        report.write_text(jsonio.dumps(stored))
+        assert main(["verify", "--input", str(body), "--report", str(report)]) == 1
+        svg = tmp_path / "square.svg"
+        assert main(["render", "--input", str(body), "--report", str(report),
+                     "--out", str(svg)]) == 2
+        assert not svg.exists()
 
 
 class TestRender:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as highs_linprog
 
+from bmplane import jsonio
 from bmplane.ellipse import EllipseParams, in_cone
 from bmplane.errors import BmplaneError, NoAlternance, NoConvergence
 from bmplane.gauge import (
@@ -16,7 +17,13 @@ from bmplane.gauge import (
     polygon_gauge,
     sample_gauge,
 )
-from bmplane.report import build_report
+from bmplane.report import (
+    build_report,
+    render_svg,
+    report_mismatches,
+    report_to_dict,
+    verify_theorem1,
+)
 from bmplane.solver import (
     AlternanceCertificate,
     certificate_deviations,
@@ -57,6 +64,29 @@ CLOSED_FORM_D2 = {
 
 def _rotation(t: float) -> np.ndarray:
     return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def _watch_linprog(monkeypatch) -> list:
+    """The exchange rounds of every ``linprog`` call the solver makes from now on, in order:
+    one call per run of the solve's exchange loop, the first on the grid."""
+    import bmplane.solver as solver_mod
+
+    rounds, lp = [], solver_mod.linprog
+
+    def watched(*args):
+        x, n = lp(*args)
+        rounds.append(n)
+        return x, n
+
+    monkeypatch.setattr(solver_mod, "linprog", watched)
+    return rounds
+
+
+def _verify_on_grid(size: int, gauge, params, cert, tol: float):
+    """``verify_certificate`` with its scan on the cells of a grid of ``size`` angles."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("bmplane.solver._GRID_SIZE", size)
+        return verify_certificate(gauge, params, cert, tol)
 
 
 def _highs(objective, rows: np.ndarray, b: np.ndarray):
@@ -193,9 +223,8 @@ class TestExchangeLP:
             def grid_sup(p):
                 return float(np.abs(fvals + 0.5 * np.log(p.trig(grid))).max())
 
-            x, rounds = linprog(trig, w)
-            params, lp_rounds = _minimax_lp(trig, fvals)
-            assert lp_rounds == rounds, name
+            x, _ = linprog(trig, w)
+            params = _minimax_lp(trig, fvals)
             ref, x_ref = _full_grid_minimax_lp(grid, fvals)
 
             # every grid row holds to the stop tolerance, and no worse than HiGHS's point
@@ -205,12 +234,13 @@ class TestExchangeLP:
                 # both points are feasible on the whole grid, so both are its optimum
                 assert grid_sup(params) >= grid_sup(ref) - 1e-13, name
 
-    def test_smooth_samples_at_scale(self):
+    def test_smooth_samples_at_scale(self, monkeypatch):
         # 10^5 samples put 104064 angles on the grid
         g = sample_gauge(bodies.smooth_samples(np.random.default_rng(100000), 100000))
         n = evaluation_grid(g, _GRID_SIZE).size
+        rounds = _watch_linprog(monkeypatch)
         sol = solve_uniform(g)
-        assert sol.diagnostics.lp_calls <= 16 * n.bit_length()
+        assert rounds[0] <= 16 * n.bit_length()
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
     def test_singular_reference_is_typed(self, monkeypatch):
@@ -266,12 +296,13 @@ class TestExchangeLP:
             solve_uniform(g)
         assert len(calls) <= 4
 
-    def test_flat_in_family_ellipse(self):
+    def test_flat_in_family_ellipse(self, monkeypatch):
         # every grid row ties at d* = 0, so the rounding of R alone picks the worst angle:
         # the exchange must stop on its stalled reference instead of cycling to the cap
         e = EllipseParams(1.0, 0.999999, 0.0)
+        rounds = _watch_linprog(monkeypatch)
         sol = solve_uniform(ellipse_gauge(e))
-        assert sol.diagnostics.lp_calls <= 2
+        assert rounds[0] <= 2
         assert sol.params.triple() == pytest.approx(e.triple(), rel=0.0, abs=1e-15)
 
     def test_stalled_reference_below_one_flips(self):
@@ -357,7 +388,7 @@ def _lp_triple(g):
     """(grid, f on it, the grid minimax triple)."""
     grid = evaluation_grid(g, 4096)
     fvals = g.log_eval(grid)
-    params, *_ = _minimax_lp(_trig_matrix(grid), fvals)
+    params = _minimax_lp(_trig_matrix(grid), fvals)
     return grid, fvals, params
 
 
@@ -384,7 +415,7 @@ class TestRefinement:
         # none less extreme by more than 1e-14, and a sup no lower by more than 1e-15
         for name, g in _refinement_bodies(corpus).items():
             grid, h, hvals, params = _lp_deviation(g)
-            scan = _extrema_scan(g, params, _Pieces(g, 4096))
+            scan = _extrema_scan(g, params, _Pieces(g))
             ref = _refined_extrema_two_calls(h, grid, hvals)
             assert scan.max_values.size == ref.max_values.size, name
             assert scan.min_values.size == ref.min_values.size, name
@@ -446,7 +477,7 @@ class TestRefinement:
             grid, fvals, params = _lp_triple(g)
             h = _deviation_fn(g, params)
             ref = _refined_extrema_two_calls(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
-            scan = _extrema_scan(g, params, _Pieces(g, 4096))
+            scan = _extrema_scan(g, params, _Pieces(g))
             # one extremum per turn of the slope; the edge across 0 and pi is one piece
             assert scan.max_angles.size == ref.max_angles.size, name
             assert scan.min_angles.size == ref.min_angles.size, name
@@ -490,7 +521,7 @@ class TestOneEvaluationPerAngle:
             "ones-4096": sample_gauge(np.ones(4096)),
         }.items():
             sol = solve_uniform(g)
-            scan = _extrema_scan(g, sol.params, _Pieces(g, 4096))
+            scan = _extrema_scan(g, sol.params, _Pieces(g))
             cert = sol.certificate
             assert cert == _certificate_from_scan(scan, tol), name
             assert verify_certificate(g, sol.params, cert, tol).passed, name
@@ -519,18 +550,19 @@ class TestOneEvaluationPerAngle:
     )
     def test_one_exchange_run_per_loop_run(self, monkeypatch, g):
         # the certificate runs no exchange of its own: linprog is called by the grid run and
-        # by each later run of the loop, and by nothing else
+        # by each later run of the loop, each of which scans its triple once, and by nothing else
         import bmplane.solver as solver_mod
 
-        calls, lp = [], solver_mod.linprog
+        scans, scan = [], solver_mod._extrema_scan
 
         def counted(*args):
-            calls.append(1)
-            return lp(*args)
+            scans.append(1)
+            return scan(*args)
 
-        monkeypatch.setattr(solver_mod, "linprog", counted)
+        monkeypatch.setattr(solver_mod, "_extrema_scan", counted)
+        rounds = _watch_linprog(monkeypatch)
         sol = solve_uniform(g)
-        assert len(calls) == 1 + sol.diagnostics.polish_iterations
+        assert len(rounds) == len(scans)
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
 
@@ -590,15 +622,18 @@ class TestSolveUniform:
         assert sol.defect == pytest.approx(SQUARE_DEFECT, abs=1e-9)
         assert sol.params.triple() == pytest.approx((2.0 ** -0.5, 0.0, 0.0), abs=1e-6)
 
-    def test_kink_bodies_stop_after_the_grid_run(self):
+    def test_kink_bodies_stop_after_the_grid_run(self, monkeypatch):
         # every extremum is a kink on the grid, so the grid optimum is the continuum one
         rng = np.random.default_rng(1000)
+        rounds = _watch_linprog(monkeypatch)
         for g in (
             lp_gauge(math.inf),
             polygon_gauge(bodies.jittered_star_polygon(rng, 1000)),
             sample_gauge(1.0 + 0.2 * rng.random(4096)),
         ):
-            assert solve_uniform(g).diagnostics.polish_iterations == 0
+            rounds.clear()
+            solve_uniform(g)
+            assert len(rounds) == 1
 
     def test_closed_forms(self, solved_corpus):
         for name, d2 in CLOSED_FORM_D2.items():
@@ -613,11 +648,13 @@ class TestSolveUniform:
             assert math.exp(2.0 * coarse.defect) == pytest.approx(
                 math.exp(2.0 * sol.defect), rel=1e-12, abs=0.0), name
 
-    # at 1e+-100 and 1e+-150 the triple's squares over- or underflow unless in_cone scales first
+    # at 1e+-100 and 1e+-150 the squares of the triple's entries, and the products of the
+    # report's form's entries, over- or underflow unless in_cone and PDMatrix2 scale first
     @pytest.mark.parametrize("scale", [1e8, 1e-8, 1e100, 1e-100, 1e150, 1e-150])
     def test_extreme_scale(self, solved_corpus, scale):
         # every corpus body with a size: polygons and samples scaled, the ellipse's triple
-        # times scale**-2, the circle of radius scale; the lp balls have the unit size
+        # times scale**-2, the circle of radius scale; the lp balls have the unit size.  Each
+        # solves, certifies, and reports, and its stored report rebuilds and renders
         for name, (g, sol) in solved_corpus.items():
             d = g.descriptor()
             if name == "circle":
@@ -635,6 +672,12 @@ class TestSolveUniform:
                 math.exp(2.0 * sol.defect), rel=1e-12, abs=0.0), name
             assert verify_certificate(scaled, scaled_sol.params, scaled_sol.certificate,
                                       1e-6).passed, name
+            report = build_report(scaled, scaled_sol)
+            assert verify_theorem1(report).passed, name
+            stored = jsonio.loads(jsonio.dumps(report_to_dict(report)))
+            assert report_mismatches(scaled, stored, 1e-12) == [], name
+            for view in ("body", "image"):
+                assert render_svg(report, scaled, view).startswith("<?xml"), name
             if name == "square-polygon":
                 assert math.exp(2.0 * scaled_sol.defect) == pytest.approx(
                     math.sqrt(2.0), rel=1e-12, abs=0.0)
@@ -733,7 +776,7 @@ class TestSolveUniform:
         g = sample_gauge([1.0, 1.2, 1.0, 1.3, 1.0, 1.2, 1.0, 1.1], interp="pchip")
         sol = solve_uniform(g)
         assert math.exp(2.0 * sol.defect) == pytest.approx(1.2695616833, rel=1e-10, abs=0.0)
-        assert verify_certificate(g, sol.params, sol.certificate, 1e-6, grid_size=2**18).passed
+        assert _verify_on_grid(2**18, g, sol.params, sol.certificate, 1e-6).passed
 
     def test_kappa_1e4_images_certify(self):
         # kappa = 1e4 images with extrema between the grid angles: each is a vertex or an edge
@@ -803,7 +846,7 @@ class TestSolveUniform:
         verdict = verify_certificate(g, ellipse, cert, 1e-8)
         assert not verdict.passed and verdict.sup_norm > 7e-6
         sol = solve_uniform(g)
-        assert verify_certificate(g, sol.params, sol.certificate, 1e-8, grid_size=2**16).passed
+        assert _verify_on_grid(2**16, g, sol.params, sol.certificate, 1e-8).passed
 
     def test_coarse_interpolating_samples_keep_their_answer(self):
         # the sup of the solved triple by a long-double sweep (2^22 angles, then 20001 points
@@ -814,7 +857,7 @@ class TestSolveUniform:
         g = self._linear_ellipse_samples(1024)
         sol = solve_uniform(g)
         assert sol.defect == pytest.approx(5.8185130232434875e-05, rel=1e-12, abs=0.0)
-        assert verify_certificate(g, sol.params, sol.certificate, 1e-8, grid_size=2**16).passed
+        assert _verify_on_grid(2**16, g, sol.params, sol.certificate, 1e-8).passed
 
     @staticmethod
     def _sampled_ellipses() -> dict:
@@ -836,19 +879,21 @@ class TestSolveUniform:
         phi = np.arange(2**20) * (math.pi / 2**20)
         for name, g in self._sampled_ellipses().items():
             sol = solve_uniform(g)
-            verdict = verify_certificate(g, sol.params, sol.certificate, 1e-8, grid_size=2**16)
+            verdict = _verify_on_grid(2**16, g, sol.params, sol.certificate, 1e-8)
             assert verdict.passed, name
             sweep = float(np.abs(g.log_eval(phi) + _half_log_trig(sol.params, phi)).max())
             assert math.exp(2.0 * sol.defect) == pytest.approx(
                 math.exp(2.0 * sweep), rel=1e-12, abs=0.0), name
 
-    def test_tied_extrema_stop_at_the_rounding_of_h(self):
+    def test_tied_extrema_stop_at_the_rounding_of_h(self, monkeypatch):
         # all extrema tie here, so sup - level stalls at the rounding of h (2e-16), above
         # 1e-12*d; the stop's floor at that rounding ends the loop instead of the 30-run cap
+        rounds = _watch_linprog(monkeypatch)
         for ratio in (2.0, 10.0):
             g = self._linear_ellipse_samples(4096, ratio)
+            rounds.clear()
             sol = solve_uniform(g)
-            assert sol.diagnostics.polish_iterations <= 3, ratio
+            assert len(rounds) <= 4, ratio
             assert verify_certificate(g, sol.params, sol.certificate, 1e-8).passed, ratio
 
     def test_deterministic(self):
@@ -1004,7 +1049,7 @@ class TestOneSided:
         for name, (g, sol) in solved_corpus.items():
             inscribed = build_report(g, sol).params_inscribed
             assert inscribed.triple() == sol.params.scaled(math.exp(2.0 * sol.defect)).triple()
-            scan = _extrema_scan(g, inscribed, _Pieces(g, 4096))
+            scan = _extrema_scan(g, inscribed, _Pieces(g))
             assert scan.min_values.min() >= -1e-9, name
             assert scan.max_values.max() == pytest.approx(2.0 * sol.defect, abs=1e-8), name
 
