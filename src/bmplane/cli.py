@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import traceback
 
 from . import jsonio
 from .errors import BmplaneError, EmptyGrid, InputError
 from .gauge import gauge_from_descriptor
-from .oracle import OracleGrid, oracle_uniform
 from .report import (
     build_report,
     render_svg,
@@ -71,11 +69,14 @@ def _cmd_solve(args) -> int:
     return _EXIT_OK
 
 
-def _oracle_grid(args) -> OracleGrid:
+def _cmd_oracle(args) -> int:
+    from .oracle import OracleGrid, oracle_uniform  # only this command runs the oracle
+
+    gauge = _load_gauge(args.input)
     if args.threads < 1:
         raise InputError(f"--threads must be at least 1, got {args.threads}")
     try:
-        return OracleGrid(
+        grid = OracleGrid(
             n_a=args.na,
             n_b=args.nb,
             n_theta=args.ntheta,
@@ -84,11 +85,6 @@ def _oracle_grid(args) -> OracleGrid:
         )
     except EmptyGrid as exc:
         raise InputError(str(exc)) from exc
-
-
-def _cmd_oracle(args) -> int:
-    gauge = _load_gauge(args.input)
-    grid = _oracle_grid(args)
     result = oracle_uniform(gauge, grid, threads=args.threads)
     payload = {
         "std": {"a": result.std.a, "bprime": result.std.bprime, "theta": result.std.theta},
@@ -203,6 +199,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     except Exception:  # keep exit code 1 reserved for verification failures
+        import traceback
+
         traceback.print_exc()
         return _EXIT_NUMERIC
 

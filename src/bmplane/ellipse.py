@@ -43,6 +43,14 @@ def in_cone(a2: float, b2: float, c2: float) -> bool:
     return a > 0.0 and a * a - (b * b + c * c) > 0.0
 
 
+def _ldexp(x: float, n: int) -> float:
+    """x * 2^n, inf where that overflows (math.ldexp raises there)."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class EllipseParams:
     """Coefficient triple of rho^-2; always strictly inside the cone."""
@@ -156,7 +164,10 @@ class PDMatrix2:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
     def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m12
+        """The determinant of S/4^k (``_scaled``) times 16^k: inf or 0 only where it leaves
+        the float range."""
+        k, _, _, _, d = self._scaled()
+        return _ldexp(d, 4 * k)
 
     def _scaled(self) -> tuple[int, float, float, float, float]:
         """(k, m11, m12 and m22 over 4^k, their det), for the power of four that brings the
@@ -187,9 +198,11 @@ class PDMatrix2:
         return xy @ self.as_array().T
 
     def operator_norm(self) -> float:
-        """Largest eigenvalue (spectral norm of an SPD matrix)."""
-        t, d = self.trace(), self.det()
-        return 0.5 * (t + math.sqrt(max(t * t - 4.0 * d, 0.0)))
+        """Largest eigenvalue (spectral norm of an SPD matrix), that of S/4^k (``_scaled``)
+        times 4^k."""
+        k, a, _, c, d = self._scaled()
+        t = a + c
+        return _ldexp(0.5 * (t + math.sqrt(max(t * t - 4.0 * d, 0.0))), 2 * k)
 
 
 def pd_sqrt(s: PDMatrix2) -> PDMatrix2:

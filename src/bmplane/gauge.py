@@ -204,15 +204,39 @@ class _SampleGauge(Gauge):
         self._nodes = np.append(np.arange(self._n) * _PI / self._n, _PI)
         self._nodes.flags.writeable = False
         self._slopes = (np.roll(values, -1) - values) / np.diff(self._nodes)  # r' on each cell
-        if interp == "pchip":
-            from scipy.interpolate import PchipInterpolator
+        self._cubics = self._pchip_cubics() if interp == "pchip" else None
 
-            pad = 3
-            n = self._n
-            k = np.arange(-pad, n + pad + 1)
-            self._pchip = PchipInterpolator(k * _PI / n, values[np.mod(k, n)])
-        else:
-            self._pchip = None
+    def _pchip_cubics(self) -> tuple[np.ndarray, np.ndarray]:
+        """Knots k*pi/N (k = 0 ... N + 1) and the power-form coefficients (c0, c1, c2, c3) of
+        r = c3 + c2*s + c1*s^2 + c0*s^3, s the angle less its knot, on the cells between them.
+
+        These are scipy's ``PchipInterpolator`` on the periodically padded samples, bit for bit:
+        Fritsch-Carlson derivatives (the weighted harmonic mean of the slopes on either side, 0
+        where they differ in sign or one is 0) and ``CubicHermiteSpline``'s coefficients.  One
+        sample past each end knot gives every knot a slope on either side, so scipy's rule for
+        the derivative at an end, which only its padded end cells use, is never needed.
+        """
+        n = self._n
+        k = np.arange(-1, n + 3)
+        x, y = k * _PI / n, self._values[np.mod(k, n)]
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        mono = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        d = np.zeros(n + 2)  # at the knots
+        d[mono] = 1.0 / ((w1[mono] / m[:-1][mono] + w2[mono] / m[1:][mono]) / (w1 + w2)[mono])
+        h, m, y = h[1:-1], m[1:-1], y[1:-2]
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        return x[1:-1], np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y])
+
+    def _pchip(self, red: np.ndarray, slope: bool = False):
+        """r, or r and r', on angles in [0, pi), summed as scipy's ``PPoly`` sums them."""
+        knots, coef = self._cubics
+        i = np.searchsorted(knots, red, side="right") - 1
+        s = red - knots[i]
+        c0, c1, c2, c3 = coef[:, i]
+        r = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+        return (r, c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0) if slope else r
 
     def _cell(self, red: np.ndarray) -> np.ndarray:
         """The linear cell k of each angle: nodes[k] <= red < nodes[k + 1]."""
@@ -222,7 +246,7 @@ class _SampleGauge(Gauge):
         return k
 
     def _radius(self, red: np.ndarray) -> np.ndarray:
-        if self._pchip is not None:
+        if self._cubics is not None:
             return self._pchip(red)
         k = self._cell(red)
         frac = (red - self._nodes[k]) / (self._nodes[k + 1] - self._nodes[k])
@@ -233,8 +257,9 @@ class _SampleGauge(Gauge):
 
     def log_slopes(self, phi) -> tuple[np.ndarray, np.ndarray]:
         red = np.atleast_1d(_reduce(phi))
-        if self._pchip is not None:  # C1: both limits agree
-            return (self._pchip(red, 1) / self._pchip(red),) * 2
+        if self._cubics is not None:  # C1: both limits agree
+            r, dr = self._pchip(red, slope=True)
+            return (dr / r,) * 2
         k, r = self._cell(red), self._radius(red)
         # a node's left limit is the slope of the cell before it (-1: the last, before 0)
         return self._slopes[k - (red == self._nodes[k])] / r, self._slopes[k] / r
@@ -479,11 +504,11 @@ def evaluation_grid(gauge: Gauge, n: int) -> np.ndarray:
     within 1e-13 above another.
     """
     base = np.arange(n) * (_PI / n)
-    crit = np.unique(gauge.critical_angles())
+    crit = np.sort(gauge.critical_angles())
     if crit.size == 0:
         return base
     crit = crit[np.append(True, np.diff(crit) > 1e-13)]
     ends = np.concatenate([[-math.inf], crit, [math.inf]])
     i = np.searchsorted(crit, base)  # base lies between ends[i] and ends[i + 1]
     far = np.minimum(base - ends[i], ends[i + 1] - base) > 1e-13
-    return np.union1d(base[far], crit)
+    return np.sort(np.concatenate([base[far], crit]))

@@ -26,7 +26,7 @@ import numpy as np
 from .ellipse import EllipseParams, PDMatrix2, pd_sqrt, pd_sqrt_inverse
 from .errors import BmplaneError, ConeViolation, InputError
 from .gauge import Gauge, _number_array
-from .solver import AlternanceCertificate, UniformSolution, certificate_deviations
+from .solver import AlternanceCertificate, UniformSolution, _distinct, certificate_deviations
 
 __all__ = [
     "SolveReport",
@@ -356,11 +356,10 @@ def _boundary_samples(gauge: Gauge, cert: AlternanceCertificate) -> np.ndarray:
     the gauge's critical angles, each with its antipode, ascending in [0, 2pi)."""
     angles = np.array(cert.angles())
     crit = gauge.critical_angles()
-    phi = np.union1d(
+    phi = _distinct(np.concatenate([
         np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False),
-        np.concatenate([np.mod(np.concatenate([angles, angles + math.pi]), 2.0 * math.pi),
-                        crit, crit + math.pi]),
-    )
+        np.mod(np.concatenate([angles, angles + math.pi]), 2.0 * math.pi), crit, crit + math.pi,
+    ]))[0]
     return gauge.eval(phi)[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
 
 

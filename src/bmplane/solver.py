@@ -111,6 +111,17 @@ class CertificateVerdict:
     sup_norm: float
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values and the index of each one's first occurrence, as
+    ``np.unique(values, return_index=True)`` gives them, by a stable argsort (``np.unique``
+    imports numpy.ma on its first call)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first], order[first]
+
+
 def _R(params: EllipseParams, cos, sin) -> np.ndarray:
     """R from cos 2phi and sin 2phi, as ``params.trig``; NoConvergence where it rounds to <= 0."""
     R = np.asarray(params.a2 + params.b2 * cos + params.c2 * sin)
@@ -299,17 +310,18 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _Extr
         return _candidate_extrema(gauge, params, np.concatenate(candidates),
                                   np.repeat([1, -1], [maxima.size, minima.size]))
 
-    def slope(f_slope, cos, sin):  # h' = f' + (1/2 log R)'
-        return f_slope + (params.c2 * cos - params.b2 * sin) / _R(params, cos, sin)
+    def g_slope(cos, sin):  # (1/2 log R)' = -g': h' is f' plus this
+        return (params.c2 * cos - params.b2 * sin) / _R(params, cos, sin)
 
     x, trig = pieces.grid
-    left, right = (slope(f, trig[:, 1], trig[:, 2]) for f in pieces.slopes)
+    grid_slope = g_slope(trig[:, 1], trig[:, 2])
+    left, right = (f + grid_slope for f in pieces.slopes)
     nxt = np.roll(left, -1)  # h' at each cell's right end
     is_max, is_min = (left >= 0.0) & (right <= 0.0), (left <= 0.0) & (right >= 0.0)
     keep = is_max | is_min
     cells = np.nonzero(np.sign(right) * np.sign(nxt) < 0.0)[0]
     ends = np.append(x, x[0] + _PI)
-    inner = _illinois(lambda p: slope(gauge.log_slopes(p)[1], np.cos(2.0 * p), np.sin(2.0 * p)),
+    inner = _illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(np.cos(2.0 * p), np.sin(2.0 * p)),
                       ends[cells], ends[cells + 1], right[cells], nxt[cells])
     angles = np.concatenate([x[keep], np.mod(inner, _PI)])
     kind = np.concatenate([is_max[keep] * 1 - is_min[keep], np.sign(right[cells])])  # 0: both
@@ -332,7 +344,7 @@ def _alternation(dev: np.ndarray, sign: np.ndarray, floor: float) -> Optional[np
     if sign[near[0]] == sign[near[-1]]:
         run[run == run[-1]] = 0  # the run across pi is the first one
     order = np.lexsort((-dev[near], run))  # each run's largest member first
-    kept = np.sort(near[order[np.unique(run[order], return_index=True)[1]]])
+    kept = np.sort(near[order[_distinct(run[order])[1]]])
     if kept.size < 4:
         return None
     top = int(np.argmax(dev[kept]))
@@ -351,7 +363,7 @@ def _certificate_from_scan(scan: _ExtremaScan, tol: float) -> AlternanceCertific
     when there are no such four extrema (as when the scan has fewer than two
     maxima or two minima) or the angles do not interleave.
     """
-    points, first = np.unique(np.concatenate([scan.max_angles, scan.min_angles]), return_index=True)
+    points, first = _distinct(np.concatenate([scan.max_angles, scan.min_angles]))
     hvals = np.concatenate([scan.max_values, scan.min_values])[first]
     kind = np.where(first < scan.max_angles.size, 1, -1)
     ref = _alternation(kind * hvals, kind, scan.sup - tol)
@@ -459,7 +471,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
             best = params, scan
         if scan.sup - level <= 1e-12 * scan.sup + floor:
             break
-        points = np.unique(np.concatenate([scan.max_angles, scan.min_angles]))
+        points = _distinct(np.concatenate([scan.max_angles, scan.min_angles]))[0]
         if points.size < 4:
             break
         f, trig = gauge.log_eval(points), _trig_matrix(points)

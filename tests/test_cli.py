@@ -305,6 +305,9 @@ for body in sys.argv[1:]:
     assert main(["solve", "--input", body, "--out", report]) == 0, body
     assert main(["verify", "--input", body, "--report", report]) == 0, body
     assert main(["render", "--input", body, "--report", report, "--out", body + ".svg"]) == 0, body
+# none of them loads the oracle, or numpy.ma (which np.unique imports on its first call)
+loaded = [name for name in ("numpy.ma", "bmplane.oracle") if name in sys.modules]
+assert not loaded, loaded
 """
 
 
@@ -318,17 +321,28 @@ class TestImports:
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
 
+    def test_oracle_is_imported_on_first_use(self):
+        src = str(Path(bmplane.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = ("import sys, bmplane; assert 'bmplane.oracle' not in sys.modules; "
+                  "from bmplane import oracle_uniform; import bmplane.oracle; "
+                  "assert oracle_uniform is bmplane.oracle.oracle_uniform")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestWithoutScipy:
     def test_solve_and_verify_never_import_scipy(self, tmp_path):
-        # pchip samples are left out: they are the one body kind that needs scipy
         nodes = np.arange(64) * math.pi / 64
+        wobble = 1.0 + 0.1 * np.cos(2 * nodes) + 0.04 * np.sin(6 * nodes)
         gauges = {
             "circle": circle_gauge(),
             "square": lp_gauge(math.inf),
             "l1.5": lp_gauge(1.5),
             "convex": polygon_gauge(bodies.random_convex_polygon(np.random.default_rng(5))),
-            "samples": sample_gauge(1.0 + 0.1 * np.cos(2 * nodes) + 0.04 * np.sin(6 * nodes)),
+            "samples": sample_gauge(wobble),
+            "pchip": sample_gauge(wobble, interp="pchip"),
         }
         paths = []
         for name, g in gauges.items():

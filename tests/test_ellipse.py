@@ -71,6 +71,23 @@ class TestMatrixLayer:
             ri = pd_sqrt_inverse(s)
             assert np.abs((r.as_array() @ ri.as_array()) - np.eye(2)).max() < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_norm_and_det_at_extreme_scale(self, scale):
+        # the norm is the scaled one's; the det (about scale^2) saturates as a float must
+        assert PDMatrix2(2.0 * scale, 0.0, scale).operator_norm() == 2.0 * scale
+        s = PDMatrix2(2.0 * scale, scale, 2.0 * scale)
+        assert s.operator_norm() == pytest.approx(3.0 * scale, rel=1e-15)
+        assert s.det() == (math.inf if scale > 1.0 else 0.0)
+
+    def test_norm_and_det_scale_by_powers_of_two(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            s = bodies.random_pd_matrix(rng)
+            for e in (-150, 150):
+                big = PDMatrix2(*(math.ldexp(v, 2 * e) for v in (s.m11, s.m12, s.m22)))
+                assert big.operator_norm() == math.ldexp(s.operator_norm(), 2 * e)
+                assert big.det() == math.ldexp(s.det(), 4 * e)
+
     def test_not_pd(self):
         with pytest.raises(NotPD):
             PDMatrix2(1.0, 2.0, 1.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from bmplane.ellipse import EllipseParams
 from bmplane.errors import (
@@ -199,6 +200,27 @@ class TestSamples:
         assert g.eval(math.pi / 8) == pytest.approx(1.0 + 0.1 * math.cos(math.pi / 4), abs=1e-4)
         phis = np.linspace(-2, 5, 301)
         assert np.allclose(g.eval(phis), g.eval(phis + math.pi), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [8, 9, 13, 64, 257, 1000, 4096])
+    @pytest.mark.parametrize("rough", [False, True], ids=["smooth", "rough"])
+    def test_pchip_is_scipys_bit_for_bit(self, n, rough):
+        # r and r' are scipy's PCHIP through the samples padded by 3 periods' nodes on each side
+        rng = np.random.default_rng(n)
+        nodes = np.arange(n) * math.pi / n
+        if rough:
+            values = 1.0 + 0.2 * rng.random(n)
+        else:
+            values = np.exp(0.3 * np.cos(2.0 * nodes + rng.uniform(0.0, math.pi))
+                            + 0.05 * np.sin(6.0 * nodes))
+        g = sample_gauge(values, interp="pchip")
+        k = np.arange(-3, n + 4)
+        ref = PchipInterpolator(k * math.pi / n, values[np.mod(k, n)])
+        phi = np.concatenate([nodes, rng.uniform(0.0, math.pi, 2000)])
+        r, dr = g._pchip(phi, slope=True)
+        assert r.tobytes() == g.eval(phi).tobytes() == ref(phi).tobytes()
+        assert dr.tobytes() == ref(phi, 1).tobytes()
+        left, right = g.log_slopes(phi)
+        assert left.tobytes() == right.tobytes() == (ref(phi, 1) / ref(phi)).tobytes()
 
     def test_errors(self):
         with pytest.raises(TooFewSamples):

@@ -34,6 +34,7 @@ from bmplane.solver import (
     _alternation,
     _CERT_TOL,
     _certificate_from_scan,
+    _distinct,
     _ExtremaScan,
     _extrema_scan,
     _GRID_SIZE,
@@ -932,6 +933,16 @@ class TestCertificate:
             dev, sign = rng.integers(0, 4, n) / 4.0, rng.choice([-1, 1], n)
             got, ref = _alternation(dev, sign, 0.5), _alternation_loop(dev, sign, 0.5)
             assert (got is None and ref is None) or got.tolist() == ref, (dev, sign)
+
+    def test_distinct_is_np_unique(self):
+        # np.unique(return_index=True) is the reference, on ties, integers and the empty array
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            n = int(rng.integers(0, 40))
+            for values in (rng.integers(0, 8, n), rng.integers(0, 8, n) * (math.pi / 8)):
+                got, ref = _distinct(values), np.unique(values, return_index=True)
+                assert all(g.tobytes() == r.tobytes() and g.dtype == r.dtype
+                           for g, r in zip(got, ref)), values
 
     def test_square_certificate_at_vertex_and_midpoint_directions(self):
         cert = extract_certificate(lp_gauge(math.inf), EllipseParams(2.0 ** -0.5, 0, 0), 1e-8)
