@@ -232,7 +232,8 @@ class _SampleGauge(Gauge):
     def _pchip(self, red: np.ndarray, slope: bool = False):
         """r, or r and r', on angles in [0, pi), summed as scipy's ``PPoly`` sums them."""
         knots, coef = self._cubics
-        i = np.searchsorted(knots, red, side="right") - 1
+        # NaN sorts past the last knot: in the last cell it stays NaN, as scipy's does
+        i = np.minimum(np.searchsorted(knots, red, side="right"), knots.size - 1) - 1
         s = red - knots[i]
         c0, c1, c2, c3 = coef[:, i]
         r = c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)

@@ -221,6 +221,7 @@ class TestSamples:
         assert dr.tobytes() == ref(phi, 1).tobytes()
         left, right = g.log_slopes(phi)
         assert left.tobytes() == right.tobytes() == (ref(phi, 1) / ref(phi)).tobytes()
+        assert math.isnan(g.eval(math.nan))
 
     def test_errors(self):
         with pytest.raises(TooFewSamples):
