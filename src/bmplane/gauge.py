@@ -240,8 +240,8 @@ class _SampleGauge(Gauge):
         return (r, c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0) if slope else r
 
     def _cell(self, red: np.ndarray) -> np.ndarray:
-        """The linear cell k of each angle: nodes[k] <= red < nodes[k + 1]."""
-        k = np.minimum((red * (self._n / _PI)).astype(int), self._n - 1)
+        """The linear cell k of each angle: nodes[k] <= red < nodes[k + 1]; the last for NaN."""
+        k = np.fmin(red * (self._n / _PI), self._n - 1).astype(int)
         k -= red < self._nodes[k]
         k += red >= self._nodes[k + 1]
         return k

@@ -161,12 +161,12 @@ def verify_theorem1(report: SolveReport, tol: float = 1e-6) -> TheoremVerdict:
     y1, y2 = report.y_points
     x1, y1, x2, y2 = _window_representatives(x1, y1, x2, y2)
     margins = _cone_margins(x1, y1, x2, y2)
-    cone_ok = min(margins) > -1e-12
+    cone_ok = bool(min(margins) > -1e-12)
 
     def sep(u, v) -> float:
         return abs(_cross(u, v)) / (np.hypot(*u) * np.hypot(*v))
 
-    distinct_ok = sep(x1, x2) > 1e-6 and sep(y1, y2) > 1e-6
+    distinct_ok = bool(sep(x1, x2) > 1e-6 and sep(y1, y2) > 1e-6)
     passed = x_ok and y_ok and cone_ok and distinct_ok
     return TheoremVerdict(x_ok, y_ok, cone_ok, distinct_ok, passed, x_norms, y_norms)
 

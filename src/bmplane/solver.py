@@ -35,6 +35,10 @@ and uniqueness within the ellipse family.  Every certificate comes that way,
 also when d is below 1e-8: a flat deviation offers
 (0, pi/4, pi/2, 3pi/4) as its extrema, and a scan with no four alternating
 extrema ends in NoAlternance.
+A certificate is a bracket on d*: the least of its four signed deviations
+bounds d* from below (de la Vallee Poussin; 0 unless they alternate in sign),
+and the triple's scanned sup bounds it from above.  ``verify_certificate``
+rebuilds the bracket from the body, triple and angles, and checks its width.
 The triple, d and the four angles are all that the report (``report.py``)
 is built from: the inscribed ellipse is the triple scaled by d2 = exp(2d).
 """
@@ -102,13 +106,11 @@ class UniformSolution:
 
 @dataclass(frozen=True)
 class CertificateVerdict:
-    ordering_ok: bool
-    residuals_ok: tuple[bool, bool, bool, bool]
-    sup_ok: bool
+    """A bracket lower <= d* <= upper on the optimal defect, passed when it is at most tol wide."""
+
     passed: bool
-    d_hat: float
-    deviations: tuple[float, float, float, float]
-    sup_norm: float
+    lower: float
+    upper: float
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,24 +414,21 @@ def certificate_deviations(
 def verify_certificate(
     gauge: Gauge, params: EllipseParams, cert: AlternanceCertificate, tol: float
 ) -> CertificateVerdict:
-    """Re-check a certificate from scratch.
+    """Re-check a certificate from scratch: the bracket on d* that it and its triple prove.
 
-    The implied defect d_hat is the mean of the four signed deviations; the
-    verdict requires strict interleaving, each deviation within tol of d_hat,
-    and the sup of |f - g| over a fresh ``_extrema_scan`` (its cells those of
-    the solve's ``_GRID_SIZE`` grid) at most d_hat + tol; on a polygon that
-    sup is exact, with no grid.  A passing verdict makes the ellipse the
-    unique minimizer up to those tolerances.  R <= 0 at a scanned angle
-    raises NoConvergence.
+    upper is the sup of |f - g| for the triple over a fresh ``_extrema_scan`` (its cells those
+    of the solve's ``_GRID_SIZE`` grid; on a polygon the sup is exact, with no grid), which
+    bounds d*, the least sup over all triples, from above.  lower is the least of the four
+    signed deviations, at least 0, when the angles interleave, and 0 otherwise: by de la
+    Vallee Poussin, f - g >= m > 0 at four interleaved angles with signs (+, -, +, -) bounds
+    every triple's sup, so d*, from below by m.  The verdict passes when upper - lower <= tol,
+    in the units of d (those of ``_CERT_TOL``, at which every certificate of a solve passes).
+    R <= 0 at a scanned angle raises NoConvergence.
     """
     dev = certificate_deviations(gauge, params, cert)
-    d_hat = sum(dev) / 4.0
-    residuals_ok = tuple(abs(v - d_hat) <= tol for v in dev)
-    ordering_ok = cert.interleaved()
-    sup = _extrema_scan(gauge, params, _Pieces(gauge)).sup
-    sup_ok = sup <= d_hat + tol
-    passed = ordering_ok and all(residuals_ok) and sup_ok
-    return CertificateVerdict(ordering_ok, residuals_ok, sup_ok, passed, d_hat, dev, sup)
+    lower = max(0.0, min(dev)) if cert.interleaved() else 0.0
+    upper = _extrema_scan(gauge, params, _Pieces(gauge)).sup
+    return CertificateVerdict(upper - lower <= tol, lower, upper)
 
 
 def solve_uniform(gauge: Gauge) -> UniformSolution:

@@ -11,6 +11,14 @@ import pytest
 import bmplane
 from bmplane import circle_gauge, jsonio, lp_gauge, polygon_gauge, sample_gauge
 from bmplane.cli import main
+from bmplane.ellipse import EllipseParams
+from bmplane.report import _BODY_SCALED, _leaves, build_report, report_to_dict
+from bmplane.solver import (
+    AlternanceCertificate,
+    UniformSolution,
+    certificate_deviations,
+    solve_uniform,
+)
 
 import bodies
 
@@ -106,6 +114,30 @@ class TestVerify:
         assert main(["verify", "--input", str(square_body),
                      "--report", str(square_solved)]) == 0
 
+    def test_bracket_holds_sqrt2(self, square_body, square_solved, capsys):
+        # the d2 bracket is printed before the checks and the verdict, in 17 digits
+        capsys.readouterr()
+        assert main(["verify", "--input", str(square_body), "--report", str(square_solved)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("d2 bracket: [") and out[-1] == "verdict: pass", out
+        low, high = map(float, out[0].removeprefix("d2 bracket: [").rstrip("]").split(", "))
+        assert low <= math.sqrt(2.0) <= high <= low * (1.0 + 1e-14), out[0]
+
+    def test_placeholder_bracket_below_tol(self, tmp_path, capsys):
+        # the regular 20000-gon's triple with the flat angles (0, pi/4, pi/2, 3pi/4), where h is
+        # +6.2e-9 at all four: they prove only d* >= 0, so the bracket is [1, exp(2*6.2e-9)],
+        # which holds the report's d2 and is within the default tol of 1e-6
+        g = polygon_gauge(bodies.regular_polygon(20000))
+        sol = solve_uniform(g)
+        flat = (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi)
+        body, report = tmp_path / "body.json", tmp_path / "report.json"
+        body.write_text(jsonio.dumps(g.descriptor()))
+        report.write_text(jsonio.dumps(_consistent_report(g, sol.params, sol.defect, flat)))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(body), "--report", str(report)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("d2 bracket: [1.0, 1.00000001233"), line
+
     def test_verify_solve_roundtrip_corpus(self, corpus, tmp_path):
         for name, gauge in corpus.items():
             body = tmp_path / f"{name}.json"
@@ -127,6 +159,18 @@ class TestVerify:
         bad = tmp_path / "tampered.json"
         bad.write_text(jsonio.dumps(rep))
         assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 1
+
+    def test_bracket_past_the_float_range_fails(self, square_body, square_solved, tmp_path,
+                                                capsys):
+        # a triple scaled by 1e-320 puts |f - g| near 370, so exp(2*upper) is past the float range
+        rep = json.loads(square_solved.read_text())
+        rep["params_uniform"] = [v * 1e-320 for v in rep["params_uniform"]]
+        bad = tmp_path / "tiny.json"
+        bad.write_text(jsonio.dumps(rep))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(", inf]") and "certificate: FAIL" in out, out
 
     @pytest.mark.parametrize("tamper", ["rescaled", "t-tilde", "residual"])
     def test_tampered_report_fails(self, tmp_path, capsys, tamper):
@@ -293,6 +337,109 @@ class TestRenderCommand:
             main(["render", "--report", str(square_solved), "--out", str(tmp_path / "x.svg")])
         assert exc.value.code == 2
         assert not (tmp_path / "x.svg").exists()
+
+
+def _consistent_report(gauge, params, defect: float, angles) -> dict:
+    """The report of a claimed solve, as ``build_report`` makes it: residuals and all, it is
+    its own rebuild, so only the certificate check can tell that the claim is wrong."""
+    cert = AlternanceCertificate(*angles, (0.0, 0.0, 0.0, 0.0))
+    dev = certificate_deviations(gauge, params, cert)
+    cert = AlternanceCertificate(*angles, tuple(v - defect for v in dev))
+    return report_to_dict(build_report(gauge, UniformSolution(params, defect, cert)))
+
+
+def _turned(params: EllipseParams, t: float) -> EllipseParams:
+    """The triple's ellipse turned by t: (b2, c2) turns by 2t."""
+    c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+    return EllipseParams(params.a2, c * params.b2 - s * params.c2, s * params.b2 + c * params.c2)
+
+
+class TestVerifyGate:
+    """Wrong reports that ``bmplane verify`` must fail (exit 1).  All but the mutations are
+    self-consistent: built by ``build_report`` around a wrong claim, so each passes the
+    rebuild and fails on the certificate alone."""
+
+    @staticmethod
+    def _verify(gauge, report: dict, tmp_path, capsys, tol=None) -> list[str]:
+        body, path = tmp_path / "body.json", tmp_path / "report.json"
+        body.write_text(jsonio.dumps(gauge.descriptor()))
+        path.write_text(jsonio.dumps(report))
+        capsys.readouterr()
+        args = ["verify", "--input", str(body), "--report", str(path)]
+        code = main(args + (["--tol", str(tol)] if tol else []))
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1 and out[-1] == "verdict: FAIL", out
+        return out
+
+    def _claim_fails(self, gauge, params, defect, angles, tmp_path, capsys, tol=None):
+        out = self._verify(gauge, _consistent_report(gauge, params, defect, angles), tmp_path,
+                           capsys, tol)
+        assert "rebuilt-report: pass" in out and "certificate: FAIL" in out, out
+
+    def test_placeholder_angles(self, tmp_path, capsys):
+        # the regular 2000-gon's solved triple with the flat deviation's angles: h = +6.2e-7
+        # at all four, so they do not alternate, and the bracket [0, 6.2e-7] is too wide
+        flat = (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi)
+        g = polygon_gauge(bodies.regular_polygon(2000))
+        sol = solve_uniform(g)
+        self._claim_fails(g, sol.params, sol.defect, flat, tmp_path, capsys)
+        # the 20000-gon's h is +6.2e-9 there: its bracket [0, 6.2e-9] pins d2 to 1.2e-8, so it
+        # fails at --tol 1e-8 (and passes at the default, test_placeholder_bracket_below_tol)
+        g = polygon_gauge(bodies.regular_polygon(20000))
+        sol = solve_uniform(g)
+        self._claim_fails(g, sol.params, sol.defect, flat, tmp_path, capsys, tol=1e-8)
+
+    def test_turned_triples(self, solved_corpus, tmp_path, capsys):
+        bodies_ = {name: solved_corpus[name] for name in ("ellipse", "samples", "star", "convex")}
+        g = sample_gauge(bodies.smooth_samples(np.random.default_rng(3), 64), interp="pchip")
+        bodies_["pchip"] = g, solve_uniform(g)
+        for name, (g, sol) in bodies_.items():
+            for t in (0.01, 0.02, 0.03, 0.04):
+                self._claim_fails(g, _turned(sol.params, t), sol.defect,
+                                  sol.certificate.angles(), tmp_path, capsys)
+
+    def test_shifted_defects(self, solved_corpus, tmp_path, capsys):
+        for name in ("square", "hexagon", "ellipse", "samples", "convex"):
+            g, sol = solved_corpus[name]
+            for shift in (-2e-6, 2e-6, 1e-4):
+                self._claim_fails(g, sol.params, sol.defect + shift, sol.certificate.angles(),
+                                  tmp_path, capsys)
+
+    def test_moved_angles(self, solved_corpus, tmp_path, capsys):
+        for name in ("square", "hexagon", "samples", "star", "convex"):
+            g, sol = solved_corpus[name]
+            angles = np.array(sol.certificate.angles())
+            for moved in (angles + 0.01, angles - 0.01, angles + [0.0, 0.0, 0.02, 0.0]):
+                self._claim_fails(g, sol.params, sol.defect, tuple(moved), tmp_path, capsys)
+
+    def test_single_field_mutations(self, solved_corpus, tmp_path, capsys):
+        # each entry of each numeric field moved by 1e-5 and 1e-3 of the field's largest entry
+        # (at least 1 for the scale-free fields); a symmetric matrix's off-diagonal pair moves
+        # as one entry
+        for name in ("square", "hexagon", "ellipse", "samples", "convex"):
+            g, sol = solved_corpus[name]
+            report = report_to_dict(build_report(g, sol))
+            fields = {k: v for k, v in _leaves(report).items() if not isinstance(v, bool)}
+            for path, value in fields.items():
+                value = np.array(value, dtype=float)
+                scale = float(np.abs(value).max())
+                if path not in _BODY_SCALED:
+                    scale = max(scale, 1.0)
+                entries = [(i,) for i in np.ndindex(value.shape)]
+                if path in ("T_hat", "T_tilde"):
+                    entries = [((0, 0),), ((1, 1),), ((0, 1), (1, 0))]
+                for entry in entries:
+                    for step in (-1e-3, -1e-5, 1e-5, 1e-3):
+                        mutated = value.copy()
+                        for i in entry:
+                            mutated[i] += step * scale
+                        bad = json.loads(jsonio.dumps(report))
+                        *parents, leaf = path.split(".")
+                        holder = bad
+                        for key in parents:
+                            holder = holder[key]
+                        holder[leaf] = mutated.tolist()
+                        self._verify(g, bad, tmp_path, capsys)
 
 
 _NO_SCIPY_SCRIPT = """

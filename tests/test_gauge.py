@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,19 @@ class TestSamples:
         left, right = g.log_slopes(phi)
         assert left.tobytes() == right.tobytes() == (ref(phi, 1) / ref(phi)).tobytes()
         assert math.isnan(g.eval(math.nan))
+
+    @pytest.mark.parametrize("interp", ["linear", "pchip"])
+    def test_nan_angle_is_nan(self, interp):
+        # a NaN angle stays NaN on both interpolants, with no warning and no index error
+        g = sample_gauge(1.0 + 0.1 * np.cos(np.arange(16)), interp=interp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(g.eval(math.nan)) and math.isnan(g.log_eval(math.nan))
+            phi = np.array([math.nan, 0.0, 0.5])
+            left, right = g.log_slopes(phi)
+            assert np.isnan(left[0]) and np.isnan(right[0])
+            assert np.isfinite(left[1:]).all() and np.isfinite(right[1:]).all()
+            assert np.isnan(g.eval(phi)).tolist() == [True, False, False]
 
     def test_errors(self):
         with pytest.raises(TooFewSamples):

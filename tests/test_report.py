@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -116,6 +117,15 @@ class TestVerifyTheorem:
         )
         verdict = verify_theorem1(bad, tol=1e-6)
         assert not verdict.x_norms_ok and not verdict.passed
+
+    def test_verdict_fields_are_python_values(self, square_report):
+        # every flag is a bool, not numpy's, so a verdict dumps to JSON as it stands
+        verdict = verify_theorem1(square_report)
+        flags = (verdict.x_norms_ok, verdict.y_norms_ok, verdict.cone_ok, verdict.distinct_ok,
+                 verdict.passed)
+        assert all(type(v) is bool for v in flags)
+        assert all(type(v) is float for v in verdict.x_norms + verdict.y_norms)
+        assert json.loads(json.dumps(verdict.__dict__))["passed"] is True
 
 
 class TestSerialization:

@@ -703,7 +703,7 @@ class TestSolveUniform:
         # the exchange loop hands its scan on to the certificate: it must be the scan of sol.params
         for name, (g, sol) in solved_corpus.items():
             verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
-            assert sol.defect == verdict.sup_norm, name
+            assert sol.defect == verdict.upper, name
             cert = extract_certificate(g, sol.params, _CERT_TOL)
             assert cert == sol.certificate, name
 
@@ -748,7 +748,8 @@ class TestSolveUniform:
     def test_stress_linear_images(self):
         # images under rot(t1) diag(1, 1/kappa) rot(t2) of 25 polygons per kappa, drawn in one
         # sequence: up to kappa = 1e3 the solve matches the unmapped body; at 1e4 the rounding of
-        # R may end a solve typed, but verify's sup must agree with the boundary's own sup
+        # R may end a solve typed, but verify's upper end must agree with the boundary's own sup
+        # to that rounding: R cancels to 1/kappa^2 of its terms, so within 2*eps*kappa^2
         rng = np.random.default_rng(7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -765,7 +766,7 @@ class TestSolveUniform:
                         continue
                     verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
                     exact = bodies.polygon_deviation_sup(image, sol.params)
-                    assert verdict.sup_ok == (exact <= verdict.d_hat + 1e-6), (kappa, i)
+                    assert abs(verdict.upper - exact) <= 4.4e-16 * kappa**2, (kappa, i)
                     if kappa <= 1e3:
                         assert verdict.passed, (kappa, i)
                         assert math.exp(2.0 * sol.defect) == pytest.approx(
@@ -845,7 +846,7 @@ class TestSolveUniform:
         cert = AlternanceCertificate(0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi,
                                      (0.0, 0.0, 0.0, 0.0))
         verdict = verify_certificate(g, ellipse, cert, 1e-8)
-        assert not verdict.passed and verdict.sup_norm > 7e-6
+        assert not verdict.passed and verdict.upper > 7e-6
         sol = solve_uniform(g)
         assert _verify_on_grid(2**16, g, sol.params, sol.certificate, 1e-8).passed
 
@@ -995,22 +996,24 @@ class TestCertificate:
             verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
             assert verdict.passed, (name, verdict)
             assert sol.certificate.interleaved(), name
-            # a passing certificate pins the sup-norm near the optimal defect
-            assert abs(verdict.sup_norm - sol.defect) <= 2e-6, name
+            # a passing certificate brackets the defect it reports, within tol
+            assert verdict.lower <= sol.defect <= verdict.upper <= verdict.lower + 1e-6, name
 
     def test_ordering_violation_fails(self, solved_corpus):
         g, sol = solved_corpus["square"]
         c = sol.certificate
         bad = AlternanceCertificate(c.phi1, c.psi1, c.phi2, c.phi1 + math.pi + 0.1, c.residuals)
         verdict = verify_certificate(g, sol.params, bad, 1e-6)
-        assert not verdict.ordering_ok and not verdict.passed
+        assert verdict.lower == 0.0 and not verdict.passed
 
     def test_residual_violation_fails(self, solved_corpus):
         g, sol = solved_corpus["square"]
-        # lowering g by 10*tol skews the four deviations away from their mean
+        # lowering g by 10*tol raises h by 10*tol: the + deviations and the sup grow by it and
+        # the - deviations shrink by it, so the bracket is 20*tol wide
         off = sol.params.scaled(math.exp(2.0 * 1e-5))
         verdict = verify_certificate(g, off, sol.certificate, 1e-6)
-        assert not all(verdict.residuals_ok)
+        assert verdict.lower == pytest.approx(sol.defect - 1e-5, rel=0.0, abs=1e-12)
+        assert verdict.upper == pytest.approx(sol.defect + 1e-5, rel=0.0, abs=1e-12)
         assert not verdict.passed
 
     def test_sampled_ellipses_below_cert_tol_alternate_or_end_typed(self):
