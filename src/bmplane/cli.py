@@ -35,7 +35,7 @@ def _read_json(path: str):
             return jsonio.loads(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting past the stack
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -72,8 +72,6 @@ def _cmd_oracle(args) -> int:
     from .oracle import OracleGrid, oracle_uniform  # only this command runs the oracle
 
     gauge = _load_gauge(args.input)
-    if args.threads < 1:
-        raise InputError(f"--threads must be at least 1, got {args.threads}")
     try:
         grid = OracleGrid(
             n_a=args.na,
@@ -84,7 +82,7 @@ def _cmd_oracle(args) -> int:
         )
     except EmptyGrid as exc:
         raise InputError(str(exc)) from exc
-    result = oracle_uniform(gauge, grid, threads=args.threads)
+    result = oracle_uniform(gauge, grid)
     payload = {
         "std": {"a": result.std.a, "bprime": result.std.bprime, "theta": result.std.theta},
         "params": list(result.params.triple()),
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--ntheta", type=int, default=128)
     oracle.add_argument("--nphi", type=int, default=1024)
     oracle.add_argument("--stages", type=int, default=4)
-    oracle.add_argument("--threads", type=int, default=1)
 
     verify = sub.add_parser("verify", help="re-check a report against its body")
     verify.add_argument("--input", required=True, help="body descriptor JSON")

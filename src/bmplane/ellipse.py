@@ -177,9 +177,6 @@ class PDMatrix2:
         a, b, c = (math.ldexp(v, -2 * k) for v in (self.m11, self.m12, self.m22))
         return k, a, b, c, a * c - b * b
 
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
     def inverse(self) -> "PDMatrix2":
         """The inverse of S/4^k over 4^k (``_scaled``)."""
         k, a, b, c, d = self._scaled()

@@ -138,27 +138,19 @@ def _window_angles(r2, phis, cos2, sin2, us, thetas) -> np.ndarray:
     return np.flatnonzero((ub >= lb.max() - slack) | (lb <= ub.min() + slack))
 
 
-def _stage_extremes(r2, cos2, sin2, us, thetas, executor=None) -> np.ndarray:
+def _stage_extremes(r2, cos2, sin2, us, thetas) -> np.ndarray:
     """hmax, hmin[k, j] = 0.5*log of the max, min over phi of r2*(1 + u_k*c_j),
     c_j = cos(2*(phi - theta_j)); returned stacked, shape (2, n_b, n_theta).
 
     u*c_j is rounded, then 1 + u*c_j, exact for u*c_j <= -1/2: log1p's
-    accuracy near u = 1.  A serial scan takes every theta in one block; an
-    executor gets one theta slice a task.
+    accuracy near u = 1.
     """
     cos_t = np.array([math.cos(2.0 * t) for t in thetas])[:, None]
     sin_t = np.array([math.sin(2.0 * t) for t in thetas])[:, None]
-
-    def theta_block(js):
-        m = us[:, None] * (cos2 * cos_t[js] + sin2 * sin_t[js])[:, None]  # (theta, u, phi)
-        m += 1.0
-        m *= r2
-        return np.array([m.max(axis=2), m.min(axis=2)])
-
-    mapper, blocks = map, [slice(None)]
-    if executor is not None:
-        mapper, blocks = executor.map, [slice(j, j + 1) for j in range(thetas.size)]
-    ext = np.concatenate(list(mapper(theta_block, blocks)), axis=1)  # (2, n_theta, n_b)
+    m = us[:, None] * (cos2 * cos_t + sin2 * sin_t)[:, None]  # (theta, u, phi)
+    m += 1.0
+    m *= r2
+    ext = np.array([m.max(axis=2), m.min(axis=2)])  # (2, n_theta, n_b)
     return 0.5 * np.log(np.ascontiguousarray(ext.transpose(0, 2, 1)))
 
 
@@ -211,7 +203,7 @@ def _tile_bounds(r2, phis, cos2, sin2, s, us, thetas) -> np.ndarray:
     return _line_minima(s, 0.5 * np.log(lb.max(axis=-1)), 0.5 * np.log(ub.min(axis=-1)))[0]
 
 
-def _tile_search(r2, phis, cos2, sin2, s, us, thetas, executor=None):
+def _tile_search(r2, phis, cos2, sin2, s, us, thetas):
     """(value, i, k, j) of the least V on the stage grid, ties to the least (i, k, j).
 
     A u = 0 row is one line, searched first at (k, j) = (0, 0): r2*(1 + 0*c) is
@@ -224,7 +216,7 @@ def _tile_search(r2, phis, cos2, sin2, s, us, thetas, executor=None):
 
     def search(ks: slice, js: slice):
         keep = _window_angles(r2, phis, cos2, sin2, us[ks], thetas[js])
-        hmax, hmin = _stage_extremes(r2[keep], cos2[keep], sin2[keep], us[ks], thetas[js], executor)
+        hmax, hmin = _stage_extremes(r2[keep], cos2[keep], sin2[keep], us[ks], thetas[js])
         i, k, j = _argmin_lex(s, hmax, hmin)
         value = max(hmax[k, j] + s[i], -s[i] - hmin[k, j])
         return float(value), i, ks.start + k, js.start + j
@@ -254,11 +246,11 @@ def oracle_uniform(
     every a-line.  Returns the best grid triple and its grid deviation value,
     bit for bit those of a scan of every grid point, and the evaluation count:
     the size of the grid covered, though only the tiles that the bound cannot
-    rule out are scanned.  ``threads`` workers scan a tile's theta slices;
-    below 1 raises ValueError.
+    rule out are scanned.  The search is serial: ``threads`` stays only for
+    perfbench/run.py's ``threads=1`` call, and any other value raises ValueError.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads != 1:
+        raise ValueError(f"threads must be 1: the search is serial, got {threads}")
     grid = grid or OracleGrid()
     phis = evaluation_grid(gauge, grid.n_phi)
     fvals = gauge.log_eval(phis)
@@ -279,40 +271,29 @@ def oracle_uniform(
     t_bounds = (0.0, _PI * (1.0 - 1.0 / n_t))  # stage 1: endpoint-free period
     la_bounds = full_la
     evaluations = 0
-    executor = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
-
-        executor = ThreadPoolExecutor(max_workers=threads)
-    try:
-        for stage in range(grid.stages):
-            log_a = np.linspace(la_bounds[0], la_bounds[1], n_a)
-            us = np.linspace(u_bounds[0], u_bounds[1], n_b)
-            thetas = np.linspace(t_bounds[0], t_bounds[1], n_t)
-            keep = _window_angles(r2, phis, cos2, sin2, us, thetas)
-            s = f_c + 0.5 * log_a
-            best_value, i, k, j = _tile_search(
-                r2[keep], phis[keep], cos2[keep], sin2[keep], s, us, thetas, executor
+    for stage in range(grid.stages):
+        log_a = np.linspace(la_bounds[0], la_bounds[1], n_a)
+        us = np.linspace(u_bounds[0], u_bounds[1], n_b)
+        thetas = np.linspace(t_bounds[0], t_bounds[1], n_t)
+        keep = _window_angles(r2, phis, cos2, sin2, us, thetas)
+        s = f_c + 0.5 * log_a
+        best_value, i, k, j = _tile_search(r2[keep], phis[keep], cos2[keep], sin2[keep], s, us, thetas)
+        evaluations += n_t * n_b * (phis.size + n_a)
+        if stage + 1 < grid.stages:
+            # shrink each window around the incumbent; generous overlap with
+            # the previous spacing keeps diagonal valleys inside the window
+            half_la = 0.5 * (la_bounds[1] - la_bounds[0]) / _SHRINK
+            half_u = 0.5 * (u_bounds[1] - u_bounds[0]) / _SHRINK
+            half_t = 0.5 * (t_bounds[1] - t_bounds[0]) / _SHRINK
+            la_bounds = (
+                max(full_la[0], log_a[i] - half_la),
+                min(full_la[1], log_a[i] + half_la),
             )
-            evaluations += n_t * n_b * (phis.size + n_a)
-            if stage + 1 < grid.stages:
-                # shrink each window around the incumbent; generous overlap with
-                # the previous spacing keeps diagonal valleys inside the window
-                half_la = 0.5 * (la_bounds[1] - la_bounds[0]) / _SHRINK
-                half_u = 0.5 * (u_bounds[1] - u_bounds[0]) / _SHRINK
-                half_t = 0.5 * (t_bounds[1] - t_bounds[0]) / _SHRINK
-                la_bounds = (
-                    max(full_la[0], log_a[i] - half_la),
-                    min(full_la[1], log_a[i] + half_la),
-                )
-                u_bounds = (
-                    max(0.0, us[k] - half_u),
-                    min(1.0 - 1e-6, us[k] + half_u),
-                )
-                t_bounds = (thetas[j] - half_t, thetas[j] + half_t)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            u_bounds = (
+                max(0.0, us[k] - half_u),
+                min(1.0 - 1e-6, us[k] + half_u),
+            )
+            t_bounds = (thetas[j] - half_t, thetas[j] + half_t)
 
     best_a = math.exp(log_a[i])
     best_u = float(us[k])

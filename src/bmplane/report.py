@@ -142,10 +142,13 @@ def _window_representatives(x1, y1, x2, y2):
     return out[0], out[1], out[2], out[3]
 
 
-def verify_theorem1(report: SolveReport, tol: float = 1e-6) -> TheoremVerdict:
+_THEOREM1_TOL = 1e-6  # absolute, on |T_hat x_i| = d2 and |T_hat y_i| = 1
+
+
+def verify_theorem1(report: SolveReport) -> TheoremVerdict:
     """Numerically re-check the defining relations of the optimal operator.
 
-    Checks |T_hat x_i| = d2 and |T_hat y_i| = 1 within tol, the two cone
+    Checks |T_hat x_i| = d2 and |T_hat y_i| = 1 within _THEOREM1_TOL, the two cone
     memberships, and that neither point pair is (anti)parallel.  The
     antipodal representatives are first normalized into one pi-window (the
     cone statement is invariant under p -> -p).
@@ -154,8 +157,8 @@ def verify_theorem1(report: SolveReport, tol: float = 1e-6) -> TheoremVerdict:
     ty = report.T_hat.apply(report.y_points)
     x_norms = tuple(float(v) for v in np.hypot(tx[:, 0], tx[:, 1]))
     y_norms = tuple(float(v) for v in np.hypot(ty[:, 0], ty[:, 1]))
-    x_ok = all(abs(v - report.d2) <= tol for v in x_norms)
-    y_ok = all(abs(v - 1.0) <= tol for v in y_norms)
+    x_ok = all(abs(v - report.d2) <= _THEOREM1_TOL for v in x_norms)
+    y_ok = all(abs(v - 1.0) <= _THEOREM1_TOL for v in y_norms)
 
     x1, x2 = report.x_points
     y1, y2 = report.y_points
@@ -274,8 +277,9 @@ def report_mismatches(gauge: Gauge, stored: dict, tol: float) -> list[str]:
     ``certificate_deviations`` there minus the defect.  Every field is
     compared, as numbers, within ``tol`` relative to the largest magnitude of
     the rebuilt field (at least 1 for the scale-free fields); a field on one
-    side only differs.  A rebuild that raises a BmplaneError is one mismatch,
-    "rebuild", with the error.  A malformed report raises InputError.
+    side only differs.  A rebuild that raises a BmplaneError, or an OverflowError
+    (a defect past 354.9), is one mismatch, "rebuild", with the error.  A
+    malformed report raises InputError.
     """
     report = report_from_dict(stored)
     try:
@@ -283,7 +287,7 @@ def report_mismatches(gauge: Gauge, stored: dict, tol: float) -> list[str]:
         cert = replace(report.certificate, residuals=tuple(v - report.defect for v in dev))
         sol = UniformSolution(report.params_uniform, report.defect, cert)
         rebuilt = _leaves(report_to_dict(build_report(gauge, sol)))
-    except BmplaneError as exc:
+    except (BmplaneError, OverflowError) as exc:
         return [f"rebuild ({type(exc).__name__}: {exc})"]
     given = _leaves(stored)
     return [

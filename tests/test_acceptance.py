@@ -273,7 +273,7 @@ def test_criterion_12_matrix_and_report(solved_corpus):
     worst_x, worst_y = 0.0, 0.0
     for name, (gauge, sol) in solved_corpus.items():
         report = build_report(gauge, sol)
-        verdict = verify_theorem1(report, tol=1e-6)
+        verdict = verify_theorem1(report)
         assert verdict.passed, (name, verdict)
         worst_x = max(worst_x, max(abs(v - report.d2) for v in verdict.x_norms))
         worst_y = max(worst_y, max(abs(v - 1.0) for v in verdict.y_norms))

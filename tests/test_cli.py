@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import bmplane
 from bmplane import circle_gauge, jsonio, lp_gauge, polygon_gauge, sample_gauge
-from bmplane.cli import main
+from bmplane.cli import build_parser, main
 from bmplane.ellipse import EllipseParams
 from bmplane.report import _BODY_SCALED, _leaves, build_report, report_to_dict
 from bmplane.solver import (
@@ -172,6 +173,24 @@ class TestVerify:
         out = capsys.readouterr().out.splitlines()
         assert out[0].endswith(", inf]") and "certificate: FAIL" in out, out
 
+    def test_defect_past_the_float_range_is_a_mismatch(self, square_body, square_solved,
+                                                       tmp_path, capsys):
+        # d2 = exp(2*400) overflows in the rebuild: verify fails it, render refuses it
+        rep = json.loads(square_solved.read_text())
+        rep["defect"] = 400.0
+        bad = tmp_path / "overflow.json"
+        bad.write_text(jsonio.dumps(rep))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "fields unlike the rebuilt report: rebuild (OverflowError: math range error)" in out
+        assert out[-1] == "verdict: FAIL", out
+        svg = tmp_path / "overflow.svg"
+        assert main(["render", "--input", str(square_body), "--report", str(bad),
+                     "--out", str(svg)]) == 2
+        assert "rebuild (OverflowError" in capsys.readouterr().err
+        assert not svg.exists()
+
     @pytest.mark.parametrize("tamper", ["rescaled", "t-tilde", "residual"])
     def test_tampered_report_fails(self, tmp_path, capsys, tamper):
         body = tmp_path / "l3.json"
@@ -197,6 +216,17 @@ class TestVerify:
         bad = tmp_path / "broken.json"
         bad.write_text(jsonio.dumps({"d2": 1.0}))
         assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 2
+
+    def test_deep_nesting_is_malformed(self, square_body, tmp_path, capsys):
+        # past the recursion limit the JSON decoder raises RecursionError, not ValueError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000)
+        capsys.readouterr()
+        assert main(["solve", "--input", str(deep), "--out", str(tmp_path / "r.json")]) == 2
+        assert main(["verify", "--input", str(square_body), "--report", str(deep)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("is not valid JSON" in line for line in err), err
+        assert not (tmp_path / "r.json").exists()
 
     def test_report_without_t_tilde_is_malformed(self, square_body, square_solved, tmp_path, capsys):
         rep = json.loads(square_solved.read_text())
@@ -280,7 +310,7 @@ class TestOracleCommand:
         assert res["value"] == pytest.approx(0.25 * math.log(2.0), abs=2e-3)
         assert res["d2"] == pytest.approx(math.sqrt(2.0), abs=5e-3)
 
-    @pytest.mark.parametrize("flags", [["--na", "4"], ["--stages", "0"], ["--threads", "0"]])
+    @pytest.mark.parametrize("flags", [["--na", "4"], ["--stages", "0"]])
     def test_invalid_grid_is_input_error(self, square_body, tmp_path, flags):
         out = tmp_path / "o.json"
         assert main(["oracle", "--input", str(square_body), "--out", str(out), *flags]) == 2
@@ -298,6 +328,14 @@ class TestOracleCommand:
         out = tmp_path / "o.json"
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--input", str(square_body), "--out", str(out), "--value-margin", "1"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_threads_is_not_an_option(self, square_body, tmp_path):
+        # the search is serial
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--input", str(square_body), "--out", str(out), "--threads", "1"])
         assert exc.value.code == 2
         assert not out.exists()
 
@@ -458,9 +496,27 @@ assert not loaded, loaded
 """
 
 
+class TestReadme:
+    def test_synopsis_matches_the_parser(self):
+        # every subcommand's line in README.md's "## Command line" block shows its options
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        shown = {}
+        for line in block.replace("\n ", " ").splitlines():  # indented lines continue a command
+            _, command, *rest = line.split()
+            shown[command] = {word.strip("[]") for word in rest if word.startswith(("--", "[--"))}
+        parser = build_parser()
+        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            command: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+            for command, sub in subparsers.choices.items()
+        }
+        assert shown == options
+
+
 class TestImports:
     def test_cli_leaves_out_the_thread_pool(self):
-        # only a threaded oracle run imports concurrent.futures
+        # importing the CLI loads no concurrent.futures: the oracle's search is serial
         src = str(Path(bmplane.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         script = "import sys, bmplane.cli; sys.exit('concurrent.futures' in sys.modules)"

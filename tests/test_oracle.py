@@ -17,7 +17,7 @@ import bodies
 SQUARE_DEFECT = 0.25 * math.log(2.0)
 
 
-def _stage_scan_log1p(fvals, cos2, sin2, log_a, us, thetas, executor=None):
+def _stage_scan_log1p(fvals, cos2, sin2, log_a, us, thetas):
     """Deviation value for every (theta, u, a) triple of the stage.
 
     Returns V with axes (theta, u, a); V[j, k, i] = max_phi |f + 0.5*log(a_i)
@@ -32,11 +32,7 @@ def _stage_scan_log1p(fvals, cos2, sin2, log_a, us, thetas, executor=None):
         hmin = prof.min(axis=1)
         return np.maximum(hmax[:, None] + sa[None, :], -(hmin[:, None] + sa[None, :]))
 
-    if executor is None:
-        slices = [theta_slice(j) for j in range(thetas.size)]
-    else:
-        slices = list(executor.map(theta_slice, range(thetas.size)))
-    return np.stack(slices, axis=0)
+    return np.stack([theta_slice(j) for j in range(thetas.size)], axis=0)
 
 
 # -- the dense reference: every stage fills the whole (a, u, theta) array V,
@@ -69,7 +65,7 @@ def _dense_argmin_lex(v):
 
 
 def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
-    """oracle_uniform's search, unthreaded, on the dense stage array V made by ``scan``."""
+    """oracle_uniform's search on the dense stage array V made by ``scan``."""
     phis = evaluation_grid(gauge, grid.n_phi)
     fvals = gauge.log_eval(phis)
     cos2, sin2 = np.cos(2.0 * phis), np.sin(2.0 * phis)
@@ -182,17 +178,10 @@ class TestOracleUniform:
             assert abs(res.value - sol.defect) <= 1e-4, (res.value, sol.defect)
         assert worst > 0.0  # the two routes are genuinely independent
 
-    def test_threads_deterministic(self):
-        g = polygon_gauge(bodies.hexagon_inradius_1())
-        grid = OracleGrid(n_a=32, n_b=32, n_theta=32, n_phi=256, stages=2)
-        r1 = oracle_uniform(g, grid, threads=1)
-        r3 = oracle_uniform(g, grid, threads=3)
-        assert r1.value == r3.value
-        assert (r1.std.a, r1.std.bprime, r1.std.theta) == (r3.std.a, r3.std.bprime, r3.std.theta)
-
-    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("threads", [0, -1, 2, 3])
     def test_bad_thread_count(self, threads):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
+        # the search is serial: threads=1 stays only for the benchmark's call
+        with pytest.raises(ValueError, match="threads must be 1"):
             oracle_uniform(circle_gauge(), threads=threads)
 
     def test_eval_cap_coarsens(self, monkeypatch):
@@ -235,24 +224,23 @@ class TestDenseReference:
     """Every OracleResult field is the dense reference's, bit for bit."""
 
     GRIDS = {
-        "default": (OracleGrid(), 1),
-        "48": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512), 1),
-        "48-threads": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512), 3),
-        "one-stage": (OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512, stages=1), 1),
-        "eval-cap": (OracleGrid(n_a=64, n_b=64, n_theta=64, n_phi=256), 1),  # under a 2e6 cap
+        "default": OracleGrid(),
+        "48": OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512),
+        "one-stage": OracleGrid(n_a=48, n_b=48, n_theta=48, n_phi=512, stages=1),
+        "eval-cap": OracleGrid(n_a=64, n_b=64, n_theta=64, n_phi=256),  # under a 2e6 cap
     }
 
     @pytest.mark.parametrize("grid_name", list(GRIDS))
     def test_bitwise_equal(self, corpus, grid_name, monkeypatch):
-        grid, threads = self.GRIDS[grid_name]
+        grid = self.GRIDS[grid_name]
         if grid_name == "eval-cap":
             monkeypatch.setattr(oracle, "_EVAL_CAP", 2e6)
         cases = {f"bench-{k}": g for k, g in _bench_style_bodies(7).items()}
-        # the default grid costs 0.3 s a body and threads add overhead: the bench bodies carry those
-        if grid_name not in ("default", "48-threads"):
+        # the default grid costs 0.3 s a body: the bench bodies carry it
+        if grid_name != "default":
             cases.update({**corpus, **_stars(10)})
         for name, g in cases.items():
-            res = oracle_uniform(g, grid, threads=threads)
+            res = oracle_uniform(g, grid)
             assert _bits(res) == _bits(_dense_oracle_uniform(g, grid)), name
         if grid_name == "eval-cap":
             assert res.evaluations < grid.stages * 64 * 64 * (256 + 64)
@@ -307,9 +295,9 @@ class TestTileSearch:
         scanned = []
         stage_extremes = oracle._stage_extremes
 
-        def counting(r2, cos2, sin2, us, thetas, executor=None):
+        def counting(r2, cos2, sin2, us, thetas):
             scanned.append(r2.size * us.size * thetas.size)
-            return stage_extremes(r2, cos2, sin2, us, thetas, executor)
+            return stage_extremes(r2, cos2, sin2, us, thetas)
 
         monkeypatch.setattr(oracle, "_stage_extremes", counting)
         grid = OracleGrid()

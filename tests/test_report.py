@@ -100,7 +100,7 @@ class TestBuildReport:
 class TestVerifyTheorem:
     def test_corpus_passes(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
-            verdict = verify_theorem1(build_report(g, sol), tol=1e-6)
+            verdict = verify_theorem1(build_report(g, sol))
             assert verdict.passed, (name, verdict)
 
     def test_antipodal_relabeling(self, square_report):
@@ -108,14 +108,14 @@ class TestVerifyTheorem:
         flipped = SolveReport(
             **{**r.__dict__, "y_points": np.array([r.y_points[0], -r.y_points[1]])}
         )
-        assert verify_theorem1(flipped, tol=1e-6).passed
+        assert verify_theorem1(flipped).passed
 
     def test_radial_perturbation_fails_x_norm(self, square_report):
         r = square_report
         bad = SolveReport(
             **{**r.__dict__, "x_points": np.array([r.x_points[0] * 1.001, r.x_points[1]])}
         )
-        verdict = verify_theorem1(bad, tol=1e-6)
+        verdict = verify_theorem1(bad)
         assert not verdict.x_norms_ok and not verdict.passed
 
     def test_verdict_fields_are_python_values(self, square_report):
