@@ -62,7 +62,7 @@ class NoAlternance(BmplaneError):
 # -- report ------------------------------------------------------------------
 
 class ConeViolation(BmplaneError):
-    """Certificate points do not interleave the way the contact geometry requires."""
+    """The certificate angles do not interleave: phi1 < psi1 < phi2 < psi2 < phi1 + pi fails."""
 
 
 # -- oracle ------------------------------------------------------------------

@@ -6,14 +6,16 @@ d2 = exp(2*defect)) is T_tilde(S^1) for the SPD operator T_tilde; T_hat =
 T_tilde^-1 maps the body so that the unit circle is inscribed in the image
 and the circle of radius d2 circumscribes it.  The certificate angles give
 the extremal points x_i (where |T_hat x| = d2) and the contact points y_i
-(where |T_hat y| = 1); all four directions are taken inside one pi-window
-starting at the first certificate angle, which makes y1 lie in cone{x1, x2}
-and y2 in cone{-x1, x2}.
+(where |T_hat y| = 1).  The angles interleave, phi1 < psi1 < phi2 < psi2 <
+phi1 + pi, which is the statement that y1 lies in cone{x1, x2} and y2 in
+cone{-x1, x2}; ``build_report`` raises ConeViolation when they do not.
 
 A report is a function of the body, the uniform triple, its defect and the
-certificate angles.  ``report_mismatches`` rebuilds it from those with
-``build_report`` and names every stored field that differs from the
-rebuild; ``bmplane verify`` and ``bmplane render`` check reports that way.
+certificate angles, and holds nothing else: the image-plane points T_hat x
+and T_hat y are one product of its own fields away.  ``report_mismatches``
+rebuilds it from those with ``build_report`` and names every stored field
+that differs from the rebuild; ``bmplane verify`` and ``bmplane render``
+check reports that way.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ class SolveReport:
     x_points: np.ndarray  # (2, 2): extremal boundary points
     y_points: np.ndarray  # (2, 2): contact boundary points
     certificate: AlternanceCertificate
-    cone_condition_ok: bool
-    diagnostics: dict
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,8 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
     """Assemble the geometric report from a solved body.
 
     Reads the solution's triple, defect and certificate; the gauge is
-    evaluated at the four certificate angles and nowhere else.
+    evaluated at the four certificate angles and nowhere else.  Raises
+    ConeViolation when the certificate angles do not interleave.
     """
     d2 = math.exp(2.0 * sol.defect)
     inscribed = sol.params.scaled(d2)
@@ -93,28 +94,11 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
     t_tilde = pd_sqrt_inverse(form)
 
     cert = sol.certificate
+    if not cert.interleaved():
+        raise ConeViolation(f"certificate angles do not interleave: {cert.angles()}")
     angles = np.array(cert.angles())
     radii = gauge.eval(angles)
     pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-    x_points = pts[[0, 2]]
-    y_points = pts[[1, 3]]
-
-    margins = _cone_margins(x_points[0], y_points[0], x_points[1], y_points[1])
-    cone_ok = bool(min(margins) > 0.0)
-    if min(margins) < -1e-9:
-        raise ConeViolation(
-            f"certificate points violate the interleaving cones (margins {margins})"
-        )
-
-    tx = t_hat.apply(x_points)
-    ty = t_hat.apply(y_points)
-    u_points = tx / np.hypot(tx[:, 0], tx[:, 1])[:, None]
-
-    diagnostics = {
-        "cone_margins": [float(m) for m in margins],
-        "u_points": u_points.tolist(),
-        "v_points": ty.tolist(),
-    }
     return SolveReport(
         d2=d2,
         defect=sol.defect,
@@ -122,11 +106,9 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
         params_inscribed=inscribed,
         T_hat=t_hat,
         T_tilde=t_tilde,
-        x_points=x_points,
-        y_points=y_points,
+        x_points=pts[[0, 2]],
+        y_points=pts[[1, 3]],
         certificate=cert,
-        cone_condition_ok=cone_ok,
-        diagnostics=diagnostics,
     )
 
 
@@ -192,8 +174,6 @@ def report_to_dict(report: SolveReport) -> dict:
             "psi": [cert.psi1, cert.psi2],
             "residuals": list(cert.residuals),
         },
-        "cone_condition_ok": report.cone_condition_ok,
-        "diagnostics": report.diagnostics,
     }
 
 
@@ -205,17 +185,14 @@ def _as_points(value, name: str) -> np.ndarray:
 
 
 def report_from_dict(d: dict) -> SolveReport:
-    """The report of its JSON dict.  Its numbers must be JSON numbers and
-    cone_condition_ok a JSON boolean, as in a body descriptor; else InputError."""
+    """The report of its JSON dict.  Its numbers must be JSON numbers, as in a
+    body descriptor, else InputError; fields past the nine of a report are not read."""
     try:
         num = {key: _number_array(d[key], key) for key in (
             "d2", "defect", "params_uniform", "params_inscribed", "T_hat", "T_tilde", "x_points",
             "y_points")}
         phi, psi, res = (_number_array(d["certificate"][key], f"certificate.{key}")
                          for key in ("phi", "psi", "residuals"))
-        cone_ok = d["cone_condition_ok"]
-        if not isinstance(cone_ok, bool):
-            raise InputError(f"cone_condition_ok must be true or false, got {cone_ok!r}")
         cert = AlternanceCertificate(*map(float, (phi[0], psi[0], phi[1], psi[1])),
                                      tuple(map(float, res)))
         return SolveReport(
@@ -228,8 +205,6 @@ def report_from_dict(d: dict) -> SolveReport:
             x_points=_as_points(num["x_points"], "x_points"),
             y_points=_as_points(num["y_points"], "y_points"),
             certificate=cert,
-            cone_condition_ok=cone_ok,
-            diagnostics=dict(d.get("diagnostics", {})),
         )
     except InputError:
         raise

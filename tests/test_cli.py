@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,9 +45,8 @@ class TestSolve:
         rep = json.loads(square_solved.read_text())
         assert rep["d2"] == pytest.approx(math.sqrt(2.0), abs=1e-6)
         assert rep["params_inscribed"] == pytest.approx([1.0, 0.0, 0.0], abs=1e-6)
-        for key in ("defect", "params_uniform", "T_hat", "x_points", "y_points",
-                    "certificate", "cone_condition_ok"):
-            assert key in rep
+        assert set(rep) == {"d2", "defect", "params_uniform", "params_inscribed", "T_hat",
+                            "T_tilde", "x_points", "y_points", "certificate"}
         assert len(rep["certificate"]["phi"]) == 2
         assert len(rep["certificate"]["psi"]) == 2
         assert len(rep["certificate"]["residuals"]) == 4
@@ -512,6 +512,18 @@ class TestReadme:
             for command, sub in subparsers.choices.items()
         }
         assert shown == options
+
+    def test_report_keys_match_report_to_dict(self):
+        # the keys README.md's "### Report JSON" paragraph lists, nested ones after their
+        # parent, are the keys of a report in the order it writes them
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = readme.split("### Report JSON", 1)[1].split("`solve` emits `", 1)[1]
+        shown = re.findall(r'"(\w+)"', listed.split("`", 1)[0])
+        g = circle_gauge()
+        report = report_to_dict(build_report(g, solve_uniform(g)))
+        keys = [k for key, value in report.items()
+                for k in [key, *(value if isinstance(value, dict) else ())]]
+        assert shown == keys
 
 
 class TestImports:

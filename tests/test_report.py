@@ -45,7 +45,7 @@ class TestBuildReport:
         r = circle_report
         assert r.d2 == pytest.approx(1.0, abs=1e-9)
         assert r.T_hat.as_array() == pytest.approx(np.eye(2), abs=1e-9)
-        assert r.cone_condition_ok
+        assert r.certificate.interleaved()
 
     def test_square_geometry(self, square_report):
         r = square_report
@@ -56,7 +56,7 @@ class TestBuildReport:
         # extremal points at the vertices, contact points at edge midpoints
         assert r.x_points == pytest.approx(np.array([[1.0, 1.0], [-1.0, 1.0]]), abs=1e-4)
         assert r.y_points == pytest.approx(np.array([[0.0, 1.0], [-1.0, 0.0]]), abs=1e-4)
-        assert r.cone_condition_ok
+        assert r.certificate.interleaved()
 
     def test_gauge_only_at_the_certificate_angles(self, solved_corpus, monkeypatch):
         # no grid after the solve: the body is evaluated at the four certificate angles
@@ -178,13 +178,6 @@ class TestSerialization:
             with pytest.raises(InputError, match="JSON numbers"):
                 report_from_dict(bad)
 
-    @pytest.mark.parametrize("value", ["true", 1, None])
-    def test_cone_condition_must_be_a_json_boolean(self, square_report, value):
-        bad = report_to_dict(square_report)
-        bad["cone_condition_ok"] = value
-        with pytest.raises(InputError, match="cone_condition_ok"):
-            report_from_dict(bad)
-
     def test_missing_t_tilde_is_malformed(self, square_report, square_gauge):
         bad = report_to_dict(square_report)
         del bad["T_tilde"]
@@ -212,38 +205,68 @@ class TestReportMismatches:
 
     def test_fields_on_one_side_only_differ(self, square_report, square_gauge):
         stored = report_to_dict(square_report)
-        stored["diagnostics"] = {**stored["diagnostics"], "one_sided_value": 2 * stored["defect"]}
-        del stored["diagnostics"]["cone_margins"]
+        stored["certificate"]["one_sided_angle"] = stored["certificate"]["phi"][0]
+        stored["one_sided_value"] = 2 * stored["defect"]
         assert report_mismatches(square_gauge, stored, 1e-6) == [
-            "diagnostics.cone_margins", "diagnostics.one_sided_value"]
+            "certificate.one_sided_angle", "one_sided_value"]
 
-    def test_failed_rebuild_is_a_mismatch(self, square_report, square_gauge):
-        stored = report_to_dict(square_report)
-        cert = stored["certificate"]
+    def test_failed_rebuild_is_a_mismatch(self, square_report, square_gauge, tmp_path):
+        # the phi1/psi1 swap, and each angle moved by 2 pi: the last four keep the
+        # report's points, but the angles no longer interleave, so the rebuild raises
+        swapped = report_to_dict(square_report)
+        cert = swapped["certificate"]
         cert["phi"][0], cert["psi"][0] = cert["psi"][0], cert["phi"][0]
-        [mismatch] = report_mismatches(square_gauge, stored, 1e-6)
-        assert mismatch.startswith("rebuild (ConeViolation: ")
-
-    def test_older_reports_with_solver_counts_differ(self, square_report, square_gauge,
-                                                      tmp_path):
-        # reports once carried the solve's counts under diagnostics.solver; no rebuild has
-        # them, so such a report is one-sided: verify fails it and render refuses it
-        stored = report_to_dict(square_report)
-        stored["diagnostics"] = {
-            "solver": {"lp_calls": 5, "polish_iterations": 0, "grid_points": 4096},
-            **stored["diagnostics"],
-        }
-        assert report_mismatches(square_gauge, stored, 1e-6) == [
-            "diagnostics.solver.lp_calls", "diagnostics.solver.polish_iterations",
-            "diagnostics.solver.grid_points"]
+        reports = {"swap": swapped}
+        for key in ("phi", "psi"):
+            for i in (0, 1):
+                turned = report_to_dict(square_report)
+                turned["certificate"][key][i] += 2.0 * math.pi
+                reports[f"{key}{i + 1} + 2pi"] = turned
+        for name, stored in reports.items():
+            [mismatch] = report_mismatches(square_gauge, stored, 1e-6)
+            assert mismatch.startswith("rebuild (ConeViolation: "), name
         body, report = tmp_path / "square.json", tmp_path / "square.report.json"
         body.write_text(jsonio.dumps(square_gauge.descriptor()))
-        report.write_text(jsonio.dumps(stored))
+        report.write_text(jsonio.dumps(reports["psi1 + 2pi"]))
         assert main(["verify", "--input", str(body), "--report", str(report)]) == 1
         svg = tmp_path / "square.svg"
         assert main(["render", "--input", str(body), "--report", str(report),
                      "--out", str(svg)]) == 2
         assert not svg.exists()
+
+    def test_older_reports_with_solver_counts_differ(self, square_report, square_gauge,
+                                                      tmp_path, capsys):
+        # reports once carried cone_condition_ok and diagnostics (the cone margins, the
+        # image-plane points and, earlier still, the solve's counts); no rebuild has them,
+        # so such a report is one-sided: verify fails it and render refuses it
+        body = tmp_path / "square.json"
+        body.write_text(jsonio.dumps(square_gauge.descriptor()))
+        r = square_report
+        for solver in (False, True):
+            stored = report_to_dict(r)
+            stored["cone_condition_ok"] = True
+            stored["diagnostics"] = {
+                "cone_margins": [0.7071067811865476] * 4,
+                "u_points": (r.T_hat.apply(r.x_points) / r.d2).tolist(),
+                "v_points": r.T_hat.apply(r.y_points).tolist(),
+            }
+            one_sided = ["cone_condition_ok", "diagnostics.cone_margins",
+                         "diagnostics.u_points", "diagnostics.v_points"]
+            if solver:
+                stored["diagnostics"]["solver"] = {"lp_calls": 5, "polish_iterations": 0}
+                one_sided += ["diagnostics.solver.lp_calls",
+                              "diagnostics.solver.polish_iterations"]
+            assert report_mismatches(square_gauge, stored, 1e-6) == one_sided
+            report = tmp_path / f"square-{solver}.report.json"
+            report.write_text(jsonio.dumps(stored))
+            capsys.readouterr()
+            assert main(["verify", "--input", str(body), "--report", str(report)]) == 1
+            assert f"fields unlike the rebuilt report: {', '.join(one_sided)}\n" in (
+                capsys.readouterr().out)
+            svg = tmp_path / f"square-{solver}.svg"
+            assert main(["render", "--input", str(body), "--report", str(report),
+                         "--out", str(svg)]) == 2
+            assert not svg.exists()
 
 
 class TestRender:
