@@ -63,7 +63,7 @@ class EllipseParams:
         object.__setattr__(self, "a2", float(self.a2))
         object.__setattr__(self, "b2", float(self.b2))
         object.__setattr__(self, "c2", float(self.c2))
-        if not np.isfinite([self.a2, self.b2, self.c2]).all():
+        if not all(map(math.isfinite, (self.a2, self.b2, self.c2))):
             raise NotInCone(f"non-finite triple {(self.a2, self.b2, self.c2)}")
         if not in_cone(self.a2, self.b2, self.c2):
             raise NotInCone(
@@ -143,7 +143,7 @@ class PDMatrix2:
         object.__setattr__(self, "m11", float(self.m11))
         object.__setattr__(self, "m12", float(self.m12))
         object.__setattr__(self, "m22", float(self.m22))
-        if not np.isfinite([self.m11, self.m12, self.m22]).all():
+        if not all(map(math.isfinite, (self.m11, self.m12, self.m22))):
             raise NotPD("non-finite entries")
         if self.m11 <= 0.0 or self._scaled()[4] <= 0.0:
             raise NotPD(

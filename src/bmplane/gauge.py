@@ -180,8 +180,11 @@ class _LpGauge(Gauge):
         else:
             tp = t ** (self._p - 1.0)
             slope = sign * (t - tp) / (1.0 + t * tp)
+        if 1.0 < self._p < math.inf:
+            return slope, slope
         # every kink (p = 1 or inf) is a corner of r with slopes +1 on its left and -1 on its right
-        kink = np.isin(red, self.critical_angles())
+        first, second = self.critical_angles()
+        kink = (red == first) | (red == second)
         return np.where(kink, 1.0, slope), np.where(kink, -1.0, slope)
 
     def critical_angles(self) -> np.ndarray:

@@ -10,8 +10,10 @@ r2 = exp(2*(f - f_c)) centred on the midrange f_c of f so that it cannot
 overflow.
 
 Over a window [u_lo, u_hi] x [theta_lo, theta_hi] the value of angle phi_j
-lies in [lb_j, ub_j], from the range of cos(2*(phi_j - theta)) over the theta
-interval and the sign that picks u_lo or u_hi.  An angle whose ub_j is below
+lies in [lb_j, ub_j], from the range of c = cos(2*(phi_j - theta)) over the
+theta interval and the sign that picks u_lo or u_hi.  That range runs between
+c at the interval's ends, out to 1 (-1) where c at its midpoint is at least
+cos (at most -cos) of the interval's width.  An angle whose ub_j is below
 max lb is never the max there, and one whose lb_j is above min ub never the
 min, so a scan skips the angles that are neither.  Stages zoom into the
 incumbent, so the later windows keep a small share of the angles.
@@ -41,7 +43,9 @@ depend on which tile holds it.  That needs elementwise arithmetic: u*c is
 rounded, then 1 + u*c, then the product with r2.  A matrix product of (u, 1)
 with (c, 1) rounds that way as a BLAS gemm, but numpy sends one with a single
 row or column to gemv, which rounds 1 + u*c differently, and a tile can hold
-one u point (n_b = 17, say) or keep one angle.
+one u point (n_b = 17, say) or keep one angle.  The bounds may round otherwise:
+lb and ub are r2 + u*(r2*c), every window's from one matrix product per side,
+and _WINDOW_SLACK and _BOUND_MARGIN cover the difference.
 
 No (n_a, n_b, n_theta) stage array is built.  The evaluation count is the
 size of the grid searched, n_theta*n_b*(n_phi + n_a) per stage, not the
@@ -68,12 +72,12 @@ _SHRINK = 6.0  # each stage's window is this much narrower than the last
 _WINDOW_SLACK = 1e-12  # relative to max r2: rounding room in the window bound
 _EVAL_CAP = 1e9  # evaluations over all stages; finer grids are coarsened to fit
 _TILE = 16  # u and theta points per side of a search tile
-# Rounding room between V and a tile's B, per unit of 1 + max|s|.  Both come from
-# r2*(1 + u*c) on the same r2, cos2 and sin2, but at other u, c and with other
-# roundings.  u*c is good to a few ulps of 1 and 1 + u*c >= 1e-6, so each value
-# and bound is good to a few 1e-10 relative, half that after the half log, and
-# adding s_i rounds to an ulp of |s_i|.  1e-8 covers both sides with room; a wider
-# margin only scans a few more tiles.
+# Rounding room between V and a tile's B, per unit of 1 + max|s|.  V comes from
+# r2*(1 + u*c) and B from r2 + u*(r2*c), on the same r2, cos2 and sin2 but at
+# other u and c.  Near u*c = -1 either loses a few ulps of r2 against a value of
+# at least 1e-6*r2, so each is good to about 1e-10 relative, half that after the
+# half log, and adding s_i rounds to an ulp of |s_i|.  1e-8 covers both sides with
+# room; a wider margin only scans a few more tiles.
 _BOUND_MARGIN = 1e-8
 
 
@@ -115,19 +119,25 @@ class OracleResult:
 def _value_range(r2, phis, cos2, sin2, us, thetas):
     """lb, ub per angle: the range of r2*(1 + u*c), c = cos(2*(phi - theta)), over
     the window [us[..., 0], us[..., -1]] x [thetas[..., 0], thetas[..., -1]].
-    Leading axes of us and thetas index windows and broadcast together; lb and
-    ub gain them."""
-    u_lo, u_hi, t_lo, t_hi = us[..., :1], us[..., -1:], thetas[..., :1], thetas[..., -1:]
-    c_first = cos2 * np.cos(2.0 * t_lo) + sin2 * np.sin(2.0 * t_lo)
-    c_last = cos2 * np.cos(2.0 * t_hi) + sin2 * np.sin(2.0 * t_hi)
-    # phi - theta sweeps [phi - t_hi, phi - t_lo]: does it pass q*pi (c = 1) or (q + 1/2)*pi (c = -1)?
-    top = _PI * np.ceil((phis - t_hi) / _PI) <= phis - t_lo
-    bottom = _PI * (np.ceil((phis - t_hi) / _PI - 0.5) + 0.5) <= phis - t_lo
-    c_hi = np.where(top, 1.0, np.maximum(c_first, c_last))
-    c_lo = np.where(bottom, -1.0, np.minimum(c_first, c_last))
-    ub = r2 * (1.0 + np.where(c_hi >= 0.0, u_hi, u_lo) * c_hi)
-    lb = r2 * (1.0 + np.where(c_lo >= 0.0, u_lo, u_hi) * c_lo)
-    return lb, ub
+    Leading axes of us index u windows and those of thetas theta windows; lb and
+    ub gain both, those of us first.  c comes from cos2 and sin2, not phis."""
+    t = np.array([thetas[..., :1], 0.5 * (thetas[..., :1] + thetas[..., -1:]), thetas[..., -1:]])
+    trig = np.concatenate([np.cos(2.0 * t), np.sin(2.0 * t)], axis=-1)
+    c_first, c_mid, c_last = trig @ np.array([cos2, sin2])
+    # 2*(phi - theta) sweeps 2*(phi - t_mid) +- width: c reaches 1 where c_mid >= cos(width)
+    # and -1 where c_mid <= -cos(width); from width pi on both, however c_mid rounds
+    reach = np.where(t[2] - t[0] < _PI, np.cos(t[2] - t[0]), -np.inf)
+    x = r2 * np.array([np.where(c_mid <= -reach, -1.0, np.minimum(c_first, c_last)),
+                       np.where(c_mid >= reach, 1.0, np.maximum(c_first, c_last))])
+    # r2*(1 + u*c) as r2 + u*x, x = r2*c, u = u_lo where lb's x >= 0 or ub's < 0, else
+    # u_hi: per side, one product of (1, u_lo, u_hi) with (r2, the x that takes u_lo, the rest)
+    rows = np.empty((2, 3) + x.shape[1:])
+    rows[:, 0] = r2
+    np.maximum(x[0], 0.0, out=rows[0, 1])
+    np.minimum(x[1], 0.0, out=rows[1, 1])
+    np.subtract(x, rows[:, 1], out=rows[:, 2])
+    basis = np.concatenate([np.ones_like(us[..., :1]), us[..., :1], us[..., -1:]], axis=-1)
+    return [(basis @ side.reshape(3, -1)).reshape(basis.shape[:-1] + x.shape[1:]) for side in rows]
 
 
 def _window_angles(r2, phis, cos2, sin2, us, thetas) -> np.ndarray:
@@ -225,7 +235,7 @@ def _tile_search(r2, phis, cos2, sin2, s, us, thetas):
     best = search(slice(0, 1), slice(0, 1)) if row0 else (math.inf, 0, 0, 0)
     k0, j0 = np.arange(row0, us.size, _TILE), np.arange(0, thetas.size, _TILE)
     k1, j1 = np.minimum(k0 + _TILE, us.size), np.minimum(j0 + _TILE, thetas.size)
-    u_ends = np.column_stack([us[k0], us[k1 - 1]])[:, None]  # (u tile, 1, 2): against theta tiles
+    u_ends = np.column_stack([us[k0], us[k1 - 1]])
     t_ends = np.column_stack([thetas[j0], thetas[j1 - 1]])
     bound = _tile_bounds(r2, phis, cos2, sin2, s, u_ends, t_ends)
     margin = _BOUND_MARGIN * (1.0 + float(np.abs(s).max()))

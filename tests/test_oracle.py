@@ -98,6 +98,21 @@ def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
                         evaluations)
 
 
+def _elementwise_range(r2, phis, cos2, sin2, us, thetas):
+    """lb, ub over a 1-D window, elementwise: c reaches 1 (-1) where phi - theta passes q*pi
+    ((q + 1/2)*pi), found by ceil, and each bound is r2*(1 + u*c)."""
+    t_lo, t_hi = thetas[0], thetas[-1]
+    c_first = cos2 * math.cos(2.0 * t_lo) + sin2 * math.sin(2.0 * t_lo)
+    c_last = cos2 * math.cos(2.0 * t_hi) + sin2 * math.sin(2.0 * t_hi)
+    top = math.pi * np.ceil((phis - t_hi) / math.pi) <= phis - t_lo
+    bottom = math.pi * (np.ceil((phis - t_hi) / math.pi - 0.5) + 0.5) <= phis - t_lo
+    c_hi = np.where(top, 1.0, np.maximum(c_first, c_last))
+    c_lo = np.where(bottom, -1.0, np.minimum(c_first, c_last))
+    ub = r2 * (1.0 + np.where(c_hi >= 0.0, us[-1], us[0]) * c_hi)
+    lb = r2 * (1.0 + np.where(c_lo >= 0.0, us[0], us[-1]) * c_lo)
+    return lb, ub
+
+
 def _bits(result):
     """Every OracleResult field, floats as their exact hex form (-0.0 and nan included)."""
     fields = (result.std.a, result.std.bprime, result.std.theta, result.value)
@@ -276,6 +291,25 @@ class TestTileSearch:
                     tiles += 1
         assert tiles == 50 * 25
 
+    def test_bound_matches_elementwise_reference(self, corpus, monkeypatch):
+        # as tight as the elementwise bound: on the tiles of test_bound_is_rigorous, B is within
+        # 1e-12 of it, plus two ulps of max r2 against the smaller of max lb and min ub: near
+        # u*c = -1 (u up to 1 - 1e-6) either rounding of r2*(1 + u*c) keeps no more
+        tile_bounds, excess = oracle._tile_bounds, []
+
+        def compared(r2, phis, cos2, sin2, s, us, thetas):
+            bound = tile_bounds(r2, phis, cos2, sin2, s, us, thetas)
+            lb, ub = _elementwise_range(r2, phis, cos2, sin2, us, thetas)
+            ref = oracle._line_minima(s, 0.5 * np.log(lb.max()), 0.5 * np.log(ub.min()))[0]
+            ulps = 2.0 * np.finfo(float).eps * r2.max() / min(lb.max(), ub.min())
+            excess.append(abs(bound - ref) - (1e-12 + ulps))
+            return bound
+
+        monkeypatch.setattr(oracle, "_tile_bounds", compared)
+        self.test_bound_is_rigorous(corpus)
+        assert len(excess) == 50 * 25
+        assert max(excess) <= 0.0, max(excess)
+
     GRIDS = {
         "33x37": OracleGrid(n_a=40, n_b=33, n_theta=37, n_phi=256),  # a one-row last u tile
         "17x8": OracleGrid(n_a=24, n_b=17, n_theta=8, n_phi=256),
@@ -302,12 +336,16 @@ class TestTileSearch:
         monkeypatch.setattr(oracle, "_stage_extremes", counting)
         grid = OracleGrid()
         full = grid.stages * grid.n_b * grid.n_theta * grid.n_phi
+        total = 0
         for name, g in _bench_style_bodies(7).items():
             scanned.clear()
             oracle_uniform(g, grid)
             assert sum(scanned) <= 0.05 * full, (name, sum(scanned) / full)
             if name == "circle":  # its optimum is the u = 0 row, searched as one line
                 assert sum(scanned) <= 0.001 * full, sum(scanned) / full
+            total += sum(scanned)
+        # the count with the elementwise bound of _elementwise_range: a looser bound scans more
+        assert total == 2_595_924, total
 
 
 class TestWindowAngles:
@@ -326,6 +364,23 @@ class TestWindowAngles:
             assert (v >= lb - 1e-12).all() and (v <= ub + 1e-12).all()
             assert np.abs(v.min(axis=(0, 1)) - lb).max() <= 1e-4
             assert np.abs(v.max(axis=(0, 1)) - ub).max() <= 1e-4
+
+    @pytest.mark.parametrize("width", [math.pi, math.pi + 1e-9, 2.0 * math.pi])
+    def test_value_range_clamps_from_width_pi(self, width):
+        # a window this wide passes c = 1 and c = -1 at every angle, also where c at its
+        # midpoint rounds past -1 or 1: some of the angles within 2e-7 of t_mid + q*pi/2
+        rng = np.random.default_rng(23)
+        for t_mid in rng.uniform(0.0, math.pi, 20):
+            near = t_mid + 0.5 * math.pi * np.arange(4)[:, None] + 1e-9 * np.arange(-200, 201)
+            phis = np.sort(np.mod(np.append(near, rng.uniform(0.0, math.pi, 64)), math.pi))
+            r2 = 1.0 + 0.3 * rng.random(phis.size)
+            thetas = np.linspace(t_mid - 0.5 * width, t_mid + 0.5 * width, 9)
+            for u_hi in (0.5, 1.0 - 1e-6):
+                us = np.linspace(0.25 * u_hi, u_hi, 9)
+                lb, ub = oracle._value_range(r2, phis, np.cos(2.0 * phis), np.sin(2.0 * phis), us, thetas)
+                ulps = 4.0 * np.spacing(r2)  # r2 + u*(r2*c) against r2*(1 + u*c)
+                assert (np.abs(lb - r2 * (1.0 - u_hi)) <= ulps).all(), (t_mid, u_hi)
+                assert (np.abs(ub - r2 * (1.0 + u_hi)) <= ulps).all(), (t_mid, u_hi)
 
     def test_keeps_every_extreme(self, corpus):
         rng = np.random.default_rng(11)
