@@ -19,9 +19,10 @@ min, so a scan skips the angles that are neither.  Stages zoom into the
 incumbent, so the later windows keep a small share of the angles.
 
 Along an a-line V_i = max(hmax + s_i, -s_i - hmin), s_i = f_c + 0.5*log(a_i),
-is the larger of a nondecreasing and a nonincreasing term, so it falls and
-then rises: its first minimum is found where the terms cross, near
-s* = -(hmax + hmin)/2.
+is the larger of a nondecreasing and a nonincreasing term, rounded or not, so
+it falls and then rises.  A walk from where the terms cross, near
+s* = -(hmax + hmin)/2, right while V does not rise and then left while it does
+not fall, ends on its first minimum.
 
 At u = 0 the ellipse is a circle: r2*(1 + 0*c) is r2 itself for every theta,
 so the lines of a u = 0 row are the same floats and the row is searched as one
@@ -63,7 +64,7 @@ import numpy as np
 
 from .ellipse import EllipseParams, StdEllipseParams
 from .errors import EmptyGrid
-from .gauge import Gauge, evaluation_grid
+from .gauge import Gauge, _reduce, evaluation_grid
 
 __all__ = ["OracleGrid", "OracleResult", "oracle_uniform"]
 
@@ -116,11 +117,11 @@ class OracleResult:
         return self.std.to_params()
 
 
-def _value_range(r2, phis, cos2, sin2, us, thetas):
+def _value_range(r2, cos2, sin2, us, thetas):
     """lb, ub per angle: the range of r2*(1 + u*c), c = cos(2*(phi - theta)), over
     the window [us[..., 0], us[..., -1]] x [thetas[..., 0], thetas[..., -1]].
     Leading axes of us index u windows and those of thetas theta windows; lb and
-    ub gain both, those of us first.  c comes from cos2 and sin2, not phis."""
+    ub gain both, those of us first."""
     t = np.array([thetas[..., :1], 0.5 * (thetas[..., :1] + thetas[..., -1:]), thetas[..., -1:]])
     trig = np.concatenate([np.cos(2.0 * t), np.sin(2.0 * t)], axis=-1)
     c_first, c_mid, c_last = trig @ np.array([cos2, sin2])
@@ -140,10 +141,10 @@ def _value_range(r2, phis, cos2, sin2, us, thetas):
     return [(basis @ side.reshape(3, -1)).reshape(basis.shape[:-1] + x.shape[1:]) for side in rows]
 
 
-def _window_angles(r2, phis, cos2, sin2, us, thetas) -> np.ndarray:
+def _window_angles(r2, cos2, sin2, us, thetas) -> np.ndarray:
     """Indices of the angles that can give the max or the min of r2*(1 + u*c)
     somewhere in the window spanned by us and thetas."""
-    lb, ub = _value_range(r2, phis, cos2, sin2, us, thetas)
+    lb, ub = _value_range(r2, cos2, sin2, us, thetas)
     slack = _WINDOW_SLACK * float(r2.max())
     return np.flatnonzero((ub >= lb.max() - slack) | (lb <= ub.min() + slack))
 
@@ -164,56 +165,44 @@ def _stage_extremes(r2, cos2, sin2, us, thetas) -> np.ndarray:
     return 0.5 * np.log(np.ascontiguousarray(ext.transpose(0, 2, 1)))
 
 
-def _rising(s, hmax, i):
-    return hmax + s[i]
-
-
-def _falling(s, hmin, i):
-    return -s[i] - hmin
-
-
-def _first_true(pred, guess, n: int) -> np.ndarray:
-    """Per a-line, the first index in [0, n] at which pred holds (n if none),
-    pred being False then True along the line; walks there from guess."""
-    i = np.clip(guess, 0, n)
-    while (step := (i < n) & ~pred(np.minimum(i, n - 1))).any():
-        i = i + step
-    while (step := (i > 0) & pred(np.maximum(i - 1, 0))).any():
-        i = i - step
-    return i
-
-
 def _line_minima(s, hmax, hmin):
-    """Least V on every a-line and the first a-index that reaches it."""
-    n = s.size
-    cross = _first_true(
-        lambda i: _rising(s, hmax, i) >= _falling(s, hmin, i),
-        np.searchsorted(s, -0.5 * (hmax + hmin)), n,
-    )
-    before = np.where(cross > 0, _falling(s, hmin, np.maximum(cross - 1, 0)), np.inf)
-    after = np.where(cross < n, _rising(s, hmax, np.minimum(cross, n - 1)), np.inf)
-    least = np.minimum(before, after)
-    return least, _first_true(lambda i: _falling(s, hmin, i) <= least, cross - 1, n)
+    """Least V on every a-line and the first a-index that reaches it, by the walk
+    of the module docstring."""
+
+    def v_at(i):
+        return np.maximum(hmax + s[i], -s[i] - hmin)
+
+    last = s.size - 1
+    i = np.minimum(np.searchsorted(s, -0.5 * (hmax + hmin)), last)
+    value = v_at(i)
+    for move in (1, -1):
+        while True:
+            j = np.clip(i + move, 0, last)
+            v = v_at(j)
+            if not (step := (j != i) & (v <= value)).any():
+                break
+            i, value = np.where(step, j, i), np.where(step, v, value)
+    return value, i
 
 
-def _argmin_lex(s, hmax, hmin) -> tuple[int, int, int]:
-    """Index (i, k, j) of the minimum of V, ties broken by smallest (a, u, theta)."""
+def _argmin_lex(s, hmax, hmin) -> tuple[float, int, int, int]:
+    """(V, i, k, j) at the minimum of V, ties broken by smallest (a, u, theta) index."""
     values, index = _line_minima(s, hmax, hmin)
     lines = np.flatnonzero(values.ravel() == values.min())
     line = lines[np.argmin(index.ravel()[lines])]
     k, j = np.unravel_index(line, values.shape)
-    return int(index.flat[line]), int(k), int(j)
+    return float(values.flat[line]), int(index.flat[line]), int(k), int(j)
 
 
-def _tile_bounds(r2, phis, cos2, sin2, s, us, thetas) -> np.ndarray:
+def _tile_bounds(r2, cos2, sin2, s, us, thetas) -> np.ndarray:
     """Per window of _value_range's us and thetas, a B that no a-line's V there
     undercuts, up to rounding: with lo = max lb and hi = min ub over the angles,
     hmax >= 0.5*log lo and hmin <= 0.5*log hi on every line."""
-    lb, ub = _value_range(r2, phis, cos2, sin2, us, thetas)
+    lb, ub = _value_range(r2, cos2, sin2, us, thetas)
     return _line_minima(s, 0.5 * np.log(lb.max(axis=-1)), 0.5 * np.log(ub.min(axis=-1)))[0]
 
 
-def _tile_search(r2, phis, cos2, sin2, s, us, thetas):
+def _tile_search(r2, cos2, sin2, s, us, thetas):
     """(value, i, k, j) of the least V on the stage grid, ties to the least (i, k, j).
 
     A u = 0 row is one line, searched first at (k, j) = (0, 0): r2*(1 + 0*c) is
@@ -225,11 +214,10 @@ def _tile_search(r2, phis, cos2, sin2, s, us, thetas):
     """
 
     def search(ks: slice, js: slice):
-        keep = _window_angles(r2, phis, cos2, sin2, us[ks], thetas[js])
+        keep = _window_angles(r2, cos2, sin2, us[ks], thetas[js])
         hmax, hmin = _stage_extremes(r2[keep], cos2[keep], sin2[keep], us[ks], thetas[js])
-        i, k, j = _argmin_lex(s, hmax, hmin)
-        value = max(hmax[k, j] + s[i], -s[i] - hmin[k, j])
-        return float(value), i, ks.start + k, js.start + j
+        value, i, k, j = _argmin_lex(s, hmax, hmin)
+        return value, i, ks.start + k, js.start + j
 
     row0 = int(us[0] == 0.0)
     best = search(slice(0, 1), slice(0, 1)) if row0 else (math.inf, 0, 0, 0)
@@ -237,7 +225,7 @@ def _tile_search(r2, phis, cos2, sin2, s, us, thetas):
     k1, j1 = np.minimum(k0 + _TILE, us.size), np.minimum(j0 + _TILE, thetas.size)
     u_ends = np.column_stack([us[k0], us[k1 - 1]])
     t_ends = np.column_stack([thetas[j0], thetas[j1 - 1]])
-    bound = _tile_bounds(r2, phis, cos2, sin2, s, u_ends, t_ends)
+    bound = _tile_bounds(r2, cos2, sin2, s, u_ends, t_ends)
     margin = _BOUND_MARGIN * (1.0 + float(np.abs(s).max()))
     for t in np.argsort(bound, axis=None, kind="stable"):
         tk, tj = divmod(int(t), j0.size)
@@ -285,9 +273,9 @@ def oracle_uniform(
         log_a = np.linspace(la_bounds[0], la_bounds[1], n_a)
         us = np.linspace(u_bounds[0], u_bounds[1], n_b)
         thetas = np.linspace(t_bounds[0], t_bounds[1], n_t)
-        keep = _window_angles(r2, phis, cos2, sin2, us, thetas)
+        keep = _window_angles(r2, cos2, sin2, us, thetas)
         s = f_c + 0.5 * log_a
-        best_value, i, k, j = _tile_search(r2[keep], phis[keep], cos2[keep], sin2[keep], s, us, thetas)
+        best_value, i, k, j = _tile_search(r2[keep], cos2[keep], sin2[keep], s, us, thetas)
         evaluations += n_t * n_b * (phis.size + n_a)
         if stage + 1 < grid.stages:
             # shrink each window around the incumbent; generous overlap with
@@ -307,6 +295,6 @@ def oracle_uniform(
 
     best_a = math.exp(log_a[i])
     best_u = float(us[k])
-    best_theta = 0.0 if best_u == 0.0 else float(np.mod(thetas[j], _PI))
+    best_theta = 0.0 if best_u == 0.0 else float(_reduce(thetas[j]))
     std = StdEllipseParams(best_a, best_u * best_a, best_theta)
     return OracleResult(std, best_value, evaluations)

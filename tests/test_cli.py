@@ -324,6 +324,15 @@ class TestOracleCommand:
                      "--na", "8", "--nb", "8", "--ntheta", "8", "--nphi", "64", "--stages", "1"]) == 0
         assert set(json.loads(out.read_text())) == {"std", "params", "value", "d2", "evaluations"}
 
+    def test_tiny_negative_theta_is_zero(self, tmp_path):
+        # the last stage's best theta is -8.7e-19: reduced mod pi it is 0, not pi
+        body = tmp_path / "ellipse.json"
+        body.write_text(jsonio.dumps({"kind": "ellipse", "params": [1.0, 0.2, 0.0]}))
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--input", str(body), "--out", str(out), "--na", "16", "--nb", "8",
+                     "--ntheta", "27", "--nphi", "64", "--stages", "4"]) == 0
+        assert json.loads(out.read_text())["std"]["theta"] == 0.0
+
     def test_value_margin_is_not_an_option(self, square_body, tmp_path):
         out = tmp_path / "o.json"
         with pytest.raises(SystemExit) as exc:

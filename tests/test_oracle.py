@@ -8,7 +8,7 @@ from bmplane import oracle
 from bmplane.ellipse import EllipseParams, StdEllipseParams
 from bmplane.errors import EmptyGrid
 from bmplane.gauge import (
-    circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge, sample_gauge,
+    _reduce, circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge, sample_gauge,
 )
 from bmplane.oracle import OracleGrid, OracleResult, _argmin_lex, oracle_uniform
 
@@ -93,7 +93,7 @@ def _dense_oracle_uniform(gauge, grid, scan=_dense_stage_scan):
 
     best_value = float(v[i, k, j])
     best_a, best_u = math.exp(log_a[i]), float(us[k])
-    best_theta = 0.0 if best_u == 0.0 else float(np.mod(thetas[j], math.pi))
+    best_theta = 0.0 if best_u == 0.0 else float(_reduce(thetas[j]))
     return OracleResult(StdEllipseParams(best_a, best_u * best_a, best_theta), best_value,
                         evaluations)
 
@@ -162,6 +162,14 @@ class TestOracleUniform:
         assert res.std.bprime == 0.0
         assert res.std.theta == 0.0
         assert res.std.a == pytest.approx(1.0, abs=1e-4)
+
+    def test_tiny_negative_theta_is_zero(self):
+        # the last stage's best theta is -8.7e-19, which np.mod(theta, pi) rounds to pi
+        grid = OracleGrid(n_a=16, n_b=8, n_theta=27, n_phi=64, stages=4)
+        g = ellipse_gauge(EllipseParams(1.0, 0.2, 0.0))
+        res = oracle_uniform(g, grid)
+        assert res.std.theta == 0.0 and math.copysign(1.0, res.std.theta) == 1.0
+        assert _bits(res) == _bits(_dense_oracle_uniform(g, grid))
 
     def test_ellipse_identity_recovers_point(self):
         e = EllipseParams(1.0, 0.2, 0.1)
@@ -262,11 +270,12 @@ class TestDenseReference:
 
 
 class TestTileSearch:
-    def test_bound_is_rigorous(self, corpus):
-        # tiles of 1 to 16 points a side, in windows as wide as each stage's and
-        # narrower, with u up to 1 - 1e-6: where 1 + u*c nears 1e-6 and rounds worst
+    @staticmethod
+    def _tiles(corpus):
+        """(name, width, phis, r2, cos2, sin2, s, us, thetas) of 50 tiles a body: 1 to 16
+        points a side, in windows as wide as each stage's and narrower, with u up to
+        1 - 1e-6, where 1 + u*c nears 1e-6 and rounds worst."""
         rng = np.random.default_rng(19)
-        tiles = 0
         for name, g in {**corpus, **_sweep_bodies()}.items():
             phis = evaluation_grid(g, 512)
             fvals = g.log_eval(phis)
@@ -284,29 +293,29 @@ class TestTileSearch:
                     s = f_c + 0.5 * np.linspace(max(la[0], la_mid - half), min(la[1], la_mid + half), 128)
                     k, j = rng.integers(0, 128, 2)
                     us, thetas = us[k:k + rng.integers(1, 17)], thetas[j:j + rng.integers(1, 17)]
-                    bound = oracle._tile_bounds(r2, phis, cos2, sin2, s, us, thetas)
-                    hmax, hmin = oracle._stage_extremes(r2, cos2, sin2, us, thetas)
-                    margin = oracle._BOUND_MARGIN * (1.0 + np.abs(s).max())
-                    assert bound - margin <= _dense_v(s, hmax, hmin).min(), (name, width, us, thetas)
-                    tiles += 1
+                    yield name, width, phis, r2, cos2, sin2, s, us, thetas
+
+    def test_bound_is_rigorous(self, corpus):
+        tiles = 0
+        for name, width, _, r2, cos2, sin2, s, us, thetas in self._tiles(corpus):
+            bound = oracle._tile_bounds(r2, cos2, sin2, s, us, thetas)
+            hmax, hmin = oracle._stage_extremes(r2, cos2, sin2, us, thetas)
+            margin = oracle._BOUND_MARGIN * (1.0 + np.abs(s).max())
+            assert bound - margin <= _dense_v(s, hmax, hmin).min(), (name, width, us, thetas)
+            tiles += 1
         assert tiles == 50 * 25
 
-    def test_bound_matches_elementwise_reference(self, corpus, monkeypatch):
+    def test_bound_matches_elementwise_reference(self, corpus):
         # as tight as the elementwise bound: on the tiles of test_bound_is_rigorous, B is within
         # 1e-12 of it, plus two ulps of max r2 against the smaller of max lb and min ub: near
         # u*c = -1 (u up to 1 - 1e-6) either rounding of r2*(1 + u*c) keeps no more
-        tile_bounds, excess = oracle._tile_bounds, []
-
-        def compared(r2, phis, cos2, sin2, s, us, thetas):
-            bound = tile_bounds(r2, phis, cos2, sin2, s, us, thetas)
+        excess = []
+        for _, _, phis, r2, cos2, sin2, s, us, thetas in self._tiles(corpus):
+            bound = oracle._tile_bounds(r2, cos2, sin2, s, us, thetas)
             lb, ub = _elementwise_range(r2, phis, cos2, sin2, us, thetas)
             ref = oracle._line_minima(s, 0.5 * np.log(lb.max()), 0.5 * np.log(ub.min()))[0]
             ulps = 2.0 * np.finfo(float).eps * r2.max() / min(lb.max(), ub.min())
             excess.append(abs(bound - ref) - (1e-12 + ulps))
-            return bound
-
-        monkeypatch.setattr(oracle, "_tile_bounds", compared)
-        self.test_bound_is_rigorous(corpus)
         assert len(excess) == 50 * 25
         assert max(excess) <= 0.0, max(excess)
 
@@ -358,7 +367,7 @@ class TestWindowAngles:
             u_mid, t_mid = rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi)
             us = np.linspace(max(0.0, u_mid - 0.5 * width), min(1.0 - 1e-6, u_mid + 0.5 * width), 9)
             thetas = np.linspace(t_mid - 0.5 * math.pi * width, t_mid + 0.5 * math.pi * width, 9)
-            lb, ub = oracle._value_range(r2, phis, np.cos(2.0 * phis), np.sin(2.0 * phis), us, thetas)
+            lb, ub = oracle._value_range(r2, np.cos(2.0 * phis), np.sin(2.0 * phis), us, thetas)
             fine = np.linspace(thetas[0], thetas[-1], 1025)
             v = r2 * (1.0 + us[:, None, None] * np.cos(2.0 * (phis - fine[:, None])))
             assert (v >= lb - 1e-12).all() and (v <= ub + 1e-12).all()
@@ -377,7 +386,7 @@ class TestWindowAngles:
             thetas = np.linspace(t_mid - 0.5 * width, t_mid + 0.5 * width, 9)
             for u_hi in (0.5, 1.0 - 1e-6):
                 us = np.linspace(0.25 * u_hi, u_hi, 9)
-                lb, ub = oracle._value_range(r2, phis, np.cos(2.0 * phis), np.sin(2.0 * phis), us, thetas)
+                lb, ub = oracle._value_range(r2, np.cos(2.0 * phis), np.sin(2.0 * phis), us, thetas)
                 ulps = 4.0 * np.spacing(r2)  # r2 + u*(r2*c) against r2*(1 + u*c)
                 assert (np.abs(lb - r2 * (1.0 - u_hi)) <= ulps).all(), (t_mid, u_hi)
                 assert (np.abs(ub - r2 * (1.0 + u_hi)) <= ulps).all(), (t_mid, u_hi)
@@ -394,7 +403,7 @@ class TestWindowAngles:
                 u_mid, t_mid = rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi)
                 us = np.linspace(max(0.0, u_mid - 0.5 * width), min(1.0 - 1e-6, u_mid + 0.5 * width), 12)
                 thetas = np.linspace(t_mid - 0.5 * math.pi * width, t_mid + 0.5 * math.pi * width, 12)
-                keep = oracle._window_angles(r2, phis, cos2, sin2, us, thetas)
+                keep = oracle._window_angles(r2, cos2, sin2, us, thetas)
                 extremes = np.zeros(phis.size, dtype=bool)
                 for theta in thetas:
                     ct = cos2 * math.cos(2.0 * theta) + sin2 * math.sin(2.0 * theta)
@@ -443,8 +452,8 @@ class TestTieRule:
         # line (1, 5) reaches 0.25 at a-index 2 and again at 3: its first minimum wins
         hmax, hmin = self._lines({idx: 0.25 for idx in self.TIES}, plateau=[(1, 5)])
         v = _dense_v(self.S, hmax, hmin)
-        assert v[3, 1, 5] == v[2, 1, 5] == v.min()
-        assert _argmin_lex(self.S, hmax, hmin) == _dense_argmin_lex(v) == (2, 1, 5)
+        assert v[3, 1, 5] == v[2, 1, 5] == v.min() == 0.25
+        assert _argmin_lex(self.S, hmax, hmin) == (0.25, *_dense_argmin_lex(v)) == (0.25, 2, 1, 5)
 
     @pytest.mark.parametrize("offset", [0.0, 0.25, 0.75, 100.0])
     def test_quarter_grid_ties_match_dense(self, offset):
@@ -455,4 +464,44 @@ class TestTieRule:
             hmax = 0.25 * rng.integers(-6, 6, (6, 7))
             hmin = hmax - 0.25 * rng.integers(0, 8, (6, 7))
             hmax, hmin = hmax + offset, hmin - offset
-            assert _argmin_lex(s, hmax, hmin) == _dense_argmin_lex(_dense_v(s, hmax, hmin))
+            v = _dense_v(s, hmax, hmin)
+            assert _argmin_lex(s, hmax, hmin) == (v.min(), *_dense_argmin_lex(v))
+
+
+class TestLineMinima:
+    """_line_minima against the dense V on every line: the least value and its first index."""
+
+    @staticmethod
+    def _assert_dense(s, hmax, hmin):
+        v = _dense_v(s, hmax, hmin)
+        values, index = oracle._line_minima(s, hmax, hmin)
+        assert np.array_equal(values, v.min(axis=0)), (s, hmax, hmin)
+        assert np.array_equal(index, v.argmin(axis=0)), (s, hmax, hmin)
+
+    @pytest.mark.parametrize("n_a", [1, 2, 9, 40])
+    def test_quarter_grid_lines(self, n_a):
+        # repeated s and quarter-grid h give plateaus at the bottom and on both slopes; the
+        # crossing's guess -(hmax + hmin)/2 runs from far below s[0] to far above s[-1]
+        rng = np.random.default_rng(31)
+        guesses = []
+        for _ in range(20):
+            s = np.sort(0.25 * rng.integers(-4, 5, n_a))
+            hmax = 0.25 * rng.integers(-24, 24, (6, 7))
+            hmin = hmax - 0.25 * rng.integers(0, 8, (6, 7))
+            guesses.append(np.searchsorted(s, -0.5 * (hmax + hmin)))
+            self._assert_dense(s, hmax, hmin)
+        assert {0, n_a} <= set(np.concatenate(guesses).ravel())
+
+    def test_plateaus(self):
+        # V = 1 + |s - x| on s = -2 -2 -1 -1 0 0 0 1 1 2 2 has plateaus at the bottom and on both
+        # slopes; its crossing x runs from below s[0] to above s[-1], on and between the s values
+        s = np.array([-2.0, -2.0, -1.0, -1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+        x = np.arange(-3.0, 3.25, 0.25)[None]
+        self._assert_dense(s, 1.0 - x, -1.0 - x)
+
+    def test_scalar_line(self):
+        # _tile_bounds' reference takes one line, as 0-d hmax and hmin
+        s = np.linspace(-1.0, 1.0, 9)
+        value, index = oracle._line_minima(s, np.float64(0.3), np.float64(-0.1))
+        v = np.maximum(0.3 + s, -s + 0.1)
+        assert (value, index) == (v.min(), v.argmin())
