@@ -153,12 +153,14 @@ class PDMatrix2:
 
     @staticmethod
     def from_array(m) -> "PDMatrix2":
+        """The matrix of a symmetric 2x2 array-like, its four entries read as floats."""
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
             raise NotPD(f"expected 2x2 array, got shape {m.shape}")
-        if abs(m[0, 1] - m[1, 0]) > 1e-9 * (1.0 + abs(m[0, 1])):
+        (m11, m12), (m21, m22) = m.tolist()
+        if abs(m12 - m21) > 1e-9 * (1.0 + abs(m12)):
             raise NotPD("matrix is not symmetric")
-        return PDMatrix2(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
+        return PDMatrix2(m11, 0.5 * (m12 + m21), m22)
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])

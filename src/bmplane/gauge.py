@@ -429,21 +429,27 @@ def circle_gauge(radius: float = 1.0) -> Gauge:
     return _EllipseGauge(EllipseParams(a2, 0.0, 0.0))
 
 
-def _number_array(payload, field: str) -> np.ndarray:
-    """A descriptor payload of nested lists of JSON numbers as a float array.
-
-    Booleans, strings and null are not numbers, and the lists must nest
-    regularly; either raises InputError.
-    """
+def _json_numbers(payload, field: str):
+    """The payload, a JSON number or nested lists of them; a boolean, a string or null
+    raises InputError.  A float or an int, what JSON numbers load as, passes without
+    the ``Real`` check, which costs about 0.3 us a number."""
     stack = [payload]
     while stack:
         v = stack.pop()
+        if type(v) is float or type(v) is int:
+            continue
         if isinstance(v, (list, tuple)):
             stack.extend(v)
         elif isinstance(v, bool) or not isinstance(v, Real):
             raise InputError(f"{field} must hold JSON numbers only, got {v!r}")
+    return payload
+
+
+def _number_array(payload, field: str) -> np.ndarray:
+    """A descriptor payload of nested lists of JSON numbers (``_json_numbers``) as a float
+    array; lists that do not nest regularly raise InputError."""
     try:
-        return np.asarray(payload, dtype=float)
+        return np.asarray(_json_numbers(payload, field), dtype=float)
     except (ValueError, OverflowError):
         raise InputError(f"{field} must be a regular array of float-sized numbers") from None
 

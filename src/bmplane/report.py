@@ -27,7 +27,7 @@ import numpy as np
 
 from .ellipse import EllipseParams, PDMatrix2, pd_sqrt, pd_sqrt_inverse
 from .errors import BmplaneError, ConeViolation, InputError
-from .gauge import Gauge, _number_array
+from .gauge import Gauge, _json_numbers
 from .solver import AlternanceCertificate, UniformSolution, _distinct, certificate_deviations
 
 __all__ = [
@@ -50,8 +50,8 @@ class SolveReport:
     params_inscribed: EllipseParams
     T_hat: PDMatrix2
     T_tilde: PDMatrix2
-    x_points: np.ndarray  # (2, 2): extremal boundary points
-    y_points: np.ndarray  # (2, 2): contact boundary points
+    x_points: tuple[tuple[float, float], tuple[float, float]]  # extremal boundary points
+    y_points: tuple[tuple[float, float], tuple[float, float]]  # contact boundary points
     certificate: AlternanceCertificate
 
 
@@ -64,19 +64,6 @@ class TheoremVerdict:
     passed: bool
     x_norms: tuple[float, float]
     y_norms: tuple[float, float]
-
-
-def _cross(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-def _cone_margins(x1, y1, x2, y2) -> tuple[float, ...]:
-    """Normalized sine margins of y1 in cone{x1,x2} and y2 in cone{-x1,x2}."""
-
-    def s(u, v):
-        return _cross(u, v) / (np.hypot(*u) * np.hypot(*v))
-
-    return (s(x1, y1), s(y1, x2), s(x2, y2), s(y2, -np.asarray(x1)))
 
 
 def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
@@ -98,7 +85,7 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
         raise ConeViolation(f"certificate angles do not interleave: {cert.angles()}")
     angles = np.array(cert.angles())
     radii = gauge.eval(angles)
-    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    x1, y1, x2, y2 = zip((radii * np.cos(angles)).tolist(), (radii * np.sin(angles)).tolist())
     return SolveReport(
         d2=d2,
         defect=sol.defect,
@@ -106,22 +93,10 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
         params_inscribed=inscribed,
         T_hat=t_hat,
         T_tilde=t_tilde,
-        x_points=pts[[0, 2]],
-        y_points=pts[[1, 3]],
+        x_points=(x1, x2),
+        y_points=(y1, y2),
         certificate=cert,
     )
-
-
-def _window_representatives(x1, y1, x2, y2):
-    """Flip antipodes so all four angles lie in one pi-window starting at x1."""
-    base = math.atan2(x1[1], x1[0])
-    out = [np.asarray(x1, dtype=float)]
-    for p in (y1, x2, y2):
-        ang = math.atan2(p[1], p[0])
-        if not 0.0 <= (ang - base) % (2.0 * math.pi) < math.pi:
-            p = -np.asarray(p, dtype=float)
-        out.append(np.asarray(p, dtype=float))
-    return out[0], out[1], out[2], out[3]
 
 
 _THEOREM1_TOL = 1e-6  # absolute, on |T_hat x_i| = d2 and |T_hat y_i| = 1
@@ -133,25 +108,35 @@ def verify_theorem1(report: SolveReport) -> TheoremVerdict:
     Checks |T_hat x_i| = d2 and |T_hat y_i| = 1 within _THEOREM1_TOL, the two cone
     memberships, and that neither point pair is (anti)parallel.  The
     antipodal representatives are first normalized into one pi-window (the
-    cone statement is invariant under p -> -p).
+    cone statement is invariant under p -> -p).  The data are two-by-two, so the
+    arithmetic is on floats: numpy's per-call cost would be most of it.
     """
-    tx = report.T_hat.apply(report.x_points)
-    ty = report.T_hat.apply(report.y_points)
-    x_norms = tuple(float(v) for v in np.hypot(tx[:, 0], tx[:, 1]))
-    y_norms = tuple(float(v) for v in np.hypot(ty[:, 0], ty[:, 1]))
+    t = report.T_hat
+
+    def image_norm(p) -> float:
+        return math.hypot(t.m11 * p[0] + t.m12 * p[1], t.m12 * p[0] + t.m22 * p[1])
+
+    (x1, x2), (y1, y2) = report.x_points, report.y_points
+    x_norms = (image_norm(x1), image_norm(x2))
+    y_norms = (image_norm(y1), image_norm(y2))
     x_ok = all(abs(v - report.d2) <= _THEOREM1_TOL for v in x_norms)
     y_ok = all(abs(v - 1.0) <= _THEOREM1_TOL for v in y_norms)
 
-    x1, x2 = report.x_points
-    y1, y2 = report.y_points
-    x1, y1, x2, y2 = _window_representatives(x1, y1, x2, y2)
-    margins = _cone_margins(x1, y1, x2, y2)
-    cone_ok = bool(min(margins) > -1e-12)
+    # each of y1, x2, y2, or its antipode, in the pi-window that starts at x1
+    base = math.atan2(x1[1], x1[0])
+    y1, x2, y2 = (p if 0.0 <= (math.atan2(p[1], p[0]) - base) % (2.0 * math.pi) < math.pi
+                  else (-p[0], -p[1]) for p in (y1, x2, y2))
 
-    def sep(u, v) -> float:
-        return abs(_cross(u, v)) / (np.hypot(*u) * np.hypot(*v))
+    def sine(u, v) -> float:
+        """The sine of the angle from u to v; NaN, which fails every test below, where
+        either is the origin."""
+        lengths = math.hypot(*u) * math.hypot(*v)
+        return (u[0] * v[1] - u[1] * v[0]) / lengths if lengths else math.nan
 
-    distinct_ok = bool(sep(x1, x2) > 1e-6 and sep(y1, y2) > 1e-6)
+    # y1 in cone{x1, x2} and y2 in cone{-x1, x2}
+    margins = (sine(x1, y1), sine(y1, x2), sine(x2, y2), sine(y2, (-x1[0], -x1[1])))
+    cone_ok = all(m > -1e-12 for m in margins)
+    distinct_ok = abs(sine(x1, x2)) > 1e-6 and abs(sine(y1, y2)) > 1e-6
     passed = x_ok and y_ok and cone_ok and distinct_ok
     return TheoremVerdict(x_ok, y_ok, cone_ok, distinct_ok, passed, x_norms, y_norms)
 
@@ -167,8 +152,8 @@ def report_to_dict(report: SolveReport) -> dict:
         "params_inscribed": list(report.params_inscribed.triple()),
         "T_hat": report.T_hat.as_array().tolist(),
         "T_tilde": report.T_tilde.as_array().tolist(),
-        "x_points": report.x_points.tolist(),
-        "y_points": report.y_points.tolist(),
+        "x_points": [list(p) for p in report.x_points],
+        "y_points": [list(p) for p in report.y_points],
         "certificate": {
             "phi": [cert.phi1, cert.phi2],
             "psi": [cert.psi1, cert.psi2],
@@ -177,38 +162,49 @@ def report_to_dict(report: SolveReport) -> dict:
     }
 
 
-def _as_points(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (2, 2) or not np.isfinite(arr).all():
-        raise InputError(f"{name} must be two finite planar points")
-    return arr
+def _floats(value, shape: tuple[int, ...], name: str):
+    """A report field of JSON numbers as a float for shape (), or as a tuple of floats, or
+    of tuples of floats, for a shape of one or two lengths; any other shape is a malformed
+    report."""
+    _json_numbers(value, name)
+    try:  # a TypeError is a list where a number belongs, or the reverse
+        if not shape:
+            return float(value)
+        if len(value) == shape[0]:
+            if len(shape) == 1:
+                return tuple(map(float, value))
+            if all(len(row) == shape[1] for row in value):
+                return tuple(tuple(map(float, row)) for row in value)
+    except TypeError:
+        pass
+    what = " x ".join(map(str, shape)) + " numbers" if shape else "a number"
+    raise InputError(f"malformed report: {name} must be {what}, got {value!r}")
 
 
 def report_from_dict(d: dict) -> SolveReport:
-    """The report of its JSON dict.  Its numbers must be JSON numbers, as in a
-    body descriptor, else InputError; fields past the nine of a report are not read."""
+    """The report of its JSON dict.  Its numbers must be JSON numbers, as in a body
+    descriptor, and each field must have its shape (a number, 3 for a triple, 2 x 2 for
+    an operator or a point pair, 2 angles each for phi and psi, 4 residuals), else
+    InputError; fields past the nine of a report are not read."""
     try:
-        num = {key: _number_array(d[key], key) for key in (
-            "d2", "defect", "params_uniform", "params_inscribed", "T_hat", "T_tilde", "x_points",
-            "y_points")}
-        phi, psi, res = (_number_array(d["certificate"][key], f"certificate.{key}")
-                         for key in ("phi", "psi", "residuals"))
-        cert = AlternanceCertificate(*map(float, (phi[0], psi[0], phi[1], psi[1])),
-                                     tuple(map(float, res)))
-        return SolveReport(
-            d2=float(num["d2"]),
-            defect=float(num["defect"]),
-            params_uniform=EllipseParams(*num["params_uniform"]),
-            params_inscribed=EllipseParams(*num["params_inscribed"]),
-            T_hat=PDMatrix2.from_array(num["T_hat"]),
-            T_tilde=PDMatrix2.from_array(num["T_tilde"]),
-            x_points=_as_points(num["x_points"], "x_points"),
-            y_points=_as_points(num["y_points"], "y_points"),
-            certificate=cert,
-        )
+        d2, defect = (_floats(d[key], (), key) for key in ("d2", "defect"))
+        uniform, inscribed = (EllipseParams(*_floats(d[key], (3,), key))
+                              for key in ("params_uniform", "params_inscribed"))
+        t_hat, t_tilde = (PDMatrix2.from_array(_floats(d[key], (2, 2), key))
+                          for key in ("T_hat", "T_tilde"))
+        x_points, y_points = (_floats(d[key], (2, 2), key) for key in ("x_points", "y_points"))
+        for key, points in (("x_points", x_points), ("y_points", y_points)):
+            if not all(map(math.isfinite, points[0] + points[1])):
+                raise InputError(f"malformed report: {key} must be two finite planar points")
+        cert = d["certificate"]
+        (phi1, phi2), (psi1, psi2) = (_floats(cert[key], (2,), f"certificate.{key}")
+                                      for key in ("phi", "psi"))
+        residuals = _floats(cert["residuals"], (4,), "certificate.residuals")
+        return SolveReport(d2, defect, uniform, inscribed, t_hat, t_tilde, x_points, y_points,
+                           AlternanceCertificate(phi1, psi1, phi2, psi2, residuals))
     except InputError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, BmplaneError) as exc:
+    except (KeyError, TypeError, OverflowError, BmplaneError) as exc:
         raise InputError(f"malformed report: {exc}") from exc
 
 

@@ -217,6 +217,25 @@ class TestVerify:
         bad.write_text(jsonio.dumps({"d2": 1.0}))
         assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 2
 
+    @pytest.mark.parametrize("key, size", [("phi", 3), ("psi", 1), ("residuals", 3),
+                                           ("residuals", 5)])
+    def test_certificate_lists_of_another_length_are_malformed(
+            self, square_body, square_solved, tmp_path, capsys, key, size):
+        # not cut to length or kept as given, which verify would fail as a mismatch and
+        # render would take for another body's report
+        rep = json.loads(square_solved.read_text())
+        rep["certificate"][key] = (rep["certificate"][key] * 3)[:size]
+        bad = tmp_path / "another-length.json"
+        bad.write_text(jsonio.dumps(rep))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(square_body), "--report", str(bad)]) == 2
+        assert main(["render", "--input", str(square_body), "--report", str(bad),
+                     "--out", str(tmp_path / "another-length.svg")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(f"malformed report: certificate.{key}" in line
+                                     for line in err), err
+        assert not (tmp_path / "another-length.svg").exists()
+
     def test_deep_nesting_is_malformed(self, square_body, tmp_path, capsys):
         # past the recursion limit the JSON decoder raises RecursionError, not ValueError
         deep = tmp_path / "deep.json"

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from bmplane.cli import main
 from bmplane.errors import InputError
 from bmplane.gauge import circle_gauge, lp_gauge, polygon_gauge, sample_gauge
 from bmplane.report import (
-    SolveReport,
+    _THEOREM1_TOL,
+    TheoremVerdict,
     _boundary_samples,
     build_report,
     render_svg,
@@ -97,6 +99,55 @@ class TestBuildReport:
             assert norms.min() == pytest.approx(1.0, abs=1e-6), name
 
 
+def _numpy_verify_theorem1(report) -> TheoremVerdict:
+    """``verify_theorem1`` as it was on numpy arrays, the reference of the float one."""
+
+    def cross(u, v) -> float:
+        return float(u[0] * v[1] - u[1] * v[0])
+
+    def sine(u, v):
+        return cross(u, v) / (np.hypot(*u) * np.hypot(*v))
+
+    tx = report.T_hat.apply(report.x_points)
+    ty = report.T_hat.apply(report.y_points)
+    x_norms = tuple(float(v) for v in np.hypot(tx[:, 0], tx[:, 1]))
+    y_norms = tuple(float(v) for v in np.hypot(ty[:, 0], ty[:, 1]))
+    x_ok = all(abs(v - report.d2) <= _THEOREM1_TOL for v in x_norms)
+    y_ok = all(abs(v - 1.0) <= _THEOREM1_TOL for v in y_norms)
+    x1, x2 = np.asarray(report.x_points, dtype=float)
+    y1, y2 = np.asarray(report.y_points, dtype=float)
+    base = math.atan2(x1[1], x1[0])
+    window = [x1]
+    for p in (y1, x2, y2):
+        if not 0.0 <= (math.atan2(p[1], p[0]) - base) % (2.0 * math.pi) < math.pi:
+            p = -p
+        window.append(p)
+    x1, y1, x2, y2 = window
+    margins = (sine(x1, y1), sine(y1, x2), sine(x2, y2), sine(y2, -x1))
+    cone_ok = bool(min(margins) > -1e-12)
+    distinct_ok = bool(abs(sine(x1, x2)) > 1e-6 and abs(sine(y1, y2)) > 1e-6)
+    passed = x_ok and y_ok and cone_ok and distinct_ok
+    return TheoremVerdict(x_ok, y_ok, cone_ok, distinct_ok, passed, x_norms, y_norms)
+
+
+def _theorem_mutations(r) -> dict:
+    """The report and reports that break Theorem 1, or only seem to, each in one way."""
+    (x1, x2), (y1, y2) = r.x_points, r.y_points
+    minus = lambda p: (-p[0], -p[1])  # noqa: E731
+    # y1 turned past x2, out of cone{x1, x2}
+    c, s = math.cos(0.5 * math.pi), math.sin(0.5 * math.pi)
+    turned = (c * y1[0] - s * y1[1], s * y1[0] + c * y1[1])
+    return {
+        "as built": r,
+        "x1 radially perturbed": replace(r, x_points=((1.001 * x1[0], 1.001 * x1[1]), x2)),
+        "y2 antipodal": replace(r, y_points=(y1, minus(y2))),
+        "x1 and y1 antipodal": replace(r, x_points=(minus(x1), x2), y_points=(minus(y1), y2)),
+        "x and y swapped": replace(r, x_points=r.y_points, y_points=r.x_points),
+        "x2 parallel to x1": replace(r, x_points=(x1, minus(x1))),
+        "y1 out of its cone": replace(r, y_points=(turned, y2)),
+    }
+
+
 class TestVerifyTheorem:
     def test_corpus_passes(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
@@ -105,18 +156,44 @@ class TestVerifyTheorem:
 
     def test_antipodal_relabeling(self, square_report):
         r = square_report
-        flipped = SolveReport(
-            **{**r.__dict__, "y_points": np.array([r.y_points[0], -r.y_points[1]])}
-        )
+        flipped = replace(r, y_points=(r.y_points[0], tuple(-v for v in r.y_points[1])))
         assert verify_theorem1(flipped).passed
 
     def test_radial_perturbation_fails_x_norm(self, square_report):
         r = square_report
-        bad = SolveReport(
-            **{**r.__dict__, "x_points": np.array([r.x_points[0] * 1.001, r.x_points[1]])}
-        )
+        bad = replace(r, x_points=(tuple(1.001 * v for v in r.x_points[0]), r.x_points[1]))
         verdict = verify_theorem1(bad)
         assert not verdict.x_norms_ok and not verdict.passed
+
+    def test_point_at_the_origin_fails(self, square_report):
+        # a report may hold the origin as a point; no angle is measured there, so the
+        # verdict fails, whichever point it is
+        r = square_report
+        for key in ("x_points", "y_points"):
+            for i in (0, 1):
+                points = list(getattr(r, key))
+                points[i] = (0.0, 0.0)
+                verdict = verify_theorem1(replace(r, **{key: tuple(points)}))
+                assert not verdict.cone_ok and not verdict.distinct_ok, (key, i, verdict)
+                assert not verdict.passed
+
+    def test_matches_numpy_reference(self, solved_corpus):
+        # the flags are the numpy reference's; the norms within 4 ulps, as numpy's 2x2
+        # product may fuse its multiply-adds and np.hypot round apart from math.hypot
+        failing = set()
+        for name, (g, sol) in solved_corpus.items():
+            for mutation, report in _theorem_mutations(build_report(g, sol)).items():
+                got, want = verify_theorem1(report), _numpy_verify_theorem1(report)
+                flags = ("x_norms_ok", "y_norms_ok", "cone_ok", "distinct_ok", "passed")
+                assert [getattr(got, f) for f in flags] == [getattr(want, f) for f in flags], (
+                    name, mutation, got, want)
+                for a, b in zip(got.x_norms + got.y_norms, want.x_norms + want.y_norms):
+                    assert abs(a - b) <= 4.0 * math.ulp(b), (name, mutation, a, b)
+                if not got.passed:
+                    failing.add(mutation)
+        # every mutation but the antipodal ones fails on some body
+        assert failing == {"x1 radially perturbed", "x and y swapped", "x2 parallel to x1",
+                           "y1 out of its cone"}
 
     def test_verdict_fields_are_python_values(self, square_report):
         # every flag is a bool, not numpy's, so a verdict dumps to JSON as it stands
@@ -129,14 +206,14 @@ class TestVerifyTheorem:
 
 
 class TestSerialization:
-    def test_roundtrip(self, square_report):
-        d = report_to_dict(square_report)
-        back = report_from_dict(jsonio.loads(jsonio.dumps(d)))
-        assert back.d2 == square_report.d2
-        assert back.defect == square_report.defect
-        assert back.params_uniform.triple() == square_report.params_uniform.triple()
-        assert np.array_equal(back.x_points, square_report.x_points)
-        assert back.certificate.angles() == square_report.certificate.angles()
+    def test_roundtrip(self, solved_corpus):
+        # 17 digits carry every float, so the report read back is the report, field for field
+        for name, (g, sol) in solved_corpus.items():
+            r = build_report(g, sol)
+            back = report_from_dict(jsonio.loads(jsonio.dumps(report_to_dict(r))))
+            for f in fields(r):
+                assert getattr(back, f.name) == getattr(r, f.name), (name, f.name)
+            assert back == r, name
 
     def test_reports_carry_no_boundary_samples(self, solved_corpus):
         # a report's size does not grow with its body's: 8192 rough samples stay under 4 KB
@@ -161,6 +238,28 @@ class TestSerialization:
         bad["params_uniform"] = [1.0, 2.0, 0.0]  # out of cone
         with pytest.raises(InputError):
             report_from_dict(bad)
+        # a list of another length, or nested another way, is refused, not cut or kept
+        for path, value in [
+            (("certificate", "phi"), [0.1, 0.2, 0.3]),
+            (("certificate", "psi"), [0.1]),
+            (("certificate", "residuals"), [0.0] * 3),
+            (("certificate", "residuals"), [0.0] * 5),
+            (("certificate", "residuals"), [[0.0, 0.0]] * 2),
+            (("d2",), [1.5]),
+            (("params_uniform",), [[1.0, 0.0, 0.0]]),
+            (("T_hat",), [1.0, 0.0, 0.0, 1.0]),
+            (("T_hat",), [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+            (("x_points",), [[1.0, 0.0], [0.0, 1.0, 0.0]]),
+            (("y_points",), [1.0, 0.0]),
+        ]:
+            bad = report_to_dict(square_report)
+            *parents, last = path
+            node = bad
+            for key in parents:
+                node = node[key]
+            node[last] = value
+            with pytest.raises(InputError, match="malformed report"):
+                report_from_dict(bad)
 
     @pytest.mark.parametrize("path", [
         ("d2",), ("defect",), ("params_uniform", 0), ("T_hat", 0, 1), ("x_points", 1, 0),
