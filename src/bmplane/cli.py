@@ -108,7 +108,7 @@ def _cmd_verify(args) -> int:
     # the d2 bracket, inf past exp(709.78), the end of the float range
     low, high = (math.exp(2.0 * d) if d < 354.0 else math.inf
                  for d in (bracket.lower, bracket.upper))
-    mismatches = report_mismatches(gauge, stored, tol)
+    mismatches = report_mismatches(gauge, report, stored, tol)
     checks = [
         ("certificate", bracket.passed and low * (1.0 - tol) <= report.d2 <= high * (1.0 + tol)),
         ("rebuilt-report", not mismatches),
@@ -129,7 +129,7 @@ def _cmd_render(args) -> int:
     gauge = _load_gauge(args.input)
     stored = _read_json(args.report)
     report = report_from_dict(stored)
-    mismatches = report_mismatches(gauge, stored, _RENDER_TOL)
+    mismatches = report_mismatches(gauge, report, stored, _RENDER_TOL)
     if mismatches:
         raise InputError(
             f"the report is not of this body: {', '.join(mismatches)} differ from the "

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from numbers import Real
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -129,9 +129,12 @@ class _PolygonGauge(Gauge):
         last vertex below pi through pi (0) up to vertex 0 in one piece.  A
         vertex is a maximum where the slope falls from >= 0 to <= 0 across it,
         a minimum where it rises from <= 0 to >= 0, at its own angle, a kink
-        of _radius.  Where both slopes round to zero (h smooth there) it may be
-        listed as both.  An edge whose slope rises from < 0 to > 0 has its
-        minimum inside, at s = -v'Me / e'Me.  Every angle is in [0, pi).
+        of _radius.  Where its slopes round to zero (h smooth there, as at a
+        vertex in the middle of a straight side) it may be listed as both, or
+        as a maximum at the angle of an edge minimum; the certificate counts
+        such an angle once, of the kind the sign of h gives.  An edge whose slope
+        rises from < 0 to > 0 has its minimum inside, at s = -v'Me / e'Me.
+        Every angle is in [0, pi).
         """
         th = self.critical_angles()
         v, e = self._vertices[: th.size], self._edge[: th.size]
@@ -344,7 +347,8 @@ def polygon_gauge(vertices: Sequence, symmetrize: bool = False) -> Gauge:
     The polygon must be star-shaped about the origin with the origin strictly
     inside.  With ``symmetrize`` the antipodes of all vertices are appended
     (and the combined set ordered by angle); without it the vertex set must
-    already equal its antipodal image to within 1e-12.
+    already equal its antipodal image to within 1e-12, and consecutive equal
+    vertices, such as the first repeated at the end, count once.
     """
     original = np.asarray(vertices, dtype=float)
     if original.ndim != 2 or original.shape[1] != 2:
@@ -370,7 +374,10 @@ def polygon_gauge(vertices: Sequence, symmetrize: bool = False) -> Gauge:
             keep.pop()
         work = pts[keep]
     else:
-        work = original.copy()
+        # a vertex repeated next to itself (as a closed ring repeats its first at the end) is one
+        work = original[(original != np.roll(original, -1, axis=0)).any(axis=1)]
+        if work.shape[0] < 3:
+            raise NotStarShaped("need at least 3 distinct vertices")
 
     work = _validate_star(work)
     theta = np.mod(np.arctan2(work[:, 1], work[:, 0]), 2.0 * _PI)
@@ -507,18 +514,38 @@ def gauge_from_descriptor(d: dict) -> Gauge:
     return ellipse_gauge(EllipseParams(*_number_array(params, "params")))
 
 
-def evaluation_grid(gauge: Gauge, n: int) -> np.ndarray:
-    """Uniform n-point grid over [0, pi) merged with the gauge's kink angles, bit for bit.
+def _merge_kinks(base: np.ndarray, kinks: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The uniform angles base = k*pi/n (k < n) merged with kink angles in [0, pi).
 
-    A uniform angle within 1e-13 of a kink gives way to it, as does a kink
-    within 1e-13 above another.
+    Returns (new, order): the merged grid is concatenate([base, new])[order], or base itself
+    when order is None.  A kink within 1e-13 above another is dropped, and a base angle
+    within 1e-13 of a kink gives way to it.  A kink equal to a base angle is that angle,
+    bit for bit, so only the others are new; with no new kink the grid is base.  Each kink
+    is placed by its nearest base angle, k = rint(kink*n/pi), with no search: the base
+    spacing is far above 1e-13 and the rounding of k, and the two sorted parts merge by one
+    stable argsort.
+    """
+    if kinks.size == 0:
+        return kinks, None
+    crit = np.sort(kinks, kind="stable")  # stable: a linear merge on already sorted kinks
+    crit = crit[np.append(True, np.diff(crit) > 1e-13)]
+    n = base.size
+    near = np.minimum(np.rint(crit * (n / _PI)).astype(np.intp), n - 1)
+    gap = crit - base[near]
+    off = np.flatnonzero(gap)
+    if off.size == 0:
+        return crit[:0], None
+    new, near, gap = crit[off], near[off], gap[off]
+    kept = np.delete(np.arange(n), near[np.abs(gap) <= 1e-13])
+    order = np.argsort(np.concatenate([base[kept], new]), kind="stable")
+    return new, np.concatenate([kept, n + np.arange(new.size)])[order]
+
+
+def evaluation_grid(gauge: Gauge, n: int) -> np.ndarray:
+    """Uniform n-point grid k*pi/n over [0, pi) merged with the gauge's kink angles
+    (``_merge_kinks``), bit for bit: a uniform angle within 1e-13 of a kink gives way to
+    it, as does a kink within 1e-13 above another.
     """
     base = np.arange(n) * (_PI / n)
-    crit = np.sort(gauge.critical_angles())
-    if crit.size == 0:
-        return base
-    crit = crit[np.append(True, np.diff(crit) > 1e-13)]
-    ends = np.concatenate([[-math.inf], crit, [math.inf]])
-    i = np.searchsorted(crit, base)  # base lies between ends[i] and ends[i + 1]
-    far = np.minimum(base - ends[i], ends[i + 1] - base) > 1e-13
-    return np.sort(np.concatenate([base[far], crit]))
+    new, order = _merge_kinks(base, gauge.critical_angles())
+    return base if order is None else np.concatenate([base, new])[order]

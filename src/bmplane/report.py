@@ -240,19 +240,18 @@ def _differs(stored, rebuilt, tol: float, floor: float) -> bool:
     return not float(np.abs(a - b).max(initial=0.0)) <= tol * scale
 
 
-def report_mismatches(gauge: Gauge, stored: dict, tol: float) -> list[str]:
+def report_mismatches(gauge: Gauge, report: SolveReport, stored: dict, tol: float) -> list[str]:
     """The fields of a stored report that differ from its rebuild, as dotted paths.
 
+    ``report`` is ``report_from_dict(stored)``, which the caller has read once.
     The rebuild is ``build_report`` on the body from the report's uniform
     triple, defect and certificate angles; its certificate residuals are the
     ``certificate_deviations`` there minus the defect.  Every field is
     compared, as numbers, within ``tol`` relative to the largest magnitude of
     the rebuilt field (at least 1 for the scale-free fields); a field on one
     side only differs.  A rebuild that raises a BmplaneError, or an OverflowError
-    (a defect past 354.9), is one mismatch, "rebuild", with the error.  A
-    malformed report raises InputError.
+    (a defect past 354.9), is one mismatch, "rebuild", with the error.
     """
-    report = report_from_dict(stored)
     try:
         dev = certificate_deviations(gauge, report.params_uniform, report.certificate)
         cert = replace(report.certificate, residuals=tuple(v - report.defect for v in dev))

@@ -14,9 +14,14 @@ the body's scale drop out.  The LP has four unknowns, and
 (1, cos 2phi, sin 2phi) is a Haar system on [0, pi), so its dual simplex is
 Stiefel's one-point exchange on four-angle alternating references, run on
 the whole grid with one 4x4 solve and one matvec per round (``linprog``).
-Each point set's cos 2phi and sin 2phi are taken once, in one table
-(``_trig_matrix``): its rows are the LP's matrix and its columns give R of
-a triple.  ``solve_uniform`` runs that exchange in one loop: first on the
+Each point set's cos 2phi and sin 2phi are taken once, as two contiguous
+arrays that give R of any triple; the LP's table (``_trig_matrix``) is built
+from them.  The grid's uniform angles k*pi/4096 and their cos and sin are
+taken once per process (``_base_grid``) and shared, read-only; a body's
+kinks are inserted into them (``_merge_kinks``) with no full sort, and only
+a kink off every uniform angle gets a fresh cos and sin, so a body with no
+kinks, or with kinks on uniform angles only, has the shared arrays
+themselves.  ``solve_uniform`` runs that exchange in one loop: first on the
 grid, then on the extrema of the last triple's deviation, where its final
 4x4 solve is the four-point equioscillation system.  The extrema come from one scan
 (``_extrema_scan``) of the sign of h' = (f - g)' at the ends of the cells
@@ -47,14 +52,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
 
 from .ellipse import EllipseParams, in_cone
 from .errors import NoAlternance, NoConvergence
-from .gauge import Gauge, evaluation_grid
+from .gauge import Gauge, _merge_kinks, evaluation_grid
 
 __all__ = [
     "AlternanceCertificate",
@@ -133,25 +138,39 @@ def _R(params: EllipseParams, cos, sin) -> np.ndarray:
     return R
 
 
+def _cos_sin(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos 2phi and sin 2phi, as ``EllipseParams.trig`` takes them."""
+    return np.cos(2.0 * phi), np.sin(2.0 * phi)
+
+
+def _half_log(params: EllipseParams, cos, sin):
+    """1/2 log R of the triple from cos 2phi and sin 2phi."""
+    return 0.5 * np.log(_R(params, cos, sin))
+
+
 def _half_log_trig(params: EllipseParams, phi):
     """1/2 log R of the triple at phi."""
-    phi = np.asarray(phi, dtype=float)
-    return 0.5 * np.log(_R(params, np.cos(2.0 * phi), np.sin(2.0 * phi)))
+    return _half_log(params, *_cos_sin(np.asarray(phi, dtype=float)))
 
 
-def _half_log_table(params: EllipseParams, trig: np.ndarray) -> np.ndarray:
-    """1/2 log R of the triple on a ``_trig_matrix`` table."""
-    return 0.5 * np.log(_R(params, trig[:, 1], trig[:, 2]))
+def _trig_matrix(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The LP's table of a point set from its cos 2phi and sin 2phi: rows (1, cos, sin).
 
-
-def _trig_matrix(points: np.ndarray) -> np.ndarray:
-    """The trig table of a point set: rows (1, cos 2phi, sin 2phi).
-
-    R on the points is this times (a2, b2, c2) for the LP, and its columns
-    give R of a triple as ``_half_log_table`` reads them.  cos and sin are
-    taken on contiguous arrays, as ``EllipseParams.trig`` takes them.
+    R on the points is this times (a2, b2, c2).  Only the LP reads it; R of a
+    triple is taken on the contiguous cos and sin themselves (``_half_log``).
     """
-    return np.column_stack([np.ones(points.size), np.cos(2.0 * points), np.sin(2.0 * points)])
+    return np.column_stack([np.ones(cos.size), cos, sin])
+
+
+@cache
+def _base_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform grid k*pi/n (the grid of a body with no kinks) and its cos 2phi and
+    sin 2phi, taken once per process for each n and shared, read-only, by every body's grid."""
+    angles = evaluation_grid(Gauge(), n)
+    shared = (angles, *_cos_sin(angles))
+    for a in shared:
+        a.flags.writeable = False
+    return shared
 
 
 def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
@@ -248,16 +267,32 @@ class _ExtremaScan:
 
 class _Pieces:
     """A body's grid of ``_GRID_SIZE`` angles (``evaluation_grid``: h is smooth between them),
-    its trig table and f' there from the left and the right, each built on first use, once
-    per solve."""
+    its cos 2phi and sin 2phi, the ends of its cells and f' on it from the left and the
+    right, each built on first use, once per solve.
+
+    The grid is ``_base_grid`` merged with the body's kinks by ``_merge_kinks``: the base
+    angles and their cos and sin come from the shared table, and only a kink off every base
+    angle gets a fresh cos and sin.  A body whose kinks all lie on base angles, or that has
+    none, has the shared arrays themselves, which are read-only.
+    """
 
     def __init__(self, gauge: Gauge):
         self._gauge = gauge
 
     @cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        angles = evaluation_grid(self._gauge, _GRID_SIZE)
-        return angles, _trig_matrix(angles)
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The angles, cos 2phi and sin 2phi, three contiguous arrays."""
+        base = _base_grid(_GRID_SIZE)
+        new, order = _merge_kinks(base[0], self._gauge.critical_angles())
+        if order is None:
+            return base
+        return tuple(np.concatenate(pair)[order] for pair in zip(base, (new, *_cos_sin(new))))
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """The ends of the cells: the grid and its first angle plus pi."""
+        x = self.grid[0]
+        return np.append(x, x[0] + _PI)
 
     @cached_property
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -315,15 +350,15 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _Extr
     def g_slope(cos, sin):  # (1/2 log R)' = -g': h' is f' plus this
         return (params.c2 * cos - params.b2 * sin) / _R(params, cos, sin)
 
-    x, trig = pieces.grid
-    grid_slope = g_slope(trig[:, 1], trig[:, 2])
+    x, cos, sin = pieces.grid
+    grid_slope = g_slope(cos, sin)
     left, right = (f + grid_slope for f in pieces.slopes)
-    nxt = np.roll(left, -1)  # h' at each cell's right end
+    nxt = np.concatenate([left[1:], left[:1]])  # h' at each cell's right end
     is_max, is_min = (left >= 0.0) & (right <= 0.0), (left <= 0.0) & (right >= 0.0)
     keep = is_max | is_min
     cells = np.nonzero(np.sign(right) * np.sign(nxt) < 0.0)[0]
-    ends = np.append(x, x[0] + _PI)
-    inner = _illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(np.cos(2.0 * p), np.sin(2.0 * p)),
+    ends = pieces.ends
+    inner = _illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(*_cos_sin(p)),
                       ends[cells], ends[cells + 1], right[cells], nxt[cells])
     angles = np.concatenate([x[keep], np.mod(inner, _PI)])
     kind = np.concatenate([is_max[keep] * 1 - is_min[keep], np.sign(right[cells])])  # 0: both
@@ -365,9 +400,14 @@ def _certificate_from_scan(scan: _ExtremaScan, tol: float) -> AlternanceCertific
     when there are no such four extrema (as when the scan has fewer than two
     maxima or two minima) or the angles do not interleave.
     """
-    points, first = _distinct(np.concatenate([scan.max_angles, scan.min_angles]))
-    hvals = np.concatenate([scan.max_values, scan.min_values])[first]
-    kind = np.where(first < scan.max_angles.size, 1, -1)
+    angles = np.concatenate([scan.max_angles, scan.min_angles])
+    points, first = _distinct(angles)  # each angle's first listing, a maximum if it is one
+    last = angles.size - 1 - _distinct(angles[::-1])[1]  # and its last, a minimum if one
+    hvals = np.concatenate([scan.max_values, scan.min_values])
+    # an angle listed as a maximum and as a minimum (a polygon vertex where h is smooth, to
+    # rounding) is one extremum, whose kind the sign of h there decides
+    first = np.where(hvals[first] < 0.0, last, first)
+    hvals, kind = hvals[first], np.where(first < scan.max_angles.size, 1, -1)
     ref = _alternation(kind * hvals, kind, scan.sup - tol)
     if ref is None:
         raise NoAlternance(
@@ -450,7 +490,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     scan missed extrema) or no certificate exists within ``_CERT_TOL``.
     """
     pieces = _Pieces(gauge)
-    points, trig = pieces.grid
+    points, cos, sin = pieces.grid
     f = gauge.log_eval(points)
     floor = _H_ROUNDING * float(np.abs(f).max())  # the rounding of sup - level
 
@@ -458,8 +498,8 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     top = -math.inf
     for _ in range(31):
         try:
-            params = _minimax_lp(trig, f)
-            level = float(np.abs(f + _half_log_table(params, trig)).max())
+            params = _minimax_lp(_trig_matrix(cos, sin), f)
+            level = float(np.abs(f + _half_log(params, cos, sin)).max())
             scan = _extrema_scan(gauge, params, pieces)
         except NoConvergence:
             if best is None:
@@ -473,7 +513,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
         points = _distinct(np.concatenate([scan.max_angles, scan.min_angles]))[0]
         if points.size < 4:
             break
-        f, trig = gauge.log_eval(points), _trig_matrix(points)
+        f, (cos, sin) = gauge.log_eval(points), _cos_sin(points)
 
     params, scan = best
     if top > scan.sup + _CERT_TOL:

@@ -405,6 +405,55 @@ class TestRenderCommand:
         assert not (tmp_path / "x.svg").exists()
 
 
+class TestReportIsReadOnce:
+    """``bmplane verify`` and ``render`` read and check the stored report once, and the
+    rebuild compares against that reading."""
+
+    @staticmethod
+    def _count_reads(monkeypatch) -> list:
+        import bmplane.cli as cli_mod
+        import bmplane.report as report_mod
+
+        calls, read = [], report_mod.report_from_dict
+
+        def counted(d):
+            calls.append(d)
+            return read(d)
+
+        monkeypatch.setattr(report_mod, "report_from_dict", counted)
+        monkeypatch.setattr(cli_mod, "report_from_dict", counted)
+        return calls
+
+    def test_verify(self, square_body, square_solved, tmp_path, capsys, monkeypatch):
+        calls = self._count_reads(monkeypatch)
+        rescaled = json.loads(square_solved.read_text())
+        rescaled["T_hat"] = [[v / 1.1 for v in row] for row in rescaled["T_hat"]]
+        (tmp_path / "rescaled.json").write_text(json.dumps(rescaled))
+        capsys.readouterr()
+        for report, code, last in ((square_solved, 0, ["rebuilt-report: pass", "verdict: pass"]),
+                                   (tmp_path / "rescaled.json", 1,
+                                    ["rebuilt-report: FAIL", "fields unlike the rebuilt report: "
+                                     "T_hat", "verdict: FAIL"])):
+            calls.clear()
+            assert main(["verify", "--input", str(square_body), "--report", str(report)]) == code
+            assert len(calls) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert out[0].startswith("d2 bracket: [") and out[-len(last):] == last, out
+
+    def test_render(self, square_body, square_solved, tmp_path, monkeypatch):
+        calls = self._count_reads(monkeypatch)
+        svg = tmp_path / "square.svg"
+        assert main(["render", "--input", str(square_body), "--report", str(square_solved),
+                     "--out", str(svg)]) == 0
+        assert len(calls) == 1 and "<svg" in svg.read_text()
+        calls.clear()
+        ellipse = tmp_path / "ellipse.json"
+        ellipse.write_text(jsonio.dumps({"kind": "ellipse", "params": [1.0, 0.2, 0.1]}))
+        assert main(["render", "--input", str(ellipse), "--report", str(square_solved),
+                     "--out", str(tmp_path / "ellipse.svg")]) == 2
+        assert len(calls) == 1 and not (tmp_path / "ellipse.svg").exists()
+
+
 def _consistent_report(gauge, params, defect: float, angles) -> dict:
     """The report of a claimed solve, as ``build_report`` makes it: residuals and all, it is
     its own rebuild, so only the certificate check can tell that the claim is wrong."""

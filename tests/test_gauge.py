@@ -122,6 +122,20 @@ class TestPolygon:
     def test_too_few_vertices(self):
         with pytest.raises(NotStarShaped):
             polygon_gauge([(1, 0), (-1, 0)])
+        with pytest.raises(NotStarShaped, match="3 distinct vertices"):
+            polygon_gauge([(1, 0), (1, 0), (-1, 0), (-1, 0)])
+
+    def test_repeated_vertices_count_once(self):
+        # a closed ring repeats its first vertex at the end; the descriptor keeps the input
+        square = bodies.square_vertices()
+        ref = polygon_gauge(square)
+        phis = np.linspace(0.0, 2.0 * math.pi, 101)
+        for verts in (np.vstack([square, square[:1]]), np.vstack([square[:2], square[1:]]),
+                      np.repeat(square, 3, axis=0)):
+            g = polygon_gauge(verts)
+            assert g.critical_angles().tobytes() == ref.critical_angles().tobytes()
+            assert g.eval(phis).tobytes() == ref.eval(phis).tobytes()
+            assert g.descriptor()["vertices"] == verts.tolist()
 
 
 class TestLp:

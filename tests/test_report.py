@@ -274,20 +274,24 @@ class TestSerialization:
             with pytest.raises(InputError, match="JSON numbers"):
                 report_from_dict(bad)
 
-    def test_missing_t_tilde_is_malformed(self, square_report, square_gauge):
+    def test_missing_t_tilde_is_malformed(self, square_report, square_gauge, tmp_path, capsys):
         bad = report_to_dict(square_report)
         del bad["T_tilde"]
         with pytest.raises(InputError, match="T_tilde"):
             report_from_dict(bad)
-        with pytest.raises(InputError, match="T_tilde"):
-            report_mismatches(square_gauge, bad, 1e-6)
+        body, report = tmp_path / "square.json", tmp_path / "square.report.json"
+        body.write_text(jsonio.dumps(square_gauge.descriptor()))
+        report.write_text(jsonio.dumps(bad))
+        for command in (["verify"], ["render", "--out", str(tmp_path / "square.svg")]):
+            assert main(command + ["--input", str(body), "--report", str(report)]) == 2
+            assert "T_tilde" in capsys.readouterr().err
 
 
 class TestReportMismatches:
     def test_corpus_rebuilds_to_rounding(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
             stored = jsonio.loads(jsonio.dumps(report_to_dict(build_report(g, sol))))
-            assert report_mismatches(g, stored, 1e-12) == [], name
+            assert report_mismatches(g, report_from_dict(stored), stored, 1e-12) == [], name
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     def test_rescaled_points_differ_at_any_scale(self, scale):
@@ -297,13 +301,14 @@ class TestReportMismatches:
         stored["T_hat"] = (np.array(stored["T_hat"]) / 1.1).tolist()
         for key in ("x_points", "y_points"):
             stored[key] = (1.1 * np.array(stored[key])).tolist()
-        assert report_mismatches(g, stored, 1e-6) == ["T_hat", "x_points", "y_points"]
+        assert report_mismatches(g, report_from_dict(stored), stored, 1e-6) == [
+            "T_hat", "x_points", "y_points"]
 
     def test_fields_on_one_side_only_differ(self, square_report, square_gauge):
         stored = report_to_dict(square_report)
         stored["certificate"]["one_sided_angle"] = stored["certificate"]["phi"][0]
         stored["one_sided_value"] = 2 * stored["defect"]
-        assert report_mismatches(square_gauge, stored, 1e-6) == [
+        assert report_mismatches(square_gauge, report_from_dict(stored), stored, 1e-6) == [
             "certificate.one_sided_angle", "one_sided_value"]
 
     def test_failed_rebuild_is_a_mismatch(self, square_report, square_gauge, tmp_path):
@@ -319,7 +324,7 @@ class TestReportMismatches:
                 turned["certificate"][key][i] += 2.0 * math.pi
                 reports[f"{key}{i + 1} + 2pi"] = turned
         for name, stored in reports.items():
-            [mismatch] = report_mismatches(square_gauge, stored, 1e-6)
+            [mismatch] = report_mismatches(square_gauge, report_from_dict(stored), stored, 1e-6)
             assert mismatch.startswith("rebuild (ConeViolation: "), name
         body, report = tmp_path / "square.json", tmp_path / "square.report.json"
         body.write_text(jsonio.dumps(square_gauge.descriptor()))
@@ -352,7 +357,8 @@ class TestReportMismatches:
                 stored["diagnostics"]["solver"] = {"lp_calls": 5, "polish_iterations": 0}
                 one_sided += ["diagnostics.solver.lp_calls",
                               "diagnostics.solver.polish_iterations"]
-            assert report_mismatches(square_gauge, stored, 1e-6) == one_sided
+            parsed = report_from_dict(stored)
+            assert report_mismatches(square_gauge, parsed, stored, 1e-6) == one_sided
             report = tmp_path / f"square-{solver}.report.json"
             report.write_text(jsonio.dumps(stored))
             capsys.readouterr()

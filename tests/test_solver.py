@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 import warnings
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -10,6 +13,7 @@ from bmplane import jsonio
 from bmplane.ellipse import EllipseParams, in_cone
 from bmplane.errors import BmplaneError, NoAlternance, NoConvergence
 from bmplane.gauge import (
+    Gauge,
     circle_gauge,
     ellipse_gauge,
     evaluation_grid,
@@ -20,6 +24,7 @@ from bmplane.gauge import (
 from bmplane.report import (
     build_report,
     render_svg,
+    report_from_dict,
     report_mismatches,
     report_to_dict,
     verify_theorem1,
@@ -32,13 +37,15 @@ from bmplane.solver import (
     linprog,
     solve_uniform,
     _alternation,
+    _base_grid,
     _CERT_TOL,
     _certificate_from_scan,
     _distinct,
     _ExtremaScan,
     _extrema_scan,
     _GRID_SIZE,
-    _half_log_table,
+    _cos_sin,
+    _half_log,
     _half_log_trig,
     _minimax_lp,
     _PI,
@@ -103,7 +110,7 @@ def _full_grid_minimax_lp(grid: np.ndarray, fvals: np.ndarray):
     """Uniform best triple on the grid from one HiGHS LP over every angle; returns (params, x)."""
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
-    trig = _trig_matrix(grid)
+    trig = _trig_matrix(*_cos_sin(grid))
     rows = np.block([[-trig, np.zeros((grid.size, 1))], [trig, -w[:, None]]])
     b = np.concatenate([-w, np.zeros(grid.size)])
     res = _highs([0.0, 0.0, 0.0, 1.0], rows, b)
@@ -131,7 +138,7 @@ def feasible_at(gauge, d: float, grid) -> Optional[EllipseParams]:
         grid = evaluation_grid(gauge, int(grid))
     grid = np.asarray(grid, dtype=float)
     fvals = gauge.log_eval(grid)
-    trig = _trig_matrix(grid)
+    trig = _trig_matrix(*_cos_sin(grid))
     one = np.ones((grid.size, 1))
     rows = np.block([[-trig, one], [trig, one]])  # R - m >= lo and R + m <= hi
     b = np.concatenate([-np.exp(-2.0 * d - 2.0 * fvals), np.exp(2.0 * d - 2.0 * fvals)])
@@ -213,7 +220,7 @@ class TestExchangeLP:
         for name, g in _active_set_bodies(corpus).items():
             grid = evaluation_grid(g, 4096)
             fvals = g.log_eval(grid)
-            trig = _trig_matrix(grid)
+            trig = _trig_matrix(*_cos_sin(grid))
             w = np.exp(-2.0 * (fvals - 0.5 * float(fvals.max() + fvals.min())))
 
             def violation(x):
@@ -311,7 +318,7 @@ class TestExchangeLP:
         # the least w: its level t = (w1 + w3)/(w0 + w2) is below 1, and no exchange can move.
         # R/w then lies in [t, 1], so the flipped reference is optimal at level 1/t
         grid = np.arange(4) * (0.25 * math.pi)
-        trig, w = _trig_matrix(grid), np.array([0.5, 1.0, 10.0, 1.0])
+        trig, w = _trig_matrix(*_cos_sin(grid)), np.array([0.5, 1.0, 10.0, 1.0])
         x, rounds = linprog(trig, w)
         assert rounds == 1
         assert x[3] == pytest.approx(2.0 / 10.5, rel=1e-14)
@@ -389,7 +396,7 @@ def _lp_triple(g):
     """(grid, f on it, the grid minimax triple)."""
     grid = evaluation_grid(g, 4096)
     fvals = g.log_eval(grid)
-    params = _minimax_lp(_trig_matrix(grid), fvals)
+    params = _minimax_lp(_trig_matrix(*_cos_sin(grid)), fvals)
     return grid, fvals, params
 
 
@@ -492,15 +499,15 @@ class TestRefinement:
 
 class TestOneEvaluationPerAngle:
     def test_trig_table_gives_params_trig_bits(self, solved_corpus):
-        # R read off the (1, cos 2phi, sin 2phi) table is the bits of EllipseParams.trig's R
+        # R from the grid's shared cos 2phi and sin 2phi is the bits of EllipseParams.trig's R
         rng = np.random.default_rng(16)
         triples = [sol.params for _, sol in solved_corpus.values()]
         triples += [bodies.random_incone_params(rng) for _ in range(5)]
         for g, _ in solved_corpus.values():
             grid = evaluation_grid(g, 4096)
-            trig = _trig_matrix(grid)
+            _, cos, sin = _Pieces(g).grid
             for p in triples:
-                assert _half_log_table(p, trig).tobytes() == _half_log_trig(p, grid).tobytes()
+                assert _half_log(p, cos, sin).tobytes() == _half_log_trig(p, grid).tobytes()
 
     def test_certificate_is_read_off_the_scan(self, corpus):
         # four consecutive alternating extrema of the returned triple's scan, each within
@@ -565,6 +572,94 @@ class TestOneEvaluationPerAngle:
         sol = solve_uniform(g)
         assert len(rounds) == len(scans)
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+
+
+def _evaluation_grid_by_search(kinks: np.ndarray, n: int) -> np.ndarray:
+    """The merge rule as a search: every base angle's nearest kinks found by searchsorted,
+    and the merged grid by a full sort."""
+    base = np.arange(n) * (math.pi / n)
+    crit = np.sort(kinks)
+    if crit.size == 0:
+        return base
+    crit = crit[np.append(True, np.diff(crit) > 1e-13)]
+    ends = np.concatenate([[-math.inf], crit, [math.inf]])
+    i = np.searchsorted(crit, base)  # base lies between ends[i] and ends[i + 1]
+    far = np.minimum(base - ends[i], ends[i + 1] - base) > 1e-13
+    return np.sort(np.concatenate([base[far], crit]))
+
+
+class _Kinks(Gauge):
+    def __init__(self, kinks):
+        self._kinks = np.asarray(kinks, dtype=float)
+
+    def critical_angles(self) -> np.ndarray:
+        return self._kinks
+
+
+def _bench_bodies(seed: int) -> list:
+    """Every body of the benchmark's workloads at this seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "bodies.py"
+    spec = importlib.util.spec_from_file_location("bench_bodies", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # its dataclass looks itself up in sys.modules
+    return [b for make in (module.corpus_bodies, module.large_bodies, module.oracle_bodies,
+                           module.cli_bodies) for b in make(seed)]
+
+
+class TestGrid:
+    """A body's grid is the shared uniform grid merged with its kinks: bit for bit the angles
+    of ``evaluation_grid`` and their np.cos and np.sin of 2phi, in three contiguous arrays."""
+
+    @staticmethod
+    def _assert_grid(g):
+        angles, cos, sin = _Pieces(g).grid
+        ref = evaluation_grid(g, _GRID_SIZE)
+        by_search = _evaluation_grid_by_search(g.critical_angles(), _GRID_SIZE)
+        assert ref.tobytes() == by_search.tobytes()
+        assert angles.tobytes() == ref.tobytes()
+        assert cos.tobytes() == np.cos(2.0 * ref).tobytes()
+        assert sin.tobytes() == np.sin(2.0 * ref).tobytes()
+        assert all(a.flags.c_contiguous for a in (angles, cos, sin))
+
+    @pytest.mark.parametrize("seed", [1, 7, 901])
+    def test_bench_bodies(self, seed):
+        for b in _bench_bodies(seed):
+            self._assert_grid(b.gauge)
+
+    def test_synthetic_kink_sets(self):
+        n = _GRID_SIZE
+        base = np.arange(n) * (math.pi / n)
+        rng = np.random.default_rng(33)
+        # 1e-13 is exactly the distance of 1e-13 from the base angle 0 and from the kink 0
+        sets = [[0.0], [1e-13], [0.0, 1e-13], [math.pi - 5e-14],
+                np.arange(8192) * (math.pi / 8192), np.sort(rng.uniform(0.0, math.pi, 8192))]
+        for _ in range(60):
+            on = base[rng.integers(0, n, int(rng.integers(1, 40)))]
+            near = on + rng.uniform(-2e-13, 2e-13, on.size)
+            sets += [
+                on,  # on base angles: the base itself
+                near,  # within +-2e-13 of one: some give way
+                np.concatenate([on, on + rng.uniform(0.0, 1e-13, on.size)]),  # duplicates
+                np.concatenate([near, near - rng.uniform(0.0, 1e-13, near.size), [0.0]]),
+                np.concatenate([on + 1e-13, on - 1e-13, np.nextafter(on + 1e-13, 4.0),
+                                np.nextafter(on - 1e-13, -1.0)]),  # at the 1e-13 edge
+                rng.permutation(np.concatenate([near, rng.uniform(0.0, math.pi, 20)])),
+            ]
+        for kinks in sets:
+            kinks = np.asarray(kinks, dtype=float)
+            self._assert_grid(_Kinks(kinks[(kinks >= 0.0) & (kinks < math.pi)]))
+
+    def test_kinks_on_base_angles_share_the_base(self):
+        # no kinks, or kinks that are base angles bit for bit: the shared read-only arrays
+        n = _GRID_SIZE
+        shared = _base_grid(n)
+        nodes = np.arange(128) * math.pi / 128
+        for g in (lp_gauge(3.0), lp_gauge(1.0), lp_gauge(math.inf),
+                  sample_gauge(1.0 + 0.1 * np.cos(nodes)), _Kinks(np.arange(n) * (math.pi / n))):
+            assert _Pieces(g).grid is shared
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
 
 class TestFeasibleAt:
@@ -676,7 +771,7 @@ class TestSolveUniform:
             report = build_report(scaled, scaled_sol)
             assert verify_theorem1(report).passed, name
             stored = jsonio.loads(jsonio.dumps(report_to_dict(report)))
-            assert report_mismatches(scaled, stored, 1e-12) == [], name
+            assert report_mismatches(scaled, report_from_dict(stored), stored, 1e-12) == [], name
             for view in ("body", "image"):
                 assert render_svg(report, scaled, view).startswith("<?xml"), name
             if name == "square-polygon":
@@ -991,6 +1086,16 @@ class TestCertificate:
         with pytest.raises(NoAlternance, match="the scan found 3 maxima and 2 minima, and no four"):
             _certificate_from_scan(scan, 1e-8)
 
+    def test_angle_listed_twice_takes_the_kind_of_h(self):
+        # 1.0 is listed as a maximum and as a minimum, as a polygon lists a vertex where h is
+        # smooth: it counts once, a minimum where h < 0 and a maximum where h > 0
+        scan = _ExtremaScan(np.array([0.2, 1.0, 1.8]), np.array([0.1, -0.1, 0.1]),
+                            np.array([1.0, 2.6]), np.array([-0.1, -0.1]), 0.1)
+        assert _certificate_from_scan(scan, 1e-8).angles() == (0.2, 1.0, 1.8, 2.6)
+        scan = _ExtremaScan(np.array([0.2, 1.8]), np.array([0.1, 0.1]),
+                            np.array([1.0, 1.8, 2.6]), np.array([-0.1, 0.1, -0.1]), 0.1)
+        assert _certificate_from_scan(scan, 1e-8).angles() == (0.2, 1.0, 1.8, 2.6)
+
     def test_corpus_passes_verification(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
             verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
@@ -1032,6 +1137,48 @@ class TestCertificate:
             assert min(certificate_deviations(g, sol.params, sol.certificate)) > 0.0, i
             assert max(map(abs, sol.certificate.residuals)) <= tol, i
             assert verify_certificate(g, sol.params, sol.certificate, tol).passed, i
+
+
+def _with_collinear_vertices(p: np.ndarray) -> np.ndarray:
+    """Each edge p -> q as p, p + 0.3*(q - p) and (p + q)/2: the same polygon."""
+    q = np.roll(p, -1, axis=0)
+    return np.stack([p, p + 0.3 * (q - p), 0.5 * (p + q)], axis=1).reshape(-1, 2)
+
+
+class TestSmoothVertex:
+    """A polygon vertex where h is smooth, inside a straight side, is one extremum."""
+
+    def test_rotated_midpoint_square(self):
+        # each edge midpoint of the square is a vertex; turned by 0.3 rad, the slopes at the
+        # midpoints round to (0, -2.8e-17), which lists each as a maximum at the angle of the
+        # minimum just inside the next edge
+        square = np.array([[1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1], [1, 0]],
+                          dtype=float)
+        c, s = math.cos(0.3), math.sin(0.3)
+        g = polygon_gauge(square @ np.array([[c, s], [-s, c]]))
+        sol = solve_uniform(g)
+        assert math.exp(2.0 * sol.defect) == pytest.approx(math.sqrt(2.0), rel=0.0, abs=1e-12)
+        assert verify_certificate(g, sol.params, sol.certificate, _CERT_TOL).passed
+
+    @pytest.mark.parametrize("turn", [0.0, 0.3, 1.1])
+    def test_collinear_vertices_keep_the_polygons_answer(self, turn):
+        # at turn 0 the draw at index 26 used to end in NoAlternance: its optimum's minimum on
+        # one edge lies at the midpoint, where both slopes are exactly 0
+        rng = np.random.default_rng(5)
+        c, s = math.cos(turn), math.sin(turn)
+        for i in range(50):
+            p = bodies.random_convex_polygon(rng) @ np.array([[c, s], [-s, c]])
+            d2 = math.exp(2.0 * solve_uniform(polygon_gauge(p)).defect)
+            g = polygon_gauge(_with_collinear_vertices(p))
+            sol = solve_uniform(g)
+            assert math.exp(2.0 * sol.defect) == pytest.approx(d2, rel=1e-12, abs=0.0), i
+            assert verify_certificate(g, sol.params, sol.certificate, _CERT_TOL).passed, i
+
+    def test_closed_ring_square(self):
+        square = bodies.square_vertices()
+        for ring in (np.vstack([square, square[:1]]), np.repeat(square, 2, axis=0)):
+            sol = solve_uniform(polygon_gauge(ring))
+            assert math.exp(2.0 * sol.defect) == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0.0)
 
 
 class TestOneSided:
