@@ -69,29 +69,23 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import OracleGrid, oracle_uniform  # only this command runs the oracle
+    from .oracle import oracle_uniform  # only this command runs the oracle
 
     gauge = _load_gauge(args.input)
     try:
-        grid = OracleGrid(
-            n_a=args.na,
-            n_b=args.nb,
-            n_theta=args.ntheta,
-            n_phi=args.nphi,
-            stages=args.stages,
-        )
+        result = oracle_uniform(gauge, n_phi=args.nphi)
     except EmptyGrid as exc:
         raise InputError(str(exc)) from exc
-    result = oracle_uniform(gauge, grid)
     payload = {
         "std": {"a": result.std.a, "bprime": result.std.bprime, "theta": result.std.theta},
         "params": list(result.params.triple()),
         "value": result.value,
+        "lower": result.lower,
         "d2": math.exp(2.0 * result.value),
         "evaluations": result.evaluations,
     }
     _write_text(args.out, jsonio.dumps(payload))
-    print(f"oracle value = {result.value:.12g}  -> {args.out}")
+    print(f"oracle value = {result.value:.12g}  lower = {result.lower:.12g}  -> {args.out}")
     return _EXIT_OK
 
 
@@ -156,14 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--svg", help="also render an SVG to this path")
     solve.add_argument("--view", choices=["body", "image"], default="body")
 
-    oracle = sub.add_parser("oracle", help="brute-force search over the ellipse grid")
+    oracle = sub.add_parser("oracle", help="branch and bound for the defect, with a lower bound")
     oracle.add_argument("--input", required=True)
     oracle.add_argument("--out", required=True)
-    oracle.add_argument("--na", type=int, default=128)
-    oracle.add_argument("--nb", type=int, default=128)
-    oracle.add_argument("--ntheta", type=int, default=128)
-    oracle.add_argument("--nphi", type=int, default=1024)
-    oracle.add_argument("--stages", type=int, default=4)
+    oracle.add_argument("--nphi", type=int, default=1024, help="angle grid size")
 
     verify = sub.add_parser("verify", help="re-check a report against its body")
     verify.add_argument("--input", required=True, help="body descriptor JSON")

@@ -95,11 +95,9 @@ class EllipseParams:
     def to_std(self) -> "StdEllipseParams":
         """Standard form (a, b', theta) with rho^-2 = a + b'*cos(2*(phi-theta))."""
         bprime = math.hypot(self.b2, self.c2)
-        if bprime == 0.0:
-            theta = 0.0
-        else:
-            theta = 0.5 * math.atan2(self.c2, self.b2) % math.pi
-        return StdEllipseParams(self.a2, bprime, theta)
+        theta = 0.5 * math.atan2(self.c2, self.b2) % math.pi if bprime else 0.0
+        # an angle just below 0 reduces to pi by rounding: that is theta 0
+        return StdEllipseParams(self.a2, bprime, 0.0 if theta == math.pi else theta)
 
 
 @dataclass(frozen=True)

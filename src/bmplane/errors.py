@@ -68,7 +68,7 @@ class ConeViolation(BmplaneError):
 # -- oracle ------------------------------------------------------------------
 
 class EmptyGrid(BmplaneError):
-    """Oracle grid settings out of range: a resolution below 8 or stages below 1."""
+    """Oracle angle grid out of range: n_phi below 8."""
 
 
 # -- cli / io ----------------------------------------------------------------

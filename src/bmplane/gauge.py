@@ -347,8 +347,9 @@ def polygon_gauge(vertices: Sequence, symmetrize: bool = False) -> Gauge:
     The polygon must be star-shaped about the origin with the origin strictly
     inside.  With ``symmetrize`` the antipodes of all vertices are appended
     (and the combined set ordered by angle); without it the vertex set must
-    already equal its antipodal image to within 1e-12, and consecutive equal
-    vertices, such as the first repeated at the end, count once.
+    already equal its antipodal image to within 1e-12.  On both paths a vertex within
+    1e-9 times the largest vertex radius of the next one in the cycle, such as the
+    first repeated at the end, counts once.
     """
     original = np.asarray(vertices, dtype=float)
     if original.ndim != 2 or original.shape[1] != 2:
@@ -362,22 +363,15 @@ def polygon_gauge(vertices: Sequence, symmetrize: bool = False) -> Gauge:
     if scale == 0.0:
         raise OriginOutside("all vertices at the origin")
 
+    pts = original
     if symmetrize:
         pts = np.vstack([original, -original])
-        order = np.argsort(np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * _PI), kind="stable")
-        pts = pts[order]
-        keep = [0]
-        for i in range(1, pts.shape[0]):
-            if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-9 * scale:
-                keep.append(i)
-        if np.hypot(*(pts[keep[-1]] - pts[keep[0]])) <= 1e-9 * scale:
-            keep.pop()
-        work = pts[keep]
-    else:
-        # a vertex repeated next to itself (as a closed ring repeats its first at the end) is one
-        work = original[(original != np.roll(original, -1, axis=0)).any(axis=1)]
-        if work.shape[0] < 3:
-            raise NotStarShaped("need at least 3 distinct vertices")
+        pts = pts[np.argsort(np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * _PI), kind="stable")]
+    # a vertex within 1e-9*scale of the next in the cycle (as a closed ring repeats its first
+    # at the end, to rounding) counts once
+    work = pts[np.hypot(*(pts - np.roll(pts, -1, axis=0)).T) > 1e-9 * scale]
+    if work.shape[0] < 3:
+        raise NotStarShaped("need at least 3 distinct vertices")
 
     work = _validate_star(work)
     theta = np.mod(np.arctan2(work[:, 1], work[:, 0]), 2.0 * _PI)

@@ -26,7 +26,7 @@ from bmplane.gauge import (
     lp_gauge,
     polygon_gauge,
 )
-from bmplane.oracle import OracleGrid, oracle_uniform
+from bmplane.oracle import oracle_uniform
 from bmplane.report import build_report, verify_theorem1
 from bmplane.solver import (
     _extrema_scan,
@@ -97,7 +97,7 @@ def test_criterion_03_square_and_diamond():
     }
     details = []
     for name, (gauge, expected_angles) in cases.items():
-        # reproduce the frozen value with the independent grid-search oracle first
+        # reproduce the frozen value with the independent branch-and-bound oracle first
         oracle = oracle_uniform(gauge)
         assert abs(oracle.value - 0.25 * math.log(2.0)) <= 2e-3
         t0 = time.perf_counter()
@@ -122,7 +122,7 @@ def test_criterion_04_hexagon():
     gauge = polygon_gauge(bodies.hexagon_inradius_1())
     expected = 2.0 / math.sqrt(3.0)
     t0 = time.perf_counter()
-    oracle = oracle_uniform(gauge, OracleGrid(n_a=200, n_b=200, n_theta=64, n_phi=2048))
+    oracle = oracle_uniform(gauge, n_phi=2048)
     oracle_elapsed = time.perf_counter() - t0
     assert oracle_elapsed < 120.0
     assert abs(oracle.value - 0.5 * math.log(expected)) <= 2e-3
@@ -156,6 +156,7 @@ def test_criterion_06_oracle_agreement():
         gap = abs(sol.defect - oracle.value)
         worst = max(worst, gap)
         assert gap <= 1e-4, (sol.defect, oracle.value)
+        assert oracle.lower <= sol.defect + 1e-12, (sol.defect, oracle.lower)
     return f"worst |defect - oracle| = {worst:.2e}"
 
 

@@ -323,13 +323,13 @@ class TestTolerances:
 class TestOracleCommand:
     def test_square(self, square_body, tmp_path):
         out = tmp_path / "oracle.json"
-        assert main(["oracle", "--input", str(square_body), "--out", str(out),
-                     "--na", "64", "--nb", "64", "--ntheta", "32", "--nphi", "512"]) == 0
+        assert main(["oracle", "--input", str(square_body), "--out", str(out), "--nphi", "512"]) == 0
         res = json.loads(out.read_text())
         assert res["value"] == pytest.approx(0.25 * math.log(2.0), abs=2e-3)
         assert res["d2"] == pytest.approx(math.sqrt(2.0), abs=5e-3)
+        assert res["lower"] <= res["value"] <= res["lower"] + 1e-6
 
-    @pytest.mark.parametrize("flags", [["--na", "4"], ["--stages", "0"]])
+    @pytest.mark.parametrize("flags", [["--nphi", "4"], ["--nphi", "-1"]])
     def test_invalid_grid_is_input_error(self, square_body, tmp_path, flags):
         out = tmp_path / "o.json"
         assert main(["oracle", "--input", str(square_body), "--out", str(out), *flags]) == 2
@@ -339,18 +339,18 @@ class TestOracleCommand:
         body = tmp_path / "circle.json"
         body.write_text(jsonio.dumps({"kind": "ellipse", "params": [1.0, 0.0, 0.0]}))
         out = tmp_path / "o.json"
-        assert main(["oracle", "--input", str(body), "--out", str(out),
-                     "--na", "8", "--nb", "8", "--ntheta", "8", "--nphi", "64", "--stages", "1"]) == 0
-        assert set(json.loads(out.read_text())) == {"std", "params", "value", "d2", "evaluations"}
+        assert main(["oracle", "--input", str(body), "--out", str(out), "--nphi", "64"]) == 0
+        assert set(json.loads(out.read_text())) == {"std", "params", "value", "lower", "d2",
+                                                    "evaluations"}
 
-    def test_tiny_negative_theta_is_zero(self, tmp_path):
-        # the last stage's best theta is -8.7e-19: reduced mod pi it is 0, not pi
-        body = tmp_path / "ellipse.json"
-        body.write_text(jsonio.dumps({"kind": "ellipse", "params": [1.0, 0.2, 0.0]}))
+    @pytest.mark.parametrize("flag", ["--na", "--nb", "--ntheta", "--stages"])
+    def test_grid_options_are_gone(self, square_body, tmp_path, flag):
+        # the branch and bound has no (a, u, theta) grid and no stages
         out = tmp_path / "o.json"
-        assert main(["oracle", "--input", str(body), "--out", str(out), "--na", "16", "--nb", "8",
-                     "--ntheta", "27", "--nphi", "64", "--stages", "4"]) == 0
-        assert json.loads(out.read_text())["std"]["theta"] == 0.0
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--input", str(square_body), "--out", str(out), flag, "16"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_value_margin_is_not_an_option(self, square_body, tmp_path):
         out = tmp_path / "o.json"

@@ -51,6 +51,13 @@ class TestParams:
         with pytest.raises(NotInCone):
             StdEllipseParams(1.0, 0.5, -0.1)
 
+    @pytest.mark.parametrize("c2", [-1e-17, -1e-300, -5e-324])
+    def test_tiny_negative_theta_is_zero(self, c2):
+        # 0.5*atan2(c2, b2) is just below 0, and reduced mod pi it rounds to pi: that is theta 0
+        std = EllipseParams(1.0, 0.2, c2).to_std()
+        assert std.theta == 0.0 and math.copysign(1.0, std.theta) == 1.0
+        assert std.bprime == 0.2
+
 
 class TestMatrixLayer:
     def test_pd_sqrt_examples(self):

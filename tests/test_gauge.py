@@ -25,6 +25,7 @@ from bmplane.gauge import (
     polygon_gauge,
     sample_gauge,
 )
+from bmplane.solver import distance
 
 import bodies
 
@@ -136,6 +137,15 @@ class TestPolygon:
             assert g.critical_angles().tobytes() == ref.critical_angles().tobytes()
             assert g.eval(phis).tobytes() == ref.eval(phis).tobytes()
             assert g.descriptor()["vertices"] == verts.tolist()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-16, 1e-13, 1e-10])
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_near_repeated_vertex_counts_once(self, offset, symmetrize):
+        # a closed ring whose last vertex is the first moved by up to 1e-9 of the radius
+        square = bodies.square_vertices()
+        ring = np.vstack([square, square[:1] + offset])
+        assert distance(polygon_gauge(ring, symmetrize=symmetrize)) == pytest.approx(
+            math.sqrt(2.0), abs=1e-12)
 
 
 class TestLp:
