@@ -343,6 +343,19 @@ class TestOracleCommand:
         assert set(json.loads(out.read_text())) == {"std", "params", "value", "lower", "d2",
                                                     "evaluations"}
 
+    def test_tiny_negative_theta_is_zero(self, tmp_path, monkeypatch):
+        # a best point with c2 just below 0: its theta reduced mod pi is 0, not pi
+        import bmplane.oracle as oracle_mod
+
+        best = oracle_mod.OracleResult(EllipseParams(1.0, 0.2, -1e-17), 0.0, 0.0, 0)
+        monkeypatch.setattr(oracle_mod, "oracle_uniform", lambda gauge, n_phi: best)
+        body = tmp_path / "ellipse.json"
+        body.write_text(jsonio.dumps({"kind": "ellipse", "params": [1.0, 0.2, 0.0]}))
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--input", str(body), "--out", str(out), "--nphi", "64"]) == 0
+        theta = json.loads(out.read_text())["std"]["theta"]
+        assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
+
     @pytest.mark.parametrize("flag", ["--na", "--nb", "--ntheta", "--stages"])
     def test_grid_options_are_gone(self, square_body, tmp_path, flag):
         # the branch and bound has no (a, u, theta) grid and no stages

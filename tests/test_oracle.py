@@ -12,7 +12,7 @@ from bmplane.errors import EmptyGrid
 from bmplane.gauge import (
     circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge, sample_gauge,
 )
-from bmplane.oracle import oracle_uniform
+from bmplane.oracle import OracleResult, oracle_uniform
 
 import bodies
 
@@ -49,6 +49,14 @@ class TestOracleUniform:
         assert res.std.bprime == 0.0
         assert res.std.theta == 0.0
         assert res.std.a == pytest.approx(1.0, abs=1e-4)
+
+    def test_tiny_negative_theta_is_zero(self):
+        # a best point with c2 just below 0 has 0.5*atan2 just below 0, which mod pi rounds to pi
+        res = OracleResult(EllipseParams(1.0, 0.2, -1e-17), 0.0, 0.0, 0)
+        assert res.std.theta == 0.0 and math.copysign(1.0, res.std.theta) == 1.0
+        # the search ends on a dyadic c2 a little below 0 here: theta is just under pi
+        res = oracle_uniform(ellipse_gauge(EllipseParams(1.0, 0.2, 0.0)), n_phi=64)
+        assert 0.0 <= res.std.theta < math.pi and res.params.c2 <= 0.0
 
     def test_ellipse_identity_recovers_point(self):
         e = EllipseParams(1.0, 0.2, 0.1)
