@@ -32,24 +32,25 @@ stops when the scanned sup-norm of the last triple is within 1e-12 relative
 (or the rounding of h) of its level on its points, the de la Vallee Poussin
 lower bound on the optimum.
 
-Optimality is certified by an alternation read off the returned triple's
-scan (``_alternation``), with no further exchange: four consecutive extrema
-phi1 < psi1 < phi2 < psi2 < phi1+pi at which f - g alternately attains +d
-and -d, to within 1e-8 (``_CERT_TOL``), which suffices for global optimality
-and uniqueness within the ellipse family.  Every certificate comes that way,
-also when d is below 1e-8: a flat deviation offers
-(0, pi/4, pi/2, 3pi/4) as its extrema, and a scan with no four alternating
-extrema ends in NoAlternance.
+Optimality is certified by the last reference of the exchange run whose
+triple is returned, with no search after the loop: four of that run's points
+phi1 < psi1 < phi2 < psi2 < phi1+pi (psi2 may exceed pi) at which f - g
+alternately equals +l and -l, l = 1/4 log t the run's LP level, to rounding.
+That suffices for global optimality and uniqueness within the ellipse family.
 A certificate is a bracket on d*: the least of its four signed deviations
 bounds d* from below (de la Vallee Poussin; 0 unless they alternate in sign),
-and the triple's scanned sup bounds it from above.  ``verify_certificate``
-rebuilds the bracket from the body, triple and angles, and checks its width.
+and the triple's scanned sup bounds it from above.  A solve whose bracket is
+wider than 1e-8 (``_CERT_TOL``) ends in NoAlternance.  ``extract_certificate``
+reads a certificate off a scan's extrema instead (``_alternation``), for a
+triple that no solve produced.  ``verify_certificate`` rebuilds the bracket
+from the body, triple and angles, and checks its width.
 The triple, d and the four angles are all that the report (``report.py``)
 is built from: the inscribed ellipse is the triple scaled by d2 = exp(2d).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -78,7 +79,7 @@ _SIGNS = np.array([1.0, -1.0, 1.0, -1.0])  # of f - g at (phi1, psi1, phi2, psi2
 _ROOT_STEPS = 12  # Illinois steps on h' in each cell where it changes sign
 _H_ROUNDING = 2.0**-50  # h = f - g rounds by about eps*|f|: this bounds it, relative to max|f|
 _GRID_SIZE = 4096  # the first exchange run's grid, whose cells partition the extremum scan
-_CERT_TOL = 1e-8  # how far below the sup-norm a solve's certificate points may lie
+_CERT_TOL = 1e-8  # the widest bracket a solve's certificate may give, in defect units
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,8 @@ def _base_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return shared
 
 
-def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns (x, rounds).
+def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, list]:
+    """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns (x, rounds, ref, sign).
 
     x is (a2, b2, c2, t).  Stiefel's one-point exchange on the whole grid.  A
     reference is four angles in cyclic order with alternating signs: R = t*w
@@ -188,34 +189,40 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
     is rounding of R, or R/w lies in [t, 1], where the flipped reference is
     optimal at level 1/t with the same rescaled triple.  Otherwise the worst
     angle replaces the reference neighbour of its own sign (a dual simplex
-    pivot).  A round depends only on its reference and signs, so a repeated
-    reference is a cycle: it raises NoConvergence at once, as do a singular
-    reference and no stop within 16 rounds per bit of n.
+    pivot).  The reference is four (index, sign) pairs in ascending index
+    order, held in plain Python: a round's only array work is its 4x4 solve
+    and the grid's matvec.  ref and sign are the final reference, four
+    ascending point indices and the signs of f - g there: the round's signs,
+    flipped when t < 1.  A round depends only on its reference and signs, so
+    a repeated reference is a cycle: it raises NoConvergence at once, as do a
+    singular reference and no stop within 16 rounds per bit of n.
     """
     n = w.size
-    ref, sign = (int(np.argmin(w)) + (n // 4) * np.arange(4)) % n, np.array([1, -1, 1, -1])
+    start, quarter = int(np.argmin(w)), n // 4
+    pairs = sorted(((start + quarter * k) % n, 1 - 2 * (k % 2)) for k in range(4))
     t = math.nan
     cap = 16 * n.bit_length()
     seen: dict = {}
     for rounds in range(1, cap + 1):
-        order = np.argsort(ref)
-        ref, sign = ref[order], sign[order]
-        key = (*ref.tolist(), int(sign[0]))
+        ref, sign = [i for i, _ in pairs], [s for _, s in pairs]
+        key = (*ref, sign[0])
         if key in seen:
             raise NoConvergence(
-                f"exchange round {rounds} repeats the reference {ref.tolist()} of round "
+                f"exchange round {rounds} repeats the reference {ref} of round "
                 f"{seen[key]}: the exchange cycles; last level t = {t!r}"
             )
         seen[key] = rounds
-        upper = sign > 0
-        system = np.column_stack([trig[ref], np.where(upper, -w[ref], 0.0)])
+        wref = w[ref].tolist()
+        system = np.empty((4, 4))
+        system[:, :3] = trig[ref]
+        system[:, 3] = [-v if s > 0 else 0.0 for v, s in zip(wref, sign)]
         try:
-            x = np.linalg.solve(system, np.where(upper, 0.0, w[ref]))
+            x = np.linalg.solve(system, [0.0 if s > 0 else v for v, s in zip(wref, sign)])
         except np.linalg.LinAlgError:
             x = np.full(4, math.nan)
         if not np.isfinite(x).all():
             raise NoConvergence(
-                f"exchange round {rounds}: singular reference {ref.tolist()}, last level t = {t!r}"
+                f"exchange round {rounds}: singular reference {ref}, last level t = {t!r}"
             )
         t = float(x[3])
         R = trig @ x[:3]
@@ -223,15 +230,16 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
         v = np.maximum(low, high) / w
         j = int(np.argmax(v))
         if v[j] <= 1e-12 * t or j in ref:
-            return x, rounds
-        k = int(np.searchsorted(ref, j))
+            return x, rounds, ref, [-s for s in sign] if t < 1.0 else sign
+        k = bisect.bisect(ref, j)
         s = 1 if high[j] >= low[j] else -1
-        ref[(k - 1) % 4 if sign[(k - 1) % 4] == s else k % 4] = j
+        pairs[(k - 1) % 4 if sign[(k - 1) % 4] == s else k % 4] = (j, s)
+        pairs.sort()
     raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
 
 
-def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> EllipseParams:
-    """Uniform best triple by ``linprog``.
+def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, list, list]:
+    """Uniform best triple by ``linprog``, with its final reference and the signs of h there.
 
     ``trig`` is the ``_trig_matrix`` of the points and fvals f on them.  w =
     exp(-2(f - fc)) with fc the midrange of f, so the body's scale drops
@@ -241,7 +249,7 @@ def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> EllipseParams:
     """
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
-    x, rounds = linprog(trig, w)
+    x, rounds, ref, sign = linprog(trig, w)
     t = float(x[3])
     try:
         scale = math.exp(-2.0 * center) / math.sqrt(t) if t > 0.0 else math.nan
@@ -253,7 +261,7 @@ def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> EllipseParams:
             f"minimax triple ({a2!r}, {b2!r}, {c2!r}) at level t = {t!r} after {rounds} "
             "exchange rounds is outside the cone"
         )
-    return EllipseParams(a2, b2, c2)
+    return EllipseParams(a2, b2, c2), ref, sign
 
 
 @dataclass
@@ -425,13 +433,14 @@ def _certificate_from_scan(scan: _ExtremaScan, tol: float) -> AlternanceCertific
 
 
 def extract_certificate(gauge: Gauge, params: EllipseParams, tol: float) -> AlternanceCertificate:
-    """Four-point alternance certificate of a (near-)optimal ellipse.
+    """Four-point alternance certificate of a triple that no solve produced.
 
-    The angles are four consecutive extrema of alternating kind that
-    ``_extrema_scan`` finds in f - g on the cells of the solve's grid,
-    read off by ``_certificate_from_scan``, starting at a maximum; a flat
-    deviation (the body is itself an ellipse of the family) offers the
-    canonical angles (0, pi/4, pi/2, 3pi/4).
+    A solve's certificate is its exchange's last reference (``solve_uniform``);
+    this reads one off the triple alone.  The angles are four consecutive
+    extrema of alternating kind that ``_extrema_scan`` finds in f - g on the
+    cells of the solve's grid, read off by ``_certificate_from_scan``,
+    starting at a maximum; a flat deviation (the body is itself an ellipse of
+    the family) offers the canonical angles (0, pi/4, pi/2, 3pi/4).
     Raises NoAlternance when no four alternate within ``tol`` of the
     sup-norm, NoConvergence when R <= 0 in the scan.
     """
@@ -481,25 +490,30 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     d*, and the scanned sup-norm of its triple an upper bound; the loop stops
     once they agree to 1e-12 relative, or to the rounding of h
     (``_H_ROUNDING`` times max |f| on the grid), and returns the triple of
-    least sup, certified as by ``extract_certificate`` from that triple's
-    scan, with no exchange run of its own.  Raises NoConvergence when the grid
-    run fails (a singular or repeated reference, no stop within its round cap,
-    a triple outside the cone, or R <= 0 at a point, grid angle or candidate
-    of the scan); a later run that fails ends the loop.  Raises NoAlternance
-    when a level exceeds the returned sup-norm by more than ``_CERT_TOL`` (the
-    scan missed extrema) or no certificate exists within ``_CERT_TOL``.
+    least sup.  Its certificate is that triple's run's last reference
+    (``linprog``), rotated to start at a maximum, with residuals its signed
+    deviations less the defect, from the h the run's level is taken on.
+    Raises NoConvergence when the grid run fails (a singular or repeated
+    reference, no stop within its round cap, a triple outside the cone, or
+    R <= 0 at a point, grid angle or candidate of the scan); a later run that
+    fails ends the loop.  Raises NoAlternance when a level exceeds the
+    returned sup-norm by more than ``_CERT_TOL`` (the scan missed extrema), or
+    when the certificate's bracket, the sup less its least signed deviation
+    (at least 0), is wider than ``_CERT_TOL``.
     """
     pieces = _Pieces(gauge)
     points, cos, sin = pieces.grid
     f = gauge.log_eval(points)
     floor = _H_ROUNDING * float(np.abs(f).max())  # the rounding of sup - level
 
-    best: Optional[tuple[EllipseParams, _ExtremaScan]] = None
+    # the run of least sup: its triple, scan, reference angles, h there and signs of h there
+    best: Optional[tuple[EllipseParams, _ExtremaScan, list, list, list]] = None
     top = -math.inf
     for _ in range(31):
         try:
-            params = _minimax_lp(_trig_matrix(cos, sin), f)
-            level = float(np.abs(f + _half_log(params, cos, sin)).max())
+            params, ref, sign = _minimax_lp(_trig_matrix(cos, sin), f)
+            h = f + _half_log(params, cos, sin)
+            level = float(np.abs(h).max())
             scan = _extrema_scan(gauge, params, pieces)
         except NoConvergence:
             if best is None:
@@ -507,7 +521,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
             break
         top = max(top, level)
         if best is None or scan.sup < best[1].sup:
-            best = params, scan
+            best = params, scan, points[ref].tolist(), h[ref].tolist(), sign
         if scan.sup - level <= 1e-12 * scan.sup + floor:
             break
         points = _distinct(np.concatenate([scan.max_angles, scan.min_angles]))[0]
@@ -515,13 +529,24 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
             break
         f, (cos, sin) = gauge.log_eval(points), _cos_sin(points)
 
-    params, scan = best
+    params, scan, angles, hvals, sign = best
     if top > scan.sup + _CERT_TOL:
         raise NoAlternance(
             f"exchange level {top!r} exceeds the scanned sup-norm {scan.sup!r}: "
             "the scan missed extrema"
         )
-    cert = _certificate_from_scan(scan, _CERT_TOL)
+    dev = [s * v for s, v in zip(sign, hvals)]  # the signed deviations
+    r = int(sign[0] < 0)  # rotate the reference to start at a maximum
+    angles, dev = angles[r:] + [a + _PI for a in angles[:r]], dev[r:] + dev[:r]
+    cert = AlternanceCertificate(*angles, tuple(v - scan.sup for v in dev))
+    if not cert.interleaved():
+        raise NoAlternance(f"degenerate alternation points {cert.angles()}")
+    lower = max(0.0, min(dev))
+    if scan.sup - lower > _CERT_TOL:
+        raise NoAlternance(
+            f"the exchange's last reference brackets d* in [{lower!r}, {scan.sup!r}], wider "
+            f"than {_CERT_TOL}; the candidate ellipse is not certified"
+        )
     return UniformSolution(params, float(scan.sup), cert)
 
 

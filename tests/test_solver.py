@@ -44,6 +44,7 @@ from bmplane.solver import (
     _ExtremaScan,
     _extrema_scan,
     _GRID_SIZE,
+    _H_ROUNDING,
     _cos_sin,
     _half_log,
     _half_log_trig,
@@ -82,12 +83,45 @@ def _watch_linprog(monkeypatch) -> list:
     rounds, lp = [], solver_mod.linprog
 
     def watched(*args):
-        x, n = lp(*args)
-        rounds.append(n)
-        return x, n
+        out = lp(*args)
+        rounds.append(out[1])
+        return out
 
     monkeypatch.setattr(solver_mod, "linprog", watched)
     return rounds
+
+
+def _watch_runs(monkeypatch) -> list:
+    """(trig, triple, reference, signs of h there) of every exchange run the solver makes from
+    now on, in order, as ``_minimax_lp`` returns them with the LP table it was given."""
+    import bmplane.solver as solver_mod
+
+    runs, minimax = [], solver_mod._minimax_lp
+
+    def watched(trig, fvals):
+        out = minimax(trig, fvals)
+        runs.append((trig, *out))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_minimax_lp", watched)
+    return runs
+
+
+def _rounding_of_h(g) -> float:
+    """The rounding of h on the body's grid: the solve's floor on sup - level, plus 2^-52 for
+    the rounding of f = log r where r is near 1, which that floor, relative to max |f|, leaves out."""
+    return _H_ROUNDING * float(np.abs(g.log_eval(evaluation_grid(g, _GRID_SIZE))).max()) + 2.0**-52
+
+
+def _residual_slack(g, params) -> float:
+    """How far a certificate's residual may lie from the signed deviation recomputed at its
+    angle less the defect: twice the rounding of h, plus the change of h over 1e-15 rad (twice
+    the rounding of phi + pi, when psi2 is a reference angle plus pi), with h's slope bounded
+    by its largest difference quotient between grid neighbours."""
+    grid = evaluation_grid(g, _GRID_SIZE)
+    h = g.log_eval(grid) + _half_log_trig(params, grid)
+    slope = float((np.abs(np.diff(h)) / np.diff(grid)).max())
+    return 2.0 * _rounding_of_h(g) + 1e-15 * slope
 
 
 def _verify_on_grid(size: int, gauge, params, cert, tol: float):
@@ -231,8 +265,8 @@ class TestExchangeLP:
             def grid_sup(p):
                 return float(np.abs(fvals + 0.5 * np.log(p.trig(grid))).max())
 
-            x, _ = linprog(trig, w)
-            params = _minimax_lp(trig, fvals)
+            x = linprog(trig, w)[0]
+            params = _minimax_lp(trig, fvals)[0]
             ref, x_ref = _full_grid_minimax_lp(grid, fvals)
 
             # every grid row holds to the stop tolerance, and no worse than HiGHS's point
@@ -241,6 +275,27 @@ class TestExchangeLP:
             if violation(x_ref).max() <= 1e-12:
                 # both points are feasible on the whole grid, so both are its optimum
                 assert grid_sup(params) >= grid_sup(ref) - 1e-13, name
+
+    def test_returns_its_final_reference(self, corpus):
+        # on each grid run: four ascending indices with alternating signs, the signs of h
+        # (the LP's own, flipped when t < 1); the 4x4 system of that reference with the LP's
+        # signs gives x bit for bit, and x meets the stop rule
+        for name, g in corpus.items():
+            points, cos, sin = _Pieces(g).grid
+            fvals = g.log_eval(points)
+            trig = _trig_matrix(cos, sin)
+            w = np.exp(-2.0 * (fvals - 0.5 * float(fvals.max() + fvals.min())))
+            x, _, ref, sign = linprog(trig, w)
+            assert len(ref) == 4 and all(0 <= i < w.size for i in ref), name
+            assert all(a < b for a, b in zip(ref, ref[1:])), name
+            assert sign in ([1, -1, 1, -1], [-1, 1, -1, 1]), name
+            t = float(x[3])
+            upper = np.array(sign) * (1 if t >= 1.0 else -1) > 0
+            system = np.column_stack([trig[ref], np.where(upper, -w[ref], 0.0)])
+            assert np.linalg.solve(system, np.where(upper, 0.0, w[ref])).tobytes() == x.tobytes()
+            R = trig @ x[:3]
+            v = np.maximum(w - R, R - t * w) / w
+            assert v.max() <= 1e-12 * t or int(np.argmax(v)) in ref, name
 
     def test_smooth_samples_at_scale(self, monkeypatch):
         # 10^5 samples put 104064 angles on the grid
@@ -281,7 +336,8 @@ class TestExchangeLP:
     def test_bad_result_is_typed(self, monkeypatch, x):
         import bmplane.solver as solver_mod
 
-        monkeypatch.setattr(solver_mod, "linprog", lambda trig, w: (np.array(x), 1))
+        monkeypatch.setattr(solver_mod, "linprog",
+                            lambda trig, w: (np.array(x), 1, [0, 1, 2, 3], [1, -1, 1, -1]))
         with pytest.raises(NoConvergence):
             solve_uniform(lp_gauge(math.inf))
 
@@ -319,14 +375,15 @@ class TestExchangeLP:
         # R/w then lies in [t, 1], so the flipped reference is optimal at level 1/t
         grid = np.arange(4) * (0.25 * math.pi)
         trig, w = _trig_matrix(*_cos_sin(grid)), np.array([0.5, 1.0, 10.0, 1.0])
-        x, rounds = linprog(trig, w)
+        x, rounds, ref, sign = linprog(trig, w)
         assert rounds == 1
+        assert ref == [0, 1, 2, 3] and sign == [-1, 1, -1, 1]  # the signs of h: flipped
         assert x[3] == pytest.approx(2.0 / 10.5, rel=1e-14)
         rows = np.block([[-trig, np.zeros((4, 1))], [trig, -w[:, None]]])
         best = _highs([0.0, 0.0, 0.0, 1.0], rows, np.concatenate([-w, np.zeros(4)]))
         assert best.x[3] == pytest.approx(1.0 / x[3], rel=1e-12)
         # the rescaled triple meets the flipped reference's equalities: R = w/t at +, R = w at -
-        sign = np.array([-1, 1, -1, 1])
+        sign = np.array(sign)
         R = trig @ (x[:3] / x[3])
         assert np.where(sign > 0, R - w / x[3], R - w) == pytest.approx(np.zeros(4), abs=1e-12)
 
@@ -396,7 +453,7 @@ def _lp_triple(g):
     """(grid, f on it, the grid minimax triple)."""
     grid = evaluation_grid(g, 4096)
     fvals = g.log_eval(grid)
-    params = _minimax_lp(_trig_matrix(*_cos_sin(grid)), fvals)
+    params = _minimax_lp(_trig_matrix(*_cos_sin(grid)), fvals)[0]
     return grid, fvals, params
 
 
@@ -509,13 +566,14 @@ class TestOneEvaluationPerAngle:
             for p in triples:
                 assert _half_log(p, cos, sin).tobytes() == _half_log_trig(p, grid).tobytes()
 
-    def test_certificate_is_read_off_the_scan(self, corpus):
-        # four consecutive alternating extrema of the returned triple's scan, each within
-        # _CERT_TOL of its sup, one of them the largest: the certificate is the scan's own,
-        # also on the 20000-gon, the 30000-gon and the wobble, whose defect is below _CERT_TOL
+    def test_certificate_is_the_returned_runs_reference(self, corpus, monkeypatch):
+        # the certificate is the last reference of the exchange run whose triple the solve
+        # returns, rotated to start at a + point, and it passes at _CERT_TOL: also on the
+        # 20000-gon, the 30000-gon and the wobble, whose defect is below _CERT_TOL
         tol = _CERT_TOL
         rng = np.random.default_rng(7001)
         nodes = np.arange(4096) * math.pi / 4096
+        runs = _watch_runs(monkeypatch)
         for name, g in {
             **_active_set_bodies(corpus),
             "regular-2000": polygon_gauge(bodies.regular_polygon(2000)),
@@ -528,25 +586,34 @@ class TestOneEvaluationPerAngle:
             "ones-64-pchip": sample_gauge(np.ones(64), interp="pchip"),
             "ones-4096": sample_gauge(np.ones(4096)),
         }.items():
+            runs.clear()
             sol = solve_uniform(g)
-            scan = _extrema_scan(g, sol.params, _Pieces(g))
             cert = sol.certificate
-            assert cert == _certificate_from_scan(scan, tol), name
-            assert verify_certificate(g, sol.params, cert, tol).passed, name
-            flat = name in ("circle", "ellipse", "l2", "ones-64", "ones-64-pchip", "ones-4096")
-            if flat:  # h is 0 to rounding, and the canonical angles are its extrema
+            trig, _, ref, sign = next(run for run in runs if run[1] == sol.params)
+            assert ref == sorted(ref) and len(set(ref)) == 4, name
+            r = int(sign[0] < 0)
+            assert np.roll(sign, -r).tolist() == [1, -1, 1, -1], name
+            # cos 2phi and sin 2phi at its angles are the run's table at its reference
+            rows = np.roll(trig[ref], -r, axis=0)
+            assert np.abs(rows[:, 1:] - np.column_stack(_cos_sin(np.array(cert.angles())))).max() \
+                <= 1e-15, name
+            assert cert.interleaved() and (cert.psi2 < math.pi) == (r == 0), name
+            verdict = verify_certificate(g, sol.params, cert, tol)
+            assert verdict.passed and sol.defect == verdict.upper, name
+            # its residuals are the signed deviations of the returned triple less the defect
+            floor = _rounding_of_h(g)
+            dev = np.array(certificate_deviations(g, sol.params, cert))
+            assert np.abs(dev - sol.defect - cert.residuals).max() \
+                <= _residual_slack(g, sol.params), name
+            assert all(-tol <= v <= floor for v in cert.residuals), name
+            if name in ("circle", "ones-64", "ones-64-pchip", "ones-4096"):
+                # f is constant: the exchange stops on its start reference, the canonical angles
                 assert cert.angles() == (0.0, 0.25 * math.pi, 0.5 * math.pi, 0.75 * math.pi), name
-            signed = []
-            for a, kind in zip(cert.angles(), (1, -1, 1, -1)):
-                angles, values = ((scan.max_angles, scan.max_values) if kind > 0
-                                  else (scan.min_angles, scan.min_values))
-                at = np.nonzero((angles == a) | (angles + math.pi == a))[0]  # psi2 may be + pi
-                assert at.size, (name, a, kind)
-                signed.append(kind * float(values[at[0]]))
-            assert all(scan.sup - tol <= v <= scan.sup for v in signed), name
-            assert flat or min(signed) > 0.0, name  # h has the signs (+, -, +, -) there
-            top = max(float(scan.max_values.max()), float(-scan.min_values.min()))
-            assert top in signed, name
+            if sol.defect > floor:  # h has the signs (+, -, +, -) there
+                assert dev.min() > 0.0, name
+            else:
+                assert name in ("circle", "ellipse", "l2", "ones-64", "ones-64-pchip",
+                                "ones-4096"), name
 
     @pytest.mark.parametrize(
         "g",
@@ -795,12 +862,17 @@ class TestSolveUniform:
             assert sol.defect - 1e-8 <= sup <= sol.defect + 1e-8, name
 
     def test_defect_and_certificate_come_from_the_final_params(self, solved_corpus):
-        # the exchange loop hands its scan on to the certificate: it must be the scan of sol.params
+        # the defect is the sup of sol.params' scan, and the certificate is the reference of
+        # the run that gave sol.params: its residuals are sol.params' signed deviations at its
+        # angles less the defect, to the rounding of h, and it brackets d* within _CERT_TOL
         for name, (g, sol) in solved_corpus.items():
-            verdict = verify_certificate(g, sol.params, sol.certificate, 1e-6)
+            verdict = verify_certificate(g, sol.params, sol.certificate, _CERT_TOL)
             assert sol.defect == verdict.upper, name
-            cert = extract_certificate(g, sol.params, _CERT_TOL)
-            assert cert == sol.certificate, name
+            assert verdict.passed, name
+            dev = np.array(certificate_deviations(g, sol.params, sol.certificate))
+            assert verdict.lower == max(0.0, float(dev.min())), name
+            assert np.abs(dev - sol.defect - sol.certificate.residuals).max() \
+                <= _residual_slack(g, sol.params), name
 
     def test_regular_2000gon(self):
         # thousands of extrema in the point set of the exchange on refined extrema
@@ -869,7 +941,7 @@ class TestSolveUniform:
 
     def test_five_point_pchip_optimum_certifies(self):
         # the optimum alternates at five extrema, so two maxima are neighbours across pi: the
-        # certificate counts them as the larger and takes four that alternate
+        # certificate is the four of them that the exchange's last reference holds
         g = sample_gauge([1.0, 1.2, 1.0, 1.3, 1.0, 1.2, 1.0, 1.1], interp="pchip")
         sol = solve_uniform(g)
         assert math.exp(2.0 * sol.defect) == pytest.approx(1.2695616833, rel=1e-10, abs=0.0)
