@@ -56,7 +56,9 @@ class NoConvergence(BmplaneError):
 
 
 class NoAlternance(BmplaneError):
-    """No four-point alternation could be located; the candidate is not optimal."""
+    """A solve cannot certify its ellipse: an exchange level exceeds the scanned sup-norm (the
+    scan missed extrema), its reference's angles do not interleave, or the certificate's bracket,
+    sup - max(0, least signed deviation), is wider than the solver's ``_CERT_TOL``."""
 
 
 # -- report ------------------------------------------------------------------

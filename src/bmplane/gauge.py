@@ -131,9 +131,10 @@ class _PolygonGauge(Gauge):
         a minimum where it rises from <= 0 to >= 0, at its own angle, a kink
         of _radius.  Where its slopes round to zero (h smooth there, as at a
         vertex in the middle of a straight side) it may be listed as both, or
-        as a maximum at the angle of an edge minimum; the certificate counts
-        such an angle once, of the kind the sign of h gives.  An edge whose slope
-        rises from < 0 to > 0 has its minimum inside, at s = -v'Me / e'Me.
+        as a maximum at the angle of an edge minimum; the solve's exchange
+        takes such an angle once as a point (``_distinct``), and nothing
+        classifies it.  An edge whose slope rises from < 0 to > 0 has its
+        minimum inside, at s = -v'Me / e'Me.
         Every angle is in [0, pi).
         """
         th = self.critical_angles()

@@ -40,10 +40,8 @@ That suffices for global optimality and uniqueness within the ellipse family.
 A certificate is a bracket on d*: the least of its four signed deviations
 bounds d* from below (de la Vallee Poussin; 0 unless they alternate in sign),
 and the triple's scanned sup bounds it from above.  A solve whose bracket is
-wider than 1e-8 (``_CERT_TOL``) ends in NoAlternance.  ``extract_certificate``
-reads a certificate off a scan's extrema instead (``_alternation``), for a
-triple that no solve produced.  ``verify_certificate`` rebuilds the bracket
-from the body, triple and angles, and checks its width.
+wider than 1e-8 (``_CERT_TOL``) ends in NoAlternance.  ``verify_certificate``
+rebuilds the bracket from the body, triple and angles, and checks its width.
 The triple, d and the four angles are all that the report (``report.py``)
 is built from: the inscribed ellipse is the triple scaled by d2 = exp(2d).
 """
@@ -67,7 +65,6 @@ __all__ = [
     "UniformSolution",
     "CertificateVerdict",
     "solve_uniform",
-    "extract_certificate",
     "certificate_deviations",
     "verify_certificate",
     "distance",
@@ -371,81 +368,6 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _Extr
     angles = np.concatenate([x[keep], np.mod(inner, _PI)])
     kind = np.concatenate([is_max[keep] * 1 - is_min[keep], np.sign(right[cells])])  # 0: both
     return _candidate_extrema(gauge, params, angles, kind)
-
-
-def _alternation(dev: np.ndarray, sign: np.ndarray, floor: float) -> Optional[np.ndarray]:
-    """Four cyclically consecutive points of alternating sign with dev >= floor, or None.
-
-    dev is the signed deviation sign*h at points in ascending order.  Each
-    cyclic run of same-sign points with dev >= floor counts as its largest
-    member, so the points kept alternate.  Of the runs of four kept points
-    that include the point of largest dev, the one whose least dev is
-    largest, in ascending order.
-    """
-    near = np.nonzero(dev >= floor)[0]
-    if near.size < 4:
-        return None
-    run = np.cumsum(np.append(0, sign[near[1:]] != sign[near[:-1]]))
-    if sign[near[0]] == sign[near[-1]]:
-        run[run == run[-1]] = 0  # the run across pi is the first one
-    order = np.lexsort((-dev[near], run))  # each run's largest member first
-    kept = np.sort(near[order[_distinct(run[order])[1]]])
-    if kept.size < 4:
-        return None
-    top = int(np.argmax(dev[kept]))
-    runs = kept[(top + np.arange(-3, 1)[:, None] + np.arange(4)) % kept.size]
-    return np.sort(runs[int(np.argmax(dev[runs].min(axis=1)))])
-
-
-def _certificate_from_scan(scan: _ExtremaScan, tol: float) -> AlternanceCertificate:
-    """The certificate read off the scan's extrema.
-
-    Four cyclically consecutive extrema of alternating kind within tol of the
-    sup, one of them the extremum that attains it (``_alternation``), rotated
-    to start at a maximum, are (phi1, psi1, phi2, psi2) (psi2 may exceed pi);
-    their residuals are the scan's values there less the sup, so each lies in
-    [-tol, 0] up to the rounding of a flat scan's values.  Raises NoAlternance
-    when there are no such four extrema (as when the scan has fewer than two
-    maxima or two minima) or the angles do not interleave.
-    """
-    angles = np.concatenate([scan.max_angles, scan.min_angles])
-    points, first = _distinct(angles)  # each angle's first listing, a maximum if it is one
-    last = angles.size - 1 - _distinct(angles[::-1])[1]  # and its last, a minimum if one
-    hvals = np.concatenate([scan.max_values, scan.min_values])
-    # an angle listed as a maximum and as a minimum (a polygon vertex where h is smooth, to
-    # rounding) is one extremum, whose kind the sign of h there decides
-    first = np.where(hvals[first] < 0.0, last, first)
-    hvals, kind = hvals[first], np.where(first < scan.max_angles.size, 1, -1)
-    ref = _alternation(kind * hvals, kind, scan.sup - tol)
-    if ref is None:
-        raise NoAlternance(
-            f"the scan found {scan.max_angles.size} maxima and {scan.min_angles.size} "
-            f"minima, and no four of them alternate within tolerance {tol} of the "
-            f"deviation {scan.sup}; the candidate ellipse is not optimal"
-        )
-    r = int(kind[ref[0]] < 0)  # rotate the reference to start at a maximum
-    angles = np.roll(points[ref], -r) + np.array([0.0, 0.0, 0.0, r * _PI])
-    res = tuple(float(v) for v in np.roll(hvals[ref], -r) * _SIGNS - scan.sup)
-    cert = AlternanceCertificate(*(float(a) for a in angles), res)
-    if not cert.interleaved():
-        raise NoAlternance(f"degenerate alternation points {cert.angles()}")
-    return cert
-
-
-def extract_certificate(gauge: Gauge, params: EllipseParams, tol: float) -> AlternanceCertificate:
-    """Four-point alternance certificate of a triple that no solve produced.
-
-    A solve's certificate is its exchange's last reference (``solve_uniform``);
-    this reads one off the triple alone.  The angles are four consecutive
-    extrema of alternating kind that ``_extrema_scan`` finds in f - g on the
-    cells of the solve's grid, read off by ``_certificate_from_scan``,
-    starting at a maximum; a flat deviation (the body is itself an ellipse of
-    the family) offers the canonical angles (0, pi/4, pi/2, 3pi/4).
-    Raises NoAlternance when no four alternate within ``tol`` of the
-    sup-norm, NoConvergence when R <= 0 in the scan.
-    """
-    scan = _extrema_scan(gauge, params, _Pieces(gauge))
-    return _certificate_from_scan(scan, tol)
 
 
 def certificate_deviations(

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from bmplane.ellipse import (
     EllipseParams,
@@ -18,7 +17,7 @@ from bmplane.ellipse import (
     tangent_matrix,
     three_point_matrix,
 )
-from bmplane.errors import LeftCone, NoAlternance
+from bmplane.errors import LeftCone
 from bmplane.gauge import (
     circle_gauge,
     ellipse_gauge,
@@ -31,8 +30,8 @@ from bmplane.report import build_report, verify_theorem1
 from bmplane.solver import (
     _extrema_scan,
     _Pieces,
+    AlternanceCertificate,
     distance,
-    extract_certificate,
     solve_uniform,
     verify_certificate,
 )
@@ -185,6 +184,9 @@ def test_criterion_08_one_sided(solved_corpus):
 
 @criterion(9, "certificates verify at 1e-6; 5%-inflated candidates are rejected")
 def test_criterion_09_certificates(solved_corpus):
+    # the inflated triple's sup is 1.05*d*, and by de la Vallee Poussin any four interleaved
+    # angles bound d* from below: so its bracket is at least 0.05*d* wide, whatever the angles
+    rng = np.random.default_rng(909)
     rejected = 0
     for name, (gauge, sol) in solved_corpus.items():
         verdict = verify_certificate(gauge, sol.params, sol.certificate, 1e-6)
@@ -192,8 +194,13 @@ def test_criterion_09_certificates(solved_corpus):
         assert sol.certificate.interleaved(), name
         if sol.defect > 1e-6:
             inflated = sol.params.scaled(math.exp(2.0 * 0.05 * sol.defect))
-            with pytest.raises(NoAlternance):
-                extract_certificate(gauge, inflated, 1e-8)
+            assert not verify_certificate(gauge, inflated, sol.certificate, 1e-8).passed, name
+            for _ in range(20):
+                gaps = rng.dirichlet(np.ones(4)) * math.pi
+                angles = rng.uniform(0.0, math.pi) + np.append(0.0, np.cumsum(gaps[:3]))
+                cert = AlternanceCertificate(*angles.tolist(), (0.0,) * 4)
+                assert cert.interleaved(), (name, angles)
+                assert not verify_certificate(gauge, inflated, cert, 1e-8).passed, (name, angles)
             rejected += 1
     assert rejected >= 5
     return f"{len(solved_corpus)} certified, {rejected} inflated candidates rejected"

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -33,13 +34,10 @@ from bmplane.solver import (
     AlternanceCertificate,
     certificate_deviations,
     distance,
-    extract_certificate,
     linprog,
     solve_uniform,
-    _alternation,
     _base_grid,
     _CERT_TOL,
-    _certificate_from_scan,
     _distinct,
     _ExtremaScan,
     _extrema_scan,
@@ -982,6 +980,23 @@ class TestSolveUniform:
         with pytest.raises(NoAlternance, match="exchange level"):
             solve_uniform(g)
 
+    def test_wide_bracket_is_typed(self, monkeypatch):
+        # a scan whose sup sits 1e-7 above the true one: the loop never stops on it, and the
+        # bracket of the returned run's reference, at least 1e-7 wide, exceeds _CERT_TOL
+        import bmplane.solver as solver_mod
+
+        scan = solver_mod._extrema_scan
+
+        def raised_sup(*args):
+            s = scan(*args)
+            return dataclasses.replace(s, sup=s.sup + 1e-7)
+
+        monkeypatch.setattr(solver_mod, "_extrema_scan", raised_sup)
+        for g in (polygon_gauge(bodies.hexagon_inradius_1()),
+                  sample_gauge(bodies.smooth_samples(np.random.default_rng(0), 128))):
+            with pytest.raises(NoAlternance, match="not certified"):
+                solve_uniform(g)
+
     def test_stalled_reference_below_one_certifies(self):
         # kappa = 1e4 image 0 of the rng-7 sequence over kappa = 10, 1e2, 1e3, 1e4; linprog's
         # flip of a reference stalled below t = 1 is test_stalled_reference_below_one_flips
@@ -1072,36 +1087,7 @@ class TestSolveUniform:
         assert a.defect == b.defect
 
 
-def _alternation_loop(dev: np.ndarray, sign: np.ndarray, floor: float):
-    """``_alternation`` one point at a time: the reference for its vectorized runs."""
-    near = [i for i in range(dev.size) if dev[i] >= floor]
-    if len(near) < 4:
-        return None
-    start = next((j for j in range(len(near)) if sign[near[j]] != sign[near[j - 1]]), 0)
-    kept = []
-    for i in near[start:] + near[:start]:  # from the start of a run, so runs are contiguous
-        if not kept or sign[i] != sign[kept[-1]]:
-            kept.append(i)
-        elif dev[i] > dev[kept[-1]] or (dev[i] == dev[kept[-1]] and i < kept[-1]):
-            kept[-1] = i
-    kept.sort()
-    if len(kept) < 4:
-        return None
-    top = kept.index(max(kept, key=lambda i: (dev[i], -i)))
-    windows = [[kept[(top + s + j) % len(kept)] for j in range(4)] for s in range(-3, 1)]
-    return sorted(max(windows, key=lambda w: (min(dev[w]), -windows.index(w))))
-
-
 class TestCertificate:
-    def test_alternation_matches_a_loop(self):
-        # many ties: dev takes four values, of which those >= 0.5 are near
-        rng = np.random.default_rng(17)
-        for _ in range(3000):
-            n = int(rng.integers(1, 24))
-            dev, sign = rng.integers(0, 4, n) / 4.0, rng.choice([-1, 1], n)
-            got, ref = _alternation(dev, sign, 0.5), _alternation_loop(dev, sign, 0.5)
-            assert (got is None and ref is None) or got.tolist() == ref, (dev, sign)
-
     def test_distinct_is_np_unique(self):
         # np.unique(return_index=True) is the reference, on ties, integers and the empty array
         rng = np.random.default_rng(19)
@@ -1113,60 +1099,21 @@ class TestCertificate:
                            for g, r in zip(got, ref)), values
 
     def test_square_certificate_at_vertex_and_midpoint_directions(self):
-        cert = extract_certificate(lp_gauge(math.inf), EllipseParams(2.0 ** -0.5, 0, 0), 1e-8)
-        assert cert.angles() == pytest.approx(
-            (math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi), abs=1e-6)
+        cert = solve_uniform(lp_gauge(math.inf)).certificate
+        assert sorted(a % math.pi for a in cert.angles()) == pytest.approx(
+            (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4), abs=1e-6)
         assert max(abs(r) for r in cert.residuals) < 1e-9
 
     def test_suboptimal_scaled_circle_has_no_alternance(self):
-        with pytest.raises(NoAlternance):
-            extract_certificate(lp_gauge(math.inf), EllipseParams(0.9 * 2.0 ** -0.5, 0, 0), 1e-8)
+        # at the square's own alternance the scaled circle's bracket is log(1/0.9) wide
+        g = lp_gauge(math.inf)
+        cert = solve_uniform(g).certificate
+        assert not verify_certificate(g, EllipseParams(0.9 * 2.0 ** -0.5, 0, 0), cert, 1e-8).passed
 
     def test_wrong_shape_has_no_alternance(self):
-        with pytest.raises(NoAlternance):
-            extract_certificate(lp_gauge(math.inf), EllipseParams(2.0 ** -0.5, 0.2, 0.0), 1e-8)
-
-    def test_thin_scan_names_its_extrema(self):
-        # a scan with one maximum cannot alternate, whatever its values
-        scan = _ExtremaScan(np.array([0.3]), np.array([0.1]),
-                            np.array([0.9, 2.1]), np.array([-0.1, -0.1]), 0.1)
-        with pytest.raises(NoAlternance, match="the scan found 1 maxima and 2 minima"):
-            _certificate_from_scan(scan, 1e-8)
-
-    def test_same_kind_neighbours_count_as_their_largest(self):
-        # near maxima with no near minimum between them count as the larger one, here inside
-        # [0, pi) and across pi; the rest then alternate, and the certificate holds
-        tol = 1e-8
-        maxima = np.array([0.1, 0.1 - 5e-9, 0.1 - 3e-9, 0.1])
-        scan = _ExtremaScan(np.array([0.3, 0.5, 1.6, 2.0]), maxima,
-                            np.array([0.9, 2.4]), np.array([-0.1, -0.1]), 0.1)
-        cert = _certificate_from_scan(scan, tol)
-        assert cert.angles() == (0.3, 0.9, 2.0, 2.4)
-        assert cert.residuals == (0.0, 0.0, 0.0, 0.0)
-        low = 0.1 - 6e-9
-        scan = _ExtremaScan(np.array([0.1, 1.6, 3.0]), np.array([0.1, low, 0.1 - 2e-9]),
-                            np.array([0.9, 2.4]), np.array([-low, -low]), 0.1)
-        cert = _certificate_from_scan(scan, tol)
-        assert cert.angles() == (0.1, 0.9, 1.6, 2.4)
-        assert cert.residuals == pytest.approx((0.0, -6e-9, -6e-9, -6e-9), rel=0.0, abs=1e-15)
-
-    def test_near_extrema_that_do_not_alternate(self):
-        # maxima at 0.3, 1.6 and 2.0 and a minimum at 0.9 lie within tol of the sup; the
-        # minimum at 2.4 does not: around the circle the near kinds change only twice
-        scan = _ExtremaScan(np.array([0.3, 1.6, 2.0]), np.array([0.1, 0.1, 0.1]),
-                            np.array([0.9, 2.4]), np.array([-0.1, -0.05]), 0.1)
-        with pytest.raises(NoAlternance, match="the scan found 3 maxima and 2 minima, and no four"):
-            _certificate_from_scan(scan, 1e-8)
-
-    def test_angle_listed_twice_takes_the_kind_of_h(self):
-        # 1.0 is listed as a maximum and as a minimum, as a polygon lists a vertex where h is
-        # smooth: it counts once, a minimum where h < 0 and a maximum where h > 0
-        scan = _ExtremaScan(np.array([0.2, 1.0, 1.8]), np.array([0.1, -0.1, 0.1]),
-                            np.array([1.0, 2.6]), np.array([-0.1, -0.1]), 0.1)
-        assert _certificate_from_scan(scan, 1e-8).angles() == (0.2, 1.0, 1.8, 2.6)
-        scan = _ExtremaScan(np.array([0.2, 1.8]), np.array([0.1, 0.1]),
-                            np.array([1.0, 1.8, 2.6]), np.array([-0.1, 0.1, -0.1]), 0.1)
-        assert _certificate_from_scan(scan, 1e-8).angles() == (0.2, 1.0, 1.8, 2.6)
+        g = lp_gauge(math.inf)
+        cert = solve_uniform(g).certificate
+        assert not verify_certificate(g, EllipseParams(2.0 ** -0.5, 0.2, 0.0), cert, 1e-8).passed
 
     def test_corpus_passes_verification(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
