@@ -83,7 +83,7 @@ class Gauge:
     def extremum_candidates(self, params: EllipseParams):
         """Closed-form local extrema of f - g for the triple, or None where there is none.
 
-        A pair (max_angles, min_angles) of angle arrays, each angle taken mod pi.
+        One array of angles, each taken mod pi.
         """
         return None
 
@@ -127,15 +127,10 @@ class _PolygonGauge(Gauge):
         boundary is the edges out of the vertices below pi; the last of them
         ends at the antipode of vertex 0, so it covers the angles from the
         last vertex below pi through pi (0) up to vertex 0 in one piece.  A
-        vertex is a maximum where the slope falls from >= 0 to <= 0 across it,
-        a minimum where it rises from <= 0 to >= 0, at its own angle, a kink
-        of _radius.  Where its slopes round to zero (h smooth there, as at a
-        vertex in the middle of a straight side) it may be listed as both, or
-        as a maximum at the angle of an edge minimum; the solve's exchange
-        takes such an angle once as a point (``_distinct``), and nothing
-        classifies it.  An edge whose slope rises from < 0 to > 0 has its
-        minimum inside, at s = -v'Me / e'Me.
-        Every angle is in [0, pi).
+        vertex is an extremum where the slope turns across it, from >= 0 to
+        <= 0 or from <= 0 to >= 0, at its own angle, a kink of _radius.  An
+        edge whose slope rises from < 0 to > 0 has its minimum inside, at
+        s = -v'Me / e'Me.  Every angle is in [0, pi).
         """
         th = self.critical_angles()
         v, e = self._vertices[: th.size], self._edge[: th.size]
@@ -147,8 +142,8 @@ class _PolygonGauge(Gauge):
         before = np.roll(end, 1)
         inner = (start < 0.0) & (end > 0.0)
         p = v[inner] - (start[inner] / eme[inner])[:, None] * e[inner]
-        return th[(before >= 0.0) & (start <= 0.0)], np.concatenate(
-            [th[(before <= 0.0) & (start >= 0.0)], _reduce(np.arctan2(p[:, 1], p[:, 0]))])
+        turn = ((before >= 0.0) & (start <= 0.0)) | ((before <= 0.0) & (start >= 0.0))
+        return np.concatenate([th[turn], _reduce(np.arctan2(p[:, 1], p[:, 0]))])
 
     def descriptor(self) -> dict:
         d = {"kind": "polygon", "vertices": self._original.tolist()}
@@ -293,17 +288,16 @@ class _EllipseGauge(Gauge):
         return -0.5 * np.log(self._params.trig(red))
 
     def extremum_candidates(self, params: EllipseParams):
-        """f - g = 1/2 log(p'Mp / p'M_e p) at p = (cos, sin), with M_e the body's M: its maximum
-        and minimum are the generalized eigenvectors of (M, M_e), unless M is M_e scaled to its
-        rounding and h flat, when the canonical angles stand in."""
+        """f - g = 1/2 log(p'Mp / p'M_e p) at p = (cos, sin), with M_e the body's M: its extrema
+        are the generalized eigenvectors of (M, M_e), unless M is M_e scaled to its rounding and
+        h flat, when the canonical angles stand in."""
         m, me = (np.array([[e.a2 + e.b2, e.c2], [e.c2, e.a2 - e.b2]])
                  for e in (params, self._params))
         if np.abs(m - me * (np.trace(m) / np.trace(me))).max() <= 2.0**-50 * np.abs(m).max():
-            return np.array([0.0, 0.5 * _PI]), np.array([0.25 * _PI, 0.75 * _PI])
+            return np.arange(4) * (0.25 * _PI)
         chol = np.linalg.cholesky(me)
         _, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, m).T))
-        angles = _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1]))
-        return angles[1:], angles[:1]
+        return _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1]))
 
     def descriptor(self) -> dict:
         return {"kind": "ellipse", "params": list(self._params.triple())}

@@ -333,7 +333,7 @@ def _boundary_samples(gauge: Gauge, cert: AlternanceCertificate) -> np.ndarray:
     phi = _distinct(np.concatenate([
         np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False),
         np.mod(np.concatenate([angles, angles + math.pi]), 2.0 * math.pi), crit, crit + math.pi,
-    ]))[0]
+    ]))
     return gauge.eval(phi)[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
 
 

@@ -23,8 +23,9 @@ a kink off every uniform angle gets a fresh cos and sin, so a body with no
 kinks, or with kinks on uniform angles only, has the shared arrays
 themselves.  ``solve_uniform`` runs that exchange in one loop: first on the
 grid, then on the extrema of the last triple's deviation, where its final
-4x4 solve is the four-point equioscillation system.  The extrema come from one scan
-(``_extrema_scan``) of the sign of h' = (f - g)' at the ends of the cells
+4x4 solve is the four-point equioscillation system.  One scan
+(``_extrema_scan``) returns the extremum angles, as one set, and the sup of
+|f - g| over them, from the sign of h' = (f - g)' at the ends of the cells
 between grid angles (every kink is one), root-finding h' in a cell where it
 changes sign; it is exact in closed form on polygons, where f - g =
 1/2 log(p'Mp) is convex along each edge, and on ellipses.  The loop
@@ -58,7 +59,7 @@ import numpy as np
 
 from .ellipse import EllipseParams, in_cone
 from .errors import NoAlternance, NoConvergence
-from .gauge import Gauge, _merge_kinks, evaluation_grid
+from .gauge import Gauge, _merge_kinks
 
 __all__ = [
     "AlternanceCertificate",
@@ -116,15 +117,13 @@ class CertificateVerdict:
     upper: float
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values and the index of each one's first occurrence, as
-    ``np.unique(values, return_index=True)`` gives them, by a stable argsort (``np.unique``
-    imports numpy.ma on its first call)."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as ``np.unique(values)`` gives them, by a stable sort
+    (``np.unique`` imports numpy.ma on its first call)."""
+    ordered = np.sort(values, kind="stable")
     first = np.ones(ordered.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first], order[first]
+    return ordered[first]
 
 
 def _R(params: EllipseParams, cos, sin) -> np.ndarray:
@@ -164,7 +163,7 @@ def _trig_matrix(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 def _base_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The uniform grid k*pi/n (the grid of a body with no kinks) and its cos 2phi and
     sin 2phi, taken once per process for each n and shared, read-only, by every body's grid."""
-    angles = evaluation_grid(Gauge(), n)
+    angles = np.arange(n) * (_PI / n)
     shared = (angles, *_cos_sin(angles))
     for a in shared:
         a.flags.writeable = False
@@ -263,10 +262,7 @@ def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, lis
 
 @dataclass
 class _ExtremaScan:
-    max_angles: np.ndarray
-    max_values: np.ndarray
-    min_angles: np.ndarray
-    min_values: np.ndarray
+    angles: np.ndarray
     sup: float
 
 
@@ -319,21 +315,19 @@ def _illinois(fn, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) 
     return b
 
 
-def _candidate_extrema(gauge: Gauge, params: EllipseParams, angles: np.ndarray,
-                       kind: np.ndarray) -> _ExtremaScan:
-    """The extrema of h at candidate angles in [0, pi), each valued at its own angle.
+def _candidate_extrema(gauge: Gauge, params: EllipseParams, angles: np.ndarray) -> _ExtremaScan:
+    """The extrema of h at candidate angles in [0, pi), and the sup of |h| over them.
 
-    kind is +1 at a maximum, -1 at a minimum and 0 where the sign of h decides.  One evaluation
-    of h = f + 1/2 log R values them and (0, pi/4, pi/2, 3pi/4); if the values spread less than
-    1e-13 plus the rounding of h, h is flat and these canonical angles are the extrema.
+    One evaluation of h = f + 1/2 log R values them and (0, pi/4, pi/2, 3pi/4); if the values
+    spread less than 1e-13 plus the rounding of h, h is flat and these canonical angles are the
+    extrema.
     """
-    phi, kind = np.concatenate([_CANONICAL_ANGLES, angles]), np.append(_SIGNS, kind)
+    phi = np.concatenate([_CANONICAL_ANGLES, angles])
     f = gauge.log_eval(phi)
     values = f + _half_log_trig(params, phi)
     flat = float(values.max() - values.min()) < 1e-13 + _H_ROUNDING * float(np.abs(f).max())
-    phi, kind, values = (z[:4] if flat else z[4:] for z in (phi, kind, values))
-    top = np.where(kind == 0, values >= 0.0, kind > 0)
-    return _ExtremaScan(phi[top], values[top], phi[~top], values[~top], float(np.abs(values).max()))
+    phi, values = (z[:4] if flat else z[4:] for z in (phi, values))
+    return _ExtremaScan(phi, float(np.abs(values).max()))
 
 
 def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _ExtremaScan:
@@ -341,16 +335,14 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _Extr
 
     Every gauge without closed-form extrema (``Gauge.extremum_candidates``, the exact case of
     the same rule) reads them off the sign of h' = f' + (c2*cos 2phi - b2*sin 2phi)/R at the
-    ends of the cells of ``pieces``, f' from ``Gauge.log_slopes``.  A grid angle is a maximum
-    where h' falls from >= 0 on its left to <= 0 on its right, a minimum where it rises, and
-    either, by the sign of h, where both are 0.  A cell whose h' changes sign holds one
-    extremum, found by ``_illinois``; no cell may hold a maximum and a minimum.
+    ends of the cells of ``pieces``, f' from ``Gauge.log_slopes``.  A grid angle is an
+    extremum where h' turns across it, from >= 0 on its left to <= 0 on its right or from
+    <= 0 to >= 0.  A cell whose h' changes sign holds one extremum, found by ``_illinois``;
+    no cell may hold a maximum and a minimum.
     """
     candidates = gauge.extremum_candidates(params)
     if candidates is not None:
-        maxima, minima = candidates
-        return _candidate_extrema(gauge, params, np.concatenate(candidates),
-                                  np.repeat([1, -1], [maxima.size, minima.size]))
+        return _candidate_extrema(gauge, params, candidates)
 
     def g_slope(cos, sin):  # (1/2 log R)' = -g': h' is f' plus this
         return (params.c2 * cos - params.b2 * sin) / _R(params, cos, sin)
@@ -359,15 +351,12 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _Extr
     grid_slope = g_slope(cos, sin)
     left, right = (f + grid_slope for f in pieces.slopes)
     nxt = np.concatenate([left[1:], left[:1]])  # h' at each cell's right end
-    is_max, is_min = (left >= 0.0) & (right <= 0.0), (left <= 0.0) & (right >= 0.0)
-    keep = is_max | is_min
+    turn = ((left >= 0.0) & (right <= 0.0)) | ((left <= 0.0) & (right >= 0.0))
     cells = np.nonzero(np.sign(right) * np.sign(nxt) < 0.0)[0]
     ends = pieces.ends
     inner = _illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(*_cos_sin(p)),
                       ends[cells], ends[cells + 1], right[cells], nxt[cells])
-    angles = np.concatenate([x[keep], np.mod(inner, _PI)])
-    kind = np.concatenate([is_max[keep] * 1 - is_min[keep], np.sign(right[cells])])  # 0: both
-    return _candidate_extrema(gauge, params, angles, kind)
+    return _candidate_extrema(gauge, params, np.concatenate([x[turn], np.mod(inner, _PI)]))
 
 
 def certificate_deviations(
@@ -446,7 +435,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
             best = params, scan, points[ref].tolist(), h[ref].tolist(), sign
         if scan.sup - level <= 1e-12 * scan.sup + floor:
             break
-        points = _distinct(np.concatenate([scan.max_angles, scan.min_angles]))[0]
+        points = _distinct(scan.angles)
         if points.size < 4:
             break
         f, (cos, sin) = gauge.log_eval(points), _cos_sin(points)

@@ -29,6 +29,7 @@ from bmplane.oracle import oracle_uniform
 from bmplane.report import build_report, verify_theorem1
 from bmplane.solver import (
     _extrema_scan,
+    _half_log_trig,
     _Pieces,
     AlternanceCertificate,
     distance,
@@ -176,9 +177,11 @@ def test_criterion_07_linear_invariance():
 @criterion(8, "one-sided shift: the inscribed ellipse lies under the body, f - g peaks at 2*defect")
 def test_criterion_08_one_sided(solved_corpus):
     for name, (gauge, sol) in solved_corpus.items():
-        scan = _extrema_scan(gauge, build_report(gauge, sol).params_inscribed, _Pieces(gauge))
-        assert scan.min_values.min() >= -1e-9, name
-        assert abs(scan.max_values.max() - 2.0 * sol.defect) <= 1e-8, name
+        inscribed = build_report(gauge, sol).params_inscribed
+        scan = _extrema_scan(gauge, inscribed, _Pieces(gauge))
+        h = gauge.log_eval(scan.angles) + _half_log_trig(inscribed, scan.angles)
+        assert h.min() >= -1e-9, name
+        assert abs(h.max() - 2.0 * sol.defect) <= 1e-8, name
     return f"{len(solved_corpus)} bodies"
 
 

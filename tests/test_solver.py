@@ -196,13 +196,25 @@ def _batched_ternary_max(fun, lo: np.ndarray, hi: np.ndarray, rounds: int = 60):
     return xm, fun(xm)
 
 
-def _refined_extrema_two_calls(h, grid: np.ndarray, hvals: np.ndarray) -> _ExtremaScan:
+@dataclasses.dataclass
+class _TwoCallExtrema:
+    """The reference's maxima and minima, each with h there, and its sup of |h|."""
+
+    max_angles: np.ndarray
+    max_values: np.ndarray
+    min_angles: np.ndarray
+    min_values: np.ndarray
+    sup: float
+
+
+def _refined_extrema_two_calls(h, grid: np.ndarray, hvals: np.ndarray) -> _TwoCallExtrema:
     """The refinement with separate ternary searches for maxima and minima: reference."""
     if float(hvals.max() - hvals.min()) < 1e-13:
         # flat: the canonical maxima (0, pi/2) and minima (pi/4, 3pi/4), and the grid's sup
         ang = np.arange(4) * (0.25 * math.pi)
         val = h(ang)
-        return _ExtremaScan(ang[0::2], val[0::2], ang[1::2], val[1::2], float(np.abs(hvals).max()))
+        return _TwoCallExtrema(ang[0::2], val[0::2], ang[1::2], val[1::2],
+                               float(np.abs(hvals).max()))
 
     prev = np.roll(hvals, 1)
     nxt = np.roll(hvals, -1)
@@ -226,7 +238,7 @@ def _refined_extrema_two_calls(h, grid: np.ndarray, hvals: np.ndarray) -> _Extre
         float(max_values.max()) if max_values.size else -math.inf,
         float(-min_values.min()) if min_values.size else -math.inf,
     )
-    return _ExtremaScan(
+    return _TwoCallExtrema(
         np.mod(max_angles, _PI), max_values, np.mod(min_angles, _PI), min_values, sup
     )
 
@@ -474,24 +486,24 @@ def _nearest(ref_angles: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
 class TestRefinement:
     def test_matches_two_call_refinement(self, corpus):
-        # the ternary search from the grid is the reference: as many extrema of each sign,
-        # none less extreme by more than 1e-14, and a sup no lower by more than 1e-15
+        # the ternary search from the grid is the reference: one scan angle per extremum of
+        # either sign, h at the one nearest each no less extreme by more than 1e-14, and a sup
+        # no lower by more than 1e-15
         for name, g in _refinement_bodies(corpus).items():
             grid, h, hvals, params = _lp_deviation(g)
             scan = _extrema_scan(g, params, _Pieces(g))
             ref = _refined_extrema_two_calls(h, grid, hvals)
-            assert scan.max_values.size == ref.max_values.size, name
-            assert scan.min_values.size == ref.min_values.size, name
-            i = _nearest(ref.max_angles, scan.max_angles)
-            assert np.all(scan.max_values[i] >= ref.max_values - 1e-14), name
-            i = _nearest(ref.min_angles, scan.min_angles)
-            assert np.all(scan.min_values[i] <= ref.min_values + 1e-14), name
+            values = h(scan.angles)
+            assert _distinct(scan.angles).size == ref.max_values.size + ref.min_values.size, name
+            i = _nearest(ref.max_angles, scan.angles)
+            assert np.all(values[i] >= ref.max_values - 1e-14), name
+            i = _nearest(ref.min_angles, scan.angles)
+            assert np.all(values[i] <= ref.min_values + 1e-14), name
             assert scan.sup >= ref.sup - 1e-15, name
-            # a higher sup is a value of h: on star-2000 two edge lines miss each other
-            # by 2.4e-15 at a vertex, and the scan's float next to it sees the higher one
-            angles = np.concatenate([scan.max_angles, scan.min_angles])
-            top = angles[np.argmax(np.abs(np.concatenate([scan.max_values, scan.min_values])))]
-            assert abs(float(h(top))) == pytest.approx(scan.sup, rel=0.0, abs=1e-15), name
+            # the sup is |h| at a scan angle, bit for bit, so a higher sup is a value of h: on
+            # star-2000 two edge lines miss each other by 2.4e-15 at a vertex, and the scan's
+            # float next to it sees the higher one
+            assert float(np.abs(values).max()) == scan.sup, name
 
     @pytest.mark.parametrize(
         "g",
@@ -542,12 +554,12 @@ class TestRefinement:
             ref = _refined_extrema_two_calls(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
             scan = _extrema_scan(g, params, _Pieces(g))
             # one extremum per turn of the slope; the edge across 0 and pi is one piece
-            assert scan.max_angles.size == ref.max_angles.size, name
-            assert scan.min_angles.size == ref.min_angles.size, name
-            i = _nearest(ref.max_angles, scan.max_angles)
-            assert np.all(scan.max_values[i] >= ref.max_values - 1e-14), name
-            i = _nearest(ref.min_angles, scan.min_angles)
-            assert np.all(scan.min_values[i] <= ref.min_values + 1e-14), name
+            values = h(scan.angles)
+            assert _distinct(scan.angles).size == ref.max_angles.size + ref.min_angles.size, name
+            i = _nearest(ref.max_angles, scan.angles)
+            assert np.all(values[i] >= ref.max_values - 1e-14), name
+            i = _nearest(ref.min_angles, scan.angles)
+            assert np.all(values[i] <= ref.min_values + 1e-14), name
             exact = bodies.polygon_deviation_sup(np.array(descriptor["vertices"]), params)
             assert scan.sup == pytest.approx(exact, rel=0.0, abs=1e-15), name
 
@@ -718,6 +730,7 @@ class TestGrid:
         # no kinks, or kinks that are base angles bit for bit: the shared read-only arrays
         n = _GRID_SIZE
         shared = _base_grid(n)
+        assert shared[0].tobytes() == evaluation_grid(lp_gauge(3.0), n).tobytes()
         nodes = np.arange(128) * math.pi / 128
         for g in (lp_gauge(3.0), lp_gauge(1.0), lp_gauge(math.inf),
                   sample_gauge(1.0 + 0.1 * np.cos(nodes)), _Kinks(np.arange(n) * (math.pi / n))):
@@ -966,14 +979,11 @@ class TestSolveUniform:
 
         scan = solver_mod._extrema_scan
 
-        def missing_top(*args):
-            s = scan(*args)
-            keep_max = np.abs(s.max_values) < s.sup - 1e-6
-            keep_min = np.abs(s.min_values) < s.sup - 1e-6
-            values = np.concatenate([s.max_values[keep_max], s.min_values[keep_min]])
-            return _ExtremaScan(s.max_angles[keep_max], s.max_values[keep_max],
-                                s.min_angles[keep_min], s.min_values[keep_min],
-                                float(np.abs(values).max()))
+        def missing_top(gauge, params, pieces):
+            s = scan(gauge, params, pieces)
+            values = np.abs(gauge.log_eval(s.angles) + _half_log_trig(params, s.angles))
+            keep = values < s.sup - 1e-6
+            return _ExtremaScan(s.angles[keep], float(values[keep].max()))
 
         monkeypatch.setattr(solver_mod, "_extrema_scan", missing_top)
         g = sample_gauge(bodies.smooth_samples(np.random.default_rng(0), 128))
@@ -1089,14 +1099,13 @@ class TestSolveUniform:
 
 class TestCertificate:
     def test_distinct_is_np_unique(self):
-        # np.unique(return_index=True) is the reference, on ties, integers and the empty array
+        # np.unique is the reference, on ties, integers and the empty array
         rng = np.random.default_rng(19)
         for _ in range(500):
             n = int(rng.integers(0, 40))
             for values in (rng.integers(0, 8, n), rng.integers(0, 8, n) * (math.pi / 8)):
-                got, ref = _distinct(values), np.unique(values, return_index=True)
-                assert all(g.tobytes() == r.tobytes() and g.dtype == r.dtype
-                           for g, r in zip(got, ref)), values
+                got, ref = _distinct(values), np.unique(values)
+                assert got.tobytes() == ref.tobytes() and got.dtype == ref.dtype, values
 
     def test_square_certificate_at_vertex_and_midpoint_directions(self):
         cert = solve_uniform(lp_gauge(math.inf)).certificate
@@ -1179,6 +1188,23 @@ class TestSmoothVertex:
         assert math.exp(2.0 * sol.defect) == pytest.approx(math.sqrt(2.0), rel=0.0, abs=1e-12)
         assert verify_certificate(g, sol.params, sol.certificate, _CERT_TOL).passed
 
+    def test_candidates_list_each_vertex_once(self):
+        # the midpoint square's edge midpoints, where the slope is 0 on both sides, used to be
+        # listed as a maximum and as a minimum: 6 entries for 4 angles at the circle triple
+        square = np.array([[1, 1], [0, 1], [-1, 1], [-1, 0], [-1, -1], [0, -1], [1, -1], [1, 0]],
+                          dtype=float)
+        cand = polygon_gauge(square).extremum_candidates(EllipseParams(1.0, 0.0, 0.0))
+        assert np.sort(cand).tolist() == (np.arange(4) * (0.25 * math.pi)).tolist()
+        # turned by 0.3, at its solved triple: four vertices once each and two edge minima, one
+        # a float past the midpoint at 0.3 and one rounding onto the midpoint at 0.3 + pi/2
+        c, s = math.cos(0.3), math.sin(0.3)
+        g = polygon_gauge(square @ np.array([[c, s], [-s, c]]))
+        cand = g.extremum_candidates(solve_uniform(g).params)
+        assert cand.size == 6 and _distinct(cand).size == 5
+        values, counts = np.unique(cand, return_counts=True)
+        assert values[counts > 1].tolist() == [0.3 + 0.5 * math.pi]
+        assert np.isin(values[counts > 1], g.critical_angles()).all()
+
     @pytest.mark.parametrize("turn", [0.0, 0.3, 1.1])
     def test_collinear_vertices_keep_the_polygons_answer(self, turn):
         # at turn 0 the draw at index 26 used to end in NoAlternance: its optimum's minimum on
@@ -1230,8 +1256,9 @@ class TestOneSided:
             inscribed = build_report(g, sol).params_inscribed
             assert inscribed.triple() == sol.params.scaled(math.exp(2.0 * sol.defect)).triple()
             scan = _extrema_scan(g, inscribed, _Pieces(g))
-            assert scan.min_values.min() >= -1e-9, name
-            assert scan.max_values.max() == pytest.approx(2.0 * sol.defect, abs=1e-8), name
+            h = g.log_eval(scan.angles) + _half_log_trig(inscribed, scan.angles)
+            assert h.min() >= -1e-9, name
+            assert h.max() == pytest.approx(2.0 * sol.defect, abs=1e-8), name
 
 
 class TestDistance:
