@@ -50,10 +50,11 @@ def _reduce(phi) -> np.ndarray:
     """
     phi = np.asarray(phi, dtype=float)
     red = np.asarray(phi + 0.0)  # +0.0 for -0.0, the value of np.mod there
+    if phi.size and 0.0 <= phi.min() and phi.max() < _PI:  # NaN fails both
+        return red
     out = ~((phi >= 0.0) & (phi < _PI))  # NaN too, which np.mod keeps
-    if out.any():
-        wrapped = np.mod(phi[out], _PI)
-        red[out] = np.where(wrapped >= _PI, 0.0, wrapped)
+    wrapped = np.mod(phi[out], _PI)
+    red[out] = np.where(wrapped >= _PI, 0.0, wrapped)
     return red
 
 
@@ -74,7 +75,12 @@ class Gauge:
 
     def log_slopes(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """f' on an angle array: its limits from the left and the right, which differ at kinks."""
-        raise NotImplementedError
+        return self._jet(np.atleast_1d(_reduce(phi)), f=False)[1]
+
+    def log_jet(self, phi) -> tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
+        """f and f' (as ``log_slopes``) on an angle array, from one pass over it; f and None on
+        a gauge whose extrema are in closed form (``extremum_candidates``)."""
+        return self._jet(np.atleast_1d(_reduce(phi)))
 
     def critical_angles(self) -> np.ndarray:
         """Angles in [0, pi) where r may have a kink; empty for smooth bodies."""
@@ -96,6 +102,12 @@ class Gauge:
 
     def _log_radius(self, red: np.ndarray) -> np.ndarray:
         return np.log(self._radius(red))
+
+    # a gauge scanned by its slopes implements _jet: f (None when not asked for) and f'
+    def _jet(self, red: np.ndarray, f: bool = True):
+        if not f:
+            raise NotImplementedError
+        return self._log_radius(red), None
 
 
 class _PolygonGauge(Gauge):
@@ -160,31 +172,32 @@ class _LpGauge(Gauge):
         return np.exp(self._log_radius(red))
 
     def _log_radius(self, red: np.ndarray) -> np.ndarray:
-        c, s = np.abs(np.cos(red)), np.abs(np.sin(red))
-        m = np.maximum(c, s)
-        if math.isinf(self._p):
-            return -np.log(m)
-        # max-normalized for stability at large p
-        inner = (c / m) ** self._p + (s / m) ** self._p
-        return -np.log(m) - np.log(inner) / self._p
+        return self._jet(red, slopes=False)[0]
 
-    def log_slopes(self, phi) -> tuple[np.ndarray, np.ndarray]:
+    def _jet(self, red: np.ndarray, f: bool = True, slopes: bool = True):
+        """f and f' from one cos and sin, each None when not asked for."""
+        cos, s = np.cos(red), np.abs(np.sin(red))
+        c = np.abs(cos)
+        m = np.maximum(c, s)
+        logr = -np.log(m) if f else None
+        if f and not math.isinf(self._p):  # max-normalized for stability at large p
+            logr = logr - np.log((c / m) ** self._p + (s / m) ** self._p) / self._p
+        if not slopes:
+            return logr, None
         # f' = sign(cos*(|cos| - sin))*(t - t^(p-1))/(1 + t^p), t = min/max of |cos| and sin
-        red = _reduce(phi)
-        cos, s = np.cos(red), np.sin(red)  # s >= 0 on [0, pi)
-        t = np.minimum(np.abs(cos), s) / np.maximum(np.abs(cos), s)
-        sign = np.sign(cos * (np.abs(cos) - s))
+        t = np.minimum(c, s) / m
+        sign = np.sign(cos * (c - s))
         if math.isinf(self._p):  # t^inf is 0 below t = 1, and the sign is 0 at t = 1
             slope = sign * t
         else:
             tp = t ** (self._p - 1.0)
             slope = sign * (t - tp) / (1.0 + t * tp)
         if 1.0 < self._p < math.inf:
-            return slope, slope
+            return logr, (slope, slope)
         # every kink (p = 1 or inf) is a corner of r with slopes +1 on its left and -1 on its right
         first, second = self.critical_angles()
         kink = (red == first) | (red == second)
-        return np.where(kink, 1.0, slope), np.where(kink, -1.0, slope)
+        return logr, (np.where(kink, 1.0, slope), np.where(kink, -1.0, slope))
 
     def critical_angles(self) -> np.ndarray:
         if math.isinf(self._p):
@@ -251,21 +264,26 @@ class _SampleGauge(Gauge):
     def _radius(self, red: np.ndarray) -> np.ndarray:
         if self._cubics is not None:
             return self._pchip(red)
-        k = self._cell(red)
-        frac = (red - self._nodes[k]) / (self._nodes[k + 1] - self._nodes[k])
-        left = self._values[k] * (1.0 - frac)
-        k += 1  # the next sample, the first after the last
-        k[k == self._n] = 0
-        return left + self._values[k] * frac
+        return self._linear(red, self._cell(red))
 
-    def log_slopes(self, phi) -> tuple[np.ndarray, np.ndarray]:
-        red = np.atleast_1d(_reduce(phi))
+    def _linear(self, red: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """r on angles in their linear cells k."""
+        frac = (red - self._nodes[k]) / (self._nodes[k + 1] - self._nodes[k])
+        nxt = k + 1  # the next sample, the first after the last
+        nxt[nxt == self._n] = 0
+        return self._values[k] * (1.0 - frac) + self._values[nxt] * frac
+
+    def _jet(self, red: np.ndarray, f: bool = True):
+        """f (None when not asked for) and f' from one cell lookup or cubic."""
         if self._cubics is not None:  # C1: both limits agree
             r, dr = self._pchip(red, slope=True)
-            return (dr / r,) * 2
-        k, r = self._cell(red), self._radius(red)
-        # a node's left limit is the slope of the cell before it (-1: the last, before 0)
-        return self._slopes[k - (red == self._nodes[k])] / r, self._slopes[k] / r
+            grad = (dr / r,) * 2
+        else:
+            k = self._cell(red)
+            r = self._linear(red, k)
+            # a node's left limit is the slope of the cell before it (-1: the last, before 0)
+            grad = self._slopes[k - (red == self._nodes[k])] / r, self._slopes[k] / r
+        return (np.log(r) if f else None), grad
 
     def critical_angles(self) -> np.ndarray:
         return self._nodes[:-1]  # read-only

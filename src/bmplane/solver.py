@@ -16,22 +16,26 @@ Stiefel's one-point exchange on four-angle alternating references, run on
 the whole grid with one 4x4 solve and one matvec per round (``linprog``).
 Each point set's cos 2phi and sin 2phi are taken once, as two contiguous
 arrays that give R of any triple; the LP's table (``_trig_matrix``) is built
-from them.  The grid's uniform angles k*pi/4096 and their cos and sin are
-taken once per process (``_base_grid``) and shared, read-only; a body's
-kinks are inserted into them (``_merge_kinks``) with no full sort, and only
-a kink off every uniform angle gets a fresh cos and sin, so a body with no
-kinks, or with kinks on uniform angles only, has the shared arrays
-themselves.  ``solve_uniform`` runs that exchange in one loop: first on the
-grid, then on the extrema of the last triple's deviation, where its final
-4x4 solve is the four-point equioscillation system.  One scan
-(``_extrema_scan``) returns the extremum angles, as one set, and the sup of
-|f - g| over them, from the sign of h' = (f - g)' at the ends of the cells
-between grid angles (every kink is one), root-finding h' in a cell where it
-changes sign; it is exact in closed form on polygons, where f - g =
-1/2 log(p'Mp) is convex along each edge, and on ellipses.  The loop
-stops when the scanned sup-norm of the last triple is within 1e-12 relative
-(or the rounding of h) of its level on its points, the de la Vallee Poussin
-lower bound on the optimum.
+from them and divided by w once per run.  The grid's uniform angles
+k*pi/4096 and their cos and sin are taken once per process (``_base_grid``)
+and shared, read-only; a body's kinks are inserted into them
+(``_merge_kinks``) with no full sort, and only a kink off every uniform angle
+gets a fresh cos and sin, so a body with no kinks, or with kinks on uniform
+angles only, has the shared arrays themselves.  ``solve_uniform`` runs that
+exchange in one loop: first on the grid, then on the extrema of the last
+triple's deviation, where its final 4x4 solve is the four-point
+equioscillation system.  It evaluates the body on the grid once
+(``Gauge.log_jet``: f, and f' for the scan), and each later run takes f at
+its points from the scan.  One scan (``_extrema_scan``) returns the extremum
+angles, as one set, f there and the sup of |f - g| over them, from the sign
+of h' = (f - g)' at the ends of the cells between grid angles (every kink is
+one), root-finding h' in a cell where it changes sign; it is exact in closed
+form on polygons, where f - g = 1/2 log(p'Mp) is convex along each edge, and
+on ellipses.  The first scan values its grid-angle extrema from the grid
+run's f and h, so only its roots and the canonical angles call the gauge.
+The loop stops when the scanned sup-norm of the last triple is within 1e-12
+relative (or the rounding of h) of its level on its points, the de la Vallee
+Poussin lower bound on the optimum.
 
 Optimality is certified by the last reference of the exchange run whose
 triple is returned, with no search after the loop: four of that run's points
@@ -117,13 +121,16 @@ class CertificateVerdict:
     upper: float
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
+def _distinct(values: np.ndarray, *carried: np.ndarray):
     """The sorted distinct values, as ``np.unique(values)`` gives them, by a stable sort
-    (``np.unique`` imports numpy.ma on its first call)."""
-    ordered = np.sort(values, kind="stable")
-    first = np.ones(ordered.size, dtype=bool)
+    (``np.unique`` imports numpy.ma on its first call); with carried arrays, the tuple of
+    those values and each carried array at the first occurrence of each."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(order.size, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first]
+    keep = order[first]
+    return (ordered[first], *(c[keep] for c in carried)) if carried else ordered[first]
 
 
 def _R(params: EllipseParams, cos, sin) -> np.ndarray:
@@ -179,21 +186,25 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, lis
     dual-feasible basis (the Haar property of 1, cos 2phi, sin 2phi), so its
     level t bounds the optimum from below and may be below 1 early on.  The
     exchange starts from four angles a quarter of the grid apart with + at
-    the argmax of f.  A round stops when v = max(w - R, R - t*w) / w is at
-    most 1e-12*t on the grid, or when its worst angle is already in the
-    reference: then no exchange can move, and either t >= 1 and what is left
-    is rounding of R, or R/w lies in [t, 1], where the flipped reference is
-    optimal at level 1/t with the same rescaled triple.  Otherwise the worst
+    the argmax of f.  The table is divided by w once, so a round's only array
+    work is its 4x4 solve, one matvec giving u = R/w on the grid, and u's
+    argmin and argmax: the worst angle is the one of the two with the larger
+    violation, v = max(1 - min u, max u - t), on the side of the - angles at
+    the least u and of the + angles at the greatest (the + side on a tie).  A
+    round stops when v is at most 1e-12*t, or when its worst angle is already
+    in the reference: then no exchange can move, and either t >= 1 and what is
+    left is rounding of R, or R/w lies in [t, 1], where the flipped reference
+    is optimal at level 1/t with the same rescaled triple.  Otherwise the worst
     angle replaces the reference neighbour of its own sign (a dual simplex
     pivot).  The reference is four (index, sign) pairs in ascending index
-    order, held in plain Python: a round's only array work is its 4x4 solve
-    and the grid's matvec.  ref and sign are the final reference, four
+    order, held in plain Python.  ref and sign are the final reference, four
     ascending point indices and the signs of f - g there: the round's signs,
     flipped when t < 1.  A round depends only on its reference and signs, so
     a repeated reference is a cycle: it raises NoConvergence at once, as do a
     singular reference and no stop within 16 rounds per bit of n.
     """
     n = w.size
+    table = np.divide(trig.T, w, out=np.empty((3, n)))  # R/w = (a2, b2, c2) @ table
     start, quarter = int(np.argmin(w)), n // 4
     pairs = sorted(((start + quarter * k) % n, 1 - 2 * (k % 2)) for k in range(4))
     t = math.nan
@@ -221,14 +232,13 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, lis
                 f"exchange round {rounds}: singular reference {ref}, last level t = {t!r}"
             )
         t = float(x[3])
-        R = trig @ x[:3]
-        low, high = w - R, R - t * w
-        v = np.maximum(low, high) / w
-        j = int(np.argmax(v))
-        if v[j] <= 1e-12 * t or j in ref:
+        u = x[:3] @ table
+        lo, hi = int(np.argmin(u)), int(np.argmax(u))
+        below, above = 1.0 - float(u[lo]), float(u[hi]) - t
+        j, s, v = (hi, 1, above) if above >= below else (lo, -1, below)
+        if v <= 1e-12 * t or j in ref:
             return x, rounds, ref, [-s for s in sign] if t < 1.0 else sign
         k = bisect.bisect(ref, j)
-        s = 1 if high[j] >= low[j] else -1
         pairs[(k - 1) % 4 if sign[(k - 1) % 4] == s else k % 4] = (j, s)
         pairs.sort()
     raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
@@ -264,12 +274,13 @@ def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, lis
 class _ExtremaScan:
     angles: np.ndarray
     sup: float
+    f: np.ndarray  # f at the angles
 
 
 class _Pieces:
     """A body's grid of ``_GRID_SIZE`` angles (``evaluation_grid``: h is smooth between them),
     its cos 2phi and sin 2phi, the ends of its cells and f' on it from the left and the
-    right, each built on first use, once per solve.
+    right, each built on first use, once per solve (a solve sets f' from its grid pass).
 
     The grid is ``_base_grid`` merged with the body's kinks by ``_merge_kinks``: the base
     angles and their cos and sin come from the shared table, and only a kink off every base
@@ -315,30 +326,36 @@ def _illinois(fn, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) 
     return b
 
 
-def _candidate_extrema(gauge: Gauge, params: EllipseParams, angles: np.ndarray) -> _ExtremaScan:
-    """The extrema of h at candidate angles in [0, pi), and the sup of |h| over them.
+def _candidate_extrema(gauge: Gauge, params: EllipseParams, angles, held=None) -> _ExtremaScan:
+    """The extrema of h at candidate angles in [0, pi), f there, and the sup of |h| over them.
 
-    One evaluation of h = f + 1/2 log R values them and (0, pi/4, pi/2, 3pi/4); if the values
-    spread less than 1e-13 plus the rounding of h, h is flat and these canonical angles are the
-    extrema.
+    One evaluation of h = f + 1/2 log R values them and (0, pi/4, pi/2, 3pi/4); held, when
+    given, is (angles, f, h) at more candidates whose values the caller has, listed before the
+    others.  If the values spread less than 1e-13 plus the rounding of h, h is flat and the
+    canonical angles are the extrema.
     """
     phi = np.concatenate([_CANONICAL_ANGLES, angles])
     f = gauge.log_eval(phi)
     values = f + _half_log_trig(params, phi)
+    if held is not None:
+        phi, f, values = (np.concatenate([z[:4], y, z[4:]]) for z, y in zip((phi, f, values), held))
     flat = float(values.max() - values.min()) < 1e-13 + _H_ROUNDING * float(np.abs(f).max())
-    phi, values = (z[:4] if flat else z[4:] for z in (phi, values))
-    return _ExtremaScan(phi, float(np.abs(values).max()))
+    phi, f, values = (z[:4] if flat else z[4:] for z in (phi, f, values))
+    return _ExtremaScan(phi, float(np.abs(values).max()), f)
 
 
-def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _ExtremaScan:
-    """All local extrema of h = f - g for the triple, and the sup of |h|, by one call of h.
+def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces,
+                  grid_fh=None) -> _ExtremaScan:
+    """All local extrema of h = f - g for the triple, f there and the sup of |h|, by one call of h.
 
     Every gauge without closed-form extrema (``Gauge.extremum_candidates``, the exact case of
     the same rule) reads them off the sign of h' = f' + (c2*cos 2phi - b2*sin 2phi)/R at the
     ends of the cells of ``pieces``, f' from ``Gauge.log_slopes``.  A grid angle is an
     extremum where h' turns across it, from >= 0 on its left to <= 0 on its right or from
     <= 0 to >= 0.  A cell whose h' changes sign holds one extremum, found by ``_illinois``;
-    no cell may hold a maximum and a minimum.
+    no cell may hold a maximum and a minimum.  grid_fh, when given, is f and h on the grid of
+    ``pieces``, from which the grid extrema are valued: then only the roots and the canonical
+    angles call the gauge.
     """
     candidates = gauge.extremum_candidates(params)
     if candidates is not None:
@@ -354,9 +371,11 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _Extr
     turn = ((left >= 0.0) & (right <= 0.0)) | ((left <= 0.0) & (right >= 0.0))
     cells = np.nonzero(np.sign(right) * np.sign(nxt) < 0.0)[0]
     ends = pieces.ends
-    inner = _illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(*_cos_sin(p)),
-                      ends[cells], ends[cells + 1], right[cells], nxt[cells])
-    return _candidate_extrema(gauge, params, np.concatenate([x[turn], np.mod(inner, _PI)]))
+    inner = np.mod(_illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(*_cos_sin(p)),
+                             ends[cells], ends[cells + 1], right[cells], nxt[cells]), _PI)
+    if grid_fh is None:
+        return _candidate_extrema(gauge, params, np.concatenate([x[turn], inner]))
+    return _candidate_extrema(gauge, params, inner, [x[turn], *(z[turn] for z in grid_fh)])
 
 
 def certificate_deviations(
@@ -414,18 +433,18 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     """
     pieces = _Pieces(gauge)
     points, cos, sin = pieces.grid
-    f = gauge.log_eval(points)
+    f, pieces.slopes = gauge.log_jet(points)  # the solve's one gauge pass over the grid
     floor = _H_ROUNDING * float(np.abs(f).max())  # the rounding of sup - level
 
     # the run of least sup: its triple, scan, reference angles, h there and signs of h there
     best: Optional[tuple[EllipseParams, _ExtremaScan, list, list, list]] = None
     top = -math.inf
-    for _ in range(31):
+    for run in range(31):
         try:
             params, ref, sign = _minimax_lp(_trig_matrix(cos, sin), f)
             h = f + _half_log(params, cos, sin)
             level = float(np.abs(h).max())
-            scan = _extrema_scan(gauge, params, pieces)
+            scan = _extrema_scan(gauge, params, pieces, None if run else (f, h))
         except NoConvergence:
             if best is None:
                 raise
@@ -435,10 +454,10 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
             best = params, scan, points[ref].tolist(), h[ref].tolist(), sign
         if scan.sup - level <= 1e-12 * scan.sup + floor:
             break
-        points = _distinct(scan.angles)
+        points, f = _distinct(scan.angles, scan.f)
         if points.size < 4:
             break
-        f, (cos, sin) = gauge.log_eval(points), _cos_sin(points)
+        cos, sin = _cos_sin(points)
 
     params, scan, angles, hvals, sign = best
     if top > scan.sup + _CERT_TOL:

@@ -325,9 +325,63 @@ class TestReduce:
             assert type(ours) is type(ref) and ours.shape == ref.shape
             assert ours.tobytes() == ref.tobytes(), phi
 
+    def test_early_return(self, monkeypatch):
+        # an array wholly in [0, pi) returns before np.mod with its own bits, +0.0 for -0.0;
+        # pi maps to 0 and NaN stays NaN on the other path, and the empty array passes
+        inside = np.array([-0.0, 0.0, 1e-300, 0.5, np.nextafter(math.pi, 0.0)])
+        cases = [(phi, self._by_mod(phi)) for phi in (inside, inside[:1], -0.0, np.array(-0.0))]
+        with monkeypatch.context() as m:
+            m.setattr(np, "mod", None)
+            for phi, ref in cases:
+                ours = _reduce(phi)
+                assert ours.tobytes() == ref.tobytes(), phi
+                assert not np.signbit(ours).any(), phi
+        assert _reduce(np.array([0.5, math.pi])).tolist() == [0.5, 0.0]
+        assert _reduce(math.pi).tobytes() == np.array(0.0).tobytes()
+        red = _reduce(np.array([0.5, math.nan, -0.0]))
+        assert red[0] == 0.5 and math.isnan(red[1]) and red[2:].tobytes() == np.zeros(1).tobytes()
+        empty = _reduce(np.empty(0))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
     def test_grid_is_its_own_reduction(self):
         grid = evaluation_grid(sample_gauge(1.0 + 0.1 * np.cos(np.arange(100))), 4096)
         assert _reduce(grid).tobytes() == self._by_mod(grid).tobytes() == grid.tobytes()
+
+
+class TestJet:
+    """``log_jet``: f and f' from one pass, each the bits of ``log_eval`` and ``log_slopes``."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(lp_gauge(p) for p in (1.0, 1.0001, 1.5, 2.0, 3.0, 50.0, math.inf)),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(0), 128)),
+            sample_gauge(1.0 + 0.2 * np.random.default_rng(8192).random(8192)),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(1), 128), interp="pchip"),
+            sample_gauge(1.0 + 0.2 * np.random.default_rng(300).random(300), interp="pchip"),
+        ],
+        ids=["l1", "l1.0001", "l1.5", "l2", "l3", "l50", "linf", "samples128", "rough-8192",
+             "pchip128", "rough-pchip"],
+    )
+    def test_smooth_kinds(self, g):
+        rng = np.random.default_rng(38)
+        scattered = rng.uniform(-7.0, 7.0, 10_000)
+        scattered[[17, 4711]] = math.pi, -0.0
+        for phi in (evaluation_grid(g, 4096), scattered):
+            f, slopes = g.log_jet(phi)
+            assert f.tobytes() == g.log_eval(phi).tobytes()
+            for ours, ref in zip(slopes, g.log_slopes(phi), strict=True):
+                assert ours.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "g",
+        [polygon_gauge(bodies.hexagon_inradius_1()), ellipse_gauge(EllipseParams(1.0, 0.2, 0.1))],
+        ids=["hexagon", "ellipse"],
+    )
+    def test_closed_form_kinds_take_no_slopes(self, g):
+        phi = evaluation_grid(g, 4096)
+        f, slopes = g.log_jet(phi)
+        assert f.tobytes() == g.log_eval(phi).tobytes() and slopes is None
 
 
 class TestDescriptor:

@@ -80,8 +80,8 @@ def _watch_linprog(monkeypatch) -> list:
 
     rounds, lp = [], solver_mod.linprog
 
-    def watched(*args):
-        out = lp(*args)
+    def watched(*args, **kwargs):
+        out = lp(*args, **kwargs)
         rounds.append(out[1])
         return out
 
@@ -96,8 +96,8 @@ def _watch_runs(monkeypatch) -> list:
 
     runs, minimax = [], solver_mod._minimax_lp
 
-    def watched(trig, fvals):
-        out = minimax(trig, fvals)
+    def watched(trig, *args, **kwargs):
+        out = minimax(trig, *args, **kwargs)
         runs.append((trig, *out))
         return out
 
@@ -352,10 +352,10 @@ class TestExchangeLP:
             solve_uniform(lp_gauge(math.inf))
 
     def test_repeated_reference_is_typed(self, monkeypatch):
-        # polygon 78 of the rng-99 sequence below (kappa = 1e8) brings its round-1 reference
+        # polygon 199 of the rng-99 sequence below (kappa = 1e8) brings its round-1 reference
         # back at round 3; the exchange must stop there instead of cycling to its 208-round cap
         rng = np.random.default_rng(99)
-        for _ in range(79):
+        for _ in range(200):
             v = bodies.random_convex_polygon(rng)
             t1, t2 = rng.uniform(0.0, math.pi, 2)
         g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-8]) @ _rotation(t2).T).T)
@@ -368,7 +368,7 @@ class TestExchangeLP:
         monkeypatch.setattr(np.linalg, "solve", counting)
         with pytest.raises(NoConvergence, match="repeats the reference"):
             solve_uniform(g)
-        assert len(calls) <= 4
+        assert len(calls) <= 3
 
     def test_flat_in_family_ellipse(self, monkeypatch):
         # every grid row ties at d* = 0, so the rounding of R alone picks the worst angle:
@@ -421,11 +421,11 @@ def _calls_per_scan(monkeypatch, g) -> list:
     counts, inside = [], []
     scan, roots, log_eval = solver_mod._extrema_scan, solver_mod._illinois, Gauge.log_eval
 
-    def counted_scan(*args):
+    def counted_scan(*args, **kwargs):
         counts.append([0, 0])
         inside.append(True)
         try:
-            return scan(*args)
+            return scan(*args, **kwargs)
         finally:
             inside.pop()
 
@@ -640,15 +640,136 @@ class TestOneEvaluationPerAngle:
 
         scans, scan = [], solver_mod._extrema_scan
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             scans.append(1)
-            return scan(*args)
+            return scan(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "_extrema_scan", counted)
         rounds = _watch_linprog(monkeypatch)
         sol = solve_uniform(g)
         assert len(rounds) == len(scans)
         assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lp_gauge(1.5),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(3), 128)),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(1), 128), interp="pchip"),
+            polygon_gauge(bodies.hexagon_inradius_1()),
+        ],
+        ids=["l1.5", "samples128", "pchip128", "hexagon"],
+    )
+    def test_one_gauge_pass_over_the_grid(self, monkeypatch, g):
+        # the solve hands its grid to the gauge once, for f and, on a gauge scanned by its
+        # slopes, f' too; every other call is a scan's, so the later runs take f from the scan
+        rounds = _watch_linprog(monkeypatch)
+        calls = _gauge_calls(monkeypatch, g)
+        grid = _Pieces(g).grid[0]
+        on_grid = [i for i, (phi, _) in enumerate(calls) if np.array_equal(phi, grid)]
+        outside = [i for i, (_, in_scan) in enumerate(calls) if not in_scan]
+        assert on_grid == outside == [0]
+        assert len(rounds) >= (1 if g.descriptor()["kind"] == "lp" else 2)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lp_gauge(1.5),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(3), 128)),
+            sample_gauge(1.0 + 0.2 * np.random.default_rng(8192).random(8192)),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(1), 128), interp="pchip"),
+        ],
+        ids=["l1.5", "samples128", "rough-8192", "pchip128"],
+    )
+    def test_first_scan_values_grid_extrema_from_h(self, monkeypatch, g):
+        # given f and h on the grid, a scan returns the same angles, f and sup, bit for bit, and
+        # calls the gauge's log_eval once, at the four canonical angles and its roots only
+        import bmplane.solver as solver_mod
+
+        grid, fvals, params = _lp_triple(g)
+        h = fvals + _half_log(params, *_cos_sin(grid))
+        plain = _extrema_scan(g, params, _Pieces(g))
+        calls, roots, log_eval, illinois = [], [], g.log_eval, solver_mod._illinois
+        monkeypatch.setattr(g, "log_eval", lambda phi: calls.append(phi.size) or log_eval(phi))
+        monkeypatch.setattr(solver_mod, "_illinois",
+                            lambda *args: roots.append(illinois(*args)) or roots[-1])
+        held = _extrema_scan(g, params, _Pieces(g), (fvals, h))
+        for a, b in ((plain.angles, held.angles), (plain.f, held.f)):
+            assert a.tobytes() == b.tobytes()
+        assert plain.sup == held.sup
+        assert calls == [4 + roots[0].size]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(lp_gauge(p) for p in (1.0, 1.5, 3.0, 50.0, math.inf)),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(0), 128)),
+            sample_gauge(1.0 + 0.2 * np.random.default_rng(8192).random(8192)),
+            sample_gauge(bodies.smooth_samples(np.random.default_rng(1), 128), interp="pchip"),
+            sample_gauge(1.0 + 0.2 * np.random.default_rng(300).random(300), interp="pchip"),
+            polygon_gauge(bodies.hexagon_inradius_1()),
+            ellipse_gauge(EllipseParams(1.0, 0.2, 0.1)),
+        ],
+        ids=["l1", "l1.5", "l3", "l50", "linf", "samples128", "rough-8192", "pchip128",
+             "rough-pchip", "hexagon", "ellipse"],
+    )
+    def test_grid_f_and_slopes_are_log_eval_and_log_slopes(self, monkeypatch, g):
+        # the f that the grid run solves on is log_eval's, bit for bit, and the scan's slopes
+        # on the grid are log_slopes'; a gauge with closed-form extrema takes no slopes
+        import bmplane.solver as solver_mod
+
+        seen, minimax, scan = [], solver_mod._minimax_lp, solver_mod._extrema_scan
+
+        def first_f(trig, fvals, *args, **kwargs):
+            seen.append(fvals)
+            return minimax(trig, fvals, *args, **kwargs)
+
+        def first_pieces(gauge, params, pieces, *args, **kwargs):
+            seen.append(pieces)
+            return scan(gauge, params, pieces, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "_minimax_lp", first_f)
+        monkeypatch.setattr(solver_mod, "_extrema_scan", first_pieces)
+        solve_uniform(g)
+        fvals, pieces = seen[:2]
+        grid = pieces.grid[0]
+        assert fvals.tobytes() == g.log_eval(grid).tobytes()
+        if g.extremum_candidates(EllipseParams(1.0, 0.0, 0.0)) is None:
+            for ours, ref in zip(pieces.slopes, g.log_slopes(grid)):
+                assert ours.tobytes() == ref.tobytes()
+        else:
+            assert pieces.slopes is None
+
+
+def _gauge_calls(monkeypatch, g) -> list:
+    """(angles, inside a scan) of each call the solve makes to the gauge's eval, log_eval,
+    log_slopes or log_jet, in order, counting a call made inside another as part of it."""
+    import bmplane.solver as solver_mod
+
+    calls, depth, scans = [], [], []
+    scan = solver_mod._extrema_scan
+
+    def counted_scan(*args, **kwargs):
+        scans.append(True)
+        try:
+            return scan(*args, **kwargs)
+        finally:
+            scans.pop()
+
+    for name in ("eval", "log_eval", "log_slopes", "log_jet"):
+        def counted(phi, method=getattr(g, name)):
+            if not depth:
+                calls.append((np.array(phi), bool(scans)))
+            depth.append(True)
+            try:
+                return method(phi)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(g, name, counted)
+    monkeypatch.setattr(solver_mod, "_extrema_scan", counted_scan)
+    solve_uniform(g)
+    return calls
 
 
 def _evaluation_grid_by_search(kinks: np.ndarray, n: int) -> np.ndarray:
@@ -979,11 +1100,11 @@ class TestSolveUniform:
 
         scan = solver_mod._extrema_scan
 
-        def missing_top(gauge, params, pieces):
-            s = scan(gauge, params, pieces)
+        def missing_top(gauge, params, *args, **kwargs):
+            s = scan(gauge, params, *args, **kwargs)
             values = np.abs(gauge.log_eval(s.angles) + _half_log_trig(params, s.angles))
             keep = values < s.sup - 1e-6
-            return _ExtremaScan(s.angles[keep], float(values[keep].max()))
+            return _ExtremaScan(s.angles[keep], float(values[keep].max()), s.f[keep])
 
         monkeypatch.setattr(solver_mod, "_extrema_scan", missing_top)
         g = sample_gauge(bodies.smooth_samples(np.random.default_rng(0), 128))
@@ -997,8 +1118,8 @@ class TestSolveUniform:
 
         scan = solver_mod._extrema_scan
 
-        def raised_sup(*args):
-            s = scan(*args)
+        def raised_sup(*args, **kwargs):
+            s = scan(*args, **kwargs)
             return dataclasses.replace(s, sup=s.sup + 1e-7)
 
         monkeypatch.setattr(solver_mod, "_extrema_scan", raised_sup)
@@ -1106,6 +1227,18 @@ class TestCertificate:
             for values in (rng.integers(0, 8, n), rng.integers(0, 8, n) * (math.pi / 8)):
                 got, ref = _distinct(values), np.unique(values)
                 assert got.tobytes() == ref.tobytes() and got.dtype == ref.dtype, values
+
+    def test_distinct_carries_arrays_from_first_occurrences(self):
+        # each carried array at np.unique's first index of each value, on ties and the empty array
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            values = rng.integers(0, 8, n) * (math.pi / 8)
+            carried = rng.random(n)
+            got, got_carried = _distinct(values, carried)
+            ref, first = np.unique(values, return_index=True)
+            assert got.tobytes() == ref.tobytes(), values
+            assert got_carried.tobytes() == carried[first].tobytes(), values
 
     def test_square_certificate_at_vertex_and_midpoint_directions(self):
         cert = solve_uniform(lp_gauge(math.inf)).certificate
