@@ -18,23 +18,31 @@ so no point there has a defect below L = 0.25*log(max lb / min ub).  The slack
 shrinks that ratio.  |p|, |q| and h are at most 1, so m and d are r2 times sums
 of terms of size at most 1, and lb and ub round to a few ulps of 5*max r2, about
 1e-15*max r2, and r2 itself to an ulp: 1e-12*max r2 taken off max lb and added
-to min ub covers every rounding.
+to min ub covers every rounding.  Every defect is a max of absolute values, so L
+is floored at 0; that changes no prune while the best value exceeds _TOL.
 
 The search is breadth first from the box [-1, 1]^2, whose centre is the circle.
 Each round bounds every live box on the angles still kept, drops a box that
 misses the disc, takes the defect of each centre inside the disc, and prunes
-every box with L >= best - _TOL.  An angle that is neither above max lb - slack
-nor below min ub + slack in any live box is never the max or the min there, and
-later rounds skip it.  The rest split in four.  A round that would compute more
-than _MAX_VALUES (box, angle) values is not run, and its boxes count as pruned:
-the bracket stays sound but is wider than _TOL.  Only nearly flat ellipses need
-that many: the in-family ellipses with b2^2 + c2^2 = e^2*a2^2 reach it from
-e = 1 - 1e-7, where the live boxes about the optimum keep doubling in number.
+every box with L >= best - _TOL.  The first round then offers one more
+incumbent, the least-squares (p, q) of p*cos 2phi + q*sin 2phi - k/r2 = -1 on
+the grid (``_fit``): m is the constant k exactly when the body is an ellipse,
+so there the fit is the optimum, defect 0 up to rounding.  It replaces the
+circle only when its defect is at most _TOL and below the circle's by more
+than _TOL; then every L >= 0 prunes its box, and the search ends in its first
+round.  A fit of larger defect is not taken, so on a body of value above _TOL
+the search is the same as without the fit, bit for bit.  An angle that is
+neither above max lb - slack nor below min ub + slack in any live box is never
+the max or the min there, and later rounds skip it.  The rest split in four.
+A round that would compute more than _MAX_VALUES (box, angle) values is not
+run, and its boxes count as pruned: the bracket stays sound but is wider than
+_TOL.  Flat bodies outside the family can need that many, such as images of
+polygons under maps of condition number 1e4, where the live boxes follow a
+thin strip along the edge of the disc and keep doubling in number.
 
-``lower`` is the least L of the pruned boxes, or 0 if that is less, since every
-defect is a max of absolute values.  So lower <= the least defect on the angle
-grid <= d*: the grid's max |deviation| is a max over a subset of the angles.
-``value`` is the defect of the best centre, within _TOL of lower.
+``lower`` is the least L of the pruned boxes, so lower <= the least defect on
+the angle grid <= d*: the grid's max |deviation| is a max over a subset of the
+angles.  ``value`` is the defect of the best incumbent, within _TOL of lower.
 """
 
 from __future__ import annotations
@@ -59,7 +67,8 @@ _MAX_VALUES = 1 << 21  # (box, angle) values one round may compute
 class OracleResult:
     """The best ellipse found, its defect ``value`` on the angle grid and a
     ``lower`` bound on every ellipse's defect there, lower <= value <= lower +
-    1e-6.  ``evaluations`` counts the (box, angle) values computed."""
+    1e-6.  ``evaluations`` counts the (box, angle) values computed, and the
+    grid's values of the least-squares fit when it lies in the disc."""
 
     params: EllipseParams
     value: float
@@ -69,6 +78,24 @@ class OracleResult:
     @property
     def std(self) -> StdEllipseParams:
         return self.params.to_std()
+
+
+def _fit(r2: np.ndarray, cos2: np.ndarray, sin2: np.ndarray) -> tuple[float, ...] | None:
+    """The least-squares (p, q) as an incumbent (value, p, q, max m, min m), or None
+    outside the disc; the value is inf when min m <= 0.
+
+    It solves p*cos2 + q*sin2 - k/r2 = -1 on the grid by its 3x3 normal
+    equations: m = r2*(1 + p*cos2 + q*sin2) is the constant k exactly when the
+    body is an ellipse, so the fit finds a zero defect at once.  Its 3 x n
+    arrays are freed on return, before the search's larger rounds.
+    """
+    a = np.stack([cos2, sin2, -1.0 / r2])
+    p, q, _ = np.linalg.solve(a @ a.T, -a.sum(axis=1)).tolist()
+    if not math.hypot(p, q) < 1.0:
+        return None
+    m = r2 * (1.0 + p * cos2 + q * sin2)
+    top, bottom = float(m.max()), float(m.min())
+    return (0.25 * math.log(top / bottom) if bottom > 0.0 else math.inf), p, q, top, bottom
 
 
 def oracle_uniform(gauge: Gauge, n_phi: int = 1024, threads: int = 1) -> OracleResult:
@@ -93,22 +120,30 @@ def oracle_uniform(gauge: Gauge, n_phi: int = 1024, threads: int = 1) -> OracleR
         ps, qs = ps[inside], qs[inside]
         m = r2 * (1.0 + ps[:, None] * cos2 + qs[:, None] * sin2)
         d = h * r2 * (np.abs(cos2) + np.abs(sin2))
-        lb, ub = m - d, m + d
-        lo, hi = lb.max(axis=1), ub.min(axis=1)
+        tops, bottoms = m.max(axis=1), m.min(axis=1)
         evaluations += m.size
+        ub = m + d
+        lb = np.subtract(m, d, out=m)  # m is done with: lb takes its memory
+        lo, hi = lb.max(axis=1), ub.min(axis=1)
 
-        centre = np.flatnonzero((np.hypot(ps, qs) < 1.0) & (m.min(axis=1) > 0.0))
+        centre = np.flatnonzero((np.hypot(ps, qs) < 1.0) & (bottoms > 0.0))
         if centre.size:
-            top, bottom = m[centre].max(axis=1), m[centre].min(axis=1)
+            top, bottom = tops[centre], bottoms[centre]
             values = 0.25 * np.log(top / bottom)
             k = int(np.argmin(values))
             if values[k] < best[0]:
                 i = centre[k]
                 best = (float(values[k]), float(ps[i]), float(qs[i]), float(top[k]), float(bottom[k]))
+        if h == 1.0:  # the first round: offer the least-squares fit after the circle
+            fit = _fit(r2, cos2, sin2)
+            if fit is not None:
+                evaluations += r2.size
+                if fit[0] <= _TOL and fit[0] < best[0] - _TOL:  # then every box is pruned
+                    best = fit
 
         bound = np.full(ps.size, -math.inf)
         np.log(lo - slack, out=bound, where=lo > slack)
-        bound = 0.25 * (bound - np.log(hi + slack))
+        bound = np.maximum(0.25 * (bound - np.log(hi + slack)), 0.0)
         live = bound < best[0] - _TOL
         keep = ((ub >= lo[:, None] - slack) | (lb <= hi[:, None] + slack))[live].any(axis=0)
         if 4 * np.count_nonzero(live) * np.count_nonzero(keep) > _MAX_VALUES:
@@ -123,4 +158,4 @@ def oracle_uniform(gauge: Gauge, n_phi: int = 1024, threads: int = 1) -> OracleR
 
     value, p, q, top, bottom = best
     a2 = math.exp(-2.0 * f_c - 0.5 * (math.log(top) + math.log(bottom)))
-    return OracleResult(EllipseParams(a2, a2 * p, a2 * q), value, max(lower, 0.0), evaluations)
+    return OracleResult(EllipseParams(a2, a2 * p, a2 * q), value, lower, evaluations)

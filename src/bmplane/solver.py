@@ -15,10 +15,10 @@ the body's scale drop out.  The LP has four unknowns, and
 Stiefel's one-point exchange on four-angle alternating references, run on
 the whole grid with one 4x4 solve and one matvec per round (``linprog``).
 Each point set's cos 2phi and sin 2phi are taken once, as two contiguous
-arrays that give R of any triple; the LP's table (``_trig_matrix``) is built
-from them and divided by w once per run.  The grid's uniform angles
-k*pi/4096 and their cos and sin are taken once per process (``_base_grid``)
-and shared, read-only; a body's kinks are inserted into them
+arrays that give R of any triple; the LP's table, (1, cos, sin) divided by
+w, is built from them once per run.  The grid's uniform angles k*pi/4096
+and their cos and sin are taken once per process (``_base_grid``) and
+shared, read-only; a body's kinks are inserted into them
 (``_merge_kinks``) with no full sort, and only a kink off every uniform angle
 gets a fresh cos and sin, so a body with no kinks, or with kinks on uniform
 angles only, has the shared arrays themselves.  ``solve_uniform`` runs that
@@ -157,15 +157,6 @@ def _half_log_trig(params: EllipseParams, phi):
     return _half_log(params, *_cos_sin(np.asarray(phi, dtype=float)))
 
 
-def _trig_matrix(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """The LP's table of a point set from its cos 2phi and sin 2phi: rows (1, cos, sin).
-
-    R on the points is this times (a2, b2, c2).  Only the LP reads it; R of a
-    triple is taken on the contiguous cos and sin themselves (``_half_log``).
-    """
-    return np.column_stack([np.ones(cos.size), cos, sin])
-
-
 @cache
 def _base_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The uniform grid k*pi/n (the grid of a body with no kinks) and its cos 2phi and
@@ -177,8 +168,8 @@ def _base_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return shared
 
 
-def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, list]:
-    """Minimize t subject to w <= trig @ (a2, b2, c2) <= t*w; returns (x, rounds, ref, sign).
+def linprog(cos: np.ndarray, sin: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, list]:
+    """Minimize t subject to w <= a2 + b2*cos + c2*sin <= t*w; returns (x, rounds, ref, sign).
 
     x is (a2, b2, c2, t).  Stiefel's one-point exchange on the whole grid.  A
     reference is four angles in cyclic order with alternating signs: R = t*w
@@ -186,17 +177,17 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, lis
     dual-feasible basis (the Haar property of 1, cos 2phi, sin 2phi), so its
     level t bounds the optimum from below and may be below 1 early on.  The
     exchange starts from four angles a quarter of the grid apart with + at
-    the argmax of f.  The table is divided by w once, so a round's only array
-    work is its 4x4 solve, one matvec giving u = R/w on the grid, and u's
-    argmin and argmax: the worst angle is the one of the two with the larger
-    violation, v = max(1 - min u, max u - t), on the side of the - angles at
-    the least u and of the + angles at the greatest (the + side on a tie).  A
-    round stops when v is at most 1e-12*t, or when its worst angle is already
-    in the reference: then no exchange can move, and either t >= 1 and what is
-    left is rounding of R, or R/w lies in [t, 1], where the flipped reference
-    is optimal at level 1/t with the same rescaled triple.  Otherwise the worst
-    angle replaces the reference neighbour of its own sign (a dual simplex
-    pivot).  The reference is four (index, sign) pairs in ascending index
+    the argmax of f.  The table (1, cos, sin)/w is built once, so a round's
+    only array work is its 4x4 solve, one matvec giving u = R/w on the grid,
+    and u's argmin and argmax: the worst angle is the one of the two with the
+    larger violation, v = max(1 - min u, max u - t), on the side of the -
+    angles at the least u and of the + angles at the greatest (the + side on
+    a tie).  A round stops when v is at most 1e-12*t, or when its worst angle
+    is already in the reference: then no exchange can move, and either t >= 1
+    and what is left is rounding of R, or R/w lies in [t, 1], where the
+    flipped reference is optimal at level 1/t with the same rescaled triple.
+    Otherwise the worst angle replaces the reference neighbour of its own
+    sign (a dual simplex pivot).  The reference is four (index, sign) pairs in ascending index
     order, held in plain Python.  ref and sign are the final reference, four
     ascending point indices and the signs of f - g there: the round's signs,
     flipped when t < 1.  A round depends only on its reference and signs, so
@@ -204,7 +195,10 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, lis
     singular reference and no stop within 16 rounds per bit of n.
     """
     n = w.size
-    table = np.divide(trig.T, w, out=np.empty((3, n)))  # R/w = (a2, b2, c2) @ table
+    table = np.empty((3, n))  # R/w = (a2, b2, c2) @ table
+    np.divide(1.0, w, out=table[0])
+    np.divide(cos, w, out=table[1])
+    np.divide(sin, w, out=table[2])
     start, quarter = int(np.argmin(w)), n // 4
     pairs = sorted(((start + quarter * k) % n, 1 - 2 * (k % 2)) for k in range(4))
     t = math.nan
@@ -221,7 +215,7 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, lis
         seen[key] = rounds
         wref = w[ref].tolist()
         system = np.empty((4, 4))
-        system[:, :3] = trig[ref]
+        system[:, 0], system[:, 1], system[:, 2] = 1.0, cos[ref], sin[ref]
         system[:, 3] = [-v if s > 0 else 0.0 for v, s in zip(wref, sign)]
         try:
             x = np.linalg.solve(system, [0.0 if s > 0 else v for v, s in zip(wref, sign)])
@@ -244,18 +238,19 @@ def linprog(trig: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, lis
     raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
 
 
-def _minimax_lp(trig: np.ndarray, fvals: np.ndarray) -> tuple[EllipseParams, list, list]:
+def _minimax_lp(cos: np.ndarray, sin: np.ndarray,
+                fvals: np.ndarray) -> tuple[EllipseParams, list, list]:
     """Uniform best triple by ``linprog``, with its final reference and the signs of h there.
 
-    ``trig`` is the ``_trig_matrix`` of the points and fvals f on them.  w =
-    exp(-2(f - fc)) with fc the midrange of f, so the body's scale drops
-    out; the triple is rescaled by exp(-2*fc)/sqrt(t).  A body so small that
-    exp(-2*fc) overflows, and a triple that is not finite or leaves the
-    cone, raise NoConvergence.
+    ``cos`` and ``sin`` are cos 2phi and sin 2phi at the points, fvals f
+    there.  w = exp(-2(f - fc)) with fc the midrange of f, so the body's
+    scale drops out; the triple is rescaled by exp(-2*fc)/sqrt(t).  A body so
+    small that exp(-2*fc) overflows, and a triple that is not finite or
+    leaves the cone, raise NoConvergence.
     """
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
-    x, rounds, ref, sign = linprog(trig, w)
+    x, rounds, ref, sign = linprog(cos, sin, w)
     t = float(x[3])
     try:
         scale = math.exp(-2.0 * center) / math.sqrt(t) if t > 0.0 else math.nan
@@ -441,7 +436,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     top = -math.inf
     for run in range(31):
         try:
-            params, ref, sign = _minimax_lp(_trig_matrix(cos, sin), f)
+            params, ref, sign = _minimax_lp(cos, sin, f)
             h = f + _half_log(params, cos, sin)
             level = float(np.abs(h).max())
             scan = _extrema_scan(gauge, params, pieces, None if run else (f, h))

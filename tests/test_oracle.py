@@ -13,6 +13,7 @@ from bmplane.gauge import (
     circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge, sample_gauge,
 )
 from bmplane.oracle import OracleResult, oracle_uniform
+from bmplane.solver import solve_uniform
 
 import bodies
 
@@ -38,6 +39,14 @@ def _grid_defects(gauge, ps, qs, n_phi=1024):
     return 0.5 * (h.max(axis=-1) - h.min(axis=-1))
 
 
+def _hex(res: OracleResult) -> list:
+    return [v.hex() for v in (res.value, res.lower, *res.params.triple())]
+
+
+def _rotation(t: float) -> np.ndarray:
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
 def _in_family(e: float):
     return ellipse_gauge(EllipseParams(1.0, e * math.cos(0.7), e * math.sin(0.7)))
 
@@ -54,9 +63,9 @@ class TestOracleUniform:
         # a best point with c2 just below 0 has 0.5*atan2 just below 0, which mod pi rounds to pi
         res = OracleResult(EllipseParams(1.0, 0.2, -1e-17), 0.0, 0.0, 0)
         assert res.std.theta == 0.0 and math.copysign(1.0, res.std.theta) == 1.0
-        # the search ends on a dyadic c2 a little below 0 here: theta is just under pi
-        res = oracle_uniform(ellipse_gauge(EllipseParams(1.0, 0.2, 0.0)), n_phi=64)
-        assert 0.0 <= res.std.theta < math.pi and res.params.c2 <= 0.0
+        # the least-squares fit lands on c2 = -1.0e-12 here: theta is just under pi
+        res = oracle_uniform(ellipse_gauge(EllipseParams(1.0, 0.2, -1e-12)), n_phi=64)
+        assert 0.0 <= res.std.theta < math.pi and res.params.c2 < 0.0
 
     def test_ellipse_identity_recovers_point(self):
         e = EllipseParams(1.0, 0.2, 0.1)
@@ -76,8 +85,6 @@ class TestOracleUniform:
             assert abs(res.value - sol.defect) <= 1e-4, (name, res.value, sol.defect)
 
     def test_agreement_on_50_star_polygons(self):
-        from bmplane.solver import solve_uniform
-
         rng = np.random.default_rng(55)
         worst = 0.0
         for _ in range(50):
@@ -147,16 +154,41 @@ class TestBracket:
             assert abs(dev.max() - res.value) <= 1e-12, (b.name, dev.max(), res.value)
             assert abs(-dev.min() - res.value) <= 1e-12, (b.name, dev.min(), res.value)
 
-    @pytest.mark.parametrize("e", [0.9, 0.99, 0.999, 0.9999])
+    @pytest.mark.parametrize("e", [0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-7, 1.0 - 1e-8, 1.0 - 1e-14])
     def test_eccentric_in_family_ellipse(self, e):
-        # defect 0: the optimum lies 1 - e from the edge of the disc
+        # defect 0, 1 - e from the edge of the disc: the least-squares fit is exact there, and
+        # the bounds floored at 0 prune every box in the first round
         res = oracle_uniform(_in_family(e))
-        assert res.lower == 0.0 and res.value <= 1e-6, res
+        assert res.lower == 0.0 and res.value <= 1e-6 and res.evaluations <= 2 * 1024, res
 
-    def test_nearly_flat_ellipse_stops_on_a_sound_bracket(self):
-        # past 1 - 1e-7 the live boxes keep doubling; the search stops on its round budget
-        res = oracle_uniform(_in_family(1.0 - 1e-8))
-        assert res.lower == 0.0 <= res.value
+    def test_budget_stop_is_sound(self):
+        # a kappa = 1e4 image of a convex polygon: its live boxes keep doubling until the next
+        # round is over _MAX_VALUES, and the search stops on the bracket as it stands
+        rng = np.random.default_rng(7)
+        v = bodies.random_convex_polygon(rng)
+        t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+        image = v @ (_rotation(t1) @ np.diag([1.0, 1e-4]) @ _rotation(t2)).T
+        res = oracle_uniform(polygon_gauge(image))
+        assert res.value > res.lower + 1e-6, res  # the budget, not the bracket, ended it
+        assert res.lower <= solve_uniform(polygon_gauge(v)).defect + 1e-12, res
+
+    @pytest.mark.parametrize("seed", [1, 901])
+    def test_fit_leaves_every_search_above_tol_alone(self, seed, monkeypatch):
+        # a body of value above _TOL gets the same value, lower and params without the fit,
+        # bit for bit, and only the fit's values on the grid are missing from evaluations
+        import bmplane.oracle as oracle_mod
+
+        bench = _bench_bodies(seed)
+        with_fit = [oracle_uniform(b.gauge) for b in bench]
+        monkeypatch.setattr(oracle_mod, "_fit", lambda *args: None)
+        compared = 0
+        for b, res in zip(bench, with_fit):
+            if res.value > 1e-6:
+                bare = oracle_uniform(b.gauge)
+                assert _hex(bare) == _hex(res), b.name
+                assert res.evaluations == bare.evaluations + evaluation_grid(b.gauge, 1024).size
+                compared += 1
+        assert compared >= 15
 
 
 class TestMemory:

@@ -50,7 +50,6 @@ from bmplane.solver import (
     _PI,
     _Pieces,
     _ROOT_STEPS,
-    _trig_matrix,
     verify_certificate,
 )
 
@@ -73,6 +72,11 @@ def _rotation(t: float) -> np.ndarray:
     return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 
 
+def _trig(cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rows (1, cos 2phi, sin 2phi) at each point: R there is this times (a2, b2, c2)."""
+    return np.column_stack([np.ones(cos.size), cos, sin])
+
+
 def _watch_linprog(monkeypatch) -> list:
     """The exchange rounds of every ``linprog`` call the solver makes from now on, in order:
     one call per run of the solve's exchange loop, the first on the grid."""
@@ -90,15 +94,16 @@ def _watch_linprog(monkeypatch) -> list:
 
 
 def _watch_runs(monkeypatch) -> list:
-    """(trig, triple, reference, signs of h there) of every exchange run the solver makes from
-    now on, in order, as ``_minimax_lp`` returns them with the LP table it was given."""
+    """(cos, sin, triple, reference, signs of h there) of every exchange run the solver makes
+    from now on, in order, as ``_minimax_lp`` returns them with the cos 2phi and sin 2phi it
+    was given."""
     import bmplane.solver as solver_mod
 
     runs, minimax = [], solver_mod._minimax_lp
 
-    def watched(trig, *args, **kwargs):
-        out = minimax(trig, *args, **kwargs)
-        runs.append((trig, *out))
+    def watched(cos, sin, *args, **kwargs):
+        out = minimax(cos, sin, *args, **kwargs)
+        runs.append((cos, sin, *out))
         return out
 
     monkeypatch.setattr(solver_mod, "_minimax_lp", watched)
@@ -142,7 +147,7 @@ def _full_grid_minimax_lp(grid: np.ndarray, fvals: np.ndarray):
     """Uniform best triple on the grid from one HiGHS LP over every angle; returns (params, x)."""
     center = 0.5 * float(fvals.max() + fvals.min())
     w = np.exp(-2.0 * (fvals - center))
-    trig = _trig_matrix(*_cos_sin(grid))
+    trig = _trig(*_cos_sin(grid))
     rows = np.block([[-trig, np.zeros((grid.size, 1))], [trig, -w[:, None]]])
     b = np.concatenate([-w, np.zeros(grid.size)])
     res = _highs([0.0, 0.0, 0.0, 1.0], rows, b)
@@ -170,7 +175,7 @@ def feasible_at(gauge, d: float, grid) -> Optional[EllipseParams]:
         grid = evaluation_grid(gauge, int(grid))
     grid = np.asarray(grid, dtype=float)
     fvals = gauge.log_eval(grid)
-    trig = _trig_matrix(*_cos_sin(grid))
+    trig = _trig(*_cos_sin(grid))
     one = np.ones((grid.size, 1))
     rows = np.block([[-trig, one], [trig, one]])  # R - m >= lo and R + m <= hi
     b = np.concatenate([-np.exp(-2.0 * d - 2.0 * fvals), np.exp(2.0 * d - 2.0 * fvals)])
@@ -264,7 +269,8 @@ class TestExchangeLP:
         for name, g in _active_set_bodies(corpus).items():
             grid = evaluation_grid(g, 4096)
             fvals = g.log_eval(grid)
-            trig = _trig_matrix(*_cos_sin(grid))
+            cos, sin = _cos_sin(grid)
+            trig = _trig(cos, sin)
             w = np.exp(-2.0 * (fvals - 0.5 * float(fvals.max() + fvals.min())))
 
             def violation(x):
@@ -275,8 +281,8 @@ class TestExchangeLP:
             def grid_sup(p):
                 return float(np.abs(fvals + 0.5 * np.log(p.trig(grid))).max())
 
-            x = linprog(trig, w)[0]
-            params = _minimax_lp(trig, fvals)[0]
+            x = linprog(cos, sin, w)[0]
+            params = _minimax_lp(cos, sin, fvals)[0]
             ref, x_ref = _full_grid_minimax_lp(grid, fvals)
 
             # every grid row holds to the stop tolerance, and no worse than HiGHS's point
@@ -293,9 +299,9 @@ class TestExchangeLP:
         for name, g in corpus.items():
             points, cos, sin = _Pieces(g).grid
             fvals = g.log_eval(points)
-            trig = _trig_matrix(cos, sin)
+            trig = _trig(cos, sin)
             w = np.exp(-2.0 * (fvals - 0.5 * float(fvals.max() + fvals.min())))
-            x, _, ref, sign = linprog(trig, w)
+            x, _, ref, sign = linprog(cos, sin, w)
             assert len(ref) == 4 and all(0 <= i < w.size for i in ref), name
             assert all(a < b for a, b in zip(ref, ref[1:])), name
             assert sign in ([1, -1, 1, -1], [-1, 1, -1, 1]), name
@@ -347,7 +353,7 @@ class TestExchangeLP:
         import bmplane.solver as solver_mod
 
         monkeypatch.setattr(solver_mod, "linprog",
-                            lambda trig, w: (np.array(x), 1, [0, 1, 2, 3], [1, -1, 1, -1]))
+                            lambda cos, sin, w: (np.array(x), 1, [0, 1, 2, 3], [1, -1, 1, -1]))
         with pytest.raises(NoConvergence):
             solve_uniform(lp_gauge(math.inf))
 
@@ -384,8 +390,9 @@ class TestExchangeLP:
         # the least w: its level t = (w1 + w3)/(w0 + w2) is below 1, and no exchange can move.
         # R/w then lies in [t, 1], so the flipped reference is optimal at level 1/t
         grid = np.arange(4) * (0.25 * math.pi)
-        trig, w = _trig_matrix(*_cos_sin(grid)), np.array([0.5, 1.0, 10.0, 1.0])
-        x, rounds, ref, sign = linprog(trig, w)
+        (cos, sin), w = _cos_sin(grid), np.array([0.5, 1.0, 10.0, 1.0])
+        trig = _trig(cos, sin)
+        x, rounds, ref, sign = linprog(cos, sin, w)
         assert rounds == 1
         assert ref == [0, 1, 2, 3] and sign == [-1, 1, -1, 1]  # the signs of h: flipped
         assert x[3] == pytest.approx(2.0 / 10.5, rel=1e-14)
@@ -463,7 +470,7 @@ def _lp_triple(g):
     """(grid, f on it, the grid minimax triple)."""
     grid = evaluation_grid(g, 4096)
     fvals = g.log_eval(grid)
-    params = _minimax_lp(_trig_matrix(*_cos_sin(grid)), fvals)[0]
+    params = _minimax_lp(*_cos_sin(grid), fvals)[0]
     return grid, fvals, params
 
 
@@ -599,13 +606,13 @@ class TestOneEvaluationPerAngle:
             runs.clear()
             sol = solve_uniform(g)
             cert = sol.certificate
-            trig, _, ref, sign = next(run for run in runs if run[1] == sol.params)
+            cos, sin, _, ref, sign = next(run for run in runs if run[2] == sol.params)
             assert ref == sorted(ref) and len(set(ref)) == 4, name
             r = int(sign[0] < 0)
             assert np.roll(sign, -r).tolist() == [1, -1, 1, -1], name
-            # cos 2phi and sin 2phi at its angles are the run's table at its reference
-            rows = np.roll(trig[ref], -r, axis=0)
-            assert np.abs(rows[:, 1:] - np.column_stack(_cos_sin(np.array(cert.angles())))).max() \
+            # cos 2phi and sin 2phi at its angles are the run's at its reference
+            rows = np.roll(np.column_stack([cos[ref], sin[ref]]), -r, axis=0)
+            assert np.abs(rows - np.column_stack(_cos_sin(np.array(cert.angles())))).max() \
                 <= 1e-15, name
             assert cert.interleaved() and (cert.psi2 < math.pi) == (r == 0), name
             verdict = verify_certificate(g, sol.params, cert, tol)
@@ -720,9 +727,9 @@ class TestOneEvaluationPerAngle:
 
         seen, minimax, scan = [], solver_mod._minimax_lp, solver_mod._extrema_scan
 
-        def first_f(trig, fvals, *args, **kwargs):
+        def first_f(cos, sin, fvals, *args, **kwargs):
             seen.append(fvals)
-            return minimax(trig, fvals, *args, **kwargs)
+            return minimax(cos, sin, fvals, *args, **kwargs)
 
         def first_pieces(gauge, params, pieces, *args, **kwargs):
             seen.append(pieces)
