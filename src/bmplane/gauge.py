@@ -13,6 +13,7 @@ family, and circles.
 from __future__ import annotations
 
 import math
+from functools import cache
 from numbers import Real
 from typing import Optional, Sequence
 
@@ -548,11 +549,32 @@ def _merge_kinks(base: np.ndarray, kinks: np.ndarray) -> tuple[np.ndarray, Optio
     return new, np.concatenate([kept, n + np.arange(new.size)])[order]
 
 
+@cache
+def _base_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform grid k*pi/n (the grid of a body with no kinks) and its cos 2phi and
+    sin 2phi, taken once per process for each n and shared, read-only, by every body's grid."""
+    angles = np.arange(n) * (_PI / n)
+    shared = (angles, np.cos(2.0 * angles), np.sin(2.0 * angles))
+    for a in shared:
+        a.flags.writeable = False
+    return shared
+
+
+def _grid_table(gauge: Gauge, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``evaluation_grid(gauge, n)``, its cos 2phi and its sin 2phi, three contiguous arrays:
+    ``_base_grid`` merged with the kinks, of which only those off every base angle get a fresh
+    cos and sin.  With no such kink they are the shared read-only arrays themselves."""
+    base = _base_grid(n)
+    new, order = _merge_kinks(base[0], gauge.critical_angles())
+    if order is None:
+        return base
+    fresh = (new, np.cos(2.0 * new), np.sin(2.0 * new))
+    return tuple(np.concatenate(pair)[order] for pair in zip(base, fresh))
+
+
 def evaluation_grid(gauge: Gauge, n: int) -> np.ndarray:
     """Uniform n-point grid k*pi/n over [0, pi) merged with the gauge's kink angles
     (``_merge_kinks``), bit for bit: a uniform angle within 1e-13 of a kink gives way to
-    it, as does a kink within 1e-13 above another.
+    it, as does a kink within 1e-13 above another.  Read-only when it is the uniform grid.
     """
-    base = np.arange(n) * (_PI / n)
-    new, order = _merge_kinks(base, gauge.critical_angles())
-    return base if order is None else np.concatenate([base, new])[order]
+    return _grid_table(gauge, n)[0]

@@ -54,7 +54,7 @@ import numpy as np
 
 from .ellipse import EllipseParams, StdEllipseParams
 from .errors import EmptyGrid
-from .gauge import Gauge, evaluation_grid
+from .gauge import Gauge, _grid_table
 
 __all__ = ["OracleResult", "oracle_uniform"]
 
@@ -106,11 +106,10 @@ def oracle_uniform(gauge: Gauge, n_phi: int = 1024, threads: int = 1) -> OracleR
         raise ValueError(f"threads must be 1: the search is serial, got {threads}")
     if n_phi < 8:
         raise EmptyGrid(f"n_phi must be at least 8, got {n_phi}")
-    phis = evaluation_grid(gauge, n_phi)
+    phis, cos2, sin2 = _grid_table(gauge, n_phi)
     fvals = gauge.log_eval(phis)
     f_c = 0.5 * float(fvals.max() + fvals.min())
     r2 = np.exp(2.0 * (fvals - f_c))
-    cos2, sin2 = np.cos(2.0 * phis), np.sin(2.0 * phis)
     slack = _SLACK * float(r2.max())
 
     ps, qs, h = np.zeros(1), np.zeros(1), 1.0  # live box centres and their half-width

@@ -16,12 +16,9 @@ Stiefel's one-point exchange on four-angle alternating references, run on
 the whole grid with one 4x4 solve and one matvec per round (``linprog``).
 Each point set's cos 2phi and sin 2phi are taken once, as two contiguous
 arrays that give R of any triple; the LP's table, (1, cos, sin) divided by
-w, is built from them once per run.  The grid's uniform angles k*pi/4096
-and their cos and sin are taken once per process (``_base_grid``) and
-shared, read-only; a body's kinks are inserted into them
-(``_merge_kinks``) with no full sort, and only a kink off every uniform angle
-gets a fresh cos and sin, so a body with no kinks, or with kinks on uniform
-angles only, has the shared arrays themselves.  ``solve_uniform`` runs that
+w, is built from them once per run.  The grid, the uniform angles k*pi/4096
+merged with the body's kinks, and its cos and sin come from the gauge
+module's grid table (``gauge._grid_table``).  ``solve_uniform`` runs that
 exchange in one loop: first on the grid, then on the extrema of the last
 triple's deviation, where its final 4x4 solve is the four-point
 equioscillation system.  It evaluates the body on the grid once
@@ -31,11 +28,12 @@ angles, as one set, f there and the sup of |f - g| over them, from the sign
 of h' = (f - g)' at the ends of the cells between grid angles (every kink is
 one), root-finding h' in a cell where it changes sign; it is exact in closed
 form on polygons, where f - g = 1/2 log(p'Mp) is convex along each edge, and
-on ellipses.  The first scan values its grid-angle extrema from the grid
-run's f and h, so only its roots and the canonical angles call the gauge.
-The loop stops when the scanned sup-norm of the last triple is within 1e-12
-relative (or the rounding of h) of its level on its points, the de la Vallee
-Poussin lower bound on the optimum.
+on ellipses.  Every scan of a solve takes f at its grid-angle extrema from
+the grid pass, so only its roots and the canonical angles of its flat test
+call the gauge.  The loop stops when the
+scanned sup-norm of the last triple is within 1e-12 relative (or the
+rounding of h) of its level on its points, the de la Vallee Poussin lower
+bound on the optimum.
 
 Optimality is certified by the last reference of the exchange run whose
 triple is returned, with no search after the loop: four of that run's points
@@ -56,14 +54,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .ellipse import EllipseParams, in_cone
 from .errors import NoAlternance, NoConvergence
-from .gauge import Gauge, _merge_kinks
+from .gauge import Gauge, _grid_table
 
 __all__ = [
     "AlternanceCertificate",
@@ -155,17 +153,6 @@ def _half_log(params: EllipseParams, cos, sin):
 def _half_log_trig(params: EllipseParams, phi):
     """1/2 log R of the triple at phi."""
     return _half_log(params, *_cos_sin(np.asarray(phi, dtype=float)))
-
-
-@cache
-def _base_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The uniform grid k*pi/n (the grid of a body with no kinks) and its cos 2phi and
-    sin 2phi, taken once per process for each n and shared, read-only, by every body's grid."""
-    angles = np.arange(n) * (_PI / n)
-    shared = (angles, *_cos_sin(angles))
-    for a in shared:
-        a.flags.writeable = False
-    return shared
 
 
 def linprog(cos: np.ndarray, sin: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, list]:
@@ -274,26 +261,19 @@ class _ExtremaScan:
 
 class _Pieces:
     """A body's grid of ``_GRID_SIZE`` angles (``evaluation_grid``: h is smooth between them),
-    its cos 2phi and sin 2phi, the ends of its cells and f' on it from the left and the
-    right, each built on first use, once per solve (a solve sets f' from its grid pass).
-
-    The grid is ``_base_grid`` merged with the body's kinks by ``_merge_kinks``: the base
-    angles and their cos and sin come from the shared table, and only a kink off every base
-    angle gets a fresh cos and sin.  A body whose kinks all lie on base angles, or that has
-    none, has the shared arrays themselves, which are read-only.
+    its cos 2phi and sin 2phi (``gauge._grid_table``), the ends of its cells and f' on it
+    from the left and the right, each built on first use, once per solve; f on the grid
+    when the caller holds it, else None (a solve sets f and f' from its grid pass).
     """
 
     def __init__(self, gauge: Gauge):
         self._gauge = gauge
+        self.f: Optional[np.ndarray] = None
 
     @cached_property
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The angles, cos 2phi and sin 2phi, three contiguous arrays."""
-        base = _base_grid(_GRID_SIZE)
-        new, order = _merge_kinks(base[0], self._gauge.critical_angles())
-        if order is None:
-            return base
-        return tuple(np.concatenate(pair)[order] for pair in zip(base, (new, *_cos_sin(new))))
+        return _grid_table(self._gauge, _GRID_SIZE)
 
     @cached_property
     def ends(self) -> np.ndarray:
@@ -321,46 +301,40 @@ def _illinois(fn, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) 
     return b
 
 
-def _candidate_extrema(gauge: Gauge, params: EllipseParams, angles, held=None) -> _ExtremaScan:
-    """The extrema of h at candidate angles in [0, pi), f there, and the sup of |h| over them.
-
-    One evaluation of h = f + 1/2 log R values them and (0, pi/4, pi/2, 3pi/4); held, when
-    given, is (angles, f, h) at more candidates whose values the caller has, listed before the
-    others.  If the values spread less than 1e-13 plus the rounding of h, h is flat and the
-    canonical angles are the extrema.
+def _candidate_extrema(phi: np.ndarray, f: np.ndarray, half_log: np.ndarray) -> _ExtremaScan:
+    """The candidates, f there and the sup of |h| = |f + 1/2 log R| over them, given f and
+    1/2 log R at phi, the angles (0, pi/4, pi/2, 3pi/4) and then the candidates.  If h spreads
+    less than 1e-13 plus the rounding of h over phi, h is flat and the canonical angles stand in.
     """
-    phi = np.concatenate([_CANONICAL_ANGLES, angles])
-    f = gauge.log_eval(phi)
-    values = f + _half_log_trig(params, phi)
-    if held is not None:
-        phi, f, values = (np.concatenate([z[:4], y, z[4:]]) for z, y in zip((phi, f, values), held))
+    values = f + half_log
     flat = float(values.max() - values.min()) < 1e-13 + _H_ROUNDING * float(np.abs(f).max())
     phi, f, values = (z[:4] if flat else z[4:] for z in (phi, f, values))
     return _ExtremaScan(phi, float(np.abs(values).max()), f)
 
 
-def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces,
-                  grid_fh=None) -> _ExtremaScan:
-    """All local extrema of h = f - g for the triple, f there and the sup of |h|, by one call of h.
+def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _ExtremaScan:
+    """All local extrema of h = f - g for the triple, f there and the sup of |h| over them.
 
     Every gauge without closed-form extrema (``Gauge.extremum_candidates``, the exact case of
     the same rule) reads them off the sign of h' = f' + (c2*cos 2phi - b2*sin 2phi)/R at the
     ends of the cells of ``pieces``, f' from ``Gauge.log_slopes``.  A grid angle is an
     extremum where h' turns across it, from >= 0 on its left to <= 0 on its right or from
     <= 0 to >= 0.  A cell whose h' changes sign holds one extremum, found by ``_illinois``;
-    no cell may hold a maximum and a minimum.  grid_fh, when given, is f and h on the grid of
-    ``pieces``, from which the grid extrema are valued: then only the roots and the canonical
-    angles call the gauge.
+    no cell may hold a maximum and a minimum.  The scan calls the gauge's ``log_eval`` once,
+    at the canonical angles and its roots, and at its grid-angle extrema too unless f on the
+    grid is held (``pieces.f``); 1/2 log R at those is taken from the R of h' on the grid.
     """
     candidates = gauge.extremum_candidates(params)
     if candidates is not None:
-        return _candidate_extrema(gauge, params, candidates)
+        phi = np.concatenate([_CANONICAL_ANGLES, candidates])
+        return _candidate_extrema(phi, gauge.log_eval(phi), _half_log_trig(params, phi))
 
-    def g_slope(cos, sin):  # (1/2 log R)' = -g': h' is f' plus this
-        return (params.c2 * cos - params.b2 * sin) / _R(params, cos, sin)
+    def g_slope(cos, sin, R=None):  # (1/2 log R)' = -g': h' is f' plus this
+        return (params.c2 * cos - params.b2 * sin) / (_R(params, cos, sin) if R is None else R)
 
     x, cos, sin = pieces.grid
-    grid_slope = g_slope(cos, sin)
+    R = _R(params, cos, sin)
+    grid_slope = g_slope(cos, sin, R)
     left, right = (f + grid_slope for f in pieces.slopes)
     nxt = np.concatenate([left[1:], left[:1]])  # h' at each cell's right end
     turn = ((left >= 0.0) & (right <= 0.0)) | ((left <= 0.0) & (right >= 0.0))
@@ -368,9 +342,12 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces,
     ends = pieces.ends
     inner = np.mod(_illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(*_cos_sin(p)),
                              ends[cells], ends[cells + 1], right[cells], nxt[cells]), _PI)
-    if grid_fh is None:
-        return _candidate_extrema(gauge, params, np.concatenate([x[turn], inner]))
-    return _candidate_extrema(gauge, params, inner, [x[turn], *(z[turn] for z in grid_fh)])
+    off = np.concatenate([_CANONICAL_ANGLES, inner])  # the angles off the grid
+    phi = np.concatenate([off, x[turn]])
+    f = (gauge.log_eval(phi) if pieces.f is None
+         else np.concatenate([gauge.log_eval(off), pieces.f[turn]]))
+    half_log = np.concatenate([_half_log_trig(params, off), 0.5 * np.log(R[turn])])
+    return _candidate_extrema(phi, f, half_log)
 
 
 def certificate_deviations(
@@ -428,18 +405,19 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     """
     pieces = _Pieces(gauge)
     points, cos, sin = pieces.grid
-    f, pieces.slopes = gauge.log_jet(points)  # the solve's one gauge pass over the grid
+    pieces.f, pieces.slopes = gauge.log_jet(points)  # the solve's one gauge pass over the grid
+    f = pieces.f
     floor = _H_ROUNDING * float(np.abs(f).max())  # the rounding of sup - level
 
     # the run of least sup: its triple, scan, reference angles, h there and signs of h there
     best: Optional[tuple[EllipseParams, _ExtremaScan, list, list, list]] = None
     top = -math.inf
-    for run in range(31):
+    for _ in range(31):
         try:
             params, ref, sign = _minimax_lp(cos, sin, f)
             h = f + _half_log(params, cos, sin)
             level = float(np.abs(h).max())
-            scan = _extrema_scan(gauge, params, pieces, None if run else (f, h))
+            scan = _extrema_scan(gauge, params, pieces)
         except NoConvergence:
             if best is None:
                 raise

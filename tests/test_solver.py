@@ -15,6 +15,8 @@ from bmplane.ellipse import EllipseParams, in_cone
 from bmplane.errors import BmplaneError, NoAlternance, NoConvergence
 from bmplane.gauge import (
     Gauge,
+    _base_grid,
+    _grid_table,
     circle_gauge,
     ellipse_gauge,
     evaluation_grid,
@@ -36,7 +38,7 @@ from bmplane.solver import (
     distance,
     linprog,
     solve_uniform,
-    _base_grid,
+    _CANONICAL_ANGLES,
     _CERT_TOL,
     _distinct,
     _ExtremaScan,
@@ -385,6 +387,22 @@ class TestExchangeLP:
         assert rounds[0] <= 2
         assert sol.params.triple() == pytest.approx(e.triple(), rel=0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("e, t", [
+        (1.0 - 1e-9, 2.3134244410118656),
+        (1.0 - 1e-10, 0.048033872840139734),
+        (1.0 - 1e-11, 0.7980930684821934),
+        (1.0 - 1e-14, 3.1345670500063334),
+    ])
+    def test_in_family_ellipse_near_the_cone_edge(self, e, t):
+        # the solved triple is the body's own, scaled, to its rounding: h is flat, and the
+        # ellipse gauge's candidates are then (0, pi/4, pi/2, 3pi/4), since the generalized
+        # eigenvectors of (M, M_e) are rounding noise.  Without that branch all four end in
+        # NoAlternance, on brackets 5.6e-8 to 1.1e-2 wide
+        g = ellipse_gauge(EllipseParams(1.0, e * math.cos(2.0 * t), e * math.sin(2.0 * t)))
+        sol = solve_uniform(g)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-8).passed
+        assert sol.defect <= 2e-12
+
     def test_stalled_reference_below_one_flips(self):
         # four angles a quarter apart are the whole problem and the start reference, with + at
         # the least w: its level t = (w1 + w3)/(w0 + w2) is below 1, and no exchange can move.
@@ -679,32 +697,66 @@ class TestOneEvaluationPerAngle:
         assert len(rounds) >= (1 if g.descriptor()["kind"] == "lp" else 2)
 
     @pytest.mark.parametrize(
-        "g",
+        "g, runs",
         [
-            lp_gauge(1.5),
-            sample_gauge(bodies.smooth_samples(np.random.default_rng(3), 128)),
-            sample_gauge(1.0 + 0.2 * np.random.default_rng(8192).random(8192)),
-            sample_gauge(bodies.smooth_samples(np.random.default_rng(1), 128), interp="pchip"),
+            (lp_gauge(1.5), 1),
+            (sample_gauge(bodies.smooth_samples(np.random.default_rng(3), 128)), 2),
+            (sample_gauge(1.0 + 0.2 * np.random.default_rng(8192).random(8192)), 1),
+            (sample_gauge(bodies.smooth_samples(np.random.default_rng(1), 128), interp="pchip"), 2),
+            (sample_gauge(1.0 + 0.2 * np.random.default_rng(300).random(300), interp="pchip"), 2),
         ],
-        ids=["l1.5", "samples128", "rough-8192", "pchip128"],
+        ids=["l1.5", "samples128", "rough-8192", "pchip128", "rough-pchip"],
     )
-    def test_first_scan_values_grid_extrema_from_h(self, monkeypatch, g):
-        # given f and h on the grid, a scan returns the same angles, f and sup, bit for bit, and
-        # calls the gauge's log_eval once, at the four canonical angles and its roots only
+    def test_scans_value_grid_extrema_from_the_grid_pass(self, monkeypatch, g, runs):
+        # every scan of a solve (runs of them at least), the later runs' too, calls the gauge's
+        # log_eval once, at the canonical angles and its roots only: f at its grid-angle extrema
+        # is the grid pass's.  verify_certificate's scan, which holds no grid f, calls it once,
+        # at its grid-angle extrema too.  Without the grid f a scan returns the same angles, f
+        # and sup, bit for bit
         import bmplane.solver as solver_mod
 
-        grid, fvals, params = _lp_triple(g)
-        h = fvals + _half_log(params, *_cos_sin(grid))
-        plain = _extrema_scan(g, params, _Pieces(g))
-        calls, roots, log_eval, illinois = [], [], g.log_eval, solver_mod._illinois
-        monkeypatch.setattr(g, "log_eval", lambda phi: calls.append(phi.size) or log_eval(phi))
-        monkeypatch.setattr(solver_mod, "_illinois",
-                            lambda *args: roots.append(illinois(*args)) or roots[-1])
-        held = _extrema_scan(g, params, _Pieces(g), (fvals, h))
-        for a, b in ((plain.angles, held.angles), (plain.f, held.f)):
-            assert a.tobytes() == b.tobytes()
-        assert plain.sup == held.sup
-        assert calls == [4 + roots[0].size]
+        records = []  # [params, pieces, scan, log_eval's angles, raw roots] of each scan
+        inside, scan, illinois = [], solver_mod._extrema_scan, solver_mod._illinois
+        log_eval = g.log_eval
+
+        def watched_scan(gauge, params, pieces):
+            records.append([params, pieces, None, [], []])
+            inside.append(True)
+            try:
+                records[-1][2] = scan(gauge, params, pieces)
+            finally:
+                inside.pop()
+            return records[-1][2]
+
+        def watched_log_eval(phi):
+            if inside:
+                records[-1][3].append(np.array(phi))
+            return log_eval(phi)
+
+        def watched_roots(*args):
+            records[-1][4].append(illinois(*args))
+            return records[-1][4][-1]
+
+        monkeypatch.setattr(solver_mod, "_extrema_scan", watched_scan)
+        monkeypatch.setattr(solver_mod, "_illinois", watched_roots)
+        monkeypatch.setattr(g, "log_eval", watched_log_eval)
+        sol = solve_uniform(g)
+        assert len(records) >= runs
+        runs = len(records)
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-8).passed
+        assert len(records) == runs + 1
+        for i, (_, pieces, out, calls, roots) in enumerate(records):
+            assert (pieces.f is not None) == (i < runs)
+            assert len(calls) == len(roots) == 1
+            off = np.concatenate([_CANONICAL_ANGLES, np.mod(roots[0], math.pi)])
+            assert calls[0][:off.size].tobytes() == off.tobytes()
+            turns = calls[0][off.size:]
+            assert turns.size == 0 if i < runs else np.isin(turns, pieces.grid[0]).all()
+        for params, _, out, *_ in records[:runs]:
+            plain = scan(g, params, _Pieces(g))
+            for a, b in ((plain.angles, out.angles), (plain.f, out.f)):
+                assert a.tobytes() == b.tobytes()
+            assert plain.sup == out.sup
 
     @pytest.mark.parametrize(
         "g",
@@ -816,10 +868,10 @@ class TestGrid:
     of ``evaluation_grid`` and their np.cos and np.sin of 2phi, in three contiguous arrays."""
 
     @staticmethod
-    def _assert_grid(g):
-        angles, cos, sin = _Pieces(g).grid
-        ref = evaluation_grid(g, _GRID_SIZE)
-        by_search = _evaluation_grid_by_search(g.critical_angles(), _GRID_SIZE)
+    def _assert_grid(g, n: int = _GRID_SIZE):
+        angles, cos, sin = _Pieces(g).grid if n == _GRID_SIZE else _grid_table(g, n)
+        ref = evaluation_grid(g, n)
+        by_search = _evaluation_grid_by_search(g.critical_angles(), n)
         assert ref.tobytes() == by_search.tobytes()
         assert angles.tobytes() == ref.tobytes()
         assert cos.tobytes() == np.cos(2.0 * ref).tobytes()
@@ -828,8 +880,10 @@ class TestGrid:
 
     @pytest.mark.parametrize("seed", [1, 7, 901])
     def test_bench_bodies(self, seed):
+        # also at the oracle's grid sizes: its table is the same function's
         for b in _bench_bodies(seed):
-            self._assert_grid(b.gauge)
+            for n in (_GRID_SIZE, 256, 1000, 1024):
+                self._assert_grid(b.gauge, n)
 
     def test_synthetic_kink_sets(self):
         n = _GRID_SIZE
@@ -855,14 +909,16 @@ class TestGrid:
             self._assert_grid(_Kinks(kinks[(kinks >= 0.0) & (kinks < math.pi)]))
 
     def test_kinks_on_base_angles_share_the_base(self):
-        # no kinks, or kinks that are base angles bit for bit: the shared read-only arrays
-        n = _GRID_SIZE
-        shared = _base_grid(n)
-        assert shared[0].tobytes() == evaluation_grid(lp_gauge(3.0), n).tobytes()
+        # no kinks, or kinks that are base angles bit for bit: the shared read-only arrays, for
+        # the solve's grid, evaluation_grid and the oracle's table alike
         nodes = np.arange(128) * math.pi / 128
-        for g in (lp_gauge(3.0), lp_gauge(1.0), lp_gauge(math.inf),
-                  sample_gauge(1.0 + 0.1 * np.cos(nodes)), _Kinks(np.arange(n) * (math.pi / n))):
-            assert _Pieces(g).grid is shared
+        for n in (_GRID_SIZE, 1024):
+            shared = _base_grid(n)
+            assert shared[0].tobytes() == (np.arange(n) * (math.pi / n)).tobytes()
+            for g in (lp_gauge(3.0), lp_gauge(1.0), lp_gauge(math.inf),
+                      sample_gauge(1.0 + 0.1 * np.cos(nodes)), _Kinks(shared[0])):
+                assert _grid_table(g, n) is shared and evaluation_grid(g, n) is shared[0]
+                assert n != _GRID_SIZE or _Pieces(g).grid is shared
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
