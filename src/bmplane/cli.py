@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import jsonio
-from .errors import BmplaneError, EmptyGrid, InputError
+from .errors import BmplaneError, InputError
 from .gauge import gauge_from_descriptor
 from .report import (
     build_report,
@@ -71,11 +71,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     from .oracle import oracle_uniform  # only this command runs the oracle
 
-    gauge = _load_gauge(args.input)
-    try:
-        result = oracle_uniform(gauge, n_phi=args.nphi)
-    except EmptyGrid as exc:
-        raise InputError(str(exc)) from exc
+    result = oracle_uniform(_load_gauge(args.input), n_phi=args.nphi)
     payload = {
         "std": {"a": result.std.a, "bprime": result.std.bprime, "theta": result.std.theta},
         "params": list(result.params.triple()),

@@ -1,5 +1,4 @@
-"""Origin-centered ellipses in polar form, their matrix representations, the
-collocation matrices of the trig form and the perturbation construction.
+"""Origin-centered ellipses in polar form and their matrix representations.
 
 An ellipse is stored through the coefficients of its inverse squared radius,
 
@@ -17,16 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadAngleOrder, LeftCone, NotInCone, NotPD
+from .errors import NotInCone, NotPD
 
 __all__ = [
     "EllipseParams",
     "StdEllipseParams",
     "PDMatrix2",
     "in_cone",
-    "three_point_matrix",
-    "tangent_matrix",
-    "perturb",
     "pd_sqrt",
     "pd_sqrt_inverse",
 ]
@@ -41,14 +37,6 @@ def in_cone(a2: float, b2: float, c2: float) -> bool:
     e = math.frexp(max(abs(a2), abs(b2), abs(c2)))[1]
     a, b, c = (math.ldexp(v, -e) for v in (a2, b2, c2))
     return a > 0.0 and a * a - (b * b + c * c) > 0.0
-
-
-def _ldexp(x: float, n: int) -> float:
-    """x * 2^n, inf where that overflows (math.ldexp raises there)."""
-    try:
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -80,14 +68,6 @@ class EllipseParams:
         out = self.a2 + self.b2 * np.cos(2.0 * phi) + self.c2 * np.sin(2.0 * phi)
         return out if out.ndim else float(out)
 
-    def rho(self, phi):
-        """Polar radius of the ellipse boundary, scalar or vectorized."""
-        return self.trig(phi) ** -0.5
-
-    def log_rho(self, phi):
-        """g(phi) = log(rho) = -0.5*log(a2 + b2*cos(2*phi) + c2*sin(2*phi))."""
-        return -0.5 * np.log(self.trig(phi))
-
     def scaled(self, factor: float) -> "EllipseParams":
         """Triple scaled by a positive factor; rho scales by factor^-1/2."""
         return EllipseParams(self.a2 * factor, self.b2 * factor, self.c2 * factor)
@@ -116,13 +96,6 @@ class StdEllipseParams:
             raise NotInCone(f"need a > b' >= 0, got a={self.a!r} b'={self.bprime!r}")
         if not (0.0 <= self.theta < math.pi):
             raise NotInCone(f"theta must lie in [0, pi), got {self.theta!r}")
-
-    def to_params(self) -> EllipseParams:
-        return EllipseParams(
-            self.a,
-            self.bprime * math.cos(2.0 * self.theta),
-            self.bprime * math.sin(2.0 * self.theta),
-        )
 
     def semi_axes(self) -> tuple[float, float]:
         """(radius along theta, radius along theta + pi/2)."""
@@ -163,16 +136,10 @@ class PDMatrix2:
     def as_array(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
-    def det(self) -> float:
-        """The determinant of S/4^k (``_scaled``) times 16^k: inf or 0 only where it leaves
-        the float range."""
-        k, _, _, _, d = self._scaled()
-        return _ldexp(d, 4 * k)
-
     def _scaled(self) -> tuple[int, float, float, float, float]:
         """(k, m11, m12 and m22 over 4^k, their det), for the power of four that brings the
-        largest entry into [0.5, 2), exactly, as ``in_cone`` scales: ``det`` itself over- or
-        underflows on the form of a body scaled past 1e+-77."""
+        largest entry into [0.5, 2), exactly, as ``in_cone`` scales: the det of the unscaled
+        entries over- or underflows on the form of a body scaled past 1e+-77."""
         k = math.frexp(max(abs(self.m11), abs(self.m12), abs(self.m22)))[1] // 2
         a, b, c = (math.ldexp(v, -2 * k) for v in (self.m11, self.m12, self.m22))
         return k, a, b, c, a * c - b * b
@@ -182,24 +149,10 @@ class PDMatrix2:
         k, a, b, c, d = self._scaled()
         return PDMatrix2(*(math.ldexp(v / d, -2 * k) for v in (c, -b, a)))
 
-    def square(self) -> "PDMatrix2":
-        return PDMatrix2(
-            self.m11 * self.m11 + self.m12 * self.m12,
-            self.m12 * (self.m11 + self.m22),
-            self.m12 * self.m12 + self.m22 * self.m22,
-        )
-
     def apply(self, xy) -> np.ndarray:
         """Matrix-vector product; accepts shape (2,) or (n, 2)."""
         xy = np.asarray(xy, dtype=float)
         return xy @ self.as_array().T
-
-    def operator_norm(self) -> float:
-        """Largest eigenvalue (spectral norm of an SPD matrix), that of S/4^k (``_scaled``)
-        times 4^k."""
-        k, a, _, c, d = self._scaled()
-        t = a + c
-        return _ldexp(0.5 * (t + math.sqrt(max(t * t - 4.0 * d, 0.0))), 2 * k)
 
 
 def pd_sqrt(s: PDMatrix2) -> PDMatrix2:
@@ -215,42 +168,3 @@ def pd_sqrt_inverse(s: PDMatrix2) -> PDMatrix2:
     """Inverse of the SPD square root: the unique SPD R with R^-2 = S."""
     return pd_sqrt(s).inverse()
 
-
-def three_point_matrix(phi1: float, phi2: float, phi3: float) -> np.ndarray:
-    """Collocation matrix of the trig form at three angles."""
-    phis = np.array([phi1, phi2, phi3], dtype=float)
-    return np.column_stack([np.ones(3), np.cos(2.0 * phis), np.sin(2.0 * phis)])
-
-
-def tangent_matrix(phi1: float, phi2: float) -> np.ndarray:
-    """Collocation matrix for value+slope at phi1 and value at phi2."""
-    return np.array(
-        [
-            [1.0, math.cos(2.0 * phi1), math.sin(2.0 * phi1)],
-            [0.0, -2.0 * math.sin(2.0 * phi1), 2.0 * math.cos(2.0 * phi1)],
-            [1.0, math.cos(2.0 * phi2), math.sin(2.0 * phi2)],
-        ]
-    )
-
-
-def perturb(e: EllipseParams, alpha: float, beta: float, t: float) -> EllipseParams:
-    """Ellipse agreeing with ``e`` at alpha and beta, pushed down by t at the midpoint.
-
-    The result g_t satisfies g_t(alpha) = g(alpha), g_t(beta) = g(beta) and
-    g_t((alpha+beta)/2) = g((alpha+beta)/2) - t; consequently g_t < g on
-    (alpha, beta) and g_t > g on (beta, alpha + pi).
-    """
-    if not (alpha < beta < alpha + math.pi):
-        raise BadAngleOrder(f"need alpha < beta < alpha + pi, got {(alpha, beta)}")
-    if t < 0.0:
-        raise ValueError(f"perturbation size must be nonnegative, got {t}")
-    if t == 0.0:
-        return e
-    gamma = 0.5 * (alpha + beta)
-    rhs = [e.trig(alpha), math.exp(2.0 * t) * e.trig(gamma), e.trig(beta)]
-    sol = np.linalg.solve(three_point_matrix(alpha, gamma, beta), rhs)
-    if not in_cone(*sol):
-        raise LeftCone(
-            f"perturbation t={t} pushes {e.triple()} out of the cone; shrink t"
-        )
-    return EllipseParams(*sol)

@@ -41,18 +41,12 @@ class NotPD(BmplaneError):
     """Matrix is not symmetric positive definite."""
 
 
-class BadAngleOrder(BmplaneError):
-    """Interpolation angles do not satisfy the strict ordering inside a pi-window."""
-
-
-class LeftCone(BmplaneError):
-    """A perturbation step was large enough to push the triple out of the cone."""
-
-
 # -- solver ------------------------------------------------------------------
 
 class NoConvergence(BmplaneError):
-    """The minimax exchange met a singular reference or its round cap, or left the ellipse cone."""
+    """A repeated or singular exchange reference, its round cap or a triple outside the cone;
+    R <= 0 at a scanned angle; a body scale whose triple overflows; or an oracle log r span
+    past the float range."""
 
 
 class NoAlternance(BmplaneError):
@@ -67,13 +61,11 @@ class ConeViolation(BmplaneError):
     """The certificate angles do not interleave: phi1 < psi1 < phi2 < psi2 < phi1 + pi fails."""
 
 
-# -- oracle ------------------------------------------------------------------
-
-class EmptyGrid(BmplaneError):
-    """Oracle angle grid out of range: n_phi below 8."""
-
-
 # -- cli / io ----------------------------------------------------------------
 
 class InputError(BmplaneError):
     """Malformed input file, descriptor, or report."""
+
+
+class EmptyGrid(InputError):
+    """Oracle angle grid out of range: n_phi below 8."""

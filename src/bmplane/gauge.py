@@ -336,8 +336,12 @@ def _validate_star(vertices: np.ndarray) -> np.ndarray:
         raise OriginOutside("a vertex coincides with the origin")
 
     nxt = np.roll(vertices, -1, axis=0)
-    cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]
-    if float(cross.sum()) < 0.0:  # clockwise input; flip orientation
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused next
+        cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]
+        clockwise = float(cross.sum()) < 0.0
+    if not (scale * scale > 0.0 and 1e-14 * scale * scale < math.inf and np.isfinite(cross).all()):
+        raise InputError(f"largest vertex radius {scale!r}: cross products leave the float range")
+    if clockwise:  # flip orientation
         vertices = vertices[::-1].copy()
         nxt = np.roll(vertices, -1, axis=0)
         cross = vertices[:, 0] * nxt[:, 1] - vertices[:, 1] * nxt[:, 0]

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ellipse import EllipseParams, StdEllipseParams
-from .errors import EmptyGrid
+from .errors import EmptyGrid, NoConvergence
 from .gauge import Gauge, _grid_table
 
 __all__ = ["OracleResult", "oracle_uniform"]
@@ -108,6 +108,10 @@ def oracle_uniform(gauge: Gauge, n_phi: int = 1024, threads: int = 1) -> OracleR
         raise EmptyGrid(f"n_phi must be at least 8, got {n_phi}")
     phis, cos2, sin2 = _grid_table(gauge, n_phi)
     fvals = gauge.log_eval(phis)
+    span = float(fvals.max() - fvals.min())  # r2 and 1/r2 reach exp(span)
+    # _fit sums n squares of 1/r2, grown at most 4-fold by its 3x3 pivoting: 4n*exp(2*span) < max
+    if 2.0 * span + math.log(4.0 * fvals.size) >= math.log(np.finfo(float).max):
+        raise NoConvergence(f"log r spans {span!r}: the oracle's ratios leave the float range")
     f_c = 0.5 * float(fvals.max() + fvals.min())
     r2 = np.exp(2.0 * (fvals - f_c))
     slack = _SLACK * float(r2.max())

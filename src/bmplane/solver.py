@@ -386,8 +386,8 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     """Best uniform approximation of f = log r over the ellipse family.
 
     One exchange loop.  Its first run solves the minimax LP on the grid of
-    ``_GRID_SIZE`` angles; every later run solves it on the scanned extrema
-    of the previous run's deviation (at most 30 of them).  Each run's
+    ``_GRID_SIZE`` angles; each of at most 30 later runs solves it on the
+    scanned extrema of the previous run's deviation.  Each run's
     level, max |f - g| on its points, is a de la Vallee Poussin lower bound on
     d*, and the scanned sup-norm of its triple an upper bound; the loop stops
     once they agree to 1e-12 relative, or to the rounding of h

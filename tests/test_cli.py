@@ -335,6 +335,18 @@ class TestOracleCommand:
         assert main(["oracle", "--input", str(square_body), "--out", str(out), *flags]) == 2
         assert not out.exists()
 
+    def test_span_past_the_float_range_is_a_numerical_failure(self, tmp_path, capsys):
+        # the oracle refuses the body before its search, whose value would be inf: d2 = inf
+        # is not JSON, and the output's dump would end in a traceback
+        body = tmp_path / "samples.json"
+        body.write_text(jsonio.dumps({"kind": "samples", "samples": [1e78, 1e-78] * 4}))
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--input", str(body), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NoConvergence"), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_output_keys(self, tmp_path):
         body = tmp_path / "circle.json"
         body.write_text(jsonio.dumps({"kind": "ellipse", "params": [1.0, 0.0, 0.0]}))

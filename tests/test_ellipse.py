@@ -3,31 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from bmplane.ellipse import (
-    EllipseParams,
-    PDMatrix2,
-    StdEllipseParams,
-    pd_sqrt,
-    pd_sqrt_inverse,
+from bmplane.ellipse import EllipseParams, PDMatrix2, StdEllipseParams, pd_sqrt, pd_sqrt_inverse
+from bmplane.errors import NotInCone, NotPD
+from bmplane.gauge import ellipse_gauge
+
+import bodies
+from perturbation import (
+    BadAngleOrder,
+    LeftCone,
+    log_rho,
+    operator_norm,
     perturb,
+    square,
     tangent_matrix,
     three_point_matrix,
 )
-from bmplane.errors import BadAngleOrder, LeftCone, NotInCone, NotPD
-
-import bodies
 
 
 class TestParams:
     def test_rho_values(self):
-        assert EllipseParams(1, 0, 0).rho(0.73) == pytest.approx(1.0)
-        assert EllipseParams(0.5, 0, 0).rho(-1.1) == pytest.approx(math.sqrt(2.0))
-        assert EllipseParams(1, 0.3, 0).rho(0.0) == pytest.approx(1.0 / math.sqrt(1.3))
-        assert EllipseParams(1, 0, 0).log_rho(0.2) == 0.0
+        # the polar radius of the triple's ellipse, as its gauge evaluates it
+        assert ellipse_gauge(EllipseParams(1, 0, 0)).eval(0.73) == pytest.approx(1.0)
+        assert ellipse_gauge(EllipseParams(0.5, 0, 0)).eval(-1.1) == pytest.approx(math.sqrt(2.0))
+        assert ellipse_gauge(EllipseParams(1, 0.3, 0)).eval(0.0) == pytest.approx(1.3**-0.5)
+        assert ellipse_gauge(EllipseParams(1, 0, 0)).log_eval(0.2) == 0.0
 
     def test_cone_enforced(self):
         with pytest.raises(NotInCone):
             EllipseParams(1.0, 0.8, 0.7)
+        with pytest.raises(NotInCone, match=r"^non-finite triple \(1\.0, nan, 0\.0\)$"):
+            EllipseParams(1.0, math.nan, 0.0)
+        with pytest.raises(NotInCone, match=r"^non-finite triple \(inf, 0\.0, 0\.0\)$"):
+            EllipseParams(math.inf, 0.0, 0.0)
         with pytest.raises(NotInCone):
             EllipseParams(-1.0, 0.0, 0.0)
         with pytest.raises(NotInCone):
@@ -41,8 +48,10 @@ class TestParams:
             assert std.a == e.a2
             assert std.a > std.bprime >= 0.0
             assert 0.0 <= std.theta < math.pi
-            back = std.to_params()
-            assert back.triple() == pytest.approx(e.triple(), abs=1e-14)
+            # a + b'*cos(2*(phi - theta)) is the triple (a, b'*cos 2theta, b'*sin 2theta)
+            two_theta = 2.0 * std.theta
+            back = (std.a, std.bprime * math.cos(two_theta), std.bprime * math.sin(two_theta))
+            assert back == pytest.approx(e.triple(), abs=1e-14)
 
     def test_std_circle_theta_zero(self):
         assert EllipseParams(2.0, 0.0, 0.0).to_std().theta == 0.0
@@ -73,33 +82,43 @@ class TestMatrixLayer:
         for _ in range(500):
             s = bodies.random_pd_matrix(rng)
             r = pd_sqrt(s)
-            err = np.abs(r.square().as_array() - s.as_array()).max()
-            assert err <= 1e-12 * max(1.0, s.operator_norm())
+            err = np.abs(square(r).as_array() - s.as_array()).max()
+            assert err <= 1e-12 * max(1.0, operator_norm(s))
             ri = pd_sqrt_inverse(s)
             assert np.abs((r.as_array() @ ri.as_array()) - np.eye(2)).max() < 1e-12
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_norm_and_det_at_extreme_scale(self, scale):
-        # the norm is the scaled one's; the det (about scale^2) saturates as a float must
-        assert PDMatrix2(2.0 * scale, 0.0, scale).operator_norm() == 2.0 * scale
+    def test_sqrt_and_inverse_at_extreme_scale(self, scale):
+        # both work on the form over 4^k (``_scaled``): its det (about scale^2) would overflow
+        # or underflow, and the results are the unit ones' scaled exactly
+        s = PDMatrix2(4.0 * scale, 0.0, scale)
+        assert pd_sqrt(s).as_array().tolist() == [[2.0 * math.sqrt(scale), 0.0],
+                                                  [0.0, math.sqrt(scale)]]
+        assert s.inverse().as_array() == pytest.approx(np.diag([0.25, 1.0]) / scale, rel=1e-15)
         s = PDMatrix2(2.0 * scale, scale, 2.0 * scale)
-        assert s.operator_norm() == pytest.approx(3.0 * scale, rel=1e-15)
-        assert s.det() == (math.inf if scale > 1.0 else 0.0)
+        assert square(pd_sqrt(s)).as_array() == pytest.approx(s.as_array(), rel=1e-15)
+        assert s.inverse().as_array() @ s.as_array() == pytest.approx(np.eye(2), abs=1e-15)
 
-    def test_norm_and_det_scale_by_powers_of_two(self):
+    def test_sqrt_and_inverse_scale_by_powers_of_two(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             s = bodies.random_pd_matrix(rng)
             for e in (-150, 150):
                 big = PDMatrix2(*(math.ldexp(v, 2 * e) for v in (s.m11, s.m12, s.m22)))
-                assert big.operator_norm() == math.ldexp(s.operator_norm(), 2 * e)
-                assert big.det() == math.ldexp(s.det(), 4 * e)
+                root, inverse = pd_sqrt(s), s.inverse()
+                assert pd_sqrt(big).as_array().tolist() == [
+                    [math.ldexp(v, e) for v in row] for row in root.as_array().tolist()]
+                assert big.inverse().as_array().tolist() == [
+                    [math.ldexp(v, -2 * e) for v in row] for row in inverse.as_array().tolist()]
 
     def test_not_pd(self):
         with pytest.raises(NotPD):
             PDMatrix2(1.0, 2.0, 1.0)
         with pytest.raises(NotPD):
             PDMatrix2(-1.0, 0.0, -2.0)
+        for entries in ((math.nan, 0.0, 1.0), (1.0, math.inf, 1.0), (1.0, 0.0, -math.inf)):
+            with pytest.raises(NotPD, match="^non-finite entries$"):
+                PDMatrix2(*entries)
 
     def test_matrix_maps_circle_to_ellipse(self):
         # the operator build_report takes: the inverse SPD root of M = [[a2+b2, c2], [c2, a2-b2]]
@@ -109,7 +128,7 @@ class TestMatrixLayer:
         ang = rng.uniform(0, 2 * math.pi, 32)
         pts = t.apply(np.column_stack([np.cos(ang), np.sin(ang)]))
         phi = np.arctan2(pts[:, 1], pts[:, 0])
-        assert np.hypot(pts[:, 0], pts[:, 1]) == pytest.approx(e.rho(phi), rel=1e-12)
+        assert np.hypot(pts[:, 0], pts[:, 1]) == pytest.approx(e.trig(phi) ** -0.5, rel=1e-12)
 
 
 def _interpolate(matrix: np.ndarray, rhs) -> EllipseParams:
@@ -204,9 +223,9 @@ class TestPerturb:
         alpha, beta, t = -0.2, 1.4, 0.05
         gamma = 0.5 * (alpha + beta)
         p = perturb(e, alpha, beta, t)
-        assert p.log_rho(alpha) == pytest.approx(e.log_rho(alpha), abs=1e-12)
-        assert p.log_rho(beta) == pytest.approx(e.log_rho(beta), abs=1e-12)
-        assert p.log_rho(gamma) == pytest.approx(e.log_rho(gamma) - t, abs=1e-12)
+        assert log_rho(p, alpha) == pytest.approx(log_rho(e, alpha), abs=1e-12)
+        assert log_rho(p, beta) == pytest.approx(log_rho(e, beta), abs=1e-12)
+        assert log_rho(p, gamma) == pytest.approx(log_rho(e, gamma) - t, abs=1e-12)
 
     def test_sign_pattern_random(self):
         rng = np.random.default_rng(5)
@@ -222,10 +241,10 @@ class TestPerturb:
                 continue
             inner = np.linspace(alpha, beta, 130)[1:-1]
             outer = np.linspace(beta, alpha + math.pi, 130)[1:-1]
-            d_in = p.log_rho(inner) - e.log_rho(inner)
-            d_out = p.log_rho(outer) - e.log_rho(outer)
+            d_in = log_rho(p, inner) - log_rho(e, inner)
+            d_out = log_rho(p, outer) - log_rho(e, outer)
             assert d_in.max() < 0.0
             assert d_out.min() > 0.0
-            assert abs(p.log_rho(alpha) - e.log_rho(alpha)) < 1e-12
-            assert abs(p.log_rho(beta) - e.log_rho(beta)) < 1e-12
+            assert abs(log_rho(p, alpha) - log_rho(e, alpha)) < 1e-12
+            assert abs(log_rho(p, beta) - log_rho(e, beta)) < 1e-12
             done += 1

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from bmplane.solver import distance
 import bodies
 
 SQRT2 = math.sqrt(2.0)
+_UNIT_SQUARE = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])  # vertex radius 1
 
 
 class TestPolygon:
@@ -120,6 +122,37 @@ class TestPolygon:
         with pytest.raises(OriginOutside):
             polygon_gauge([(0, 0), (1, 0), (0, 1)], symmetrize=True)
 
+    @pytest.mark.parametrize("vertices, error, message", [
+        ([1.0, 2.0, 3.0], InputError, r"vertices must be an \(n, 2\) array, got shape \(3,\)"),
+        (np.ones((4, 3)), InputError, r"vertices must be an \(n, 2\) array, got shape \(4, 3\)"),
+        ([[math.nan, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], InputError,
+         "vertices contain non-finite coordinates"),
+        ([[1.0, 0.0], [0.0, math.inf], [-1.0, 0.0], [0.0, -1.0]], InputError,
+         "vertices contain non-finite coordinates"),
+        (np.zeros((4, 2)), OriginOutside, "all vertices at the origin"),
+        # 10 unit vectors 108 degrees apart: each turn is a left turn, and they wind 3 times
+        (np.column_stack([np.cos(np.radians(108.0 * np.arange(10))),
+                          np.sin(np.radians(108.0 * np.arange(10)))]),
+         NotStarShaped, "boundary winds 3 times around the origin"),
+    ], ids=["1-d", "3-columns", "nan", "inf", "all-at-origin", "winds-3-times"])
+    def test_invalid_vertices(self, vertices, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            polygon_gauge(vertices)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e-162, 1e-170])
+    def test_past_the_float_range_is_input_error(self, scale):
+        # the star test's cross products of neighbouring vertices (up to scale^2) overflow, or
+        # its bound 1e-14*scale^2 underflows to 0: it would read either as a ray that misses
+        # the boundary, or pass a polygon whose radii are inf
+        with pytest.raises(InputError, match=f"^largest vertex radius {re.escape(repr(scale))}: "
+                                             "cross products leave the float range$"):
+            polygon_gauge(scale * _UNIT_SQUARE)
+
+    @pytest.mark.parametrize("scale", [1e-154, 1e154])
+    def test_at_the_ends_of_the_float_range_solves(self, scale):
+        # the cross products are scale^2 = 1e+-308, inside the float range
+        assert distance(polygon_gauge(scale * _UNIT_SQUARE)) == pytest.approx(SQRT2, rel=1e-12)
+
     def test_too_few_vertices(self):
         with pytest.raises(NotStarShaped):
             polygon_gauge([(1, 0), (-1, 0)])
@@ -199,8 +232,9 @@ class TestSamples:
     def test_nodes_exact_for_ellipse_samples(self):
         e = EllipseParams(1.0, 0.25, -0.1)
         nodes = np.arange(64) * math.pi / 64
-        g = sample_gauge(e.rho(nodes))
-        assert np.allclose(g.eval(nodes), e.rho(nodes), atol=1e-15)
+        rho = e.trig(nodes) ** -0.5
+        g = sample_gauge(rho)
+        assert np.allclose(g.eval(nodes), rho, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1000, 4096, 100_000])
     def test_linear_samples_pass_through_their_samples(self, n):
@@ -268,6 +302,10 @@ class TestSamples:
             sample_gauge([1, 1, 1, 1, 0, 1, 1, 1])
         with pytest.raises(NonPositiveSample):
             sample_gauge([1, 1, 1, 1, math.nan, 1, 1, 1])
+        with pytest.raises(InputError, match=r"^samples must be a 1-d array, got shape \(2, 8\)$"):
+            sample_gauge(np.ones((2, 8)))
+        with pytest.raises(InputError, match="^interp must be 'linear' or 'pchip', got 'cubic'$"):
+            sample_gauge(np.ones(8), interp="cubic")
 
 
 class TestGeneric:
@@ -299,7 +337,7 @@ class TestGeneric:
         e = EllipseParams(1.0, 0.2, 0.1)
         g = ellipse_gauge(e)
         phis = np.linspace(0, math.pi, 33)
-        assert np.allclose(g.log_eval(phis), e.log_rho(phis), atol=1e-15)
+        assert np.allclose(g.log_eval(phis), -0.5 * np.log(e.trig(phis)), atol=1e-15)
 
     def test_evaluation_grid_includes_kinks(self):
         g = polygon_gauge(bodies.diamond_vertices())
@@ -400,6 +438,15 @@ class TestDescriptor:
             gauge_from_descriptor({"kind": "square", "p": 2})
         with pytest.raises(InputError):
             gauge_from_descriptor({"kind": "ellipse", "params": [1, 0]})
+
+    @pytest.mark.parametrize("descriptor, message", [
+        ([{"kind": "lp", "p": 2}], "body descriptor must be an object, got list"),
+        ("lp", "body descriptor must be an object, got str"),
+        ({"kind": "lp", "p": 2, "colour": "red"}, r"unknown descriptor fields: \['colour'\]"),
+    ], ids=["list", "string", "unknown-field"])
+    def test_not_a_descriptor(self, descriptor, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            gauge_from_descriptor(descriptor)
 
     @pytest.mark.parametrize("descriptor", [
         {"kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "symmetrize": "false"},

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bmplane.ellipse import EllipseParams
-from bmplane.errors import EmptyGrid
+from bmplane.errors import EmptyGrid, NoConvergence
 from bmplane.gauge import (
     circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge, sample_gauge,
 )
@@ -105,6 +105,19 @@ class TestOracleUniform:
     def test_grid_validation(self):
         with pytest.raises(EmptyGrid):
             oracle_uniform(circle_gauge(), n_phi=4)
+
+    @pytest.mark.parametrize("e", [77, 78])
+    def test_span_past_the_float_range_is_no_convergence(self, e):
+        # 8 linear samples alternating between 10^e and 10^-e: the fit's normal equations would
+        # overflow at both, and at 78 the ratio max m / min m too, for a value of inf
+        with pytest.raises(NoConvergence, match="leave the float range"):
+            oracle_uniform(sample_gauge([10.0**e, 10.0**-e] * 4))
+
+    def test_span_within_the_float_range_keeps_its_bits(self):
+        res = oracle_uniform(sample_gauge([1e76, 1e-76] * 4))
+        assert (res.value, res.lower, res.evaluations) == (174.99646706754748, 6.907755278981881,
+                                                          1189888)
+        assert res.params.triple() == (1.0, 0.0, 0.0)
 
 
 class TestBracket:

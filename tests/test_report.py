@@ -258,6 +258,17 @@ class TestSerialization:
             with pytest.raises(InputError, match="malformed report"):
                 report_from_dict(bad)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("T_hat", [[1.0, 0.5], [0.0, 1.0]], "matrix is not symmetric"),
+        ("x_points", [[math.nan, 0.0], [0.0, 1.0]], "x_points must be two finite planar points"),
+        ("params_uniform", [math.nan, 0.0, 0.0], r"non-finite triple \(nan, 0\.0, 0\.0\)"),
+    ], ids=["asymmetric-T_hat", "nan-x_points", "nan-params_uniform"])
+    def test_invalid_values_are_malformed(self, square_report, key, value, message):
+        bad = report_to_dict(square_report)
+        bad[key] = value
+        with pytest.raises(InputError, match=f"^malformed report: {message}$"):
+            report_from_dict(bad)
+
     @pytest.mark.parametrize("path", [
         ("d2",), ("defect",), ("params_uniform", 0), ("T_hat", 0, 1), ("x_points", 1, 0),
         ("certificate", "phi", 0), ("certificate", "residuals", 3),

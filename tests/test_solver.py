@@ -56,6 +56,7 @@ from bmplane.solver import (
 )
 
 import bodies
+from perturbation import LeftCone, perturb
 
 SQUARE_DEFECT = 0.25 * math.log(2.0)  # forced by 4-fold symmetry: ln(sqrt(2))/2
 
@@ -1247,7 +1248,7 @@ class TestSolveUniform:
             a2 = rng.uniform(0.5, 2.0)
             r, t = a2 * rng.uniform(0.0, 0.95), rng.uniform(0.0, 6.3)
             e = EllipseParams(a2, r * math.cos(t), r * math.sin(t))
-            out[f"rng5-{i}"] = sample_gauge(e.rho(nodes))
+            out[f"rng5-{i}"] = sample_gauge(e.trig(nodes) ** -0.5)
         return out
 
     def test_sampled_ellipses_certify(self):
@@ -1356,7 +1357,7 @@ class TestCertificate:
             r, t = a2 * rng.uniform(0.0, 0.95), rng.uniform(0.0, 6.3)
             draws.append(EllipseParams(a2, r * math.cos(t), r * math.sin(t)))
         for i in (1, 2, 6, 10):
-            g = sample_gauge(draws[i].rho(nodes))
+            g = sample_gauge(draws[i].trig(nodes) ** -0.5)
             sol = solve_uniform(g)
             assert min(certificate_deviations(g, sol.params, sol.certificate)) > 0.0, i
             assert max(map(abs, sol.certificate.residuals)) <= tol, i
@@ -1498,9 +1499,6 @@ class TestDistance:
 
 class TestPerturbationProbe:
     def test_no_perturbation_beats_optimum(self, solved_corpus):
-        from bmplane.ellipse import perturb
-        from bmplane.errors import LeftCone
-
         rng = np.random.default_rng(11)
         g, sol = solved_corpus["square-polygon"]
         grid = evaluation_grid(g, 2048)
