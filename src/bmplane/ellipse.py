@@ -68,6 +68,10 @@ class EllipseParams:
         out = self.a2 + self.b2 * np.cos(2.0 * phi) + self.c2 * np.sin(2.0 * phi)
         return out if out.ndim else float(out)
 
+    def matrix(self) -> np.ndarray:
+        """The form M = [[a2 + b2, c2], [c2, a2 - b2]]: p'Mp = rho^-2 at p = (cos, sin)."""
+        return np.array([[self.a2 + self.b2, self.c2], [self.c2, self.a2 - self.b2]])
+
     def scaled(self, factor: float) -> "EllipseParams":
         """Triple scaled by a positive factor; rho scales by factor^-1/2."""
         return EllipseParams(self.a2 * factor, self.b2 * factor, self.c2 * factor)

@@ -45,8 +45,8 @@ class NotPD(BmplaneError):
 
 class NoConvergence(BmplaneError):
     """A repeated or singular exchange reference, its round cap or a triple outside the cone;
-    R <= 0 at a scanned angle; a body scale whose triple overflows; or an oracle log r span
-    past the float range."""
+    R <= 0 or not finite at a scanned angle, or a scan with no extremum; a body scale whose
+    triple or inscribed triple overflows; or an oracle log r span past the float range."""
 
 
 class NoAlternance(BmplaneError):

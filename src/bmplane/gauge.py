@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _PI = math.pi
+_H_ROUNDING = 2.0**-50  # h = f - g rounds by about eps*|f|: this bounds it, relative to max|f|
 
 
 def _reduce(phi) -> np.ndarray:
@@ -135,20 +136,19 @@ class _PolygonGauge(Gauge):
     def extremum_candidates(self, params: EllipseParams):
         """Local extrema of f - g = 1/2 log(p'Mp) over the boundary points p of _radius.
 
-        With M = [[a2 + b2, c2], [c2, a2 - b2]], p'Mp is a convex quadratic
-        along each edge p = v + s*e, with slope sign that of p'Me.  Mod pi the
-        boundary is the edges out of the vertices below pi; the last of them
-        ends at the antipode of vertex 0, so it covers the angles from the
-        last vertex below pi through pi (0) up to vertex 0 in one piece.  A
-        vertex is an extremum where the slope turns across it, from >= 0 to
-        <= 0 or from <= 0 to >= 0, at its own angle, a kink of _radius.  An
-        edge whose slope rises from < 0 to > 0 has its minimum inside, at
-        s = -v'Me / e'Me.  Every angle is in [0, pi).
+        With M the triple's form (``EllipseParams.matrix``), p'Mp is a convex
+        quadratic along each edge p = v + s*e, with slope sign that of p'Me.
+        Mod pi the boundary is the edges out of the vertices below pi; the
+        last of them ends at the antipode of vertex 0, so it covers the angles
+        from the last vertex below pi through pi (0) up to vertex 0 in one
+        piece.  A vertex is an extremum where the slope turns across it, from
+        >= 0 to <= 0 or from <= 0 to >= 0, at its own angle, a kink of
+        _radius.  An edge whose slope rises from < 0 to > 0 has its minimum
+        inside, at s = -v'Me / e'Me.  Every angle is in [0, pi).
         """
         th = self.critical_angles()
         v, e = self._vertices[: th.size], self._edge[: th.size]
-        m = np.array([[params.a2 + params.b2, params.c2], [params.c2, params.a2 - params.b2]])
-        me = e @ m
+        me = e @ params.matrix()
         start = np.einsum("ij,ij->i", v, me)  # slopes at the edges' ends
         eme = np.einsum("ij,ij->i", e, me)
         end = start + eme
@@ -308,15 +308,19 @@ class _EllipseGauge(Gauge):
 
     def extremum_candidates(self, params: EllipseParams):
         """f - g = 1/2 log(p'Mp / p'M_e p) at p = (cos, sin), with M_e the body's M: its extrema
-        are the generalized eigenvectors of (M, M_e), unless M is M_e scaled to its rounding and
-        h flat, when the canonical angles stand in."""
-        m, me = (np.array([[e.a2 + e.b2, e.c2], [e.c2, e.a2 - e.b2]])
-                 for e in (params, self._params))
-        if np.abs(m - me * (np.trace(m) / np.trace(me))).max() <= 2.0**-50 * np.abs(m).max():
-            return np.arange(4) * (0.25 * _PI)
+        are the generalized eigenvectors of (M, M_e), unless M is M_e scaled to its rounding or h
+        spreads less than 1e-13 plus its rounding over them and the canonical angles, which then
+        stand in for their noise (the scan's one flatness rule)."""
+        m, me, phi = params.matrix(), self._params.matrix(), np.arange(4) * (0.25 * _PI)
+        if np.abs(m - me * (np.trace(m) / np.trace(me))).max() <= _H_ROUNDING * np.abs(m).max():
+            return phi
         chol = np.linalg.cholesky(me)
         _, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, m).T))
-        return _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1]))
+        phi = np.append(phi, _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1])))
+        f = self._log_radius(phi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # R <= 0: not flat, and _R raises
+            h = f + 0.5 * np.log(params.trig(phi))
+        return phi[:4] if h.max() - h.min() < 1e-13 + _H_ROUNDING * np.abs(f).max() else phi[4:]
 
     def descriptor(self) -> dict:
         return {"kind": "ellipse", "params": list(self._params.triple())}

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ellipse import EllipseParams, PDMatrix2, pd_sqrt, pd_sqrt_inverse
-from .errors import BmplaneError, ConeViolation, InputError
+from .errors import BmplaneError, ConeViolation, InputError, NoConvergence
 from .gauge import Gauge, _json_numbers
 from .solver import AlternanceCertificate, UniformSolution, _distinct, certificate_deviations
 
@@ -71,12 +71,17 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
 
     Reads the solution's triple, defect and certificate; the gauge is
     evaluated at the four certificate angles and nowhere else.  Raises
-    ConeViolation when the certificate angles do not interleave.
+    ConeViolation when the certificate angles do not interleave, and
+    NoConvergence when the inscribed triple's form overflows.
     """
     d2 = math.exp(2.0 * sol.defect)
+    a2, b2 = sol.params.a2, sol.params.b2
+    if not math.isfinite(a2 * d2 + abs(b2 * d2)):  # the form's largest entry; |c2| < a2
+        raise NoConvergence(f"the form of the inscribed triple, the uniform one times d2 = "
+                            f"{d2!r}, overflows: its a2 is 2^{math.log2(a2) + math.log2(d2):.3f}")
     inscribed = sol.params.scaled(d2)
     # quadratic form of the inscribed ellipse; T_hat is its SPD square root
-    form = PDMatrix2(inscribed.a2 + inscribed.b2, inscribed.c2, inscribed.a2 - inscribed.b2)
+    form = PDMatrix2(*inscribed.matrix().flat[[0, 1, 3]])
     t_hat = pd_sqrt(form)
     t_tilde = pd_sqrt_inverse(form)
 

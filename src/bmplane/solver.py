@@ -28,12 +28,12 @@ angles, as one set, f there and the sup of |f - g| over them, from the sign
 of h' = (f - g)' at the ends of the cells between grid angles (every kink is
 one), root-finding h' in a cell where it changes sign; it is exact in closed
 form on polygons, where f - g = 1/2 log(p'Mp) is convex along each edge, and
-on ellipses.  Every scan of a solve takes f at its grid-angle extrema from
-the grid pass, so only its roots and the canonical angles of its flat test
-call the gauge.  The loop stops when the
-scanned sup-norm of the last triple is within 1e-12 relative (or the
-rounding of h) of its level on its points, the de la Vallee Poussin lower
-bound on the optimum.
+on ellipses.  The scan has no flat case (only the ellipse gauge's candidates
+do).  Every scan of a solve takes f at its grid-angle extrema from the grid
+pass, so only its roots call the gauge.  The loop stops when the scanned
+sup-norm of the last triple is within 1e-12 relative (or the rounding of h)
+of its level on its points, the de la Vallee Poussin lower bound on the
+optimum.
 
 Optimality is certified by the last reference of the exchange run whose
 triple is returned, with no search after the loop: four of that run's points
@@ -61,7 +61,7 @@ import numpy as np
 
 from .ellipse import EllipseParams, in_cone
 from .errors import NoAlternance, NoConvergence
-from .gauge import Gauge, _grid_table
+from .gauge import _H_ROUNDING, Gauge, _grid_table
 
 __all__ = [
     "AlternanceCertificate",
@@ -74,10 +74,8 @@ __all__ = [
 ]
 
 _PI = math.pi
-_CANONICAL_ANGLES = np.array([0.0, 0.25 * _PI, 0.5 * _PI, 0.75 * _PI])
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0])  # of f - g at (phi1, psi1, phi2, psi2)
 _ROOT_STEPS = 12  # Illinois steps on h' in each cell where it changes sign
-_H_ROUNDING = 2.0**-50  # h = f - g rounds by about eps*|f|: this bounds it, relative to max|f|
 _GRID_SIZE = 4096  # the first exchange run's grid, whose cells partition the extremum scan
 _CERT_TOL = 1e-8  # the widest bracket a solve's certificate may give, in defect units
 
@@ -132,7 +130,11 @@ def _distinct(values: np.ndarray, *carried: np.ndarray):
 
 
 def _R(params: EllipseParams, cos, sin) -> np.ndarray:
-    """R from cos 2phi and sin 2phi, as ``params.trig``; NoConvergence where it rounds to <= 0."""
+    """R from cos 2phi and sin 2phi, as ``params.trig``; NoConvergence where not finite or <= 0."""
+    if params.a2 >= 2.0**1022:  # else |R| < 3*a2, as |b2|, |c2| < a2: R cannot overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # an R past the float range raises
+            if not np.isfinite(params.a2 + params.b2 * cos + params.c2 * sin).all():
+                raise NoConvergence(f"R overflows for the triple {params.triple()}")
     R = np.asarray(params.a2 + params.b2 * cos + params.c2 * sin)
     if not (R > 0.0).all():
         raise NoConvergence(f"R = {float(R.min())!r} <= 0 for the triple {params.triple()}, "
@@ -145,14 +147,9 @@ def _cos_sin(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(2.0 * phi), np.sin(2.0 * phi)
 
 
-def _half_log(params: EllipseParams, cos, sin):
-    """1/2 log R of the triple from cos 2phi and sin 2phi."""
-    return 0.5 * np.log(_R(params, cos, sin))
-
-
 def _half_log_trig(params: EllipseParams, phi):
     """1/2 log R of the triple at phi."""
-    return _half_log(params, *_cos_sin(np.asarray(phi, dtype=float)))
+    return 0.5 * np.log(_R(params, *_cos_sin(np.asarray(phi, dtype=float))))
 
 
 def linprog(cos: np.ndarray, sin: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int, list, list]:
@@ -301,17 +298,6 @@ def _illinois(fn, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) 
     return b
 
 
-def _candidate_extrema(phi: np.ndarray, f: np.ndarray, half_log: np.ndarray) -> _ExtremaScan:
-    """The candidates, f there and the sup of |h| = |f + 1/2 log R| over them, given f and
-    1/2 log R at phi, the angles (0, pi/4, pi/2, 3pi/4) and then the candidates.  If h spreads
-    less than 1e-13 plus the rounding of h over phi, h is flat and the canonical angles stand in.
-    """
-    values = f + half_log
-    flat = float(values.max() - values.min()) < 1e-13 + _H_ROUNDING * float(np.abs(f).max())
-    phi, f, values = (z[:4] if flat else z[4:] for z in (phi, f, values))
-    return _ExtremaScan(phi, float(np.abs(values).max()), f)
-
-
 def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _ExtremaScan:
     """All local extrema of h = f - g for the triple, f there and the sup of |h| over them.
 
@@ -321,33 +307,32 @@ def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _Extr
     extremum where h' turns across it, from >= 0 on its left to <= 0 on its right or from
     <= 0 to >= 0.  A cell whose h' changes sign holds one extremum, found by ``_illinois``;
     no cell may hold a maximum and a minimum.  The scan calls the gauge's ``log_eval`` once,
-    at the canonical angles and its roots, and at its grid-angle extrema too unless f on the
-    grid is held (``pieces.f``); 1/2 log R at those is taken from the R of h' on the grid.
-    """
-    candidates = gauge.extremum_candidates(params)
-    if candidates is not None:
-        phi = np.concatenate([_CANONICAL_ANGLES, candidates])
-        return _candidate_extrema(phi, gauge.log_eval(phi), _half_log_trig(params, phi))
-
-    def g_slope(cos, sin, R=None):  # (1/2 log R)' = -g': h' is f' plus this
-        return (params.c2 * cos - params.b2 * sin) / (_R(params, cos, sin) if R is None else R)
-
-    x, cos, sin = pieces.grid
-    R = _R(params, cos, sin)
-    grid_slope = g_slope(cos, sin, R)
-    left, right = (f + grid_slope for f in pieces.slopes)
-    nxt = np.concatenate([left[1:], left[:1]])  # h' at each cell's right end
-    turn = ((left >= 0.0) & (right <= 0.0)) | ((left <= 0.0) & (right >= 0.0))
-    cells = np.nonzero(np.sign(right) * np.sign(nxt) < 0.0)[0]
-    ends = pieces.ends
-    inner = np.mod(_illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(*_cos_sin(p)),
-                             ends[cells], ends[cells + 1], right[cells], nxt[cells]), _PI)
-    off = np.concatenate([_CANONICAL_ANGLES, inner])  # the angles off the grid
-    phi = np.concatenate([off, x[turn]])
-    f = (gauge.log_eval(phi) if pieces.f is None
-         else np.concatenate([gauge.log_eval(off), pieces.f[turn]]))
-    half_log = np.concatenate([_half_log_trig(params, off), 0.5 * np.log(R[turn])])
-    return _candidate_extrema(phi, f, half_log)
+    at its roots, and at its grid-angle extrema too unless f on the grid is held
+    (``pieces.f``); 1/2 log R at those is taken from the R of h' on the grid.  NoConvergence
+    when it finds no extremum (h' or the candidates not finite)."""
+    phi = gauge.extremum_candidates(params)
+    if phi is not None:
+        f, half_log = gauge.log_eval(phi), _half_log_trig(params, phi)
+    else:
+        def g_slope(cos, sin, R=None):  # (1/2 log R)' = -g': h' is f' plus this
+            return (params.c2 * cos - params.b2 * sin) / (_R(params, cos, sin) if R is None else R)
+        x, cos, sin = pieces.grid
+        R = _R(params, cos, sin)
+        grid_slope = g_slope(cos, sin, R)
+        left, right = (f + grid_slope for f in pieces.slopes)
+        nxt = np.concatenate([left[1:], left[:1]])  # h' at each cell's right end
+        turn = ((left >= 0.0) & (right <= 0.0)) | ((left <= 0.0) & (right >= 0.0))
+        cells = np.nonzero(np.sign(right) * np.sign(nxt) < 0.0)[0]
+        ends = pieces.ends
+        inner = np.mod(_illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(*_cos_sin(p)),
+                                 ends[cells], ends[cells + 1], right[cells], nxt[cells]), _PI)
+        phi = np.concatenate([inner, x[turn]])
+        f = (gauge.log_eval(phi) if pieces.f is None
+             else np.concatenate([gauge.log_eval(inner), pieces.f[turn]]))
+        half_log = np.concatenate([_half_log_trig(params, inner), 0.5 * np.log(R[turn])])
+    if not phi.size:
+        raise NoConvergence(f"the scan of the triple {params.triple()} finds no extremum")
+    return _ExtremaScan(phi, float(np.abs(f + half_log).max()), f)
 
 
 def certificate_deviations(
@@ -355,7 +340,7 @@ def certificate_deviations(
 ) -> tuple[float, float, float, float]:
     """f - g at the certificate's angles, signed + at phi1, phi2 and - at psi1, psi2.
 
-    All four equal the defect at an exact optimum.  R <= 0 at an angle raises
+    All four equal the defect at an exact optimum.  R <= 0 or not finite at an angle raises
     NoConvergence.
     """
     phi = np.array(cert.angles())
@@ -374,7 +359,7 @@ def verify_certificate(
     Vallee Poussin, f - g >= m > 0 at four interleaved angles with signs (+, -, +, -) bounds
     every triple's sup, so d*, from below by m.  The verdict passes when upper - lower <= tol,
     in the units of d (those of ``_CERT_TOL``, at which every certificate of a solve passes).
-    R <= 0 at a scanned angle raises NoConvergence.
+    R <= 0 or not finite at a scanned angle, or a scan with no extremum, raises NoConvergence.
     """
     dev = certificate_deviations(gauge, params, cert)
     lower = max(0.0, min(dev)) if cert.interleaved() else 0.0
@@ -396,8 +381,9 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     (``linprog``), rotated to start at a maximum, with residuals its signed
     deviations less the defect, from the h the run's level is taken on.
     Raises NoConvergence when the grid run fails (a singular or repeated
-    reference, no stop within its round cap, a triple outside the cone, or
-    R <= 0 at a point, grid angle or candidate of the scan); a later run that
+    reference, no stop within its round cap, a triple outside the cone,
+    R <= 0 or not finite at a point, grid angle or candidate of the scan, or a
+    scan with no extremum); a later run that
     fails ends the loop.  Raises NoAlternance when a level exceeds the
     returned sup-norm by more than ``_CERT_TOL`` (the scan missed extrema), or
     when the certificate's bracket, the sup less its least signed deviation
@@ -415,7 +401,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     for _ in range(31):
         try:
             params, ref, sign = _minimax_lp(cos, sin, f)
-            h = f + _half_log(params, cos, sin)
+            h = f + 0.5 * np.log(_R(params, cos, sin))
             level = float(np.abs(h).max())
             scan = _extrema_scan(gauge, params, pieces)
         except NoConvergence:

@@ -7,7 +7,7 @@ import pytest
 
 from bmplane import jsonio
 from bmplane.cli import main
-from bmplane.errors import InputError
+from bmplane.errors import InputError, NoConvergence
 from bmplane.gauge import circle_gauge, lp_gauge, polygon_gauge, sample_gauge
 from bmplane.report import (
     _THEOREM1_TOL,
@@ -87,6 +87,16 @@ class TestBuildReport:
             ty = r.T_hat.apply(r.y_points)
             assert np.hypot(tx[:, 0], tx[:, 1]) == pytest.approx(r.d2, abs=1e-6), name
             assert np.hypot(ty[:, 0], ty[:, 1]) == pytest.approx(1.0, abs=1e-6), name
+
+    def test_inscribed_triple_past_the_float_range_is_typed(self):
+        # the square of vertex radius 1e-154 solves, but its uniform triple (a2 ~ 1.4e308)
+        # scaled by d2 = sqrt 2 overflows
+        g = polygon_gauge(1e-154 * np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+        sol = solve_uniform(g)
+        message = (r"^the form of the inscribed triple, the uniform one times "
+                   r"d2 = 1\.414213562373056, overflows: its a2 is 2\^1024\.154$")
+        with pytest.raises(NoConvergence, match=message):
+            build_report(g, sol)
 
     def test_operator_norm_is_d2(self, solved_corpus):
         # the rendered boundary includes the certificate and kink directions,

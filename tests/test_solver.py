@@ -38,7 +38,6 @@ from bmplane.solver import (
     distance,
     linprog,
     solve_uniform,
-    _CANONICAL_ANGLES,
     _CERT_TOL,
     _distinct,
     _ExtremaScan,
@@ -46,7 +45,7 @@ from bmplane.solver import (
     _GRID_SIZE,
     _H_ROUNDING,
     _cos_sin,
-    _half_log,
+    _R,
     _half_log_trig,
     _minimax_lp,
     _PI,
@@ -404,6 +403,27 @@ class TestExchangeLP:
         assert verify_certificate(g, sol.params, sol.certificate, 1e-8).passed
         assert sol.defect <= 2e-12
 
+    def test_in_family_ellipse_just_outside_the_matrix_test(self):
+        # M is not M_e scaled to 2^-50 here, but h spreads less than 1e-13 over the canonical
+        # and the eigenvector angles, so the ellipse gauge's spread test gives the canonical
+        # angles.  This pins its defect; without the test the eigenvectors, where h is 0.0,
+        # would give 0.0.  Both lie below max |h| on the grid (5.5e-13): the flat rule's own
+        # under-report, which waits for a per-point rounding bound
+        e, t = 1.0 - 1e-4, 2.403386929658889
+        g = ellipse_gauge(EllipseParams(1.0, e * math.cos(2.0 * t), e * math.sin(2.0 * t)))
+        sol = solve_uniform(g)
+        assert sol.defect == float.fromhex("0x1.198p-46")
+        assert verify_certificate(g, sol.params, sol.certificate, 1e-8).upper == sol.defect
+
+    def test_constant_samples_report_the_grid_sup(self):
+        # the linear interpolant of 64 samples of 2.5 rounds off 2.5 between the nodes: the
+        # defect is max |h| over the scan's extrema, which is max |h| on the grid, 1.25*2^-51
+        g = sample_gauge(np.full(64, 2.5))
+        sol = solve_uniform(g)
+        grid = evaluation_grid(g, _GRID_SIZE)
+        sup = float(np.abs(g.log_eval(grid) + _half_log_trig(sol.params, grid)).max())
+        assert sol.defect == sup == 1.25 * 2.0**-51
+
     def test_stalled_reference_below_one_flips(self):
         # four angles a quarter apart are the whole problem and the start reference, with + at
         # the least w: its level t = (w1 + w3)/(w0 + w2) is below 1, and no exchange can move.
@@ -600,7 +620,7 @@ class TestOneEvaluationPerAngle:
             grid = evaluation_grid(g, 4096)
             _, cos, sin = _Pieces(g).grid
             for p in triples:
-                assert _half_log(p, cos, sin).tobytes() == _half_log_trig(p, grid).tobytes()
+                assert _R(p, cos, sin).tobytes() == p.trig(grid).tobytes()
 
     def test_certificate_is_the_returned_runs_reference(self, corpus, monkeypatch):
         # the certificate is the last reference of the exchange run whose triple the solve
@@ -710,9 +730,9 @@ class TestOneEvaluationPerAngle:
     )
     def test_scans_value_grid_extrema_from_the_grid_pass(self, monkeypatch, g, runs):
         # every scan of a solve (runs of them at least), the later runs' too, calls the gauge's
-        # log_eval once, at the canonical angles and its roots only: f at its grid-angle extrema
-        # is the grid pass's.  verify_certificate's scan, which holds no grid f, calls it once,
-        # at its grid-angle extrema too.  Without the grid f a scan returns the same angles, f
+        # log_eval once, at its roots only: f at its grid-angle extrema is the grid pass's.
+        # verify_certificate's scan, which holds no grid f, calls it once, at its grid-angle
+        # extrema too.  Without the grid f a scan returns the same angles, f
         # and sup, bit for bit
         import bmplane.solver as solver_mod
 
@@ -749,7 +769,7 @@ class TestOneEvaluationPerAngle:
         for i, (_, pieces, out, calls, roots) in enumerate(records):
             assert (pieces.f is not None) == (i < runs)
             assert len(calls) == len(roots) == 1
-            off = np.concatenate([_CANONICAL_ANGLES, np.mod(roots[0], math.pi)])
+            off = np.mod(roots[0], math.pi)
             assert calls[0][:off.size].tobytes() == off.tobytes()
             turns = calls[0][off.size:]
             assert turns.size == 0 if i < runs else np.isin(turns, pieces.grid[0]).all()
@@ -1049,6 +1069,20 @@ class TestSolveUniform:
         ):
             with pytest.raises(NoConvergence, match="overflows"):
                 solve_uniform(g)
+
+    def test_thin_rhombus_past_the_float_range_is_typed(self):
+        # at s = 2^-499 the solved triple's R = a2 + b2*cos + c2*sin overflows on the grid, and
+        # that triple's form M overflows too, so the polygon's slopes are NaN and its scan has
+        # no candidate: the solve and the scan each end typed.  _R raises with no RuntimeWarning
+        # (pytest makes one an error); the polygon's NaN slopes warn, which this test ignores
+        s = 2.0**-499
+        g = polygon_gauge(s * np.array([[1.0, 0.0], [0.0, 1e-4], [-1.0, 0.0], [0.0, -1e-4]]))
+        with pytest.raises(NoConvergence, match=r"^R overflows for the triple \(1\.50130"):
+            solve_uniform(g)
+        triple = EllipseParams(1.5013079965082733e308, -1.5013079664821137e308,
+                               -2.6621999302410755e292)
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="no extremum"):
+            _extrema_scan(g, triple, _Pieces(g))
 
     def test_grid_sup_matches_defect(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
