@@ -62,8 +62,6 @@ def _cmd_solve(args) -> int:
     sol = solve_uniform(gauge)
     report = build_report(gauge, sol)
     _write_text(args.out, jsonio.dumps(report_to_dict(report)))
-    if args.svg:
-        _write_text(args.svg, render_svg(report, gauge, view=args.view))
     print(f"d2 = {report.d2:.12g}  defect = {report.defect:.12g}  -> {args.out}")
     return _EXIT_OK
 
@@ -143,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a body and write the report JSON")
     solve.add_argument("--input", required=True, help="body descriptor JSON")
     solve.add_argument("--out", required=True, help="output report JSON")
-    solve.add_argument("--svg", help="also render an SVG to this path")
-    solve.add_argument("--view", choices=["body", "image"], default="body")
 
     oracle = sub.add_parser("oracle", help="branch and bound for the defect, with a lower bound")
     oracle.add_argument("--input", required=True)

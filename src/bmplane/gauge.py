@@ -12,6 +12,7 @@ family, and circles.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from functools import cache
 from numbers import Real
@@ -122,6 +123,10 @@ class _PolygonGauge(Gauge):
         self._edge = np.roll(vertices, -1, axis=0) - vertices
         # v x e, not v x nxt (which cancels): each edge's line passes through its own vertex
         self._cross = vertices[:, 0] * self._edge[:, 1] - vertices[:, 1] * self._edge[:, 0]
+        # extremum_candidates' products are at most 36*a2 times this, as |b2|, |c2| < a2 and
+        # |e| <= 2|v|; inf past the float range (silently: Python floats)
+        scale = float(np.max(np.hypot(vertices[:, 0], vertices[:, 1])))
+        self._reach = max(1.0, scale * scale)
 
     def _radius(self, red: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._theta, red, side="right") - 1
@@ -144,14 +149,19 @@ class _PolygonGauge(Gauge):
         piece.  A vertex is an extremum where the slope turns across it, from
         >= 0 to <= 0 or from <= 0 to >= 0, at its own angle, a kink of
         _radius.  An edge whose slope rises from < 0 to > 0 has its minimum
-        inside, at s = -v'Me / e'Me.  Every angle is in [0, pi).
+        inside, at s = -v'Me / e'Me.  Every angle is in [0, pi).  A form whose
+        slopes leave the float range gives NaN slopes and no candidate there,
+        with no RuntimeWarning.
         """
         th = self.critical_angles()
         v, e = self._vertices[: th.size], self._edge[: th.size]
-        me = e @ params.matrix()
-        start = np.einsum("ij,ij->i", v, me)  # slopes at the edges' ends
-        eme = np.einsum("ij,ij->i", e, me)
-        end = start + eme
+        # the products stay below 36*2^1017 < 2^1023 unless this holds; only then pay errstate
+        quiet = params.a2 * self._reach >= 2.0**1017
+        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+            me = e @ params.matrix()
+            start = np.einsum("ij,ij->i", v, me)  # slopes at the edges' ends
+            eme = np.einsum("ij,ij->i", e, me)
+            end = start + eme
         before = np.roll(end, 1)
         inner = (start < 0.0) & (end > 0.0)
         p = v[inner] - (start[inner] / eme[inner])[:, None] * e[inner]
@@ -180,13 +190,13 @@ class _LpGauge(Gauge):
         cos, s = np.cos(red), np.abs(np.sin(red))
         c = np.abs(cos)
         m = np.maximum(c, s)
+        t = np.minimum(c, s) / m  # of c/m and s/m, one is 1 and the other t, exactly
         logr = -np.log(m) if f else None
         if f and not math.isinf(self._p):  # max-normalized for stability at large p
-            logr = logr - np.log((c / m) ** self._p + (s / m) ** self._p) / self._p
+            logr = logr - np.log(1.0 + t**self._p) / self._p
         if not slopes:
             return logr, None
-        # f' = sign(cos*(|cos| - sin))*(t - t^(p-1))/(1 + t^p), t = min/max of |cos| and sin
-        t = np.minimum(c, s) / m
+        # f' = sign(cos*(|cos| - sin))*(t - t^(p-1))/(1 + t^p)
         sign = np.sign(cos * (c - s))
         if math.isinf(self._p):  # t^inf is 0 below t = 1, and the sign is 0 at t = 1
             slope = sign * t
@@ -312,15 +322,18 @@ class _EllipseGauge(Gauge):
         spreads less than 1e-13 plus its rounding over them and the canonical angles, which then
         stand in for their noise (the scan's one flatness rule)."""
         m, me, phi = params.matrix(), self._params.matrix(), np.arange(4) * (0.25 * _PI)
-        if np.abs(m - me * (np.trace(m) / np.trace(me))).max() <= _H_ROUNDING * np.abs(m).max():
-            return phi
-        chol = np.linalg.cholesky(me)
-        _, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, m).T))
-        phi = np.append(phi, _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1])))
-        f = self._log_radius(phi)
-        with np.errstate(divide="ignore", invalid="ignore"):  # R <= 0: not flat, and _R raises
+        # R <= 0 is not flat, nor is a form past the float range (inf or NaN): _R raises on both
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratio = np.trace(m) / np.trace(me)
+            if np.abs(m - me * ratio).max() <= _H_ROUNDING * np.abs(m).max():
+                return phi
+            chol = np.linalg.cholesky(me)
+            _, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, m).T))
+            phi = np.append(phi, _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1])))
+            f = self._log_radius(phi)
             h = f + 0.5 * np.log(params.trig(phi))
-        return phi[:4] if h.max() - h.min() < 1e-13 + _H_ROUNDING * np.abs(f).max() else phi[4:]
+            flat = h.max() - h.min() < 1e-13 + _H_ROUNDING * np.abs(f).max()
+        return phi[:4] if flat else phi[4:]
 
     def descriptor(self) -> dict:
         return {"kind": "ellipse", "params": list(self._params.triple())}

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from bmplane.ellipse import EllipseParams, PDMatrix2
 
@@ -55,6 +54,8 @@ def random_star_polygon(
 
 def random_convex_polygon(rng: np.random.Generator, n_half: int = 8) -> np.ndarray:
     """Symmetric convex polygon: hull of random points and their antipodes."""
+    from scipy.spatial import ConvexHull  # here, so that the tests without scipy load this module
+
     pts = rng.normal(size=(n_half, 2))
     pts = np.vstack([pts, -pts])
     hull = ConvexHull(pts)

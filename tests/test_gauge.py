@@ -223,6 +223,21 @@ class TestLp:
         assert left.tobytes() == np.where(kink, 1.0, slope).tobytes()
         assert right.tobytes() == np.where(kink, -1.0, slope).tobytes()
 
+    @pytest.mark.parametrize("p", [1.0, 1.0 + 1e-12, 1.01, 1.5, 2.0, 3.0, 7.5, 50.0, 1e3, 1e6, 1e9])
+    def test_one_power_per_evaluation_is_the_two_power_sum_bitwise(self, p):
+        # f takes (c/m)^p + (s/m)^p as 1 + t^p: with m = max(c, s) one ratio is exactly 1 and the
+        # other exactly t = min(c, s)/m, so the two forms are the same floats
+        g = lp_gauge(p)
+        corners = [np.nextafter(0.25 * math.pi, -math.inf), 0.25 * math.pi,
+                   np.nextafter(0.25 * math.pi, math.inf), 0.0, 0.5 * math.pi, 0.75 * math.pi]
+        phis = np.concatenate([evaluation_grid(g, 4096),
+                               np.random.default_rng(5).uniform(0.0, math.pi, 200_000), corners])
+        c, s = np.abs(np.cos(phis)), np.abs(np.sin(phis))
+        m = np.maximum(c, s)
+        f = -np.log(m) - np.log((c / m) ** p + (s / m) ** p) / p
+        assert g.log_eval(phis).tobytes() == f.tobytes()
+        assert g.log_jet(phis)[0].tobytes() == f.tobytes()
+
 
 class TestSamples:
     def test_constant(self):

@@ -34,6 +34,7 @@ from bmplane.report import (
 )
 from bmplane.solver import (
     AlternanceCertificate,
+    CertificateVerdict,
     certificate_deviations,
     distance,
     linprog,
@@ -1073,16 +1074,40 @@ class TestSolveUniform:
     def test_thin_rhombus_past_the_float_range_is_typed(self):
         # at s = 2^-499 the solved triple's R = a2 + b2*cos + c2*sin overflows on the grid, and
         # that triple's form M overflows too, so the polygon's slopes are NaN and its scan has
-        # no candidate: the solve and the scan each end typed.  _R raises with no RuntimeWarning
-        # (pytest makes one an error); the polygon's NaN slopes warn, which this test ignores
+        # no candidate: the solve and the scan each end typed, with no RuntimeWarning (pytest
+        # makes one an error)
         s = 2.0**-499
         g = polygon_gauge(s * np.array([[1.0, 0.0], [0.0, 1e-4], [-1.0, 0.0], [0.0, -1e-4]]))
         with pytest.raises(NoConvergence, match=r"^R overflows for the triple \(1\.50130"):
             solve_uniform(g)
         triple = EllipseParams(1.5013079965082733e308, -1.5013079664821137e308,
                                -2.6621999302410755e292)
-        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="no extremum"):
+        with pytest.raises(NoConvergence, match="no extremum"):
             _extrema_scan(g, triple, _Pieces(g))
+
+    @pytest.mark.parametrize("body, triple, ending", [
+        ("square", (1e308, 0.0, 0.0), "the scan of the triple .* finds no extremum"),
+        ("square", (1.5e308, -1.4e308, 1e300), "the scan of the triple .* finds no extremum"),
+        ("ellipse", (1e308, 0.0, 0.0), (0.0, "0x1.62b982d20d70bp+8")),
+        ("ellipse", (1.5e308, -1.4e308, 1e300), "^R overflows"),
+        ("circle", (1e308, 0.0, 0.0), (0.0, "0x1.62991d5d62a5ep+8")),
+        ("circle", (1.5e308, -1.4e308, 1e300), "^R overflows"),
+    ], ids=[f"{body}-{a2:g}" for body in ("square", "ellipse", "circle")
+            for a2 in (1e308, 1.5e308)])
+    def test_foreign_triple_past_the_float_range_ends_without_a_warning(self, body, triple,
+                                                                        ending):
+        # a triple whose form overflows on a closed-form gauge (the polygon's edge slopes, the
+        # ellipse's trace and R) ends in a verdict or NoConvergence, with no RuntimeWarning
+        g = {"square": polygon_gauge(bodies.square_vertices()),
+             "ellipse": ellipse_gauge(EllipseParams(1.0, 0.2, 0.1)),
+             "circle": circle_gauge()}[body]
+        cert = AlternanceCertificate(0.01, 0.02, 0.03, 0.04, (0.0,) * 4)
+        if isinstance(ending, str):
+            with pytest.raises(NoConvergence, match=ending):
+                verify_certificate(g, EllipseParams(*triple), cert, 1e-8)
+        else:
+            verdict = verify_certificate(g, EllipseParams(*triple), cert, 1e-8)
+            assert verdict == CertificateVerdict(False, ending[0], float.fromhex(ending[1]))
 
     def test_grid_sup_matches_defect(self, solved_corpus):
         for name, (g, sol) in solved_corpus.items():
