@@ -12,7 +12,6 @@ family, and circles.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from functools import cache
 from numbers import Real
@@ -123,10 +122,6 @@ class _PolygonGauge(Gauge):
         self._edge = np.roll(vertices, -1, axis=0) - vertices
         # v x e, not v x nxt (which cancels): each edge's line passes through its own vertex
         self._cross = vertices[:, 0] * self._edge[:, 1] - vertices[:, 1] * self._edge[:, 0]
-        # extremum_candidates' products are at most 36*a2 times this, as |b2|, |c2| < a2 and
-        # |e| <= 2|v|; inf past the float range (silently: Python floats)
-        scale = float(np.max(np.hypot(vertices[:, 0], vertices[:, 1])))
-        self._reach = max(1.0, scale * scale)
 
     def _radius(self, red: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self._theta, red, side="right") - 1
@@ -155,9 +150,7 @@ class _PolygonGauge(Gauge):
         """
         th = self.critical_angles()
         v, e = self._vertices[: th.size], self._edge[: th.size]
-        # the products stay below 36*2^1017 < 2^1023 unless this holds; only then pay errstate
-        quiet = params.a2 * self._reach >= 2.0**1017
-        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+        with np.errstate(over="ignore", invalid="ignore"):
             me = e @ params.matrix()
             start = np.einsum("ij,ij->i", v, me)  # slopes at the edges' ends
             eme = np.einsum("ij,ij->i", e, me)

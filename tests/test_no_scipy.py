@@ -37,8 +37,6 @@ from bmplane.cli import main
 from bmplane.report import build_report, report_to_dict
 from bmplane.solver import AlternanceCertificate, UniformSolution, certificate_deviations
 
-import bodies
-
 STEPS = {}  # name -> step, in the order the child runs them
 
 _CHILD = """
@@ -121,11 +119,21 @@ def solve_verify_and_render_load_neither_numpy_ma_nor_the_oracle():
     oracle or numpy.ma (which np.unique imports on its first call)"""
     nodes = np.arange(64) * math.pi / 64
     wobble = 1.0 + 0.1 * np.cos(2 * nodes) + 0.04 * np.sin(6 * nodes)
+    # half of bodies.random_convex_polygon(np.random.default_rng(5)), which needs scipy to build
+    half = np.array([[-1.1360465324896427, -0.10970639932180819],
+                     [-0.7487457707345911, -1.6347830429585775],
+                     [0.2028824405086084, -1.7321348424395848],
+                     [0.9582652054360887, -1.6000190889991115]])
+    convex = np.vstack([half, -half])
+    edge = np.roll(convex, -1, axis=0) - convex
+    nxt = np.roll(edge, -1, axis=0)
+    turn = edge[:, 0] * nxt[:, 1] - edge[:, 1] * nxt[:, 0]
+    assert (turn > 0.0).all(), turn  # every corner turns left: convex
     gauges = {
         "circle": circle_gauge(),
         "square": lp_gauge(math.inf),
         "l1.5": lp_gauge(1.5),
-        "star": polygon_gauge(bodies.random_star_polygon(np.random.default_rng(5))),
+        "convex": polygon_gauge(convex),
         "samples": sample_gauge(wobble),
         "pchip": sample_gauge(wobble, interp="pchip"),
     }
