@@ -23,6 +23,7 @@ from .ellipse import EllipseParams
 from .errors import (
     InputError,
     InvalidExponent,
+    NoConvergence,
     NonPositiveSample,
     NotStarShaped,
     NotSymmetric,
@@ -322,7 +323,13 @@ class _EllipseGauge(Gauge):
                 return phi
             chol = np.linalg.cholesky(me)
             _, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, m).T))
-            phi = np.append(phi, _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1])))
+            angles = _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1]))
+            # numpy.linalg overflows without a warning; a triple whose own form overflows is
+            # left to _R, which names it
+            if not np.isfinite(angles).all() and np.isfinite(m).all():
+                raise NoConvergence(f"the forms of the triple {params.triple()} and of the body "
+                                    f"{self._params.triple()} differ past the float range")
+            phi = np.append(phi, angles)
             f = self._log_radius(phi)
             h = f + 0.5 * np.log(params.trig(phi))
             flat = h.max() - h.min() < 1e-13 + _H_ROUNDING * np.abs(f).max()

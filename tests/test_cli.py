@@ -119,7 +119,8 @@ class TestVerify:
                      "--report", str(square_solved)]) == 0
 
     def test_bracket_holds_sqrt2(self, square_body, square_solved, capsys):
-        # the d2 bracket is printed before the checks and the verdict, in 17 digits
+        # the d2 bracket is printed before the checks and the verdict, each end in its
+        # shortest round-trip repr
         capsys.readouterr()
         assert main(["verify", "--input", str(square_body), "--report", str(square_solved)]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -149,6 +150,19 @@ class TestVerify:
             report = tmp_path / f"{name}-report.json"
             assert main(["solve", "--input", str(body), "--out", str(report)]) == 0, name
             assert main(["verify", "--input", str(body), "--report", str(report)]) == 0, name
+
+    @pytest.mark.parametrize("name", ["square", "circle", "hexagon-turned"])
+    def test_reports_with_17_digit_floats_verify_and_render(self, name, tmp_path):
+        # bodies and reports written with 17 significant digits and whole floats as ints (the
+        # circle's "d2": 1), which today's writer does not produce: they load to the floats
+        # they were written from, so both commands still pass them
+        folder = Path(__file__).parent / "data" / "17-digit-reports"
+        body, report = folder / f"{name}.json", folder / f"{name}.report.json"
+        text = report.read_text()
+        assert jsonio.dumps(jsonio.loads(text)) != text
+        assert main(["verify", "--input", str(body), "--report", str(report)]) == 0
+        assert main(["render", "--input", str(body), "--report", str(report),
+                     "--out", str(tmp_path / "r.svg")]) == 0
 
     def test_tampered_d2(self, square_body, square_solved, tmp_path):
         rep = json.loads(square_solved.read_text())

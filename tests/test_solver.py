@@ -1092,15 +1092,19 @@ class TestSolveUniform:
         ("ellipse", (1.5e308, -1.4e308, 1e300), "^R overflows"),
         ("circle", (1e308, 0.0, 0.0), (0.0, "0x1.62991d5d62a5ep+8")),
         ("circle", (1.5e308, -1.4e308, 1e300), "^R overflows"),
+        ("tiny-ellipse", (1e300, 5e299, 0.0), r"^the forms of the triple \(1e\+300, 5e\+299, "
+         r"0\.0\) and of the body \(1e-300, 2e-301, 0\.0\) differ past the float range$"),
     ], ids=[f"{body}-{a2:g}" for body in ("square", "ellipse", "circle")
-            for a2 in (1e308, 1.5e308)])
+            for a2 in (1e308, 1.5e308)] + ["tiny-ellipse-1e+300"])
     def test_foreign_triple_past_the_float_range_ends_without_a_warning(self, body, triple,
                                                                         ending):
         # a triple whose form overflows on a closed-form gauge (the polygon's edge slopes, the
-        # ellipse's trace and R) ends in a verdict or NoConvergence, with no RuntimeWarning
+        # ellipse's trace and R), or against the ellipse body's form (inside numpy.linalg, which
+        # does not warn), ends in a verdict or NoConvergence, with no RuntimeWarning
         g = {"square": polygon_gauge(bodies.square_vertices()),
              "ellipse": ellipse_gauge(EllipseParams(1.0, 0.2, 0.1)),
-             "circle": circle_gauge()}[body]
+             "circle": circle_gauge(),
+             "tiny-ellipse": ellipse_gauge(EllipseParams(1e-300, 2e-301, 0.0))}[body]
         cert = AlternanceCertificate(0.01, 0.02, 0.03, 0.04, (0.0,) * 4)
         if isinstance(ending, str):
             with pytest.raises(NoConvergence, match=ending):
