@@ -11,7 +11,35 @@ from bmplane.solver import solve_uniform
 import bodies
 
 
+def _render_by_element(obj) -> str:
+    """A reference for ``jsonio.dumps``'s text, element by element: each float its repr,
+    the shortest round trip, with the encoder's separators."""
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_render_by_element(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_render_by_element, obj)) + "]"
+    return json.dumps(obj)
+
+
 class TestDumps:
+    def test_reports_match_element_renderer(self, solved_corpus):
+        reports = {name: build_report(g, sol) for name, (g, sol) in solved_corpus.items()}
+        g = polygon_gauge(bodies.regular_polygon(2000, phase=0.1))
+        reports["2000-gon"] = build_report(g, solve_uniform(g))
+        for name, report in reports.items():
+            payload = report_to_dict(report)
+            assert jsonio.dumps(payload) == _render_by_element(payload) + "\n", name
+
+    def test_negative_zero_reads_back_as_itself(self):
+        text = jsonio.dumps({"z": [-0.0, 0.0], "i": 0})
+        assert text == '{"z": [-0.0, 0.0], "i": 0}\n'
+        back = jsonio.loads(text)
+        assert type(back["z"][0]) is float and math.copysign(1.0, back["z"][0]) == -1.0
+        assert math.copysign(1.0, back["z"][1]) == 1.0 and type(back["i"]) is int
+        assert jsonio.dumps(back) == text
+
     def test_text_is_the_stdlib_shortest_repr(self):
         # floats in their shortest round-trip repr: whole ones keep their ".0" and negative
         # zero its sign, so each reads back as the float it was, and the text as itself

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +231,22 @@ class TestSerialization:
             text = jsonio.dumps(report_to_dict(build_report(g, sol)))
             assert "body_samples" not in text, name
             assert len(text.encode()) < 4096, name
+
+    def test_seventeen_digit_floats(self):
+        # reports written with 17 significant digits and whole floats as ints load to the
+        # floats they were written from, and dump again in the shortest round-trip repr
+        text = jsonio.dumps(jsonio.loads('{"v": 0.33333333333333331, "d2": 1}'))
+        assert text == '{"v": 0.3333333333333333, "d2": 1}\n'
+        assert jsonio.loads(text)["v"] == 1.0 / 3.0
+        folder = Path(__file__).parent / "data" / "17-digit-reports"
+        for name in ("square", "circle", "hexagon-turned"):
+            stored = (folder / f"{name}.report.json").read_text()
+            old = report_from_dict(jsonio.loads(stored))
+            text = jsonio.dumps(report_to_dict(old))
+            assert text != stored, name
+            new = report_from_dict(jsonio.loads(text))
+            # repr tells -0.0 from 0.0, so signs are compared too
+            assert repr(report_to_dict(new)) == repr(report_to_dict(old)), name
 
     def test_malformed_reports(self, square_report):
         d = report_to_dict(square_report)
