@@ -452,7 +452,11 @@ def sample_gauge(values: Sequence[float], interp: str = "linear") -> Gauge:
 
 
 def ellipse_gauge(params: EllipseParams) -> Gauge:
-    """Gauge whose body is an ellipse of the solver's own family."""
+    """Gauge whose body is an ellipse of the solver's own family.  InputError when its R =
+    a2 + b2*cos 2phi + c2*sin 2phi, whose largest value is a2 + |(b2, c2)|, can overflow."""
+    if math.isinf(params.a2 + math.hypot(params.b2, params.c2)):
+        raise InputError(f"ellipse {params.triple()}: R = a2 + b2*cos 2phi + c2*sin 2phi reaches "
+                         "a2 + |(b2, c2)|, past the float range")
     return _EllipseGauge(params)
 
 

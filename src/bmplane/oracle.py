@@ -15,11 +15,16 @@ m is linear in (p, q), so over a box of half-width h about (p, q) each m_j lies
 in [m_j - d_j, m_j + d_j], d_j = h*r2_j*(|c_j| + |s_j|), exactly; call those
 lb_j and ub_j.  At every point of the box max m >= max lb and min m <= min ub,
 so no point there has a defect below L = 0.25*log(max lb / min ub).  The slack
-shrinks that ratio.  |p|, |q| and h are at most 1, so m and d are r2 times sums
-of terms of size at most 1, and lb and ub round to a few ulps of 5*max r2, about
-1e-15*max r2, and r2 itself to an ulp: 1e-12*max r2 taken off max lb and added
-to min ub covers every rounding.  Every defect is a max of absolute values, so L
-is floored at 0; that changes no prune while the best value exceeds _TOL.
+shrinks that ratio.  The search holds one (4, n) table of r2, r2*c, r2*s and
+r2*(|c| + |s|) per angle and each box as the row (1, p, q): m is the product of
+the boxes with the table's first three rows, and d is h times its fourth.  Each
+table entry rounds to an ulp of max r2, and |p|, |q| and h are at most 1, so m,
+a sum of three products of size at most max r2 in whatever order and with
+whatever fused multiply-adds the product uses, rounds to a few ulps of 3*max r2,
+and lb and ub to a few more of 5*max r2: about 1e-15*max r2 in all.
+1e-12*max r2 taken off max lb and added to min ub covers every rounding.  Every
+defect is a max of absolute values, so L is floored at 0; that changes no prune
+while the best value exceeds _TOL.
 
 The search is breadth first from the box [-1, 1]^2, whose centre is the circle.
 Each round bounds every live box on the angles still kept, drops a box that
@@ -33,7 +38,8 @@ than _TOL; then every L >= 0 prunes its box, and the search ends in its first
 round.  A fit of larger defect is not taken, so on a body of value above _TOL
 the search is the same as without the fit, bit for bit.  An angle that is
 neither above max lb - slack nor below min ub + slack in any live box is never
-the max or the min there, and later rounds skip it.  The rest split in four.
+the max or the min there, and later rounds drop its column of the table.  The
+live boxes split in four, and the search ends in the first round with none.
 A round that would compute more than _MAX_VALUES (box, angle) values is not
 run, and its boxes count as pruned: the bracket stays sound but is wider than
 _TOL.  Flat bodies outside the family can need that many, such as images of
@@ -115,28 +121,30 @@ def oracle_uniform(gauge: Gauge, n_phi: int = 1024, threads: int = 1) -> OracleR
     f_c = 0.5 * float(fvals.max() + fvals.min())
     r2 = np.exp(2.0 * (fvals - f_c))
     slack = _SLACK * float(r2.max())
+    # per angle: the three terms of m = r2 + p*r2*cos2 + q*r2*sin2, and d/h
+    table = np.stack([r2, r2 * cos2, r2 * sin2, r2 * (np.abs(cos2) + np.abs(sin2))])
+    split = np.array([[0.0, -1.0, -1.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0], [0.0, 1.0, 1.0]])
 
-    ps, qs, h = np.zeros(1), np.zeros(1), 1.0  # live box centres and their half-width
+    boxes, h = np.array([[1.0, 0.0, 0.0]]), 1.0  # live boxes as rows (1, p, q), and their half-width
     best, lower, evaluations = (math.inf, 0.0, 0.0, 1.0, 1.0), math.inf, 0
-    while ps.size:
-        inside = np.hypot(np.clip(0.0, ps - h, ps + h), np.clip(0.0, qs - h, qs + h)) < 1.0
-        ps, qs = ps[inside], qs[inside]
-        m = r2 * (1.0 + ps[:, None] * cos2 + qs[:, None] * sin2)
-        d = h * r2 * (np.abs(cos2) + np.abs(sin2))
+    while True:  # a live box's child nearest 0 meets the disc too, exactly: boxes is never empty
+        near = np.maximum(np.abs(boxes[:, 1:]) - h, 0.0)  # |p|, |q| of the box's point nearest 0
+        boxes = boxes[np.hypot(near[:, 0], near[:, 1]) < 1.0]
+        m = boxes @ table[:3]
+        d = h * table[3]
         tops, bottoms = m.max(axis=1), m.min(axis=1)
         evaluations += m.size
         ub = m + d
         lb = np.subtract(m, d, out=m)  # m is done with: lb takes its memory
-        lo, hi = lb.max(axis=1), ub.min(axis=1)
+        lo, hi = lb.max(axis=1) - slack, ub.min(axis=1) + slack
 
-        centre = np.flatnonzero((np.hypot(ps, qs) < 1.0) & (bottoms > 0.0))
-        if centre.size:
-            top, bottom = tops[centre], bottoms[centre]
-            values = 0.25 * np.log(top / bottom)
-            k = int(np.argmin(values))
-            if values[k] < best[0]:
-                i = centre[k]
-                best = (float(values[k]), float(ps[i]), float(qs[i]), float(top[k]), float(bottom[k]))
+        ps, qs = boxes[:, 1], boxes[:, 2]
+        centre = (np.hypot(ps, qs) < 1.0) & (bottoms > 0.0)
+        ratio = np.divide(tops, bottoms, out=np.full(tops.size, math.inf), where=centre)
+        values = 0.25 * np.log(ratio)
+        k = int(np.argmin(values))
+        if values[k] < best[0]:
+            best = (float(values[k]), float(ps[k]), float(qs[k]), float(tops[k]), float(bottoms[k]))
         if h == 1.0:  # the first round: offer the least-squares fit after the circle
             fit = _fit(r2, cos2, sin2)
             if fit is not None:
@@ -144,20 +152,24 @@ def oracle_uniform(gauge: Gauge, n_phi: int = 1024, threads: int = 1) -> OracleR
                 if fit[0] <= _TOL and fit[0] < best[0] - _TOL:  # then every box is pruned
                     best = fit
 
-        bound = np.full(ps.size, -math.inf)
-        np.log(lo - slack, out=bound, where=lo > slack)
-        bound = np.maximum(0.25 * (bound - np.log(hi + slack)), 0.0)
+        bound = np.full(lo.size, -math.inf)
+        np.log(lo, out=bound, where=lo > 0.0)
+        bound = np.maximum(0.25 * (bound - np.log(hi)), 0.0)
         live = bound < best[0] - _TOL
-        keep = ((ub >= lo[:, None] - slack) | (lb <= hi[:, None] + slack))[live].any(axis=0)
-        if 4 * np.count_nonzero(live) * np.count_nonzero(keep) > _MAX_VALUES:
-            live[:] = False  # the next round is over budget: stop on the bracket as it stands
         if not live.all():
             lower = min(lower, float(bound[~live].min()))
-        ps, qs = ps[live], qs[live]
-        r2, cos2, sin2 = r2[keep], cos2[keep], sin2[keep]
+        live = np.flatnonzero(live)
+        if not live.size:
+            break
+        keep = ((ub[live] >= lo[live, None]) | (lb[live] <= hi[live, None])).any(axis=0)
+        kept = np.count_nonzero(keep)
+        if 4 * live.size * kept > _MAX_VALUES:  # the next round is over budget: stop on the bracket
+            lower = min(lower, float(bound[live].min()))
+            break
+        if kept < keep.size:
+            table = table.compress(keep, axis=1)
         h *= 0.5
-        ps = (ps[:, None] + np.array([-h, -h, h, h])).ravel()
-        qs = (qs[:, None] + np.array([-h, h, -h, h])).ravel()
+        boxes = (boxes[live, None, :] + h * split).reshape(-1, 3)  # children (-,-), (-,+), (+,-), (+,+)
 
     value, p, q, top, bottom = best
     a2 = math.exp(-2.0 * f_c - 0.5 * (math.log(top) + math.log(bottom)))

@@ -330,6 +330,21 @@ class TestGeneric:
         assert g.log_eval(-2.0) == 0.0
         assert circle_gauge(2.0).descriptor() == {"kind": "ellipse", "params": [0.25, 0.0, 0.0]}
 
+    @pytest.mark.parametrize("params", [(1.7e308, 1e308, 0.0), (1e308, 0.0, 9e307),
+                                        (1.79e308, -1e306, 1e306)])
+    def test_ellipse_whose_r_overflows_is_input_error(self, params):
+        # R's largest value a2 + |(b2, c2)| is past the float range: the solve would warn of
+        # the overflow and end in a singular reference, naming neither the body nor the range
+        with pytest.raises(InputError, match=f"^ellipse {re.escape(repr(params))}: R = .* "
+                                             "past the float range$"):
+            ellipse_gauge(EllipseParams(*params))
+
+    @pytest.mark.parametrize("params", [(1e308, 0.0, 0.0), (1e308, 5e307, 1e307),
+                                        (8.98e307, 8e307, 0.0)])
+    def test_ellipse_near_the_top_of_the_float_range_solves(self, params):
+        # R stays below the largest float; warnings are errors here
+        assert distance(ellipse_gauge(EllipseParams(*params))) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e200])
     def test_circle_radius_out_of_range(self, radius):
         # radius**-2 must be a positive finite a2

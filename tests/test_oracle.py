@@ -145,12 +145,19 @@ class TestBracket:
             res = oracle_uniform(g)
             assert res.lower <= 0.5 * math.log(d2) <= res.value + 1e-4, (name, res, d2)
 
-    @pytest.mark.parametrize("body", ["star", "samples", "hexagon"])
+    @pytest.mark.parametrize("body", ["star", "samples", "hexagon", "kappa100"])
     def test_lower_is_below_every_sampled_ellipse(self, body):
+        # kappa100, a flat image whose search runs about 2.5M (box, angle) values, is where the
+        # rounding of m, a product over the angle table, moves the bracket most
         rng = np.random.default_rng(29)
-        g = {"star": polygon_gauge(bodies.random_star_polygon(rng)),
-             "samples": sample_gauge(bodies.smooth_samples(rng, 128), interp="pchip"),
-             "hexagon": polygon_gauge(bodies.hexagon_inradius_1())}[body]
+        if body == "kappa100":
+            v = bodies.random_convex_polygon(rng)
+            t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+            g = polygon_gauge(v @ (_rotation(t1) @ np.diag([1.0, 1e-2]) @ _rotation(t2)).T)
+        else:
+            g = {"star": polygon_gauge(bodies.random_star_polygon(rng)),
+                 "samples": sample_gauge(bodies.smooth_samples(rng, 128), interp="pchip"),
+                 "hexagon": polygon_gauge(bodies.hexagon_inradius_1())}[body]
         ps, qs = np.meshgrid(np.linspace(-1.0, 1.0, 129), np.linspace(-1.0, 1.0, 129))
         inside = np.hypot(ps, qs) < 1.0
         defects = _grid_defects(g, ps[inside], qs[inside])
