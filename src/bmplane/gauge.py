@@ -76,13 +76,11 @@ class Gauge:
         out = self._log_radius(np.atleast_1d(_reduce(arr)))
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-    def log_slopes(self, phi) -> tuple[np.ndarray, np.ndarray]:
-        """f' on an angle array: its limits from the left and the right, which differ at kinks."""
-        return self._jet(np.atleast_1d(_reduce(phi)), f=False)[1]
-
     def log_jet(self, phi) -> tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray]]]:
-        """f and f' (as ``log_slopes``) on an angle array, from one pass over it; f and None on
-        a gauge whose extrema are in closed form (``extremum_candidates``)."""
+        """f and f' on an angle array, from one pass over it: f as ``log_eval`` gives it, bit for
+        bit, and f' as its limits from the left and the right, which differ at kinks; f and None
+        on a gauge whose extrema are in closed form (``extremum_candidates``).  The solver's
+        extremum scan reads both off the grid this way, and at every root-finding step."""
         return self._jet(np.atleast_1d(_reduce(phi)))
 
     def critical_angles(self) -> np.ndarray:
@@ -106,10 +104,8 @@ class Gauge:
     def _log_radius(self, red: np.ndarray) -> np.ndarray:
         return np.log(self._radius(red))
 
-    # a gauge scanned by its slopes implements _jet: f (None when not asked for) and f'
-    def _jet(self, red: np.ndarray, f: bool = True):
-        if not f:
-            raise NotImplementedError
+    # a gauge scanned by its slopes implements _jet: f and f'
+    def _jet(self, red: np.ndarray):
         return self._log_radius(red), None
 
 
@@ -179,14 +175,14 @@ class _LpGauge(Gauge):
     def _log_radius(self, red: np.ndarray) -> np.ndarray:
         return self._jet(red, slopes=False)[0]
 
-    def _jet(self, red: np.ndarray, f: bool = True, slopes: bool = True):
-        """f and f' from one cos and sin, each None when not asked for."""
+    def _jet(self, red: np.ndarray, slopes: bool = True):
+        """f and f' from one cos and sin; f' None when not asked for."""
         cos, s = np.cos(red), np.abs(np.sin(red))
         c = np.abs(cos)
         m = np.maximum(c, s)
         t = np.minimum(c, s) / m  # of c/m and s/m, one is 1 and the other t, exactly
-        logr = -np.log(m) if f else None
-        if f and not math.isinf(self._p):  # max-normalized for stability at large p
+        logr = -np.log(m)
+        if not math.isinf(self._p):  # max-normalized for stability at large p
             logr = logr - np.log(1.0 + t**self._p) / self._p
         if not slopes:
             return logr, None
@@ -278,8 +274,8 @@ class _SampleGauge(Gauge):
         nxt[nxt == self._n] = 0
         return self._values[k] * (1.0 - frac) + self._values[nxt] * frac
 
-    def _jet(self, red: np.ndarray, f: bool = True):
-        """f (None when not asked for) and f' from one cell lookup or cubic."""
+    def _jet(self, red: np.ndarray):
+        """f and f' from one cell lookup or cubic."""
         if self._cubics is not None:  # C1: both limits agree
             r, dr = self._pchip(red, slope=True)
             grad = (dr / r,) * 2
@@ -288,7 +284,7 @@ class _SampleGauge(Gauge):
             r = self._linear(red, k)
             # a node's left limit is the slope of the cell before it (-1: the last, before 0)
             grad = self._slopes[k - (red == self._nodes[k])] / r, self._slopes[k] / r
-        return (np.log(r) if f else None), grad
+        return np.log(r), grad
 
     def critical_angles(self) -> np.ndarray:
         return self._nodes[:-1]  # read-only
@@ -437,7 +433,8 @@ def sample_gauge(values: Sequence[float], interp: str = "linear") -> Gauge:
     """Gauge interpolating positive radial samples at phi_k = k*pi/N.
 
     Linear interpolation (default) preserves positivity unconditionally; the
-    monotone-cubic option is smoother but still overshoot-free.
+    monotone-cubic option is smoother but still overshoot-free.  r**-2 must be
+    positive and finite at every sample, as ``circle_gauge`` asks of its radius.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
@@ -446,6 +443,11 @@ def sample_gauge(values: Sequence[float], interp: str = "linear") -> Gauge:
         raise TooFewSamples(f"need at least 8 samples, got {v.size}")
     if not np.isfinite(v).all() or np.any(v <= 0.0):
         raise NonPositiveSample("all samples must be finite and strictly positive")
+    least, most = float(v.min()), float(v.max())
+    with np.errstate(over="ignore", under="ignore"):  # circle_gauge's rule on both ends
+        if not (np.float64(most) ** -2.0 > 0.0 and np.float64(least) ** -2.0 < math.inf):
+            raise InputError(f"samples span [{least!r}, {most!r}]: r**-2 must be positive and "
+                             "finite at the least and the largest")
     if interp not in ("linear", "pchip"):
         raise InputError(f"interp must be 'linear' or 'pchip', got {interp!r}")
     return _SampleGauge(v.copy(), interp)

@@ -21,19 +21,19 @@ merged with the body's kinks, and its cos and sin come from the gauge
 module's grid table (``gauge._grid_table``).  ``solve_uniform`` runs that
 exchange in one loop: first on the grid, then on the extrema of the last
 triple's deviation, where its final 4x4 solve is the four-point
-equioscillation system.  It evaluates the body on the grid once
-(``Gauge.log_jet``: f, and f' for the scan), and each later run takes f at
-its points from the scan.  One scan (``_extrema_scan``) returns the extremum
+equioscillation system.  It evaluates the body on the grid once (``_grid``:
+f and f' from one ``Gauge.log_jet``), and each later run takes f at its
+points from the scan.  One scan (``_extrema_scan``) returns the extremum
 angles, as one set, f there and the sup of |f - g| over them, from the sign
 of h' = (f - g)' at the ends of the cells between grid angles (every kink is
 one), root-finding h' in a cell where it changes sign; it is exact in closed
 form on polygons, where f - g = 1/2 log(p'Mp) is convex along each edge, and
 on ellipses.  The scan has no flat case (only the ellipse gauge's candidates
-do).  Every scan of a solve takes f at its grid-angle extrema from the grid
-pass, so only its roots call the gauge.  The loop stops when the scanned
-sup-norm of the last triple is within 1e-12 relative (or the rounding of h)
-of its level on its points, the de la Vallee Poussin lower bound on the
-optimum.
+do).  It takes f from the grid pass, the solve's or its own, and at its roots
+from the last root-finding ``log_jet``, with no other call.  The loop stops
+when the scanned sup-norm of the last triple is within 1e-12 relative (or
+the rounding of h) of its level on its points, the de la Vallee Poussin lower
+bound on the optimum.
 
 Optimality is certified by the last reference of the exchange run whose
 triple is returned, with no search after the loop: four of that run's points
@@ -54,8 +54,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -256,79 +255,78 @@ class _ExtremaScan:
     f: np.ndarray  # f at the angles
 
 
-class _Pieces:
+class _Grid(NamedTuple):
     """A body's grid of ``_GRID_SIZE`` angles (``evaluation_grid``: h is smooth between them),
-    its cos 2phi and sin 2phi (``gauge._grid_table``), the ends of its cells and f' on it
-    from the left and the right, each built on first use, once per solve; f on the grid
-    when the caller holds it, else None (a solve sets f and f' from its grid pass).
-    """
+    its cos 2phi and sin 2phi (``gauge._grid_table``), the ends of its cells (the grid and its
+    first angle plus pi), and f and f' on it from one ``Gauge.log_jet`` pass (f' None on a
+    gauge whose extrema are in closed form)."""
 
-    def __init__(self, gauge: Gauge):
-        self._gauge = gauge
-        self.f: Optional[np.ndarray] = None
-
-    @cached_property
-    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The angles, cos 2phi and sin 2phi, three contiguous arrays."""
-        return _grid_table(self._gauge, _GRID_SIZE)
-
-    @cached_property
-    def ends(self) -> np.ndarray:
-        """The ends of the cells: the grid and its first angle plus pi."""
-        x = self.grid[0]
-        return np.append(x, x[0] + _PI)
-
-    @cached_property
-    def slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._gauge.log_slopes(self.grid[0])
+    angles: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    ends: np.ndarray
+    f: np.ndarray
+    slopes: Optional[tuple[np.ndarray, np.ndarray]]
 
 
-def _illinois(fn, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Roots of fn = h' between a and b, where fa = fn(a) and fb = fn(b) differ in sign: at most
-    ``_ROOT_STEPS`` false-position steps, halving the value at an end kept twice (Illinois),
-    until |h'(b)|*|b - a|, which bounds h(b) - h(root) for h' monotone, is below 2^-64 in all."""
+def _grid(gauge: Gauge) -> _Grid:
+    """The body's grid and the one pass of the gauge over it."""
+    x, cos, sin = _grid_table(gauge, _GRID_SIZE)
+    return _Grid(x, cos, sin, np.append(x, x[0] + _PI), *gauge.log_jet(x))
+
+
+def _illinois(jet, a, b, da, db) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of h' between a and b, where da and db, h' at a and b, differ in sign, and f at
+    the roots; jet(x) is (f, h') at x.  At most ``_ROOT_STEPS`` false-position steps, halving
+    h' at an end kept twice (Illinois), until |h'(b)|*|b - a|, which bounds h(b) - h(root) for
+    h' monotone, is below 2^-64 in all.  The roots are the last step's points, and f there is
+    that step's."""
+    f = np.empty(0)
     for _ in range(_ROOT_STEPS if a.size else 0):
-        x = b - fb * (b - a) / (fb - fa)
-        fx = fn(x)
-        flip = np.sign(fx) != np.sign(fb)
-        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
-        b, fb = x, fx
-        if (np.abs(fb * (b - a)) <= 2.0**-64).all():
+        x = b - db * (b - a) / (db - da)
+        f, dx = jet(x)
+        flip = np.sign(dx) != np.sign(db)
+        a, da = np.where(flip, b, a), np.where(flip, db, 0.5 * da)
+        b, db = x, dx
+        if (np.abs(db * (b - a)) <= 2.0**-64).all():
             break
-    return b
+    return b, f
 
 
-def _extrema_scan(gauge: Gauge, params: EllipseParams, pieces: _Pieces) -> _ExtremaScan:
+def _extrema_scan(gauge: Gauge, params: EllipseParams, grid=None) -> _ExtremaScan:
     """All local extrema of h = f - g for the triple, f there and the sup of |h| over them.
 
     Every gauge without closed-form extrema (``Gauge.extremum_candidates``, the exact case of
     the same rule) reads them off the sign of h' = f' + (c2*cos 2phi - b2*sin 2phi)/R at the
-    ends of the cells of ``pieces``, f' from ``Gauge.log_slopes``.  A grid angle is an
-    extremum where h' turns across it, from >= 0 on its left to <= 0 on its right or from
-    <= 0 to >= 0.  A cell whose h' changes sign holds one extremum, found by ``_illinois``;
-    no cell may hold a maximum and a minimum.  The scan calls the gauge's ``log_eval`` once,
-    at its roots, and at its grid-angle extrema too unless f on the grid is held
-    (``pieces.f``); 1/2 log R at those is taken from the R of h' on the grid.  NoConvergence
-    when it finds no extremum (h' or the candidates not finite)."""
+    ends of the cells of ``grid`` (``_grid``: a solve passes its own; built here when None).
+    A grid angle is an extremum where h' turns across it, from >= 0 on its left to <= 0 on
+    its right or from <= 0 to >= 0.  A cell whose h' changes sign holds one extremum, found
+    by ``_illinois`` on ``Gauge.log_jet``; no cell may hold a maximum and a minimum.  f at
+    the grid-angle extrema is the grid's and at the roots the last root-finding step's, with
+    no other gauge call; 1/2 log R at the grid angles is taken from the R of h' on the grid.
+    NoConvergence when it finds no extremum (h' or the candidates not finite)."""
     phi = gauge.extremum_candidates(params)
     if phi is not None:
         f, half_log = gauge.log_eval(phi), _half_log_trig(params, phi)
     else:
         def g_slope(cos, sin, R=None):  # (1/2 log R)' = -g': h' is f' plus this
             return (params.c2 * cos - params.b2 * sin) / (_R(params, cos, sin) if R is None else R)
-        x, cos, sin = pieces.grid
-        R = _R(params, cos, sin)
-        grid_slope = g_slope(cos, sin, R)
-        left, right = (f + grid_slope for f in pieces.slopes)
+
+        def jet(p):  # f and h' from the right
+            f, (_, right) = gauge.log_jet(p)
+            return f, right + g_slope(*_cos_sin(p))
+
+        grid = _grid(gauge) if grid is None else grid
+        R = _R(params, grid.cos, grid.sin)
+        grid_slope = g_slope(grid.cos, grid.sin, R)
+        left, right = (s + grid_slope for s in grid.slopes)
         nxt = np.concatenate([left[1:], left[:1]])  # h' at each cell's right end
         turn = ((left >= 0.0) & (right <= 0.0)) | ((left <= 0.0) & (right >= 0.0))
         cells = np.nonzero(np.sign(right) * np.sign(nxt) < 0.0)[0]
-        ends = pieces.ends
-        inner = np.mod(_illinois(lambda p: gauge.log_slopes(p)[1] + g_slope(*_cos_sin(p)),
-                                 ends[cells], ends[cells + 1], right[cells], nxt[cells]), _PI)
-        phi = np.concatenate([inner, x[turn]])
-        f = (gauge.log_eval(phi) if pieces.f is None
-             else np.concatenate([gauge.log_eval(inner), pieces.f[turn]]))
+        roots, f = _illinois(jet, grid.ends[cells], grid.ends[cells + 1], right[cells], nxt[cells])
+        inner = np.mod(roots, _PI)
+        phi = np.concatenate([inner, grid.angles[turn]])
+        f = np.concatenate([f, grid.f[turn]])
         half_log = np.concatenate([_half_log_trig(params, inner), 0.5 * np.log(R[turn])])
     if not phi.size:
         raise NoConvergence(f"the scan of the triple {params.triple()} finds no extremum")
@@ -363,7 +361,7 @@ def verify_certificate(
     """
     dev = certificate_deviations(gauge, params, cert)
     lower = max(0.0, min(dev)) if cert.interleaved() else 0.0
-    upper = _extrema_scan(gauge, params, _Pieces(gauge)).sup
+    upper = _extrema_scan(gauge, params).sup
     return CertificateVerdict(upper - lower <= tol, lower, upper)
 
 
@@ -389,10 +387,8 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
     when the certificate's bracket, the sup less its least signed deviation
     (at least 0), is wider than ``_CERT_TOL``.
     """
-    pieces = _Pieces(gauge)
-    points, cos, sin = pieces.grid
-    pieces.f, pieces.slopes = gauge.log_jet(points)  # the solve's one gauge pass over the grid
-    f = pieces.f
+    grid = _grid(gauge)  # the solve's one gauge pass over the grid
+    points, cos, sin, f = grid.angles, grid.cos, grid.sin, grid.f
     floor = _H_ROUNDING * float(np.abs(f).max())  # the rounding of sup - level
 
     # the run of least sup: its triple, scan, reference angles, h there and signs of h there
@@ -403,7 +399,7 @@ def solve_uniform(gauge: Gauge) -> UniformSolution:
             params, ref, sign = _minimax_lp(cos, sin, f)
             h = f + 0.5 * np.log(_R(params, cos, sin))
             level = float(np.abs(h).max())
-            scan = _extrema_scan(gauge, params, pieces)
+            scan = _extrema_scan(gauge, params, grid)
         except NoConvergence:
             if best is None:
                 raise

@@ -23,7 +23,6 @@ from bmplane.report import build_report, verify_theorem1
 from bmplane.solver import (
     _extrema_scan,
     _half_log_trig,
-    _Pieces,
     AlternanceCertificate,
     distance,
     solve_uniform,
@@ -180,7 +179,7 @@ def test_criterion_07_linear_invariance():
 def test_criterion_08_one_sided(solved_corpus):
     for name, (gauge, sol) in solved_corpus.items():
         inscribed = build_report(gauge, sol).params_inscribed
-        scan = _extrema_scan(gauge, inscribed, _Pieces(gauge))
+        scan = _extrema_scan(gauge, inscribed)
         h = gauge.log_eval(scan.angles) + _half_log_trig(inscribed, scan.angles)
         assert h.min() >= -1e-9, name
         assert abs(h.max() - 2.0 * sol.defect) <= 1e-8, name

@@ -219,7 +219,7 @@ class TestLp:
         tp = t ** math.inf
         slope = np.sign(cos * (np.abs(cos) - s)) * (t - tp) / (1.0 + t * tp)
         kink = np.isin(red, g.critical_angles())
-        left, right = g.log_slopes(phis)
+        left, right = g.log_jet(phis)[1]
         assert left.tobytes() == np.where(kink, 1.0, slope).tobytes()
         assert right.tobytes() == np.where(kink, -1.0, slope).tobytes()
 
@@ -293,7 +293,7 @@ class TestSamples:
         r, dr = g._pchip(phi, slope=True)
         assert r.tobytes() == g.eval(phi).tobytes() == ref(phi).tobytes()
         assert dr.tobytes() == ref(phi, 1).tobytes()
-        left, right = g.log_slopes(phi)
+        left, right = g.log_jet(phi)[1]
         assert left.tobytes() == right.tobytes() == (ref(phi, 1) / ref(phi)).tobytes()
         assert math.isnan(g.eval(math.nan))
 
@@ -305,8 +305,9 @@ class TestSamples:
             warnings.simplefilter("error")
             assert math.isnan(g.eval(math.nan)) and math.isnan(g.log_eval(math.nan))
             phi = np.array([math.nan, 0.0, 0.5])
-            left, right = g.log_slopes(phi)
-            assert np.isnan(left[0]) and np.isnan(right[0])
+            f, (left, right) = g.log_jet(phi)
+            assert np.isnan(f[0]) and np.isnan(left[0]) and np.isnan(right[0])
+            assert np.isfinite(f[1:]).all()
             assert np.isfinite(left[1:]).all() and np.isfinite(right[1:]).all()
             assert np.isnan(g.eval(phi)).tolist() == [True, False, False]
 
@@ -321,6 +322,15 @@ class TestSamples:
             sample_gauge(np.ones((2, 8)))
         with pytest.raises(InputError, match="^interp must be 'linear' or 'pchip', got 'cubic'$"):
             sample_gauge(np.ones(8), interp="cubic")
+        # circle_gauge's rule at the least and the largest sample: r**-2 positive and finite,
+        # checked with no RuntimeWarning (pytest makes one an error); bodies just inside it stay
+        for interp in ("linear", "pchip"):
+            for values in ([1e308, 1e307] * 8, [1e-300, 1e300] * 8, [1e-160] * 16):
+                span = re.escape(f"[{min(values)!r}, {max(values)!r}]")
+                with pytest.raises(InputError, match=rf"^samples span {span}: r\*\*-2 must be"):
+                    sample_gauge(values, interp=interp)
+            for scale in (8e-155, 5e161):
+                sample_gauge(scale * np.ones(16), interp=interp)
 
 
 class TestGeneric:
@@ -417,7 +427,8 @@ class TestReduce:
 
 
 class TestJet:
-    """``log_jet``: f and f' from one pass, each the bits of ``log_eval`` and ``log_slopes``."""
+    """``log_jet``: f and f' from one pass, f the bits of ``log_eval``, and both taken angle by
+    angle, so a grid pass and a root-finding step agree on the angles they share."""
 
     @pytest.mark.parametrize(
         "g",
@@ -438,8 +449,10 @@ class TestJet:
         for phi in (evaluation_grid(g, 4096), scattered):
             f, slopes = g.log_jet(phi)
             assert f.tobytes() == g.log_eval(phi).tobytes()
-            for ours, ref in zip(slopes, g.log_slopes(phi), strict=True):
-                assert ours.tobytes() == ref.tobytes()
+            back, back_slopes = g.log_jet(phi[::-1])
+            assert back[::-1].tobytes() == f.tobytes()
+            for ours, ref in zip(slopes, back_slopes, strict=True):
+                assert ours.tobytes() == ref[::-1].tobytes()
 
     @pytest.mark.parametrize(
         "g",

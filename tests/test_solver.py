@@ -12,7 +12,7 @@ from scipy.optimize import linprog as highs_linprog
 
 from bmplane import jsonio
 from bmplane.ellipse import EllipseParams, in_cone
-from bmplane.errors import BmplaneError, NoAlternance, NoConvergence
+from bmplane.errors import BmplaneError, InputError, NoAlternance, NoConvergence
 from bmplane.gauge import (
     Gauge,
     _base_grid,
@@ -43,6 +43,7 @@ from bmplane.solver import (
     _distinct,
     _ExtremaScan,
     _extrema_scan,
+    _grid,
     _GRID_SIZE,
     _H_ROUNDING,
     _cos_sin,
@@ -50,7 +51,6 @@ from bmplane.solver import (
     _half_log_trig,
     _minimax_lp,
     _PI,
-    _Pieces,
     _ROOT_STEPS,
     verify_certificate,
 )
@@ -300,7 +300,7 @@ class TestExchangeLP:
         # (the LP's own, flipped when t < 1); the 4x4 system of that reference with the LP's
         # signs gives x bit for bit, and x meets the stop rule
         for name, g in corpus.items():
-            points, cos, sin = _Pieces(g).grid
+            points, cos, sin = _grid_table(g, _GRID_SIZE)
             fvals = g.log_eval(points)
             trig = _trig(cos, sin)
             w = np.exp(-2.0 * (fvals - 0.5 * float(fvals.max() + fvals.min())))
@@ -457,53 +457,20 @@ def _refinement_bodies(corpus) -> dict:
     }
 
 
-def _calls_per_scan(monkeypatch, g) -> list:
-    """[calls of h, calls of h' by the root-find] per extremum scan of a solve and its verification.
-
-    h is evaluated as f - g, so its calls are the gauge's ``log_eval`` calls inside a scan.
-    """
-    import bmplane.solver as solver_mod
-    from bmplane.gauge import Gauge
-
-    counts, inside = [], []
-    scan, roots, log_eval = solver_mod._extrema_scan, solver_mod._illinois, Gauge.log_eval
-
-    def counted_scan(*args, **kwargs):
-        counts.append([0, 0])
-        inside.append(True)
-        try:
-            return scan(*args, **kwargs)
-        finally:
-            inside.pop()
-
-    def counted_log_eval(self, phi):
-        if inside:
-            counts[-1][0] += 1
-        return log_eval(self, phi)
-
-    def counted_roots(fn, *args):
-        def call(phi):
-            counts[-1][1] += 1
-            return fn(phi)
-
-        return roots(call, *args)
-
-    monkeypatch.setattr(solver_mod, "_extrema_scan", counted_scan)
-    monkeypatch.setattr(Gauge, "log_eval", counted_log_eval)
-    monkeypatch.setattr(solver_mod, "_illinois", counted_roots)
-    sol = solve_uniform(g)
-    assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
-    return counts
-
-
 def _assert_scan_calls(monkeypatch, g):
-    """Each scan calls h once; a polygon's is closed-form, any other root-finds within the cap."""
-    counts = np.array(_calls_per_scan(monkeypatch, g))
-    assert counts.size and (counts[:, 0] == 1).all()
+    """A polygon's scan calls h once, in closed form.  Any other's makes every gauge call at a
+    root-finding step, a ``log_jet``, at most ``_ROOT_STEPS`` of them, after the one pass over
+    the grid that verify's scan makes (a solve's scans take the solve's)."""
+    (_, *solve), (_, *verify) = _gauge_calls(monkeypatch, g)
+    assert solve and len(verify) == 1
+    kinds = [[(name, step) for name, _, step in calls] for calls in solve + verify]
     if g.descriptor()["kind"] == "polygon":
-        assert (counts[:, 1] == 0).all()
-    else:
-        assert counts[:, 1].max() <= _ROOT_STEPS
+        assert kinds == [[("log_eval", False)]] * len(kinds)
+        return
+    assert kinds[-1][0] == ("log_jet", False)
+    assert verify[0][0][1].tobytes() == _grid_table(g, _GRID_SIZE)[0].tobytes()
+    for steps in kinds[:-1] + [kinds[-1][1:]]:
+        assert steps == [("log_jet", True)] * len(steps) and len(steps) <= _ROOT_STEPS
 
 
 def _lp_triple(g):
@@ -538,7 +505,7 @@ class TestRefinement:
         # no lower by more than 1e-15
         for name, g in _refinement_bodies(corpus).items():
             grid, h, hvals, params = _lp_deviation(g)
-            scan = _extrema_scan(g, params, _Pieces(g))
+            scan = _extrema_scan(g, params)
             ref = _refined_extrema_two_calls(h, grid, hvals)
             values = h(scan.angles)
             assert _distinct(scan.angles).size == ref.max_values.size + ref.min_values.size, name
@@ -564,7 +531,8 @@ class TestRefinement:
     def test_kinks_take_one_probe(self, monkeypatch, g):
         # the reference puts every extremum on a grid angle (a kink, or the square's axes):
         # to rounding at a kink, to about its square root at a smooth extremum; the scan
-        # values them all by one call of h, and root-finds h' within its step cap
+        # values those by the grid pass (a polygon's by one call of h), and root-finds h'
+        # within its step cap
         grid, h, hvals, _ = _lp_deviation(g)
         ref = _refined_extrema_two_calls(h, grid, hvals)
         for ang in (ref.max_angles, ref.min_angles):
@@ -585,7 +553,7 @@ class TestRefinement:
              "60-gon", "400-gon", "2000-gon"],
     )
     def test_smooth_extrema_call_cap(self, monkeypatch, g):
-        # the root-find on h' settles smooth extrema within its step cap, and one call of h
+        # the root-find on h' settles smooth extrema within its step cap, its last step's f
         # values them; the polygons' minima are in closed form, with no root-find
         _assert_scan_calls(monkeypatch, g)
 
@@ -599,7 +567,7 @@ class TestRefinement:
             grid, fvals, params = _lp_triple(g)
             h = _deviation_fn(g, params)
             ref = _refined_extrema_two_calls(h, grid, fvals + 0.5 * np.log(params.trig(grid)))
-            scan = _extrema_scan(g, params, _Pieces(g))
+            scan = _extrema_scan(g, params)
             # one extremum per turn of the slope; the edge across 0 and pi is one piece
             values = h(scan.angles)
             assert _distinct(scan.angles).size == ref.max_angles.size + ref.min_angles.size, name
@@ -619,7 +587,7 @@ class TestOneEvaluationPerAngle:
         triples += [bodies.random_incone_params(rng) for _ in range(5)]
         for g, _ in solved_corpus.values():
             grid = evaluation_grid(g, 4096)
-            _, cos, sin = _Pieces(g).grid
+            _, cos, sin = _grid_table(g, _GRID_SIZE)
             for p in triples:
                 assert _R(p, cos, sin).tobytes() == p.trig(grid).tobytes()
 
@@ -708,14 +676,19 @@ class TestOneEvaluationPerAngle:
         ids=["l1.5", "samples128", "pchip128", "hexagon"],
     )
     def test_one_gauge_pass_over_the_grid(self, monkeypatch, g):
-        # the solve hands its grid to the gauge once, for f and, on a gauge scanned by its
-        # slopes, f' too; every other call is a scan's, so the later runs take f from the scan
+        # the solve hands its grid to the gauge once, before its scans, for f and, on a gauge
+        # scanned by its slopes, f' too; every other call is a scan's, so the later runs take
+        # f from the scan.  verify_certificate calls log_eval once outside its scan, at the
+        # certificate's angles, and hands the grid over once, inside its scan, on a gauge
+        # scanned by its slopes only
         rounds = _watch_linprog(monkeypatch)
-        calls = _gauge_calls(monkeypatch, g)
-        grid = _Pieces(g).grid[0]
-        on_grid = [i for i, (phi, _) in enumerate(calls) if np.array_equal(phi, grid)]
-        outside = [i for i, (_, in_scan) in enumerate(calls) if not in_scan]
-        assert on_grid == outside == [0]
+        (outside, *scans), (checks, *verify_scans) = _gauge_calls(monkeypatch, g)
+        grid = _grid_table(g, _GRID_SIZE)[0]
+        assert [(name, phi.tobytes()) for name, phi, _ in outside] == [("log_jet", grid.tobytes())]
+        assert [name for name, *_ in checks] == ["log_eval"]
+        on_grid = [(i, j) for i, calls in enumerate(scans + verify_scans)
+                   for j, (_, phi, _) in enumerate(calls) if np.array_equal(phi, grid)]
+        assert on_grid == ([] if g.descriptor()["kind"] == "polygon" else [(len(scans), 0)])
         assert len(rounds) >= (1 if g.descriptor()["kind"] == "lp" else 2)
 
     @pytest.mark.parametrize(
@@ -730,22 +703,22 @@ class TestOneEvaluationPerAngle:
         ids=["l1.5", "samples128", "rough-8192", "pchip128", "rough-pchip"],
     )
     def test_scans_value_grid_extrema_from_the_grid_pass(self, monkeypatch, g, runs):
-        # every scan of a solve (runs of them at least), the later runs' too, calls the gauge's
-        # log_eval once, at its roots only: f at its grid-angle extrema is the grid pass's.
-        # verify_certificate's scan, which holds no grid f, calls it once, at its grid-angle
-        # extrema too.  Without the grid f a scan returns the same angles, f
-        # and sup, bit for bit
+        # every scan of a solve (runs of them at least), the later runs' too, and
+        # verify_certificate's scan call no log_eval: f at the grid-angle extrema is the grid
+        # pass's, and f at the roots the last root-finding step's.  The solve hands each of its
+        # scans its one grid; verify's builds its own, and on a solve's triple it returns the
+        # same angles, f and sup, bit for bit
         import bmplane.solver as solver_mod
 
-        records = []  # [params, pieces, scan, log_eval's angles, raw roots] of each scan
+        records = []  # [params, grid, scan, log_eval's angles, (roots, f there)] of each scan
         inside, scan, illinois = [], solver_mod._extrema_scan, solver_mod._illinois
         log_eval = g.log_eval
 
-        def watched_scan(gauge, params, pieces):
-            records.append([params, pieces, None, [], []])
+        def watched_scan(gauge, params, grid=None):
+            records.append([params, grid, None, [], []])
             inside.append(True)
             try:
-                records[-1][2] = scan(gauge, params, pieces)
+                records[-1][2] = scan(gauge, params, grid)
             finally:
                 inside.pop()
             return records[-1][2]
@@ -767,18 +740,85 @@ class TestOneEvaluationPerAngle:
         runs = len(records)
         assert verify_certificate(g, sol.params, sol.certificate, 1e-8).passed
         assert len(records) == runs + 1
-        for i, (_, pieces, out, calls, roots) in enumerate(records):
-            assert (pieces.f is not None) == (i < runs)
-            assert len(calls) == len(roots) == 1
-            off = np.mod(roots[0], math.pi)
-            assert calls[0][:off.size].tobytes() == off.tobytes()
-            turns = calls[0][off.size:]
-            assert turns.size == 0 if i < runs else np.isin(turns, pieces.grid[0]).all()
+        grid = records[0][1]
+        assert all(r[1] is grid for r in records[:runs]) and records[runs][1] is None
+        for _, _, out, calls, roots in records:
+            assert calls == [] and len(roots) == 1
+            x, f = roots[0]
+            off = np.mod(x, math.pi)
+            assert out.angles[:off.size].tobytes() == off.tobytes()
+            assert out.f[:off.size].tobytes() == f.tobytes()
+            turns = out.angles[off.size:]
+            at = np.searchsorted(grid.angles, turns)
+            assert grid.angles[at].tobytes() == turns.tobytes()
+            assert out.f[off.size:].tobytes() == grid.f[at].tobytes()
         for params, _, out, *_ in records[:runs]:
-            plain = scan(g, params, _Pieces(g))
+            plain = scan(g, params)
             for a, b in ((plain.angles, out.angles), (plain.f, out.f)):
                 assert a.tobytes() == b.tobytes()
             assert plain.sup == out.sup
+
+    def test_scan_f_is_log_evals(self, monkeypatch):
+        # at each body's solved triple, f at the scanned angles is log_eval's bit for bit, at
+        # the roots (the last root-finding step's f) too, and a scan that builds its own grid
+        # returns the angles, f and sup of one given the solve's grid.  On l1.5 a root of h'
+        # is pi itself, the end of the last cell [x0 + pi - pi/4096, x0 + pi], so a root at or
+        # past pi, wrapped to 0, is among them
+        import bmplane.solver as solver_mod
+
+        grids, roots, scan, illinois = [], [], solver_mod._extrema_scan, solver_mod._illinois
+
+        def watched_scan(gauge, params, grid=None):
+            grids.append(grid)
+            return scan(gauge, params, grid)
+
+        def watched_roots(*args):
+            roots.append(illinois(*args))
+            return roots[-1]
+
+        monkeypatch.setattr(solver_mod, "_extrema_scan", watched_scan)
+        monkeypatch.setattr(solver_mod, "_illinois", watched_roots)
+        rng = np.random.default_rng
+        gauges = {  # the bodies of test_gauge's TestJet, and the benchmark's lp balls and samples
+            **{f"l{p:g}": lp_gauge(p) for p in (1.0, 1.0001, 1.5, 2.0, 3.0, 50.0, math.inf)},
+            "samples128": sample_gauge(bodies.smooth_samples(rng(0), 128)),
+            "rough-8192": sample_gauge(1.0 + 0.2 * rng(8192).random(8192)),
+            "pchip128": sample_gauge(bodies.smooth_samples(rng(1), 128), interp="pchip"),
+            "rough-pchip": sample_gauge(1.0 + 0.2 * rng(300).random(300), interp="pchip"),
+            **{f"bench-{b.name}": b.gauge for b in _bench_bodies(1) if b.kind in ("lp", "samples")},
+        }
+        wrapped = []
+        for name, g in gauges.items():
+            grids.clear()
+            sol = solve_uniform(g)
+            grid = grids[0]
+            roots.clear()
+            own, given = scan(g, sol.params), scan(g, sol.params, grid)
+            assert own.f.tobytes() == g.log_eval(own.angles).tobytes(), name
+            for a, b in ((own.angles, given.angles), (own.f, given.f)):
+                assert a.tobytes() == b.tobytes(), name
+            assert own.sup == given.sup, name
+            x = np.concatenate([r for r, _ in roots])
+            if ((x >= grid.ends[-2]) & (x <= grid.ends[-1]) & (x >= math.pi)).any():
+                wrapped.append(name)
+        assert "l1.5" in wrapped
+
+    def test_closed_form_verify_builds_no_grid(self, monkeypatch):
+        # a polygon's or an ellipse's extrema are in closed form: verify_certificate scans them
+        # with no grid, which on the 2000-gon would merge 6000 angles
+        import bmplane.solver as solver_mod
+
+        gauges = [polygon_gauge(bodies.hexagon_inradius_1()),
+                  polygon_gauge(bodies.regular_polygon(2000)),
+                  ellipse_gauge(EllipseParams(1.0, 0.2, 0.1))]
+        solved = [(g, solve_uniform(g)) for g in gauges]
+
+        def no_grid(*args):
+            raise AssertionError("verify_certificate built a grid")
+
+        monkeypatch.setattr(solver_mod, "_grid_table", no_grid)
+        for g, sol in solved:
+            assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
 
     @pytest.mark.parametrize(
         "g",
@@ -795,8 +835,9 @@ class TestOneEvaluationPerAngle:
              "rough-pchip", "hexagon", "ellipse"],
     )
     def test_grid_f_and_slopes_are_log_eval_and_log_slopes(self, monkeypatch, g):
-        # the f that the grid run solves on is log_eval's, bit for bit, and the scan's slopes
-        # on the grid are log_slopes'; a gauge with closed-form extrema takes no slopes
+        # the f that the grid run solves on is the grid's, log_eval's bit for bit, and the
+        # scan's slopes on the grid are a fresh log_jet's; a gauge with closed-form extrema
+        # takes no slopes
         import bmplane.solver as solver_mod
 
         seen, minimax, scan = [], solver_mod._minimax_lp, solver_mod._extrema_scan
@@ -805,42 +846,55 @@ class TestOneEvaluationPerAngle:
             seen.append(fvals)
             return minimax(cos, sin, fvals, *args, **kwargs)
 
-        def first_pieces(gauge, params, pieces, *args, **kwargs):
-            seen.append(pieces)
-            return scan(gauge, params, pieces, *args, **kwargs)
+        def first_grid(gauge, params, grid, *args, **kwargs):
+            seen.append(grid)
+            return scan(gauge, params, grid, *args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "_minimax_lp", first_f)
-        monkeypatch.setattr(solver_mod, "_extrema_scan", first_pieces)
+        monkeypatch.setattr(solver_mod, "_extrema_scan", first_grid)
         solve_uniform(g)
-        fvals, pieces = seen[:2]
-        grid = pieces.grid[0]
-        assert fvals.tobytes() == g.log_eval(grid).tobytes()
+        fvals, grid = seen[:2]
+        assert fvals is grid.f
+        assert fvals.tobytes() == g.log_eval(grid.angles).tobytes()
         if g.extremum_candidates(EllipseParams(1.0, 0.0, 0.0)) is None:
-            for ours, ref in zip(pieces.slopes, g.log_slopes(grid)):
+            for ours, ref in zip(grid.slopes, g.log_jet(grid.angles)[1], strict=True):
                 assert ours.tobytes() == ref.tobytes()
         else:
-            assert pieces.slopes is None
+            assert grid.slopes is None
 
 
 def _gauge_calls(monkeypatch, g) -> list:
-    """(angles, inside a scan) of each call the solve makes to the gauge's eval, log_eval,
-    log_slopes or log_jet, in order, counting a call made inside another as part of it."""
+    """The gauge calls of a solve and then of ``verify_certificate`` on its certificate: for
+    each, [its calls outside a scan, then those of each extremum scan in turn], every call
+    (method, angles, made by a root-finding step) to eval, log_eval or log_jet, in order,
+    counting a call made inside another as part of it."""
     import bmplane.solver as solver_mod
 
-    calls, depth, scans = [], [], []
-    scan = solver_mod._extrema_scan
+    phases, depth, now = [[[]]], [], {"scan": False, "step": False}
+    scan, roots = solver_mod._extrema_scan, solver_mod._illinois
 
     def counted_scan(*args, **kwargs):
-        scans.append(True)
+        phases[-1].append([])
+        now["scan"] = True
         try:
             return scan(*args, **kwargs)
         finally:
-            scans.pop()
+            now["scan"] = False
 
-    for name in ("eval", "log_eval", "log_slopes", "log_jet"):
-        def counted(phi, method=getattr(g, name)):
+    def counted_roots(jet, *args):
+        def step(phi):
+            now["step"] = True
+            try:
+                return jet(phi)
+            finally:
+                now["step"] = False
+
+        return roots(step, *args)
+
+    for name in ("eval", "log_eval", "log_jet"):
+        def counted(phi, name=name, method=getattr(g, name)):
             if not depth:
-                calls.append((np.array(phi), bool(scans)))
+                phases[-1][-1 if now["scan"] else 0].append((name, np.array(phi), now["step"]))
             depth.append(True)
             try:
                 return method(phi)
@@ -849,8 +903,11 @@ def _gauge_calls(monkeypatch, g) -> list:
 
         monkeypatch.setattr(g, name, counted)
     monkeypatch.setattr(solver_mod, "_extrema_scan", counted_scan)
-    solve_uniform(g)
-    return calls
+    monkeypatch.setattr(solver_mod, "_illinois", counted_roots)
+    sol = solve_uniform(g)
+    phases.append([[]])
+    assert verify_certificate(g, sol.params, sol.certificate, 1e-6).passed
+    return phases
 
 
 def _evaluation_grid_by_search(kinks: np.ndarray, n: int) -> np.ndarray:
@@ -891,7 +948,7 @@ class TestGrid:
 
     @staticmethod
     def _assert_grid(g, n: int = _GRID_SIZE):
-        angles, cos, sin = _Pieces(g).grid if n == _GRID_SIZE else _grid_table(g, n)
+        angles, cos, sin = _grid_table(g, n)
         ref = evaluation_grid(g, n)
         by_search = _evaluation_grid_by_search(g.critical_angles(), n)
         assert ref.tobytes() == by_search.tobytes()
@@ -940,7 +997,8 @@ class TestGrid:
             for g in (lp_gauge(3.0), lp_gauge(1.0), lp_gauge(math.inf),
                       sample_gauge(1.0 + 0.1 * np.cos(nodes)), _Kinks(shared[0])):
                 assert _grid_table(g, n) is shared and evaluation_grid(g, n) is shared[0]
-                assert n != _GRID_SIZE or _Pieces(g).grid is shared
+                if n == _GRID_SIZE and not isinstance(g, _Kinks):  # the solve's grid too
+                    assert all(a is b for a, b in zip(_grid(g), shared))
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -1063,13 +1121,12 @@ class TestSolveUniform:
                     math.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_tiny_scale_is_typed(self):
-        # below a scale of about 1.6e-154 the triple's rescaling exp(-2*fc) overflows
-        for g in (
-            polygon_gauge(1e-160 * bodies.square_vertices()),
-            sample_gauge(1e-160 * (1.0 + 0.1 * np.cos(np.arange(16)))),
-        ):
-            with pytest.raises(NoConvergence, match="overflows"):
-                solve_uniform(g)
+        # below a scale of about 1.6e-154 the triple's rescaling exp(-2*fc) overflows; samples
+        # that small are refused when built, as a circle that small is (r**-2 overflows)
+        with pytest.raises(NoConvergence, match="overflows"):
+            solve_uniform(polygon_gauge(1e-160 * bodies.square_vertices()))
+        with pytest.raises(InputError, match=r"r\*\*-2 must be positive and finite"):
+            sample_gauge(1e-160 * (1.0 + 0.1 * np.cos(np.arange(16))))
 
     def test_thin_rhombus_past_the_float_range_is_typed(self):
         # at s = 2^-499 the solved triple's R = a2 + b2*cos + c2*sin overflows on the grid, and
@@ -1083,7 +1140,7 @@ class TestSolveUniform:
         triple = EllipseParams(1.5013079965082733e308, -1.5013079664821137e308,
                                -2.6621999302410755e292)
         with pytest.raises(NoConvergence, match="no extremum"):
-            _extrema_scan(g, triple, _Pieces(g))
+            _extrema_scan(g, triple)
 
     @pytest.mark.parametrize("body, triple, ending", [
         ("square", (1e308, 0.0, 0.0), "the scan of the triple .* finds no extremum"),
@@ -1515,7 +1572,7 @@ class TestOneSided:
         for name, (g, sol) in solved_corpus.items():
             inscribed = build_report(g, sol).params_inscribed
             assert inscribed.triple() == sol.params.scaled(math.exp(2.0 * sol.defect)).triple()
-            scan = _extrema_scan(g, inscribed, _Pieces(g))
+            scan = _extrema_scan(g, inscribed)
             h = g.log_eval(scan.angles) + _half_log_trig(inscribed, scan.angles)
             assert h.min() >= -1e-9, name
             assert h.max() == pytest.approx(2.0 * sol.defect, abs=1e-8), name
