@@ -5,8 +5,8 @@ An ellipse is stored through the coefficients of its inverse squared radius,
     rho(phi)^-2 = a2 + b2*cos(2*phi) + c2*sin(2*phi),
 
 which is a genuine ellipse exactly when the triple lies in the open cone
-a2 > 0, a2^2 > b2^2 + c2^2.  The logarithm g = log(rho) = -0.5*log(...) is
-the object the solver approximates with.
+a2 > |(b2, c2)|, the one rule ``in_cone`` tests.  The logarithm
+g = log(rho) = -0.5*log(...) is the object the solver approximates with.
 """
 
 from __future__ import annotations
@@ -24,19 +24,17 @@ __all__ = [
     "PDMatrix2",
     "in_cone",
     "pd_sqrt",
-    "pd_sqrt_inverse",
 ]
 
 
 def in_cone(a2: float, b2: float, c2: float) -> bool:
-    """True when the triple encodes a genuine ellipse: a2 > 0, a2^2 > b2^2 + c2^2.
+    """True when a finite triple encodes a genuine ellipse: a2 > |(b2, c2)|.
 
-    Squared after the exact power-of-two scaling that brings the largest entry
-    into [0.5, 1), so that no body's triple overflows or underflows here.
+    a2 - |(b2, c2)| is the least of rho^-2 over all angles, so this says rho^-2 > 0
+    everywhere.  ``math.hypot`` neither overflows nor underflows, and ``to_std`` takes
+    its b' from the same ``hypot``, so every accepted triple has a > b' >= 0 there.
     """
-    e = math.frexp(max(abs(a2), abs(b2), abs(c2)))[1]
-    a, b, c = (math.ldexp(v, -e) for v in (a2, b2, c2))
-    return a > 0.0 and a * a - (b * b + c * c) > 0.0
+    return a2 > math.hypot(b2, c2)
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,7 @@ class EllipseParams:
             raise NotInCone(f"non-finite triple {(self.a2, self.b2, self.c2)}")
         if not in_cone(self.a2, self.b2, self.c2):
             raise NotInCone(
-                f"triple ({self.a2!r}, {self.b2!r}, {self.c2!r}) violates "
-                "a2 > 0, a2^2 > b2^2 + c2^2"
+                f"triple ({self.a2!r}, {self.b2!r}, {self.c2!r}) violates a2 > hypot(b2, c2)"
             )
 
     def triple(self) -> tuple[float, float, float]:
@@ -86,20 +83,12 @@ class EllipseParams:
 
 @dataclass(frozen=True)
 class StdEllipseParams:
-    """Standard-form chart (a, b', theta): rho^-2 = a + b'*cos(2*(phi-theta))."""
+    """Standard-form chart (a, b', theta): rho^-2 = a + b'*cos(2*(phi-theta)), with
+    a > b' >= 0 and 0 <= theta < pi when it comes from ``EllipseParams.to_std``."""
 
     a: float
     bprime: float
     theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "bprime", float(self.bprime))
-        object.__setattr__(self, "theta", float(self.theta))
-        if not (self.a > self.bprime >= 0.0):
-            raise NotInCone(f"need a > b' >= 0, got a={self.a!r} b'={self.bprime!r}")
-        if not (0.0 <= self.theta < math.pi):
-            raise NotInCone(f"theta must lie in [0, pi), got {self.theta!r}")
 
     def semi_axes(self) -> tuple[float, float]:
         """(radius along theta, radius along theta + pi/2)."""
@@ -142,8 +131,8 @@ class PDMatrix2:
 
     def _scaled(self) -> tuple[int, float, float, float, float]:
         """(k, m11, m12 and m22 over 4^k, their det), for the power of four that brings the
-        largest entry into [0.5, 2), exactly, as ``in_cone`` scales: the det of the unscaled
-        entries over- or underflows on the form of a body scaled past 1e+-77."""
+        largest entry into [0.5, 2), exactly: the det of the unscaled entries over- or
+        underflows on the form of a body scaled past 1e+-77."""
         k = math.frexp(max(abs(self.m11), abs(self.m12), abs(self.m22)))[1] // 2
         a, b, c = (math.ldexp(v, -2 * k) for v in (self.m11, self.m12, self.m22))
         return k, a, b, c, a * c - b * b
@@ -166,9 +155,3 @@ def pd_sqrt(s: PDMatrix2) -> PDMatrix2:
     root_det = math.sqrt(d)
     scale = math.ldexp(math.sqrt(a + c + 2.0 * root_det), -k)
     return PDMatrix2((a + root_det) / scale, b / scale, (c + root_det) / scale)
-
-
-def pd_sqrt_inverse(s: PDMatrix2) -> PDMatrix2:
-    """Inverse of the SPD square root: the unique SPD R with R^-2 = S."""
-    return pd_sqrt(s).inverse()
-

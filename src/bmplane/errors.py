@@ -34,7 +34,7 @@ class TooFewSamples(BmplaneError):
 # -- ellipse layer -----------------------------------------------------------
 
 class NotInCone(BmplaneError):
-    """Coefficient triple violates a2 > 0, a2^2 > b2^2 + c2^2."""
+    """Coefficient triple violates a2 > |(b2, c2)|: rho^-2 is not positive at every angle."""
 
 
 class NotPD(BmplaneError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ellipse import EllipseParams, PDMatrix2, pd_sqrt, pd_sqrt_inverse
+from .ellipse import EllipseParams, PDMatrix2, pd_sqrt
 from .errors import BmplaneError, ConeViolation, InputError, NoConvergence
 from .gauge import Gauge, _json_numbers
 from .solver import AlternanceCertificate, UniformSolution, _distinct, certificate_deviations
@@ -83,7 +83,7 @@ def build_report(gauge: Gauge, sol: UniformSolution) -> SolveReport:
     # quadratic form of the inscribed ellipse; T_hat is its SPD square root
     form = PDMatrix2(*inscribed.matrix().flat[[0, 1, 3]])
     t_hat = pd_sqrt(form)
-    t_tilde = pd_sqrt_inverse(form)
+    t_tilde = t_hat.inverse()
 
     cert = sol.certificate
     if not cert.interleaved():

@@ -58,8 +58,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .ellipse import EllipseParams, in_cone
-from .errors import NoAlternance, NoConvergence
+from .ellipse import EllipseParams
+from .errors import NoAlternance, NoConvergence, NotInCone
 from .gauge import _H_ROUNDING, Gauge, _grid_table
 
 __all__ = [
@@ -240,12 +240,13 @@ def _minimax_lp(cos: np.ndarray, sin: np.ndarray,
     except OverflowError:
         raise NoConvergence(f"the triple of a body of scale exp({center!r}) overflows") from None
     a2, b2, c2 = (float(v) * scale for v in x[:3])
-    if not in_cone(a2, b2, c2):
+    try:
+        return EllipseParams(a2, b2, c2), ref, sign
+    except NotInCone:
         raise NoConvergence(
             f"minimax triple ({a2!r}, {b2!r}, {c2!r}) at level t = {t!r} after {rounds} "
             "exchange rounds is outside the cone"
-        )
-    return EllipseParams(a2, b2, c2), ref, sign
+        ) from None
 
 
 @dataclass

@@ -101,6 +101,17 @@ class TestSolve:
             {"kind": "polygon", "vertices": [[1, 1], [-1, -1], [1, -1], [-1, 1]]}))
         assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_ellipse_on_the_cone_edge_is_invalid(self, tmp_path, capsys, command):
+        # a2 == hypot(b2, c2) in floats: R's least value is <= 0, so the body is unbounded
+        bad = tmp_path / "edge.json"
+        bad.write_text(jsonio.dumps({"kind": "ellipse", "params": [
+            0.5476477220476769, -0.5397953050481846, 0.09240701332662364]}))
+        out = tmp_path / "r.json"
+        assert main([command, "--input", str(bad), "--out", str(out)]) == 2
+        assert "invalid body: NotInCone" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--grid", "256"], ["--cert-tol", "1e-8"],
                                       ["--svg", "r.svg"], ["--view", "body"]],
                              ids=["grid", "cert-tol", "svg", "view"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bmplane.ellipse import EllipseParams, PDMatrix2, StdEllipseParams, pd_sqrt, pd_sqrt_inverse
+from bmplane.ellipse import EllipseParams, PDMatrix2, in_cone, pd_sqrt
 from bmplane.errors import NotInCone, NotPD
 from bmplane.gauge import ellipse_gauge
 
@@ -55,10 +55,49 @@ class TestParams:
 
     def test_std_circle_theta_zero(self):
         assert EllipseParams(2.0, 0.0, 0.0).to_std().theta == 0.0
-        with pytest.raises(NotInCone):
-            StdEllipseParams(1.0, 1.0, 0.0)
-        with pytest.raises(NotInCone):
-            StdEllipseParams(1.0, 0.5, -0.1)
+
+    def test_cone_edge_is_one_rule(self):
+        # EllipseParams accepts a triple exactly when a2 > hypot(b2, c2), the b' of to_std,
+        # so every accepted triple has a > b' >= 0 in the standard chart
+        rng = np.random.default_rng(4)
+        edge = (0.5476477220476769, -0.5397953050481846, 0.09240701332662364)
+        draws = [edge]
+        for scale in (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300):
+            for k in range(13, 18):
+                for _ in range(40):
+                    t = rng.uniform(0.0, 2.0 * math.pi)
+                    r = scale * (1.0 - rng.uniform(0.1, 1.0) * 10.0**-k)
+                    draws.append((scale, r * math.cos(t), r * math.sin(t)))
+        accepted = 0
+        for a2, b2, c2 in draws:
+            inside = a2 > math.hypot(b2, c2)
+            try:
+                std = EllipseParams(a2, b2, c2).to_std()
+            except NotInCone:
+                assert not inside, (a2, b2, c2)
+                continue
+            assert inside, (a2, b2, c2)
+            assert std.a > std.bprime >= 0.0 and 0.0 <= std.theta < math.pi
+            accepted += 1
+        assert 0 < accepted < len(draws)
+        with pytest.raises(NotInCone, match=r"violates a2 > hypot\(b2, c2\)$"):
+            EllipseParams(*edge)
+
+    @pytest.mark.parametrize("triple, inside", [
+        ((math.inf, 1.0, 0.0), True),  # a2 = inf passes the comparison: EllipseParams refuses
+        ((math.inf, math.inf, 0.0), False),
+        ((1.0, math.inf, 0.0), False),
+        ((1.0, 0.0, -math.inf), False),
+        ((-math.inf, 0.0, 0.0), False),
+        ((math.nan, 0.0, 0.0), False),
+        ((1.0, math.nan, 0.0), False),
+        ((1.0, 0.0, math.nan), False),
+        ((math.inf, math.nan, 0.0), False),
+    ])
+    def test_in_cone_non_finite(self, triple, inside):
+        assert in_cone(*triple) is inside
+        with pytest.raises(NotInCone, match="^non-finite triple"):
+            EllipseParams(*triple)
 
     @pytest.mark.parametrize("c2", [-1e-17, -1e-300, -5e-324])
     def test_tiny_negative_theta_is_zero(self, c2):
@@ -84,7 +123,7 @@ class TestMatrixLayer:
             r = pd_sqrt(s)
             err = np.abs(square(r).as_array() - s.as_array()).max()
             assert err <= 1e-12 * max(1.0, operator_norm(s))
-            ri = pd_sqrt_inverse(s)
+            ri = pd_sqrt(s).inverse()
             assert np.abs((r.as_array() @ ri.as_array()) - np.eye(2)).max() < 1e-12
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -124,7 +163,7 @@ class TestMatrixLayer:
         # the operator build_report takes: the inverse SPD root of M = [[a2+b2, c2], [c2, a2-b2]]
         rng = np.random.default_rng(3)
         e = bodies.random_incone_params(rng)
-        t = pd_sqrt_inverse(PDMatrix2(e.a2 + e.b2, e.c2, e.a2 - e.b2))
+        t = pd_sqrt(PDMatrix2(e.a2 + e.b2, e.c2, e.a2 - e.b2)).inverse()
         ang = rng.uniform(0, 2 * math.pi, 32)
         pts = t.apply(np.column_stack([np.cos(ang), np.sin(ang)]))
         phi = np.arctan2(pts[:, 1], pts[:, 0])
