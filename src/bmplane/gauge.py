@@ -317,7 +317,12 @@ class _EllipseGauge(Gauge):
             ratio = np.trace(m) / np.trace(me)
             if np.abs(m - me * ratio).max() <= _H_ROUNDING * np.abs(m).max():
                 return phi
-            chol = np.linalg.cholesky(me)
+            try:
+                chol = np.linalg.cholesky(me)
+            except np.linalg.LinAlgError:
+                raise NoConvergence(f"the body's form [[a2 + b2, c2], [c2, a2 - b2]] of "
+                                    f"{self._params.triple()} is not positive definite in "
+                                    "floating point") from None
             _, u = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, m).T))
             angles = _reduce(np.arctan2(*np.linalg.solve(chol.T, u)[::-1]))
             # numpy.linalg overflows without a warning; a triple whose own form overflows is
@@ -589,10 +594,16 @@ def _base_grid(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _grid_table(gauge: Gauge, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``evaluation_grid(gauge, n)``, its cos 2phi and its sin 2phi, three contiguous arrays:
-    ``_base_grid`` merged with the kinks, of which only those off every base angle get a fresh
-    cos and sin.  With no such kink they are the shared read-only arrays themselves."""
+    ``_merged_table`` of the gauge's kinks."""
+    return _merged_table(n, gauge.critical_angles())
+
+
+def _merged_table(n: int, kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_base_grid(n)`` merged with kink angles in [0, pi) (``_merge_kinks``), its cos 2phi and
+    its sin 2phi: only the kinks off every base angle get a fresh cos and sin.  With no such
+    kink they are the shared read-only arrays themselves."""
     base = _base_grid(n)
-    new, order = _merge_kinks(base[0], gauge.critical_angles())
+    new, order = _merge_kinks(base[0], kinks)
     if order is None:
         return base
     fresh = (new, np.cos(2.0 * new), np.sin(2.0 * new))

@@ -175,7 +175,8 @@ def linprog(cos: np.ndarray, sin: np.ndarray, w: np.ndarray) -> tuple[np.ndarray
     ascending point indices and the signs of f - g there: the round's signs,
     flipped when t < 1.  A round depends only on its reference and signs, so
     a repeated reference is a cycle: it raises NoConvergence at once, as do a
-    singular reference and no stop within 16 rounds per bit of n.
+    singular reference, a u past the float range (w spanning it, with no
+    warning) and no stop within 16 rounds per bit of n.
     """
     n = w.size
     table = np.empty((3, n))  # R/w = (a2, b2, c2) @ table
@@ -187,37 +188,41 @@ def linprog(cos: np.ndarray, sin: np.ndarray, w: np.ndarray) -> tuple[np.ndarray
     t = math.nan
     cap = 16 * n.bit_length()
     seen: dict = {}
-    for rounds in range(1, cap + 1):
-        ref, sign = [i for i, _ in pairs], [s for _, s in pairs]
-        key = (*ref, sign[0])
-        if key in seen:
-            raise NoConvergence(
-                f"exchange round {rounds} repeats the reference {ref} of round "
-                f"{seen[key]}: the exchange cycles; last level t = {t!r}"
-            )
-        seen[key] = rounds
-        wref = w[ref].tolist()
-        system = np.empty((4, 4))
-        system[:, 0], system[:, 1], system[:, 2] = 1.0, cos[ref], sin[ref]
-        system[:, 3] = [-v if s > 0 else 0.0 for v, s in zip(wref, sign)]
-        try:
-            x = np.linalg.solve(system, [0.0 if s > 0 else v for v, s in zip(wref, sign)])
-        except np.linalg.LinAlgError:
-            x = np.full(4, math.nan)
-        if not np.isfinite(x).all():
-            raise NoConvergence(
-                f"exchange round {rounds}: singular reference {ref}, last level t = {t!r}"
-            )
-        t = float(x[3])
-        u = x[:3] @ table
-        lo, hi = int(np.argmin(u)), int(np.argmax(u))
-        below, above = 1.0 - float(u[lo]), float(u[hi]) - t
-        j, s, v = (hi, 1, above) if above >= below else (lo, -1, below)
-        if v <= 1e-12 * t or j in ref:
-            return x, rounds, ref, [-s for s in sign] if t < 1.0 else sign
-        k = bisect.bisect(ref, j)
-        pairs[(k - 1) % 4 if sign[(k - 1) % 4] == s else k % 4] = (j, s)
-        pairs.sort()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rounds in range(1, cap + 1):
+            ref, sign = [i for i, _ in pairs], [s for _, s in pairs]
+            key = (*ref, sign[0])
+            if key in seen:
+                raise NoConvergence(
+                    f"exchange round {rounds} repeats the reference {ref} of round "
+                    f"{seen[key]}: the exchange cycles; last level t = {t!r}"
+                )
+            seen[key] = rounds
+            wref = w[ref].tolist()
+            system = np.empty((4, 4))
+            system[:, 0], system[:, 1], system[:, 2] = 1.0, cos[ref], sin[ref]
+            system[:, 3] = [-v if s > 0 else 0.0 for v, s in zip(wref, sign)]
+            try:
+                x = np.linalg.solve(system, [0.0 if s > 0 else v for v, s in zip(wref, sign)])
+            except np.linalg.LinAlgError:
+                x = np.full(4, math.nan)
+            if not np.isfinite(x).all():
+                raise NoConvergence(
+                    f"exchange round {rounds}: singular reference {ref}, last level t = {t!r}"
+                )
+            t = float(x[3])
+            u = x[:3] @ table
+            lo, hi = int(np.argmin(u)), int(np.argmax(u))
+            below, above = 1.0 - float(u[lo]), float(u[hi]) - t
+            if not math.isfinite(below + above):
+                raise NoConvergence(f"exchange round {rounds}: R/w leaves the float range on the "
+                                    f"grid, level t = {t!r}")
+            j, s, v = (hi, 1, above) if above >= below else (lo, -1, below)
+            if v <= 1e-12 * t or j in ref:
+                return x, rounds, ref, [-s for s in sign] if t < 1.0 else sign
+            k = bisect.bisect(ref, j)
+            pairs[(k - 1) % 4 if sign[(k - 1) % 4] == s else k % 4] = (j, s)
+            pairs.sort()
     raise NoConvergence(f"exchange did not settle in {cap} rounds; last level t = {t!r}")
 
 

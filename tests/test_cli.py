@@ -112,6 +112,20 @@ class TestSolve:
         assert "invalid body: NotInCone" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ellipse_whose_form_is_not_positive_definite_is_a_numerical_failure(
+            self, tmp_path, capsys):
+        # the cone rule accepts the triple, but its form is not positive definite in floats, so
+        # the closed-form scan cannot factor it: the solve ends typed, with no traceback
+        body = tmp_path / "form.json"
+        body.write_text(jsonio.dumps({"kind": "ellipse", "params": [
+            1e300, -1.7931035386639694e299, -9.837925579085803e299]}))
+        out = tmp_path / "r.json"
+        assert main(["solve", "--input", str(body), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NoConvergence"), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--grid", "256"], ["--cert-tol", "1e-8"],
                                       ["--svg", "r.svg"], ["--view", "body"]],
                              ids=["grid", "cert-tol", "svg", "view"])

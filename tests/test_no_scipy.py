@@ -168,6 +168,19 @@ def oracle_finds_the_linf_defect_and_writes_its_six_keys():
 
 
 @_step
+def oracle_searches_the_turned_square_as_the_linf_ball():
+    """The oracle searches the square turned by 0.3 rad as it does the l-infinity ball: its grid
+    starts at the largest radius, so both make the same evaluations and reach ln(2)/4"""
+    c, s = math.cos(0.3), math.sin(0.3)
+    _dump("turned.json", {"kind": "polygon", "vertices": [
+        [c * x - s * y, s * x + c * y] for x, y in [[1, 1], [-1, 1], [-1, -1], [1, -1]]]})
+    _ok("oracle", "--input", "turned.json", "--out", "turned.oracle.json", "--nphi", "256")
+    r = _load("turned.oracle.json")
+    assert r["evaluations"] == _load("oracle.json")["evaluations"], r
+    assert abs(r["value"] - 0.25 * math.log(2.0)) <= 1e-15, r
+
+
+@_step
 def oracle_finds_the_circle_at_its_first_box_centre():
     """The oracle finds the circle at its first box centre, at b' = 0 and theta = 0"""
     Path("circle.json").write_text('{"kind": "ellipse", "params": [1, 0, 0]}\n')

@@ -7,12 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmplane.ellipse import EllipseParams
+from bmplane.ellipse import EllipseParams, in_cone
 from bmplane.errors import EmptyGrid, NoConvergence
-from bmplane.gauge import (
-    circle_gauge, ellipse_gauge, evaluation_grid, lp_gauge, polygon_gauge, sample_gauge,
-)
-from bmplane.oracle import OracleResult, oracle_uniform
+from bmplane.gauge import circle_gauge, ellipse_gauge, lp_gauge, polygon_gauge, sample_gauge
+from bmplane.oracle import OracleResult, _grid, _turned, oracle_uniform
 from bmplane.solver import solve_uniform
 
 import bodies
@@ -33,7 +31,7 @@ def _bench_bodies(seed: int) -> list:
 def _grid_defects(gauge, ps, qs, n_phi=1024):
     """The defect on the oracle's angle grid of every ellipse rho^-2 = a2*(1 + p*cos 2phi +
     q*sin 2phi), at its best a2: half the spread of f + 0.5*log1p(p*cos 2phi + q*sin 2phi)."""
-    phis = evaluation_grid(gauge, n_phi)
+    phis = _grid(gauge, n_phi)[0]
     h = gauge.log_eval(phis) + 0.5 * np.log1p(np.multiply.outer(ps, np.cos(2.0 * phis))
                                               + np.multiply.outer(qs, np.sin(2.0 * phis)))
     return 0.5 * (h.max(axis=-1) - h.min(axis=-1))
@@ -47,8 +45,8 @@ def _rotation(t: float) -> np.ndarray:
     return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 
 
-def _in_family(e: float):
-    return ellipse_gauge(EllipseParams(1.0, e * math.cos(0.7), e * math.sin(0.7)))
+def _in_family(e: float, angle: float = 0.7):
+    return ellipse_gauge(EllipseParams(1.0, e * math.cos(angle), e * math.sin(angle)))
 
 
 class TestOracleUniform:
@@ -169,7 +167,7 @@ class TestBracket:
         # the scale in closed form: the deviation's max and -min on the grid are both the value
         for b in _bench_bodies(7):
             res = oracle_uniform(b.gauge)
-            phis = evaluation_grid(b.gauge, 1024)
+            phis = _grid(b.gauge, 1024)[0]
             dev = b.gauge.log_eval(phis) + 0.5 * np.log(res.params.trig(phis))
             assert abs(dev.max() - res.value) <= 1e-12, (b.name, dev.max(), res.value)
             assert abs(-dev.min() - res.value) <= 1e-12, (b.name, dev.min(), res.value)
@@ -177,9 +175,19 @@ class TestBracket:
     @pytest.mark.parametrize("e", [0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-7, 1.0 - 1e-8, 1.0 - 1e-14])
     def test_eccentric_in_family_ellipse(self, e):
         # defect 0, 1 - e from the edge of the disc: the least-squares fit is exact there, and
-        # the bounds floored at 0 prune every box in the first round
-        res = oracle_uniform(_in_family(e))
-        assert res.lower == 0.0 and res.value <= 1e-6 and res.evaluations <= 2 * 1024, res
+        # the bounds floored at 0 prune every box in the first round; at every angle of the
+        # axes the fit, turned back from the anchored chart, stays inside the cone
+        for k in range(8):
+            res = oracle_uniform(_in_family(e, 0.7 + 0.25 * math.pi * k))
+            assert res.lower == 0.0 and res.value <= 1e-6 and res.evaluations <= 2 * 1024, (k, res)
+
+    def test_flat_ellipse_whose_fit_turns_onto_the_edge_stays_in_the_cone(self):
+        # 1e-15 from flat the fit lies a few ulps inside the disc, and here turning it back
+        # from the anchored chart rounds it onto the edge: it is pulled back into the cone.
+        # Whether the fit closes the search this near the edge depends on its rounding, so
+        # only the cone and the bracket's lower end are asked for
+        res = oracle_uniform(_in_family(1.0 - 1e-15, 0.7 + math.pi / 8.0))
+        assert res.lower == 0.0 and in_cone(*res.params.triple()), res
 
     def test_budget_stop_is_sound(self):
         # a kappa = 1e4 image of a convex polygon: its live boxes keep doubling until the next
@@ -206,9 +214,50 @@ class TestBracket:
             if res.value > 1e-6:
                 bare = oracle_uniform(b.gauge)
                 assert _hex(bare) == _hex(res), b.name
-                assert res.evaluations == bare.evaluations + evaluation_grid(b.gauge, 1024).size
+                assert res.evaluations == bare.evaluations + _grid(b.gauge, 1024)[0].size
                 compared += 1
         assert compared >= 15
+
+
+class TestAnchor:
+    """The grid and the chart start at the body's largest radius: every turn of a polygon gets
+    the same search, and the turned bench polygons the exact bounds of the upright ones."""
+
+    def test_every_turn_of_a_polygon_gets_one_search(self):
+        rng = np.random.default_rng(52)
+        polygons = [bodies.square_vertices(), bodies.hexagon_inradius_1()]
+        polygons += [bodies.random_convex_polygon(rng) for _ in range(5)]
+        polygons += [bodies.random_star_polygon(rng) for _ in range(5)]
+        for k, v in enumerate(polygons):
+            runs = [oracle_uniform(polygon_gauge(v @ _rotation(t).T))
+                    for t in rng.uniform(0.0, 2.0 * math.pi, 8)]
+            assert len({r.evaluations for r in runs}) == 1, (k, [r.evaluations for r in runs])
+            for field in ("value", "lower"):
+                got = [getattr(r, field) for r in runs]
+                assert max(got) - min(got) <= 1e-15, (k, field, got)
+
+    @pytest.mark.parametrize("seed", [1, 7, 901])
+    def test_turned_bench_polygons_reach_their_defect(self, seed):
+        turned = [b for b in _bench_bodies(seed) if b.name in ("square_turned", "hexagon_turned")]
+        assert len(turned) == 2
+        for b in turned:
+            res = oracle_uniform(b.gauge)
+            assert abs(res.value - 0.5 * math.log(b.d2_exact)) <= 1e-15, (b.name, res)
+
+    @pytest.mark.parametrize("p, q, t", [
+        (0.9489846115750945, -0.31532238581119937, 1.4452744299731493),
+        (0.04854268277352062, -0.9988211090826771, 1.5626994858727365),
+        (-0.9458581767194083, -0.3245802050850242, 1.8658679085771126),
+    ])
+    def test_turn_keeps_a_point_an_ulp_inside_the_disc_in_the_cone(self, p, q, t):
+        # |(p, q)| < 1 by an ulp, and the turn by 2t rounds it onto the edge: the triple is
+        # pulled back inside, by no more than its rounding
+        assert math.hypot(p, q) < 1.0
+        c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+        assert not math.hypot(p * c - q * s, p * s + q * c) < 1.0
+        for a2 in (1.0, 3e-200, 7e250):
+            params = _turned(a2, p, q, t)
+            assert 1.0 - 1e-14 < math.hypot(params.b2, params.c2) / a2 < 1.0, (a2, params)
 
 
 class TestMemory:

@@ -1142,6 +1142,20 @@ class TestSolveUniform:
         with pytest.raises(NoConvergence, match="no extremum"):
             _extrema_scan(g, triple)
 
+    def test_ellipse_whose_form_is_not_positive_definite_is_typed(self):
+        # the cone rule accepts the body's triple, but its form [[a2 + b2, c2], [c2, a2 - b2]]
+        # is not positive definite in floats: the closed-form scan's cholesky raises, typed
+        g = ellipse_gauge(EllipseParams(1e300, -1.7931035386639694e299, -9.837925579085803e299))
+        with pytest.raises(NoConvergence, match=r"^the body's form .* is not positive definite"):
+            solve_uniform(g)
+
+    @pytest.mark.parametrize("interp", ["linear", "pchip"])
+    def test_samples_whose_span_overflows_the_exchange_are_typed(self, interp):
+        # each sample passes the range rule, but their span overflows the exchange's R/w on
+        # the grid: the round raises, with no "overflow encountered in matmul" warning
+        with pytest.raises(NoConvergence, match="R/w leaves the float range"):
+            solve_uniform(sample_gauge([1e77, 1e-77] * 32, interp=interp))
+
     @pytest.mark.parametrize("body, triple, ending", [
         ("square", (1e308, 0.0, 0.0), "the scan of the triple .* finds no extremum"),
         ("square", (1.5e308, -1.4e308, 1e300), "the scan of the triple .* finds no extremum"),
